@@ -5,9 +5,9 @@ optimal tree collision resolution with disruptor detection, and a
 deterministic multi-party simulator with replayable transcripts.
 """
 
-from .groups import GroupParams, brute_force_dlog, commit, commit_vector, derive_params
+from .groups import GroupParams, brute_force_dlog, commit, derive_params
 from .sim import Scenario, run_scenario, verify_transcript
-from .splitter import ResolutionTree, resolve
+from .splitter import ResolutionTree
 from .transcript import Transcript
 
 __all__ = [
@@ -17,9 +17,7 @@ __all__ = [
     "Transcript",
     "brute_force_dlog",
     "commit",
-    "commit_vector",
     "derive_params",
-    "resolve",
     "run_scenario",
     "verify_transcript",
 ]

@@ -2,7 +2,7 @@
 
 Subcommands:
   run            execute a scenario file, write its transcript
-  verify         replay a transcript and report divergences
+  verify         re-judge a transcript and report every divergence
   paper-example  run the built-in five-message worked example
   keygen         print a key-graph header for inspection
 
@@ -93,8 +93,8 @@ def cmd_verify(args) -> int:
     if report.clean:
         print("transcript verified: clean")
         return 0
-    index, message = report.divergences[0]
-    print(f"divergence at record {index}: {message}")
+    for index, message in report.divergences:
+        print(f"divergence at record {index}: {message}")
     print(f"{len(report.divergences)} divergence(s) total")
     return 2
 
@@ -145,7 +145,7 @@ def cmd_keygen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"GROUP {params.to_text()}")
-    for rec in sim._key_records(params, 1, graph.public()):
+    for rec in sim._key_records(1, graph.public()):
         print(record_to_line(rec))
     return 0
 
@@ -154,7 +154,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dcmesh", description="verifiable dining-cryptographers engine"
     )
-    parser.add_argument("--verbose", action="store_true", help="per-round progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")

@@ -20,7 +20,6 @@ from .keysetup import (
     commitment_payload,
     verify_sig,
 )
-from .zkp import SigmaProof
 
 # verdict reason codes
 BAD_SIGNATURE = "bad_signature"
@@ -38,7 +37,7 @@ class RoundCiphertext:
     round_id: int
     value: int                      # O: pad sum, plus message if sending
     commitment: int                 # c: aggregate pair commitment
-    proof: SigmaProof | None = None
+    proof: str | None = None        # retransmission proof in wire form (hex)
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,7 @@ class RoundResult:
         raise MissingParticipant(f"no ciphertext from {pid}")
 
 
-def make_ciphertext(
-    view: KeyView, round_id, message: int | None = None, proof: SigmaProof | None = None
-) -> RoundCiphertext:
+def make_ciphertext(view: KeyView, round_id, message: int | None = None) -> RoundCiphertext:
     """Build this participant's broadcast for one round.
 
     Consumes the next scheduled per-round secrets (each set is used
@@ -73,7 +70,6 @@ def make_ciphertext(
         round_id=round_id,
         value=value,
         commitment=view.aggregate_commitment(slot),
-        proof=proof,
     )
 
 

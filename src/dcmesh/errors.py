@@ -13,16 +13,12 @@ class DlogNotFound(DcMeshError):
     """Target is not a power of the given base."""
 
 
-class TooManyValues(DcMeshError):
-    """Vector commitment received more values than message generators."""
-
-
 class WitnessMismatch(DcMeshError):
     """Prover witness does not satisfy the statement; refusing to emit a proof."""
 
 
 class EmptyClauseList(DcMeshError):
-    """Conjunction proof requested over zero clauses."""
+    """OR statement requested over zero branches."""
 
 
 class SignatureRefused(DcMeshError):

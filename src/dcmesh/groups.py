@@ -19,9 +19,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
-from .errors import DlogNotFound, GroupTooLarge, TooManyValues
-
-HASH_NAME = "sha256"
+from .errors import DlogNotFound, GroupTooLarge
 
 # RFC 3526, 2048-bit MODP group: a safe prime, so (p-1)/2 is prime.
 _RFC3526_P2048 = int(
@@ -46,9 +44,7 @@ DESK_SCALE_LIMIT = 1 << 20
 class GroupParams:
     """A Schnorr group with its commitment generators.
 
-    ``generators`` is ordered ``(g, g', g'', ..., h)``: the first entry
-    is the value base, the last the blinding base, anything between is
-    an extra message base for vector commitments.
+    ``generators`` is ``(g, h)``: the value base, then the blinding base.
     """
 
     name: str
@@ -66,19 +62,12 @@ class GroupParams:
         return self.generators[-1]
 
     @property
-    def message_generators(self) -> tuple[int, ...]:
-        return self.generators[:-1]
-
-    @property
     def element_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
     @property
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
-
-    def is_scalar(self, x: int) -> bool:
-        return 0 <= x < self.q
 
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1
@@ -178,21 +167,13 @@ def hash_to_subgroup(p: int, q: int, domain_tag: bytes, label: bytes) -> int:
         counter += 1
 
 
-def derive_params(
-    security_level: str, domain_tag: bytes, extra_generators: int = 0
-) -> GroupParams:
-    """Build group parameters for one of the named security levels.
-
-    ``extra_generators`` inserts that many hash-derived message bases
-    between g and h for vector commitments.
-    """
-    return _derive_params_cached(security_level, bytes(domain_tag), extra_generators)
+def derive_params(security_level: str, domain_tag: bytes) -> GroupParams:
+    """Build group parameters for one of the named security levels."""
+    return _derive_params_cached(security_level, bytes(domain_tag))
 
 
 @functools.lru_cache(maxsize=64)
-def _derive_params_cached(
-    security_level: str, domain_tag: bytes, extra_generators: int
-) -> GroupParams:
+def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams:
     if not domain_tag:
         raise ValueError("domain_tag must be non-empty")
     if security_level == "test_small":
@@ -206,17 +187,8 @@ def _derive_params_cached(
         h = hash_to_subgroup(p, q, domain_tag, b"h")
     else:
         raise ValueError(f"unknown security level {security_level!r}")
-    gens = [g]
-    for i in range(extra_generators):
-        attempt = 0
-        extra = hash_to_subgroup(p, q, domain_tag, b"msg-%d" % i)
-        while extra in gens or extra == h:
-            attempt += 1
-            extra = hash_to_subgroup(p, q, domain_tag, b"msg-%d-%d" % (i, attempt))
-        gens.append(extra)
-    gens.append(h)
     params = GroupParams(
-        name=security_level, p=p, q=q, generators=tuple(gens), domain_tag=bytes(domain_tag)
+        name=security_level, p=p, q=q, generators=(g, h), domain_tag=bytes(domain_tag)
     )
     params.validate()
     return params
@@ -229,17 +201,6 @@ def commit(params: GroupParams, value: int, blinding: int) -> int:
         * pow(params.h, blinding % params.q, params.p)
         % params.p
     )
-
-
-def commit_vector(params: GroupParams, values: list[int], blinding: int) -> int:
-    """Commit to several values at once, one message generator each."""
-    bases = params.message_generators
-    if len(values) > len(bases):
-        raise TooManyValues(f"{len(values)} values but only {len(bases)} message generators")
-    acc = pow(params.h, blinding % params.q, params.p)
-    for base, value in zip(bases, values):
-        acc = acc * pow(base, value % params.q, params.p) % params.p
-    return acc
 
 
 def verify_open(params: GroupParams, commitment: int, value: int, blinding: int) -> bool:

@@ -90,15 +90,6 @@ class PairwiseSecret:
     j: int
     rounds: tuple[RoundSecret, ...]
 
-    def reversed(self, q: int) -> "PairwiseSecret":
-        return PairwiseSecret(
-            i=self.j,
-            j=self.i,
-            rounds=tuple(
-                RoundSecret((-s.key) % q, (-s.blind) % q) for s in self.rounds
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class SignedCommitment:

@@ -3,7 +3,8 @@
 Hosts honest and scripted-adversary participant state machines, runs
 scenarios session by session (a detected disruptor is banned and the
 undelivered senders retry among the survivors), serializes canonical
-transcripts, and independently re-verifies them.
+transcripts, and re-verifies them by feeding each session's recorded
+inputs back through the same session judge (``splitter.run_session``).
 
 Everything is driven by one 64-bit scenario seed: per-participant
 randomness, key material and adversary choices are forked from it by
@@ -16,18 +17,12 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
+from operator import itemgetter
 
 from . import splitter, zkp
-from .dcnet import (
-    INVALID_PROOF,
-    NON_COOPERATION,
-    STUCK_COLLISION,
-    RoundCiphertext,
-    aggregate_round,
-    investigate,
-    make_ciphertext,
-)
-from .errors import ConfigInvalid, MalformedRecord, WitnessMismatch
+from .dcnet import RoundCiphertext, make_ciphertext
+from .errors import ConfigInvalid, DcMeshError, MalformedRecord, WitnessMismatch
 from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
     EdgePublic,
@@ -37,14 +32,12 @@ from .keysetup import (
 )
 from .splitter import (
     COLLISION,
-    ResolutionTree,
-    Verdict,
     encode_slot,
     run_session,
     slot_fits,
     split_decision,
 )
-from .transcript import Transcript, body_digest, header_digest, record, record_to_line
+from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 
@@ -221,18 +214,17 @@ class HonestParticipant:
     """Follows the protocol: pads every round, splits by the book,
     proves every non-root broadcast, answers every demand it can."""
 
-    def __init__(self, params, view, payload, payload_bits, rng):
+    def __init__(self, params, view, payload, payload_bits, rng, session_tag):
         self.params = params
         self.view = view
         self.pid = view.pid
         self.payload = payload
         self.payload_bits = payload_bits
         self.rng = rng
-
-    def begin_session(self, session, tree, session_tag):
-        self.session = session
-        self.tree = tree
         self.session_tag = session_tag
+
+    def begin_session(self, tree):
+        self.tree = tree
         self.broadcasts = {}
         self.blinds = {}
         self.slot_value = (
@@ -248,15 +240,17 @@ class HonestParticipant:
         parent_id = round_id // 2
         if self.message_node != parent_id:
             return False
-        parent = self.tree.nodes[parent_id]
-        go_left = split_decision(
+        go_left = self._goes_left(self.tree.nodes[parent_id])
+        self.message_node = round_id if go_left else round_id + 1
+        return go_left
+
+    def _goes_left(self, parent) -> bool:
+        return split_decision(
             self.payload,
             parent.threshold,
             parent.probabilistic,
             lambda: self.rng.getrandbits(1),
         )
-        self.message_node = round_id if go_left else round_id + 1
-        return go_left
 
     def _message_for(self, round_id):
         return self.slot_value if self._transmit_decision(round_id) else None
@@ -269,7 +263,7 @@ class HonestParticipant:
         self.broadcasts[round_id] = (ct.value, ct.commitment)
         self.blinds[round_id] = self.view.blind_sum(self.view.slot_of(round_id))
         if round_id != 1:
-            ct = replace(ct, proof=self._attach_proof(round_id, message is not None))
+            ct = replace(ct, proof=self._wire(self._attach_proof(round_id, message is not None)))
         return ct
 
     def _attach_proof(self, round_id, retransmitted):
@@ -285,6 +279,9 @@ class HonestParticipant:
         )
 
     def respond_demand(self, node_id):
+        return self._wire(self._denial_proof(node_id))
+
+    def _denial_proof(self, node_id):
         try:
             return splitter.prove_node_denial(
                 self.params,
@@ -298,6 +295,10 @@ class HonestParticipant:
         except WitnessMismatch:
             return None
 
+    def _wire(self, proof):
+        """A proof as broadcast: hex text, or None when withheld."""
+        return None if proof is None else zkp.proof_to_bytes(self.params, proof).hex()
+
     def publish_pairs(self, slot):
         return self.view.published_pairs(slot)
 
@@ -309,16 +310,7 @@ class _ForgingAdversary(HonestParticipant):
     def _attach_proof(self, round_id, retransmitted):
         for branch_retransmitted in (retransmitted, not retransmitted):
             try:
-                return splitter.prove_retransmission(
-                    self.params,
-                    self.broadcasts,
-                    self.blinds,
-                    self.pid,
-                    round_id,
-                    branch_retransmitted,
-                    self.rng,
-                    self.session_tag,
-                )
+                return super()._attach_proof(round_id, branch_retransmitted)
             except WitnessMismatch:
                 continue
         stmt = splitter.retransmission_statement(
@@ -326,22 +318,14 @@ class _ForgingAdversary(HonestParticipant):
         )
         return zkp.forge_attempt(self.params, stmt, self.rng)
 
-    def respond_demand(self, node_id):
-        try:
-            return splitter.prove_node_denial(
-                self.params,
-                self.broadcasts,
-                self.blinds,
-                self.pid,
-                node_id,
-                self.rng,
-                self.session_tag,
-            )
-        except WitnessMismatch:
+    def _denial_proof(self, node_id):
+        proof = super()._denial_proof(node_id)
+        if proof is None:
             stmt = splitter.denial_statement(
                 self.params, self.broadcasts, self.pid, node_id, self.session_tag
             )
-            return zkp.forge_attempt(self.params, stmt, self.rng)
+            proof = zkp.forge_attempt(self.params, stmt, self.rng)
+        return proof
 
 
 class BadPadParticipant(_ForgingAdversary):
@@ -361,19 +345,9 @@ class BadPadParticipant(_ForgingAdversary):
 class WrongBranchParticipant(_ForgingAdversary):
     """Retransmits its message against every deterministic split rule."""
 
-    def _transmit_decision(self, round_id):
-        if round_id == 1:
-            return self.message_node == 1
-        parent_id = round_id // 2
-        if self.message_node != parent_id:
-            return False
-        parent = self.tree.nodes[parent_id]
-        if parent.probabilistic:
-            go_left = bool(self.rng.getrandbits(1))
-        else:
-            go_left = not (self.payload < parent.threshold)
-        self.message_node = round_id if go_left else round_id + 1
-        return go_left
+    def _goes_left(self, parent):
+        go_left = super()._goes_left(parent)
+        return go_left if parent.probabilistic else not go_left
 
 
 class DoubleBranchParticipant(_ForgingAdversary):
@@ -477,15 +451,11 @@ def _session_budget(n_active: int, max_retries: int) -> int:
     return max(1, n_active) + max_retries + 8
 
 
-def _keys_digest(key_records) -> str:
-    h = hashlib.sha256()
-    for rec in key_records:
-        h.update(record_to_line(rec).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+def _session_tag(scenario_digest: str, session: int) -> bytes:
+    return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
 
 
-def _build_participants(params, scenario, graph, active, pending):
+def _build_participants(params, scenario, graph, active, pending, session_tag):
     strategy_of = dict(scenario.adversaries)
     participants = []
     for pid in sorted(active):
@@ -497,12 +467,13 @@ def _build_participants(params, scenario, graph, active, pending):
                 pending.get(pid),
                 scenario.payload_bits,
                 fork_rng(scenario.seed, "participant", pid),
+                session_tag,
             )
         )
     return participants
 
 
-def _key_records(params, session, public: KeyGraphPublic):
+def _key_records(session, public: KeyGraphPublic):
     records = []
     for pid in public.participants:
         records.append(record("PUBKEY", session=session, part=pid, y=public.publics[pid]))
@@ -521,17 +492,8 @@ def _key_records(params, session, public: KeyGraphPublic):
     return records
 
 
-def run_scenario(scenario: Scenario) -> Transcript:
-    """Execute a scenario to completion and return its transcript.
-
-    Sessions repeat, banning every flagged disruptor, until all honest
-    pending messages have been delivered (or no progress is possible,
-    which scripted strategies never cause).
-    """
-    scenario.validate()
-    params = derive_params(scenario.group, DOMAIN_TAG)
-    digest = scenario.digest()
-
+def _header(params, config):
+    """The transcript header for a group and a CONFIG record."""
     header = [
         record("DCMESH", version="v1", hash="sha256"),
         record(
@@ -542,6 +504,95 @@ def run_scenario(scenario: Scenario) -> Transcript:
             generators=",".join(str(x) for x in params.generators),
             tag=params.domain_tag.hex(),
         ),
+        config,
+    ]
+    header.append(record("HEADEREND", digest=records_digest(header)))
+    return header
+
+
+def _session_head(session, public: KeyGraphPublic):
+    """The SESSION record followed by the session's key records."""
+    key_records = _key_records(session, public)
+    head = record(
+        "SESSION",
+        idx=session,
+        active=",".join(str(pid) for pid in public.participants),
+        budget=public.budget,
+        keys=records_digest(key_records),
+    )
+    return [head] + key_records
+
+
+def _summary(outcomes, body):
+    """The closing SUMMARY: session totals and the digest of the body before it."""
+    return record(
+        "SUMMARY",
+        sessions=len(outcomes),
+        delivered=sum(len(o.resolved) for o in outcomes),
+        transmitted=sum(o.transmitted for o in outcomes),
+        proofs_checked=sum(o.proofs_checked for o in outcomes),
+        proofs_failed=sum(o.proofs_failed for o in outcomes),
+        verdicts=sum(len(o.verdicts) for o in outcomes),
+        bind=records_digest(body),
+    )
+
+
+@dataclass
+class _Participants:
+    """The judge's source in a live run: the participants, in pid order."""
+
+    participants: list
+
+    def begin(self, tree):
+        for p in self.participants:
+            p.begin_session(tree)
+
+    def broadcast(self, round_id):
+        return [p.broadcast(round_id) for p in self.participants]
+
+    def publish(self, slot):
+        return {p.pid: p.publish_pairs(slot) for p in self.participants}
+
+    def respond(self, node_id):
+        return [(p.pid, p.respond_demand(node_id)) for p in self.participants]
+
+
+def _play_session(params, scenario, active, pending, session, session_tag):
+    """Key setup, participants and the judge for one session."""
+    refusers = {pid for pid, strategy in scenario.adversaries if strategy == REFUSE_SIGNATURE}
+    graph = build_key_graph(
+        params,
+        active,
+        _session_budget(len(active), scenario.max_retries),
+        fork_rng(scenario.seed, "keys", session),
+        refusers=refusers & set(active),
+    )
+    public = graph.public()
+    participants = _build_participants(params, scenario, graph, active, pending, session_tag)
+    outcome = run_session(
+        params,
+        public,
+        scenario.payload_bits,
+        scenario.max_retries,
+        session,
+        session_tag,
+        _Participants(participants),
+    )
+    return public, outcome
+
+
+def run_scenario(scenario: Scenario) -> Transcript:
+    """Execute a scenario to completion and return its transcript.
+
+    Sessions repeat, banning every flagged disruptor, until all honest
+    pending messages have been delivered (or no progress is possible,
+    which scripted strategies never cause).
+    """
+    scenario.validate()
+    params = derive_params(scenario.group, DOMAIN_TAG)
+    digest = scenario.digest()
+    header = _header(
+        params,
         record(
             "CONFIG",
             n=scenario.n,
@@ -549,56 +600,21 @@ def run_scenario(scenario: Scenario) -> Transcript:
             max_retries=scenario.max_retries,
             scenario=digest,
         ),
-    ]
-    header.append(record("HEADEREND", digest=header_digest(header)))
+    )
 
-    refusers = {pid for pid, strategy in scenario.adversaries if strategy == REFUSE_SIGNATURE}
     active = list(range(scenario.n))
     pending = dict(scenario.senders)
     body = []
-    session = 0
-    totals = Counter()
+    outcomes = []
 
     while True:
-        session += 1
-        budget = _session_budget(len(active), scenario.max_retries)
-        graph = build_key_graph(
-            params,
-            active,
-            budget,
-            fork_rng(scenario.seed, "keys", session),
-            refusers=refusers & set(active),
+        session = len(outcomes) + 1
+        public, outcome = _play_session(
+            params, scenario, active, pending, session, _session_tag(digest, session)
         )
-        public = graph.public()
-        key_records = _key_records(params, session, public)
-        body.append(
-            record(
-                "SESSION",
-                idx=session,
-                active=",".join(str(pid) for pid in active),
-                budget=budget,
-                keys=_keys_digest(key_records),
-            )
-        )
-        body.extend(key_records)
-
-        participants = _build_participants(params, scenario, graph, active, pending)
-        session_tag = b"dcmesh|" + digest.encode()[:16] + b"|s%d" % session
-        outcome = run_session(
-            params,
-            participants,
-            public,
-            scenario.payload_bits,
-            scenario.max_retries,
-            session,
-            session_tag,
-        )
+        body.extend(_session_head(session, public))
         body.extend(outcome.records)
-        totals["transmitted"] += outcome.transmitted
-        totals["delivered"] += len(outcome.resolved)
-        totals["proofs_checked"] += outcome.proofs_checked
-        totals["proofs_failed"] += outcome.proofs_failed
-        totals["verdicts"] += len(outcome.verdicts)
+        outcomes.append(outcome)
 
         resolved_counts = Counter(payload for _, payload in outcome.resolved)
         for pid in sorted(pending):
@@ -614,18 +630,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
         if not pending or not banned or session > scenario.n:
             break
 
-    body.append(
-        record(
-            "SUMMARY",
-            sessions=session,
-            delivered=totals["delivered"],
-            transmitted=totals["transmitted"],
-            proofs_checked=totals["proofs_checked"],
-            proofs_failed=totals["proofs_failed"],
-            verdicts=totals["verdicts"],
-            bind=body_digest(body),
-        )
-    )
+    body.append(_summary(outcomes, body))
     return Transcript(header=header, records=body)
 
 
@@ -645,25 +650,10 @@ def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_mediu
     )
     scenario.validate()
     params = derive_params(group, DOMAIN_TAG)
-    refusers = {pid for pid, strategy in adversaries if strategy == REFUSE_SIGNATURE}
-    active = list(range(n))
-    graph = build_key_graph(
-        params,
-        active,
-        _session_budget(n, max_retries),
-        fork_rng(seed, "keys", 1),
-        refusers=refusers,
+    _, outcome = _play_session(
+        params, scenario, list(range(n)), dict(senders), 1, b"dcmesh|adhoc|s1"
     )
-    participants = _build_participants(params, scenario, graph, active, dict(senders))
-    return run_session(
-        params,
-        participants,
-        graph.public(),
-        payload_bits,
-        max_retries,
-        1,
-        b"dcmesh|adhoc|s1",
-    )
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -678,387 +668,174 @@ class VerificationReport:
     def clean(self) -> bool:
         return not self.divergences
 
-    def add(self, index: int, message: str) -> None:
-        self.divergences.append((index, message))
+
+# recorded records the judge reads, by type: their lookup key
+_INPUT_KEYS = {
+    "PUBKEY": itemgetter("type", "part"),
+    "EDGE": itemgetter("type", "lo", "hi"),
+    "CIPHER": itemgetter("type", "round", "part"),
+    "PUBLISH": itemgetter("type", "slot", "part", "peer"),
+    "DEMAND": itemgetter("type", "node", "part"),
+}
 
 
-class _Replay:
-    """Record-by-record replay of a transcript.
+class _Recorded:
+    """The judge's source on verify: one session's recorded inputs.
 
-    Recomputes every derivable quantity (round sums, validity bits,
-    node classifications, proof verdicts, investigation outcomes,
-    demanded denials, bans, summary counters) from the broadcast data
-    alone and reports any disagreement with the recorded values.
+    PUBKEY and EDGE records give the session's public key graph.  The
+    judge's inputs are looked up by key: CIPHER records by (round,
+    part), PUBLISH records by (slot, part, peer) and DEMAND records by
+    (node, part).  A key the session does not record makes the
+    transcript malformed.
     """
 
-    def __init__(self, transcript: Transcript):
-        self.t = transcript
-        self.report = VerificationReport()
-        self.pos = 0
-        self.base = len(transcript.header)
-
-    def fail(self, message, offset=0):
-        self.report.add(self.base + self.pos + offset, message)
-
-    def peek(self):
-        if self.pos < len(self.t.records):
-            return self.t.records[self.pos]
-        return None
-
-    def take(self, rtype=None):
-        rec = self.peek()
-        if rec is None:
-            raise MalformedRecord(self.base + self.pos, "unexpected end of transcript")
-        if rtype is not None and rec["type"] != rtype:
-            raise MalformedRecord(
-                self.base + self.pos, f"expected {rtype}, found {rec['type']}"
-            )
-        self.pos += 1
-        return rec
-
-    # -- header ------------------------------------------------------------
-
-    def check_header(self):
-        head = self.t.header
-        if not head or head[0]["type"] != "DCMESH":
-            raise MalformedRecord(0, "missing format line")
-        if head[0]["version"] != "v1" or head[0]["hash"] != "sha256":
-            self.report.add(0, "unsupported version or hash")
-        types = [r["type"] for r in head]
-        if types[-1] != "HEADEREND" or "GROUP" not in types or "CONFIG" not in types:
-            raise MalformedRecord(len(head) - 1, "incomplete header")
-        group_rec = next(r for r in head if r["type"] == "GROUP")
-        try:
-            self.params = GroupParams(
-                name=group_rec["name"],
-                p=group_rec["p"],
-                q=group_rec["q"],
-                generators=tuple(int(x) for x in group_rec["generators"].split(",")),
-                domain_tag=bytes.fromhex(group_rec["tag"]),
-            )
-            self.params.validate()
-        except (ValueError, KeyError) as exc:
-            self.report.add(types.index("GROUP"), f"bad group parameters: {exc}")
-            raise MalformedRecord(types.index("GROUP"), str(exc)) from exc
-        config = next(r for r in head if r["type"] == "CONFIG")
-        self.n = config["n"]
-        self.payload_bits = config["payload_bits"]
-        self.max_retries = config["max_retries"]
-        recorded = head[-1]["digest"]
-        if recorded != header_digest(head):
-            self.report.add(len(head) - 1, "header digest mismatch")
-
-    # -- sessions ------------------------------------------------------------
-
-    def run(self) -> VerificationReport:
-        self.check_header()
-        expected_active = list(range(self.n))
-        session_idx = 0
-        totals = Counter()
-        while True:
-            rec = self.peek()
-            if rec is None:
-                raise MalformedRecord(self.base + self.pos, "missing SUMMARY record")
-            if rec["type"] == "SUMMARY":
-                self.take()
-                self._check_summary(rec, session_idx, totals)
-                if self.peek() is not None:
-                    self.fail("records after SUMMARY")
-                break
-            if rec["type"] != "SESSION":
-                raise MalformedRecord(
-                    self.base + self.pos, f"expected SESSION or SUMMARY, found {rec['type']}"
-                )
-            session_idx += 1
-            expected_active = self._replay_session(rec, session_idx, expected_active, totals)
-        return self.report
-
-    def _replay_session(self, session_rec, session_idx, expected_active, totals):
-        rec = self.take("SESSION")
-        if rec["idx"] != session_idx:
-            self.fail(f"session index {rec['idx']} out of order", -1)
-        active = [int(x) for x in rec["active"].split(",") if x != ""]
-        if active != expected_active:
-            self.fail(f"active set {active} != expected {expected_active}", -1)
-        budget = _session_budget(len(active), self.max_retries)
-        if rec["budget"] != budget:
-            self.fail(f"budget {rec['budget']} != recomputed {budget}", -1)
-
-        key_records = []
-        while self.peek() is not None and self.peek()["type"] in ("PUBKEY", "EDGE"):
-            key_records.append(self.take())
-        if rec["keys"] != _keys_digest(key_records):
-            self.fail("key records do not match the session keys digest", -1)
-        publics = {}
-        edges = []
-        for kr in key_records:
-            if kr["session"] != session_idx:
-                self.fail("key record session mismatch")
-            if kr["type"] == "PUBKEY":
-                publics[kr["part"]] = kr["y"]
-            else:
-                edges.append(
-                    EdgePublic(kr["lo"], kr["hi"], kr["state"] == "shared")
-                )
-        if sorted(publics) != active:
-            self.fail("PUBKEY records do not cover the active set")
-        expected_pairs = {
-            (a, b) for i, a in enumerate(active) for b in active[i + 1 :]
-        }
-        if {(e.lo, e.hi) for e in edges} != expected_pairs:
-            self.fail("EDGE records do not cover the active pairs")
-        graph_public = KeyGraphPublic(
+    def __init__(self, params, active, budget, records, index):
+        self.params = params
+        self.pids = active
+        self.index = index   # transcript index of the SESSION record
+        self.inputs = {}
+        for rec in records:
+            key = _INPUT_KEYS.get(rec["type"])
+            if key is not None:
+                self.inputs[key(rec)] = rec
+        # lookups fail at the first missing key record, before any
+        # structure grows with the claimed participant count
+        self.public = KeyGraphPublic(
             n=len(active),
             budget=budget,
             participants=tuple(active),
-            publics=publics,
-            edges=tuple(edges),
+            publics={pid: self._get("PUBKEY", pid)["y"] for pid in active},
+            edges=tuple(
+                _edge(self._get("EDGE", lo, hi))
+                for i, lo in enumerate(active)
+                for hi in active[i + 1 :]
+            ),
         )
 
-        session_tag = None
-        config = next(r for r in self.t.header if r["type"] == "CONFIG")
-        session_tag = b"dcmesh|" + config["scenario"].encode()[:16] + b"|s%d" % session_idx
+    def _get(self, *key):
+        if key not in self.inputs:
+            raise MalformedRecord(self.index, f"session records no {key[0]} for {key[1:]}")
+        return self.inputs[key]
 
-        tree = ResolutionTree(self.params.q, self.payload_bits, self.max_retries)
-        broadcasts = {pid: {} for pid in active}
-        proofs = {}
-        recorded_verdicts = []
-        recorded_bans = []
-        computed_verdicts = []
-        demanded = set()
-        stuck_seen = 0
-        slot = 0
-        aborted = False
+    def begin(self, tree):
+        pass
 
-        while True:
-            rec = self.peek()
-            if rec is None or rec["type"] in ("SESSION", "SUMMARY"):
-                break
-            if rec["type"] == "VERDICT":
-                if rec["session"] != session_idx:
-                    self.fail("verdict session mismatch")
-                recorded_verdicts.append(self.take())
-                continue
-            if rec["type"] == "BAN":
-                if rec["session"] != session_idx:
-                    self.fail("ban session mismatch")
-                recorded_bans.append(self.take())
-                continue
-            if aborted:
-                self.fail(f"unexpected {rec['type']} after session abort")
-                self.take()
-                continue
-            round_rec = self.take("ROUND")
-            rid = round_rec["id"]
-            if round_rec["session"] != session_idx:
-                self.fail("round session mismatch", -1)
-            if tree.next_round() != rid:
-                self.fail(f"round {rid} is not next (expected {tree.next_round()})", -1)
-                break
-            if round_rec["slot"] != slot:
-                self.fail(f"slot {round_rec['slot']} != recomputed {slot}", -1)
-            cts = []
-            for pid in active:
-                crec = self.take("CIPHER")
-                if crec["part"] != pid or crec["round"] != rid or crec["session"] != session_idx:
-                    self.fail("cipher record out of order", -1)
-                if not self.params.is_element(crec["c"]):
-                    self.fail(f"commitment of {pid} outside the group", -1)
-                proof = None
-                if crec["proof"] != "-":
-                    try:
-                        proof = zkp.proof_from_bytes(self.params, bytes.fromhex(crec["proof"]))
-                    except ValueError as exc:
-                        self.fail(f"undecodable proof: {exc}", -1)
-                broadcasts[pid][rid] = (crec["O"] % self.params.q, crec["c"])
-                cts.append(
-                    RoundCiphertext(pid, rid, crec["O"] % self.params.q, crec["c"], proof)
-                )
-            agg = self.take("AGGREGATE")
-            if agg["session"] != session_idx or agg["round"] != rid:
-                self.fail("aggregate record session/round mismatch", -1)
-            result = aggregate_round(self.params, active, cts)
-            if agg["C"] != result.total:
-                self.fail(f"recorded C {agg['C']} != recomputed {result.total}", -1)
-            if agg["valid"] != int(result.valid):
-                self.fail(f"recorded validity {agg['valid']} != recomputed", -1)
-            totals["transmitted"] += 1
-
-            if not result.valid:
-                computed_verdicts.extend(
-                    self._replay_investigation(session_idx, rid, slot, result, graph_public)
-                )
-                aborted = True
-                continue
-
-            proof_failures = []
-            if rid != 1:
-                for ct in cts:
-                    totals["proofs_checked"] += 1
-                    ok = ct.proof is not None and splitter.verify_retransmission(
-                        self.params, broadcasts[ct.participant], ct.participant,
-                        rid, ct.proof, session_tag,
-                    )
-                    if not ok:
-                        totals["proofs_failed"] += 1
-                        reason = NON_COOPERATION if ct.proof is None else INVALID_PROOF
-                        proof_failures.append(
-                            Verdict(ct.participant, reason, f"round:{rid}")
-                        )
-            else:
-                for ct in cts:
-                    if ct.proof is not None:
-                        self.fail("unexpected proof attached to the opening round")
-            if proof_failures:
-                computed_verdicts.extend(proof_failures)
-                aborted = True
-                continue
-
-            touched = tree.advance(result)
-            self._check_nodes(session_idx, tree, touched, totals)
-            slot += 1
-
-            while stuck_seen < len(tree.stuck_nodes):
-                node_id = tree.stuck_nodes[stuck_seen]
-                stuck_seen += 1
-                demanded.add(node_id)
-                computed_verdicts.extend(
-                    self._replay_demand(
-                        session_idx, node_id, active, broadcasts, session_tag,
-                        STUCK_COLLISION, totals,
-                    )
-                )
-
-            if tree.done:
-                for leaf_id in splitter.audit_wrong_branches(tree):
-                    if leaf_id in demanded:
-                        continue
-                    demanded.add(leaf_id)
-                    computed_verdicts.extend(
-                        self._replay_demand(
-                            session_idx, leaf_id, active, broadcasts, session_tag,
-                            WRONG_BRANCH, totals,
-                        )
-                    )
-
-        if not aborted and not tree.done:
-            self.fail("session ended with unresolved rounds")
-
-        recorded_set = sorted(
-            (r["part"], r["reason"], r["where"]) for r in recorded_verdicts
-        )
-        computed_set = sorted((v.participant, v.reason, v.where) for v in computed_verdicts)
-        if recorded_set != computed_set:
-            self.fail(
-                f"verdicts diverge: recorded {recorded_set} != recomputed {computed_set}"
+    def broadcast(self, round_id):
+        cts = []
+        for pid in self.pids:
+            rec = self._get("CIPHER", round_id, pid)
+            if not self.params.is_element(rec["c"]):
+                raise MalformedRecord(self.index, f"commitment of {pid} outside the group")
+            cts.append(
+                RoundCiphertext(pid, round_id, rec["O"] % self.params.q, rec["c"], _proof(rec))
             )
-        banned = sorted({v.participant for v in computed_verdicts})
-        if sorted(r["part"] for r in recorded_bans) != banned:
-            self.fail(f"ban list does not match verdicts {banned}")
-        totals["verdicts"] += len(computed_verdicts)
-        totals["delivered"] += len(tree.resolved)
-        totals["sessions"] = session_idx
-        return [pid for pid in active if pid not in banned]
+        return cts
 
-    def _check_nodes(self, session_idx, tree, touched, totals):
-        for node_id in touched:
-            rec = self.take("NODE")
-            snap = tree.snapshot(node_id)
-            snap["session"] = session_idx
-            for key in ("session", "id", "kind", "count", "total", "status",
-                        "probabilistic", "attempt"):
-                if rec[key] != snap[key]:
-                    self.fail(f"node {node_id}: {key} {rec[key]} != {snap[key]}", -1)
-            if str(rec["threshold"]) != str(snap["threshold"]):
-                self.fail(f"node {node_id}: threshold mismatch", -1)
-            node = tree.nodes[node_id]
-            if node.status == "resolved":
-                rrec = self.take("RESOLVED")
-                if (
-                    rrec["node"] != node_id
-                    or rrec["payload"] != node.total
-                    or rrec["session"] != session_idx
-                ):
-                    self.fail(f"resolved record mismatch at node {node_id}", -1)
-
-    def _replay_investigation(self, session_idx, rid, slot, result, graph_public):
+    def publish(self, slot):
         published = {}
-        while self.peek() is not None and self.peek()["type"] == "PUBLISH":
-            rec = self.take()
-            if rec["session"] != session_idx or rec["slot"] != slot:
-                self.fail("publish record session/slot mismatch", -1)
-            published.setdefault(rec["part"], {})[rec["peer"]] = SignedCommitment(
-                holder=rec["part"],
-                peer=rec["peer"],
-                slot=slot,
-                commitment=rec["c"],
-                signature=(rec["sig_e"], rec["sig_s"]),
-            )
-        inv_rec = self.take("INVESTIGATION")
-        if inv_rec["session"] != session_idx or inv_rec["round"] != rid:
-            self.fail("investigation record session/round mismatch", -1)
-        inv = investigate(self.params, result, slot, published, graph_public)
-        cheaters = ",".join(
-            f"{pid}:{'+'.join(inv.verdicts[pid])}" for pid in sorted(inv.verdicts)
-        ) or "-"
-        if inv_rec["cheaters"] != cheaters:
-            self.fail(
-                f"investigation verdicts {inv_rec['cheaters']} != recomputed {cheaters}", -1
-            )
-        return [
-            Verdict(pid, reason, f"round:{rid}")
-            for pid in sorted(inv.verdicts)
-            for reason in inv.verdicts[pid]
-        ]
+        for key, rec in self.inputs.items():
+            if key[0] == "PUBLISH" and key[1] == slot:
+                published.setdefault(rec["part"], {})[rec["peer"]] = SignedCommitment(
+                    holder=rec["part"],
+                    peer=rec["peer"],
+                    slot=slot,
+                    commitment=rec["c"],
+                    signature=(rec["sig_e"], rec["sig_s"]),
+                )
+        return published
 
-    def _replay_demand(self, session_idx, node_id, active, broadcasts, session_tag,
-                       reason, totals):
-        verdicts = []
-        for pid in active:
-            rec = self.take("DEMAND")
-            if rec["node"] != node_id or rec["part"] != pid or rec["session"] != session_idx:
-                self.fail("demand record out of order", -1)
-            proof = None
-            if rec["proof"] != "-":
-                try:
-                    proof = zkp.proof_from_bytes(self.params, bytes.fromhex(rec["proof"]))
-                except ValueError as exc:
-                    self.fail(f"undecodable demand proof: {exc}", -1)
-            ok = proof is not None and splitter.verify_node_denial(
-                self.params, broadcasts[pid], pid, node_id, proof, session_tag
-            )
-            totals["proofs_checked"] += 1
-            if not ok:
-                totals["proofs_failed"] += 1
-            if rec["ok"] != int(ok):
-                self.fail(f"demand outcome for {pid} at node {node_id} mismatch", -1)
-            if not ok:
-                verdicts.append(Verdict(pid, reason, f"node:{node_id}"))
-        return verdicts
+    def respond(self, node_id):
+        return [(pid, _proof(self._get("DEMAND", node_id, pid))) for pid in self.pids]
 
-    def _check_summary(self, rec, sessions, totals):
-        expected = {
-            "sessions": sessions,
-            "delivered": totals["delivered"],
-            "transmitted": totals["transmitted"],
-            "proofs_checked": totals["proofs_checked"],
-            "proofs_failed": totals["proofs_failed"],
-            "verdicts": totals["verdicts"],
-            "bind": body_digest(self.t.records),
-        }
-        for key, value in expected.items():
-            if rec[key] != value:
-                self.fail(f"summary {key} {rec[key]} != recomputed {value}", -1)
+
+def _proof(rec):
+    return None if rec["proof"] == "-" else rec["proof"]
+
+
+def _edge(rec) -> EdgePublic:
+    shared = rec["state"] == "shared"
+    return EdgePublic(
+        rec["lo"],
+        rec["hi"],
+        shared,
+        bytes.fromhex(rec["root_lo"]) if shared else b"",
+        bytes.fromhex(rec["root_hi"]) if shared else b"",
+    )
+
+
+def _line(rec) -> str:
+    return "(none)" if rec is None else record_to_line(rec)
+
+
+def _diff(report, index, recorded, recomputed):
+    """Report every position where recorded and recomputed records differ."""
+    for offset, (rec, exp) in enumerate(zip_longest(recorded, recomputed)):
+        if rec != exp:
+            message = f"recorded {_line(rec)} != recomputed {_line(exp)}"
+            report.divergences.append((index + offset, message))
+
+
+def _check_header(header, report):
+    """Group parameters and CONFIG of a header; reports each header record that differs."""
+    types = [r["type"] for r in header]
+    if "GROUP" not in types or "CONFIG" not in types:
+        raise MalformedRecord(len(header) - 1, "incomplete header")
+    group = header[types.index("GROUP")]
+    try:
+        # a GROUP record's fields are GroupParams.to_text's, in its layout
+        params = GroupParams.from_text(record_to_line(group).partition(" ")[2])
+    except (ValueError, KeyError) as exc:
+        raise MalformedRecord(types.index("GROUP"), f"bad group parameters: {exc}") from exc
+    config = header[types.index("CONFIG")]
+    _diff(report, 0, header, _header(params, config))
+    return params, config
 
 
 def verify_transcript(transcript: Transcript) -> VerificationReport:
-    """Recompute everything derivable from a transcript and report
-    divergences.  Raises MalformedRecord when the structure itself is
-    broken (truncation, unknown records, wrong field types)."""
-    replay = _Replay(transcript)
-    try:
-        return replay.run()
-    except MalformedRecord:
-        raise
-    except (ValueError, KeyError, IndexError, OverflowError) as exc:
-        raise MalformedRecord(replay.base + replay.pos, f"unreplayable record: {exc}") from exc
+    """Re-judge every session from its recorded inputs and report each
+    record that differs from the recomputed one.
+
+    The body is split at its SESSION records.  Each session's inputs
+    are fed to the same judge that produced them, and everything it
+    emits, with the SESSION, key and SUMMARY records, is compared with
+    the transcript position by position.  Raises MalformedRecord when
+    the structure itself is broken (truncation, unknown records, wrong
+    field types, inputs missing for the recomputed schedule).
+    """
+    report = VerificationReport()
+    params, config = _check_header(transcript.header, report)
+    base = len(transcript.header)
+    body = transcript.records
+    if not body or body[-1]["type"] != "SUMMARY":
+        raise MalformedRecord(base + len(body), "missing SUMMARY record")
+    starts = [i for i, rec in enumerate(body) if rec["type"] == "SESSION"]
+    if starts[:1] != [0]:
+        raise MalformedRecord(base, "expected a SESSION record")
+    if not 0 < config["n"] <= len(body):   # every participant has a PUBKEY record
+        raise MalformedRecord(base, f"CONFIG n={config['n']} does not fit the transcript")
+    active = list(range(config["n"]))
+    outcomes = []
+    for session, (start, end) in enumerate(zip(starts, starts[1:] + [len(body) - 1]), 1):
+        index, records = base + start, body[start:end]
+        budget = _session_budget(len(active), config["max_retries"])
+        try:
+            source = _Recorded(params, active, budget, records, index)
+            outcome = run_session(
+                params,
+                source.public,
+                config["payload_bits"],
+                config["max_retries"],
+                session,
+                _session_tag(config["scenario"], session),
+                source,
+            )
+        except MalformedRecord:
+            raise
+        except (DcMeshError, ValueError, KeyError, IndexError, OverflowError) as exc:
+            raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
+        _diff(report, index, records, _session_head(session, source.public) + outcome.records)
+        outcomes.append(outcome)
+        banned = {v.participant for v in outcome.verdicts}
+        active = [pid for pid in active if pid not in banned]
+    _diff(report, base + len(body) - 1, body[-1:], [_summary(outcomes, body[:-1])])
+    return report

@@ -235,7 +235,7 @@ class ResolutionTree:
             count=node.count,
             total=node.total,
             status=node.status,
-            threshold="-" if node.threshold is None else node.threshold,
+            threshold="-" if node.threshold is None else str(node.threshold),
             probabilistic=int(node.probabilistic),
             attempt=node.attempt,
         )
@@ -354,7 +354,7 @@ def verify_node_denial(
 
 
 # ---------------------------------------------------------------------------
-# session engine
+# the session judge
 
 
 @dataclass(frozen=True)
@@ -402,27 +402,48 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
     return offending
 
 
+def _read_proof(params: GroupParams, text: str) -> zkp.SigmaProof | None:
+    """Decode a wire-form (hex) proof; None when the text is not a proof."""
+    try:
+        return zkp.proof_from_bytes(params, bytes.fromhex(text))
+    except ValueError:
+        return None
+
+
 def run_session(
     params: GroupParams,
-    participants: list,
     graph_public,
     payload_bits: int,
     max_retries: int,
     session: int,
     session_tag: bytes,
+    source,
 ) -> SessionOutcome:
-    """Drive one blocked-access collision resolution to completion.
+    """Judge one blocked-access collision resolution session.
 
-    Participants are duck-typed state machines (see the simulator
-    module); all scheduling state here is a pure function of the
-    broadcasts, which is what lets an independent verifier replay it.
+    The judge owns every session rule: round order, the validity check
+    and the investigation after a failed one, retransmission proofs,
+    denial demands at stuck nodes, the wrong-branch audit, verdicts and
+    bans.  It emits every session record and reads only public data:
+    the participant set comes from ``graph_public``, and every protocol
+    input from ``source``, which answers four calls:
+
+    * ``begin(tree)``: the session starts on this tree;
+    * ``broadcast(round_id)``: one RoundCiphertext per participant, in
+      participant order;
+    * ``publish(slot)``: ``{pid: {peer: SignedCommitment}}`` revealed
+      for an investigation;
+    * ``respond(node_id)``: ``[(pid, proof or None)]`` denials, one per
+      participant, in participant order.
+
+    Proofs arrive in wire form (hex text) and are recorded as given.
+    The simulator's source is the live participants; its verifier's
+    source reads the same inputs back from a transcript.
     """
+    pids = list(graph_public.participants)
     tree = ResolutionTree(params.q, payload_bits, max_retries)
     outcome = SessionOutcome(session=session, tree=tree)
-    participants = sorted(participants, key=lambda p: pid_of(p))
-    pids = [pid_of(p) for p in participants]
-    for p in participants:
-        p.begin_session(session, tree, session_tag)
+    source.begin(tree)
 
     broadcasts = {pid: {} for pid in pids}   # pid -> round -> (O, c)
     demanded: set[int] = set()
@@ -432,7 +453,7 @@ def run_session(
     while not tree.done:
         rid = tree.next_round()
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
-        cts = [p.broadcast(rid) for p in participants]
+        cts = source.broadcast(rid)
         for ct in cts:
             broadcasts[ct.participant][rid] = (ct.value, ct.commitment)
             outcome.records.append(
@@ -443,7 +464,8 @@ def run_session(
                     part=ct.participant,
                     O=ct.value,
                     c=ct.commitment,
-                    proof="-" if ct.proof is None else zkp.proof_to_bytes(params, ct.proof).hex(),
+                    # the opening round carries no proof; none is read or recorded
+                    proof="-" if ct.proof is None or rid == 1 else ct.proof,
                 )
             )
         result = aggregate_round(params, pids, cts)
@@ -453,7 +475,7 @@ def run_session(
         outcome.transmitted += 1
 
         if not result.valid:
-            _run_investigation(params, participants, graph_public, result, slot, session, outcome)
+            _run_investigation(params, source, graph_public, result, slot, session, outcome)
             outcome.aborted = True
             break
 
@@ -461,13 +483,12 @@ def run_session(
             bad = []
             for ct in cts:
                 outcome.proofs_checked += 1
-                if ct.proof is None:
-                    bad.append(Verdict(ct.participant, NON_COOPERATION, f"round:{rid}"))
-                    outcome.proofs_failed += 1
-                elif not verify_retransmission(
-                    params, broadcasts[ct.participant], ct.participant, rid, ct.proof, session_tag
+                proof = None if ct.proof is None else _read_proof(params, ct.proof)
+                if proof is None or not verify_retransmission(
+                    params, broadcasts[ct.participant], ct.participant, rid, proof, session_tag
                 ):
-                    bad.append(Verdict(ct.participant, INVALID_PROOF, f"round:{rid}"))
+                    reason = NON_COOPERATION if ct.proof is None else INVALID_PROOF
+                    bad.append(Verdict(ct.participant, reason, f"round:{rid}"))
                     outcome.proofs_failed += 1
             if bad:
                 outcome.verdicts.extend(bad)
@@ -483,7 +504,7 @@ def run_session(
             stuck_seen += 1
             demanded.add(node_id)
             _run_demand(
-                params, participants, broadcasts, node_id, STUCK_COLLISION,
+                params, source, broadcasts, node_id, STUCK_COLLISION,
                 session, session_tag, outcome,
             )
 
@@ -493,7 +514,7 @@ def run_session(
                 continue
             demanded.add(leaf_id)
             _run_demand(
-                params, participants, broadcasts, leaf_id, WRONG_BRANCH,
+                params, source, broadcasts, leaf_id, WRONG_BRANCH,
                 session, session_tag, outcome,
             )
 
@@ -525,20 +546,16 @@ def _emit_nodes(tree, touched, session, outcome):
             )
 
 
-def _run_investigation(params, participants, graph_public, result, slot, session, outcome):
-    published = {}
-    for p in participants:
-        pairs = p.publish_pairs(slot)
-        if pairs is None:
-            continue
-        published[pid_of(p)] = pairs
-        for peer, sc in sorted(pairs.items()):
+def _run_investigation(params, source, graph_public, result, slot, session, outcome):
+    published = source.publish(slot)
+    for pid in sorted(published):
+        for peer, sc in sorted(published[pid].items()):
             outcome.records.append(
                 record(
                     "PUBLISH",
                     session=session,
                     slot=slot,
-                    part=pid_of(p),
+                    part=pid,
                     peer=peer,
                     c=sc.commitment,
                     sig_e=sc.signature[0],
@@ -562,13 +579,10 @@ def _run_investigation(params, participants, graph_public, result, slot, session
             outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
 
 
-def _run_demand(
-    params, participants, broadcasts, node_id, reason, session, session_tag, outcome
-):
+def _run_demand(params, source, broadcasts, node_id, reason, session, session_tag, outcome):
     """Ask every participant to deny carrying a message at a node."""
-    for p in participants:
-        pid = pid_of(p)
-        proof = p.respond_demand(node_id)
+    for pid, text in source.respond(node_id):
+        proof = None if text is None else _read_proof(params, text)
         ok = proof is not None and verify_node_denial(
             params, broadcasts[pid], pid, node_id, proof, session_tag
         )
@@ -582,25 +596,8 @@ def _run_demand(
                 node=node_id,
                 part=pid,
                 ok=int(ok),
-                proof="-" if proof is None else zkp.proof_to_bytes(params, proof).hex(),
+                proof="-" if text is None else text,
             )
         )
         if not ok:
             outcome.verdicts.append(Verdict(pid, reason, f"node:{node_id}"))
-
-
-def pid_of(participant) -> int:
-    return participant.pid
-
-
-def resolve(senders, adversaries=(), seed: int = 0, **config) -> SessionOutcome:
-    """One-shot collision resolution session over a fresh key graph.
-
-    ``senders`` is a list of (participant id, payload); ``adversaries``
-    a list of (participant id, strategy name).  Convenience entry point
-    for a single session; scenario orchestration with bans and restarts
-    lives in the simulator module.
-    """
-    from . import sim  # participant factories; deferred to avoid an import cycle
-
-    return sim.single_session(senders, adversaries, seed, **config)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 from .errors import MalformedRecord
 
-VERSION = "v1"
-
 # record type -> ordered field names; values are serialized as key=value
 _SCHEMA = {
     "DCMESH": ("version", "hash"),
@@ -99,7 +97,7 @@ _INT_FIELDS = {
 def record(rtype: str, **fields):
     """Build a record dict, checking the type's field set."""
     names = _SCHEMA[rtype]
-    if set(fields) != set(names):
+    if fields.keys() != set(names):
         missing = set(names) - set(fields)
         extra = set(fields) - set(names)
         raise ValueError(f"{rtype}: missing={sorted(missing)} extra={sorted(extra)}")
@@ -176,23 +174,10 @@ class Transcript:
         return cls(header=header, records=body)
 
 
-def header_digest(header_records) -> str:
-    """Digest binding every header line before the HEADEREND marker."""
+def records_digest(records) -> str:
+    """Digest binding the canonical lines of a header, a session's key records or a body."""
     h = hashlib.sha256()
-    for rec in header_records:
-        if rec["type"] == "HEADEREND":
-            break
-        h.update(record_to_line(rec).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-def body_digest(body_records) -> str:
-    """Digest binding every session record before the closing summary."""
-    h = hashlib.sha256()
-    for rec in body_records:
-        if rec["type"] == "SUMMARY":
-            break
+    for rec in records:
         h.update(record_to_line(rec).encode())
         h.update(b"\n")
     return h.hexdigest()

@@ -6,11 +6,7 @@ classic simulate-the-untrue-branches OR technique:
 
 * a plain knowledge proof is a one-branch OR,
 * an OR statement becomes one block per branch, with the branch
-  challenges summing to the hashed top-level challenge,
-* a conjunction of OR clauses sharing a single witness is flattened
-  into an OR over all clause-branch selections; within one selection
-  every atom is checked against the same response, which is what binds
-  the clauses to one common alpha.
+  challenges summing to the hashed top-level challenge.
 
 Provers check their own witness and refuse to emit anything unsound;
 dishonest transcripts are produced explicitly via :func:`forge_attempt`.
@@ -19,7 +15,6 @@ dishonest transcripts are produced explicitly via :func:`forge_attempt`.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 from .errors import EmptyClauseList, WitnessMismatch
@@ -81,11 +76,6 @@ def rep_statement_bytes(params: GroupParams, stmt: RepStatement) -> bytes:
 def or_statement_bytes(params: GroupParams, stmt: OrStatement) -> bytes:
     body = b"".join(rep_statement_bytes(params, b) for b in stmt.branches)
     return b"or|" + len(stmt.branches).to_bytes(2, "big") + body
-
-
-def conjunction_bytes(params: GroupParams, clauses: list[OrStatement]) -> bytes:
-    body = b"".join(or_statement_bytes(params, c) for c in clauses)
-    return b"andor|" + len(clauses).to_bytes(2, "big") + body
 
 
 def fs_challenge(params: GroupParams, statement_bytes: bytes, commitments: list[int]) -> int:
@@ -213,21 +203,6 @@ def _or_disjuncts(stmt: OrStatement):
     return [[(b.target, b.base)] for b in stmt.branches]
 
 
-def _conjunction_disjuncts(clauses: list[OrStatement]):
-    width = 1
-    for clause in clauses:
-        width *= len(clause.branches)
-        if width > 4096:
-            raise ValueError("conjunction expands past 4096 branch selections")
-    selections = list(itertools.product(*[range(len(c.branches)) for c in clauses]))
-    disjuncts = [
-        [(clauses[c].branches[pick].target, clauses[c].branches[pick].base)
-         for c, pick in enumerate(sel)]
-        for sel in selections
-    ]
-    return selections, disjuncts
-
-
 def prove_rep(params, stmt: RepStatement, alpha: int, rng) -> SigmaProof:
     return prove_flat(params, rep_statement_bytes(params, stmt), _rep_disjuncts(stmt), 0, alpha, rng)
 
@@ -244,35 +219,6 @@ def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> Si
 
 def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
     return verify_flat(params, or_statement_bytes(params, stmt), _or_disjuncts(stmt), proof)
-
-
-def prove_and_of_or(
-    params, clauses: list[OrStatement], truth_map: list[int], alpha: int, rng
-) -> SigmaProof:
-    """Prove every clause with one shared witness.
-
-    ``truth_map`` names the satisfied branch of each clause.  The
-    clauses are flattened into an OR over branch selections, and within
-    the designated selection all atoms are answered with a single
-    response, so a verifier accepting the proof knows one alpha opens
-    the designated branch of every clause simultaneously.
-    """
-    if not clauses:
-        raise EmptyClauseList("need at least one clause")
-    if len(truth_map) != len(clauses):
-        raise WitnessMismatch("truth_map length does not match clause count")
-    selections, disjuncts = _conjunction_disjuncts(clauses)
-    true_index = selections.index(tuple(truth_map))
-    return prove_flat(
-        params, conjunction_bytes(params, clauses), disjuncts, true_index, alpha, rng
-    )
-
-
-def verify_and_of_or(params, clauses: list[OrStatement], proof: SigmaProof) -> bool:
-    if not clauses:
-        raise EmptyClauseList("need at least one clause")
-    _, disjuncts = _conjunction_disjuncts(clauses)
-    return verify_flat(params, conjunction_bytes(params, clauses), disjuncts, proof)
 
 
 def stmt_no_message(params, value: int, commitment: int, context: bytes = b"") -> RepStatement:
@@ -302,7 +248,7 @@ def stmt_same_message(
     return RepStatement(target=target, base=params.h, context=context)
 
 
-def forge_attempt(params, statement, rng) -> SigmaProof:
+def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaProof:
     """Structurally valid proof bytes for a statement the caller cannot prove.
 
     Adversary simulation hook: the result has the right shape and a
@@ -312,12 +258,9 @@ def forge_attempt(params, statement, rng) -> SigmaProof:
     if isinstance(statement, RepStatement):
         statement_bytes = rep_statement_bytes(params, statement)
         disjuncts = _rep_disjuncts(statement)
-    elif isinstance(statement, OrStatement):
+    else:
         statement_bytes = or_statement_bytes(params, statement)
         disjuncts = _or_disjuncts(statement)
-    else:
-        statement_bytes = conjunction_bytes(params, list(statement))
-        _, disjuncts = _conjunction_disjuncts(list(statement))
     q = params.q
     challenges = [rng.randrange(q) for _ in disjuncts]
     responses = [rng.randrange(q) for _ in disjuncts]

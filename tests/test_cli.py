@@ -1,5 +1,7 @@
 """Exit-code contract and output of the command-line driver."""
 
+import pytest
+
 from dcmesh import sim
 from dcmesh.cli import main
 
@@ -69,6 +71,37 @@ def test_run_verbose_prints_rounds(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "session 1 round 1" in printed
     assert "delivered message 11" in printed
+
+
+def test_verbose_is_a_run_option_only(tmp_path, capsys):
+    # --verbose belongs to `run`; at the top level the subcommand's own
+    # default would silently override it
+    path = write_scenario(tmp_path, HONEST)
+    out = str(tmp_path / "t.log")
+    with pytest.raises(SystemExit) as exc:
+        main(["--verbose", "run", path, "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
+def test_verify_prints_every_divergence(tmp_path, capsys):
+    path = write_scenario(tmp_path, HONEST)
+    out = str(tmp_path / "t.log")
+    main(["run", path, "--out", out])
+    lines = open(out).read().splitlines()
+    # a forged delivery diverges at its own record and at the body digest
+    index = next(i for i, ln in enumerate(lines) if ln.startswith("RESOLVED"))
+    lines[index] = lines[index].replace("payload=", "payload=1")
+    open(out, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", out]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    reported = [ln for ln in printed if ln.startswith("divergence at record")]
+    assert len(reported) == 2
+    assert reported[0].startswith(f"divergence at record {index}: recorded RESOLVED")
+    assert "!= recomputed RESOLVED" in reported[0]
+    assert "recorded SUMMARY" in reported[1] and "!= recomputed SUMMARY" in reported[1]
+    assert "2 divergence(s) total" in printed
 
 
 def test_verify_detects_bit_flip(tmp_path):

@@ -163,52 +163,6 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
                 )
 
 
-def test_multi_block_round_with_vector_commitments():
-    """Long-message variant: two payload blocks per round, one blinding.
-
-    Each pair shares a key per block; the per-participant commitment is
-    a vector commitment over the block keys.  Validity and the sum
-    behave exactly like the scalar engine, blockwise.
-    """
-    from dcmesh.groups import commit_vector, derive_params, verify_open
-
-    ext = derive_params("test_small", b"dc-mesh/v1", extra_generators=1)
-    rng = random.Random(55)
-    n, q, p = 3, ext.q, ext.p
-    pair_keys = {}  # (i, j) -> (k_block1, k_block2, blind), antisymmetric
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_keys[(i, j)] = tuple(rng.randrange(q) for _ in range(3))
-            k1, k2, r = pair_keys[(i, j)]
-            pair_keys[(j, i)] = ((-k1) % q, (-k2) % q, (-r) % q)
-    message = (21, 45)  # two blocks, sent by participant 1
-    broadcasts = []
-    product = 1
-    for i in range(n):
-        block1 = sum(pair_keys[(i, j)][0] for j in range(n) if j != i) % q
-        block2 = sum(pair_keys[(i, j)][1] for j in range(n) if j != i) % q
-        blind = sum(pair_keys[(i, j)][2] for j in range(n) if j != i) % q
-        if i == 1:
-            block1, block2 = (block1 + message[0]) % q, (block2 + message[1]) % q
-        commitment = 1
-        for j in range(n):
-            if j != i:
-                k1, k2, r = pair_keys[(i, j)]
-                commitment = commitment * commit_vector(ext, [k1, k2], r) % p
-        broadcasts.append((block1, block2, commitment, blind))
-        product = product * commitment % p
-    assert product == 1  # validity holds blockwise
-    total1 = sum(b[0] for b in broadcasts) % q
-    total2 = sum(b[1] for b in broadcasts) % q
-    assert (total1, total2) == message
-    # a non-sender can open its aggregate as an all-pads vector commitment
-    block1, block2, commitment, blind = broadcasts[0]
-    pads1 = sum(pair_keys[(0, j)][0] for j in (1, 2)) % q
-    pads2 = sum(pair_keys[(0, j)][1] for j in (1, 2)) % q
-    assert commitment == commit_vector(ext, [pads1, pads2], blind)
-    assert not verify_open(ext, commitment, pads1, blind)  # scalar opening fails
-
-
 def test_transcript_level_hiding_is_uniform(small):
     """Exhaustive pad enumeration: each broadcast value is uniform."""
     q = 53

@@ -9,13 +9,12 @@ import random
 
 import pytest
 
-from dcmesh.errors import DlogNotFound, GroupTooLarge, TooManyValues
+from dcmesh.errors import DlogNotFound, GroupTooLarge
 from dcmesh.groups import (
     GroupParams,
     brute_force_dlog,
     combine,
     commit,
-    commit_vector,
     derive_params,
     negate,
     verify_open,
@@ -44,7 +43,7 @@ def test_derivation_is_deterministic_per_tag():
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
 def test_generators_lie_in_the_subgroup(level):
-    params = derive_params(level, TAG, extra_generators=1)
+    params = derive_params(level, TAG)
     for x in params.generators:
         assert x != 1
         assert pow(x, params.q, params.p) == 1
@@ -54,16 +53,6 @@ def test_generators_lie_in_the_subgroup(level):
 def test_empty_domain_tag_rejected():
     with pytest.raises(ValueError):
         derive_params("test_small", b"")
-
-
-def test_many_extra_generators_stay_distinct():
-    # the tiny group has only 52 non-identity elements, so collisions in
-    # the derivation are likely and must be retried away
-    for tag in (b"a", b"b", b"dc-mesh/v1"):
-        params = derive_params("test_small", tag, extra_generators=6)
-        assert len(set(params.generators)) == 8
-        for x in params.generators:
-            assert pow(x, params.q, params.p) == 1 and x != 1
 
 
 def test_commit_golden_value(small):
@@ -125,32 +114,6 @@ def test_elements_satisfy_subgroup_membership(small):
     for _ in range(50):
         c = commit(small, rng.randrange(53), rng.randrange(53))
         assert small.is_element(c)
-
-
-def test_commit_vector_degenerates_to_scalar(small):
-    ext = derive_params("test_small", TAG, extra_generators=1)
-    assert commit_vector(ext, [17], 9) == commit(ext, 17, 9)
-    assert commit_vector(ext, [0, 0], 0) == 1
-
-
-def test_commit_vector_golden_against_oracle():
-    ext = derive_params("test_small", TAG, extra_generators=1)
-    g, gp, h = ext.generators
-    expected = pow(g, 2, 107) * pow(gp, 3, 107) * pow(h, 1, 107) % 107
-    assert commit_vector(ext, [2, 3], 1) == expected
-
-
-def test_commit_vector_too_many_values(small):
-    with pytest.raises(TooManyValues):
-        commit_vector(small, [1, 2], 3)
-
-
-def test_commit_vector_homomorphism():
-    ext = derive_params("test_small", TAG, extra_generators=1)
-    lhs = combine(
-        ext, commit_vector(ext, [3, 4], 5), commit_vector(ext, [10, 20], 30)
-    )
-    assert lhs == commit_vector(ext, [13, 24], 35)
 
 
 def test_brute_force_dlog_basics(small):

@@ -1,5 +1,6 @@
 """Scenario execution, strategy detection, transcript closure."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -75,6 +76,42 @@ def test_transcripts_are_deterministic():
     assert a == b
     different = sim.run_scenario(sim.Scenario(n=5, senders=BASE_SENDERS, seed=43))
     assert different.to_text() != a
+
+
+# sha256 of run_scenario(s).to_text() for the acceptance suite's C10
+# matrix, whose first entry is REFERENCE_SCENARIO; refactors of the
+# engine must leave every transcript byte-identical
+PINNED_TRANSCRIPTS = [
+    (sim.REFERENCE_SCENARIO,
+     "83eec05fd4c138fe0c830efc520f7167ba0671c8a6c6cd39de453ec3562a4e7e"),
+    (sim.Scenario(n=2, seed=1),
+     "df1b7ee87d683cc8fe0526323d62cfb43d4b515ffca7a925e6ca66f3c1d17e40"),
+    (sim.Scenario(n=3, senders=((1, 99),), seed=1),
+     "2daacc76f08fd92379a4048ceffe8ef11c3e4de179c7eaae10b8212a90ccac42"),
+    (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
+     "2a8f9a732f5bff50b86bb6fdce29da516c8371fe68e7c19e6cf1afe0a3eb8500"),
+    (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
+                  adversaries=((0, "mutate_message"),), seed=2),
+     "3c384af568fa4e48a4eba5c3e964237d082f54ca97182c04381365075392e173"),
+    (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
+                  adversaries=((3, "bad_pad"),), seed=2),
+     "7aa9dd591865feed2e1a82e7b69b155959ecee1b809aef4fc0a7db0e8361b70c"),
+    (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
+                  adversaries=((1, "wrong_branch"),), seed=2),
+     "ffe264557d3e67191078617c6fb461c54781a642c862e5df93d5d3e0c31eb71b"),
+    (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
+                  adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
+     "25964824c0e683dcade35b941c72a0fcc2eb720bc34bbbd6b67c56122c49aa0e"),
+    (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
+                  adversaries=((3, "refuse_signature"),), seed=2),
+     "6f1c4c496915b6937aac02fdb0eafce71d279d577fa1cb2449cea80d88072a7b"),
+]
+
+
+@pytest.mark.parametrize("scenario, digest", PINNED_TRANSCRIPTS)
+def test_transcripts_are_byte_identical_to_pinned(scenario, digest):
+    text = sim.run_scenario(scenario).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_transcript_text_roundtrip_and_closure():
@@ -316,6 +353,14 @@ def test_every_field_mutation_detected():
             if not _detects("\n".join(candidate) + "\n"):
                 missed.append((i, key, line[:60]))
     assert not missed, missed
+
+
+def test_oversized_participant_count_is_malformed():
+    # nothing may be sized by CONFIG n before it is checked against the body
+    text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
+    huge = text.replace("CONFIG n=3 ", "CONFIG n=1000000000000 ")
+    with pytest.raises(MalformedRecord):
+        sim.verify_transcript(Transcript.from_text(huge))
 
 
 def test_dropped_verdict_detected():

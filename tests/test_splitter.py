@@ -19,7 +19,6 @@ from dcmesh.splitter import (
     encode_slot,
     prove_node_denial,
     prove_retransmission,
-    resolve,
     slot_fits,
     split_decision,
     threshold,
@@ -396,7 +395,7 @@ def test_resolve_optimal_rounds_for_distinct_payloads():
         m = rng.randrange(1, 17)
         payloads = rng.sample(range(200), m)
         senders = [(pid, payloads[pid]) for pid in range(m)]
-        out = resolve(senders, seed=trial, payload_bits=12)
+        out = sim.single_session(senders, seed=trial, payload_bits=12)
         assert not out.verdicts
         assert sorted(p for _, p in out.resolved) == sorted(payloads)
         assert out.transmitted == m
@@ -404,13 +403,13 @@ def test_resolve_optimal_rounds_for_distinct_payloads():
 
 def test_resolve_double_branch_adversary():
     senders = [(0, 10), (1, 20), (2, 30), (3, 5)]
-    out = resolve(senders, adversaries=[(3, "double_branch")], seed=2)
+    out = sim.single_session(senders, adversaries=[(3, "double_branch")], seed=2)
     assert any(v.participant == 3 and v.reason == "invalid_proof" for v in out.verdicts)
     assert all(v.participant == 3 for v in out.verdicts)
 
 
 def test_resolve_wrong_branch_adversary_audited():
-    out = resolve(
+    out = sim.single_session(
         [(0, 10), (1, 40)], adversaries=[(1, "wrong_branch")], seed=3
     )
     assert [v.participant for v in out.verdicts] == [1]
@@ -422,7 +421,7 @@ def test_resolve_wrong_branch_adversary_audited():
 
 
 def test_resolve_stuck_malformed_slot():
-    out = resolve(
+    out = sim.single_session(
         [(0, 10), (1, 20), (2, 7)],
         adversaries=[(2, "bad_slot_count")],
         seed=4,

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from dcmesh.errors import EmptyClauseList, WitnessMismatch
+from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import commit
 from dcmesh.zkp import (
     FlatProver,
@@ -21,13 +21,11 @@ from dcmesh.zkp import (
     fs_challenge,
     proof_from_bytes,
     proof_to_bytes,
-    prove_and_of_or,
     prove_or,
     prove_rep,
     simulate_block,
     stmt_no_message,
     stmt_same_message,
-    verify_and_of_or,
     verify_or,
     verify_rep,
 )
@@ -189,55 +187,6 @@ def test_or_hiding_structure(small):
 
 
 # ---------------------------------------------------------------------------
-# shared-witness conjunctions
-
-
-def test_conjunction_single_clause_matches_or(small):
-    rng = random.Random(9)
-    alpha = 17
-    stmt = or_pair(small, alpha, 0, rng)
-    proof = prove_and_of_or(small, [stmt], [0], alpha, rng)
-    assert verify_and_of_or(small, [stmt], proof)
-    assert len(proof.blocks) == 2  # same block shape as a plain two-branch OR
-
-
-def test_conjunction_shared_witness_accepts(small):
-    rng = random.Random(10)
-    alpha = 3
-    c1 = or_pair(small, alpha, 0, rng)
-    c2 = or_pair(small, alpha, 1, rng)
-    proof = prove_and_of_or(small, [c1, c2], [0, 1], alpha, rng)
-    assert verify_and_of_or(small, [c1, c2], proof)
-
-
-def test_conjunction_mixed_witnesses_refused(small):
-    rng = random.Random(11)
-    c1 = or_pair(small, 3, 0, rng)
-    c2 = or_pair(small, 4, 0, rng)  # needs a different witness
-    with pytest.raises(WitnessMismatch):
-        prove_and_of_or(small, [c1, c2], [0, 0], 3, rng)
-
-
-def test_conjunction_empty_clause_list_rejected(small):
-    with pytest.raises(EmptyClauseList):
-        prove_and_of_or(small, [], [], 0, random.Random(0))
-
-
-def test_conjunction_completeness_random(small):
-    rng = random.Random(12)
-    for _ in range(50):
-        alpha = rng.randrange(small.q)
-        clauses = []
-        truth = []
-        for _ in range(rng.randrange(1, 4)):
-            branch = rng.randrange(2)
-            clauses.append(or_pair(small, alpha, branch, rng))
-            truth.append(branch)
-        proof = prove_and_of_or(small, clauses, truth, alpha, rng)
-        assert verify_and_of_or(small, clauses, proof)
-
-
-# ---------------------------------------------------------------------------
 # special soundness: the rewinding extractor
 
 
@@ -285,9 +234,13 @@ def test_extractor_conjunction_family(small):
     alpha = 23
     c1 = or_pair(small, alpha, 0, rng)
     c2 = or_pair(small, alpha, 1, rng)
-    from dcmesh.zkp import _conjunction_disjuncts
-
-    selections, disjuncts = _conjunction_disjuncts([c1, c2])
+    # one disjunct per branch selection (i, j); each holds branch i of
+    # c1 and branch j of c2 under one shared witness
+    selections = [(i, j) for i in range(2) for j in range(2)]
+    disjuncts = [
+        [(c1.branches[i].target, c1.branches[i].base), (c2.branches[j].target, c2.branches[j].base)]
+        for i, j in selections
+    ]
     prover = FlatProver(small, disjuncts, selections.index((0, 1)), alpha, rng)
     assert extract_flat(small, disjuncts, prover, 2, 31) == alpha
 
@@ -406,12 +359,10 @@ def test_forge_attempt_always_rejected(small):
         assert not verify_or(small, stmt, forged)
 
 
-def test_forge_attempt_rep_and_conjunction(small):
+def test_forge_attempt_rep_rejected(small):
     rng = random.Random(22)
     stmt = rep_for(small, 10)
     assert not verify_rep(small, stmt, forge_attempt(small, stmt, rng))
-    clauses = [or_pair(small, 4, 0, rng), or_pair(small, 4, 1, rng)]
-    assert not verify_and_of_or(small, clauses, forge_attempt(small, clauses, rng))
 
 
 def test_proof_serialization_roundtrip(small, medium):
