@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import DuplicateParticipant, MissingParticipant
 from .groups import GroupParams
-from .keysetup import (
-    KeyGraphPublic,
-    KeyView,
-    SignedCommitment,
-    commitment_payload,
-    verify_sig,
-)
+from .keysetup import KeyGraphPublic, KeyView, is_endorsed
 
 # verdict reason codes
 BAD_SIGNATURE = "bad_signature"
@@ -120,17 +114,22 @@ def investigate(
 ) -> InvestigationRecord:
     """Attribute blame for a round from published pair commitments.
 
-    ``published`` maps participant -> {peer: SignedCommitment} as each
-    participant revealed them.  Checks, per participant: the peer
-    endorsements verify, the broadcast aggregate equals the product of
-    the revealed pair commitments, and each revealed pair multiplies
-    with its reverse to the identity.  A bare pair mismatch with both
+    ``published`` maps participant -> {peer: RevealedCommitment} as each
+    participant revealed them.  Checks, per participant: each revealed
+    commitment's path leads to the direction's EDGE root at ``slot`` and
+    the peer's signature over that root verifies, the broadcast
+    aggregate equals the product of the revealed pair commitments, and
+    each revealed pair multiplies with its reverse to the identity.  A bare pair mismatch with both
     endorsements intact flags both endpoints; anyone whose revealed
     value lacks a valid endorsement is pinned directly.
     """
     record = InvestigationRecord(round_id=round_result.round_id, slot=slot)
     participants = graph_public.participants
+    publics, budget = graph_public.publics, graph_public.budget
     optouts = graph_public.optout_pairs()
+    roots = {}   # (holder, peer) -> endorsed root of that direction
+    for e in graph_public.edges:
+        roots[(e.lo, e.hi)], roots[(e.hi, e.lo)] = e.root_lo, e.root_hi
     sig_ok: dict[tuple[int, int], bool] = {}
 
     for pid in participants:
@@ -148,18 +147,7 @@ def investigate(
             continue
         product = 1
         for peer, sc in sorted(revealed.items()):
-            ok = (
-                isinstance(sc, SignedCommitment)
-                and sc.holder == pid
-                and sc.peer == peer
-                and sc.slot == slot
-                and verify_sig(
-                    params,
-                    graph_public.publics[peer],
-                    commitment_payload(params, sc.commitment, pid, peer, slot),
-                    sc.signature,
-                )
-            )
+            ok = is_endorsed(params, roots[(pid, peer)], publics[peer], pid, peer, slot, budget, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
                 record.flag(pid, BAD_SIGNATURE)

@@ -29,10 +29,6 @@ class SignatureRefused(DcMeshError):
         self.participant = participant
 
 
-class PathInvalid(DcMeshError):
-    """Merkle inclusion path does not reproduce the signed root."""
-
-
 class RoundBudgetExhausted(DcMeshError):
     """No unspent per-round secrets remain for this participant."""
 

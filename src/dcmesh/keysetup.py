@@ -2,11 +2,13 @@
 
 Each unordered pair of participants shares, per scheduled round, a key
 and a blinding value; the reverse direction holds the negations so all
-pads cancel in a round sum.  Every directed per-round commitment is
-endorsed by the counterparty's signature, which is what later lets an
-investigation pin blame.  A participant may refuse to share a secret
-with a peer; the edge is then publicly marked opted out and contributes
-zero pads and identity commitments.
+pads cancel in a round sum.  Each direction's per-round commitments are
+the leaves of a Merkle tree whose root the counterparty signs once; a
+commitment revealed with its inclusion path is endorsed by that one
+signature, which is what later lets an investigation pin blame.  A
+participant may refuse to share a secret with a peer; the edge is then
+publicly marked opted out and contributes zero pads and identity
+commitments.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import merkle
-from .errors import PathInvalid, RoundBudgetExhausted, SignatureRefused
+from .errors import RoundBudgetExhausted, SignatureRefused
 from .groups import GroupParams, commit
 
 
@@ -91,25 +93,79 @@ class PairwiseSecret:
     rounds: tuple[RoundSecret, ...]
 
 
-@dataclass(frozen=True)
-class SignedCommitment:
-    """A per-round commitment for edge holder -> peer, endorsed by the peer."""
+def root_payload(root: bytes, holder: int, peer: int) -> bytes:
+    """What the peer signs to endorse every commitment of edge holder -> peer."""
+    return b"dcmesh/edge-root/v1" + root + holder.to_bytes(4, "big") + peer.to_bytes(4, "big")
 
-    holder: int
-    peer: int
-    slot: int
+
+def _path_text(siblings) -> str:
+    return "".join(s.hex() for s in siblings) or "-"
+
+
+@dataclass(frozen=True)
+class RevealedCommitment:
+    """A pair commitment revealed for an investigation.
+
+    ``path`` is the commitment's inclusion path in wire form: hex of the
+    concatenated sibling digests, or "-" when it is empty.
+    ``signature`` is the peer's signature over the direction's root.
+    """
+
     commitment: int
+    path: str
     signature: tuple[int, int]
 
 
-def commitment_payload(params: GroupParams, c: int, holder: int, peer: int, slot: int) -> bytes:
-    return (
-        b"dcmesh/pair/v1"
-        + params.element_to_bytes(c)
-        + holder.to_bytes(4, "big")
-        + peer.to_bytes(4, "big")
-        + slot.to_bytes(4, "big")
-    )
+@dataclass(frozen=True)
+class Endorsement:
+    """One edge direction's per-round commitments, their Merkle root and
+    the peer's signature over the root."""
+
+    commitments: tuple[int, ...]
+    root: bytes
+    signature: tuple[int, int]
+
+    def reveal(self, params: GroupParams, slot: int) -> RevealedCommitment:
+        levels = merkle.build_tree([params.element_to_bytes(c) for c in self.commitments])
+        return RevealedCommitment(
+            self.commitments[slot], _path_text(merkle.path(levels, slot)), self.signature
+        )
+
+
+def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: SigningKey):
+    """The peer's endorsement of the commitment list edge holder -> peer holds."""
+    commitments = tuple(commitments)
+    root = merkle.build_tree([params.element_to_bytes(c) for c in commitments])[-1][0]
+    return Endorsement(commitments, root, sign(params, peer_key, root_payload(root, holder, peer)))
+
+
+def is_endorsed(
+    params: GroupParams,
+    root: bytes,
+    peer_public: int,
+    holder: int,
+    peer: int,
+    slot: int,
+    budget: int,
+    revealed: RevealedCommitment,
+) -> bool:
+    """Whether the revealed path leads from the commitment at ``slot`` to
+    the direction's ``root`` and the peer's signature over it verifies.
+
+    A path that is not canonical hex fails, as does a commitment that
+    does not fit the group's encoding.
+    """
+    try:
+        raw = b"" if revealed.path == "-" else bytes.fromhex(revealed.path)
+        leaf = params.element_to_bytes(revealed.commitment)
+    except (ValueError, OverflowError):
+        return False
+    siblings = [raw[i : i + 32] for i in range(0, len(raw), 32)]
+    if _path_text(siblings) != revealed.path:
+        return False
+    if merkle.root_at(leaf, slot, budget, siblings) != root:
+        return False
+    return verify_sig(params, peer_public, root_payload(root, holder, peer), revealed.signature)
 
 
 def establish_pair(
@@ -125,8 +181,9 @@ def establish_pair(
     """Agree on fresh per-round secrets for the pair (i, j).
 
     Returns the direction i -> j secrets along with both directions'
-    endorsed commitments.  Raises SignatureRefused when either endpoint
-    declines; the caller records the edge as opted out.
+    endorsements: i's commitments signed by j, and j's signed by i.
+    Raises SignatureRefused when either endpoint declines; the caller
+    records the edge as opted out.
     """
     if i == j:
         raise ValueError("a participant does not pair with itself")
@@ -141,18 +198,9 @@ def establish_pair(
             RoundSecret(rng.randrange(params.q), rng.randrange(params.q)) for _ in range(rounds)
         ),
     )
-    signed_for_i = []
-    signed_for_j = []
-    for slot, s in enumerate(secrets.rounds):
-        c_ij = commit(params, s.key, s.blind)
-        c_ji = pow(c_ij, -1, params.p)  # commit(-K, -r)
-        signed_for_i.append(
-            SignedCommitment(i, j, slot, c_ij, sign(params, key_j, commitment_payload(params, c_ij, i, j, slot)))
-        )
-        signed_for_j.append(
-            SignedCommitment(j, i, slot, c_ji, sign(params, key_i, commitment_payload(params, c_ji, j, i, slot)))
-        )
-    return secrets, tuple(signed_for_i), tuple(signed_for_j)
+    c_ij = [commit(params, s.key, s.blind) for s in secrets.rounds]
+    c_ji = [pow(c, -1, params.p) for c in c_ij]  # commit(-K, -r)
+    return secrets, endorse(params, c_ij, i, j, key_j), endorse(params, c_ji, j, i, key_i)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +212,9 @@ class EdgeState:
     lo: int
     hi: int
     established: bool
-    secret: PairwiseSecret | None = None          # direction lo -> hi
-    signed_lo: tuple[SignedCommitment, ...] = ()  # held by lo, endorsed by hi
-    signed_hi: tuple[SignedCommitment, ...] = ()  # held by hi, endorsed by lo
+    secret: PairwiseSecret | None = None   # direction lo -> hi
+    held_lo: Endorsement | None = None     # held by lo, endorsed by hi
+    held_hi: Endorsement | None = None     # held by hi, endorsed by lo
 
 
 @dataclass(frozen=True)
@@ -180,7 +228,7 @@ class EdgePublic:
 
 @dataclass(frozen=True)
 class KeyGraphPublic:
-    """What everyone may see: identities, opt-outs, and batch roots."""
+    """What everyone may see: identities, opt-outs, and endorsed roots."""
 
     n: int
     budget: int
@@ -222,13 +270,7 @@ class KeyGraph:
             if not state.established:
                 edges.append(EdgePublic(lo, hi, False))
                 continue
-            root_lo, _ = merkle.build_tree(
-                [self.params.element_to_bytes(sc.commitment) for sc in state.signed_lo]
-            )
-            root_hi, _ = merkle.build_tree(
-                [self.params.element_to_bytes(sc.commitment) for sc in state.signed_hi]
-            )
-            edges.append(EdgePublic(lo, hi, True, root_lo, root_hi))
+            edges.append(EdgePublic(lo, hi, True, state.held_lo.root, state.held_hi.root))
         return KeyGraphPublic(
             n=len(self.participants),
             budget=self.budget,
@@ -239,7 +281,7 @@ class KeyGraph:
 
     def view(self, pid: int) -> "KeyView":
         pads = [dict() for _ in range(self.budget)]
-        signed = [dict() for _ in range(self.budget)]
+        held = {}
         for peer in self.participants:
             if peer == pid:
                 continue
@@ -247,10 +289,8 @@ class KeyGraph:
             for slot in range(self.budget):
                 pads[slot][peer] = self.round_secret(pid, peer, slot)
             if state.established:
-                held = state.signed_lo if pid == state.lo else state.signed_hi
-                for slot, sc in enumerate(held):
-                    signed[slot][peer] = sc
-        return KeyView(self.params, pid, self.signing[pid], self.budget, pads, signed)
+                held[peer] = state.held_lo if pid == state.lo else state.held_hi
+        return KeyView(self.params, pid, self.budget, pads, held)
 
 
 class KeyView:
@@ -260,13 +300,12 @@ class KeyView:
     never handed out twice.
     """
 
-    def __init__(self, params, pid, signing_key, budget, pads, signed):
+    def __init__(self, params, pid, budget, pads, held):
         self.params = params
         self.pid = pid
-        self.signing_key = signing_key
         self.budget = budget
         self.pads = pads        # slot -> {peer: RoundSecret}
-        self.signed = signed    # slot -> {peer: SignedCommitment}
+        self.held = held        # peer -> Endorsement, established edges only
         self._next_slot = 0
         self._slot_by_round = {}
 
@@ -291,15 +330,15 @@ class KeyView:
         return sum(s.blind for s in self.pads[slot].values()) % self.params.q
 
     def aggregate_commitment(self, slot: int) -> int:
+        """Product of the stored pair commitments; opted-out edges add the identity."""
         acc = 1
-        for peer in sorted(self.pads[slot]):
-            s = self.pads[slot][peer]
-            acc = acc * commit(self.params, s.key, s.blind) % self.params.p
+        for endorsement in self.held.values():
+            acc = acc * endorsement.commitments[slot] % self.params.p
         return acc
 
     def published_pairs(self, slot: int):
         """The endorsed per-pair commitments this participant can reveal."""
-        return {peer: self.signed[slot][peer] for peer in sorted(self.signed[slot])}
+        return {peer: self.held[peer].reveal(self.params, slot) for peer in sorted(self.held)}
 
 
 def build_key_graph(
@@ -315,10 +354,10 @@ def build_key_graph(
     for a_idx, lo in enumerate(participants):
         for hi in participants[a_idx + 1 :]:
             try:
-                secret, signed_lo, signed_hi = establish_pair(
+                secret, held_lo, held_hi = establish_pair(
                     params, lo, hi, rng, budget, signing[lo], signing[hi], refusers
                 )
-                edges[(lo, hi)] = EdgeState(lo, hi, True, secret, signed_lo, signed_hi)
+                edges[(lo, hi)] = EdgeState(lo, hi, True, secret, held_lo, held_hi)
             except SignatureRefused:
                 edges[(lo, hi)] = EdgeState(lo, hi, False)
     return KeyGraph(params, participants, budget, signing, edges)
@@ -338,43 +377,3 @@ def aggregate_commitment(graph: KeyGraph, pid: int, slot: int) -> int:
         acc = acc * commit(params, s.key, s.blind) % params.p
     return acc
 
-
-# ---------------------------------------------------------------------------
-# batched endorsement of many commitments with one signature
-
-
-@dataclass(frozen=True)
-class BatchSignature:
-    root: bytes
-    signature: tuple[int, int]
-    paths: tuple
-
-
-def merkle_batch_sign(params: GroupParams, key: SigningKey, commitments) -> BatchSignature:
-    """One signature over the Merkle root of a whole commitment list."""
-    leaves = [params.element_to_bytes(c) for c in commitments]
-    root, paths = merkle.build_tree(leaves)
-    return BatchSignature(
-        root=root,
-        signature=sign(params, key, b"dcmesh/batch/v1" + root),
-        paths=tuple(tuple(p) for p in paths),
-    )
-
-
-def verify_leaf(
-    params: GroupParams,
-    public: int,
-    batch: BatchSignature,
-    commitment: int,
-    index: int,
-) -> bool:
-    """Check one commitment against a batch signature via its path."""
-    if index < 0 or index >= len(batch.paths):
-        raise PathInvalid(f"no path at index {index}")
-    path = batch.paths[index]
-    for entry in path:
-        if len(entry) != 2 or not isinstance(entry[0], bytes):
-            raise PathInvalid("path entries must be (digest, sibling_is_left)")
-    if not merkle.check_path(batch.root, params.element_to_bytes(commitment), path):
-        return False
-    return verify_sig(params, public, b"dcmesh/batch/v1" + batch.root, batch.signature)

@@ -1,4 +1,4 @@
-"""Merkle tree with inclusion paths, used to batch-endorse commitment lists."""
+"""Merkle tree with inclusion paths, used to endorse commitment lists with one signature."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE + left + right).digest()
 
 
-def build_tree(leaves: list[bytes]):
-    """Return (root, paths).  paths[i] is a list of (sibling, sibling_is_left).
+def build_tree(leaves: list[bytes]) -> list[list[bytes]]:
+    """Return the tree's levels, leaf hashes first; the last level is [root].
 
     Odd nodes are promoted to the next level unpaired, so paths can
     have differing lengths.  A single leaf is its own root with an
@@ -25,33 +25,43 @@ def build_tree(leaves: list[bytes]):
     """
     if not leaves:
         raise ValueError("need at least one leaf")
-    level = [leaf_hash(x) for x in leaves]
-    paths = [[] for _ in leaves]
-    positions = list(range(len(leaves)))
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(node_hash(level[i], level[i + 1]))
-        promoted = len(level) % 2 == 1
-        if promoted:
+    levels = [[leaf_hash(x) for x in leaves]]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        nxt = [node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2 == 1:
             nxt.append(level[-1])
-        for leaf, pos in enumerate(positions):
-            if promoted and pos == len(level) - 1:
-                positions[leaf] = len(nxt) - 1
-                continue
-            sibling = pos ^ 1
-            paths[leaf].append((level[sibling], sibling < pos))
-            positions[leaf] = pos // 2
-        level = nxt
-    return level[0], paths
+        levels.append(nxt)
+    return levels
 
 
-def path_root(leaf: bytes, path) -> bytes:
+def path(levels, index: int) -> list[bytes]:
+    """Sibling digests from leaf ``index`` up to the root; a promoted node has none."""
+    siblings = []
+    for level in levels[:-1]:
+        if index ^ 1 < len(level):
+            siblings.append(level[index ^ 1])
+        index //= 2
+    return siblings
+
+
+def root_at(leaf: bytes, index: int, count: int, siblings) -> bytes | None:
+    """The root that ``siblings`` lead to from ``leaf`` at ``index`` of
+    ``count`` leaves, or None when the path's length does not fit.
+
+    Whether each sibling sits left or right follows from the index, so
+    a path only reproduces the root at the position it was made for.
+    """
+    if not 0 <= index < count:
+        return None
+    siblings = list(siblings)
     acc = leaf_hash(leaf)
-    for sibling, sibling_is_left in path:
-        acc = node_hash(sibling, acc) if sibling_is_left else node_hash(acc, sibling)
-    return acc
-
-
-def check_path(root: bytes, leaf: bytes, path) -> bool:
-    return path_root(leaf, path) == root
+    while count > 1:
+        if index ^ 1 < count:
+            if not siblings:
+                return None
+            sibling = siblings.pop(0)
+            acc = node_hash(sibling, acc) if index & 1 else node_hash(acc, sibling)
+        index //= 2
+        count = (count + 1) // 2
+    return None if siblings else acc

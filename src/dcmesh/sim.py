@@ -27,7 +27,7 @@ from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
     EdgePublic,
     KeyGraphPublic,
-    SignedCommitment,
+    RevealedCommitment,
     build_key_graph,
 )
 from .splitter import (
@@ -495,7 +495,7 @@ def _key_records(session, public: KeyGraphPublic):
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v1", hash="sha256"),
+        record("DCMESH", version="v2", hash="sha256"),
         record(
             "GROUP",
             name=params.name,
@@ -735,11 +735,9 @@ class _Recorded:
         published = {}
         for key, rec in self.inputs.items():
             if key[0] == "PUBLISH" and key[1] == slot:
-                published.setdefault(rec["part"], {})[rec["peer"]] = SignedCommitment(
-                    holder=rec["part"],
-                    peer=rec["peer"],
-                    slot=slot,
+                published.setdefault(rec["part"], {})[rec["peer"]] = RevealedCommitment(
                     commitment=rec["c"],
+                    path=rec["path"],
                     signature=(rec["sig_e"], rec["sig_s"]),
                 )
         return published

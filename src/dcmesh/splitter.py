@@ -431,8 +431,8 @@ def run_session(
     * ``begin(tree)``: the session starts on this tree;
     * ``broadcast(round_id)``: one RoundCiphertext per participant, in
       participant order;
-    * ``publish(slot)``: ``{pid: {peer: SignedCommitment}}`` revealed
-      for an investigation;
+    * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
+      for an investigation, paths in wire form;
     * ``respond(node_id)``: ``[(pid, proof or None)]`` denials, one per
       participant, in participant order.
 
@@ -558,6 +558,7 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
                     part=pid,
                     peer=peer,
                     c=sc.commitment,
+                    path=sc.path,
                     sig_e=sc.signature[0],
                     sig_s=sc.signature[1],
                 )

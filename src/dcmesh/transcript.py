@@ -39,7 +39,7 @@ _SCHEMA = {
         "attempt",
     ),
     "RESOLVED": ("session", "node", "payload"),
-    "PUBLISH": ("session", "slot", "part", "peer", "c", "sig_e", "sig_s"),
+    "PUBLISH": ("session", "slot", "part", "peer", "c", "path", "sig_e", "sig_s"),
     "INVESTIGATION": ("session", "round", "cheaters"),
     "DEMAND": ("session", "node", "part", "ok", "proof"),
     "VERDICT": ("session", "part", "reason", "where"),
@@ -134,9 +134,13 @@ def line_to_record(line: str, index: int) -> dict:
             raise MalformedRecord(index, f"expected field {name}, got {key}")
         if name in _INT_FIELDS:
             try:
-                value = int(value)
+                number = int(value)
             except ValueError:
                 raise MalformedRecord(index, f"field {name} must be an integer") from None
+            # one spelling per value: every digest is taken over re-serialised records
+            if str(number) != value:
+                raise MalformedRecord(index, f"field {name} is not canonical decimal")
+            value = number
         out[name] = value
     return out
 

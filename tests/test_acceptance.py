@@ -13,7 +13,7 @@ from dcmesh import sim
 from dcmesh.dcnet import aggregate_round, investigate, make_ciphertext
 from dcmesh.errors import MalformedRecord
 from dcmesh.groups import brute_force_dlog, commit, derive_params
-from dcmesh.keysetup import SignedCommitment, build_key_graph, commitment_payload, sign
+from dcmesh.keysetup import build_key_graph, endorse
 from dcmesh.splitter import COLLISION
 from dcmesh.transcript import Transcript
 from dcmesh.zkp import FlatProver, OrStatement
@@ -121,37 +121,41 @@ def test_c04_investigation_blame():
         n = 4
         graph, cts = _honest_round(SMALL, n, hash(name) % 10_000, {})
         published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
-        cts, published = mutate(graph, cts, published)
+        cts, published, public = mutate(graph, cts, published, graph.public())
         result = aggregate_round(SMALL, range(n), cts)
-        record = investigate(SMALL, result, 0, published, graph.public())
+        record = investigate(SMALL, result, 0, published, public)
         if record.cheaters != expected:
             failures.append((name, record.verdicts))
 
-    def aggregate_mismatch(graph, cts, published):
+    def aggregate_mismatch(graph, cts, published, public):
         cts[1] = replace(cts[1], commitment=cts[1].commitment * SMALL.g % SMALL.p)
-        return cts, published
+        return cts, published, public
 
-    def bad_signature(graph, cts, published):
+    def bad_signature(graph, cts, published, public):
         cts[2] = replace(cts[2], commitment=cts[2].commitment * SMALL.g % SMALL.p)
         sc = published[2][0]
         published[2] = dict(published[2])
         published[2][0] = replace(sc, commitment=sc.commitment * SMALL.g % SMALL.p)
-        return cts, published
+        return cts, published, public
 
-    def pair_mismatch(graph, cts, published):
-        # both endpoints hold endorsed but non-cancelling values
+    def pair_mismatch(graph, cts, published, public):
+        # both endpoints hold endorsed but non-cancelling values: 1 signed
+        # the root of a forged list, and that root is the one on record
         c = published[0][1].commitment * SMALL.g % SMALL.p
+        forged = endorse(SMALL, [c], 0, 1, graph.signing[1])
         published[0] = dict(published[0])
-        published[0][1] = SignedCommitment(
-            0, 1, 0, c, sign(SMALL, graph.signing[1], commitment_payload(SMALL, c, 0, 1, 0))
+        published[0][1] = forged.reveal(SMALL, 0)
+        edges = tuple(
+            replace(e, root_lo=forged.root) if (e.lo, e.hi) == (0, 1) else e
+            for e in public.edges
         )
         cts[0] = replace(cts[0], commitment=cts[0].commitment * SMALL.g % SMALL.p)
-        return cts, published
+        return cts, published, replace(public, edges=edges)
 
-    def non_cooperation(graph, cts, published):
+    def non_cooperation(graph, cts, published, public):
         cts[3] = replace(cts[3], commitment=cts[3].commitment * SMALL.g % SMALL.p)
         del published[3]
-        return cts, published
+        return cts, published, public
 
     run_script("aggregate-mismatch", {1}, aggregate_mismatch)
     run_script("bad-signature", {2}, bad_signature)

@@ -232,32 +232,67 @@ def test_investigation_bad_signature_pins_tamperer(small):
     assert 0 not in record.verdicts
 
 
+def with_edge_root(public, holder, peer, root):
+    """The public key graph with the EDGE root of direction holder -> peer replaced."""
+    edges = []
+    for e in public.edges:
+        if (e.lo, e.hi) == (holder, peer):
+            e = replace(e, root_lo=root)
+        elif (e.hi, e.lo) == (holder, peer):
+            e = replace(e, root_hi=root)
+        edges.append(e)
+    return replace(public, edges=tuple(edges))
+
+
 def test_investigation_pair_mismatch_both_flagged(small):
     """If both endpoints hold mutually inconsistent endorsed values (a
     corrupted setup channel), both are flagged: there is no tiebreak."""
     n = 3
     graph = fresh_graph(small, n, seed=11)
-    from dcmesh.keysetup import SignedCommitment, commitment_payload, sign
+    from dcmesh.keysetup import endorse
 
     views = {pid: graph.view(pid) for pid in range(n)}
-    # forge a consistent-looking but non-cancelling endorsement pair (0,1)
+    # forge a consistent-looking but non-cancelling endorsement pair (0,1):
+    # 1 signs the root of a list whose slot 0 is shifted, and that root
+    # is the one on record for the direction
     published = honest_published(graph, n, 0)
-    c01 = published[0][1].commitment * small.g % small.p
-    forged = SignedCommitment(
-        holder=0,
-        peer=1,
-        slot=0,
-        commitment=c01,
-        signature=sign(small, graph.signing[1], commitment_payload(small, c01, 0, 1, 0)),
-    )
+    held = graph.edge(0, 1).held_lo
+    forged_list = (held.commitments[0] * small.g % small.p,) + held.commitments[1:]
+    forged = endorse(small, forged_list, 0, 1, graph.signing[1])
     published[0] = dict(published[0])
-    published[0][1] = forged
+    published[0][1] = forged.reveal(small, 0)
+    public = with_edge_root(graph.public(), 0, 1, forged.root)
     cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
     cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
     result = aggregate_round(small, range(n), cts)
-    record = investigate(small, result, 0, published, graph.public())
+    record = investigate(small, result, 0, published, public)
     assert PAIR_MISMATCH in record.verdicts.get(0, [])
     assert PAIR_MISMATCH in record.verdicts.get(1, [])
+
+
+def test_investigation_binds_revealed_commitment_to_its_slot(small):
+    """An endorsed commitment revealed with its own valid path does not
+    pass for another slot's: the path's sides follow from the slot."""
+    n = 3
+    graph = fresh_graph(small, n, seed=16)
+    held = graph.edge(1, 2).held_lo
+    assert held.commitments[0] != held.commitments[1]
+    views = {pid: graph.view(pid) for pid in range(n)}
+    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+    # participant 1 used slot 1's pad toward 2 in slot 0 and reveals
+    # that slot's commitment with that slot's path
+    shift = held.commitments[1] * pow(held.commitments[0], -1, small.p) % small.p
+    cts[1] = replace(cts[1], commitment=cts[1].commitment * shift % small.p)
+    result = aggregate_round(small, range(n), cts)
+    assert not result.valid
+    published = honest_published(graph, n, 0)
+    published[1] = dict(published[1])
+    published[1][2] = held.reveal(small, 1)
+    record = investigate(small, result, 0, published, graph.public())
+    assert BAD_SIGNATURE in record.verdicts[1]
+    assert AGGREGATE_MISMATCH not in record.verdicts[1]
+    assert 2 not in record.verdicts  # honest counterparty stays clean
+    assert 0 not in record.verdicts
 
 
 def test_investigation_non_cooperation(small):

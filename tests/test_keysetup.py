@@ -1,20 +1,22 @@
 """Pairwise setup: antisymmetry, endorsements, opt-outs, batching."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from dcmesh.errors import PathInvalid, RoundBudgetExhausted, SignatureRefused
+from dcmesh import keysetup, merkle
+from dcmesh.errors import RoundBudgetExhausted, SignatureRefused
 from dcmesh.groups import commit
 from dcmesh.keysetup import (
     aggregate_commitment,
     build_key_graph,
-    commitment_payload,
+    endorse,
     establish_pair,
     gen_signing_key,
-    merkle_batch_sign,
+    is_endorsed,
+    root_payload,
     sign,
-    verify_leaf,
     verify_sig,
 )
 
@@ -32,20 +34,16 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(small):
     rng = random.Random(1)
     ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
-    secret, signed_i, signed_j = establish_pair(small, 0, 1, rng, 3, ki, kj)
+    secret, held_i, held_j = establish_pair(small, 0, 1, rng, 3, ki, kj)
     for slot, s in enumerate(secret.rounds):
         c_ij = commit(small, s.key, s.blind)
         c_ji = commit(small, -s.key % 53, -s.blind % 53)
         assert c_ij * c_ji % small.p == 1
-        assert signed_i[slot].commitment == c_ij
-        assert signed_j[slot].commitment == c_ji
-        # each endorsement verifies under the counterparty key
-        assert verify_sig(
-            small, kj.public, commitment_payload(small, c_ij, 0, 1, slot), signed_i[slot].signature
-        )
-        assert verify_sig(
-            small, ki.public, commitment_payload(small, c_ji, 1, 0, slot), signed_j[slot].signature
-        )
+        assert held_i.commitments[slot] == c_ij
+        assert held_j.commitments[slot] == c_ji
+    # each direction's root is endorsed under the counterparty key
+    assert verify_sig(small, kj.public, root_payload(held_i.root, 0, 1), held_i.signature)
+    assert verify_sig(small, ki.public, root_payload(held_j.root, 1, 0), held_j.signature)
 
 
 def test_establish_pair_refusal(small):
@@ -152,50 +150,92 @@ def test_public_header_shape(small):
     assert public.optout_pairs() == {(0, 1), (1, 2)}
 
 
+def test_key_setup_signs_once_per_edge_direction(small, monkeypatch):
+    signed = []
+
+    def counting_sign(params, key, message):
+        signed.append(message)
+        return sign(params, key, message)
+
+    monkeypatch.setattr(keysetup, "sign", counting_sign)
+    graph = build_key_graph(small, range(5), 7, random.Random(13), refusers={3})
+    shared = [e for e in graph.edges.values() if e.established]
+    assert len(shared) == 6  # ten edges, four of them opted out by 3
+    assert sorted(signed) == sorted(
+        payload
+        for e in shared
+        for payload in (
+            root_payload(e.held_lo.root, e.lo, e.hi),
+            root_payload(e.held_hi.root, e.hi, e.lo),
+        )
+    )
+
+
+def endorsed(params, key, endorsement, revealed, slot, holder=0, peer=1):
+    return is_endorsed(
+        params, endorsement.root, key.public, holder, peer, slot,
+        len(endorsement.commitments), revealed,
+    )
+
+
 def test_merkle_batch_single_leaf(small):
     rng = random.Random(10)
     key = gen_signing_key(small, rng)
-    batch = merkle_batch_sign(small, key, [36])
-    assert batch.paths == ((),)
-    assert verify_leaf(small, key.public, batch, 36, 0)
+    batch = endorse(small, [36], 0, 1, key)
+    revealed = batch.reveal(small, 0)
+    assert revealed.path == "-"
+    assert batch.root == merkle.leaf_hash(small.element_to_bytes(36))
+    assert endorsed(small, key, batch, revealed, 0)
 
 
 def test_merkle_batch_inclusion_paths(small):
     rng = random.Random(11)
     key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, k + 1) for k in range(7)]
-    batch = merkle_batch_sign(small, key, commitments)
-    for index, c in enumerate(commitments):
-        assert verify_leaf(small, key.public, batch, c, index)
+    commitments = [commit(small, k, k + 1) for k in range(9)]
+    # budgets 1-9 include every odd count, where the last node is promoted
+    for budget in range(1, 10):
+        leaves = [small.element_to_bytes(c) for c in commitments[:budget]]
+        levels = merkle.build_tree(leaves)
+        batch = endorse(small, commitments[:budget], 0, 1, key)
+        assert levels[-1] == [batch.root]
+        for index in range(budget):
+            path = merkle.path(levels, index)
+            assert merkle.root_at(leaves[index], index, budget, path) == batch.root
+            revealed = batch.reveal(small, index)
+            assert endorsed(small, key, batch, revealed, index)
+            # a path only reproduces the root at the slot it was made for
+            for other in (index - 1, index + 1):
+                assert merkle.root_at(leaves[index], other, budget, path) != batch.root
+                assert not endorsed(small, key, batch, revealed, other)
     # four-leaf case: every path has exactly two nodes
-    batch4 = merkle_batch_sign(small, key, commitments[:4])
-    assert all(len(path) == 2 for path in batch4.paths)
-    assert verify_leaf(small, key.public, batch4, commitments[2], 2)
+    levels4 = merkle.build_tree([small.element_to_bytes(c) for c in commitments[:4]])
+    assert all(len(merkle.path(levels4, i)) == 2 for i in range(4))
 
 
 def test_merkle_batch_rejects_tampering(small):
     rng = random.Random(12)
     key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, 2 * k) for k in range(4)]
-    batch = merkle_batch_sign(small, key, commitments)
+    commitments = [commit(small, k, 2 * k) for k in range(5)]
+    batch = endorse(small, commitments, 0, 1, key)
+    revealed = batch.reveal(small, 2)
+    assert endorsed(small, key, batch, revealed, 2)
     # wrong leaf value
-    assert not verify_leaf(small, key.public, batch, commitments[1], 2)
-    # flipped path node
-    sibling, side = batch.paths[2][0]
-    flipped = bytes([sibling[0] ^ 1]) + sibling[1:]
-    tampered = batch.paths[2][:0] + ((flipped, side),) + batch.paths[2][1:]
-    from dataclasses import replace
-
-    bad = replace(batch, paths=batch.paths[:2] + (tampered,) + batch.paths[3:])
-    assert not verify_leaf(small, key.public, bad, commitments[2], 2)
-    # wrong signer
+    assert not endorsed(small, key, batch, replace(revealed, commitment=commitments[1]), 2)
+    # flipped sibling digit
+    flipped = ("1" if revealed.path[0] == "0" else "0") + revealed.path[1:]
+    assert not endorsed(small, key, batch, replace(revealed, path=flipped), 2)
+    # wrong sibling count: one digest short, one too many
+    assert not endorsed(small, key, batch, replace(revealed, path=revealed.path[64:]), 2)
+    assert not endorsed(small, key, batch, replace(revealed, path=revealed.path + "00" * 32), 2)
+    # path text that is not canonical hex of whole digests
+    for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2]):
+        assert not endorsed(small, key, batch, replace(revealed, path=garbled), 2)
+    # a commitment outside the group's encoding
+    assert not endorsed(small, key, batch, replace(revealed, commitment=-1), 2)
+    # wrong signer, and the root signed for the other direction
     other = gen_signing_key(small, rng)
-    assert not verify_leaf(small, other.public, batch, commitments[2], 2)
-    with pytest.raises(PathInvalid):
-        verify_leaf(small, key.public, batch, commitments[0], 9)
-    garbled = replace(batch, paths=((("zzz", True, 1),),) + batch.paths[1:])
-    with pytest.raises(PathInvalid):
-        verify_leaf(small, key.public, garbled, commitments[0], 0)
+    assert not endorsed(small, other, batch, revealed, 2)
+    assert not endorsed(small, key, batch, revealed, 2, holder=1, peer=0)
 
 
 def test_setup_determinism(small):
@@ -204,4 +244,5 @@ def test_setup_determinism(small):
     for pair in a.edges:
         ea, eb = a.edges[pair], b.edges[pair]
         assert ea.secret == eb.secret
-        assert ea.signed_lo == eb.signed_lo
+        assert ea.held_lo == eb.held_lo
+        assert ea.held_hi == eb.held_hi

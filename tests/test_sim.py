@@ -80,31 +80,31 @@ def test_transcripts_are_deterministic():
 
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO; refactors of the
-# engine must leave every transcript byte-identical
+# engine must leave every transcript byte-identical (pinned at format v2)
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "83eec05fd4c138fe0c830efc520f7167ba0671c8a6c6cd39de453ec3562a4e7e"),
+     "427523ea06ee62c2203d778ab800d3a08443b95a14d37e8a37cadecef8cae937"),
     (sim.Scenario(n=2, seed=1),
-     "df1b7ee87d683cc8fe0526323d62cfb43d4b515ffca7a925e6ca66f3c1d17e40"),
+     "9b8726d366269e751a0caf14bf264287023f302a9780e3e4e23846455af35db4"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "2daacc76f08fd92379a4048ceffe8ef11c3e4de179c7eaae10b8212a90ccac42"),
+     "52de7d25812315e8cef2a5d54c44c4ad33f06b5831c01e9b0718b47894243279"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "2a8f9a732f5bff50b86bb6fdce29da516c8371fe68e7c19e6cf1afe0a3eb8500"),
+     "72cea0a0dac1d588b8f3b3fe68d98a83ee5abf3456d9c4526463656e99f87a6a"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "3c384af568fa4e48a4eba5c3e964237d082f54ca97182c04381365075392e173"),
+     "263044e3807d0808c9031e057f97983216323979d2694ee1f024100ba6ad06d0"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "7aa9dd591865feed2e1a82e7b69b155959ecee1b809aef4fc0a7db0e8361b70c"),
+     "260244e49b7333a580b4ce77857bc44dfe25a0564270783fcdab783796872d99"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "ffe264557d3e67191078617c6fb461c54781a642c862e5df93d5d3e0c31eb71b"),
+     "dc317f35895ba2797a83255e86cfdf42d2f952057b14bc8db7b2c6029f088a7c"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "25964824c0e683dcade35b941c72a0fcc2eb720bc34bbbd6b67c56122c49aa0e"),
+     "ed269f9d1aaa0acc7efdb952dbc5ff0f94038f4d76f4fa2c2cd218895364cefa"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "6f1c4c496915b6937aac02fdb0eafce71d279d577fa1cb2449cea80d88072a7b"),
+     "f66f2c1267a292648723d38664789575cead314310f5c8dca44c8dcf51f2732d"),
 ]
 
 
@@ -137,6 +137,9 @@ def test_record_line_parse_errors():
         line_to_record("BAN session=1 part=x", 0)  # non-integer
     with pytest.raises(MalformedRecord):
         line_to_record("BAN session=1 part", 0)  # not key=value
+    for spelling in ("09", "+9", "0_9"):  # int() accepts these; only "9" is canonical
+        with pytest.raises(MalformedRecord):
+            line_to_record(f"BAN session=1 part={spelling}", 0)
 
 
 def test_truncated_transcript_is_malformed():
@@ -378,6 +381,16 @@ def test_dropped_resolved_record_detected():
     lines = transcript.to_text().splitlines()
     index = next(i for i, ln in enumerate(lines) if ln.startswith("RESOLVED"))
     assert _detects("\n".join(lines[:index] + lines[index + 1 :]) + "\n")
+
+
+def test_non_canonical_integer_detected():
+    # every digest is taken over re-serialised records, so another
+    # spelling of the same integer must not verify clean
+    transcript = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9), (1, 70)), seed=4))
+    text = transcript.to_text()
+    assert " payload=9\n" in text
+    for spelling in ("09", "+9", "0_9"):
+        assert _detects(text.replace(" payload=9\n", f" payload={spelling}\n", 1))
 
 
 def test_flipped_validity_bit_detected():
