@@ -11,6 +11,10 @@ parameter sets are built in:
   large enough to hold slot-encoded messages for collision trees.
 * ``production``  -- the RFC 3526 2048-bit MODP safe prime, generators
   derived by hashing the domain tag into the subgroup.
+
+Powers of the two fixed generators go through a window table per
+(group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
+Lim-Lee 1994); ``pow`` is left for variable bases.
 """
 
 from __future__ import annotations
@@ -39,6 +43,53 @@ SECURITY_LEVELS = ("test_small", "test_medium", "production")
 # Exhaustive-search guard for brute_force_dlog and enumeration oracles.
 DESK_SCALE_LIMIT = 1 << 20
 
+# Window tables take the widest window up to WINDOW_MAX_BITS whose
+# entries fit in WINDOW_TABLE_BYTES per base: 9 bits for test_medium,
+# 5 for production.
+WINDOW_MAX_BITS = 9
+WINDOW_TABLE_BYTES = 4 << 20
+
+
+class WindowTable:
+    """Fixed-base exponentiation for one base of a group.
+
+    Row i holds base^(j * 2^(width*i)) for j < 2^width, so base^e is the
+    product of one entry per row, picked by e's width-bit digits.
+    """
+
+    __slots__ = ("p", "q", "width", "mask", "rows")
+
+    def __init__(self, params: "GroupParams", base: int):
+        p, bits, size = params.p, params.q.bit_length(), params.element_bytes
+        width = WINDOW_MAX_BITS
+        # ceil(bits / width) rows of 2^width entries, size bytes each
+        while width > 1 and (-(-bits // width) << width) * size > WINDOW_TABLE_BYTES:
+            width -= 1
+        self.p, self.q, self.width, self.mask = p, params.q, width, (1 << width) - 1
+        self.rows = []
+        for _ in range(-(-bits // width)):
+            row = [1]
+            for _ in range((1 << width) - 1):
+                row.append(row[-1] * base % p)
+            self.rows.append(row)
+            base = row[-1] * base % p
+
+    def power(self, exponent: int) -> int:
+        """base^exponent, the exponent taken mod q."""
+        e = exponent % self.q
+        p, width, mask = self.p, self.width, self.mask
+        acc = 1
+        for row in self.rows:
+            acc = acc * row[e & mask] % p
+            e >>= width
+        return acc
+
+
+@functools.lru_cache(maxsize=16)
+def window_table(params: "GroupParams", base: int) -> WindowTable:
+    """The table for one (group, base), shared by equal copies of the group."""
+    return WindowTable(params, base)
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -61,13 +112,21 @@ class GroupParams:
     def h(self) -> int:
         return self.generators[-1]
 
-    @property
+    @functools.cached_property
     def element_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
-    @property
+    @functools.cached_property
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
+
+    @functools.cached_property
+    def g_table(self) -> WindowTable:
+        return window_table(self, self.g)
+
+    @functools.cached_property
+    def h_table(self) -> WindowTable:
+        return window_table(self, self.h)
 
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1
@@ -196,11 +255,7 @@ def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams
 
 def commit(params: GroupParams, value: int, blinding: int) -> int:
     """Pedersen commitment g^value * h^blinding."""
-    return (
-        pow(params.g, value % params.q, params.p)
-        * pow(params.h, blinding % params.q, params.p)
-        % params.p
-    )
+    return params.g_table.power(value) * params.h_table.power(blinding) % params.p
 
 
 def verify_open(params: GroupParams, commitment: int, value: int, blinding: int) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted, SignatureRefused
@@ -37,7 +38,7 @@ class SigningKey:
 
 def gen_signing_key(params: GroupParams, rng) -> SigningKey:
     x = rng.randrange(1, params.q)
-    return SigningKey(secret=x, public=pow(params.g, x, params.p))
+    return SigningKey(secret=x, public=params.g_table.power(x))
 
 
 def _sig_challenge(params, public, nonce_point, message) -> int:
@@ -57,7 +58,7 @@ def sign(params: GroupParams, key: SigningKey, message: bytes) -> tuple[int, int
         b"dcmesh/nonce" + params.scalar_to_bytes(key.secret) + message
     ).digest()
     k = int.from_bytes(nonce_material, "big") % params.q
-    nonce_point = pow(params.g, k, params.p)
+    nonce_point = params.g_table.power(k)
     e = _sig_challenge(params, key.public, nonce_point, message)
     s = (k + e * key.secret) % params.q
     return (e, s)
@@ -70,7 +71,8 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
         return False
     if not (0 <= e < params.q and 0 <= s < params.q):
         return False
-    nonce_point = pow(params.g, s, params.p) * pow(public, (params.q - e) % params.q, params.p) % params.p
+    q, p = params.q, params.p
+    nonce_point = params.g_table.power(s) * pow(public, (q - e) % q, p) % p
     return _sig_challenge(params, public, nonce_point, message) == e
 
 
@@ -78,8 +80,7 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
 # pairwise secrets
 
 
-@dataclass(frozen=True)
-class RoundSecret:
+class RoundSecret(NamedTuple):
     key: int
     blind: int
 
@@ -199,7 +200,7 @@ def establish_pair(
         ),
     )
     c_ij = [commit(params, s.key, s.blind) for s in secrets.rounds]
-    c_ji = [pow(c, -1, params.p) for c in c_ij]  # commit(-K, -r)
+    c_ji = [commit(params, -s.key, -s.blind) for s in secrets.rounds]
     return secrets, endorse(params, c_ij, i, j, key_j), endorse(params, c_ji, j, i, key_i)
 
 
@@ -254,7 +255,10 @@ class KeyGraph:
         return self.edges[(min(a, b), max(a, b))]
 
     def round_secret(self, i: int, j: int, slot: int) -> RoundSecret:
-        """Directed per-round secret for edge i -> j (zero when opted out)."""
+        """Directed per-round secret for edge i -> j (zero when opted out).
+
+        The reference that the sums of ``KeyView`` are tested against.
+        """
         state = self.edge(i, j)
         if not state.established:
             return RoundSecret(0, 0)
@@ -280,17 +284,20 @@ class KeyGraph:
         )
 
     def view(self, pid: int) -> "KeyView":
-        pads = [dict() for _ in range(self.budget)]
-        held = {}
+        secrets, held = [], {}
         for peer in self.participants:
             if peer == pid:
                 continue
             state = self.edge(pid, peer)
-            for slot in range(self.budget):
-                pads[slot][peer] = self.round_secret(pid, peer, slot)
-            if state.established:
-                held[peer] = state.held_lo if pid == state.lo else state.held_hi
-        return KeyView(self.params, pid, self.budget, pads, held)
+            if not state.established:
+                continue  # opted-out edges contribute zero pads
+            if pid == state.lo:
+                secrets.append((1, state.secret.rounds))
+                held[peer] = state.held_lo
+            else:
+                secrets.append((-1, state.secret.rounds))
+                held[peer] = state.held_hi
+        return KeyView(self.params, pid, self.budget, secrets, held)
 
 
 class KeyView:
@@ -300,11 +307,13 @@ class KeyView:
     never handed out twice.
     """
 
-    def __init__(self, params, pid, budget, pads, held):
+    def __init__(self, params, pid, budget, secrets, held):
         self.params = params
         self.pid = pid
         self.budget = budget
-        self.pads = pads        # slot -> {peer: RoundSecret}
+        # (sign, rounds) per established edge: the edge's lo -> hi secrets,
+        # negated (sign -1) when this participant is the hi end
+        self.secrets = secrets
         self.held = held        # peer -> Endorsement, established edges only
         self._next_slot = 0
         self._slot_by_round = {}
@@ -324,10 +333,10 @@ class KeyView:
         return self._slot_by_round[round_id]
 
     def pad_sum(self, slot: int) -> int:
-        return sum(s.key for s in self.pads[slot].values()) % self.params.q
+        return sum(sign * rounds[slot].key for sign, rounds in self.secrets) % self.params.q
 
     def blind_sum(self, slot: int) -> int:
-        return sum(s.blind for s in self.pads[slot].values()) % self.params.q
+        return sum(sign * rounds[slot].blind for sign, rounds in self.secrets) % self.params.q
 
     def aggregate_commitment(self, slot: int) -> int:
         """Product of the stored pair commitments; opted-out edges add the identity."""
@@ -364,7 +373,8 @@ def build_key_graph(
 
 
 def aggregate_commitment(graph: KeyGraph, pid: int, slot: int) -> int:
-    """Product of the participant's directed pair commitments for a round."""
+    """Product of the participant's directed pair commitments for a round,
+    recomputed from the secrets: the reference for ``KeyView.aggregate_commitment``."""
     params = graph.params
     acc = 1
     for peer in graph.participants:

@@ -228,7 +228,7 @@ def stmt_no_message(params, value: int, commitment: int, context: bytes = b"") -
     claimed value out of it leaves a pure power of h exactly when the
     value equals the pad sum.
     """
-    target = commitment * pow(params.g, params.q - value % params.q, params.p) % params.p
+    target = commitment * params.g_table.power(-value) % params.p
     return RepStatement(target=target, base=params.h, context=context)
 
 
@@ -241,10 +241,9 @@ def stmt_same_message(
     value difference leaves a power of h exactly when the two message
     contributions cancel.
     """
-    p, q = params.p, params.q
+    p = params.p
     quotient = commitment1 * pow(commitment2, -1, p) % p
-    delta = (value1 - value2) % q
-    target = quotient * pow(params.g, q - delta, p) % p if delta else quotient
+    target = quotient * params.g_table.power(value2 - value1) % p
     return RepStatement(target=target, base=params.h, context=context)
 
 

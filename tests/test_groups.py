@@ -11,6 +11,7 @@ import pytest
 
 from dcmesh.errors import DlogNotFound, GroupTooLarge
 from dcmesh.groups import (
+    WINDOW_TABLE_BYTES,
     GroupParams,
     brute_force_dlog,
     combine,
@@ -160,3 +161,67 @@ def test_params_text_roundtrip(small):
 def test_scalar_element_serialization_widths(medium):
     assert len(medium.element_to_bytes(medium.p - 1)) == medium.element_bytes
     assert len(medium.scalar_to_bytes(medium.q - 1)) == medium.scalar_bytes
+
+
+# ---------------------------------------------------------------------------
+# fixed-base window tables, checked against plain pow
+
+
+def edge_exponents(q, rng, extra=50):
+    return [0, 1, q - 1, q, q + 1, -1, -q - 1] + [rng.randrange(-q, 2 * q) for _ in range(extra)]
+
+
+@pytest.mark.parametrize("level", ["test_small", "test_medium"])
+def test_window_table_power_matches_pow(level):
+    params = derive_params(level, TAG)
+    rng = random.Random(21)
+    for table, base in ((params.g_table, params.g), (params.h_table, params.h)):
+        assert table.width == 9
+        for e in edge_exponents(params.q, rng):
+            assert table.power(e) == pow(base, e % params.q, params.p)
+
+
+def test_window_table_rows_hold_digit_powers(medium):
+    table, bits = medium.g_table, medium.q.bit_length()
+    # enough rows for every digit of an exponent below q, and no more
+    assert (len(table.rows) - 1) * table.width < bits <= len(table.rows) * table.width
+    for i, row in enumerate(table.rows):
+        assert len(row) == 1 << table.width
+        for j in (0, 1, 2, len(row) - 1):
+            assert row[j] == pow(medium.g, j << (table.width * i), medium.p)
+
+
+@pytest.mark.parametrize("level", ["test_small", "test_medium"])
+def test_commit_of_negations_cancels(level):
+    params = derive_params(level, TAG)
+    rng = random.Random(22)
+    for k, r in [(0, 0), (1, params.q - 1)] + [
+        (rng.randrange(params.q), rng.randrange(params.q)) for _ in range(50)
+    ]:
+        assert commit(params, k, r) * commit(params, -k, -r) % params.p == 1
+
+
+def test_window_table_production():
+    params = derive_params("production", TAG)
+    bits, rng = params.q.bit_length(), random.Random(23)
+    for table, base in ((params.g_table, params.g), (params.h_table, params.h)):
+        # the widest window whose table fits the per-base budget
+        entries = sum(len(row) for row in table.rows)
+        assert table.width == 5
+        assert entries * params.element_bytes <= WINDOW_TABLE_BYTES
+        wider = -(-bits // (table.width + 1)) << (table.width + 1)
+        assert wider * params.element_bytes > WINDOW_TABLE_BYTES
+        for e in edge_exponents(params.q, rng, extra=1):
+            assert table.power(e) == pow(base, e % params.q, params.p)
+    k, r = rng.randrange(params.q), rng.randrange(params.q)
+    assert commit(params, k, r) == oracle_commit(params.p, params.g, params.h, k, r)
+    assert commit(params, k, r) * commit(params, -k, -r) % params.p == 1
+
+
+def test_parsed_params_share_tables_and_stay_equal(medium):
+    table = medium.g_table
+    again = GroupParams.from_text(medium.to_text())
+    assert again.g_table is table
+    assert again == medium and hash(again) == hash(medium)
+    assert again.to_text() == medium.to_text()
+    assert (again.element_bytes, again.scalar_bytes) == (3, 3)

@@ -101,6 +101,31 @@ def test_aggregate_commitments_cancel(small):
             )
 
 
+def test_views_match_the_round_secret_oracle(small):
+    # refusers opt out every edge they touch; a view sums only the rest
+    n, budget, q = 6, 4, small.q
+    graph = build_key_graph(small, range(n), budget, random.Random(14), refusers={1, 4})
+    views = {pid: graph.view(pid) for pid in range(n)}
+    for slot in range(budget):
+        for pid, view in views.items():
+            secrets = [graph.round_secret(pid, peer, slot) for peer in range(n) if peer != pid]
+            assert view.pad_sum(slot) == sum(s.key for s in secrets) % q
+            assert view.blind_sum(slot) == sum(s.blind for s in secrets) % q
+            assert view.aggregate_commitment(slot) == aggregate_commitment(graph, pid, slot)
+        assert sum(v.pad_sum(slot) for v in views.values()) % q == 0
+        assert sum(v.blind_sum(slot) for v in views.values()) % q == 0
+    # spending moves the ledger only, for a refuser and for a shared view
+    for pid in (1, 2):
+        view = views[pid]
+        sums = [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
+        assert [view.spend(("r", k)) for k in range(budget)] == list(range(budget))
+        assert view.slot_of(("r", 2)) == 2
+        with pytest.raises(RoundBudgetExhausted):
+            view.spend(("r", budget))
+        assert sums == [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
+    assert views[1].pad_sum(0) == views[1].blind_sum(0) == 0
+
+
 def test_optout_edges_contribute_identity(small):
     rng = random.Random(6)
     graph = build_key_graph(small, range(4), 2, rng, refusers={2})

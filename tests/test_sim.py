@@ -79,8 +79,10 @@ def test_transcripts_are_deterministic():
 
 
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
-# matrix, whose first entry is REFERENCE_SCENARIO; refactors of the
-# engine must leave every transcript byte-identical (pinned at format v2)
+# matrix, whose first entry is REFERENCE_SCENARIO, and two wider runs;
+# refactors of the engine must leave every transcript byte-identical
+# (pinned at format v2).  Test ids are the list positions, so a re-pin
+# keeps them.
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
      "427523ea06ee62c2203d778ab800d3a08443b95a14d37e8a37cadecef8cae937"),
@@ -105,10 +107,21 @@ PINNED_TRANSCRIPTS = [
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
      "f66f2c1267a292648723d38664789575cead314310f5c8dca44c8dcf51f2732d"),
+    # honest, budget 56: many slots per edge and six-digest inclusion paths
+    (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
+                                 (13, 8), (15, 9)), seed=11, max_retries=32),
+     "85d182eeed47631b4d09ca3e38ea25b1f97309445f59eed30a3d393960cb3e8e"),
+    # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
+    (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
+                  adversaries=((6, "bad_pad"),), seed=3),
+     "2ed02aa6e3d1a54f249b79212b8fbc4311e2ecf0c4ae5fa42fbff140b304a7e6"),
 ]
 
 
-@pytest.mark.parametrize("scenario, digest", PINNED_TRANSCRIPTS)
+@pytest.mark.parametrize(
+    "scenario, digest", PINNED_TRANSCRIPTS,
+    ids=[f"scenario{i}" for i in range(len(PINNED_TRANSCRIPTS))],
+)
 def test_transcripts_are_byte_identical_to_pinned(scenario, digest):
     text = sim.run_scenario(scenario).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
