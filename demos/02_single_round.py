@@ -17,7 +17,7 @@ from dcmesh.keysetup import build_key_graph
 params = derive_params("test_medium", b"dc-mesh/v1")
 n = 5
 
-graph = build_key_graph(params, range(n), 2, random.Random(1))
+graph = build_key_graph(params, range(n), random.Random(1))
 views = {pid: graph.view(pid) for pid in range(n)}
 
 print("round 1: participant 2 sends the message 42")

@@ -23,7 +23,7 @@ from dcmesh.zkp import forge_attempt
 
 params = derive_params("test_medium", b"dc-mesh/v1")
 rng = random.Random(9)
-graph = build_key_graph(params, range(3), 4, rng)
+graph = build_key_graph(params, range(3), rng)
 tag = b"demo"
 slot = encode_slot(50, 8)
 

@@ -4,7 +4,7 @@ Subcommands:
   run            execute a scenario file, write its transcript
   verify         re-judge a transcript and report every divergence
   paper-example  run the built-in five-message worked example
-  keygen         print a key-graph header for inspection
+  keygen         print session 1's key records as ``run`` writes them
 
 Exit codes are a stable contract: 0 clean, 1 usage or configuration
 error, 2 protocol finding (disruptors detected, or divergence found).
@@ -138,10 +138,8 @@ def cmd_keygen(args) -> int:
     try:
         group = _GROUP_CHOICES[args.group or "test"]
         params = derive_params(group, sim.DOMAIN_TAG)
-        graph = build_key_graph(
-            params, range(args.n), args.rounds, sim.fork_rng(args.seed or 0, "keys", 1)
-        )
-    except (ValueError, ConfigInvalid) as exc:
+        graph = build_key_graph(params, range(args.n), sim.fork_rng(args.seed, "keys", 1))
+    except (ValueError, OverflowError, ConfigInvalid) as exc:  # a seed outside 64 bits overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"GROUP {params.to_text()}")
@@ -173,9 +171,8 @@ def main(argv=None) -> int:
     p_ex.add_argument("--group", choices=sorted(_GROUP_CHOICES))
     p_ex.set_defaults(func=cmd_paper_example)
 
-    p_keys = sub.add_parser("keygen", help="emit a key-graph header")
+    p_keys = sub.add_parser("keygen", help="print session 1's PUBKEY and epoch-0 EDGE records")
     p_keys.add_argument("--n", type=int, default=5)
-    p_keys.add_argument("--rounds", type=int, default=4)
     p_keys.add_argument("--seed", type=int, default=0)
     p_keys.add_argument("--group", choices=sorted(_GROUP_CHOICES))
     p_keys.set_defaults(func=cmd_keygen)

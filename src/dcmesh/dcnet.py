@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import DuplicateParticipant, MissingParticipant
 from .groups import GroupParams
-from .keysetup import KeyGraphPublic, KeyView, is_endorsed
+from .keysetup import EPOCH_SLOTS, KeyGraphPublic, KeyView, is_endorsed
 
 # verdict reason codes
 BAD_SIGNATURE = "bad_signature"
@@ -51,8 +51,8 @@ class RoundResult:
 def make_ciphertext(view: KeyView, round_id, message: int | None = None) -> RoundCiphertext:
     """Build this participant's broadcast for one round.
 
-    Consumes the next scheduled per-round secrets (each set is used
-    exactly once).  The message, when present, is added to the pad sum
+    Consumes the next unspent slot's secrets (each slot is used exactly
+    once).  The message, when present, is added to the pad sum
     only; the commitment never depends on it.
     """
     slot = view.spend(round_id)
@@ -116,8 +116,8 @@ def investigate(
 
     ``published`` maps participant -> {peer: RevealedCommitment} as each
     participant revealed them.  Checks, per participant: each revealed
-    commitment's path leads to the direction's EDGE root at ``slot`` and
-    the peer's signature over that root verifies, the broadcast
+    commitment's path leads to the direction's EDGE root for the epoch
+    of ``slot`` and the peer's signature over that root verifies, the broadcast
     aggregate equals the product of the revealed pair commitments, and
     each revealed pair multiplies with its reverse to the identity.  A bare pair mismatch with both
     endorsements intact flags both endpoints; anyone whose revealed
@@ -125,10 +125,10 @@ def investigate(
     """
     record = InvestigationRecord(round_id=round_result.round_id, slot=slot)
     participants = graph_public.participants
-    publics, budget = graph_public.publics, graph_public.budget
+    publics = graph_public.publics
     optouts = graph_public.optout_pairs()
-    roots = {}   # (holder, peer) -> endorsed root of that direction
-    for e in graph_public.edges:
+    roots = {}   # (holder, peer) -> endorsed root of that direction in the slot's epoch
+    for e in graph_public.epochs[slot // EPOCH_SLOTS]:
         roots[(e.lo, e.hi)], roots[(e.hi, e.lo)] = e.root_lo, e.root_hi
     sig_ok: dict[tuple[int, int], bool] = {}
 
@@ -147,7 +147,7 @@ def investigate(
             continue
         product = 1
         for peer, sc in sorted(revealed.items()):
-            ok = is_endorsed(params, roots[(pid, peer)], publics[peer], pid, peer, slot, budget, sc)
+            ok = is_endorsed(params, roots[(pid, peer)], publics[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
                 record.flag(pid, BAD_SIGNATURE)

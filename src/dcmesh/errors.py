@@ -30,7 +30,7 @@ class SignatureRefused(DcMeshError):
 
 
 class RoundBudgetExhausted(DcMeshError):
-    """No unspent per-round secrets remain for this participant."""
+    """A round asked for a second slot, or for a slot whose epoch is not endorsed."""
 
 
 class MissingParticipant(DcMeshError):

@@ -1,14 +1,16 @@
 """Pairwise secret establishment and mutual commitment endorsement.
 
-Each unordered pair of participants shares, per scheduled round, a key
-and a blinding value; the reverse direction holds the negations so all
-pads cancel in a round sum.  Each direction's per-round commitments are
-the leaves of a Merkle tree whose root the counterparty signs once; a
+Each unordered pair of participants shares, per slot, a key and a
+blinding value; the reverse direction holds the negations so all pads
+cancel in a round sum.  Slots are endorsed in epochs of ``EPOCH_SLOTS``:
+each direction's commitments for an epoch are the leaves of a Merkle
+tree whose root the counterparty signs once, bound to the epoch; a
 commitment revealed with its inclusion path is endorsed by that one
-signature, which is what later lets an investigation pin blame.  A
-participant may refuse to share a secret with a peer; the edge is then
-publicly marked opted out and contributes zero pads and identity
-commitments.
+signature, which is what later lets an investigation pin blame.  Epoch
+0 is built with the graph and later epochs on demand, over the same
+edges and signing keys.  A participant may refuse to share a secret
+with a peer; the edge is then publicly marked opted out and contributes
+zero pads and identity commitments.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -18,12 +20,17 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted, SignatureRefused
 from .groups import GroupParams, commit
+
+# slots per endorsement epoch: one Merkle root, and one signature, per
+# edge direction and epoch; fits the median session of every bench
+# workload in epoch 0
+EPOCH_SLOTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +94,22 @@ class RoundSecret(NamedTuple):
 
 @dataclass(frozen=True)
 class PairwiseSecret:
-    """Per-round secrets for the directed edge i -> j."""
+    """One epoch's per-slot secrets for the directed edge i -> j."""
 
     i: int
     j: int
     rounds: tuple[RoundSecret, ...]
 
 
-def root_payload(root: bytes, holder: int, peer: int) -> bytes:
-    """What the peer signs to endorse every commitment of edge holder -> peer."""
-    return b"dcmesh/edge-root/v1" + root + holder.to_bytes(4, "big") + peer.to_bytes(4, "big")
+def root_payload(root: bytes, holder: int, peer: int, epoch: int) -> bytes:
+    """What the peer signs to endorse one epoch of edge holder -> peer."""
+    return (
+        b"dcmesh/edge-root/v2"
+        + epoch.to_bytes(4, "big")
+        + root
+        + holder.to_bytes(4, "big")
+        + peer.to_bytes(4, "big")
+    )
 
 
 def _path_text(siblings) -> str:
@@ -109,7 +122,7 @@ class RevealedCommitment:
 
     ``path`` is the commitment's inclusion path in wire form: hex of the
     concatenated sibling digests, or "-" when it is empty.
-    ``signature`` is the peer's signature over the direction's root.
+    ``signature`` is the peer's signature over the epoch's root.
     """
 
     commitment: int
@@ -119,25 +132,28 @@ class RevealedCommitment:
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One edge direction's per-round commitments, their Merkle root and
-    the peer's signature over the root."""
+    """One edge direction's commitments for an epoch, their Merkle root
+    and the peer's signature over the root."""
 
     commitments: tuple[int, ...]
     root: bytes
     signature: tuple[int, int]
 
-    def reveal(self, params: GroupParams, slot: int) -> RevealedCommitment:
+    def reveal(self, params: GroupParams, index: int) -> RevealedCommitment:
+        """The commitment at ``index`` of the epoch, with its path."""
         levels = merkle.build_tree([params.element_to_bytes(c) for c in self.commitments])
         return RevealedCommitment(
-            self.commitments[slot], _path_text(merkle.path(levels, slot)), self.signature
+            self.commitments[index], _path_text(merkle.path(levels, index)), self.signature
         )
 
 
-def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: SigningKey):
-    """The peer's endorsement of the commitment list edge holder -> peer holds."""
+def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: SigningKey,
+            epoch: int):
+    """The peer's endorsement of one epoch of the commitments edge holder -> peer holds."""
     commitments = tuple(commitments)
     root = merkle.build_tree([params.element_to_bytes(c) for c in commitments])[-1][0]
-    return Endorsement(commitments, root, sign(params, peer_key, root_payload(root, holder, peer)))
+    signature = sign(params, peer_key, root_payload(root, holder, peer, epoch))
+    return Endorsement(commitments, root, signature)
 
 
 def is_endorsed(
@@ -147,11 +163,11 @@ def is_endorsed(
     holder: int,
     peer: int,
     slot: int,
-    budget: int,
     revealed: RevealedCommitment,
 ) -> bool:
     """Whether the revealed path leads from the commitment at ``slot`` to
-    the direction's ``root`` and the peer's signature over it verifies.
+    ``root``, the direction's root for the slot's epoch, and the peer's
+    signature over that root and epoch verifies.
 
     A path that is not canonical hex fails, as does a commitment that
     does not fit the group's encoding.
@@ -164,9 +180,12 @@ def is_endorsed(
     siblings = [raw[i : i + 32] for i in range(0, len(raw), 32)]
     if _path_text(siblings) != revealed.path:
         return False
-    if merkle.root_at(leaf, slot, budget, siblings) != root:
+    epoch, index = divmod(slot, EPOCH_SLOTS)
+    if merkle.root_at(leaf, index, EPOCH_SLOTS, siblings) != root:
         return False
-    return verify_sig(params, peer_public, root_payload(root, holder, peer), revealed.signature)
+    return verify_sig(
+        params, peer_public, root_payload(root, holder, peer, epoch), revealed.signature
+    )
 
 
 def establish_pair(
@@ -174,12 +193,12 @@ def establish_pair(
     i: int,
     j: int,
     rng,
-    rounds: int,
     key_i: SigningKey,
     key_j: SigningKey,
     refusers=frozenset(),
+    epoch: int = 0,
 ):
-    """Agree on fresh per-round secrets for the pair (i, j).
+    """Agree on fresh secrets for one epoch of the pair (i, j).
 
     Returns the direction i -> j secrets along with both directions'
     endorsements: i's commitments signed by j, and j's signed by i.
@@ -196,12 +215,17 @@ def establish_pair(
         i=i,
         j=j,
         rounds=tuple(
-            RoundSecret(rng.randrange(params.q), rng.randrange(params.q)) for _ in range(rounds)
+            RoundSecret(rng.randrange(params.q), rng.randrange(params.q))
+            for _ in range(EPOCH_SLOTS)
         ),
     )
     c_ij = [commit(params, s.key, s.blind) for s in secrets.rounds]
     c_ji = [commit(params, -s.key, -s.blind) for s in secrets.rounds]
-    return secrets, endorse(params, c_ij, i, j, key_j), endorse(params, c_ji, j, i, key_i)
+    return (
+        secrets,
+        endorse(params, c_ij, i, j, key_j, epoch),
+        endorse(params, c_ji, j, i, key_i, epoch),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +234,19 @@ def establish_pair(
 
 @dataclass(frozen=True)
 class EdgeState:
+    """One epoch of one edge."""
+
     lo: int
     hi: int
     established: bool
     secret: PairwiseSecret | None = None   # direction lo -> hi
     held_lo: Endorsement | None = None     # held by lo, endorsed by hi
     held_hi: Endorsement | None = None     # held by hi, endorsed by lo
+
+    def public(self) -> EdgePublic:
+        if not self.established:
+            return EdgePublic(self.lo, self.hi, False)
+        return EdgePublic(self.lo, self.hi, True, self.held_lo.root, self.held_hi.root)
 
 
 @dataclass(frozen=True)
@@ -229,66 +260,86 @@ class EdgePublic:
 
 @dataclass(frozen=True)
 class KeyGraphPublic:
-    """What everyone may see: identities, opt-outs, and endorsed roots."""
+    """What everyone may see: identities, opt-outs, and each endorsed
+    epoch's roots.  Every epoch lists every pair in (lo, hi) order."""
 
-    n: int
-    budget: int
     participants: tuple[int, ...]
     publics: dict
-    edges: tuple[EdgePublic, ...]
+    epochs: tuple[tuple[EdgePublic, ...], ...]
 
     def optout_pairs(self) -> set:
-        return {(e.lo, e.hi) for e in self.edges if not e.established}
+        return {(e.lo, e.hi) for e in self.epochs[0] if not e.established}
+
+    def with_epoch(self, edges) -> "KeyGraphPublic":
+        return replace(self, epochs=self.epochs + (tuple(edges),))
 
 
 class KeyGraph:
     """Complete graph of pairwise edges over the active participants."""
 
-    def __init__(self, params, participants, budget, signing, edges):
+    def __init__(self, params, participants, signing, refusers):
         self.params = params
         self.participants = tuple(participants)
-        self.budget = budget
-        self.signing = signing  # pid -> SigningKey
-        self.edges = edges      # (lo, hi) -> EdgeState
+        self.signing = signing      # pid -> SigningKey
+        self.refusers = refusers    # their edges are opted out in every epoch
+        self.epochs = []            # per endorsed epoch: (lo, hi) -> EdgeState
 
-    def edge(self, a: int, b: int) -> EdgeState:
-        return self.edges[(min(a, b), max(a, b))]
+    def add_epoch(self, rng: random.Random) -> None:
+        """Endorse the next epoch of every edge, drawing its secrets from ``rng``."""
+        epoch, edges = len(self.epochs), {}
+        for a_idx, lo in enumerate(self.participants):
+            for hi in self.participants[a_idx + 1 :]:
+                try:
+                    secret, held_lo, held_hi = establish_pair(
+                        self.params, lo, hi, rng, self.signing[lo], self.signing[hi],
+                        self.refusers, epoch,
+                    )
+                    edges[(lo, hi)] = EdgeState(lo, hi, True, secret, held_lo, held_hi)
+                except SignatureRefused:
+                    edges[(lo, hi)] = EdgeState(lo, hi, False)
+        self.epochs.append(edges)
+
+    def edge(self, a: int, b: int, epoch: int = 0) -> EdgeState:
+        return self.epochs[epoch][(min(a, b), max(a, b))]
 
     def round_secret(self, i: int, j: int, slot: int) -> RoundSecret:
-        """Directed per-round secret for edge i -> j (zero when opted out).
+        """Directed per-slot secret for edge i -> j (zero when opted out).
 
         The reference that the sums of ``KeyView`` are tested against.
         """
-        state = self.edge(i, j)
+        epoch, index = divmod(slot, EPOCH_SLOTS)
+        state = self.edge(i, j, epoch)
         if not state.established:
             return RoundSecret(0, 0)
-        s = state.secret.rounds[slot]
+        s = state.secret.rounds[index]
         if i == state.lo:
             return s
         q = self.params.q
         return RoundSecret((-s.key) % q, (-s.blind) % q)
 
+    def public_edges(self, epoch: int) -> tuple[EdgePublic, ...]:
+        return tuple(state.public() for _, state in sorted(self.epochs[epoch].items()))
+
     def public(self) -> KeyGraphPublic:
-        edges = []
-        for (lo, hi), state in sorted(self.edges.items()):
-            if not state.established:
-                edges.append(EdgePublic(lo, hi, False))
-                continue
-            edges.append(EdgePublic(lo, hi, True, state.held_lo.root, state.held_hi.root))
         return KeyGraphPublic(
-            n=len(self.participants),
-            budget=self.budget,
             participants=self.participants,
             publics={pid: self.signing[pid].public for pid in self.participants},
-            edges=tuple(edges),
+            epochs=tuple(self.public_edges(k) for k in range(len(self.epochs))),
         )
 
     def view(self, pid: int) -> "KeyView":
+        return KeyView(self, pid)
+
+    def share(self, pid: int, epoch: int):
+        """One participant's part of an epoch: ``(sign, rounds)`` per
+        established edge, the edge's lo -> hi secrets negated (sign -1)
+        when the participant is the hi end, and ``{peer: Endorsement}``
+        for the direction it holds."""
         secrets, held = [], {}
         for peer in self.participants:
             if peer == pid:
                 continue
-            state = self.edge(pid, peer)
+            state = self.edge(pid, peer, epoch)
             if not state.established:
                 continue  # opted-out edges contribute zero pads
             if pid == state.lo:
@@ -297,24 +348,22 @@ class KeyGraph:
             else:
                 secrets.append((-1, state.secret.rounds))
                 held[peer] = state.held_hi
-        return KeyView(self.params, pid, self.budget, secrets, held)
+        return secrets, held
 
 
 class KeyView:
     """One participant's private share of the key graph.
 
-    Tracks which per-round secrets have been consumed; the same slot is
-    never handed out twice.
+    Reads each endorsed epoch's secrets in place, and tracks which
+    slots have been consumed; the same slot is never handed out twice,
+    nor one whose epoch is not endorsed yet.
     """
 
-    def __init__(self, params, pid, budget, secrets, held):
-        self.params = params
+    def __init__(self, graph: KeyGraph, pid: int):
+        self.graph = graph
+        self.params = graph.params
         self.pid = pid
-        self.budget = budget
-        # (sign, rounds) per established edge: the edge's lo -> hi secrets,
-        # negated (sign -1) when this participant is the hi end
-        self.secrets = secrets
-        self.held = held        # peer -> Endorsement, established edges only
+        self._shares = []   # per epoch: KeyGraph.share(pid, epoch)
         self._next_slot = 0
         self._slot_by_round = {}
 
@@ -322,9 +371,11 @@ class KeyView:
         """Consume the next unspent slot for the given protocol round."""
         if round_id in self._slot_by_round:
             raise RoundBudgetExhausted(f"round {round_id} already consumed a slot")
-        if self._next_slot >= self.budget:
-            raise RoundBudgetExhausted(f"all {self.budget} scheduled rounds consumed")
         slot = self._next_slot
+        if slot >= EPOCH_SLOTS * len(self.graph.epochs):
+            raise RoundBudgetExhausted(
+                f"slot {slot} lies in epoch {slot // EPOCH_SLOTS}, which is not endorsed"
+            )
         self._next_slot += 1
         self._slot_by_round[round_id] = slot
         return slot
@@ -332,48 +383,51 @@ class KeyView:
     def slot_of(self, round_id) -> int:
         return self._slot_by_round[round_id]
 
+    def _share(self, slot: int):
+        """The slot's epoch share, and the slot's index in the epoch."""
+        epoch, index = divmod(slot, EPOCH_SLOTS)
+        while len(self._shares) <= epoch:
+            self._shares.append(self.graph.share(self.pid, len(self._shares)))
+        return self._shares[epoch], index
+
     def pad_sum(self, slot: int) -> int:
-        return sum(sign * rounds[slot].key for sign, rounds in self.secrets) % self.params.q
+        (secrets, _), index = self._share(slot)
+        return sum(sign * rounds[index].key for sign, rounds in secrets) % self.params.q
 
     def blind_sum(self, slot: int) -> int:
-        return sum(sign * rounds[slot].blind for sign, rounds in self.secrets) % self.params.q
+        (secrets, _), index = self._share(slot)
+        return sum(sign * rounds[index].blind for sign, rounds in secrets) % self.params.q
 
     def aggregate_commitment(self, slot: int) -> int:
         """Product of the stored pair commitments; opted-out edges add the identity."""
+        (_, held), index = self._share(slot)
         acc = 1
-        for endorsement in self.held.values():
-            acc = acc * endorsement.commitments[slot] % self.params.p
+        for endorsement in held.values():
+            acc = acc * endorsement.commitments[index] % self.params.p
         return acc
 
     def published_pairs(self, slot: int):
         """The endorsed per-pair commitments this participant can reveal."""
-        return {peer: self.held[peer].reveal(self.params, slot) for peer in sorted(self.held)}
+        (_, held), index = self._share(slot)
+        return {peer: held[peer].reveal(self.params, index) for peer in sorted(held)}
 
 
 def build_key_graph(
     params: GroupParams,
     participants,
-    budget: int,
     rng: random.Random,
     refusers=frozenset(),
 ) -> KeyGraph:
+    """Signing keys for the participants and the endorsed epoch 0 of every edge."""
     participants = sorted(participants)
     signing = {pid: gen_signing_key(params, rng) for pid in participants}
-    edges = {}
-    for a_idx, lo in enumerate(participants):
-        for hi in participants[a_idx + 1 :]:
-            try:
-                secret, held_lo, held_hi = establish_pair(
-                    params, lo, hi, rng, budget, signing[lo], signing[hi], refusers
-                )
-                edges[(lo, hi)] = EdgeState(lo, hi, True, secret, held_lo, held_hi)
-            except SignatureRefused:
-                edges[(lo, hi)] = EdgeState(lo, hi, False)
-    return KeyGraph(params, participants, budget, signing, edges)
+    graph = KeyGraph(params, participants, signing, frozenset(refusers))
+    graph.add_epoch(rng)
+    return graph
 
 
 def aggregate_commitment(graph: KeyGraph, pid: int, slot: int) -> int:
-    """Product of the participant's directed pair commitments for a round,
+    """Product of the participant's directed pair commitments for a slot,
     recomputed from the secrets: the reference for ``KeyView.aggregate_commitment``."""
     params = graph.params
     acc = 1
@@ -381,9 +435,7 @@ def aggregate_commitment(graph: KeyGraph, pid: int, slot: int) -> int:
         if peer == pid:
             continue
         s = graph.round_secret(pid, peer, slot)
-        state = graph.edge(pid, peer)
-        if not state.established:
+        if not graph.edge(pid, peer).established:
             continue  # opted-out edges contribute the identity
         acc = acc * commit(params, s.key, s.blind) % params.p
     return acc
-

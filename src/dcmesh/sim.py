@@ -25,13 +25,16 @@ from .dcnet import RoundCiphertext, make_ciphertext
 from .errors import ConfigInvalid, DcMeshError, MalformedRecord, WitnessMismatch
 from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
+    EPOCH_SLOTS,
     EdgePublic,
+    KeyGraph,
     KeyGraphPublic,
     RevealedCommitment,
     build_key_graph,
 )
 from .splitter import (
     COLLISION,
+    edge_record,
     encode_slot,
     run_session,
     slot_fits,
@@ -445,12 +448,6 @@ _STRATEGY_CLASSES = {
 # scenario execution
 
 
-def _session_budget(n_active: int, max_retries: int) -> int:
-    # covers the optimal case (one transmitted round per message) plus a
-    # full probabilistic non-split chain and audit slack
-    return max(1, n_active) + max_retries + 8
-
-
 def _session_tag(scenario_digest: str, session: int) -> bytes:
     return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
 
@@ -474,28 +471,19 @@ def _build_participants(params, scenario, graph, active, pending, session_tag):
 
 
 def _key_records(session, public: KeyGraphPublic):
-    records = []
-    for pid in public.participants:
-        records.append(record("PUBKEY", session=session, part=pid, y=public.publics[pid]))
-    for edge in public.edges:
-        records.append(
-            record(
-                "EDGE",
-                session=session,
-                lo=edge.lo,
-                hi=edge.hi,
-                state="shared" if edge.established else "optout",
-                root_lo=edge.root_lo.hex() if edge.established else "-",
-                root_hi=edge.root_hi.hex() if edge.established else "-",
-            )
-        )
+    """PUBKEY records, then the EDGE records of epoch 0."""
+    records = [
+        record("PUBKEY", session=session, part=pid, y=public.publics[pid])
+        for pid in public.participants
+    ]
+    records.extend(edge_record(session, 0, edge) for edge in public.epochs[0])
     return records
 
 
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v2", hash="sha256"),
+        record("DCMESH", version="v3", hash="sha256"),
         record(
             "GROUP",
             name=params.name,
@@ -510,14 +498,15 @@ def _header(params, config):
     return header
 
 
-def _session_head(session, public: KeyGraphPublic):
-    """The SESSION record followed by the session's key records."""
+def _session_head(session, public: KeyGraphPublic, epochs: int):
+    """The SESSION record followed by the session's key records; its
+    budget is the slots endorsed over the session's ``epochs``."""
     key_records = _key_records(session, public)
     head = record(
         "SESSION",
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
-        budget=public.budget,
+        budget=EPOCH_SLOTS * epochs,
         keys=records_digest(key_records),
     )
     return [head] + key_records
@@ -539,13 +528,22 @@ def _summary(outcomes, body):
 
 @dataclass
 class _Participants:
-    """The judge's source in a live run: the participants, in pid order."""
+    """The judge's source in a live run: the participants, in pid order,
+    and the session's key graph, which endorses epoch k from its own
+    stream of the scenario seed."""
 
     participants: list
+    graph: KeyGraph
+    seed: int
+    session: int
 
     def begin(self, tree):
         for p in self.participants:
             p.begin_session(tree)
+
+    def epoch(self, k):
+        self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
+        return self.graph.public_edges(k)
 
     def broadcast(self, round_id):
         return [p.broadcast(round_id) for p in self.participants]
@@ -563,7 +561,6 @@ def _play_session(params, scenario, active, pending, session, session_tag):
     graph = build_key_graph(
         params,
         active,
-        _session_budget(len(active), scenario.max_retries),
         fork_rng(scenario.seed, "keys", session),
         refusers=refusers & set(active),
     )
@@ -576,7 +573,7 @@ def _play_session(params, scenario, active, pending, session, session_tag):
         scenario.max_retries,
         session,
         session_tag,
-        _Participants(participants),
+        _Participants(participants, graph, scenario.seed, session),
     )
     return public, outcome
 
@@ -612,7 +609,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
         public, outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(digest, session)
         )
-        body.extend(_session_head(session, public))
+        body.extend(_session_head(session, public, outcome.epochs))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -672,7 +669,7 @@ class VerificationReport:
 # recorded records the judge reads, by type: their lookup key
 _INPUT_KEYS = {
     "PUBKEY": itemgetter("type", "part"),
-    "EDGE": itemgetter("type", "lo", "hi"),
+    "EDGE": itemgetter("type", "epoch", "lo", "hi"),
     "CIPHER": itemgetter("type", "round", "part"),
     "PUBLISH": itemgetter("type", "slot", "part", "peer"),
     "DEMAND": itemgetter("type", "node", "part"),
@@ -683,13 +680,13 @@ class _Recorded:
     """The judge's source on verify: one session's recorded inputs.
 
     PUBKEY and EDGE records give the session's public key graph.  The
-    judge's inputs are looked up by key: CIPHER records by (round,
-    part), PUBLISH records by (slot, part, peer) and DEMAND records by
-    (node, part).  A key the session does not record makes the
-    transcript malformed.
+    judge's inputs are looked up by key: EDGE records by (epoch, lo,
+    hi), CIPHER records by (round, part), PUBLISH records by (slot,
+    part, peer) and DEMAND records by (node, part).  A key the session
+    does not record makes the transcript malformed.
     """
 
-    def __init__(self, params, active, budget, records, index):
+    def __init__(self, params, active, records, index):
         self.params = params
         self.pids = active
         self.index = index   # transcript index of the SESSION record
@@ -701,14 +698,14 @@ class _Recorded:
         # lookups fail at the first missing key record, before any
         # structure grows with the claimed participant count
         self.public = KeyGraphPublic(
-            n=len(active),
-            budget=budget,
             participants=tuple(active),
             publics={pid: self._get("PUBKEY", pid)["y"] for pid in active},
-            edges=tuple(
-                _edge(self._get("EDGE", lo, hi))
-                for i, lo in enumerate(active)
-                for hi in active[i + 1 :]
+            epochs=(
+                tuple(
+                    _edge(self._get("EDGE", 0, lo, hi))
+                    for i, lo in enumerate(active)
+                    for hi in active[i + 1 :]
+                ),
             ),
         )
 
@@ -719,6 +716,13 @@ class _Recorded:
 
     def begin(self, tree):
         pass
+
+    def epoch(self, k):
+        # later epochs record only the shared edges
+        return tuple(
+            _edge(self._get("EDGE", k, e.lo, e.hi)) if e.established else e
+            for e in self.public.epochs[0]
+        )
 
     def broadcast(self, round_id):
         cts = []
@@ -732,10 +736,12 @@ class _Recorded:
         return cts
 
     def publish(self, slot):
-        published = {}
+        # every participant publishes, if only the empty set of a
+        # participant whose edges are all opted out
+        published = {pid: {} for pid in self.pids}
         for key, rec in self.inputs.items():
             if key[0] == "PUBLISH" and key[1] == slot:
-                published.setdefault(rec["part"], {})[rec["peer"]] = RevealedCommitment(
+                published[rec["part"]][rec["peer"]] = RevealedCommitment(
                     commitment=rec["c"],
                     path=rec["path"],
                     signature=(rec["sig_e"], rec["sig_s"]),
@@ -815,9 +821,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     outcomes = []
     for session, (start, end) in enumerate(zip(starts, starts[1:] + [len(body) - 1]), 1):
         index, records = base + start, body[start:end]
-        budget = _session_budget(len(active), config["max_retries"])
         try:
-            source = _Recorded(params, active, budget, records, index)
+            source = _Recorded(params, active, records, index)
             outcome = run_session(
                 params,
                 source.public,
@@ -831,7 +836,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise
         except (DcMeshError, ValueError, KeyError, IndexError, OverflowError) as exc:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
-        _diff(report, index, records, _session_head(session, source.public) + outcome.records)
+        recomputed = _session_head(session, source.public, outcome.epochs) + outcome.records
+        _diff(report, index, records, recomputed)
         outcomes.append(outcome)
         banned = {v.participant for v in outcome.verdicts}
         active = [pid for pid in active if pid not in banned]

@@ -38,6 +38,7 @@ from .errors import (
     ProtocolOrderViolation,
 )
 from .groups import GroupParams
+from .keysetup import EPOCH_SLOTS
 from .transcript import record
 
 # node statuses
@@ -372,6 +373,7 @@ class SessionOutcome:
     verdicts: list = field(default_factory=list)
     records: list = field(default_factory=list)
     tree: ResolutionTree | None = None
+    epochs: int = 1           # endorsement epochs the session used
     aborted: bool = False
     proofs_checked: int = 0
     proofs_failed: int = 0
@@ -425,10 +427,13 @@ def run_session(
     and the investigation after a failed one, retransmission proofs,
     denial demands at stuck nodes, the wrong-branch audit, verdicts and
     bans.  It emits every session record and reads only public data:
-    the participant set comes from ``graph_public``, and every protocol
-    input from ``source``, which answers four calls:
+    the participant set and epoch 0's roots come from ``graph_public``,
+    and every protocol input from ``source``, which answers five calls:
 
     * ``begin(tree)``: the session starts on this tree;
+    * ``epoch(k)``: the public edges of endorsement epoch k, every pair
+      in (lo, hi) order, asked for before the first round that spends
+      one of its slots;
     * ``broadcast(round_id)``: one RoundCiphertext per participant, in
       participant order;
     * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
@@ -452,6 +457,8 @@ def run_session(
 
     while not tree.done:
         rid = tree.next_round()
+        if slot == EPOCH_SLOTS * len(graph_public.epochs):
+            graph_public = _endorse_epoch(source, graph_public, session, outcome)
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
         cts = source.broadcast(rid)
         for ct in cts:
@@ -519,6 +526,7 @@ def run_session(
             )
 
     outcome.resolved = list(tree.resolved)
+    outcome.epochs = len(graph_public.epochs)
     for verdict in outcome.verdicts:
         outcome.records.append(
             record(
@@ -532,6 +540,30 @@ def run_session(
     for pid in sorted({v.participant for v in outcome.verdicts}):
         outcome.records.append(record("BAN", session=session, part=pid))
     return outcome
+
+
+def edge_record(session: int, epoch: int, edge) -> dict:
+    """An EDGE record: a pair's state and, when shared, its two directions'
+    endorsed roots for the epoch."""
+    return record(
+        "EDGE",
+        session=session,
+        epoch=epoch,
+        lo=edge.lo,
+        hi=edge.hi,
+        state="shared" if edge.established else "optout",
+        root_lo=edge.root_lo.hex() if edge.established else "-",
+        root_hi=edge.root_hi.hex() if edge.established else "-",
+    )
+
+
+def _endorse_epoch(source, graph_public, session, outcome):
+    """Take the next epoch's roots from the source and record its shared
+    edges; opt-outs stand as recorded for epoch 0."""
+    epoch = len(graph_public.epochs)
+    edges = source.epoch(epoch)
+    outcome.records.extend(edge_record(session, epoch, e) for e in edges if e.established)
+    return graph_public.with_epoch(edges)
 
 
 def _emit_nodes(tree, touched, session, outcome):

@@ -1,11 +1,15 @@
 """Canonical, replayable transcript records.
 
 A transcript is newline-delimited ASCII: a header (format version,
-group, configuration, participant identities, edge endorsement roots,
-and a binding digest) followed by per-session records.  Everything an
-independent verifier needs is either in the records or recomputable
-from them; secrets never appear except for pair commitments revealed
-during an investigation, which are safe to publish.
+group, configuration and a digest binding them) followed by the
+sessions and a closing SUMMARY.  Each session opens with a SESSION
+record and its key records: every participant's signing key (PUBKEY)
+and every edge's state and epoch-0 endorsement roots (EDGE).  A later
+epoch's EDGE records sit in the session where the epoch was endorsed,
+before the first round that spends it.  Everything an independent
+verifier needs is either in the records or recomputable from them;
+secrets never appear except for pair commitments revealed during an
+investigation, which are safe to publish.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ _SCHEMA = {
     "GROUP": ("name", "p", "q", "generators", "tag"),
     "CONFIG": ("n", "payload_bits", "max_retries", "scenario"),
     "PUBKEY": ("session", "part", "y"),
-    "EDGE": ("session", "lo", "hi", "state", "root_lo", "root_hi"),
+    "EDGE": ("session", "epoch", "lo", "hi", "state", "root_lo", "root_hi"),
     "HEADEREND": ("digest",),
     "SESSION": ("idx", "active", "budget", "keys"),
     "ROUND": ("session", "id", "slot"),
@@ -68,6 +72,7 @@ _INT_FIELDS = {
     "idx",
     "budget",
     "session",
+    "epoch",
     "id",
     "slot",
     "round",

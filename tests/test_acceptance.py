@@ -70,7 +70,7 @@ def test_c02_throughput_optimality():
 
 
 def _honest_round(params, n, seed, messages):
-    graph = build_key_graph(params, range(n), 1, random.Random(seed))
+    graph = build_key_graph(params, range(n), random.Random(seed))
     views = {pid: graph.view(pid) for pid in range(n)}
     cts = [make_ciphertext(views[pid], 1, messages.get(pid)) for pid in range(n)]
     return graph, cts
@@ -141,16 +141,17 @@ def test_c04_investigation_blame():
     def pair_mismatch(graph, cts, published, public):
         # both endpoints hold endorsed but non-cancelling values: 1 signed
         # the root of a forged list, and that root is the one on record
-        c = published[0][1].commitment * SMALL.g % SMALL.p
-        forged = endorse(SMALL, [c], 0, 1, graph.signing[1])
+        held = graph.edge(0, 1).held_lo
+        forged_list = (held.commitments[0] * SMALL.g % SMALL.p,) + held.commitments[1:]
+        forged = endorse(SMALL, forged_list, 0, 1, graph.signing[1], 0)
         published[0] = dict(published[0])
         published[0][1] = forged.reveal(SMALL, 0)
         edges = tuple(
             replace(e, root_lo=forged.root) if (e.lo, e.hi) == (0, 1) else e
-            for e in public.edges
+            for e in public.epochs[0]
         )
         cts[0] = replace(cts[0], commitment=cts[0].commitment * SMALL.g % SMALL.p)
-        return cts, published, replace(public, edges=edges)
+        return cts, published, replace(public, epochs=(edges,))
 
     def non_cooperation(graph, cts, published, public):
         cts[3] = replace(cts[3], commitment=cts[3].commitment * SMALL.g % SMALL.p)

@@ -144,7 +144,15 @@ def test_paper_example_seed_invariant(capsys):
 
 
 def test_keygen_outputs_header(capsys):
-    assert main(["keygen", "--n", "3", "--rounds", "2", "--seed", "5"]) == 0
-    printed = capsys.readouterr().out
-    assert printed.count("PUBKEY") == 3
-    assert printed.count("EDGE") == 3
+    assert main(["keygen", "--n", "3", "--seed", "5"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("GROUP name=test_medium ")
+    assert [ln.split(" ")[0] for ln in printed[1:]] == ["PUBKEY"] * 3 + ["EDGE"] * 3
+    # session 1's epoch-0 key records, exactly as a run with that seed writes them
+    ran = sim.run_scenario(sim.Scenario(n=3, seed=5)).to_text().splitlines()
+    start = next(i for i, ln in enumerate(ran) if ln.startswith("SESSION idx=1 "))
+    assert printed[1:] == ran[start + 1 : start + 7]
+    assert printed[0] in ran
+    with pytest.raises(SystemExit):
+        main(["keygen", "--rounds", "2"])  # the epoch size is fixed
+    assert main(["keygen", "--seed", "-1"]) == 1

@@ -20,12 +20,12 @@ from dcmesh.errors import (
     MissingParticipant,
     RoundBudgetExhausted,
 )
-from dcmesh.keysetup import build_key_graph
+from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph
 from dcmesh.zkp import prove_rep, stmt_no_message, verify_rep
 
 
-def fresh_graph(params, n, budget=4, seed=0, refusers=frozenset()):
-    return build_key_graph(params, range(n), budget, random.Random(seed), refusers=refusers)
+def fresh_graph(params, n, seed=0, refusers=frozenset()):
+    return build_key_graph(params, range(n), random.Random(seed), refusers=refusers)
 
 
 def run_round(params, graph, n, round_id=1, messages=None):
@@ -73,12 +73,19 @@ def test_no_message_proof_from_honest_ciphertext(small):
 
 
 def test_round_budget_and_single_use(small):
-    graph = fresh_graph(small, 3, budget=2)
+    # a view spends the endorsed epochs and nothing past them
+    graph = fresh_graph(small, 3)
     view = graph.view(0)
-    make_ciphertext(view, 1)
-    make_ciphertext(view, 2)
+    for rid in range(1, EPOCH_SLOTS + 1):
+        make_ciphertext(view, rid)
     with pytest.raises(RoundBudgetExhausted):
-        make_ciphertext(view, 3)
+        make_ciphertext(view, EPOCH_SLOTS + 1)
+    graph.add_epoch(random.Random(1))
+    ct = make_ciphertext(view, EPOCH_SLOTS + 1)
+    assert view.slot_of(EPOCH_SLOTS + 1) == EPOCH_SLOTS
+    assert ct.commitment == view.aggregate_commitment(EPOCH_SLOTS)
+    with pytest.raises(RoundBudgetExhausted):
+        make_ciphertext(view, 1)  # a round never spends a second slot
 
 
 def test_aggregate_round_participant_checks(small):
@@ -134,7 +141,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
 
     rng = random.Random(77)
     for style in ("value_only", "commitment_only", "consistent_pair"):
-        graph = build_key_graph(medium, range(3), 2, rng)
+        graph = build_key_graph(medium, range(3), rng)
         views = {pid: graph.view(pid) for pid in range(3)}
         broadcasts, blinds = {pid: {} for pid in range(3)}, {pid: {} for pid in range(3)}
         for rid in (1, 2):
@@ -235,13 +242,13 @@ def test_investigation_bad_signature_pins_tamperer(small):
 def with_edge_root(public, holder, peer, root):
     """The public key graph with the EDGE root of direction holder -> peer replaced."""
     edges = []
-    for e in public.edges:
+    for e in public.epochs[0]:
         if (e.lo, e.hi) == (holder, peer):
             e = replace(e, root_lo=root)
         elif (e.hi, e.lo) == (holder, peer):
             e = replace(e, root_hi=root)
         edges.append(e)
-    return replace(public, edges=tuple(edges))
+    return replace(public, epochs=(tuple(edges),) + public.epochs[1:])
 
 
 def test_investigation_pair_mismatch_both_flagged(small):
@@ -258,7 +265,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     published = honest_published(graph, n, 0)
     held = graph.edge(0, 1).held_lo
     forged_list = (held.commitments[0] * small.g % small.p,) + held.commitments[1:]
-    forged = endorse(small, forged_list, 0, 1, graph.signing[1])
+    forged = endorse(small, forged_list, 0, 1, graph.signing[1], 0)
     published[0] = dict(published[0])
     published[0][1] = forged.reveal(small, 0)
     public = with_edge_root(graph.public(), 0, 1, forged.root)
@@ -272,27 +279,42 @@ def test_investigation_pair_mismatch_both_flagged(small):
 
 def test_investigation_binds_revealed_commitment_to_its_slot(small):
     """An endorsed commitment revealed with its own valid path does not
-    pass for another slot's: the path's sides follow from the slot."""
+    pass for another slot's: the path's sides follow from the slot, and
+    the root and its signature from the slot's epoch."""
     n = 3
     graph = fresh_graph(small, n, seed=16)
-    held = graph.edge(1, 2).held_lo
-    assert held.commitments[0] != held.commitments[1]
-    views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
-    # participant 1 used slot 1's pad toward 2 in slot 0 and reveals
-    # that slot's commitment with that slot's path
-    shift = held.commitments[1] * pow(held.commitments[0], -1, small.p) % small.p
-    cts[1] = replace(cts[1], commitment=cts[1].commitment * shift % small.p)
-    result = aggregate_round(small, range(n), cts)
-    assert not result.valid
-    published = honest_published(graph, n, 0)
-    published[1] = dict(published[1])
-    published[1][2] = held.reveal(small, 1)
-    record = investigate(small, result, 0, published, graph.public())
-    assert BAD_SIGNATURE in record.verdicts[1]
-    assert AGGREGATE_MISMATCH not in record.verdicts[1]
-    assert 2 not in record.verdicts  # honest counterparty stays clean
-    assert 0 not in record.verdicts
+    graph.add_epoch(random.Random(17))
+    epoch0, epoch1 = graph.edge(1, 2, 0).held_lo, graph.edge(1, 2, 1).held_lo
+    # (slot spent, the epoch's commitments at that slot, what 1 used and revealed):
+    # another slot's in the same epoch, and the same index of another epoch
+    cases = [
+        (0, epoch0, epoch0, 1),
+        (0, epoch0, epoch1, 0),
+        (EPOCH_SLOTS, epoch1, epoch0, 0),
+    ]
+    for slot, honest, used, index in cases:
+        assert used.commitments[index] != honest.commitments[slot % EPOCH_SLOTS]
+        views = {pid: graph.view(pid) for pid in range(n)}
+        for view in views.values():
+            for skipped in range(slot):
+                view.spend(("skipped", skipped))
+        cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+        # participant 1 used that pad toward 2 in this slot and reveals
+        # its commitment with its own path and signature
+        shift = used.commitments[index] * pow(
+            honest.commitments[slot % EPOCH_SLOTS], -1, small.p
+        ) % small.p
+        cts[1] = replace(cts[1], commitment=cts[1].commitment * shift % small.p)
+        result = aggregate_round(small, range(n), cts)
+        assert not result.valid
+        published = honest_published(graph, n, slot)
+        published[1] = dict(published[1])
+        published[1][2] = used.reveal(small, index)
+        record = investigate(small, result, slot, published, graph.public())
+        assert BAD_SIGNATURE in record.verdicts[1], (slot, index)
+        assert AGGREGATE_MISMATCH not in record.verdicts[1]
+        assert 2 not in record.verdicts  # honest counterparty stays clean
+        assert 0 not in record.verdicts
 
 
 def test_investigation_non_cooperation(small):

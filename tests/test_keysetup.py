@@ -1,4 +1,4 @@
-"""Pairwise setup: antisymmetry, endorsements, opt-outs, batching."""
+"""Pairwise setup: antisymmetry, endorsements, opt-outs, epochs."""
 
 import random
 from dataclasses import replace
@@ -9,6 +9,7 @@ from dcmesh import keysetup, merkle
 from dcmesh.errors import RoundBudgetExhausted, SignatureRefused
 from dcmesh.groups import commit
 from dcmesh.keysetup import (
+    EPOCH_SLOTS,
     aggregate_commitment,
     build_key_graph,
     endorse,
@@ -34,33 +35,35 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(small):
     rng = random.Random(1)
     ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
-    secret, held_i, held_j = establish_pair(small, 0, 1, rng, 3, ki, kj)
+    secret, held_i, held_j = establish_pair(small, 0, 1, rng, ki, kj, epoch=2)
+    assert len(secret.rounds) == EPOCH_SLOTS
     for slot, s in enumerate(secret.rounds):
         c_ij = commit(small, s.key, s.blind)
         c_ji = commit(small, -s.key % 53, -s.blind % 53)
         assert c_ij * c_ji % small.p == 1
         assert held_i.commitments[slot] == c_ij
         assert held_j.commitments[slot] == c_ji
-    # each direction's root is endorsed under the counterparty key
-    assert verify_sig(small, kj.public, root_payload(held_i.root, 0, 1), held_i.signature)
-    assert verify_sig(small, ki.public, root_payload(held_j.root, 1, 0), held_j.signature)
+    # each direction's root is endorsed under the counterparty key, for its epoch only
+    assert verify_sig(small, kj.public, root_payload(held_i.root, 0, 1, 2), held_i.signature)
+    assert verify_sig(small, ki.public, root_payload(held_j.root, 1, 0, 2), held_j.signature)
+    assert not verify_sig(small, kj.public, root_payload(held_i.root, 0, 1, 1), held_i.signature)
 
 
 def test_establish_pair_refusal(small):
     rng = random.Random(2)
     ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
     with pytest.raises(SignatureRefused):
-        establish_pair(small, 0, 1, rng, 2, ki, kj, refusers={1})
+        establish_pair(small, 0, 1, rng, ki, kj, refusers={1})
 
 
 def test_per_round_secrets_are_fresh(small):
-    # two scheduled rounds draw independently: over many edges the
-    # per-round keys must not be systematically equal
+    # two slots draw independently: over many edges the per-slot keys
+    # must not be systematically equal
     rng = random.Random(3)
     ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
     repeats = 0
     for _ in range(120):
-        secret, _, _ = establish_pair(small, 0, 1, rng, 2, ki, kj)
+        secret, _, _ = establish_pair(small, 0, 1, rng, ki, kj)
         if secret.rounds[0].key == secret.rounds[1].key:
             repeats += 1
     assert repeats < 20  # expectation is about 120/53
@@ -68,10 +71,12 @@ def test_per_round_secrets_are_fresh(small):
 
 def test_key_graph_structure_and_views(small):
     rng = random.Random(4)
-    graph = build_key_graph(small, range(4), 3, rng)
-    assert len(graph.edges) == 6
-    # directed secrets are negations of each other
-    for slot in range(3):
+    graph = build_key_graph(small, range(4), rng)
+    graph.add_epoch(random.Random(40))
+    assert [len(edges) for edges in graph.epochs] == [6, 6]
+    slots = [0, 1, EPOCH_SLOTS - 1, EPOCH_SLOTS, 2 * EPOCH_SLOTS - 1]
+    # directed secrets are negations of each other, in every epoch
+    for slot in slots:
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -81,14 +86,14 @@ def test_key_graph_structure_and_views(small):
                 assert (a.key + b.key) % 53 == 0
                 assert (a.blind + b.blind) % 53 == 0
     # pad sums cancel across all participants
-    for slot in range(3):
+    for slot in slots:
         total = sum(graph.view(i).pad_sum(slot) for i in range(4)) % 53
         assert total == 0
 
 
 def test_aggregate_commitments_cancel(small):
     rng = random.Random(5)
-    graph = build_key_graph(small, range(5), 2, rng)
+    graph = build_key_graph(small, range(5), rng)
     for slot in range(2):
         product = 1
         for pid in range(5):
@@ -103,9 +108,11 @@ def test_aggregate_commitments_cancel(small):
 
 def test_views_match_the_round_secret_oracle(small):
     # refusers opt out every edge they touch; a view sums only the rest
-    n, budget, q = 6, 4, small.q
-    graph = build_key_graph(small, range(n), budget, random.Random(14), refusers={1, 4})
+    n, q = 6, small.q
+    graph = build_key_graph(small, range(n), random.Random(14), refusers={1, 4})
     views = {pid: graph.view(pid) for pid in range(n)}
+    graph.add_epoch(random.Random(15))   # after the views exist: they read it too
+    budget = 2 * EPOCH_SLOTS
     for slot in range(budget):
         for pid, view in views.items():
             secrets = [graph.round_secret(pid, peer, slot) for peer in range(n) if peer != pid]
@@ -128,7 +135,7 @@ def test_views_match_the_round_secret_oracle(small):
 
 def test_optout_edges_contribute_identity(small):
     rng = random.Random(6)
-    graph = build_key_graph(small, range(4), 2, rng, refusers={2})
+    graph = build_key_graph(small, range(4), rng, refusers={2})
     for peer in (0, 1, 3):
         state = graph.edge(2, peer)
         assert not state.established
@@ -145,7 +152,7 @@ def test_optout_edges_contribute_identity(small):
 
 def test_all_edges_opted_out(small):
     rng = random.Random(7)
-    graph = build_key_graph(small, range(3), 1, rng, refusers={0, 1, 2})
+    graph = build_key_graph(small, range(3), rng, refusers={0, 1, 2})
     for pid in range(3):
         assert aggregate_commitment(graph, pid, 0) == 1
         assert graph.view(pid).pad_sum(0) == 0
@@ -153,24 +160,26 @@ def test_all_edges_opted_out(small):
 
 def test_view_slot_ledger(small):
     rng = random.Random(8)
-    graph = build_key_graph(small, range(3), 2, rng)
+    graph = build_key_graph(small, range(3), rng)
     view = graph.view(0)
-    assert view.spend("round-a") == 0
-    assert view.spend("round-b") == 1
+    assert [view.spend(("round", k)) for k in range(EPOCH_SLOTS)] == list(range(EPOCH_SLOTS))
     with pytest.raises(RoundBudgetExhausted):
-        view.spend("round-c")
+        view.spend("round-c")  # its slot lies in epoch 1, not endorsed yet
+    graph.add_epoch(rng)
+    assert view.spend("round-c") == EPOCH_SLOTS
     with pytest.raises(RoundBudgetExhausted):
-        view.spend("round-a")  # single-use per round
-    assert view.slot_of("round-a") == 0
+        view.spend(("round", 0))  # single-use per round
+    assert view.slot_of(("round", 3)) == 3
 
 
 def test_public_header_shape(small):
     rng = random.Random(9)
-    graph = build_key_graph(small, range(3), 2, rng, refusers={1})
+    graph = build_key_graph(small, range(3), rng, refusers={1})
     public = graph.public()
-    assert public.n == 3
+    assert public.participants == (0, 1, 2)
     assert sorted(public.publics) == [0, 1, 2]
-    states = {(e.lo, e.hi): e.established for e in public.edges}
+    assert len(public.epochs) == 1
+    states = {(e.lo, e.hi): e.established for e in public.epochs[0]}
     assert states == {(0, 1): False, (0, 2): True, (1, 2): False}
     assert public.optout_pairs() == {(0, 1), (1, 2)}
 
@@ -183,65 +192,73 @@ def test_key_setup_signs_once_per_edge_direction(small, monkeypatch):
         return sign(params, key, message)
 
     monkeypatch.setattr(keysetup, "sign", counting_sign)
-    graph = build_key_graph(small, range(5), 7, random.Random(13), refusers={3})
-    shared = [e for e in graph.edges.values() if e.established]
-    assert len(shared) == 6  # ten edges, four of them opted out by 3
-    assert sorted(signed) == sorted(
-        payload
-        for e in shared
-        for payload in (
-            root_payload(e.held_lo.root, e.lo, e.hi),
-            root_payload(e.held_hi.root, e.hi, e.lo),
-        )
-    )
+    graph = build_key_graph(small, range(5), random.Random(13), refusers={3})
+    graph.add_epoch(random.Random(14))
+    graph.add_epoch(random.Random(15))
+    expected = []
+    for epoch, edges in enumerate(graph.epochs):
+        shared = [e for e in edges.values() if e.established]
+        assert len(shared) == 6  # ten edges, four of them opted out by 3
+        expected += [
+            payload
+            for e in shared
+            for payload in (
+                root_payload(e.held_lo.root, e.lo, e.hi, epoch),
+                root_payload(e.held_hi.root, e.hi, e.lo, epoch),
+            )
+        ]
+    # exactly two root signatures per shared edge and epoch
+    assert len(signed) == 2 * 6 * 3
+    assert sorted(signed) == sorted(expected)
 
 
 def endorsed(params, key, endorsement, revealed, slot, holder=0, peer=1):
-    return is_endorsed(
-        params, endorsement.root, key.public, holder, peer, slot,
-        len(endorsement.commitments), revealed,
-    )
+    return is_endorsed(params, endorsement.root, key.public, holder, peer, slot, revealed)
 
 
 def test_merkle_batch_single_leaf(small):
-    rng = random.Random(10)
-    key = gen_signing_key(small, rng)
-    batch = endorse(small, [36], 0, 1, key)
-    revealed = batch.reveal(small, 0)
-    assert revealed.path == "-"
-    assert batch.root == merkle.leaf_hash(small.element_to_bytes(36))
-    assert endorsed(small, key, batch, revealed, 0)
+    leaf = small.element_to_bytes(36)
+    levels = merkle.build_tree([leaf])
+    assert levels == [[merkle.leaf_hash(leaf)]]
+    assert merkle.path(levels, 0) == []
+    assert merkle.root_at(leaf, 0, 1, []) == merkle.leaf_hash(leaf)
+    assert merkle.root_at(leaf, 1, 1, []) is None
 
 
 def test_merkle_batch_inclusion_paths(small):
     rng = random.Random(11)
     key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, k + 1) for k in range(9)]
-    # budgets 1-9 include every odd count, where the last node is promoted
-    for budget in range(1, 10):
-        leaves = [small.element_to_bytes(c) for c in commitments[:budget]]
+    commitments = [commit(small, k, k + 1) for k in range(EPOCH_SLOTS)]
+    # counts 1-9 include every odd count, where the last node is promoted
+    for count in range(1, 10):
+        leaves = [small.element_to_bytes(c) for c in commitments[:count]]
         levels = merkle.build_tree(leaves)
-        batch = endorse(small, commitments[:budget], 0, 1, key)
-        assert levels[-1] == [batch.root]
-        for index in range(budget):
+        for index in range(count):
             path = merkle.path(levels, index)
-            assert merkle.root_at(leaves[index], index, budget, path) == batch.root
-            revealed = batch.reveal(small, index)
-            assert endorsed(small, key, batch, revealed, index)
-            # a path only reproduces the root at the slot it was made for
+            assert merkle.root_at(leaves[index], index, count, path) == levels[-1][0]
+            # a path only reproduces the root at the index it was made for
             for other in (index - 1, index + 1):
-                assert merkle.root_at(leaves[index], other, budget, path) != batch.root
-                assert not endorsed(small, key, batch, revealed, other)
-    # four-leaf case: every path has exactly two nodes
-    levels4 = merkle.build_tree([small.element_to_bytes(c) for c in commitments[:4]])
-    assert all(len(merkle.path(levels4, i)) == 2 for i in range(4))
+                assert merkle.root_at(leaves[index], other, count, path) != levels[-1][0]
+    # an endorsed epoch: every slot's path leads to the root its epoch signed
+    for epoch in (0, 3):
+        batch = endorse(small, commitments, 0, 1, key, epoch)
+        base = epoch * EPOCH_SLOTS
+        for index in range(EPOCH_SLOTS):
+            revealed = batch.reveal(small, index)
+            assert len(revealed.path) == 4 * 64  # sixteen leaves, four levels
+            assert endorsed(small, key, batch, revealed, base + index)
+            for other in (index - 1, index + 1):
+                assert not endorsed(small, key, batch, revealed, base + other)
+            # the same index of another epoch: the signature binds the epoch
+            other_epoch = 1 if epoch == 0 else 0
+            assert not endorsed(small, key, batch, revealed, other_epoch * EPOCH_SLOTS + index)
 
 
 def test_merkle_batch_rejects_tampering(small):
     rng = random.Random(12)
     key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, 2 * k) for k in range(5)]
-    batch = endorse(small, commitments, 0, 1, key)
+    commitments = [commit(small, k, 2 * k) for k in range(EPOCH_SLOTS)]
+    batch = endorse(small, commitments, 0, 1, key, 0)
     revealed = batch.reveal(small, 2)
     assert endorsed(small, key, batch, revealed, 2)
     # wrong leaf value
@@ -264,10 +281,10 @@ def test_merkle_batch_rejects_tampering(small):
 
 
 def test_setup_determinism(small):
-    a = build_key_graph(small, range(4), 2, random.Random(99))
-    b = build_key_graph(small, range(4), 2, random.Random(99))
-    for pair in a.edges:
-        ea, eb = a.edges[pair], b.edges[pair]
+    a = build_key_graph(small, range(4), random.Random(99))
+    b = build_key_graph(small, range(4), random.Random(99))
+    for pair in a.epochs[0]:
+        ea, eb = a.edge(*pair), b.edge(*pair)
         assert ea.secret == eb.secret
         assert ea.held_lo == eb.held_lo
         assert ea.held_hi == eb.held_hi

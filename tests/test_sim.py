@@ -7,6 +7,7 @@ import pytest
 
 from dcmesh import sim
 from dcmesh.errors import ConfigInvalid, MalformedRecord
+from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
@@ -79,42 +80,50 @@ def test_transcripts_are_deterministic():
 
 
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
-# matrix, whose first entry is REFERENCE_SCENARIO, and two wider runs;
+# matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v2).  Test ids are the list positions, so a re-pin
+# (pinned at format v3).  Test ids are the list positions, so a re-pin
 # keeps them.
+# the smallest session here that crosses an endorsement epoch boundary
+EPOCH_CROSSING = sim.Scenario(
+    n=2, senders=((0, 9), (1, 100)), adversaries=((1, "bad_slot_count"),), seed=0,
+    max_retries=14,
+)
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "427523ea06ee62c2203d778ab800d3a08443b95a14d37e8a37cadecef8cae937"),
+     "af55840247358557740959ba4e3afd8356e32f5665e607523f1e61e3e356d4b6"),
     (sim.Scenario(n=2, seed=1),
-     "9b8726d366269e751a0caf14bf264287023f302a9780e3e4e23846455af35db4"),
+     "8c7167e4156d2b30c7b26e088d7cc8d4b17e79db8c5d4ef9c82f39f8324b3c3f"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "52de7d25812315e8cef2a5d54c44c4ad33f06b5831c01e9b0718b47894243279"),
+     "9b511ee98fcf8f5a1ce9d6543bc0c24b7cbfa6e0d8ab46268aa9aa81da865fa8"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "72cea0a0dac1d588b8f3b3fe68d98a83ee5abf3456d9c4526463656e99f87a6a"),
+     "293ca88c8a0905042013f8b519d5e5f19cc6f0fedaa18452e05f2cab0557d032"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "263044e3807d0808c9031e057f97983216323979d2694ee1f024100ba6ad06d0"),
+     "71d61c3e9598be0e0889f64a47b42fa60488bf09aded1fdca13682d7917e55e2"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "260244e49b7333a580b4ce77857bc44dfe25a0564270783fcdab783796872d99"),
+     "b521148d9c411ce3487f931a533d2fa3843bdc36c59d9b41590e390b5540c862"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "dc317f35895ba2797a83255e86cfdf42d2f952057b14bc8db7b2c6029f088a7c"),
+     "c7950671b6d7994669d34abed8dbf53386f361574a144d7387876411a95d5bc8"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "ed269f9d1aaa0acc7efdb952dbc5ff0f94038f4d76f4fa2c2cd218895364cefa"),
+     "544b624c9e323d043d994d1f77c9961b02b3fcb16c06f0189c34b18054c365c4"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "f66f2c1267a292648723d38664789575cead314310f5c8dca44c8dcf51f2732d"),
-    # honest, budget 56: many slots per edge and six-digest inclusion paths
+     "a57900b258029819a8bea0f59397737ddae33a847b9129258d9c12ddeb8e9a06"),
+    # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11, max_retries=32),
-     "85d182eeed47631b4d09ca3e38ea25b1f97309445f59eed30a3d393960cb3e8e"),
+     "d5e95c553287e57164a361bc02024cc19c082e3a4101e3d844c662480f226166"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "2ed02aa6e3d1a54f249b79212b8fbc4311e2ecf0c4ae5fa42fbff140b304a7e6"),
+     "ec51c2609fbf48ad9f90d93132a94e700381289dffedca3794059a2944e988ce"),
+    # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
+    (EPOCH_CROSSING,
+     "bb641932f6f74a6bb571a77c8d99597e71ddf5b4d40e3015dce02d59fae9a02e"),
 ]
 
 
@@ -245,6 +254,18 @@ def test_refuse_signature_is_not_a_verdict():
     assert len(optouts) == 4
 
 
+def test_investigation_of_a_participant_without_edges_replays_clean():
+    # alone, or with every edge opted out, a participant publishes the
+    # empty set: no PUBLISH record, which replay must not read as a refusal
+    for scenario in (
+        sim.Scenario(n=1, adversaries=((0, "bad_pad"),)),
+        sim.Scenario(n=3, senders=((1, 5),), adversaries=(
+            (0, "bad_pad"), (1, "refuse_signature"), (2, "refuse_signature"))),
+    ):
+        t = run(scenario)
+        assert verdicts_of(t) == [(0, "aggregate_mismatch")]
+
+
 def test_wrong_branch_flagged_via_audit():
     t = run(
         sim.Scenario(
@@ -353,22 +374,30 @@ def _detects(text: str) -> bool:
 
 
 def test_every_field_mutation_detected():
-    scenario = sim.Scenario(
-        n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4
-    )
-    transcript = sim.run_scenario(scenario)
-    assert sim.verify_transcript(transcript).clean
-    lines = transcript.to_text().splitlines()
+    # an investigation and a re-keyed session, then a session that
+    # endorses epoch 1 mid-tree, whose later EDGE record is mutated too
+    scenarios = [
+        sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
+        EPOCH_CROSSING,
+    ]
+    later_edge_fields = set()
     missed = []
-    for i, line in enumerate(lines):
-        tokens = line.split(" ")
-        for j, token in enumerate(tokens[1:], start=1):
-            key, value = token.split("=", 1)
-            mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
-            candidate = lines[:i] + [" ".join(mutated)] + lines[i + 1 :]
-            if not _detects("\n".join(candidate) + "\n"):
-                missed.append((i, key, line[:60]))
+    for scenario in scenarios:
+        transcript = sim.run_scenario(scenario)
+        assert sim.verify_transcript(transcript).clean
+        lines = transcript.to_text().splitlines()
+        for i, line in enumerate(lines):
+            tokens = line.split(" ")
+            for j, token in enumerate(tokens[1:], start=1):
+                key, value = token.split("=", 1)
+                mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
+                candidate = lines[:i] + [" ".join(mutated)] + lines[i + 1 :]
+                if not _detects("\n".join(candidate) + "\n"):
+                    missed.append((scenario.seed, i, key, line[:60]))
+                if line.startswith("EDGE ") and " epoch=0 " not in line:
+                    later_edge_fields.add(key)
     assert not missed, missed
+    assert {"epoch", "root_lo", "root_hi"} <= later_edge_fields
 
 
 def test_oversized_participant_count_is_malformed():
@@ -452,6 +481,37 @@ def test_randomized_soak_mixed_scenarios():
         flagged = {p for p, _ in verdicts_of(transcript)}
         adversary_ids = {pid for pid, _ in adversaries}
         assert flagged <= adversary_ids, (trial, scenario, flagged)
+
+
+def test_stuck_collision_session_endorses_epochs_on_demand():
+    """Scenario 29 of the disrupted bench workload at seed 204: a
+    bad_slot_count adversary keeps one collision stuck, and the session
+    transmits 53 rounds.  A budget guessed up front (52 slots) ran out
+    here; epochs are endorsed as the tree reaches them."""
+    scenario = sim.Scenario(
+        n=12,
+        senders=((0, 203), (1, 32), (3, 38), (4, 80), (6, 134), (7, 241), (8, 242)),
+        adversaries=((6, "bad_slot_count"),),
+        seed=16561780994440469849,
+    )
+    t = run(scenario)
+    assert summary_of(t)["sessions"] == 1
+    assert summary_of(t)["transmitted"] == 53
+    session = next(r for r in t.records if r["type"] == "SESSION")
+    assert session["budget"] == 4 * EPOCH_SLOTS
+    assert verdicts_of(t) == [(6, "stuck_collision")]
+    resolved = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
+    assert Counter(p for pid, p in scenario.senders if pid != 6) <= resolved
+    # each later epoch's EDGE records (all 66 edges are shared) sit just
+    # before the round that spends the epoch's first slot
+    edges = Counter(r["epoch"] for r in t.records if r["type"] == "EDGE")
+    assert edges == {0: 66, 1: 66, 2: 66, 3: 66}
+    for epoch in (1, 2, 3):
+        last = max(
+            i for i, r in enumerate(t.records) if r["type"] == "EDGE" and r["epoch"] == epoch
+        )
+        assert t.records[last + 1]["type"] == "ROUND"
+        assert t.records[last + 1]["slot"] == epoch * EPOCH_SLOTS
 
 
 def test_production_group_end_to_end():

@@ -291,7 +291,7 @@ def test_retransmission_proof_fresh_construction(medium):
     from dcmesh.dcnet import make_ciphertext
 
     rng = random.Random(3)
-    graph = build_key_graph(medium, range(3), 4, rng)
+    graph = build_key_graph(medium, range(3), rng)
     tag = b"unit"
     slot_value = encode_slot(50, 8)
 
@@ -360,9 +360,7 @@ def test_node_denial_proofs(medium):
     # recover blinding data by rebuilding the same session's key graph
     from dcmesh.keysetup import build_key_graph
 
-    graph = build_key_graph(
-        params, range(5), sim._session_budget(5, 32), sim.fork_rng(7, "keys", 1)
-    )
+    graph = build_key_graph(params, range(5), sim.fork_rng(7, "keys", 1))
     tag = b"dcmesh|adhoc|s1"
     tree_rounds = [1, 2, 4, 6, 14]
     for pid in range(5):
@@ -465,7 +463,7 @@ def test_chain_proof_soundness_exhaustive(medium):
                 cases.append(((c1, c2, c6), legal))
     checked_legal = checked_illegal = 0
     for (c1, c2, c6), legal in cases:
-        graph = build_key_graph(medium, range(2), 3, rng)
+        graph = build_key_graph(medium, range(2), rng)
         view = graph.view(0)
         broadcasts, blinds = {}, {}
         for rid, content in ((1, c1), (2, c2), (6, c6)):
