@@ -7,7 +7,9 @@ Subcommands:
   keygen         print session 1's key records as ``run`` writes them
 
 Exit codes are a stable contract: 0 clean, 1 usage or configuration
-error, 2 protocol finding (disruptors detected, or divergence found).
+error or a malformed transcript (one that cannot be parsed or checked),
+2 protocol finding (disruptors detected, or a recorded record that
+differs from the recomputed one or is not the input the judge asks for).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def cmd_run(args) -> int:
         with open(args.scenario) as fh:
             scenario = sim.Scenario.from_text(fh.read())
         scenario = _apply_overrides(scenario, args)
-    except (OSError, ConfigInvalid) as exc:
+    except (OSError, UnicodeDecodeError, ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     transcript = sim.run_scenario(scenario)
@@ -84,7 +86,7 @@ def cmd_verify(args) -> int:
         with open(args.transcript) as fh:
             transcript = Transcript.from_text(fh.read())
         report = sim.verify_transcript(transcript)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MalformedRecord as exc:
@@ -136,6 +138,8 @@ def cmd_paper_example(args) -> int:
 
 def cmd_keygen(args) -> int:
     try:
+        if args.n < 1:
+            raise ConfigInvalid("need at least one participant")
         group = _GROUP_CHOICES[args.group or "test"]
         params = derive_params(group, sim.DOMAIN_TAG)
         graph = build_key_graph(params, range(args.n), sim.fork_rng(args.seed, "keys", 1))

@@ -17,12 +17,11 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
-from operator import itemgetter
+from itertools import combinations, zip_longest
 
 from . import splitter, zkp
 from .dcnet import RoundCiphertext, make_ciphertext
-from .errors import ConfigInvalid, DcMeshError, MalformedRecord, WitnessMismatch
+from .errors import ConfigInvalid, MalformedRecord, ProtocolOrderViolation, WitnessMismatch
 from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
     EPOCH_SLOTS,
@@ -117,19 +116,23 @@ class Scenario:
             raise ConfigInvalid("missing scenario format line 'dcmesh-scenario v1'")
         fields = {}
         senders, adversaries = [], []
-        for ln in lines[1:]:
-            if "=" not in ln:
-                raise ConfigInvalid(f"unparseable scenario line {ln!r}")
-            key, value = (part.strip() for part in ln.split("=", 1))
-            if key == "sender":
-                pid, payload = value.split()
-                senders.append((int(pid), int(payload)))
-            elif key == "adversary":
-                pid, strategy = value.split()
-                adversaries.append((int(pid), strategy))
-            else:
-                fields[key] = value
         try:
+            for ln in lines[1:]:
+                if "=" not in ln:
+                    raise ConfigInvalid(f"unparseable scenario line {ln!r}")
+                key, value = (part.strip() for part in ln.split("=", 1))
+                if key == "sender":
+                    pid, payload = value.split()
+                    senders.append((int(pid), int(payload)))
+                elif key == "adversary":
+                    pid, strategy = value.split()
+                    adversaries.append((int(pid), strategy))
+                elif key not in ("n", "group", "seed", "payload_bits", "max_retries"):
+                    raise ConfigInvalid(f"unknown scenario key {key!r}")
+                elif key in fields:
+                    raise ConfigInvalid(f"repeated scenario key {key!r}")
+                else:
+                    fields[key] = value
             scenario = cls(
                 n=int(fields["n"]),
                 senders=tuple(senders),
@@ -530,12 +533,13 @@ def _summary(outcomes, body):
 class _Participants:
     """The judge's source in a live run: the participants, in pid order,
     and the session's key graph, which endorses epoch k from its own
-    stream of the scenario seed."""
+    stream of the scenario seed.  Its sink is a plain list."""
 
     participants: list
     graph: KeyGraph
     seed: int
     session: int
+    records: list = field(default_factory=list)
 
     def begin(self, tree):
         for p in self.participants:
@@ -665,54 +669,52 @@ class VerificationReport:
     def clean(self) -> bool:
         return not self.divergences
 
-
-# recorded records the judge reads, by type: their lookup key
-_INPUT_KEYS = {
-    "PUBKEY": itemgetter("type", "part"),
-    "EDGE": itemgetter("type", "epoch", "lo", "hi"),
-    "CIPHER": itemgetter("type", "round", "part"),
-    "PUBLISH": itemgetter("type", "slot", "part", "peer"),
-    "DEMAND": itemgetter("type", "node", "part"),
-}
+    def compare(self, index, recorded, recomputed) -> None:
+        """Report the record at ``index`` if it is not the recomputed one."""
+        if recorded != recomputed:
+            message = f"recorded {_line(recorded)} != recomputed {_line(recomputed)}"
+            self.divergences.append((index, message))
 
 
-class _Recorded:
-    """The judge's source on verify: one session's recorded inputs.
+class _Replay:
+    """The judge's source and sink on verify: one cursor over a session's
+    records after its SESSION record.  Each record the judge emits to
+    ``records``, this replay, is compared with the one at the cursor,
+    ``(none)`` past the session's end.  Inputs are read from the cursor
+    on, where the judge emits them next; one that is not the input asked
+    for is reported, and ProtocolOrderViolation stops the judge."""
 
-    PUBKEY and EDGE records give the session's public key graph.  The
-    judge's inputs are looked up by key: EDGE records by (epoch, lo,
-    hi), CIPHER records by (round, part), PUBLISH records by (slot,
-    part, peer) and DEMAND records by (node, part).  A key the session
-    does not record makes the transcript malformed.
-    """
-
-    def __init__(self, params, active, records, index):
+    def __init__(self, params, pids, recorded, index, report):
         self.params = params
-        self.pids = active
-        self.index = index   # transcript index of the SESSION record
-        self.inputs = {}
-        for rec in records:
-            key = _INPUT_KEYS.get(rec["type"])
-            if key is not None:
-                self.inputs[key(rec)] = rec
-        # lookups fail at the first missing key record, before any
-        # structure grows with the claimed participant count
-        self.public = KeyGraphPublic(
-            participants=tuple(active),
-            publics={pid: self._get("PUBKEY", pid)["y"] for pid in active},
-            epochs=(
-                tuple(
-                    _edge(self._get("EDGE", 0, lo, hi))
-                    for i, lo in enumerate(active)
-                    for hi in active[i + 1 :]
-                ),
-            ),
+        self.pids = pids
+        self.recorded = recorded
+        self.index = index   # transcript index of recorded[0]
+        self.report = report
+        self.at = self.read = 0   # the cursor; inputs are read from it on
+        self.records = self
+        # the key records open the session; reading stops at the first one
+        # out of place, before anything grows with the participant count
+        publics = {pid: self._input("PUBKEY", part=pid)["y"] for pid in pids}
+        edges = tuple(
+            _edge(self._input("EDGE", epoch=0, lo=lo, hi=hi)) for lo, hi in combinations(pids, 2)
         )
+        self.public = KeyGraphPublic(tuple(pids), publics, (edges,))
+        self.at = self.read   # the judge's records follow the key records
 
-    def _get(self, *key):
-        if key not in self.inputs:
-            raise MalformedRecord(self.index, f"session records no {key[0]} for {key[1:]}")
-        return self.inputs[key]
+    def _input(self, rtype, **key):
+        rec = self.recorded[self.read] if self.read < len(self.recorded) else None
+        if rec is None or rec["type"] != rtype or not key.items() <= rec.items():
+            expected = " ".join([rtype] + [f"{k}={v}" for k, v in key.items()])
+            message = f"recorded {_line(rec)} != expected {expected}"
+            self.report.divergences.append((self.index + self.read, message))
+            raise ProtocolOrderViolation(message)
+        self.read += 1
+        return rec
+
+    def append(self, rec):
+        recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
+        self.report.compare(self.index + self.at, recorded, rec)
+        self.at = self.read = self.at + 1
 
     def begin(self, tree):
         pass
@@ -720,36 +722,35 @@ class _Recorded:
     def epoch(self, k):
         # later epochs record only the shared edges
         return tuple(
-            _edge(self._get("EDGE", k, e.lo, e.hi)) if e.established else e
+            _edge(self._input("EDGE", epoch=k, lo=e.lo, hi=e.hi)) if e.established else e
             for e in self.public.epochs[0]
         )
 
     def broadcast(self, round_id):
         cts = []
         for pid in self.pids:
-            rec = self._get("CIPHER", round_id, pid)
+            rec = self._input("CIPHER", round=round_id, part=pid)
             if not self.params.is_element(rec["c"]):
-                raise MalformedRecord(self.index, f"commitment of {pid} outside the group")
+                raise MalformedRecord(self.index + self.at, f"commitment of {pid} not in the group")
             cts.append(
                 RoundCiphertext(pid, round_id, rec["O"] % self.params.q, rec["c"], _proof(rec))
             )
         return cts
 
     def publish(self, slot):
-        # every participant publishes, if only the empty set of a
-        # participant whose edges are all opted out
+        # every participant publishes, if only the empty set of a participant
+        # whose edges are all opted out; the PUBLISH records run at the cursor
         published = {pid: {} for pid in self.pids}
-        for key, rec in self.inputs.items():
-            if key[0] == "PUBLISH" and key[1] == slot:
-                published[rec["part"]][rec["peer"]] = RevealedCommitment(
-                    commitment=rec["c"],
-                    path=rec["path"],
-                    signature=(rec["sig_e"], rec["sig_s"]),
-                )
+        for rec in self.recorded[self.at :]:
+            if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
+                break
+            published[rec["part"]][rec["peer"]] = RevealedCommitment(
+                rec["c"], rec["path"], (rec["sig_e"], rec["sig_s"])
+            )
         return published
 
     def respond(self, node_id):
-        return [(pid, _proof(self._get("DEMAND", node_id, pid))) for pid in self.pids]
+        return [(pid, _proof(self._input("DEMAND", node=node_id, part=pid))) for pid in self.pids]
 
 
 def _proof(rec):
@@ -771,14 +772,6 @@ def _line(rec) -> str:
     return "(none)" if rec is None else record_to_line(rec)
 
 
-def _diff(report, index, recorded, recomputed):
-    """Report every position where recorded and recomputed records differ."""
-    for offset, (rec, exp) in enumerate(zip_longest(recorded, recomputed)):
-        if rec != exp:
-            message = f"recorded {_line(rec)} != recomputed {_line(exp)}"
-            report.divergences.append((index + offset, message))
-
-
 def _check_header(header, report):
     """Group parameters and CONFIG of a header; reports each header record that differs."""
     types = [r["type"] for r in header]
@@ -791,20 +784,21 @@ def _check_header(header, report):
     except (ValueError, KeyError) as exc:
         raise MalformedRecord(types.index("GROUP"), f"bad group parameters: {exc}") from exc
     config = header[types.index("CONFIG")]
-    _diff(report, 0, header, _header(params, config))
+    for index, (rec, exp) in enumerate(zip_longest(header, _header(params, config))):
+        report.compare(index, rec, exp)
     return params, config
 
 
 def verify_transcript(transcript: Transcript) -> VerificationReport:
-    """Re-judge every session from its recorded inputs and report each
-    record that differs from the recomputed one.
+    """Re-judge every session from its recorded inputs and report, in
+    transcript order, each record that differs from the recomputed one.
 
-    The body is split at its SESSION records.  Each session's inputs
-    are fed to the same judge that produced them, and everything it
-    emits, with the SESSION, key and SUMMARY records, is compared with
-    the transcript position by position.  Raises MalformedRecord when
-    the structure itself is broken (truncation, unknown records, wrong
-    field types, inputs missing for the recomputed schedule).
+    The body is split at its SESSION records, and each session goes
+    through the judge with a ``_Replay`` as its source and sink.  Where
+    the judge asks for an input the record at the cursor is not, verify
+    stops there.  Raises MalformedRecord only for what cannot be parsed
+    or checked: the header and group, a CONFIG n the body cannot hold, a
+    missing SUMMARY or opening SESSION record, a commitment outside the group.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -820,26 +814,30 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     active = list(range(config["n"]))
     outcomes = []
     for session, (start, end) in enumerate(zip(starts, starts[1:] + [len(body) - 1]), 1):
-        index, records = base + start, body[start:end]
+        index = base + start
         try:
-            source = _Recorded(params, active, records, index)
+            replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
             outcome = run_session(
                 params,
-                source.public,
+                replay.public,
                 config["payload_bits"],
                 config["max_retries"],
                 session,
                 _session_tag(config["scenario"], session),
-                source,
+                replay,
             )
-        except MalformedRecord:
-            raise
-        except (DcMeshError, ValueError, KeyError, IndexError, OverflowError) as exc:
+        except (ProtocolOrderViolation, ValueError, OverflowError) as exc:
+            if isinstance(exc, ProtocolOrderViolation) and not report.clean:
+                break   # the replay's stop; the judge's own order check reports nothing
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
-        recomputed = _session_head(session, source.public, outcome.epochs) + outcome.records
-        _diff(report, index, records, recomputed)
+        for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
+            replay.append(None)
+        for offset, rec in enumerate(_session_head(session, replay.public, outcome.epochs)):
+            report.compare(index + offset, body[start + offset], rec)
         outcomes.append(outcome)
         banned = {v.participant for v in outcome.verdicts}
         active = [pid for pid in active if pid not in banned]
-    _diff(report, base + len(body) - 1, body[-1:], [_summary(outcomes, body[:-1])])
+    else:
+        report.compare(base + len(body) - 1, body[-1], _summary(outcomes, body[:-1]))
+    report.divergences.sort(key=lambda divergence: divergence[0])
     return report

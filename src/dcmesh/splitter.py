@@ -112,7 +112,6 @@ class TreeNode:
     threshold: int | None = None
     probabilistic: bool = False
     attempt: int = 0          # position in a consecutive non-split chain
-    split_ok: bool | None = None
 
     @property
     def kind(self) -> str:
@@ -204,7 +203,6 @@ class ResolutionTree:
             and left.count > 0
             and right.count > 0
         )
-        parent.split_ok = clean
         if clean and parent.attempt > 0:
             self.split_attempts.append(parent.attempt)
         for child in (left, right):
@@ -426,9 +424,10 @@ def run_session(
     The judge owns every session rule: round order, the validity check
     and the investigation after a failed one, retransmission proofs,
     denial demands at stuck nodes, the wrong-branch audit, verdicts and
-    bans.  It emits every session record and reads only public data:
-    the participant set and epoch 0's roots come from ``graph_public``,
-    and every protocol input from ``source``, which answers five calls:
+    bans.  It emits every session record to ``source.records`` and reads
+    only public data: the participant set and epoch 0's roots come from
+    ``graph_public``, and every protocol input from ``source``, which
+    answers five calls:
 
     * ``begin(tree)``: the session starts on this tree;
     * ``epoch(k)``: the public edges of endorsement epoch k, every pair
@@ -442,12 +441,13 @@ def run_session(
       participant, in participant order.
 
     Proofs arrive in wire form (hex text) and are recorded as given.
-    The simulator's source is the live participants; its verifier's
-    source reads the same inputs back from a transcript.
+    The simulator's source is the live participants and its sink a list,
+    which becomes ``outcome.records``; the verifier's reads the same
+    inputs back from a transcript and compares each record as it is emitted.
     """
     pids = list(graph_public.participants)
     tree = ResolutionTree(params.q, payload_bits, max_retries)
-    outcome = SessionOutcome(session=session, tree=tree)
+    outcome = SessionOutcome(session=session, tree=tree, records=source.records)
     source.begin(tree)
 
     broadcasts = {pid: {} for pid in pids}   # pid -> round -> (O, c)
@@ -562,7 +562,9 @@ def _endorse_epoch(source, graph_public, session, outcome):
     edges; opt-outs stand as recorded for epoch 0."""
     epoch = len(graph_public.epochs)
     edges = source.epoch(epoch)
-    outcome.records.extend(edge_record(session, epoch, e) for e in edges if e.established)
+    for e in edges:
+        if e.established:
+            outcome.records.append(edge_record(session, epoch, e))
     return graph_public.with_epoch(edges)
 
 

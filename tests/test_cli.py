@@ -4,6 +4,7 @@ import pytest
 
 from dcmesh import sim
 from dcmesh.cli import main
+from dcmesh.groups import derive_params
 
 
 def write_scenario(tmp_path, scenario, name="scenario.txt"):
@@ -58,6 +59,32 @@ def test_run_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.txt")]) == 1
 
 
+@pytest.mark.parametrize(
+    "line", ["sender = 1", "sender = x 5", "adversary = 1", "max_retires = 2", "n = 4"]
+)
+def test_run_rejects_bad_scenario_lines(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"dcmesh-scenario v1\nn = 3\n{line}\n")
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_files_are_errors(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"dcmesh-scenario v1\nn = 3\xff\n")
+    assert main(["run", str(path)]) == 1
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error: ") + err.count("malformed") == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_keygen_rejects_empty_groups(capsys, n):
+    assert main(["keygen", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_run_group_override_rejected_when_too_small(tmp_path):
     # slot encodings cannot fit the tiny group, so the override must fail
     path = write_scenario(tmp_path, HONEST)
@@ -102,6 +129,49 @@ def test_verify_prints_every_divergence(tmp_path, capsys):
     assert "!= recomputed RESOLVED" in reported[0]
     assert "recorded SUMMARY" in reported[1] and "!= recomputed SUMMARY" in reported[1]
     assert "2 divergence(s) total" in printed
+
+
+def _verify_edited(tmp_path, capsys, edit):
+    """Verify an honest run's transcript after ``edit`` changes its lines;
+    returns the exit code, the lines and the reported divergence lines."""
+    path = write_scenario(tmp_path, HONEST)
+    out = str(tmp_path / "t.log")
+    main(["run", path, "--out", out])
+    lines = open(out).read().splitlines()
+    edit(lines)
+    open(out, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", out])
+    printed = capsys.readouterr().out.splitlines()
+    return code, lines, [ln for ln in printed if ln.startswith("divergence at record")]
+
+
+def test_verify_stops_at_swapped_ciphers(tmp_path, capsys):
+    # the judge asks for participant 1's CIPHER and finds participant 2's
+    def swap(lines):
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER ")) + 1
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+
+    code, lines, reported = _verify_edited(tmp_path, capsys, swap)
+    assert code == 2
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER ")) + 1
+    assert reported[0].startswith(f"divergence at record {first}: recorded CIPHER ")
+    assert reported[0].endswith("!= expected CIPHER round=1 part=1")
+
+
+def test_verify_names_the_aggregate_of_a_changed_tree(tmp_path, capsys):
+    # one more message in round 1's slot count: the sum, and so the tree, change
+    def add_count(lines):
+        index = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER "))
+        tokens = lines[index].split(" ")
+        q = derive_params(HONEST.group, sim.DOMAIN_TAG).q
+        value = (int(tokens[4].split("=")[1]) + (1 << HONEST.payload_bits)) % q
+        lines[index] = " ".join(tokens[:4] + [f"O={value}"] + tokens[5:])
+
+    code, lines, reported = _verify_edited(tmp_path, capsys, add_count)
+    assert code == 2
+    aggregate = next(i for i, ln in enumerate(lines) if ln.startswith("AGGREGATE "))
+    assert reported[0].startswith(f"divergence at record {aggregate}: recorded AGGREGATE ")
 
 
 def test_verify_detects_bit_flip(tmp_path):

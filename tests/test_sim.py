@@ -8,7 +8,7 @@ import pytest
 from dcmesh import sim
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
-from dcmesh.transcript import Transcript
+from dcmesh.transcript import Transcript, records_digest
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
 
@@ -64,6 +64,15 @@ def test_scenario_from_text_rejects_garbage():
         sim.Scenario.from_text("not a scenario\n")
     with pytest.raises(ConfigInvalid):
         sim.Scenario.from_text("dcmesh-scenario v1\nn = x\n")
+    for line in (
+        "sender = 1",
+        "sender = x 5",
+        "adversary = 1",
+        "max_retires = 2",  # a misspelt key is not ignored
+        "n = 4",  # nor does the last of two values win
+    ):
+        with pytest.raises(ConfigInvalid):
+            sim.Scenario.from_text(f"dcmesh-scenario v1\nn = 3\n{line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +374,25 @@ def _mutate_field(value: str):
     return value + "x"
 
 
-def _detects(text: str) -> bool:
+def _outcome(text: str) -> str:
+    """How verify ends on a transcript: "malformed", "divergent" or "clean"."""
     try:
         report = sim.verify_transcript(Transcript.from_text(text))
     except MalformedRecord:
-        return True
-    return not report.clean
+        return "malformed"
+    return "clean" if report.clean else "divergent"
+
+
+def _detects(text: str) -> bool:
+    return _outcome(text) != "clean"
+
+
+# the only fields whose mutation leaves nothing to check: the group, a
+# participant count the transcript does not hold, a commitment outside the group
+MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "tag")} | {
+    ("CONFIG", "n"),
+    ("CIPHER", "c"),
+}
 
 
 def test_every_field_mutation_detected():
@@ -381,7 +403,7 @@ def test_every_field_mutation_detected():
         EPOCH_CROSSING,
     ]
     later_edge_fields = set()
-    missed = []
+    missed, malformed = [], []
     for scenario in scenarios:
         transcript = sim.run_scenario(scenario)
         assert sim.verify_transcript(transcript).clean
@@ -392,11 +414,16 @@ def test_every_field_mutation_detected():
                 key, value = token.split("=", 1)
                 mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
                 candidate = lines[:i] + [" ".join(mutated)] + lines[i + 1 :]
-                if not _detects("\n".join(candidate) + "\n"):
+                outcome = _outcome("\n".join(candidate) + "\n")
+                if outcome == "clean":
                     missed.append((scenario.seed, i, key, line[:60]))
+                elif outcome == "malformed" and (tokens[0], key) not in MALFORMED_FIELDS:
+                    malformed.append((scenario.seed, i, key, line[:60]))
                 if line.startswith("EDGE ") and " epoch=0 " not in line:
                     later_edge_fields.add(key)
     assert not missed, missed
+    # every other mutation is named as a divergence
+    assert not malformed, malformed
     assert {"epoch", "root_lo", "root_hi"} <= later_edge_fields
 
 
@@ -406,6 +433,19 @@ def test_oversized_participant_count_is_malformed():
     huge = text.replace("CONFIG n=3 ", "CONFIG n=1000000000000 ")
     with pytest.raises(MalformedRecord):
         sim.verify_transcript(Transcript.from_text(huge))
+
+
+def test_session_after_everyone_is_banned_is_not_clean():
+    # the judge cannot run a session with no one active; a forged one
+    # whose opening records match must not end verification clean
+    lines = sim.run_scenario(sim.Scenario(n=1, adversaries=((0, "bad_pad"),))).to_text().split("\n")
+    assert any(ln.startswith("BAN session=1 part=0") for ln in lines)
+    forged = [
+        f"SESSION idx=2 active= budget={EPOCH_SLOTS} keys={records_digest([])}",
+        "ROUND session=2 id=1 slot=0",
+        "AGGREGATE session=2 round=1 C=0 valid=1",
+    ]
+    assert _detects("\n".join(lines[:-2] + forged + lines[-2:]))
 
 
 def test_dropped_verdict_detected():
