@@ -14,7 +14,9 @@ parameter sets are built in:
 
 Powers of the two fixed generators go through a window table per
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
-Lim-Lee 1994); ``pow`` is left for variable bases.
+Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
+protocol, whose statement base is h; ``pow`` is left for variable bases
+and inverses.  A parsed group's primality checks run once per process.
 """
 
 from __future__ import annotations
@@ -128,6 +130,14 @@ class GroupParams:
     def h_table(self) -> WindowTable:
         return window_table(self, self.h)
 
+    def power(self, base: int, exponent: int) -> int:
+        """base^exponent, through a window table when base is g or h."""
+        if base == self.g:
+            return self.g_table.power(exponent)
+        if base == self.h:
+            return self.h_table.power(exponent)
+        return pow(base, exponent, self.p)
+
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1
 
@@ -174,6 +184,7 @@ class GroupParams:
         return params
 
 
+@functools.lru_cache(maxsize=64)
 def _is_probable_prime(n: int, rounds: int = 24) -> bool:
     if n < 2:
         return False

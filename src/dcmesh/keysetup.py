@@ -2,15 +2,16 @@
 
 Each unordered pair of participants shares, per slot, a key and a
 blinding value; the reverse direction holds the negations so all pads
-cancel in a round sum.  Slots are endorsed in epochs of ``EPOCH_SLOTS``:
-each direction's commitments for an epoch are the leaves of a Merkle
-tree whose root the counterparty signs once, bound to the epoch; a
-commitment revealed with its inclusion path is endorsed by that one
-signature, which is what later lets an investigation pin blame.  Epoch
-0 is built with the graph and later epochs on demand, over the same
-edges and signing keys.  A participant may refuse to share a secret
-with a peer; the edge is then publicly marked opted out and contributes
-zero pads and identity commitments.
+cancel in a round sum, and its commitments, from hi to lo, are the
+inverses of the lo -> hi ones.  Slots are endorsed in epochs of
+``EPOCH_SLOTS``: each direction's commitments for an epoch are the
+leaves of a Merkle tree whose root the counterparty signs once, bound
+to the epoch; a commitment revealed with its inclusion path is endorsed
+by that one signature, which is what later lets an investigation pin
+blame.  Epoch 0 is built with the graph and later epochs on demand,
+over the same edges and signing keys.  A participant may refuse to
+share a secret with a peer; the edge is then publicly marked opted out
+and contributes zero pads and identity commitments.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted, SignatureRefused
-from .groups import GroupParams, commit
+from .groups import GroupParams, commit, negate
 
 # slots per endorsement epoch: one Merkle root, and one signature, per
 # edge direction and epoch; fits the median session of every bench
@@ -151,7 +152,8 @@ def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: 
             epoch: int):
     """The peer's endorsement of one epoch of the commitments edge holder -> peer holds."""
     commitments = tuple(commitments)
-    root = merkle.build_tree([params.element_to_bytes(c) for c in commitments])[-1][0]
+    size = params.element_bytes
+    root = merkle.build_tree([c.to_bytes(size, "big") for c in commitments])[-1][0]
     signature = sign(params, peer_key, root_payload(root, holder, peer, epoch))
     return Endorsement(commitments, root, signature)
 
@@ -211,16 +213,19 @@ def establish_pair(
         raise SignatureRefused(i)
     if j in refusers:
         raise SignatureRefused(j)
-    secrets = PairwiseSecret(
-        i=i,
-        j=j,
-        rounds=tuple(
-            RoundSecret(rng.randrange(params.q), rng.randrange(params.q))
-            for _ in range(EPOCH_SLOTS)
-        ),
-    )
+    # rng.randrange(q) 2 * EPOCH_SLOTS times: the same rejection loop
+    # over q.bit_length() random bits, without a call per draw
+    q, getrandbits, draws = params.q, rng.getrandbits, []
+    bits = q.bit_length()
+    for _ in range(2 * EPOCH_SLOTS):
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        draws.append(r)
+    secrets = PairwiseSecret(i, j, tuple(map(RoundSecret, draws[::2], draws[1::2])))
     c_ij = [commit(params, s.key, s.blind) for s in secrets.rounds]
-    c_ji = [commit(params, -s.key, -s.blind) for s in secrets.rounds]
+    # commit(-k, -r) is the inverse of commit(k, r)
+    c_ji = [negate(params, c) for c in c_ij]
     return (
         secrets,
         endorse(params, c_ij, i, j, key_j, epoch),

@@ -25,10 +25,14 @@ def build_tree(leaves: list[bytes]) -> list[list[bytes]]:
     """
     if not leaves:
         raise ValueError("need at least one leaf")
-    levels = [[leaf_hash(x) for x in leaves]]
+    sha256 = hashlib.sha256   # leaf_hash and node_hash, inlined
+    levels = [[sha256(_LEAF + x).digest() for x in leaves]]
     while len(levels[-1]) > 1:
         level = levels[-1]
-        nxt = [node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        nxt = [
+            sha256(_NODE + level[i] + level[i + 1]).digest()
+            for i in range(0, len(level) - 1, 2)
+        ]
         if len(level) % 2 == 1:
             nxt.append(level[-1])
         levels.append(nxt)

@@ -157,10 +157,8 @@ class Scenario:
             raise ConfigInvalid("seed must fit in 64 bits")
         if self.group not in SECURITY_LEVELS:
             raise ConfigInvalid(f"unknown group {self.group!r}")
-        if self.payload_bits < 1:
-            raise ConfigInvalid("payload_bits must be positive")
-        if self.max_retries < 1:
-            raise ConfigInvalid("max_retries must be positive")
+        params = derive_params(self.group, DOMAIN_TAG)
+        check_config(self.n, self.payload_bits, self.max_retries, params)
         sender_ids = [pid for pid, _ in self.senders]
         if len(set(sender_ids)) != len(sender_ids):
             raise ConfigInvalid("duplicate sender ids")
@@ -180,12 +178,21 @@ class Scenario:
                 raise ConfigInvalid(f"unknown strategy {strategy!r}")
             if strategy in _SENDER_STRATEGIES and pid not in senders:
                 raise ConfigInvalid(f"strategy {strategy} requires a sender payload")
-        params = derive_params(self.group, DOMAIN_TAG)
-        if not slot_fits(self.n, self.payload_bits, params.q):
-            raise ConfigInvalid(
-                f"slot encoding for n={self.n}, payload_bits={self.payload_bits} "
-                f"overflows the {self.group} group"
-            )
+
+
+def check_config(n: int, payload_bits: int, max_retries: int, params: GroupParams) -> None:
+    """The session rules of a CONFIG, for a run and for its verify alike."""
+    if payload_bits < 1:
+        raise ConfigInvalid("payload_bits must be positive")
+    if max_retries < 1:
+        raise ConfigInvalid("max_retries must be positive")
+    # a payload as wide as q never fits; checked first, so that a huge
+    # payload_bits from a transcript never reaches slot_fits' shift
+    if payload_bits >= params.q.bit_length() or not slot_fits(n, payload_bits, params.q):
+        raise ConfigInvalid(
+            f"slot encoding for n={n}, payload_bits={payload_bits} "
+            f"overflows the {params.name} group"
+        )
 
 
 # the worked five-message example: payloads, tree slots and thresholds
@@ -784,6 +791,10 @@ def _check_header(header, report):
     except (ValueError, KeyError) as exc:
         raise MalformedRecord(types.index("GROUP"), f"bad group parameters: {exc}") from exc
     config = header[types.index("CONFIG")]
+    try:
+        check_config(config["n"], config["payload_bits"], config["max_retries"], params)
+    except ConfigInvalid as exc:
+        raise MalformedRecord(types.index("CONFIG"), f"bad CONFIG: {exc}") from exc
     for index, (rec, exp) in enumerate(zip_longest(header, _header(params, config))):
         report.compare(index, rec, exp)
     return params, config

@@ -112,21 +112,21 @@ class FlatProver:
         self.disjuncts = disjuncts
         self.true_index = true_index
         self.alpha = alpha % params.q
-        q, p = params.q, params.p
+        q, p, power = params.q, params.p, params.power
         for target, base in disjuncts[true_index]:
-            if pow(base, self.alpha, p) != target:
+            if power(base, self.alpha) != target:
                 raise WitnessMismatch("witness does not satisfy the designated disjunct")
         self._sim = {}
         commitments = []
         self.witness_nonce = rng.randrange(q)
         for d, atoms in enumerate(disjuncts):
             if d == true_index:
-                block = tuple(pow(base, self.witness_nonce, p) for _, base in atoms)
+                block = tuple(power(base, self.witness_nonce) for _, base in atoms)
             else:
                 e_d = rng.randrange(q)
                 z_d = rng.randrange(q)
                 block = tuple(
-                    pow(base, z_d, p) * pow(target, q - e_d, p) % p for target, base in atoms
+                    power(base, z_d) * pow(target, q - e_d, p) % p for target, base in atoms
                 )
                 self._sim[d] = (e_d, z_d)
             commitments.append(block)
@@ -154,7 +154,8 @@ def simulate_block(params, atoms, challenge, response):
     """Announcement that makes (challenge, response) verify for these atoms."""
     p, q = params.p, params.q
     return tuple(
-        pow(base, response, p) * pow(target, q - challenge % q, p) % p for target, base in atoms
+        params.power(base, response) * pow(target, q - challenge % q, p) % p
+        for target, base in atoms
     )
 
 
@@ -179,14 +180,14 @@ def verify_flat(params, statement_bytes, disjuncts, proof: SigmaProof) -> bool:
     challenge = fs_challenge(params, statement_bytes, flat)
     if sum(b.challenge for b in proof.blocks) % params.q != challenge:
         return False
-    p, q = params.p, params.q
+    p, q, power = params.p, params.q, params.power
     for atoms, block in zip(disjuncts, proof.blocks):
         if not (0 <= block.challenge < q and 0 <= block.response < q):
             return False
         for (target, base), announced in zip(atoms, block.commitments):
             if not 0 < announced < p:  # reject non-canonical encodings
                 return False
-            if pow(base, block.response, p) != announced * pow(target, block.challenge, p) % p:
+            if power(base, block.response) != announced * pow(target, block.challenge, p) % p:
                 return False
     return True
 

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from dcmesh import groups
 from dcmesh.errors import DlogNotFound, GroupTooLarge
 from dcmesh.groups import (
     WINDOW_TABLE_BYTES,
@@ -225,3 +226,29 @@ def test_parsed_params_share_tables_and_stay_equal(medium):
     assert again == medium and hash(again) == hash(medium)
     assert again.to_text() == medium.to_text()
     assert (again.element_bytes, again.scalar_bytes) == (3, 3)
+
+
+def test_parsed_group_is_validated_once(monkeypatch):
+    # the primality checks of a group's p and q run once per process; a
+    # second parse only checks that the generators lie in the subgroup
+    params = derive_params("production", TAG)
+    text = params.to_text()
+    GroupParams.from_text(text)
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
+    assert GroupParams.from_text(text) == params
+    assert calls == [(x, params.q, params.p) for x in params.generators]
+
+
+def test_power_matches_pow(medium):
+    # g and h go through their tables, whose exponents are taken mod q
+    rng = random.Random(24)
+    for base, table in ((medium.g, medium.g_table), (medium.h, medium.h_table), (5, None)):
+        for e in edge_exponents(medium.q, rng, extra=10):
+            expected = pow(base, e % medium.q if table else e, medium.p)
+            assert medium.power(base, e) == expected

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from dcmesh import keysetup, merkle
+from dcmesh import groups, keysetup, merkle
 from dcmesh.errors import RoundBudgetExhausted, SignatureRefused
-from dcmesh.groups import commit
+from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
     aggregate_commitment,
@@ -21,6 +21,8 @@ from dcmesh.keysetup import (
     verify_sig,
 )
 
+TAG = b"dc-mesh/v1"
+
 
 def test_signature_roundtrip(small):
     rng = random.Random(0)
@@ -32,21 +34,53 @@ def test_signature_roundtrip(small):
     assert not verify_sig(small, other.public, b"hello", sig)
 
 
-def test_establish_pair_antisymmetry(small):
+@pytest.mark.parametrize("level", ["small", "medium"])
+def test_establish_pair_antisymmetry(level, request):
+    params = request.getfixturevalue(level)
     rng = random.Random(1)
-    ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
-    secret, held_i, held_j = establish_pair(small, 0, 1, rng, ki, kj, epoch=2)
+    ki, kj = gen_signing_key(params, rng), gen_signing_key(params, rng)
+    secret, held_i, held_j = establish_pair(params, 0, 1, rng, ki, kj, epoch=2)
     assert len(secret.rounds) == EPOCH_SLOTS
     for slot, s in enumerate(secret.rounds):
-        c_ij = commit(small, s.key, s.blind)
-        c_ji = commit(small, -s.key % 53, -s.blind % 53)
-        assert c_ij * c_ji % small.p == 1
+        c_ij = commit(params, s.key, s.blind)
+        c_ji = commit(params, -s.key % params.q, -s.blind % params.q)
+        assert c_ij * c_ji % params.p == 1
         assert held_i.commitments[slot] == c_ij
         assert held_j.commitments[slot] == c_ji
     # each direction's root is endorsed under the counterparty key, for its epoch only
-    assert verify_sig(small, kj.public, root_payload(held_i.root, 0, 1, 2), held_i.signature)
-    assert verify_sig(small, ki.public, root_payload(held_j.root, 1, 0, 2), held_j.signature)
-    assert not verify_sig(small, kj.public, root_payload(held_i.root, 0, 1, 1), held_i.signature)
+    assert verify_sig(params, kj.public, root_payload(held_i.root, 0, 1, 2), held_i.signature)
+    assert verify_sig(params, ki.public, root_payload(held_j.root, 1, 0, 2), held_j.signature)
+    assert not verify_sig(params, kj.public, root_payload(held_i.root, 0, 1, 1), held_i.signature)
+
+
+@pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
+def test_pair_secrets_are_a_randrange_stream(level):
+    # one getrandbits loop draws exactly what randrange(q) would, and
+    # leaves the generator in the same state
+    params = derive_params(level, TAG)
+    keys = random.Random(4)
+    ki, kj = gen_signing_key(params, keys), gen_signing_key(params, keys)
+    rng, reference = random.Random(5), random.Random(5)
+    secret, _, _ = establish_pair(params, 0, 1, rng, ki, kj)
+    drawn = [x for s in secret.rounds for x in (s.key, s.blind)]
+    assert drawn == [reference.randrange(params.q) for _ in range(2 * EPOCH_SLOTS)]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_establish_pair_exponentiation_count(medium, monkeypatch):
+    # one commitment per slot, the reverse direction by inversion, and
+    # one nonce power per root signature: 2 * EPOCH_SLOTS + 2
+    rng = random.Random(6)
+    ki, kj = gen_signing_key(medium, rng), gen_signing_key(medium, rng)
+    table_power, powers = groups.WindowTable.power, []
+
+    def counting_power(table, exponent):
+        powers.append(exponent)
+        return table_power(table, exponent)
+
+    monkeypatch.setattr(groups.WindowTable, "power", counting_power)
+    establish_pair(medium, 0, 1, rng, ki, kj)
+    assert len(powers) == 2 * EPOCH_SLOTS + 2
 
 
 def test_establish_pair_refusal(small):

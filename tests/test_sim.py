@@ -361,7 +361,7 @@ def test_two_party_transcript_multisets_match():
 
 
 def _mutate_field(value: str):
-    """Produce a different, same-shючape value for one key=value token."""
+    """Produce a different, same-shape value for one key=value token."""
     if value == "-":
         return "0"
     try:
@@ -433,6 +433,24 @@ def test_oversized_participant_count_is_malformed():
     huge = text.replace("CONFIG n=3 ", "CONFIG n=1000000000000 ")
     with pytest.raises(MalformedRecord):
         sim.verify_transcript(Transcript.from_text(huge))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("payload_bits", -1), ("payload_bits", 0), ("payload_bits", 1 << 40),
+     ("max_retries", 0), ("max_retries", -3)],
+)
+def test_config_outside_the_run_rules_is_malformed(field, value):
+    # the HEADEREND digest is recomputed, so only the rules that
+    # Scenario.validate applies can catch the edit
+    transcript = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1))
+    header = transcript.header
+    index = next(i for i, rec in enumerate(header) if rec["type"] == "CONFIG")
+    header[index] = {**header[index], field: value}
+    header[-1] = {**header[-1], "digest": records_digest(header[:-1])}
+    with pytest.raises(MalformedRecord) as info:
+        sim.verify_transcript(Transcript.from_text(transcript.to_text()))
+    assert info.value.index == index
 
 
 def test_session_after_everyone_is_banned_is_not_clean():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dcmesh import sim
+from dcmesh import sim, zkp
 from dcmesh.dcnet import aggregate_round
 from dcmesh.errors import NotACollision, PayloadOverflow, ProtocolOrderViolation
 from dcmesh.splitter import (
@@ -282,6 +282,31 @@ def test_all_reference_proofs_verify():
     for (pid, rid), blob in proofs.items():
         proof = proof_from_bytes(params, bytes.fromhex(blob))
         assert verify_retransmission(params, broadcasts[pid], pid, rid, proof, tag)
+
+
+def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
+    # h is the base of both branches; its powers go through its table,
+    # so pow is left only for the variable targets
+    from dcmesh.keysetup import build_key_graph
+    from dcmesh.dcnet import make_ciphertext
+
+    rng = random.Random(8)
+    view = build_key_graph(medium, range(2), rng).view(0)
+    broadcasts, blinds = {}, {}
+    for rid in (1, 2):
+        ct = make_ciphertext(view, rid, encode_slot(50, 8))
+        broadcasts[rid] = (ct.value, ct.commitment)
+        blinds[rid] = view.blind_sum(view.slot_of(rid))
+    bases = []
+
+    def counting_pow(base, *rest):
+        bases.append(base)
+        return pow(base, *rest)
+
+    monkeypatch.setattr(zkp, "pow", counting_pow, raising=False)
+    proof = prove_retransmission(medium, broadcasts, blinds, 0, 2, True, rng, b"unit")
+    assert verify_retransmission(medium, broadcasts, 0, 2, proof, b"unit")
+    assert bases and medium.h not in bases
 
 
 def test_retransmission_proof_fresh_construction(medium):
