@@ -15,8 +15,13 @@ parameter sets are built in:
 Powers of the two fixed generators go through a window table per
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
-protocol, whose statement base is h; ``pow`` is left for variable bases
-and inverses.  A parsed group's primality checks run once per process.
+protocol, whose statement base is h; ``WindowTable.powers`` raises the
+base to a list of exponents one table row at a time, for key setup's
+commitments.  ``pow`` is left for variable bases and inverses, and
+``invert_all`` inverts a list with one ``pow`` (Montgomery 1987).  A
+group named after a built-in set with that set's (p, q) is validated
+against the table of built-in sets, whose primality the tests check;
+any other group runs the Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -40,7 +45,13 @@ _RFC3526_P2048 = int(
     16,
 )
 
-SECURITY_LEVELS = ("test_small", "test_medium", "production")
+# name -> (p, q) of the built-in sets
+_BUILT_IN = {
+    "test_small": (107, 53),
+    "test_medium": (262643, 131321),
+    "production": (_RFC3526_P2048, (_RFC3526_P2048 - 1) // 2),
+}
+SECURITY_LEVELS = tuple(_BUILT_IN)
 
 # Exhaustive-search guard for brute_force_dlog and enumeration oracles.
 DESK_SCALE_LIMIT = 1 << 20
@@ -85,6 +96,17 @@ class WindowTable:
             acc = acc * row[e & mask] % p
             e >>= width
         return acc
+
+    def powers(self, exponents) -> list[int]:
+        """base^e for each exponent e, taken mod q: ``power`` of the whole
+        list, one table row at a time."""
+        q, p, width, mask = self.q, self.p, self.width, self.mask
+        digits = [e % q for e in exponents]
+        accs = [1] * len(digits)
+        for row in self.rows:
+            accs = [acc * row[e & mask] % p for acc, e in zip(accs, digits)]
+            digits = [e >> width for e in digits]
+        return accs
 
 
 @functools.lru_cache(maxsize=16)
@@ -148,8 +170,13 @@ class GroupParams:
         return x.to_bytes(self.scalar_bytes, "big")
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on failure."""
-        if not _is_probable_prime(self.p) or not _is_probable_prime(self.q):
+        """Check the structural invariants; raises ValueError on failure.
+
+        A built-in set's (p, q) under its own name skips the primality test.
+        """
+        if _BUILT_IN.get(self.name) != (self.p, self.q) and not (
+            _is_probable_prime(self.p) and _is_probable_prime(self.q)
+        ):
             raise ValueError("p and q must be prime")
         if (self.p - 1) % self.q != 0:
             raise ValueError("q must divide p-1")
@@ -184,7 +211,6 @@ class GroupParams:
         return params
 
 
-@functools.lru_cache(maxsize=64)
 def _is_probable_prime(n: int, rounds: int = 24) -> bool:
     if n < 2:
         return False
@@ -246,17 +272,14 @@ def derive_params(security_level: str, domain_tag: bytes) -> GroupParams:
 def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams:
     if not domain_tag:
         raise ValueError("domain_tag must be non-empty")
-    if security_level == "test_small":
-        p, q, g, h = 107, 53, 4, 9
-    elif security_level == "test_medium":
-        p, q, g, h = 262643, 131321, 4, 9
-    elif security_level == "production":
-        p = _RFC3526_P2048
-        q = (p - 1) // 2
+    if security_level not in _BUILT_IN:
+        raise ValueError(f"unknown security level {security_level!r}")
+    p, q = _BUILT_IN[security_level]
+    if security_level == "production":
         g = hash_to_subgroup(p, q, domain_tag, b"g")
         h = hash_to_subgroup(p, q, domain_tag, b"h")
     else:
-        raise ValueError(f"unknown security level {security_level!r}")
+        g, h = 4, 9
     params = GroupParams(
         name=security_level, p=p, q=q, generators=(g, h), domain_tag=bytes(domain_tag)
     )
@@ -281,6 +304,24 @@ def combine(params: GroupParams, c1: int, c2: int) -> int:
 def negate(params: GroupParams, c: int) -> int:
     """Group inverse: commit(a,r)^-1 = commit(-a, -r)."""
     return pow(c, -1, params.p)
+
+
+def invert_all(params: GroupParams, values) -> list[int]:
+    """``negate`` of each value, with one ``pow`` for the whole list.
+
+    Montgomery's trick: invert the product of all values, then peel
+    each inverse off with the running products of the values before it.
+    """
+    if not values:
+        return []
+    p, prefix = params.p, [1]   # prefix[k]: the product of values[:k]
+    for x in values[:-1]:
+        prefix.append(prefix[-1] * x % p)
+    inverse, out = pow(prefix[-1] * values[-1] % p, -1, p), [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = inverse * prefix[k] % p   # the inverse of values[k]
+        inverse = inverse * values[k] % p  # the inverse of the product of values[:k]
+    return out
 
 
 def brute_force_dlog(params: GroupParams, base: int, target: int) -> int:

@@ -13,6 +13,14 @@ over the same edges and signing keys.  A participant may refuse to
 share a secret with a peer; the edge is then publicly marked opted out
 and contributes zero pads and identity commitments.
 
+An epoch is set up one participant row at a time: the edges from a
+participant to its higher peers go through each stage together, the
+secrets drawn in one loop, the commitments made with
+``WindowTable.powers``, their inverses with ``groups.invert_all`` and
+the Merkle roots with ``merkle.roots``; ``establish_pair`` is the row
+of one edge.  A participant's view sums each epoch once: its pad and
+blinding sums and its aggregate commitment for every slot of the epoch.
+
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
 """
@@ -26,7 +34,7 @@ from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted, SignatureRefused
-from .groups import GroupParams, commit, negate
+from .groups import GroupParams, commit, invert_all
 
 # slots per endorsement epoch: one Merkle root, and one signature, per
 # edge direction and epoch; fits the median session of every bench
@@ -95,11 +103,12 @@ class RoundSecret(NamedTuple):
 
 @dataclass(frozen=True)
 class PairwiseSecret:
-    """One epoch's per-slot secrets for the directed edge i -> j."""
+    """One epoch's per-slot keys and blinding values for the directed edge i -> j."""
 
     i: int
     j: int
-    rounds: tuple[RoundSecret, ...]
+    keys: tuple[int, ...]
+    blinds: tuple[int, ...]
 
 
 def root_payload(root: bytes, holder: int, peer: int, epoch: int) -> bytes:
@@ -151,11 +160,25 @@ class Endorsement:
 def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: SigningKey,
             epoch: int):
     """The peer's endorsement of one epoch of the commitments edge holder -> peer holds."""
-    commitments = tuple(commitments)
+    (endorsement,) = _endorse_all(params, list(commitments), [(holder, peer, peer_key)], epoch)
+    return endorsement
+
+
+def _endorse_all(params: GroupParams, commitments, directions, epoch: int):
+    """One endorsement per direction ``(holder, peer, peer_key)``, of the
+    next ``EPOCH_SLOTS`` commitments in turn."""
     size = params.element_bytes
-    root = merkle.build_tree([c.to_bytes(size, "big") for c in commitments])[-1][0]
-    signature = sign(params, peer_key, root_payload(root, holder, peer, epoch))
-    return Endorsement(commitments, root, signature)
+    roots = merkle.roots([c.to_bytes(size, "big") for c in commitments], EPOCH_SLOTS)
+    return [
+        Endorsement(
+            tuple(commitments[at : at + EPOCH_SLOTS]),
+            root,
+            sign(params, peer_key, root_payload(root, holder, peer, epoch)),
+        )
+        for at, root, (holder, peer, peer_key) in zip(
+            range(0, len(commitments), EPOCH_SLOTS), roots, directions, strict=True
+        )
+    ]
 
 
 def is_endorsed(
@@ -204,8 +227,8 @@ def establish_pair(
 
     Returns the direction i -> j secrets along with both directions'
     endorsements: i's commitments signed by j, and j's signed by i.
-    Raises SignatureRefused when either endpoint declines; the caller
-    records the edge as opted out.
+    Raises SignatureRefused when either endpoint declines.  The one-edge
+    case of ``establish_row``.
     """
     if i == j:
         raise ValueError("a participant does not pair with itself")
@@ -213,24 +236,45 @@ def establish_pair(
         raise SignatureRefused(i)
     if j in refusers:
         raise SignatureRefused(j)
-    # rng.randrange(q) 2 * EPOCH_SLOTS times: the same rejection loop
-    # over q.bit_length() random bits, without a call per draw
-    q, getrandbits, draws = params.q, rng.getrandbits, []
+    (pair,) = establish_row(params, i, key_i, [(j, key_j)], rng, epoch)
+    return pair
+
+
+def establish_row(params: GroupParams, lo: int, key_lo: SigningKey, peers, rng, epoch: int):
+    """One epoch of the edges lo -> hi for each ``(hi, key_hi)`` of
+    ``peers``, in order: ``establish_pair``'s triple per edge.
+
+    The edges go through each stage together, and draw from ``rng``
+    what one ``establish_pair`` per edge, in the same order, would.
+    """
+    # rng.randrange(q) 2 * EPOCH_SLOTS times per edge: the same rejection
+    # loop over q.bit_length() random bits, without a call per draw
+    q, p, getrandbits, draws = params.q, params.p, rng.getrandbits, []
     bits = q.bit_length()
-    for _ in range(2 * EPOCH_SLOTS):
+    for _ in range(2 * EPOCH_SLOTS * len(peers)):
         r = getrandbits(bits)
         while r >= q:
             r = getrandbits(bits)
         draws.append(r)
-    secrets = PairwiseSecret(i, j, tuple(map(RoundSecret, draws[::2], draws[1::2])))
-    c_ij = [commit(params, s.key, s.blind) for s in secrets.rounds]
+    keys, blinds = draws[::2], draws[1::2]
+    c_lo = [
+        a * b % p for a, b in zip(params.g_table.powers(keys), params.h_table.powers(blinds))
+    ]
     # commit(-k, -r) is the inverse of commit(k, r)
-    c_ji = [negate(params, c) for c in c_ij]
-    return (
-        secrets,
-        endorse(params, c_ij, i, j, key_j, epoch),
-        endorse(params, c_ji, j, i, key_i, epoch),
+    c_hi = invert_all(params, c_lo)
+    held = _endorse_all(
+        params,
+        c_lo + c_hi,
+        [(lo, hi, key_hi) for hi, key_hi in peers] + [(hi, lo, key_lo) for hi, _ in peers],
+        epoch,
     )
+    secrets = [
+        PairwiseSecret(
+            lo, hi, tuple(keys[at : at + EPOCH_SLOTS]), tuple(blinds[at : at + EPOCH_SLOTS])
+        )
+        for (hi, _), at in zip(peers, range(0, len(keys), EPOCH_SLOTS))
+    ]
+    return list(zip(secrets, held, held[len(peers) :]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +307,17 @@ class EdgePublic:
     root_hi: bytes = b""
 
 
+class EpochShare(NamedTuple):
+    """One participant's sums for each slot of an epoch: of its pads, of
+    its blinding values and, as a product, of the pair commitments it
+    holds; and those commitments' endorsements, by peer."""
+
+    pads: list[int]
+    blinds: list[int]
+    commitments: list[int]
+    held: dict
+
+
 @dataclass(frozen=True)
 class KeyGraphPublic:
     """What everyone may see: identities, opt-outs, and each endorsed
@@ -290,18 +345,20 @@ class KeyGraph:
         self.epochs = []            # per endorsed epoch: (lo, hi) -> EdgeState
 
     def add_epoch(self, rng: random.Random) -> None:
-        """Endorse the next epoch of every edge, drawing its secrets from ``rng``."""
+        """Endorse the next epoch of every edge, drawing its secrets from
+        ``rng``, one ``establish_row`` per participant and its higher peers;
+        an edge with a refuser is opted out and draws nothing."""
         epoch, edges = len(self.epochs), {}
         for a_idx, lo in enumerate(self.participants):
-            for hi in self.participants[a_idx + 1 :]:
-                try:
-                    secret, held_lo, held_hi = establish_pair(
-                        self.params, lo, hi, rng, self.signing[lo], self.signing[hi],
-                        self.refusers, epoch,
-                    )
-                    edges[(lo, hi)] = EdgeState(lo, hi, True, secret, held_lo, held_hi)
-                except SignatureRefused:
-                    edges[(lo, hi)] = EdgeState(lo, hi, False)
+            higher = self.participants[a_idx + 1 :]
+            shared = [] if lo in self.refusers else [hi for hi in higher if hi not in self.refusers]
+            row = establish_row(
+                self.params, lo, self.signing[lo], [(hi, self.signing[hi]) for hi in shared],
+                rng, epoch,
+            )
+            states = {hi: EdgeState(lo, hi, True, *pair) for hi, pair in zip(shared, row)}
+            for hi in higher:
+                edges[(lo, hi)] = states.get(hi) or EdgeState(lo, hi, False)
         self.epochs.append(edges)
 
     def edge(self, a: int, b: int, epoch: int = 0) -> EdgeState:
@@ -316,11 +373,11 @@ class KeyGraph:
         state = self.edge(i, j, epoch)
         if not state.established:
             return RoundSecret(0, 0)
-        s = state.secret.rounds[index]
+        key, blind = state.secret.keys[index], state.secret.blinds[index]
         if i == state.lo:
-            return s
+            return RoundSecret(key, blind)
         q = self.params.q
-        return RoundSecret((-s.key) % q, (-s.blind) % q)
+        return RoundSecret((-key) % q, (-blind) % q)
 
     def public_edges(self, epoch: int) -> tuple[EdgePublic, ...]:
         return tuple(state.public() for _, state in sorted(self.epochs[epoch].items()))
@@ -335,12 +392,13 @@ class KeyGraph:
     def view(self, pid: int) -> "KeyView":
         return KeyView(self, pid)
 
-    def share(self, pid: int, epoch: int):
-        """One participant's part of an epoch: ``(sign, rounds)`` per
-        established edge, the edge's lo -> hi secrets negated (sign -1)
-        when the participant is the hi end, and ``{peer: Endorsement}``
-        for the direction it holds."""
-        secrets, held = [], {}
+    def share(self, pid: int, epoch: int) -> EpochShare:
+        """One participant's part of an epoch, summed once for all the
+        epoch's slots over its established edges; an edge's lo -> hi
+        secrets count negated when the participant is the hi end."""
+        q, p = self.params.q, self.params.p
+        zeros = (0,) * EPOCH_SLOTS   # one row in each list, so every column exists
+        keys_lo, blinds_lo, keys_hi, blinds_hi, held = [zeros], [zeros], [zeros], [zeros], {}
         for peer in self.participants:
             if peer == pid:
                 continue
@@ -348,20 +406,35 @@ class KeyGraph:
             if not state.established:
                 continue  # opted-out edges contribute zero pads
             if pid == state.lo:
-                secrets.append((1, state.secret.rounds))
+                keys_lo.append(state.secret.keys)
+                blinds_lo.append(state.secret.blinds)
                 held[peer] = state.held_lo
             else:
-                secrets.append((-1, state.secret.rounds))
+                keys_hi.append(state.secret.keys)
+                blinds_hi.append(state.secret.blinds)
                 held[peer] = state.held_hi
-        return secrets, held
+        commitments = [1] * EPOCH_SLOTS
+        for endorsement in held.values():
+            commitments = [a * c % p for a, c in zip(commitments, endorsement.commitments)]
+        return EpochShare(
+            _column_differences(keys_lo, keys_hi, q),
+            _column_differences(blinds_lo, blinds_hi, q),
+            commitments,
+            held,
+        )
+
+
+def _column_differences(plus, minus, q: int) -> list[int]:
+    """Per column, the sum of the ``plus`` rows less that of the ``minus`` rows, mod q."""
+    return [(a - b) % q for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
 
 
 class KeyView:
     """One participant's private share of the key graph.
 
-    Reads each endorsed epoch's secrets in place, and tracks which
-    slots have been consumed; the same slot is never handed out twice,
-    nor one whose epoch is not endorsed yet.
+    Reads each endorsed epoch's sums from its ``EpochShare``, made on
+    first use, and tracks which slots have been consumed; the same slot
+    is never handed out twice, nor one whose epoch is not endorsed yet.
     """
 
     def __init__(self, graph: KeyGraph, pid: int):
@@ -396,25 +469,22 @@ class KeyView:
         return self._shares[epoch], index
 
     def pad_sum(self, slot: int) -> int:
-        (secrets, _), index = self._share(slot)
-        return sum(sign * rounds[index].key for sign, rounds in secrets) % self.params.q
+        share, index = self._share(slot)
+        return share.pads[index]
 
     def blind_sum(self, slot: int) -> int:
-        (secrets, _), index = self._share(slot)
-        return sum(sign * rounds[index].blind for sign, rounds in secrets) % self.params.q
+        share, index = self._share(slot)
+        return share.blinds[index]
 
     def aggregate_commitment(self, slot: int) -> int:
         """Product of the stored pair commitments; opted-out edges add the identity."""
-        (_, held), index = self._share(slot)
-        acc = 1
-        for endorsement in held.values():
-            acc = acc * endorsement.commitments[index] % self.params.p
-        return acc
+        share, index = self._share(slot)
+        return share.commitments[index]
 
     def published_pairs(self, slot: int):
         """The endorsed per-pair commitments this participant can reveal."""
-        (_, held), index = self._share(slot)
-        return {peer: held[peer].reveal(self.params, index) for peer in sorted(held)}
+        share, index = self._share(slot)
+        return {peer: share.held[peer].reveal(self.params, index) for peer in sorted(share.held)}
 
 
 def build_key_graph(

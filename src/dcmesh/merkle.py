@@ -1,4 +1,9 @@
-"""Merkle tree with inclusion paths, used to endorse commitment lists with one signature."""
+"""Merkle tree with inclusion paths, used to endorse commitment lists with one signature.
+
+``roots`` gives the roots of many equal trees of a power-of-two width,
+one level at a time across all of them; ``build_tree`` keeps a tree's
+every level, for its paths.
+"""
 
 from __future__ import annotations
 
@@ -37,6 +42,24 @@ def build_tree(leaves: list[bytes]) -> list[list[bytes]]:
             nxt.append(level[-1])
         levels.append(nxt)
     return levels
+
+
+def roots(leaves, width: int) -> list[bytes]:
+    """The root of each consecutive run of ``width`` leaves, in order:
+    ``build_tree(run)[-1][0]`` of each run.
+
+    ``width`` is a power of two, so no node is promoted and a level's
+    pairs never straddle two trees.  Raises ValueError for another width
+    or a leaf count that is not a multiple of it.
+    """
+    if width < 1 or width & (width - 1) or len(leaves) % width:
+        raise ValueError(f"{len(leaves)} leaves do not make trees of width {width}")
+    sha256 = hashlib.sha256
+    level = [sha256(_LEAF + x).digest() for x in leaves]
+    while width > 1:
+        level = [sha256(_NODE + level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
+        width //= 2
+    return level
 
 
 def path(levels, index: int) -> list[bytes]:

@@ -701,10 +701,12 @@ class _Replay:
         self.records = self
         # the key records open the session; reading stops at the first one
         # out of place, before anything grows with the participant count
-        publics = {pid: self._input("PUBKEY", part=pid)["y"] for pid in pids}
-        edges = tuple(
-            _edge(self._input("EDGE", epoch=0, lo=lo, hi=hi)) for lo, hi in combinations(pids, 2)
-        )
+        publics = {}
+        for pid in pids:
+            publics[pid] = self._input("PUBKEY", part=pid)["y"]
+            if not 1 <= publics[pid] < params.p:
+                raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
+        edges = tuple(self._edge(0, lo, hi) for lo, hi in combinations(pids, 2))
         self.public = KeyGraphPublic(tuple(pids), publics, (edges,))
         self.at = self.read   # the judge's records follow the key records
 
@@ -718,6 +720,19 @@ class _Replay:
         self.read += 1
         return rec
 
+    def _edge(self, epoch, lo, hi) -> EdgePublic:
+        rec = self._input("EDGE", epoch=epoch, lo=lo, hi=hi)
+        if rec["state"] != "shared":
+            return EdgePublic(lo, hi, False)
+        name = "root_lo"
+        try:
+            root_lo = bytes.fromhex(rec[name])
+            name = "root_hi"
+            return EdgePublic(lo, hi, True, root_lo, bytes.fromhex(rec[name]))
+        except ValueError:
+            message = f"EDGE {name} is not hex"
+            raise MalformedRecord(self.index + self.read - 1, message) from None
+
     def append(self, rec):
         recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
         self.report.compare(self.index + self.at, recorded, rec)
@@ -729,7 +744,7 @@ class _Replay:
     def epoch(self, k):
         # later epochs record only the shared edges
         return tuple(
-            _edge(self._input("EDGE", epoch=k, lo=e.lo, hi=e.hi)) if e.established else e
+            self._edge(k, e.lo, e.hi) if e.established else e
             for e in self.public.epochs[0]
         )
 
@@ -762,17 +777,6 @@ class _Replay:
 
 def _proof(rec):
     return None if rec["proof"] == "-" else rec["proof"]
-
-
-def _edge(rec) -> EdgePublic:
-    shared = rec["state"] == "shared"
-    return EdgePublic(
-        rec["lo"],
-        rec["hi"],
-        shared,
-        bytes.fromhex(rec["root_lo"]) if shared else b"",
-        bytes.fromhex(rec["root_hi"]) if shared else b"",
-    )
 
 
 def _line(rec) -> str:
@@ -809,7 +813,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     the judge asks for an input the record at the cursor is not, verify
     stops there.  Raises MalformedRecord only for what cannot be parsed
     or checked: the header and group, a CONFIG n the body cannot hold, a
-    missing SUMMARY or opening SESSION record, a commitment outside the group.
+    missing SUMMARY or opening SESSION record, a commitment outside the
+    group, and, at its own index, a PUBKEY y outside [1, p) or an EDGE
+    root that is not hex.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)

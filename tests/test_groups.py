@@ -18,6 +18,7 @@ from dcmesh.groups import (
     combine,
     commit,
     derive_params,
+    invert_all,
     negate,
     verify_open,
 )
@@ -229,11 +230,10 @@ def test_parsed_params_share_tables_and_stay_equal(medium):
 
 
 def test_parsed_group_is_validated_once(monkeypatch):
-    # the primality checks of a group's p and q run once per process; a
-    # second parse only checks that the generators lie in the subgroup
+    # a built-in set's p and q are validated by table: a parse only
+    # checks that the generators lie in the subgroup
     params = derive_params("production", TAG)
     text = params.to_text()
-    GroupParams.from_text(text)
     calls = []
 
     def counting_pow(*args):
@@ -243,6 +243,53 @@ def test_parsed_group_is_validated_once(monkeypatch):
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
     assert GroupParams.from_text(text) == params
     assert calls == [(x, params.q, params.p) for x in params.generators]
+
+
+@pytest.mark.parametrize("level", groups.SECURITY_LEVELS)
+def test_built_in_sets_are_safe_primes(level):
+    # what validate takes from the table of built-in sets
+    p, q = groups._BUILT_IN[level]
+    assert groups._is_probable_prime(p) and groups._is_probable_prime(q)
+    assert p == 2 * q + 1
+    params = derive_params(level, TAG)
+    assert (params.p, params.q) == (p, q)
+
+
+def test_named_groups_skip_the_primality_test(monkeypatch):
+    is_probable_prime, tested = groups._is_probable_prime, []
+
+    def counting(n, *args):
+        tested.append(n)
+        return is_probable_prime(n, *args)
+
+    monkeypatch.setattr(groups, "_is_probable_prime", counting)
+    text = derive_params("production", TAG).to_text()
+    assert GroupParams.from_text(text).name == "production"
+    assert tested == []
+    # any other (name, p, q) is tested, a built-in name included
+    GroupParams("toy", 23, 11, (4, 9), TAG).validate()
+    assert tested == [23, 11]
+    for name in ("toy", "test_small"):
+        with pytest.raises(ValueError, match="prime"):
+            GroupParams(name, 23, 22, (4, 9), TAG).validate()
+
+
+@pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
+def test_window_table_powers_match_power(level):
+    params = derive_params(level, TAG)
+    exponents = [0, params.q - 1, params.q, -3, 2 * params.q + 5]
+    for table in (params.g_table, params.h_table):
+        assert table.powers(exponents) == [table.power(e) for e in exponents]
+    assert params.g_table.powers([]) == []
+
+
+def test_invert_all_matches_negate(medium):
+    rng = random.Random(25)
+    values = [1, medium.p - 1] + [
+        commit(medium, rng.randrange(medium.q), rng.randrange(medium.q)) for _ in range(30)
+    ]
+    for count in (0, 1, 2, 3, len(values)):
+        assert invert_all(medium, values[:count]) == [negate(medium, c) for c in values[:count]]
 
 
 def test_power_matches_pow(medium):

@@ -10,6 +10,7 @@ from dcmesh.errors import RoundBudgetExhausted, SignatureRefused
 from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
+    KeyGraph,
     aggregate_commitment,
     build_key_graph,
     endorse,
@@ -40,10 +41,10 @@ def test_establish_pair_antisymmetry(level, request):
     rng = random.Random(1)
     ki, kj = gen_signing_key(params, rng), gen_signing_key(params, rng)
     secret, held_i, held_j = establish_pair(params, 0, 1, rng, ki, kj, epoch=2)
-    assert len(secret.rounds) == EPOCH_SLOTS
-    for slot, s in enumerate(secret.rounds):
-        c_ij = commit(params, s.key, s.blind)
-        c_ji = commit(params, -s.key % params.q, -s.blind % params.q)
+    assert len(secret.keys) == len(secret.blinds) == EPOCH_SLOTS
+    for slot, (key, blind) in enumerate(zip(secret.keys, secret.blinds)):
+        c_ij = commit(params, key, blind)
+        c_ji = commit(params, -key % params.q, -blind % params.q)
         assert c_ij * c_ji % params.p == 1
         assert held_i.commitments[slot] == c_ij
         assert held_j.commitments[slot] == c_ji
@@ -56,31 +57,55 @@ def test_establish_pair_antisymmetry(level, request):
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
 def test_pair_secrets_are_a_randrange_stream(level):
     # one getrandbits loop draws exactly what randrange(q) would, and
-    # leaves the generator in the same state
+    # leaves the generator in the same state: for one pair, and for an
+    # epoch's rows, whose shared edges draw in (lo, hi) order
     params = derive_params(level, TAG)
     keys = random.Random(4)
-    ki, kj = gen_signing_key(params, keys), gen_signing_key(params, keys)
+    signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    secret, _, _ = establish_pair(params, 0, 1, rng, ki, kj)
-    drawn = [x for s in secret.rounds for x in (s.key, s.blind)]
-    assert drawn == [reference.randrange(params.q) for _ in range(2 * EPOCH_SLOTS)]
+    secret, _, _ = establish_pair(params, 0, 1, rng, signing[0], signing[1])
+    graph = KeyGraph(params, range(6), signing, frozenset({2}))
+    graph.add_epoch(rng)
+    shared = [e.secret for _, e in sorted(graph.epochs[0].items()) if e.established]
+    assert len(shared) == 10   # fifteen edges, five of them opted out by 2
+    drawn = [x for s in [secret] + shared for pair in zip(s.keys, s.blinds) for x in pair]
+    assert drawn == [reference.randrange(params.q) for _ in range(11 * 2 * EPOCH_SLOTS)]
     assert rng.getstate() == reference.getstate()
 
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # one commitment per slot, the reverse direction by inversion, and
-    # one nonce power per root signature: 2 * EPOCH_SLOTS + 2
+    # one nonce power per root signature: 2 * EPOCH_SLOTS + 2 table
+    # powers; a row's inversions share one pow
     rng = random.Random(6)
     ki, kj = gen_signing_key(medium, rng), gen_signing_key(medium, rng)
-    table_power, powers = groups.WindowTable.power, []
+    table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
+    exponents, inversions = [], []
 
     def counting_power(table, exponent):
-        powers.append(exponent)
+        exponents.append(exponent)
         return table_power(table, exponent)
 
+    def counting_powers(table, batch):
+        exponents.extend(batch)
+        return table_powers(table, batch)
+
+    def counting_pow(*args):
+        if args[1] == -1:
+            inversions.append(args)
+        return pow(*args)
+
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
+    monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
+    monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
     establish_pair(medium, 0, 1, rng, ki, kj)
-    assert len(powers) == 2 * EPOCH_SLOTS + 2
+    assert len(exponents) == 2 * EPOCH_SLOTS + 2
+    assert len(inversions) == 1
+    # six participants: five rows with a higher peer, one inversion each
+    graph = build_key_graph(medium, range(6), rng)
+    inversions.clear()
+    graph.add_epoch(rng)
+    assert len(inversions) == 5
 
 
 def test_establish_pair_refusal(small):
@@ -98,7 +123,7 @@ def test_per_round_secrets_are_fresh(small):
     repeats = 0
     for _ in range(120):
         secret, _, _ = establish_pair(small, 0, 1, rng, ki, kj)
-        if secret.rounds[0].key == secret.rounds[1].key:
+        if secret.keys[0] == secret.keys[1]:
             repeats += 1
     assert repeats < 20  # expectation is about 120/53
 
@@ -257,6 +282,19 @@ def test_merkle_batch_single_leaf(small):
     assert merkle.path(levels, 0) == []
     assert merkle.root_at(leaf, 0, 1, []) == merkle.leaf_hash(leaf)
     assert merkle.root_at(leaf, 1, 1, []) is None
+
+
+def test_merkle_roots_match_build_tree(small):
+    leaves = [small.element_to_bytes(c) for c in range(1, 49)]
+    for width in (1, 2, 4, EPOCH_SLOTS):
+        for trees in (1, 2, 3):
+            runs = [leaves[k * width : (k + 1) * width] for k in range(trees)]
+            expected = [merkle.build_tree(run)[-1][0] for run in runs]
+            assert merkle.roots(leaves[: trees * width], width) == expected
+    # a width that is not a power of two, and a ragged last tree
+    for count, width in ((6, 3), (6, 4), (1, 0)):
+        with pytest.raises(ValueError):
+            merkle.roots(leaves[:count], width)
 
 
 def test_merkle_batch_inclusion_paths(small):

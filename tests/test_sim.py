@@ -133,6 +133,12 @@ PINNED_TRANSCRIPTS = [
     # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
      "bb641932f6f74a6bb571a77c8d99597e71ddf5b4d40e3015dce02d59fae9a02e"),
+    # a refuser in mid-row, whose edges draw nothing, and a session that
+    # endorses epoch 1 (budget 32, ten later-epoch EDGE records)
+    (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
+                  adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
+                  seed=0, max_retries=14),
+     "7f9bbdf76301f2e323175bdb439cf11cdb9b47751cc59d7fff22d6b1b40dd392"),
 ]
 
 
@@ -450,6 +456,26 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
     header[-1] = {**header[-1], "digest": records_digest(header[:-1])}
     with pytest.raises(MalformedRecord) as info:
         sim.verify_transcript(Transcript.from_text(transcript.to_text()))
+    assert info.value.index == index
+
+
+@pytest.mark.parametrize(
+    "rtype, field, value",
+    [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
+     ("EDGE", "root_lo", "zz"), ("EDGE", "root_hi", "abc")],
+)
+def test_undecodable_key_record_is_malformed_at_its_index(rtype, field, value, medium):
+    # at its own index and naming the field, not as an unreplayable session
+    value = str(medium.p) if value == "p" else value
+    text = sim.run_scenario(sim.Scenario(n=3, adversaries=((2, "bad_pad"),), seed=1)).to_text()
+    lines = text.splitlines()
+    index = next(i for i, ln in enumerate(lines) if ln.startswith(f"{rtype} session=1 "))
+    lines[index] = " ".join(
+        f"{field}={value}" if item.startswith(f"{field}=") else item
+        for item in lines[index].split()
+    )
+    with pytest.raises(MalformedRecord, match=field) as info:
+        sim.verify_transcript(Transcript.from_text("\n".join(lines) + "\n"))
     assert info.value.index == index
 
 
