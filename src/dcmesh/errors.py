@@ -21,14 +21,6 @@ class EmptyClauseList(DcMeshError):
     """OR statement requested over zero branches."""
 
 
-class SignatureRefused(DcMeshError):
-    """A participant declined to endorse a pairwise commitment."""
-
-    def __init__(self, participant):
-        super().__init__(f"participant {participant} refused to sign")
-        self.participant = participant
-
-
 class RoundBudgetExhausted(DcMeshError):
     """A round asked for a second slot, or for a slot whose epoch is not endorsed."""
 

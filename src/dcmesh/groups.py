@@ -15,9 +15,9 @@ parameter sets are built in:
 Powers of the two fixed generators go through a window table per
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
-protocol, whose statement base is h; ``WindowTable.powers`` raises the
-base to a list of exponents one table row at a time, for key setup's
-commitments.  ``pow`` is left for variable bases and inverses, and
+protocol, every branch of which is a power of h; ``WindowTable.powers``
+raises the base to a list of exponents one table row at a time, for key
+setup's commitments.  ``pow`` is left for variable bases and inverses, and
 ``invert_all`` inverts a list with one ``pow`` (Montgomery 1987).  A
 group named after a built-in set with that set's (p, q) is validated
 against the table of built-in sets, whose primality the tests check;
@@ -151,14 +151,6 @@ class GroupParams:
     @functools.cached_property
     def h_table(self) -> WindowTable:
         return window_table(self, self.h)
-
-    def power(self, base: int, exponent: int) -> int:
-        """base^exponent, through a window table when base is g or h."""
-        if base == self.g:
-            return self.g_table.power(exponent)
-        if base == self.h:
-            return self.h_table.power(exponent)
-        return pow(base, exponent, self.p)
 
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1

@@ -17,9 +17,9 @@ An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
 secrets drawn in one loop, the commitments made with
 ``WindowTable.powers``, their inverses with ``groups.invert_all`` and
-the Merkle roots with ``merkle.roots``; ``establish_pair`` is the row
-of one edge.  A participant's view sums each epoch once: its pad and
-blinding sums and its aggregate commitment for every slot of the epoch.
+the Merkle trees with one ``merkle.build_tree``.  A participant's view
+sums each epoch once: its pad and blinding sums and its aggregate
+commitment for every slot of the epoch.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import merkle
-from .errors import RoundBudgetExhausted, SignatureRefused
+from .errors import RoundBudgetExhausted
 from .groups import GroupParams, commit, invert_all
 
 # slots per endorsement epoch: one Merkle root, and one signature, per
@@ -151,24 +151,20 @@ class Endorsement:
 
     def reveal(self, params: GroupParams, index: int) -> RevealedCommitment:
         """The commitment at ``index`` of the epoch, with its path."""
-        levels = merkle.build_tree([params.element_to_bytes(c) for c in self.commitments])
+        levels = merkle.build_tree(
+            [params.element_to_bytes(c) for c in self.commitments], EPOCH_SLOTS
+        )
         return RevealedCommitment(
             self.commitments[index], _path_text(merkle.path(levels, index)), self.signature
         )
 
 
-def endorse(params: GroupParams, commitments, holder: int, peer: int, peer_key: SigningKey,
-            epoch: int):
-    """The peer's endorsement of one epoch of the commitments edge holder -> peer holds."""
-    (endorsement,) = _endorse_all(params, list(commitments), [(holder, peer, peer_key)], epoch)
-    return endorsement
-
-
-def _endorse_all(params: GroupParams, commitments, directions, epoch: int):
-    """One endorsement per direction ``(holder, peer, peer_key)``, of the
-    next ``EPOCH_SLOTS`` commitments in turn."""
+def endorse(params: GroupParams, commitments, directions, epoch: int):
+    """One epoch's endorsement per direction ``(holder, peer, peer_key)``,
+    of the next ``EPOCH_SLOTS`` commitments in turn: the peer signs the
+    root of the commitments edge holder -> peer holds."""
     size = params.element_bytes
-    roots = merkle.roots([c.to_bytes(size, "big") for c in commitments], EPOCH_SLOTS)
+    roots = merkle.build_tree([c.to_bytes(size, "big") for c in commitments], EPOCH_SLOTS)[-1]
     return [
         Endorsement(
             tuple(commitments[at : at + EPOCH_SLOTS]),
@@ -213,39 +209,15 @@ def is_endorsed(
     )
 
 
-def establish_pair(
-    params: GroupParams,
-    i: int,
-    j: int,
-    rng,
-    key_i: SigningKey,
-    key_j: SigningKey,
-    refusers=frozenset(),
-    epoch: int = 0,
-):
-    """Agree on fresh secrets for one epoch of the pair (i, j).
-
-    Returns the direction i -> j secrets along with both directions'
-    endorsements: i's commitments signed by j, and j's signed by i.
-    Raises SignatureRefused when either endpoint declines.  The one-edge
-    case of ``establish_row``.
-    """
-    if i == j:
-        raise ValueError("a participant does not pair with itself")
-    if i in refusers:
-        raise SignatureRefused(i)
-    if j in refusers:
-        raise SignatureRefused(j)
-    (pair,) = establish_row(params, i, key_i, [(j, key_j)], rng, epoch)
-    return pair
-
-
 def establish_row(params: GroupParams, lo: int, key_lo: SigningKey, peers, rng, epoch: int):
     """One epoch of the edges lo -> hi for each ``(hi, key_hi)`` of
-    ``peers``, in order: ``establish_pair``'s triple per edge.
+    ``peers``, in order: per edge, the secrets of direction lo -> hi,
+    the endorsement lo holds (signed by hi) and the one hi holds (signed
+    by lo).
 
-    The edges go through each stage together, and draw from ``rng``
-    what one ``establish_pair`` per edge, in the same order, would.
+    The edges go through each stage together.  Each draws its secrets
+    from ``rng`` in turn, key then blinding value for each slot, as
+    ``rng.randrange(q)`` would.
     """
     # rng.randrange(q) 2 * EPOCH_SLOTS times per edge: the same rejection
     # loop over q.bit_length() random bits, without a call per draw
@@ -262,7 +234,7 @@ def establish_row(params: GroupParams, lo: int, key_lo: SigningKey, peers, rng, 
     ]
     # commit(-k, -r) is the inverse of commit(k, r)
     c_hi = invert_all(params, c_lo)
-    held = _endorse_all(
+    held = endorse(
         params,
         c_lo + c_hi,
         [(lo, hi, key_hi) for hi, key_hi in peers] + [(hi, lo, key_lo) for hi, _ in peers],

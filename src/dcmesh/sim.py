@@ -753,7 +753,8 @@ class _Replay:
         for pid in self.pids:
             rec = self._input("CIPHER", round=round_id, part=pid)
             if not self.params.is_element(rec["c"]):
-                raise MalformedRecord(self.index + self.at, f"commitment of {pid} not in the group")
+                message = f"CIPHER c of {pid} not in the group"
+                raise MalformedRecord(self.index + self.read - 1, message)
             cts.append(
                 RoundCiphertext(pid, round_id, rec["O"] % self.params.q, rec["c"], _proof(rec))
             )
@@ -813,9 +814,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     the judge asks for an input the record at the cursor is not, verify
     stops there.  Raises MalformedRecord only for what cannot be parsed
     or checked: the header and group, a CONFIG n the body cannot hold, a
-    missing SUMMARY or opening SESSION record, a commitment outside the
-    group, and, at its own index, a PUBKEY y outside [1, p) or an EDGE
-    root that is not hex.
+    missing SUMMARY or opening SESSION record, and, at its own index, a
+    PUBKEY y outside [1, p), an EDGE root that is not hex or a CIPHER c
+    outside the group.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)

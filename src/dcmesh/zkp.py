@@ -1,15 +1,17 @@
 """Non-interactive proofs of knowledge for discrete-log statements.
 
-Everything here is a Fiat-Shamir sigma protocol over statements of the
-shape "I know alpha with target = base^alpha".  Composition is by the
-classic simulate-the-untrue-branches OR technique:
+Everything here is a Fiat-Shamir sigma protocol over branches of one
+shape, "I know alpha with target = h^alpha", for the group's blinding
+generator h.  Composition is by the classic simulate-the-untrue-branches
+OR technique (Cramer-Damgard-Schoenmakers 1994):
 
 * a plain knowledge proof is a one-branch OR,
 * an OR statement becomes one block per branch, with the branch
   challenges summing to the hashed top-level challenge.
 
-Provers check their own witness and refuse to emit anything unsound;
-dishonest transcripts are produced explicitly via :func:`forge_attempt`.
+A block is one announcement, its challenge and its response.  Provers
+check their own witness and refuse to emit anything unsound; dishonest
+transcripts are produced explicitly via :func:`forge_attempt`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from .groups import GroupParams
 
 _FS_TAG = b"dcmesh/fs/v1"
 
+# a block's announcement count on the wire; every block holds one
+_ONE_ANNOUNCEMENT = (1).to_bytes(2, "big")
+
 
 @dataclass(frozen=True)
 class RepStatement:
-    """Claim of knowledge of alpha with ``target = base^alpha``.
+    """Claim of knowledge of alpha with ``target = h^alpha``.
 
     ``context`` carries the statement's role bytes (round ids,
     participant id, session label) so a proof cannot be replayed for a
@@ -33,7 +38,6 @@ class RepStatement:
     """
 
     target: int
-    base: int
     context: bytes = b""
 
 
@@ -48,7 +52,7 @@ class OrStatement:
 
 @dataclass(frozen=True)
 class ProofBlock:
-    commitments: tuple[int, ...]
+    commitment: int
     challenge: int
     response: int
 
@@ -67,7 +71,7 @@ def rep_statement_bytes(params: GroupParams, stmt: RepStatement) -> bytes:
     return (
         b"rep|"
         + params.element_to_bytes(stmt.target)
-        + params.element_to_bytes(stmt.base)
+        + params.element_to_bytes(params.h)   # the base of every branch
         + len(stmt.context).to_bytes(4, "big")
         + stmt.context
     )
@@ -93,102 +97,79 @@ def fs_challenge(params: GroupParams, statement_bytes: bytes, commitments: list[
 
 
 # ---------------------------------------------------------------------------
-# flat OR core
-#
-# A "disjunct" is a list of (target, base) atoms that must all hold for
-# one shared alpha; the proof asserts at least one disjunct holds.
+# OR core over powers of h
 
 
-class FlatProver:
-    """Interactive core of the OR proof; also used by rewinding tests.
+class Prover:
+    """Interactive core of the OR proof over ``targets``, one branch
+    each; also used by rewinding tests.
 
-    The announcement is fixed at construction, and :meth:`respond` may
+    The announcements are fixed at construction, and :meth:`respond` may
     be called several times with different challenges, which is exactly
     the rewinding game the soundness extractor plays.
     """
 
-    def __init__(self, params, disjuncts, true_index, alpha, rng):
+    def __init__(self, params, targets, true_index, alpha, rng):
         self.params = params
-        self.disjuncts = disjuncts
         self.true_index = true_index
         self.alpha = alpha % params.q
-        q, p, power = params.q, params.p, params.power
-        for target, base in disjuncts[true_index]:
-            if power(base, self.alpha) != target:
-                raise WitnessMismatch("witness does not satisfy the designated disjunct")
+        q, power = params.q, params.h_table.power
+        if power(self.alpha) != targets[true_index]:
+            raise WitnessMismatch("witness does not satisfy the designated branch")
         self._sim = {}
-        commitments = []
         self.witness_nonce = rng.randrange(q)
-        for d, atoms in enumerate(disjuncts):
+        self.announcements = []
+        for d, target in enumerate(targets):
             if d == true_index:
-                block = tuple(power(base, self.witness_nonce) for _, base in atoms)
+                self.announcements.append(power(self.witness_nonce))
             else:
                 e_d = rng.randrange(q)
                 z_d = rng.randrange(q)
-                block = tuple(
-                    power(base, z_d) * pow(target, q - e_d, p) % p for target, base in atoms
-                )
+                self.announcements.append(simulate(params, target, e_d, z_d))
                 self._sim[d] = (e_d, z_d)
-            commitments.append(block)
-        self.block_commitments = commitments
-
-    def commitments(self) -> list[int]:
-        return [t for block in self.block_commitments for t in block]
 
     def respond(self, challenge: int) -> tuple[ProofBlock, ...]:
         q = self.params.q
         used = sum(e for e, _ in self._sim.values()) % q
         e_true = (challenge - used) % q
         z_true = (self.witness_nonce + e_true * self.alpha) % q
-        blocks = []
-        for d, block in enumerate(self.block_commitments):
-            if d == self.true_index:
-                blocks.append(ProofBlock(block, e_true, z_true))
-            else:
-                e_d, z_d = self._sim[d]
-                blocks.append(ProofBlock(block, e_d, z_d))
-        return tuple(blocks)
+        return tuple(
+            ProofBlock(t, e_true, z_true) if d == self.true_index else ProofBlock(t, *self._sim[d])
+            for d, t in enumerate(self.announcements)
+        )
 
 
-def simulate_block(params, atoms, challenge, response):
-    """Announcement that makes (challenge, response) verify for these atoms."""
+def simulate(params, target, challenge, response):
+    """Announcement that makes (challenge, response) verify for ``target``."""
     p, q = params.p, params.q
-    return tuple(
-        params.power(base, response) * pow(target, q - challenge % q, p) % p
-        for target, base in atoms
-    )
+    return params.h_table.power(response) * pow(target, q - challenge % q, p) % p
 
 
-def prove_flat(params, statement_bytes, disjuncts, true_index, alpha, rng) -> SigmaProof:
-    prover = FlatProver(params, disjuncts, true_index, alpha, rng)
-    challenge = fs_challenge(params, statement_bytes, prover.commitments())
+def _prove(params, statement_bytes, targets, true_index, alpha, rng) -> SigmaProof:
+    prover = Prover(params, targets, true_index, alpha, rng)
+    challenge = fs_challenge(params, statement_bytes, prover.announcements)
     return SigmaProof(
         statement_digest=hashlib.sha256(statement_bytes).digest(),
         blocks=prover.respond(challenge),
     )
 
 
-def verify_flat(params, statement_bytes, disjuncts, proof: SigmaProof) -> bool:
+def _verify(params, statement_bytes, targets, proof: SigmaProof) -> bool:
     if proof.statement_digest != hashlib.sha256(statement_bytes).digest():
         return False
-    if len(proof.blocks) != len(disjuncts):
+    if len(proof.blocks) != len(targets):
         return False
-    for atoms, block in zip(disjuncts, proof.blocks):
-        if len(block.commitments) != len(atoms):
-            return False
-    flat = [t for block in proof.blocks for t in block.commitments]
-    challenge = fs_challenge(params, statement_bytes, flat)
+    challenge = fs_challenge(params, statement_bytes, [b.commitment for b in proof.blocks])
     if sum(b.challenge for b in proof.blocks) % params.q != challenge:
         return False
-    p, q, power = params.p, params.q, params.power
-    for atoms, block in zip(disjuncts, proof.blocks):
+    p, q, power = params.p, params.q, params.h_table.power
+    for target, block in zip(targets, proof.blocks):
         if not (0 <= block.challenge < q and 0 <= block.response < q):
             return False
-        for (target, base), announced in zip(atoms, block.commitments):
-            if not 0 < announced < p:  # reject non-canonical encodings
-                return False
-            if power(base, block.response) != announced * pow(target, block.challenge, p) % p:
-                return False
+        if not 0 < block.commitment < p:  # reject non-canonical encodings
+            return False
+        if power(block.response) != block.commitment * pow(target, block.challenge, p) % p:
+            return False
     return True
 
 
@@ -196,30 +177,22 @@ def verify_flat(params, statement_bytes, disjuncts, proof: SigmaProof) -> bool:
 # statement families
 
 
-def _rep_disjuncts(stmt: RepStatement):
-    return [[(stmt.target, stmt.base)]]
-
-
-def _or_disjuncts(stmt: OrStatement):
-    return [[(b.target, b.base)] for b in stmt.branches]
-
-
 def prove_rep(params, stmt: RepStatement, alpha: int, rng) -> SigmaProof:
-    return prove_flat(params, rep_statement_bytes(params, stmt), _rep_disjuncts(stmt), 0, alpha, rng)
+    return _prove(params, rep_statement_bytes(params, stmt), [stmt.target], 0, alpha, rng)
 
 
 def verify_rep(params, stmt: RepStatement, proof: SigmaProof) -> bool:
-    return verify_flat(params, rep_statement_bytes(params, stmt), _rep_disjuncts(stmt), proof)
+    return _verify(params, rep_statement_bytes(params, stmt), [stmt.target], proof)
 
 
 def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> SigmaProof:
-    return prove_flat(
-        params, or_statement_bytes(params, stmt), _or_disjuncts(stmt), true_branch, alpha, rng
-    )
+    targets = [b.target for b in stmt.branches]
+    return _prove(params, or_statement_bytes(params, stmt), targets, true_branch, alpha, rng)
 
 
 def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
-    return verify_flat(params, or_statement_bytes(params, stmt), _or_disjuncts(stmt), proof)
+    targets = [b.target for b in stmt.branches]
+    return _verify(params, or_statement_bytes(params, stmt), targets, proof)
 
 
 def stmt_no_message(params, value: int, commitment: int, context: bytes = b"") -> RepStatement:
@@ -230,7 +203,7 @@ def stmt_no_message(params, value: int, commitment: int, context: bytes = b"") -
     value equals the pad sum.
     """
     target = commitment * params.g_table.power(-value) % params.p
-    return RepStatement(target=target, base=params.h, context=context)
+    return RepStatement(target=target, context=context)
 
 
 def stmt_same_message(
@@ -245,7 +218,7 @@ def stmt_same_message(
     p = params.p
     quotient = commitment1 * pow(commitment2, -1, p) % p
     target = quotient * params.g_table.power(value2 - value1) % p
-    return RepStatement(target=target, base=params.h, context=context)
+    return RepStatement(target=target, context=context)
 
 
 def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaProof:
@@ -257,29 +230,28 @@ def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaPr
     """
     if isinstance(statement, RepStatement):
         statement_bytes = rep_statement_bytes(params, statement)
-        disjuncts = _rep_disjuncts(statement)
+        targets = [statement.target]
     else:
         statement_bytes = or_statement_bytes(params, statement)
-        disjuncts = _or_disjuncts(statement)
+        targets = [b.target for b in statement.branches]
     q = params.q
-    challenges = [rng.randrange(q) for _ in disjuncts]
-    responses = [rng.randrange(q) for _ in disjuncts]
+    challenges = [rng.randrange(q) for _ in targets]
+    responses = [rng.randrange(q) for _ in targets]
     blocks = [
-        ProofBlock(simulate_block(params, atoms, e, z), e, z)
-        for atoms, e, z in zip(disjuncts, challenges, responses)
+        ProofBlock(simulate(params, target, e, z), e, z)
+        for target, e, z in zip(targets, challenges, responses)
     ]
-    flat = [t for b in blocks for t in b.commitments]
-    top = fs_challenge(params, statement_bytes, flat)
-    # force the challenge sum to match; the first block's equations now
-    # refer to a challenge its announcement was not simulated for
+    top = fs_challenge(params, statement_bytes, [b.commitment for b in blocks])
+    # force the challenge sum to match; the first block's equation now
+    # refers to a challenge its announcement was not simulated for
     delta = (top - sum(challenges)) % q
     fixed = (blocks[0].challenge + delta) % q
-    blocks[0] = ProofBlock(blocks[0].commitments, fixed, blocks[0].response)
+    blocks[0] = ProofBlock(blocks[0].commitment, fixed, blocks[0].response)
     proof = SigmaProof(hashlib.sha256(statement_bytes).digest(), tuple(blocks))
-    if verify_flat(params, statement_bytes, disjuncts, proof):
+    if _verify(params, statement_bytes, targets, proof):
         # delta landed on zero (or the targets were trivial); break an equation
         blocks[0] = ProofBlock(
-            blocks[0].commitments, blocks[0].challenge, (blocks[0].response + 1) % q
+            blocks[0].commitment, blocks[0].challenge, (blocks[0].response + 1) % q
         )
         proof = SigmaProof(proof.statement_digest, tuple(blocks))
     return proof
@@ -292,15 +264,16 @@ def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaPr
 def proof_to_bytes(params: GroupParams, proof: SigmaProof) -> bytes:
     out = [proof.statement_digest, len(proof.blocks).to_bytes(2, "big")]
     for block in proof.blocks:
-        out.append(len(block.commitments).to_bytes(2, "big"))
-        for t in block.commitments:
-            out.append(params.element_to_bytes(t))
+        out.append(_ONE_ANNOUNCEMENT)
+        out.append(params.element_to_bytes(block.commitment))
         out.append(params.scalar_to_bytes(block.challenge))
         out.append(params.scalar_to_bytes(block.response))
     return b"".join(out)
 
 
 def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:
+    """Parse a proof; ValueError for truncated or trailing bytes, and for
+    a block whose announcement count is not one."""
     ew, sw = params.element_bytes, params.scalar_bytes
     pos = 0
 
@@ -316,11 +289,12 @@ def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:
     n_blocks = int.from_bytes(take(2), "big")
     blocks = []
     for _ in range(n_blocks):
-        n_commit = int.from_bytes(take(2), "big")
-        commitments = tuple(int.from_bytes(take(ew), "big") for _ in range(n_commit))
+        if take(2) != _ONE_ANNOUNCEMENT:
+            raise ValueError("a proof block holds one announcement")
+        commitment = int.from_bytes(take(ew), "big")
         challenge = int.from_bytes(take(sw), "big")
         response = int.from_bytes(take(sw), "big")
-        blocks.append(ProofBlock(commitments, challenge, response))
+        blocks.append(ProofBlock(commitment, challenge, response))
     if pos != len(data):
         raise ValueError("trailing bytes after proof")
     return SigmaProof(digest, tuple(blocks))

@@ -265,7 +265,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     published = honest_published(graph, n, 0)
     held = graph.edge(0, 1).held_lo
     forged_list = (held.commitments[0] * small.g % small.p,) + held.commitments[1:]
-    forged = endorse(small, forged_list, 0, 1, graph.signing[1], 0)
+    (forged,) = endorse(small, forged_list, [(0, 1, graph.signing[1])], 0)
     published[0] = dict(published[0])
     published[0][1] = forged.reveal(small, 0)
     public = with_edge_root(graph.public(), 0, 1, forged.root)

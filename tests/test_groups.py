@@ -290,12 +290,3 @@ def test_invert_all_matches_negate(medium):
     ]
     for count in (0, 1, 2, 3, len(values)):
         assert invert_all(medium, values[:count]) == [negate(medium, c) for c in values[:count]]
-
-
-def test_power_matches_pow(medium):
-    # g and h go through their tables, whose exponents are taken mod q
-    rng = random.Random(24)
-    for base, table in ((medium.g, medium.g_table), (medium.h, medium.h_table), (5, None)):
-        for e in edge_exponents(medium.q, rng, extra=10):
-            expected = pow(base, e % medium.q if table else e, medium.p)
-            assert medium.power(base, e) == expected

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from dcmesh import groups, keysetup, merkle
-from dcmesh.errors import RoundBudgetExhausted, SignatureRefused
+from dcmesh.errors import RoundBudgetExhausted
 from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
@@ -14,7 +14,7 @@ from dcmesh.keysetup import (
     aggregate_commitment,
     build_key_graph,
     endorse,
-    establish_pair,
+    establish_row,
     gen_signing_key,
     is_endorsed,
     root_payload,
@@ -40,7 +40,7 @@ def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
     ki, kj = gen_signing_key(params, rng), gen_signing_key(params, rng)
-    secret, held_i, held_j = establish_pair(params, 0, 1, rng, ki, kj, epoch=2)
+    ((secret, held_i, held_j),) = establish_row(params, 0, ki, [(1, kj)], rng, 2)
     assert len(secret.keys) == len(secret.blinds) == EPOCH_SLOTS
     for slot, (key, blind) in enumerate(zip(secret.keys, secret.blinds)):
         c_ij = commit(params, key, blind)
@@ -63,7 +63,7 @@ def test_pair_secrets_are_a_randrange_stream(level):
     keys = random.Random(4)
     signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    secret, _, _ = establish_pair(params, 0, 1, rng, signing[0], signing[1])
+    ((secret, _, _),) = establish_row(params, 0, signing[0], [(1, signing[1])], rng, 0)
     graph = KeyGraph(params, range(6), signing, frozenset({2}))
     graph.add_epoch(rng)
     shared = [e.secret for _, e in sorted(graph.epochs[0].items()) if e.established]
@@ -98,7 +98,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
-    establish_pair(medium, 0, 1, rng, ki, kj)
+    establish_row(medium, 0, ki, [(1, kj)], rng, 0)
     assert len(exponents) == 2 * EPOCH_SLOTS + 2
     assert len(inversions) == 1
     # six participants: five rows with a higher peer, one inversion each
@@ -108,13 +108,6 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     assert len(inversions) == 5
 
 
-def test_establish_pair_refusal(small):
-    rng = random.Random(2)
-    ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
-    with pytest.raises(SignatureRefused):
-        establish_pair(small, 0, 1, rng, ki, kj, refusers={1})
-
-
 def test_per_round_secrets_are_fresh(small):
     # two slots draw independently: over many edges the per-slot keys
     # must not be systematically equal
@@ -122,7 +115,7 @@ def test_per_round_secrets_are_fresh(small):
     ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
     repeats = 0
     for _ in range(120):
-        secret, _, _ = establish_pair(small, 0, 1, rng, ki, kj)
+        ((secret, _, _),) = establish_row(small, 0, ki, [(1, kj)], rng, 0)
         if secret.keys[0] == secret.keys[1]:
             repeats += 1
     assert repeats < 20  # expectation is about 120/53
@@ -277,43 +270,59 @@ def endorsed(params, key, endorsement, revealed, slot, holder=0, peer=1):
 
 def test_merkle_batch_single_leaf(small):
     leaf = small.element_to_bytes(36)
-    levels = merkle.build_tree([leaf])
+    levels = merkle.build_tree([leaf], 1)
     assert levels == [[merkle.leaf_hash(leaf)]]
     assert merkle.path(levels, 0) == []
     assert merkle.root_at(leaf, 0, 1, []) == merkle.leaf_hash(leaf)
     assert merkle.root_at(leaf, 1, 1, []) is None
 
 
+def reference_root(leaves):
+    """A power-of-two tree's root, halving recursively."""
+    if len(leaves) == 1:
+        return merkle.leaf_hash(leaves[0])
+    half = len(leaves) // 2
+    return merkle.node_hash(reference_root(leaves[:half]), reference_root(leaves[half:]))
+
+
 def test_merkle_roots_match_build_tree(small):
+    # many trees built together have the roots each tree has alone
     leaves = [small.element_to_bytes(c) for c in range(1, 49)]
-    for width in (1, 2, 4, EPOCH_SLOTS):
-        for trees in (1, 2, 3):
+    for width in (1, 2, 4, 8, EPOCH_SLOTS):
+        for trees in (0, 1, 2, 3):
             runs = [leaves[k * width : (k + 1) * width] for k in range(trees)]
-            expected = [merkle.build_tree(run)[-1][0] for run in runs]
-            assert merkle.roots(leaves[: trees * width], width) == expected
+            expected = [reference_root(run) for run in runs]
+            assert [merkle.build_tree(run, width)[-1] for run in runs] == [[r] for r in expected]
+            assert merkle.build_tree(leaves[: trees * width], width)[-1] == expected
     # a width that is not a power of two, and a ragged last tree
     for count, width in ((6, 3), (6, 4), (1, 0)):
         with pytest.raises(ValueError):
-            merkle.roots(leaves[:count], width)
+            merkle.build_tree(leaves[:count], width)
 
 
 def test_merkle_batch_inclusion_paths(small):
     rng = random.Random(11)
     key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, k + 1) for k in range(EPOCH_SLOTS)]
-    # counts 1-9 include every odd count, where the last node is promoted
-    for count in range(1, 10):
-        leaves = [small.element_to_bytes(c) for c in commitments[:count]]
-        levels = merkle.build_tree(leaves)
-        for index in range(count):
-            path = merkle.path(levels, index)
-            assert merkle.root_at(leaves[index], index, count, path) == levels[-1][0]
-            # a path only reproduces the root at the index it was made for
-            for other in (index - 1, index + 1):
-                assert merkle.root_at(leaves[index], other, count, path) != levels[-1][0]
+    commitments = [commit(small, k, k + 1) for k in range(2 * EPOCH_SLOTS)]
+    # every tree width, in a forest of two trees
+    for width in (1, 2, 4, 8, EPOCH_SLOTS):
+        leaves = [small.element_to_bytes(c) for c in commitments[: 2 * width]]
+        levels = merkle.build_tree(leaves, width)
+        for tree, root in enumerate(levels[-1]):
+            for index in range(width):
+                path = merkle.path(levels, tree * width + index)
+                leaf = leaves[tree * width + index]
+                assert merkle.root_at(leaf, index, width, path) == root
+                # a path only reproduces the root at the index it was made for
+                for other in (index - 1, index + 1):
+                    assert merkle.root_at(leaf, other, width, path) != root
+                # and only with one sibling per level
+                if path:
+                    assert merkle.root_at(leaf, index, width, path[:-1]) is None
+                assert merkle.root_at(leaf, index, width, path + [root]) is None
     # an endorsed epoch: every slot's path leads to the root its epoch signed
     for epoch in (0, 3):
-        batch = endorse(small, commitments, 0, 1, key, epoch)
+        (batch,) = endorse(small, commitments[:EPOCH_SLOTS], [(0, 1, key)], epoch)
         base = epoch * EPOCH_SLOTS
         for index in range(EPOCH_SLOTS):
             revealed = batch.reveal(small, index)
@@ -330,7 +339,7 @@ def test_merkle_batch_rejects_tampering(small):
     rng = random.Random(12)
     key = gen_signing_key(small, rng)
     commitments = [commit(small, k, 2 * k) for k in range(EPOCH_SLOTS)]
-    batch = endorse(small, commitments, 0, 1, key, 0)
+    (batch,) = endorse(small, commitments, [(0, 1, key)], 0)
     revealed = batch.reveal(small, 2)
     assert endorsed(small, key, batch, revealed, 2)
     # wrong leaf value

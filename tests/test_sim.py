@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -258,6 +259,35 @@ def test_refuse_proof_flagged_as_non_cooperation():
     assert verdicts_of(t) == [(2, "non_cooperation")]
 
 
+class _TwoAnnouncementParticipant(sim.HonestParticipant):
+    """Honest, but sends each CIPHER proof with its first block's
+    announcement twice and that block's announcement count set to 2."""
+
+    def broadcast(self, round_id):
+        ct = super().broadcast(round_id)
+        if ct.proof is None:
+            return ct
+        data = bytes.fromhex(ct.proof)
+        announcement = data[36 : 36 + self.params.element_bytes]
+        # the digest and block count, then the first block
+        proof = data[:34] + (2).to_bytes(2, "big") + announcement + data[36:]
+        return replace(ct, proof=proof.hex())
+
+
+def test_two_announcement_proof_block_is_invalid_proof(monkeypatch):
+    # a block holds one announcement, so this proof does not parse; the
+    # judge gives it the verdict, and the records, of a proof that fails
+    # to verify (the digest was taken when such a block still parsed)
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _TwoAnnouncementParticipant)
+    t = run(
+        sim.Scenario(n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1)
+    )
+    assert verdicts_of(t) == [(2, "invalid_proof")]
+    assert hashlib.sha256(t.to_text().encode()).hexdigest() == (
+        "2e62abf3a9d5dd46e13b190345a350cf911f30c13ba19999ca2e0137d86b5a71"
+    )
+
+
 def test_refuse_signature_is_not_a_verdict():
     t = run(
         sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_signature"),), seed=9)
@@ -460,16 +490,18 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
 
 
 @pytest.mark.parametrize(
-    "rtype, field, value",
+    "prefix, field, value",
     [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
-     ("EDGE", "root_lo", "zz"), ("EDGE", "root_hi", "abc")],
+     ("EDGE", "root_lo", "zz"), ("EDGE", "root_hi", "abc"),
+     ("CIPHER session=1 round=1 part=2", "c", "0")],
 )
-def test_undecodable_key_record_is_malformed_at_its_index(rtype, field, value, medium):
-    # at its own index and naming the field, not as an unreplayable session
+def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, medium):
+    # at its own index and naming the field, not as an unreplayable
+    # session; the record is the first whose line starts with the prefix
     value = str(medium.p) if value == "p" else value
     text = sim.run_scenario(sim.Scenario(n=3, adversaries=((2, "bad_pad"),), seed=1)).to_text()
     lines = text.splitlines()
-    index = next(i for i, ln in enumerate(lines) if ln.startswith(f"{rtype} session=1 "))
+    index = next(i for i, ln in enumerate(lines) if ln.startswith(f"{prefix} "))
     lines[index] = " ".join(
         f"{field}={value}" if item.startswith(f"{field}=") else item
         for item in lines[index].split()

@@ -13,8 +13,8 @@ import pytest
 from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import commit
 from dcmesh.zkp import (
-    FlatProver,
     OrStatement,
+    Prover,
     RepStatement,
     SigmaProof,
     forge_attempt,
@@ -23,7 +23,7 @@ from dcmesh.zkp import (
     proof_to_bytes,
     prove_or,
     prove_rep,
-    simulate_block,
+    simulate,
     stmt_no_message,
     stmt_same_message,
     verify_or,
@@ -32,7 +32,7 @@ from dcmesh.zkp import (
 
 
 def rep_for(params, alpha, context=b"t"):
-    return RepStatement(target=pow(params.h, alpha, params.p), base=params.h, context=context)
+    return RepStatement(target=pow(params.h, alpha, params.p), context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_rep_tampered_response_rejected(small):
     block = proof.blocks[0]
     bad = SigmaProof(
         proof.statement_digest,
-        (type(block)(block.commitments, block.challenge, (block.response + 1) % small.q),),
+        (type(block)(block.commitment, block.challenge, (block.response + 1) % small.q),),
     )
     assert not verify_rep(small, stmt, bad)
 
@@ -101,7 +101,7 @@ def test_statement_byte_binding(small):
     rng = random.Random(4)
     stmt = rep_for(small, 9, context=b"round-7")
     proof = prove_rep(small, stmt, 9, rng)
-    other = RepStatement(stmt.target, stmt.base, b"round-8")
+    other = RepStatement(stmt.target, b"round-8")
     assert verify_rep(small, stmt, proof)
     assert not verify_rep(small, other, proof)
 
@@ -115,7 +115,6 @@ def or_pair(params, alpha, true_branch, rng):
     decoy = RepStatement(
         target=pow(params.h, rng.randrange(params.q), params.p)
         * params.g % params.p,  # witness would require the dlog of g base h
-        base=params.h,
         context=b"decoy",
     )
     true = rep_for(params, alpha, context=b"true")
@@ -148,8 +147,8 @@ def test_or_challenge_split_tampering_rejected(small):
     shifted = SigmaProof(
         proof.statement_digest,
         (
-            type(b0)(b0.commitments, (b0.challenge + 1) % small.q, b0.response),
-            type(b1)(b1.commitments, (b1.challenge - 1) % small.q, b1.response),
+            type(b0)(b0.commitment, (b0.challenge + 1) % small.q, b0.response),
+            type(b1)(b1.commitment, (b1.challenge - 1) % small.q, b1.response),
         ),
     )
     # sum is still right, but the per-branch equations now fail
@@ -167,8 +166,8 @@ def test_or_hiding_structure(small):
     # both branches satisfiable by construction, so either index proves
     stmt = OrStatement(
         (
-            RepStatement(true_target, small.h, b"left"),
-            RepStatement(true_target, small.h, b"right"),
+            RepStatement(true_target, b"left"),
+            RepStatement(true_target, b"right"),
         )
     )
     sizes = set()
@@ -190,19 +189,18 @@ def test_or_hiding_structure(small):
 # special soundness: the rewinding extractor
 
 
-def extract_flat(params, disjuncts, prover, e1, e2):
-    """Two-transcript extractor for the flat OR core."""
+def extract(params, targets, prover, e1, e2):
+    """Two-transcript extractor for the OR core."""
     blocks1 = prover.respond(e1)
     blocks2 = prover.respond(e2)
-    for atoms, b1, b2 in zip(disjuncts, blocks1, blocks2):
+    for target, b1, b2 in zip(targets, blocks1, blocks2):
         if b1.challenge == b2.challenge:
             continue
         de = (b1.challenge - b2.challenge) % params.q
         dz = (b1.response - b2.response) % params.q
         alpha = dz * pow(de, -1, params.q) % params.q
-        # the recovered witness must satisfy every atom of the disjunct
-        for target, base in atoms:
-            assert pow(base, alpha, params.p) == target
+        # the recovered witness must satisfy the branch
+        assert pow(params.h, alpha, params.p) == target
         return alpha
     raise AssertionError("no differing branch challenge; extraction impossible")
 
@@ -211,9 +209,8 @@ def test_extractor_rep_family(small):
     rng = random.Random(13)
     for alpha in (0, 1, 29, 52):
         stmt = rep_for(small, alpha)
-        disjuncts = [[(stmt.target, stmt.base)]]
-        prover = FlatProver(small, disjuncts, 0, alpha, rng)
-        assert extract_flat(small, disjuncts, prover, 3, 17) == alpha
+        prover = Prover(small, [stmt.target], 0, alpha, rng)
+        assert extract(small, [stmt.target], prover, 3, 17) == alpha
 
 
 def test_extractor_or_family(small):
@@ -221,28 +218,12 @@ def test_extractor_or_family(small):
     for alpha in (5, 40):
         for branch in (0, 1):
             stmt = or_pair(small, alpha, branch, rng)
-            disjuncts = [[(b.target, b.base)] for b in stmt.branches]
-            prover = FlatProver(small, disjuncts, branch, alpha, rng)
+            targets = [b.target for b in stmt.branches]
+            prover = Prover(small, targets, branch, alpha, rng)
             for e1 in range(0, 10):
                 e2 = (e1 + 7) % small.q
-                got = extract_flat(small, disjuncts, prover, e1, e2)
+                got = extract(small, targets, prover, e1, e2)
                 assert got == alpha
-
-
-def test_extractor_conjunction_family(small):
-    rng = random.Random(15)
-    alpha = 23
-    c1 = or_pair(small, alpha, 0, rng)
-    c2 = or_pair(small, alpha, 1, rng)
-    # one disjunct per branch selection (i, j); each holds branch i of
-    # c1 and branch j of c2 under one shared witness
-    selections = [(i, j) for i in range(2) for j in range(2)]
-    disjuncts = [
-        [(c1.branches[i].target, c1.branches[i].base), (c2.branches[j].target, c2.branches[j].base)]
-        for i, j in selections
-    ]
-    prover = FlatProver(small, disjuncts, selections.index((0, 1)), alpha, rng)
-    assert extract_flat(small, disjuncts, prover, 2, 31) == alpha
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +237,6 @@ def test_simulated_transcripts_match_real_exactly(small):
     identically zero because the multisets are equal."""
     alpha = 19
     stmt = rep_for(small, alpha)
-    atoms = [(stmt.target, stmt.base)]
     q, p, h = small.q, small.p, small.h
     real = Counter()
     for w in range(q):
@@ -267,7 +247,7 @@ def test_simulated_transcripts_match_real_exactly(small):
     simulated = Counter()
     for z in range(q):
         for e in range(q):
-            (t,) = simulate_block(small, atoms, e, z)
+            t = simulate(small, stmt.target, e, z)
             simulated[(t, e, z)] += 1
     assert real == simulated
     chi_square = sum(
@@ -287,9 +267,9 @@ def test_simulator_transcripts_verify_interactively(small):
     p, h = small.p, small.h
     for e in range(small.q):
         z = rng.randrange(small.q)
-        (t,) = simulate_block(small, [(stmt.target, stmt.base)], e, z)
+        t = simulate(small, stmt.target, e, z)
         assert pow(h, z, p) == t * pow(stmt.target, e, p) % p
-        fake = SigmaProof(real.statement_digest, (type(real.blocks[0])((t,), e, z),))
+        fake = SigmaProof(real.statement_digest, (type(real.blocks[0])(t, e, z),))
         assert len(proof_to_bytes(small, fake)) == len(proof_to_bytes(small, real))
 
 
@@ -379,3 +359,15 @@ def test_proof_serialization_roundtrip(small, medium):
             proof_from_bytes(params, data[:-1])
         with pytest.raises(ValueError):
             proof_from_bytes(params, data + b"\x00")
+        # every block holds one announcement: a first block with none, or
+        # with two, is not a proof
+        ew, sw = params.element_bytes, params.scalar_bytes
+        count, announcement, scalars = data[34:36], data[36 : 36 + ew], data[36 + ew :]
+        assert count == (1).to_bytes(2, "big") and len(scalars) > 2 * sw
+        for n, announcements in ((0, b""), (2, announcement * 2)):
+            block = n.to_bytes(2, "big") + announcements
+            with pytest.raises(ValueError):
+                proof_from_bytes(params, data[:34] + block + scalars)
+            # nor is one announcement under another count
+            with pytest.raises(ValueError):
+                proof_from_bytes(params, data[:34] + n.to_bytes(2, "big") + data[36:])
