@@ -4,7 +4,9 @@ Subcommands:
   run            execute a scenario file, write its transcript
   verify         re-judge a transcript and report every divergence
   paper-example  run the built-in five-message worked example
-  keygen         print session 1's key records as ``run`` writes them
+  keygen         print session 1's key records as ``run`` writes them:
+                 PUBKEY, OPTOUT (none, as keygen refuses nothing) and
+                 the epoch-0 ENDORSE records
 
 Exit codes are a stable contract: 0 clean, 1 usage or configuration
 error or a malformed transcript (one that cannot be parsed or checked),
@@ -175,7 +177,9 @@ def main(argv=None) -> int:
     p_ex.add_argument("--group", choices=sorted(_GROUP_CHOICES))
     p_ex.set_defaults(func=cmd_paper_example)
 
-    p_keys = sub.add_parser("keygen", help="print session 1's PUBKEY and epoch-0 EDGE records")
+    p_keys = sub.add_parser(
+        "keygen", help="print session 1's PUBKEY, OPTOUT and epoch-0 ENDORSE records"
+    )
     p_keys.add_argument("--n", type=int, default=5)
     p_keys.add_argument("--seed", type=int, default=0)
     p_keys.add_argument("--group", choices=sorted(_GROUP_CHOICES))

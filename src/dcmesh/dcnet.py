@@ -116,20 +116,19 @@ def investigate(
 
     ``published`` maps participant -> {peer: RevealedCommitment} as each
     participant revealed them.  Checks, per participant: each revealed
-    commitment's path leads to the direction's EDGE root for the epoch
-    of ``slot`` and the peer's signature over that root verifies, the broadcast
-    aggregate equals the product of the revealed pair commitments, and
-    each revealed pair multiplies with its reverse to the identity.  A bare pair mismatch with both
-    endorsements intact flags both endpoints; anyone whose revealed
-    value lacks a valid endorsement is pinned directly.
+    commitment's path leads to the peer's signed ENDORSE root for the
+    epoch of ``slot`` (whose signature was checked when it was read),
+    the broadcast aggregate equals the product of the revealed pair
+    commitments, and each revealed pair multiplies with its reverse to
+    the identity.  A bare pair mismatch with both endorsements intact
+    flags both endpoints; anyone whose revealed value lacks a valid
+    endorsement is pinned directly.
     """
     record = InvestigationRecord(round_id=round_result.round_id, slot=slot)
     participants = graph_public.participants
-    publics = graph_public.publics
-    optouts = graph_public.optout_pairs()
-    roots = {}   # (holder, peer) -> endorsed root of that direction in the slot's epoch
-    for e in graph_public.epochs[slot // EPOCH_SLOTS]:
-        roots[(e.lo, e.hi)], roots[(e.hi, e.lo)] = e.root_lo, e.root_hi
+    optouts = graph_public.optouts
+    # signer -> its signed root for the slot's epoch
+    roots = {signed.part: signed.root for signed in graph_public.epochs[slot // EPOCH_SLOTS]}
     sig_ok: dict[tuple[int, int], bool] = {}
 
     for pid in participants:
@@ -147,7 +146,7 @@ def investigate(
             continue
         product = 1
         for peer, sc in sorted(revealed.items()):
-            ok = is_endorsed(params, roots[(pid, peer)], publics[peer], pid, peer, slot, sc)
+            ok = is_endorsed(params, participants, roots[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
                 record.flag(pid, BAD_SIGNATURE)

@@ -4,22 +4,28 @@ Each unordered pair of participants shares, per slot, a key and a
 blinding value; the reverse direction holds the negations so all pads
 cancel in a round sum, and its commitments, from hi to lo, are the
 inverses of the lo -> hi ones.  Slots are endorsed in epochs of
-``EPOCH_SLOTS``: each direction's commitments for an epoch are the
-leaves of a Merkle tree whose root the counterparty signs once, bound
-to the epoch; a commitment revealed with its inclusion path is endorsed
-by that one signature, which is what later lets an investigation pin
-blame.  Epoch 0 is built with the graph and later epochs on demand,
-over the same edges and signing keys.  A participant may refuse to
-share a secret with a peer; the edge is then publicly marked opted out
-and contributes zero pads and identity commitments.
+``EPOCH_SLOTS``.  Each edge direction's commitments for an epoch are
+the leaves of a Merkle tree.  The roots of the directions a participant
+is the peer of, one per other participant in id order, are the leaves
+of that participant's own tree, and it signs that tree's root once per
+epoch, bound to the epoch (an ENDORSE record).  A commitment revealed
+with its path through both trees is endorsed by that one signature,
+which is what later lets an investigation pin blame.  Epoch 0 is built
+with the graph and later epochs on demand, over the same edges and
+signing keys.  A participant may refuse to share a secret with a peer;
+the edge is then publicly marked opted out for the whole session,
+contributes zero pads and identity commitments, and has a fixed tag
+leaf in the peer's tree, which is padded with the same tag to a
+power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
 secrets drawn in one loop, the commitments made with
 ``WindowTable.powers``, their inverses with ``groups.invert_all`` and
-the Merkle trees with one ``merkle.build_tree``.  A participant's view
-sums each epoch once: its pad and blinding sums and its aggregate
-commitment for every slot of the epoch.
+the Merkle trees with one ``merkle.build_tree``; one more builds every
+participant's tree.  A participant's view sums each epoch once: its pad
+and blinding sums and its aggregate commitment for every slot of the
+epoch.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -34,12 +40,16 @@ from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted
-from .groups import GroupParams, commit, invert_all
+from .groups import GroupParams, invert_all
 
-# slots per endorsement epoch: one Merkle root, and one signature, per
-# edge direction and epoch; fits the median session of every bench
-# workload in epoch 0
+# slots per endorsement epoch: one Merkle root per edge direction and
+# epoch, and one signature per participant and epoch; fits the median
+# session of every bench workload in epoch 0
 EPOCH_SLOTS = 16
+# siblings on a path through one edge direction's tree
+_EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
+# a signer's leaf where it endorses no direction: an opted-out edge, or padding
+NO_EDGE = b"dcmesh/no-edge"
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +103,7 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
 
 
 # ---------------------------------------------------------------------------
-# pairwise secrets
-
-
-class RoundSecret(NamedTuple):
-    key: int
-    blind: int
+# pairwise secrets and endorsements
 
 
 @dataclass(frozen=True)
@@ -111,109 +116,122 @@ class PairwiseSecret:
     blinds: tuple[int, ...]
 
 
-def root_payload(root: bytes, holder: int, peer: int, epoch: int) -> bytes:
-    """What the peer signs to endorse one epoch of edge holder -> peer."""
-    return (
-        b"dcmesh/edge-root/v2"
-        + epoch.to_bytes(4, "big")
-        + root
-        + holder.to_bytes(4, "big")
-        + peer.to_bytes(4, "big")
-    )
+def endorse_payload(root: bytes, signer: int, epoch: int) -> bytes:
+    """What a participant signs to endorse, for one epoch, every
+    direction it is the peer of: the root of its tree."""
+    return b"dcmesh/endorse/v1" + epoch.to_bytes(4, "big") + signer.to_bytes(4, "big") + root
+
+
+def signer_width(count: int) -> int:
+    """Leaves of a signer's tree among ``count`` participants: one per
+    other participant, padded to a power of two."""
+    return 1 << max(0, count - 2).bit_length()
+
+
+def _leaf_index(participants, holder: int, signer: int) -> int:
+    """The leaf of direction holder -> signer in the signer's tree: the
+    holder's place among the participants other than the signer."""
+    index = participants.index(holder)
+    return index - (index > participants.index(signer))
 
 
 def _path_text(siblings) -> str:
-    return "".join(s.hex() for s in siblings) or "-"
+    return "".join(s.hex() for s in siblings)
 
 
 @dataclass(frozen=True)
 class RevealedCommitment:
     """A pair commitment revealed for an investigation.
 
-    ``path`` is the commitment's inclusion path in wire form: hex of the
-    concatenated sibling digests, or "-" when it is empty.
-    ``signature`` is the peer's signature over the epoch's root.
+    ``path`` is its inclusion path in wire form: hex of the concatenated
+    sibling digests, first the direction tree's, then the signer tree's.
     """
 
     commitment: int
     path: str
-    signature: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One edge direction's commitments for an epoch, their Merkle root
-    and the peer's signature over the root."""
+    """One edge direction's commitments for an epoch and their Merkle root."""
 
     commitments: tuple[int, ...]
     root: bytes
-    signature: tuple[int, int]
 
-    def reveal(self, params: GroupParams, index: int) -> RevealedCommitment:
-        """The commitment at ``index`` of the epoch, with its path."""
+    def reveal(self, params: GroupParams, index: int, signer_path) -> RevealedCommitment:
+        """The commitment at ``index`` of the epoch, with its path up to
+        this root and on through ``signer_path``."""
         levels = merkle.build_tree(
             [params.element_to_bytes(c) for c in self.commitments], EPOCH_SLOTS
         )
         return RevealedCommitment(
-            self.commitments[index], _path_text(merkle.path(levels, index)), self.signature
+            self.commitments[index], _path_text(merkle.path(levels, index) + signer_path)
         )
 
 
-def endorse(params: GroupParams, commitments, directions, epoch: int):
-    """One epoch's endorsement per direction ``(holder, peer, peer_key)``,
-    of the next ``EPOCH_SLOTS`` commitments in turn: the peer signs the
-    root of the commitments edge holder -> peer holds."""
+def endorse(params: GroupParams, commitments) -> list[Endorsement]:
+    """One endorsement per run of ``EPOCH_SLOTS`` commitments: the run
+    and its Merkle root."""
     size = params.element_bytes
     roots = merkle.build_tree([c.to_bytes(size, "big") for c in commitments], EPOCH_SLOTS)[-1]
     return [
-        Endorsement(
-            tuple(commitments[at : at + EPOCH_SLOTS]),
-            root,
-            sign(params, peer_key, root_payload(root, holder, peer, epoch)),
-        )
-        for at, root, (holder, peer, peer_key) in zip(
-            range(0, len(commitments), EPOCH_SLOTS), roots, directions, strict=True
-        )
+        Endorsement(tuple(commitments[at : at + EPOCH_SLOTS]), root)
+        for at, root in zip(range(0, len(commitments), EPOCH_SLOTS), roots)
     ]
+
+
+@dataclass(frozen=True)
+class SignedRoot:
+    """A participant's signature over its tree's root for one epoch."""
+
+    part: int
+    root: bytes
+    signature: tuple[int, int]
+
+    def verifies(self, params: GroupParams, public: int, epoch: int) -> bool:
+        payload = endorse_payload(self.root, self.part, epoch)
+        return verify_sig(params, public, payload, self.signature)
 
 
 def is_endorsed(
     params: GroupParams,
+    participants,
     root: bytes,
-    peer_public: int,
     holder: int,
-    peer: int,
+    signer: int,
     slot: int,
     revealed: RevealedCommitment,
 ) -> bool:
-    """Whether the revealed path leads from the commitment at ``slot`` to
-    ``root``, the direction's root for the slot's epoch, and the peer's
-    signature over that root and epoch verifies.
+    """Whether the revealed path leads from the commitment at ``slot``,
+    through the root of direction holder -> signer for the slot's epoch,
+    to ``root``, the signer's root for that epoch.  The signature over
+    ``root`` is checked where the root is read, not here.
 
-    A path that is not canonical hex fails, as does a commitment that
-    does not fit the group's encoding.
+    A path that is not canonical hex of whole digests fails, as does one
+    with another number of siblings or a commitment that does not fit
+    the group's encoding.
     """
     try:
-        raw = b"" if revealed.path == "-" else bytes.fromhex(revealed.path)
+        raw = bytes.fromhex(revealed.path)
         leaf = params.element_to_bytes(revealed.commitment)
     except (ValueError, OverflowError):
         return False
     siblings = [raw[i : i + 32] for i in range(0, len(raw), 32)]
     if _path_text(siblings) != revealed.path:
         return False
-    epoch, index = divmod(slot, EPOCH_SLOTS)
-    if merkle.root_at(leaf, index, EPOCH_SLOTS, siblings) != root:
-        return False
-    return verify_sig(
-        params, peer_public, root_payload(root, holder, peer, epoch), revealed.signature
+    edge_root = merkle.root_at(leaf, slot % EPOCH_SLOTS, EPOCH_SLOTS, siblings[:_EDGE_LEVELS])
+    return edge_root is not None and root == merkle.root_at(
+        edge_root,
+        _leaf_index(participants, holder, signer),
+        signer_width(len(participants)),
+        siblings[_EDGE_LEVELS:],
     )
 
 
-def establish_row(params: GroupParams, lo: int, key_lo: SigningKey, peers, rng, epoch: int):
-    """One epoch of the edges lo -> hi for each ``(hi, key_hi)`` of
-    ``peers``, in order: per edge, the secrets of direction lo -> hi,
-    the endorsement lo holds (signed by hi) and the one hi holds (signed
-    by lo).
+def establish_row(params: GroupParams, lo: int, peers, rng):
+    """One epoch of the edges lo -> hi for each hi of ``peers``, in
+    order: per edge, the secrets of direction lo -> hi, the endorsement
+    lo holds and the one hi holds.
 
     The edges go through each stage together.  Each draws its secrets
     from ``rng`` in turn, key then blinding value for each slot, as
@@ -233,18 +251,12 @@ def establish_row(params: GroupParams, lo: int, key_lo: SigningKey, peers, rng, 
         a * b % p for a, b in zip(params.g_table.powers(keys), params.h_table.powers(blinds))
     ]
     # commit(-k, -r) is the inverse of commit(k, r)
-    c_hi = invert_all(params, c_lo)
-    held = endorse(
-        params,
-        c_lo + c_hi,
-        [(lo, hi, key_hi) for hi, key_hi in peers] + [(hi, lo, key_lo) for hi, _ in peers],
-        epoch,
-    )
+    held = endorse(params, c_lo + invert_all(params, c_lo))
     secrets = [
         PairwiseSecret(
             lo, hi, tuple(keys[at : at + EPOCH_SLOTS]), tuple(blinds[at : at + EPOCH_SLOTS])
         )
-        for (hi, _), at in zip(peers, range(0, len(keys), EPOCH_SLOTS))
+        for hi, at in zip(peers, range(0, len(keys), EPOCH_SLOTS))
     ]
     return list(zip(secrets, held, held[len(peers) :]))
 
@@ -264,19 +276,15 @@ class EdgeState:
     held_lo: Endorsement | None = None     # held by lo, endorsed by hi
     held_hi: Endorsement | None = None     # held by hi, endorsed by lo
 
-    def public(self) -> EdgePublic:
-        if not self.established:
-            return EdgePublic(self.lo, self.hi, False)
-        return EdgePublic(self.lo, self.hi, True, self.held_lo.root, self.held_hi.root)
 
+class Epoch(NamedTuple):
+    """One endorsed epoch: every edge's state, the levels of all the
+    signers' trees (one per participant, in order, built together) and
+    each participant's signed root."""
 
-@dataclass(frozen=True)
-class EdgePublic:
-    lo: int
-    hi: int
-    established: bool
-    root_lo: bytes = b""
-    root_hi: bytes = b""
+    edges: dict     # (lo, hi) -> EdgeState
+    trees: list
+    signed: tuple   # SignedRoot per participant
 
 
 class EpochShare(NamedTuple):
@@ -292,18 +300,17 @@ class EpochShare(NamedTuple):
 
 @dataclass(frozen=True)
 class KeyGraphPublic:
-    """What everyone may see: identities, opt-outs, and each endorsed
-    epoch's roots.  Every epoch lists every pair in (lo, hi) order."""
+    """What everyone may see: identities, the pairs opted out for the
+    whole session, and per endorsed epoch each participant's signed
+    root, in participant order."""
 
     participants: tuple[int, ...]
     publics: dict
-    epochs: tuple[tuple[EdgePublic, ...], ...]
+    optouts: frozenset   # (lo, hi) pairs
+    epochs: tuple[tuple[SignedRoot, ...], ...]
 
-    def optout_pairs(self) -> set:
-        return {(e.lo, e.hi) for e in self.epochs[0] if not e.established}
-
-    def with_epoch(self, edges) -> "KeyGraphPublic":
-        return replace(self, epochs=self.epochs + (tuple(edges),))
+    def with_epoch(self, signed) -> "KeyGraphPublic":
+        return replace(self, epochs=self.epochs + (tuple(signed),))
 
 
 class KeyGraph:
@@ -314,51 +321,61 @@ class KeyGraph:
         self.participants = tuple(participants)
         self.signing = signing      # pid -> SigningKey
         self.refusers = refusers    # their edges are opted out in every epoch
-        self.epochs = []            # per endorsed epoch: (lo, hi) -> EdgeState
+        self.width = signer_width(len(self.participants))
+        self.epochs: list[Epoch] = []
 
     def add_epoch(self, rng: random.Random) -> None:
-        """Endorse the next epoch of every edge, drawing its secrets from
-        ``rng``, one ``establish_row`` per participant and its higher peers;
-        an edge with a refuser is opted out and draws nothing."""
-        epoch, edges = len(self.epochs), {}
+        """Endorse the next epoch: every edge's secrets drawn from ``rng``,
+        one ``establish_row`` per participant and its higher peers (an
+        edge with a refuser is opted out and draws nothing), then signed."""
+        edges = {}
         for a_idx, lo in enumerate(self.participants):
             higher = self.participants[a_idx + 1 :]
             shared = [] if lo in self.refusers else [hi for hi in higher if hi not in self.refusers]
-            row = establish_row(
-                self.params, lo, self.signing[lo], [(hi, self.signing[hi]) for hi in shared],
-                rng, epoch,
-            )
+            row = establish_row(self.params, lo, shared, rng)
             states = {hi: EdgeState(lo, hi, True, *pair) for hi, pair in zip(shared, row)}
             for hi in higher:
                 edges[(lo, hi)] = states.get(hi) or EdgeState(lo, hi, False)
-        self.epochs.append(edges)
+        self.epochs.append(self.sign_epoch(edges, len(self.epochs)))
+
+    def sign_epoch(self, edges, epoch: int) -> Epoch:
+        """Epoch ``epoch`` over ``edges``: every participant's tree over
+        the roots of the directions it is the peer of, built together,
+        and one signature per root."""
+        leaves = []
+        for signer in self.participants:
+            row = []
+            for holder in self.participants:
+                if holder != signer:
+                    state = edges[(min(holder, signer), max(holder, signer))]
+                    held = state.held_lo if holder == state.lo else state.held_hi
+                    row.append(held.root if state.established else NO_EDGE)
+            leaves += row + [NO_EDGE] * (self.width - len(row))
+        trees = merkle.build_tree(leaves, self.width)
+        signed = []
+        for signer, root in zip(self.participants, trees[-1]):
+            key, payload = self.signing[signer], endorse_payload(root, signer, epoch)
+            signed.append(SignedRoot(signer, root, sign(self.params, key, payload)))
+        return Epoch(edges, trees, tuple(signed))
 
     def edge(self, a: int, b: int, epoch: int = 0) -> EdgeState:
-        return self.epochs[epoch][(min(a, b), max(a, b))]
+        return self.epochs[epoch].edges[(min(a, b), max(a, b))]
 
-    def round_secret(self, i: int, j: int, slot: int) -> RoundSecret:
-        """Directed per-slot secret for edge i -> j (zero when opted out).
-
-        The reference that the sums of ``KeyView`` are tested against.
-        """
-        epoch, index = divmod(slot, EPOCH_SLOTS)
-        state = self.edge(i, j, epoch)
-        if not state.established:
-            return RoundSecret(0, 0)
-        key, blind = state.secret.keys[index], state.secret.blinds[index]
-        if i == state.lo:
-            return RoundSecret(key, blind)
-        q = self.params.q
-        return RoundSecret((-key) % q, (-blind) % q)
-
-    def public_edges(self, epoch: int) -> tuple[EdgePublic, ...]:
-        return tuple(state.public() for _, state in sorted(self.epochs[epoch].items()))
+    def signer_path(self, epoch: int, holder: int, signer: int) -> list[bytes]:
+        """The siblings from direction holder -> signer's leaf up to the
+        signer's root for the epoch."""
+        leaf = self.participants.index(signer) * self.width
+        leaf += _leaf_index(self.participants, holder, signer)
+        return merkle.path(self.epochs[epoch].trees, leaf)
 
     def public(self) -> KeyGraphPublic:
         return KeyGraphPublic(
             participants=self.participants,
             publics={pid: self.signing[pid].public for pid in self.participants},
-            epochs=tuple(self.public_edges(k) for k in range(len(self.epochs))),
+            optouts=frozenset(
+                pair for pair, state in self.epochs[0].edges.items() if not state.established
+            ),
+            epochs=tuple(epoch.signed for epoch in self.epochs),
         )
 
     def view(self, pid: int) -> "KeyView":
@@ -454,9 +471,16 @@ class KeyView:
         return share.commitments[index]
 
     def published_pairs(self, slot: int):
-        """The endorsed per-pair commitments this participant can reveal."""
+        """The endorsed per-pair commitments this participant can reveal,
+        each with its path up to the peer's signed root."""
         share, index = self._share(slot)
-        return {peer: share.held[peer].reveal(self.params, index) for peer in sorted(share.held)}
+        epoch = slot // EPOCH_SLOTS
+        return {
+            peer: share.held[peer].reveal(
+                self.params, index, self.graph.signer_path(epoch, self.pid, peer)
+            )
+            for peer in sorted(share.held)
+        }
 
 
 def build_key_graph(
@@ -471,18 +495,3 @@ def build_key_graph(
     graph = KeyGraph(params, participants, signing, frozenset(refusers))
     graph.add_epoch(rng)
     return graph
-
-
-def aggregate_commitment(graph: KeyGraph, pid: int, slot: int) -> int:
-    """Product of the participant's directed pair commitments for a slot,
-    recomputed from the secrets: the reference for ``KeyView.aggregate_commitment``."""
-    params = graph.params
-    acc = 1
-    for peer in graph.participants:
-        if peer == pid:
-            continue
-        s = graph.round_secret(pid, peer, slot)
-        if not graph.edge(pid, peer).established:
-            continue  # opted-out edges contribute the identity
-        acc = acc * commit(params, s.key, s.blind) % params.p
-    return acc

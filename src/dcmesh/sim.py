@@ -17,7 +17,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 
 from . import splitter, zkp
 from .dcnet import RoundCiphertext, make_ciphertext
@@ -25,16 +25,16 @@ from .errors import ConfigInvalid, MalformedRecord, ProtocolOrderViolation, Witn
 from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
     EPOCH_SLOTS,
-    EdgePublic,
     KeyGraph,
     KeyGraphPublic,
     RevealedCommitment,
+    SignedRoot,
     build_key_graph,
 )
 from .splitter import (
     COLLISION,
-    edge_record,
     encode_slot,
+    endorse_record,
     run_session,
     slot_fits,
     split_decision,
@@ -481,19 +481,22 @@ def _build_participants(params, scenario, graph, active, pending, session_tag):
 
 
 def _key_records(session, public: KeyGraphPublic):
-    """PUBKEY records, then the EDGE records of epoch 0."""
+    """PUBKEY records, the OPTOUT records and the ENDORSE records of epoch 0."""
     records = [
         record("PUBKEY", session=session, part=pid, y=public.publics[pid])
         for pid in public.participants
     ]
-    records.extend(edge_record(session, 0, edge) for edge in public.epochs[0])
+    records.extend(
+        record("OPTOUT", session=session, lo=lo, hi=hi) for lo, hi in sorted(public.optouts)
+    )
+    records.extend(endorse_record(session, 0, signed) for signed in public.epochs[0])
     return records
 
 
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v3", hash="sha256"),
+        record("DCMESH", version="v4", hash="sha256"),
         record(
             "GROUP",
             name=params.name,
@@ -554,7 +557,7 @@ class _Participants:
 
     def epoch(self, k):
         self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
-        return self.graph.public_edges(k)
+        return self.graph.epochs[k].signed
 
     def broadcast(self, round_id):
         return [p.broadcast(round_id) for p in self.participants]
@@ -701,13 +704,21 @@ class _Replay:
         self.records = self
         # the key records open the session; reading stops at the first one
         # out of place, before anything grows with the participant count
-        publics = {}
+        self.publics = {}
         for pid in pids:
-            publics[pid] = self._input("PUBKEY", part=pid)["y"]
-            if not 1 <= publics[pid] < params.p:
+            self.publics[pid] = self._input("PUBKEY", part=pid)["y"]
+            if not 1 <= self.publics[pid] < params.p:
                 raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
-        edges = tuple(self._edge(0, lo, hi) for lo, hi in combinations(pids, 2))
-        self.public = KeyGraphPublic(tuple(pids), publics, (edges,))
+        # a pair that is not two active ids in order is dropped here, so
+        # the re-emitted key records show it as a divergence
+        optouts = set()
+        while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
+            lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
+            if lo < hi and {lo, hi} <= self.publics.keys():
+                optouts.add((lo, hi))
+            self.read += 1
+        signed = self.epoch(0)
+        self.public = KeyGraphPublic(tuple(pids), self.publics, frozenset(optouts), (signed,))
         self.at = self.read   # the judge's records follow the key records
 
     def _input(self, rtype, **key):
@@ -720,18 +731,16 @@ class _Replay:
         self.read += 1
         return rec
 
-    def _edge(self, epoch, lo, hi) -> EdgePublic:
-        rec = self._input("EDGE", epoch=epoch, lo=lo, hi=hi)
-        if rec["state"] != "shared":
-            return EdgePublic(lo, hi, False)
-        name = "root_lo"
+    def _signed_root(self, epoch, pid) -> SignedRoot:
+        rec = self._input("ENDORSE", epoch=epoch, part=pid)
+        index = self.index + self.read - 1
         try:
-            root_lo = bytes.fromhex(rec[name])
-            name = "root_hi"
-            return EdgePublic(lo, hi, True, root_lo, bytes.fromhex(rec[name]))
+            signed = SignedRoot(pid, bytes.fromhex(rec["root"]), (rec["sig_e"], rec["sig_s"]))
         except ValueError:
-            message = f"EDGE {name} is not hex"
-            raise MalformedRecord(self.index + self.read - 1, message) from None
+            raise MalformedRecord(index, "ENDORSE root is not hex") from None
+        if not signed.verifies(self.params, self.publics[pid], epoch):
+            raise MalformedRecord(index, f"ENDORSE signature of participant {pid} does not verify")
+        return signed
 
     def append(self, rec):
         recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
@@ -742,11 +751,7 @@ class _Replay:
         pass
 
     def epoch(self, k):
-        # later epochs record only the shared edges
-        return tuple(
-            self._edge(k, e.lo, e.hi) if e.established else e
-            for e in self.public.epochs[0]
-        )
+        return tuple(self._signed_root(k, pid) for pid in self.pids)
 
     def broadcast(self, round_id):
         cts = []
@@ -767,9 +772,7 @@ class _Replay:
         for rec in self.recorded[self.at :]:
             if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
                 break
-            published[rec["part"]][rec["peer"]] = RevealedCommitment(
-                rec["c"], rec["path"], (rec["sig_e"], rec["sig_s"])
-            )
+            published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], rec["path"])
         return published
 
     def respond(self, node_id):
@@ -815,8 +818,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     stops there.  Raises MalformedRecord only for what cannot be parsed
     or checked: the header and group, a CONFIG n the body cannot hold, a
     missing SUMMARY or opening SESSION record, and, at its own index, a
-    PUBKEY y outside [1, p), an EDGE root that is not hex or a CIPHER c
-    outside the group.
+    PUBKEY y outside [1, p), an ENDORSE root that is not hex or whose
+    signature does not verify under the participant's PUBKEY, or a
+    CIPHER c outside the group.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)

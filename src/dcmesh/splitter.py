@@ -425,14 +425,14 @@ def run_session(
     and the investigation after a failed one, retransmission proofs,
     denial demands at stuck nodes, the wrong-branch audit, verdicts and
     bans.  It emits every session record to ``source.records`` and reads
-    only public data: the participant set and epoch 0's roots come from
-    ``graph_public``, and every protocol input from ``source``, which
-    answers five calls:
+    only public data: the participant set, the opt-outs and epoch 0's
+    signed roots come from ``graph_public``, and every protocol input
+    from ``source``, which answers five calls:
 
     * ``begin(tree)``: the session starts on this tree;
-    * ``epoch(k)``: the public edges of endorsement epoch k, every pair
-      in (lo, hi) order, asked for before the first round that spends
-      one of its slots;
+    * ``epoch(k)``: the signed roots of endorsement epoch k, one
+      SignedRoot per participant in participant order, asked for before
+      the first round that spends one of its slots;
     * ``broadcast(round_id)``: one RoundCiphertext per participant, in
       participant order;
     * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
@@ -542,30 +542,26 @@ def run_session(
     return outcome
 
 
-def edge_record(session: int, epoch: int, edge) -> dict:
-    """An EDGE record: a pair's state and, when shared, its two directions'
-    endorsed roots for the epoch."""
+def endorse_record(session: int, epoch: int, signed) -> dict:
+    """An ENDORSE record: one participant's signed root for the epoch."""
     return record(
-        "EDGE",
+        "ENDORSE",
         session=session,
         epoch=epoch,
-        lo=edge.lo,
-        hi=edge.hi,
-        state="shared" if edge.established else "optout",
-        root_lo=edge.root_lo.hex() if edge.established else "-",
-        root_hi=edge.root_hi.hex() if edge.established else "-",
+        part=signed.part,
+        root=signed.root.hex(),
+        sig_e=signed.signature[0],
+        sig_s=signed.signature[1],
     )
 
 
 def _endorse_epoch(source, graph_public, session, outcome):
-    """Take the next epoch's roots from the source and record its shared
-    edges; opt-outs stand as recorded for epoch 0."""
+    """Take the next epoch's signed roots from the source and record them."""
     epoch = len(graph_public.epochs)
-    edges = source.epoch(epoch)
-    for e in edges:
-        if e.established:
-            outcome.records.append(edge_record(session, epoch, e))
-    return graph_public.with_epoch(edges)
+    signed = source.epoch(epoch)
+    for s in signed:
+        outcome.records.append(endorse_record(session, epoch, s))
+    return graph_public.with_epoch(signed)
 
 
 def _emit_nodes(tree, touched, session, outcome):
@@ -593,8 +589,6 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
                     peer=peer,
                     c=sc.commitment,
                     path=sc.path,
-                    sig_e=sc.signature[0],
-                    sig_s=sc.signature[1],
                 )
             )
     inv = investigate(params, result, slot, published, graph_public)

@@ -3,13 +3,14 @@
 A transcript is newline-delimited ASCII: a header (format version,
 group, configuration and a digest binding them) followed by the
 sessions and a closing SUMMARY.  Each session opens with a SESSION
-record and its key records: every participant's signing key (PUBKEY)
-and every edge's state and epoch-0 endorsement roots (EDGE).  A later
-epoch's EDGE records sit in the session where the epoch was endorsed,
-before the first round that spends it.  Everything an independent
-verifier needs is either in the records or recomputable from them;
-secrets never appear except for pair commitments revealed during an
-investigation, which are safe to publish.
+record and its key records: every participant's signing key (PUBKEY),
+the pairs opted out for the whole session (OPTOUT) and every
+participant's signed root for epoch 0 (ENDORSE).  A later epoch's
+ENDORSE records, one per participant, sit in the session where the
+epoch was endorsed, before the first round that spends it.  Everything
+an independent verifier needs is either in the records or recomputable
+from them; secrets never appear except for pair commitments revealed
+during an investigation, which are safe to publish.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ _SCHEMA = {
     "GROUP": ("name", "p", "q", "generators", "tag"),
     "CONFIG": ("n", "payload_bits", "max_retries", "scenario"),
     "PUBKEY": ("session", "part", "y"),
-    "EDGE": ("session", "epoch", "lo", "hi", "state", "root_lo", "root_hi"),
+    "OPTOUT": ("session", "lo", "hi"),
+    "ENDORSE": ("session", "epoch", "part", "root", "sig_e", "sig_s"),
     "HEADEREND": ("digest",),
     "SESSION": ("idx", "active", "budget", "keys"),
     "ROUND": ("session", "id", "slot"),
@@ -43,7 +45,7 @@ _SCHEMA = {
         "attempt",
     ),
     "RESOLVED": ("session", "node", "payload"),
-    "PUBLISH": ("session", "slot", "part", "peer", "c", "path", "sig_e", "sig_s"),
+    "PUBLISH": ("session", "slot", "part", "peer", "c", "path"),
     "INVESTIGATION": ("session", "round", "cheaters"),
     "DEMAND": ("session", "node", "part", "ok", "proof"),
     "VERDICT": ("session", "part", "reason", "where"),
@@ -99,12 +101,15 @@ _INT_FIELDS = {
 }
 
 
+_FIELD_SETS = {rtype: frozenset(names) for rtype, names in _SCHEMA.items()}
+
+
 def record(rtype: str, **fields):
     """Build a record dict, checking the type's field set."""
-    names = _SCHEMA[rtype]
-    if fields.keys() != set(names):
-        missing = set(names) - set(fields)
-        extra = set(fields) - set(names)
+    names = _FIELD_SETS[rtype]
+    if fields.keys() != names:
+        missing = names - set(fields)
+        extra = set(fields) - names
         raise ValueError(f"{rtype}: missing={sorted(missing)} extra={sorted(extra)}")
     out = {"type": rtype}
     out.update(fields)

@@ -140,18 +140,17 @@ def test_c04_investigation_blame():
 
     def pair_mismatch(graph, cts, published, public):
         # both endpoints hold endorsed but non-cancelling values: 1 signed
-        # the root of a forged list, and that root is the one on record
+        # its tree over the root of a forged list, and everyone reveals
+        # from the epoch it signed
         held = graph.edge(0, 1).held_lo
         forged_list = (held.commitments[0] * SMALL.g % SMALL.p,) + held.commitments[1:]
-        (forged,) = endorse(SMALL, forged_list, [(0, 1, graph.signing[1])], 0)
-        published[0] = dict(published[0])
-        published[0][1] = forged.reveal(SMALL, 0)
-        edges = tuple(
-            replace(e, root_lo=forged.root) if (e.lo, e.hi) == (0, 1) else e
-            for e in public.epochs[0]
-        )
+        (forged,) = endorse(SMALL, forged_list)
+        edges = dict(graph.epochs[0].edges)
+        edges[(0, 1)] = replace(edges[(0, 1)], held_lo=forged)
+        graph.epochs[0] = graph.sign_epoch(edges, 0)
+        published = {pid: graph.view(pid).published_pairs(0) for pid in range(4)}
         cts[0] = replace(cts[0], commitment=cts[0].commitment * SMALL.g % SMALL.p)
-        return cts, published, replace(public, epochs=(edges,))
+        return cts, published, graph.public()
 
     def non_cooperation(graph, cts, published, public):
         cts[3] = replace(cts[3], commitment=cts[3].commitment * SMALL.g % SMALL.p)

@@ -217,7 +217,8 @@ def test_keygen_outputs_header(capsys):
     assert main(["keygen", "--n", "3", "--seed", "5"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("GROUP name=test_medium ")
-    assert [ln.split(" ")[0] for ln in printed[1:]] == ["PUBKEY"] * 3 + ["EDGE"] * 3
+    # no OPTOUT record: keygen refuses nothing
+    assert [ln.split(" ")[0] for ln in printed[1:]] == ["PUBKEY"] * 3 + ["ENDORSE"] * 3
     # session 1's epoch-0 key records, exactly as a run with that seed writes them
     ran = sim.run_scenario(sim.Scenario(n=3, seed=5)).to_text().splitlines()
     start = next(i for i, ln in enumerate(ran) if ln.startswith("SESSION idx=1 "))
@@ -226,3 +227,27 @@ def test_keygen_outputs_header(capsys):
     with pytest.raises(SystemExit):
         main(["keygen", "--rounds", "2"])  # the epoch size is fixed
     assert main(["keygen", "--seed", "-1"]) == 1
+
+
+@pytest.mark.parametrize("field", ["sig_e", "sig_s", "root"])
+def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
+    # an ENDORSE record whose signature no longer verifies is malformed,
+    # named by its record index and signer
+    path = write_scenario(tmp_path, HONEST)
+    out = str(tmp_path / "t.log")
+    assert main(["run", path, "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    prefix = "ENDORSE session=1 epoch=0 part=3 "
+    index = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    tokens = lines[index].split(" ")
+    tokens = [
+        f"{field}={'0' * 64 if field == 'root' else 0}" if t.startswith(f"{field}=") else t
+        for t in tokens
+    ]
+    lines[index] = " ".join(tokens)
+    open(out, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    err = capsys.readouterr().err
+    assert f"record {index}:" in err
+    assert "participant 3" in err

@@ -20,7 +20,7 @@ from dcmesh.errors import (
     MissingParticipant,
     RoundBudgetExhausted,
 )
-from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph
+from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
 from dcmesh.zkp import prove_rep, stmt_no_message, verify_rep
 
 
@@ -239,16 +239,15 @@ def test_investigation_bad_signature_pins_tamperer(small):
     assert 0 not in record.verdicts
 
 
-def with_edge_root(public, holder, peer, root):
-    """The public key graph with the EDGE root of direction holder -> peer replaced."""
-    edges = []
-    for e in public.epochs[0]:
-        if (e.lo, e.hi) == (holder, peer):
-            e = replace(e, root_lo=root)
-        elif (e.hi, e.lo) == (holder, peer):
-            e = replace(e, root_hi=root)
-        edges.append(e)
-    return replace(public, epochs=(tuple(edges),) + public.epochs[1:])
+def forge_direction(params, graph, holder, signer, commitments):
+    """Epoch 0 of direction holder -> signer with ``commitments`` in place
+    of the real ones, signed by the signer as if they were."""
+    (forged,) = endorse(params, commitments)
+    edges = dict(graph.epochs[0].edges)
+    pair = (min(holder, signer), max(holder, signer))
+    held = "held_lo" if holder < signer else "held_hi"
+    edges[pair] = replace(edges[pair], **{held: forged})
+    graph.epochs[0] = graph.sign_epoch(edges, 0)
 
 
 def test_investigation_pair_mismatch_both_flagged(small):
@@ -256,23 +255,17 @@ def test_investigation_pair_mismatch_both_flagged(small):
     corrupted setup channel), both are flagged: there is no tiebreak."""
     n = 3
     graph = fresh_graph(small, n, seed=11)
-    from dcmesh.keysetup import endorse
 
     views = {pid: graph.view(pid) for pid in range(n)}
+    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
     # forge a consistent-looking but non-cancelling endorsement pair (0,1):
-    # 1 signs the root of a list whose slot 0 is shifted, and that root
-    # is the one on record for the direction
-    published = honest_published(graph, n, 0)
+    # 1 signs its tree over the root of a list whose slot 0 is shifted
     held = graph.edge(0, 1).held_lo
     forged_list = (held.commitments[0] * small.g % small.p,) + held.commitments[1:]
-    (forged,) = endorse(small, forged_list, [(0, 1, graph.signing[1])], 0)
-    published[0] = dict(published[0])
-    published[0][1] = forged.reveal(small, 0)
-    public = with_edge_root(graph.public(), 0, 1, forged.root)
-    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+    forge_direction(small, graph, 0, 1, forged_list)
     cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
     result = aggregate_round(small, range(n), cts)
-    record = investigate(small, result, 0, published, public)
+    record = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
     assert PAIR_MISMATCH in record.verdicts.get(0, [])
     assert PAIR_MISMATCH in record.verdicts.get(1, [])
 
@@ -284,15 +277,12 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
     n = 3
     graph = fresh_graph(small, n, seed=16)
     graph.add_epoch(random.Random(17))
-    epoch0, epoch1 = graph.edge(1, 2, 0).held_lo, graph.edge(1, 2, 1).held_lo
-    # (slot spent, the epoch's commitments at that slot, what 1 used and revealed):
+    held = [graph.edge(1, 2, epoch).held_lo for epoch in (0, 1)]
+    # (slot spent, the epoch of what 1 used and revealed, its index):
     # another slot's in the same epoch, and the same index of another epoch
-    cases = [
-        (0, epoch0, epoch0, 1),
-        (0, epoch0, epoch1, 0),
-        (EPOCH_SLOTS, epoch1, epoch0, 0),
-    ]
-    for slot, honest, used, index in cases:
+    cases = [(0, 0, 1), (0, 1, 0), (EPOCH_SLOTS, 0, 0)]
+    for slot, used_epoch, index in cases:
+        honest, used = held[slot // EPOCH_SLOTS], held[used_epoch]
         assert used.commitments[index] != honest.commitments[slot % EPOCH_SLOTS]
         views = {pid: graph.view(pid) for pid in range(n)}
         for view in views.values():
@@ -300,7 +290,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
                 view.spend(("skipped", skipped))
         cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
         # participant 1 used that pad toward 2 in this slot and reveals
-        # its commitment with its own path and signature
+        # its commitment with its own path, up to 2's root for its epoch
         shift = used.commitments[index] * pow(
             honest.commitments[slot % EPOCH_SLOTS], -1, small.p
         ) % small.p
@@ -309,12 +299,29 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
         assert not result.valid
         published = honest_published(graph, n, slot)
         published[1] = dict(published[1])
-        published[1][2] = used.reveal(small, index)
+        published[1][2] = used.reveal(small, index, graph.signer_path(used_epoch, 1, 2))
         record = investigate(small, result, slot, published, graph.public())
         assert BAD_SIGNATURE in record.verdicts[1], (slot, index)
         assert AGGREGATE_MISMATCH not in record.verdicts[1]
         assert 2 not in record.verdicts  # honest counterparty stays clean
         assert 0 not in record.verdicts
+
+
+def test_investigation_short_or_swapped_path_is_bad_signature(small):
+    # an honest round, but 1 reveals its commitment toward 2 with a path
+    # one sibling short, one sibling long, or with its direction-tree and
+    # signer-tree halves swapped: only 1 is flagged, and nothing raises
+    n = 4
+    graph = fresh_graph(small, n, seed=18)
+    _, _, result = run_round(small, graph, n)
+    path = graph.view(1).published_pairs(0)[2].path
+    assert len(path) == (4 + 2) * 64
+    for tampered in (path[:-64], path[64:], path + path[:64], path[4 * 64 :] + path[: 4 * 64]):
+        published = honest_published(graph, n, 0)
+        published[1] = dict(published[1])
+        published[1][2] = replace(published[1][2], path=tampered)
+        record = investigate(small, result, 0, published, graph.public())
+        assert record.verdicts == {1: [BAD_SIGNATURE]}
 
 
 def test_investigation_non_cooperation(small):

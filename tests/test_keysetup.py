@@ -10,19 +10,46 @@ from dcmesh.errors import RoundBudgetExhausted
 from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
+    NO_EDGE,
     KeyGraph,
-    aggregate_commitment,
     build_key_graph,
-    endorse,
+    endorse_payload,
     establish_row,
     gen_signing_key,
     is_endorsed,
-    root_payload,
     sign,
+    signer_width,
     verify_sig,
 )
 
 TAG = b"dc-mesh/v1"
+
+
+# ---------------------------------------------------------------------------
+# references recomputed from the secrets, which the key views are tested against
+
+
+def round_secret(graph, i, j, slot):
+    """(key, blinding value) of edge i -> j for a slot; zero when opted out."""
+    epoch, index = divmod(slot, EPOCH_SLOTS)
+    state = graph.edge(i, j, epoch)
+    if not state.established:
+        return 0, 0
+    key, blind = state.secret.keys[index], state.secret.blinds[index]
+    if i == state.lo:
+        return key, blind
+    q = graph.params.q
+    return (-key) % q, (-blind) % q
+
+
+def aggregate_commitment(graph, pid, slot):
+    """Product of the participant's directed pair commitments for a slot;
+    an opted-out edge's zero secrets commit to the identity."""
+    acc = 1
+    for peer in graph.participants:
+        if peer != pid:
+            acc = acc * commit(graph.params, *round_secret(graph, pid, peer, slot)) % graph.params.p
+    return acc
 
 
 def test_signature_roundtrip(small):
@@ -39,8 +66,7 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
-    ki, kj = gen_signing_key(params, rng), gen_signing_key(params, rng)
-    ((secret, held_i, held_j),) = establish_row(params, 0, ki, [(1, kj)], rng, 2)
+    ((secret, held_i, held_j),) = establish_row(params, 0, [1], rng)
     assert len(secret.keys) == len(secret.blinds) == EPOCH_SLOTS
     for slot, (key, blind) in enumerate(zip(secret.keys, secret.blinds)):
         c_ij = commit(params, key, blind)
@@ -48,10 +74,11 @@ def test_establish_pair_antisymmetry(level, request):
         assert c_ij * c_ji % params.p == 1
         assert held_i.commitments[slot] == c_ij
         assert held_j.commitments[slot] == c_ji
-    # each direction's root is endorsed under the counterparty key, for its epoch only
-    assert verify_sig(params, kj.public, root_payload(held_i.root, 0, 1, 2), held_i.signature)
-    assert verify_sig(params, ki.public, root_payload(held_j.root, 1, 0, 2), held_j.signature)
-    assert not verify_sig(params, kj.public, root_payload(held_i.root, 0, 1, 1), held_i.signature)
+    # each direction's root is the root of the tree over its commitments
+    for held in (held_i, held_j):
+        leaves = [params.element_to_bytes(c) for c in held.commitments]
+        assert merkle.build_tree(leaves, EPOCH_SLOTS)[-1] == [held.root]
+    assert held_i.root != held_j.root
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
@@ -63,10 +90,10 @@ def test_pair_secrets_are_a_randrange_stream(level):
     keys = random.Random(4)
     signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    ((secret, _, _),) = establish_row(params, 0, signing[0], [(1, signing[1])], rng, 0)
+    ((secret, _, _),) = establish_row(params, 0, [1], rng)
     graph = KeyGraph(params, range(6), signing, frozenset({2}))
     graph.add_epoch(rng)
-    shared = [e.secret for _, e in sorted(graph.epochs[0].items()) if e.established]
+    shared = [e.secret for _, e in sorted(graph.epochs[0].edges.items()) if e.established]
     assert len(shared) == 10   # fifteen edges, five of them opted out by 2
     drawn = [x for s in [secret] + shared for pair in zip(s.keys, s.blinds) for x in pair]
     assert drawn == [reference.randrange(params.q) for _ in range(11 * 2 * EPOCH_SLOTS)]
@@ -74,11 +101,10 @@ def test_pair_secrets_are_a_randrange_stream(level):
 
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
-    # one commitment per slot, the reverse direction by inversion, and
-    # one nonce power per root signature: 2 * EPOCH_SLOTS + 2 table
-    # powers; a row's inversions share one pow
+    # one commitment per slot and the reverse direction by inversion:
+    # 2 * EPOCH_SLOTS table powers, and a row's inversions share one pow;
+    # an epoch adds one nonce power per participant's signature
     rng = random.Random(6)
-    ki, kj = gen_signing_key(medium, rng), gen_signing_key(medium, rng)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
     exponents, inversions = [], []
 
@@ -98,24 +124,26 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
-    establish_row(medium, 0, ki, [(1, kj)], rng, 0)
-    assert len(exponents) == 2 * EPOCH_SLOTS + 2
+    establish_row(medium, 0, [1], rng)
+    assert len(exponents) == 2 * EPOCH_SLOTS
     assert len(inversions) == 1
-    # six participants: five rows with a higher peer, one inversion each
+    # six participants: five rows with a higher peer, one inversion each;
+    # fifteen edges and six signatures
     graph = build_key_graph(medium, range(6), rng)
+    exponents.clear()
     inversions.clear()
     graph.add_epoch(rng)
     assert len(inversions) == 5
+    assert len(exponents) == 15 * 2 * EPOCH_SLOTS + 6
 
 
 def test_per_round_secrets_are_fresh(small):
     # two slots draw independently: over many edges the per-slot keys
     # must not be systematically equal
     rng = random.Random(3)
-    ki, kj = gen_signing_key(small, rng), gen_signing_key(small, rng)
     repeats = 0
     for _ in range(120):
-        ((secret, _, _),) = establish_row(small, 0, ki, [(1, kj)], rng, 0)
+        ((secret, _, _),) = establish_row(small, 0, [1], rng)
         if secret.keys[0] == secret.keys[1]:
             repeats += 1
     assert repeats < 20  # expectation is about 120/53
@@ -125,7 +153,7 @@ def test_key_graph_structure_and_views(small):
     rng = random.Random(4)
     graph = build_key_graph(small, range(4), rng)
     graph.add_epoch(random.Random(40))
-    assert [len(edges) for edges in graph.epochs] == [6, 6]
+    assert [len(epoch.edges) for epoch in graph.epochs] == [6, 6]
     slots = [0, 1, EPOCH_SLOTS - 1, EPOCH_SLOTS, 2 * EPOCH_SLOTS - 1]
     # directed secrets are negations of each other, in every epoch
     for slot in slots:
@@ -133,10 +161,10 @@ def test_key_graph_structure_and_views(small):
             for j in range(4):
                 if i == j:
                     continue
-                a = graph.round_secret(i, j, slot)
-                b = graph.round_secret(j, i, slot)
-                assert (a.key + b.key) % 53 == 0
-                assert (a.blind + b.blind) % 53 == 0
+                a = round_secret(graph, i, j, slot)
+                b = round_secret(graph, j, i, slot)
+                assert (a[0] + b[0]) % 53 == 0
+                assert (a[1] + b[1]) % 53 == 0
     # pad sums cancel across all participants
     for slot in slots:
         total = sum(graph.view(i).pad_sum(slot) for i in range(4)) % 53
@@ -167,9 +195,9 @@ def test_views_match_the_round_secret_oracle(small):
     budget = 2 * EPOCH_SLOTS
     for slot in range(budget):
         for pid, view in views.items():
-            secrets = [graph.round_secret(pid, peer, slot) for peer in range(n) if peer != pid]
-            assert view.pad_sum(slot) == sum(s.key for s in secrets) % q
-            assert view.blind_sum(slot) == sum(s.blind for s in secrets) % q
+            secrets = [round_secret(graph, pid, peer, slot) for peer in range(n) if peer != pid]
+            assert view.pad_sum(slot) == sum(key for key, _ in secrets) % q
+            assert view.blind_sum(slot) == sum(blind for _, blind in secrets) % q
             assert view.aggregate_commitment(slot) == aggregate_commitment(graph, pid, slot)
         assert sum(v.pad_sum(slot) for v in views.values()) % q == 0
         assert sum(v.blind_sum(slot) for v in views.values()) % q == 0
@@ -191,8 +219,7 @@ def test_optout_edges_contribute_identity(small):
     for peer in (0, 1, 3):
         state = graph.edge(2, peer)
         assert not state.established
-        s = graph.round_secret(2, peer, 0)
-        assert (s.key, s.blind) == (0, 0)
+        assert round_secret(graph, 2, peer, 0) == (0, 0)
     # a full refuser has the identity aggregate
     assert aggregate_commitment(graph, 2, 0) == 1
     # validity still holds for everyone
@@ -231,12 +258,14 @@ def test_public_header_shape(small):
     assert public.participants == (0, 1, 2)
     assert sorted(public.publics) == [0, 1, 2]
     assert len(public.epochs) == 1
-    states = {(e.lo, e.hi): e.established for e in public.epochs[0]}
+    # every participant signs, the refuser too
+    assert [signed.part for signed in public.epochs[0]] == [0, 1, 2]
+    states = {pair: e.established for pair, e in graph.epochs[0].edges.items()}
     assert states == {(0, 1): False, (0, 2): True, (1, 2): False}
-    assert public.optout_pairs() == {(0, 1), (1, 2)}
+    assert public.optouts == {(0, 1), (1, 2)}
 
 
-def test_key_setup_signs_once_per_edge_direction(small, monkeypatch):
+def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
     signed = []
 
     def counting_sign(params, key, message):
@@ -244,28 +273,40 @@ def test_key_setup_signs_once_per_edge_direction(small, monkeypatch):
         return sign(params, key, message)
 
     monkeypatch.setattr(keysetup, "sign", counting_sign)
-    graph = build_key_graph(small, range(5), random.Random(13), refusers={3})
+    graph = build_key_graph(medium, range(5), random.Random(13), refusers={3})
     graph.add_epoch(random.Random(14))
     graph.add_epoch(random.Random(15))
-    expected = []
-    for epoch, edges in enumerate(graph.epochs):
-        shared = [e for e in edges.values() if e.established]
-        assert len(shared) == 6  # ten edges, four of them opted out by 3
-        expected += [
-            payload
-            for e in shared
-            for payload in (
-                root_payload(e.held_lo.root, e.lo, e.hi, epoch),
-                root_payload(e.held_hi.root, e.hi, e.lo, epoch),
-            )
-        ]
-    # exactly two root signatures per shared edge and epoch
-    assert len(signed) == 2 * 6 * 3
-    assert sorted(signed) == sorted(expected)
+    public = graph.public()
+    # exactly one root signature per participant and epoch, the refuser's too
+    assert len(signed) == 5 * 3
+    assert signed == [
+        endorse_payload(s.root, s.part, epoch)
+        for epoch, e in enumerate(graph.epochs)
+        for s in e.signed
+    ]
+    for epoch, e in enumerate(graph.epochs):
+        for s in e.signed:
+            # it verifies under the signer's key, for its epoch only
+            assert s.verifies(medium, public.publics[s.part], epoch)
+            assert not s.verifies(medium, public.publics[s.part], epoch + 1)
+            assert not s.verifies(medium, public.publics[(s.part + 1) % 5], epoch)
+            # over the root of the directions it is the peer of, in id
+            # order, with a tag leaf for an opted-out edge and for padding
+            leaves = []
+            for holder in range(5):
+                if holder != s.part:
+                    state = graph.edge(holder, s.part, epoch)
+                    held = state.held_lo if holder == state.lo else state.held_hi
+                    leaves.append(held.root if state.established else NO_EDGE)
+            assert merkle.build_tree(leaves, 4)[-1] == [s.root]
 
 
-def endorsed(params, key, endorsement, revealed, slot, holder=0, peer=1):
-    return is_endorsed(params, endorsement.root, key.public, holder, peer, slot, revealed)
+def test_signer_width():
+    # one leaf per other participant, padded to a power of two
+    widths = [signer_width(n) for n in range(1, 35)]
+    assert widths[:6] == [1, 1, 2, 4, 4, 8]
+    assert widths[15:18] == [16, 16, 32]
+    assert widths[32:] == [32, 64]
 
 
 def test_merkle_batch_single_leaf(small):
@@ -302,7 +343,6 @@ def test_merkle_roots_match_build_tree(small):
 
 def test_merkle_batch_inclusion_paths(small):
     rng = random.Random(11)
-    key = gen_signing_key(small, rng)
     commitments = [commit(small, k, k + 1) for k in range(2 * EPOCH_SLOTS)]
     # every tree width, in a forest of two trees
     for width in (1, 2, 4, 8, EPOCH_SLOTS):
@@ -320,52 +360,78 @@ def test_merkle_batch_inclusion_paths(small):
                 if path:
                     assert merkle.root_at(leaf, index, width, path[:-1]) is None
                 assert merkle.root_at(leaf, index, width, path + [root]) is None
-    # an endorsed epoch: every slot's path leads to the root its epoch signed
-    for epoch in (0, 3):
-        (batch,) = endorse(small, commitments[:EPOCH_SLOTS], [(0, 1, key)], epoch)
+    # two endorsed epochs of five participants: every revealed commitment's
+    # path leads, through its direction's root, to the root its peer signed
+    graph = build_key_graph(small, range(5), rng)
+    graph.add_epoch(rng)
+    participants = graph.participants
+
+    def endorsed(revealed, holder, signer, slot, epoch=None):
+        epoch = slot // EPOCH_SLOTS if epoch is None else epoch
+        root = graph.epochs[epoch].signed[signer].root
+        return is_endorsed(small, participants, root, holder, signer, slot, revealed)
+
+    for epoch in (0, 1):
         base = epoch * EPOCH_SLOTS
-        for index in range(EPOCH_SLOTS):
-            revealed = batch.reveal(small, index)
-            assert len(revealed.path) == 4 * 64  # sixteen leaves, four levels
-            assert endorsed(small, key, batch, revealed, base + index)
-            for other in (index - 1, index + 1):
-                assert not endorsed(small, key, batch, revealed, base + other)
-            # the same index of another epoch: the signature binds the epoch
-            other_epoch = 1 if epoch == 0 else 0
-            assert not endorsed(small, key, batch, revealed, other_epoch * EPOCH_SLOTS + index)
+        for index in (0, 1, 7, EPOCH_SLOTS - 1):
+            for holder in participants:
+                pairs = graph.view(holder).published_pairs(base + index)
+                assert sorted(pairs) == [peer for peer in participants if peer != holder]
+                for signer, revealed in pairs.items():
+                    # four levels of the direction's tree, two of the signer's
+                    assert len(revealed.path) == (4 + 2) * 64
+                    assert endorsed(revealed, holder, signer, base + index)
+                    for other in (index - 1, index + 1):
+                        if 0 <= other < EPOCH_SLOTS:
+                            assert not endorsed(revealed, holder, signer, base + other)
+                    # the same index of the other epoch: each epoch has its own roots
+                    assert not endorsed(revealed, holder, signer, base + index, 1 - epoch)
+                    # another holder's leaf of the same signer's tree
+                    other_holder = next(p for p in participants if p not in (holder, signer))
+                    assert not endorsed(revealed, other_holder, signer, base + index)
 
 
 def test_merkle_batch_rejects_tampering(small):
-    rng = random.Random(12)
-    key = gen_signing_key(small, rng)
-    commitments = [commit(small, k, 2 * k) for k in range(EPOCH_SLOTS)]
-    (batch,) = endorse(small, commitments, [(0, 1, key)], 0)
-    revealed = batch.reveal(small, 2)
-    assert endorsed(small, key, batch, revealed, 2)
+    graph = build_key_graph(small, range(3), random.Random(12))
+    revealed = graph.view(0).published_pairs(2)[1]
+    held = graph.edge(0, 1).held_lo
+
+    def endorsed(revealed, holder=0, signer=1):
+        root = graph.epochs[0].signed[signer].root
+        return is_endorsed(small, graph.participants, root, holder, signer, 2, revealed)
+
+    assert endorsed(revealed)
+    # four siblings in the direction's tree, then one in the signer's (width 2)
+    assert len(revealed.path) == 5 * 64
     # wrong leaf value
-    assert not endorsed(small, key, batch, replace(revealed, commitment=commitments[1]), 2)
-    # flipped sibling digit
-    flipped = ("1" if revealed.path[0] == "0" else "0") + revealed.path[1:]
-    assert not endorsed(small, key, batch, replace(revealed, path=flipped), 2)
+    assert not endorsed(replace(revealed, commitment=held.commitments[1]))
+    # a flipped digit in either tree's siblings
+    for at in (0, 4 * 64):
+        digit = "1" if revealed.path[at] == "0" else "0"
+        flipped = revealed.path[:at] + digit + revealed.path[at + 1 :]
+        assert not endorsed(replace(revealed, path=flipped))
     # wrong sibling count: one digest short, one too many
-    assert not endorsed(small, key, batch, replace(revealed, path=revealed.path[64:]), 2)
-    assert not endorsed(small, key, batch, replace(revealed, path=revealed.path + "00" * 32), 2)
+    assert not endorsed(replace(revealed, path=revealed.path[64:]))
+    assert not endorsed(replace(revealed, path=revealed.path[:-64]))
+    assert not endorsed(replace(revealed, path=revealed.path + "00" * 32))
+    # the two trees' halves swapped
+    assert not endorsed(replace(revealed, path=revealed.path[4 * 64 :] + revealed.path[: 4 * 64]))
     # path text that is not canonical hex of whole digests
     for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2]):
-        assert not endorsed(small, key, batch, replace(revealed, path=garbled), 2)
+        assert not endorsed(replace(revealed, path=garbled))
     # a commitment outside the group's encoding
-    assert not endorsed(small, key, batch, replace(revealed, commitment=-1), 2)
-    # wrong signer, and the root signed for the other direction
-    other = gen_signing_key(small, rng)
-    assert not endorsed(small, other, batch, revealed, 2)
-    assert not endorsed(small, key, batch, revealed, 2, holder=1, peer=0)
+    assert not endorsed(replace(revealed, commitment=-1))
+    # another signer's root, and the leaf of the other direction
+    assert not endorsed(revealed, signer=2)
+    assert not endorsed(revealed, holder=1, signer=0)
 
 
 def test_setup_determinism(small):
     a = build_key_graph(small, range(4), random.Random(99))
     b = build_key_graph(small, range(4), random.Random(99))
-    for pair in a.epochs[0]:
+    for pair in a.epochs[0].edges:
         ea, eb = a.edge(*pair), b.edge(*pair)
         assert ea.secret == eb.secret
         assert ea.held_lo == eb.held_lo
         assert ea.held_hi == eb.held_hi
+    assert a.public() == b.public()

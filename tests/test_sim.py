@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from dcmesh import sim
+from dcmesh import keysetup, sim
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript, records_digest
@@ -92,7 +92,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v3).  Test ids are the list positions, so a re-pin
+# (pinned at format v4).  Test ids are the list positions, so a re-pin
 # keeps them.
 # the smallest session here that crosses an endorsement epoch boundary
 EPOCH_CROSSING = sim.Scenario(
@@ -101,45 +101,45 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "af55840247358557740959ba4e3afd8356e32f5665e607523f1e61e3e356d4b6"),
+     "ee278045a458fcd03d8ce4e729f97a7612d4679a42523a5dfaec87b0aa5cbdbb"),
     (sim.Scenario(n=2, seed=1),
-     "8c7167e4156d2b30c7b26e088d7cc8d4b17e79db8c5d4ef9c82f39f8324b3c3f"),
+     "23d28a7a9bd984ec85ec3f781037818dceeda2f30fafe15a646a180550053e1f"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "9b511ee98fcf8f5a1ce9d6543bc0c24b7cbfa6e0d8ab46268aa9aa81da865fa8"),
+     "e25047a2349a103e68f3cc4567e0629cb4366f750d1b169daefcfb4e7d7c7c68"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "293ca88c8a0905042013f8b519d5e5f19cc6f0fedaa18452e05f2cab0557d032"),
+     "4d14eeddbf5d9b893ae7e4d03479c3af438079377ae327ebbb4655ef42304e26"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "71d61c3e9598be0e0889f64a47b42fa60488bf09aded1fdca13682d7917e55e2"),
+     "523678bbe9a189f582c90c239c0ef609ee4a70cddb5d30595cad5d5403760d19"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "b521148d9c411ce3487f931a533d2fa3843bdc36c59d9b41590e390b5540c862"),
+     "0cb9ff9f4b2d8890c8187e6e6d9b955df5c872aa94e1a41f74284d5409eb6b4b"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "c7950671b6d7994669d34abed8dbf53386f361574a144d7387876411a95d5bc8"),
+     "c135b380a520b4ab5137662ff4cd5f898bf3690e863cc6d7154d930ec41e50ff"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "544b624c9e323d043d994d1f77c9961b02b3fcb16c06f0189c34b18054c365c4"),
+     "e833e77496cd35ccc10c93d578c74abb4f01e35dcbf703c76f11f10cb62859db"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "a57900b258029819a8bea0f59397737ddae33a847b9129258d9c12ddeb8e9a06"),
+     "bfd1879548eccc6db279a494066be99d09a72d8006838d28aba57645f51b6a4b"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11, max_retries=32),
-     "d5e95c553287e57164a361bc02024cc19c082e3a4101e3d844c662480f226166"),
+     "d0819b4efc71c1b6be1c8eacb8652620c7fa0432e4c189cab4f60998b06e27ba"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "ec51c2609fbf48ad9f90d93132a94e700381289dffedca3794059a2944e988ce"),
+     "c79743a1ff274a1c33952af8f960a4a26d6f5e1672669cc92fb260182d0f021d"),
     # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "bb641932f6f74a6bb571a77c8d99597e71ddf5b4d40e3015dce02d59fae9a02e"),
+     "188947e2ea7693bc59804d36ccc6fe8843e0f1a9efa58358252bade498a12154"),
     # a refuser in mid-row, whose edges draw nothing, and a session that
-    # endorses epoch 1 (budget 32, ten later-epoch EDGE records)
+    # endorses epoch 1 (budget 32, six later-epoch ENDORSE records)
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "7f9bbdf76301f2e323175bdb439cf11cdb9b47751cc59d7fff22d6b1b40dd392"),
+     "7cb655bf73f50bf8f67d9410ddb1a13f4218e036350885ed7984f71eef5bd363"),
 ]
 
 
@@ -277,14 +277,15 @@ class _TwoAnnouncementParticipant(sim.HonestParticipant):
 def test_two_announcement_proof_block_is_invalid_proof(monkeypatch):
     # a block holds one announcement, so this proof does not parse; the
     # judge gives it the verdict, and the records, of a proof that fails
-    # to verify (the digest was taken when such a block still parsed)
+    # to verify (at format v3 the digest was taken when such a block still
+    # parsed; at v4 only the key records, PUBLISH and digests changed)
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _TwoAnnouncementParticipant)
     t = run(
         sim.Scenario(n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1)
     )
     assert verdicts_of(t) == [(2, "invalid_proof")]
     assert hashlib.sha256(t.to_text().encode()).hexdigest() == (
-        "2e62abf3a9d5dd46e13b190345a350cf911f30c13ba19999ca2e0137d86b5a71"
+        "77c21133ab370cfe933d2d365be4fc7bb6e203a5ac6d3ffe231f444cda350600"
     )
 
 
@@ -295,7 +296,7 @@ def test_refuse_signature_is_not_a_verdict():
     assert verdicts_of(t) == []
     assert summary_of(t)["delivered"] == 5
     # the refused edges are public opt-outs
-    optouts = [r for r in t.records if r["type"] == "EDGE" and r["state"] == "optout"]
+    optouts = [r for r in t.records if r["type"] == "OPTOUT"]
     assert len(optouts) == 4
 
 
@@ -424,21 +425,33 @@ def _detects(text: str) -> bool:
 
 
 # the only fields whose mutation leaves nothing to check: the group, a
-# participant count the transcript does not hold, a commitment outside the group
+# participant count the transcript does not hold, a commitment outside the
+# group, and a signed root whose signature no longer verifies (the root,
+# the signature, or the signing key it is checked against)
 MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "tag")} | {
     ("CONFIG", "n"),
     ("CIPHER", "c"),
+    ("PUBKEY", "y"),
+    ("ENDORSE", "root"),
+    ("ENDORSE", "sig_e"),
+    ("ENDORSE", "sig_s"),
 }
+
+
+def _path_mutations(path: str):
+    """A PUBLISH path one sibling short, one sibling long, and with its
+    direction-tree and signer-tree halves swapped."""
+    return [path[:-64], path + path[:64], path[4 * 64 :] + path[: 4 * 64]]
 
 
 def test_every_field_mutation_detected():
     # an investigation and a re-keyed session, then a session that
-    # endorses epoch 1 mid-tree, whose later EDGE record is mutated too
+    # endorses epoch 1 mid-tree, whose later ENDORSE records are mutated too
     scenarios = [
         sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
         EPOCH_CROSSING,
     ]
-    later_edge_fields = set()
+    later_endorse_fields, publish_paths = set(), 0
     missed, malformed = [], []
     for scenario in scenarios:
         transcript = sim.run_scenario(scenario)
@@ -446,21 +459,31 @@ def test_every_field_mutation_detected():
         lines = transcript.to_text().splitlines()
         for i, line in enumerate(lines):
             tokens = line.split(" ")
+            candidates = []
             for j, token in enumerate(tokens[1:], start=1):
                 key, value = token.split("=", 1)
                 mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
+                candidates.append((key, mutated))
+                if line.startswith("ENDORSE ") and " epoch=0 " not in line:
+                    later_endorse_fields.add(key)
+            if tokens[0] == "PUBLISH":
+                # n=3: four siblings in the direction's tree, one in the signer's
+                path = tokens[-1].split("=", 1)[1]
+                assert len(path) == (4 + 1) * 64
+                publish_paths += 1
+                candidates += [("path", tokens[:-1] + [f"path={p}"]) for p in _path_mutations(path)]
+            for key, mutated in candidates:
                 candidate = lines[:i] + [" ".join(mutated)] + lines[i + 1 :]
                 outcome = _outcome("\n".join(candidate) + "\n")
                 if outcome == "clean":
                     missed.append((scenario.seed, i, key, line[:60]))
                 elif outcome == "malformed" and (tokens[0], key) not in MALFORMED_FIELDS:
                     malformed.append((scenario.seed, i, key, line[:60]))
-                if line.startswith("EDGE ") and " epoch=0 " not in line:
-                    later_edge_fields.add(key)
     assert not missed, missed
     # every other mutation is named as a divergence
     assert not malformed, malformed
-    assert {"epoch", "root_lo", "root_hi"} <= later_edge_fields
+    assert later_endorse_fields == {"session", "epoch", "part", "root", "sig_e", "sig_s"}
+    assert publish_paths == 6
 
 
 def test_oversized_participant_count_is_malformed():
@@ -492,7 +515,7 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
 @pytest.mark.parametrize(
     "prefix, field, value",
     [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
-     ("EDGE", "root_lo", "zz"), ("EDGE", "root_hi", "abc"),
+     ("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc"),
      ("CIPHER session=1 round=1 part=2", "c", "0")],
 )
 def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, medium):
@@ -509,6 +532,96 @@ def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, 
     with pytest.raises(MalformedRecord, match=field) as info:
         sim.verify_transcript(Transcript.from_text("\n".join(lines) + "\n"))
     assert info.value.index == index
+
+
+# scenario 0 of the bench's wide_honest workload at seed 1: an honest n=32 run
+WIDE_HONEST = sim.Scenario(
+    n=32,
+    senders=((4, 250), (5, 237), (11, 71), (17, 71), (25, 171), (27, 37), (30, 145), (31, 124)),
+    seed=10982983926217157380,
+)
+
+
+def _resealed(transcript, index, **fields):
+    """The transcript's text with body record ``index`` changed, and its
+    session's ``keys`` and the SUMMARY ``bind`` recomputed to match."""
+    body = [dict(rec) for rec in transcript.records]
+    body[index].update(fields)
+    start = max(i for i in range(index + 1) if body[i]["type"] == "SESSION")
+    keys = []
+    for rec in body[start + 1 :]:
+        if rec["type"] not in ("PUBKEY", "OPTOUT", "ENDORSE"):
+            break
+        keys.append(rec)
+    body[start]["keys"] = records_digest(keys)
+    body[-1]["bind"] = records_digest(body[:-1])
+    return Transcript(transcript.header, body).to_text()
+
+
+def _not_clean_at(text, index) -> bool:
+    """Whether verify diverges, or ends malformed at record ``index``."""
+    try:
+        report = sim.verify_transcript(Transcript.from_text(text))
+    except MalformedRecord as exc:
+        return exc.index == index
+    return not report.clean
+
+
+def _first_endorse(transcript, epoch):
+    return next(
+        i for i, rec in enumerate(transcript.records)
+        if rec["type"] == "ENDORSE" and rec["epoch"] == epoch
+    )
+
+
+@pytest.mark.parametrize(
+    "fields", [("root",), ("sig_e",), ("sig_s",), ("sig_e", "sig_s")], ids="+".join
+)
+def test_replaced_endorse_record_is_not_clean(fields):
+    # a signed root that no investigation reveals is still checked: taking
+    # another participant's root or signature, with keys and bind recomputed,
+    # fails in an honest n=32 run's epoch 0 and in a later epoch
+    for scenario, epoch in ((WIDE_HONEST, 0), (EPOCH_CROSSING, 1)):
+        transcript = sim.run_scenario(scenario)
+        assert sim.verify_transcript(transcript).clean
+        index = _first_endorse(transcript, epoch)
+        other = transcript.records[index + 1]
+        assert other["type"] == "ENDORSE"
+        text = _resealed(transcript, index, **{name: other[name] for name in fields})
+        assert _not_clean_at(text, len(transcript.header) + index), (scenario.n, fields)
+
+
+def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
+    """n=32 and a bad_slot_count adversary that keeps a collision stuck
+    for 48 retries: one session endorses four epochs, each with one
+    ENDORSE record, one signature in the run and one check on replay per
+    participant, and every check passes."""
+    counts = Counter()
+    sign, verify_sig = keysetup.sign, keysetup.verify_sig
+
+    def counting_sign(*args):
+        counts["sign"] += 1
+        return sign(*args)
+
+    def counting_verify_sig(*args):
+        ok = verify_sig(*args)
+        counts["verify_sig", ok] += 1
+        return ok
+
+    monkeypatch.setattr(keysetup, "sign", counting_sign)
+    monkeypatch.setattr(keysetup, "verify_sig", counting_verify_sig)
+    scenario = sim.Scenario(
+        n=32, senders=((0, 9), (5, 100), (9, 30)), adversaries=((9, "bad_slot_count"),),
+        max_retries=48,
+    )
+    transcript = sim.run_scenario(scenario)
+    assert summary_of(transcript)["sessions"] == 1
+    assert verdicts_of(transcript) == [(9, "stuck_collision")]
+    signed = Counter(r["epoch"] for r in transcript.records if r["type"] == "ENDORSE")
+    assert signed == {0: 32, 1: 32, 2: 32, 3: 32}
+    assert counts == {"sign": 4 * 32}
+    assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
+    assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
 
 
 def test_session_after_everyone_is_banned_is_not_clean():
@@ -618,13 +731,13 @@ def test_stuck_collision_session_endorses_epochs_on_demand():
     assert verdicts_of(t) == [(6, "stuck_collision")]
     resolved = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
     assert Counter(p for pid, p in scenario.senders if pid != 6) <= resolved
-    # each later epoch's EDGE records (all 66 edges are shared) sit just
+    # each later epoch's ENDORSE records (one per participant) sit just
     # before the round that spends the epoch's first slot
-    edges = Counter(r["epoch"] for r in t.records if r["type"] == "EDGE")
-    assert edges == {0: 66, 1: 66, 2: 66, 3: 66}
+    signed = Counter(r["epoch"] for r in t.records if r["type"] == "ENDORSE")
+    assert signed == {0: 12, 1: 12, 2: 12, 3: 12}
     for epoch in (1, 2, 3):
         last = max(
-            i for i, r in enumerate(t.records) if r["type"] == "EDGE" and r["epoch"] == epoch
+            i for i, r in enumerate(t.records) if r["type"] == "ENDORSE" and r["epoch"] == epoch
         )
         assert t.records[last + 1]["type"] == "ROUND"
         assert t.records[last + 1]["slot"] == epoch * EPOCH_SLOTS
