@@ -14,20 +14,22 @@ from dcmesh.groups import (
 )
 
 params = derive_params("test_small", b"dc-mesh/v1")
-print(f"group: p={params.p} q={params.q} g={params.g} h={params.h}")
+print(f"group: p={params.p} q={params.q} g={params.g} f={params.f} h={params.h}")
 
-c = commit(params, 5, 7)
-print(f"\ncommit(value=5, blinding=7) = {c}")
-print(f"opens with (5,7):  {verify_open(params, c, 5, 7)}")
-print(f"opens with (6,7):  {verify_open(params, c, 6, 7)}")
+# a value is a slot (count, total): g^count * f^total * h^blinding
+c = commit(params, (1, 5), 7)
+print(f"\ncommit(value=(1,5), blinding=7) = {c}")
+print(f"opens with ((1,5),7):  {verify_open(params, c, (1, 5), 7)}")
+print(f"opens with ((1,6),7):  {verify_open(params, c, (1, 6), 7)}")
 
-print("\nhomomorphism: commit(a,r) * commit(b,s) == commit(a+b, r+s)")
-lhs = combine(params, commit(params, 5, 7), commit(params, 11, 2))
-print(f"  commit(5,7)*commit(11,2) = {lhs} = commit(16,9) = {commit(params, 16, 9)}")
-print(f"  commit(5,7) * commit(-5,-7) = {combine(params, c, negate(params, c))}")
+print("\nhomomorphism: values add componentwise, blindings add")
+lhs = combine(params, commit(params, (1, 5), 7), commit(params, (1, 11), 2))
+print(f"  commit((1,5),7)*commit((1,11),2) = {lhs} = commit((2,16),9) = "
+      f"{commit(params, (2, 16), 9)}")
+print(f"  commit((1,5),7) * its inverse = {combine(params, c, negate(params, c))}")
 
 print("\nhiding: for a fixed value, every blinding gives a distinct element")
-outputs = {commit(params, 5, r) for r in range(params.q)}
+outputs = {commit(params, (1, 5), r) for r in range(params.q)}
 print(f"  53 blindings -> {len(outputs)} distinct commitments (the whole subgroup)")
 
 print("\nbinding: a double opening would reveal log_h(g)")
@@ -35,7 +37,7 @@ lam = brute_force_dlog(params, params.h, params.g)
 print(f"  brute force says log_h(g) = {lam}")
 a, b, delta = 20, 31, 6
 a2, b2 = (a + delta) % 53, (b - lam * delta) % 53
-assert commit(params, a, b) == commit(params, a2, b2)
+assert commit(params, (a, 0), b) == commit(params, (a2, 0), b2)
 recovered = (b2 - b) * pow(a - a2, -1, 53) % 53
 print(f"  fabricated openings ({a},{b}) and ({a2},{b2}) collide;")
 print(f"  the collision formula recovers log_h(g) = {recovered}")

@@ -53,7 +53,7 @@ for pid, retransmitted in ((0, True), (1, False), (2, False)):
     print(f"  P{pid} proof verifies: {ok}   (branch hidden from the verifier)")
 
 print("\nround 4: P0 retransmits the message shifted by one")
-transmit(0, 4, (slot + 1) % params.q)
+transmit(0, 4, (slot[0], slot[1] + 1))
 for branch in (False, True):
     try:
         prove_retransmission(params, broadcasts[0], blinds[0], 0, 4, branch, rng, tag)

@@ -23,12 +23,13 @@ print(f"transcript: {len(text.splitlines())} records, "
 report = sim.verify_transcript(transcript)
 print(f"independent replay clean: {report.clean}")
 
-print("\ntampering: flip one broadcast value (O=...) in place")
+print("\ntampering: shift one broadcast total (O_total=...) in place")
 lines = text.splitlines()
-target = next(i for i, ln in enumerate(lines) if " O=" in ln)
+target = next(i for i, ln in enumerate(lines) if " O_total=" in ln)
 tokens = lines[target].split(" ")
 tokens = [
-    f"O={int(tok.split('=')[1]) + 1}" if tok.startswith("O=") else tok for tok in tokens
+    f"O_total={int(tok.split('=')[1]) + 1}" if tok.startswith("O_total=") else tok
+    for tok in tokens
 ]
 lines[target] = " ".join(tokens)
 try:

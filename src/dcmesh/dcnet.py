@@ -1,7 +1,11 @@
 """Single-round engine: ciphertexts, round aggregation, investigation.
 
-A round broadcast is the pair (O, c): the pad sum (plus an optional
-message) and the aggregate pair-commitment product.  A round is valid
+A round broadcast is (O, c): O is the slot value (O_count, O_total),
+the participant's pad sums plus, if it sends, its message slot (1, x),
+and c is the aggregate pair-commitment product.  The broadcast values
+of a round add componentwise mod q to the aggregate (C_count,
+C_total): how many messages the round carries and what their payloads
+sum to, exactly, since n * 2^payload_bits < q.  A round is valid
 when the commitment product over all participants is the identity;
 when it is not, participants publish their endorsed per-pair
 commitments and the checks here attribute blame.
@@ -23,13 +27,14 @@ NON_COOPERATION = "non_cooperation"
 INVALID_PROOF = "invalid_proof"
 WRONG_BRANCH = "wrong_branch"
 STUCK_COLLISION = "stuck_collision"
+UNEQUAL_PAYLOAD = "unequal_payload"
 
 
 @dataclass(frozen=True)
 class RoundCiphertext:
     participant: int
     round_id: int
-    value: int                      # O: pad sum, plus message if sending
+    value: tuple[int, int]          # O: (count, total) pad sums, plus the message slot if sending
     commitment: int                 # c: aggregate pair commitment
     proof: str | None = None        # retransmission proof in wire form (hex)
 
@@ -37,7 +42,7 @@ class RoundCiphertext:
 @dataclass(frozen=True)
 class RoundResult:
     round_id: int
-    total: int        # sum of all broadcast values mod q
+    aggregate: tuple[int, int]   # (count, total): the broadcast values' sums mod q
     valid: bool       # commitment product is the identity
     ciphertexts: tuple[RoundCiphertext, ...]
 
@@ -48,17 +53,18 @@ class RoundResult:
         raise MissingParticipant(f"no ciphertext from {pid}")
 
 
-def make_ciphertext(view: KeyView, round_id, message: int | None = None) -> RoundCiphertext:
+def make_ciphertext(view: KeyView, round_id, message=None) -> RoundCiphertext:
     """Build this participant's broadcast for one round.
 
     Consumes the next unspent slot's secrets (each slot is used exactly
-    once).  The message, when present, is added to the pad sum
-    only; the commitment never depends on it.
+    once).  The message, a (count, total) slot when present, is added to
+    the pad sums only; the commitment never depends on it.
     """
     slot = view.spend(round_id)
     value = view.pad_sum(slot)
     if message is not None:
-        value = (value + message) % view.params.q
+        q = view.params.q
+        value = ((value[0] + message[0]) % q, (value[1] + message[1]) % q)
     return RoundCiphertext(
         participant=view.pid,
         round_id=round_id,
@@ -79,13 +85,19 @@ def aggregate_round(
         seen.add(ct.participant)
     if seen != expected:
         raise MissingParticipant(f"missing ciphertexts from {sorted(expected - seen)}")
-    total = sum(ct.value for ct in ciphertexts) % params.q
+    q = params.q
+    aggregate = (
+        sum(ct.value[0] for ct in ciphertexts) % q,
+        sum(ct.value[1] for ct in ciphertexts) % q,
+    )
     product = 1
     for ct in ciphertexts:
         product = product * ct.commitment % params.p
     round_id = ciphertexts[0].round_id if ciphertexts else 0
     ordered = tuple(sorted(ciphertexts, key=lambda ct: ct.participant))
-    return RoundResult(round_id=round_id, total=total, valid=product == 1, ciphertexts=ordered)
+    return RoundResult(
+        round_id=round_id, aggregate=aggregate, valid=product == 1, ciphertexts=ordered
+    )
 
 
 @dataclass

@@ -8,11 +8,14 @@ parameter sets are built in:
 * ``test_small``  -- p=107, q=53.  Tiny enough that discrete logs,
   commitment openings and full pad spaces can be enumerated in tests.
 * ``test_medium`` -- p=262643, q=131321.  Still brute-forceable, but
-  large enough to hold slot-encoded messages for collision trees.
+  large enough to hold the slot sums of collision trees.
 * ``production``  -- the RFC 3526 2048-bit MODP safe prime, generators
   derived by hashing the domain tag into the subgroup.
 
-Powers of the two fixed generators go through a window table per
+A slot value is a pair (count, total) of scalars, and its Pedersen
+vector commitment is g^count * f^total * h^blinding over three fixed
+generators: fixed constants in the test sets, hash-derived in
+``production``.  Powers of the generators go through a window table per
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
 protocol, every branch of which is a power of h; ``WindowTable.powers``
@@ -119,7 +122,8 @@ def window_table(params: "GroupParams", base: int) -> WindowTable:
 class GroupParams:
     """A Schnorr group with its commitment generators.
 
-    ``generators`` is ``(g, h)``: the value base, then the blinding base.
+    ``generators`` is ``(g, f, h)``: the bases of a slot's count and
+    total, then the blinding base.
     """
 
     name: str
@@ -131,6 +135,10 @@ class GroupParams:
     @property
     def g(self) -> int:
         return self.generators[0]
+
+    @property
+    def f(self) -> int:
+        return self.generators[1]
 
     @property
     def h(self) -> int:
@@ -147,6 +155,10 @@ class GroupParams:
     @functools.cached_property
     def g_table(self) -> WindowTable:
         return window_table(self, self.g)
+
+    @functools.cached_property
+    def f_table(self) -> WindowTable:
+        return window_table(self, self.f)
 
     @functools.cached_property
     def h_table(self) -> WindowTable:
@@ -172,8 +184,8 @@ class GroupParams:
             raise ValueError("p and q must be prime")
         if (self.p - 1) % self.q != 0:
             raise ValueError("q must divide p-1")
-        if len(self.generators) < 2:
-            raise ValueError("need at least the value and blinding generators")
+        if len(self.generators) != 3:
+            raise ValueError("need the count, total and blinding generators")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generators must be pairwise distinct")
         for x in self.generators:
@@ -268,28 +280,36 @@ def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams
         raise ValueError(f"unknown security level {security_level!r}")
     p, q = _BUILT_IN[security_level]
     if security_level == "production":
-        g = hash_to_subgroup(p, q, domain_tag, b"g")
-        h = hash_to_subgroup(p, q, domain_tag, b"h")
+        g, f, h = (hash_to_subgroup(p, q, domain_tag, label) for label in (b"g", b"f", b"h"))
     else:
-        g, h = 4, 9
+        g, f, h = 4, 25, 9
     params = GroupParams(
-        name=security_level, p=p, q=q, generators=(g, h), domain_tag=bytes(domain_tag)
+        name=security_level, p=p, q=q, generators=(g, f, h), domain_tag=bytes(domain_tag)
     )
     params.validate()
     return params
 
 
-def commit(params: GroupParams, value: int, blinding: int) -> int:
-    """Pedersen commitment g^value * h^blinding."""
-    return params.g_table.power(value) * params.h_table.power(blinding) % params.p
+def value_term(params: GroupParams, value) -> int:
+    """g^count * f^total: the part of a commitment that a slot value
+    (count, total) contributes."""
+    count, total = value
+    return params.g_table.power(count) * params.f_table.power(total) % params.p
 
 
-def verify_open(params: GroupParams, commitment: int, value: int, blinding: int) -> bool:
+def commit(params: GroupParams, value, blinding: int) -> int:
+    """Pedersen vector commitment g^count * f^total * h^blinding to a
+    slot value (count, total)."""
+    return value_term(params, value) * params.h_table.power(blinding) % params.p
+
+
+def verify_open(params: GroupParams, commitment: int, value, blinding: int) -> bool:
     return commitment == commit(params, value, blinding)
 
 
 def combine(params: GroupParams, c1: int, c2: int) -> int:
-    """Homomorphic combination: commit(a,r) * commit(b,s) = commit(a+b, r+s)."""
+    """Homomorphic combination: commit(a,r) * commit(b,s) = commit(a+b, r+s),
+    values adding componentwise."""
     return c1 * c2 % params.p
 
 

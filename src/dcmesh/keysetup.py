@@ -1,14 +1,16 @@
 """Pairwise secret establishment and mutual commitment endorsement.
 
-Each unordered pair of participants shares, per slot, a key and a
-blinding value; the reverse direction holds the negations so all pads
-cancel in a round sum, and its commitments, from hi to lo, are the
-inverses of the lo -> hi ones.  Slots are endorsed in epochs of
-``EPOCH_SLOTS``.  Each edge direction's commitments for an epoch are
-the leaves of a Merkle tree.  The roots of the directions a participant
-is the peer of, one per other participant in id order, are the leaves
-of that participant's own tree, and it signs that tree's root once per
-epoch, bound to the epoch (an ENDORSE record).  A commitment revealed
+Each unordered pair of participants shares, per slot, a pair of keys
+(one pads a slot's count, the other its total) and a blinding value,
+committed to as g^count_key * f^total_key * h^blinding; the reverse
+direction holds the negations so all pads cancel in a round sum, and
+its commitments, from hi to lo, are the inverses of the lo -> hi ones.
+Slots are endorsed in epochs of ``EPOCH_SLOTS``.  Each edge direction's
+commitments for an epoch are the leaves of a Merkle tree.  The roots of
+the directions a participant is the peer of, one per other participant
+in id order, are the leaves of that participant's own tree, and it
+signs that tree's root once per epoch, bound to the epoch and to the
+peers it shares no edge with (an ENDORSE record).  A commitment revealed
 with its path through both trees is endorsed by that one signature,
 which is what later lets an investigation pin blame.  Epoch 0 is built
 with the graph and later epochs on demand, over the same edges and
@@ -20,11 +22,12 @@ power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
-secrets drawn in one loop, the commitments made with
-``WindowTable.powers``, their inverses with ``groups.invert_all`` and
-the Merkle trees with one ``merkle.build_tree``; one more builds every
-participant's tree.  A participant's view sums each epoch once: its pad
-and blinding sums and its aggregate commitment for every slot of the
+secrets drawn in one loop, the commitments made with one
+``WindowTable.powers`` per generator, their inverses with
+``groups.invert_all`` and the Merkle trees with one
+``merkle.build_tree``; one more builds every participant's tree.  A
+participant's view sums each epoch once: its (count, total) pad sums,
+its blinding sums and its aggregate commitment for every slot of the
 epoch.
 
 Secrets travel over ideal channels here: the builder simply hands both
@@ -108,18 +111,27 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
 
 @dataclass(frozen=True)
 class PairwiseSecret:
-    """One epoch's per-slot keys and blinding values for the directed edge i -> j."""
+    """One epoch's per-slot keys (for a slot's count and for its total)
+    and blinding values for the directed edge i -> j."""
 
     i: int
     j: int
-    keys: tuple[int, ...]
+    count_keys: tuple[int, ...]
+    total_keys: tuple[int, ...]
     blinds: tuple[int, ...]
 
 
-def endorse_payload(root: bytes, signer: int, epoch: int) -> bytes:
+def endorse_payload(root: bytes, signer: int, epoch: int, opted_out) -> bytes:
     """What a participant signs to endorse, for one epoch, every
-    direction it is the peer of: the root of its tree."""
-    return b"dcmesh/endorse/v1" + epoch.to_bytes(4, "big") + signer.to_bytes(4, "big") + root
+    direction it is the peer of: the root of its tree, and the peers it
+    shares no edge with, in id order."""
+    fields = [epoch, signer, len(opted_out), *sorted(opted_out)]
+    return b"dcmesh/endorse/v2" + b"".join(x.to_bytes(4, "big") for x in fields) + root
+
+
+def opted_out_peers(optouts, pid: int) -> list[int]:
+    """The peers ``pid`` shares no edge with, given the opted-out (lo, hi) pairs."""
+    return sorted(lo + hi - pid for lo, hi in optouts if pid in (lo, hi))
 
 
 def signer_width(count: int) -> int:
@@ -182,14 +194,17 @@ def endorse(params: GroupParams, commitments) -> list[Endorsement]:
 
 @dataclass(frozen=True)
 class SignedRoot:
-    """A participant's signature over its tree's root for one epoch."""
+    """A participant's signature over its tree's root and its opted-out
+    peers for one epoch."""
 
     part: int
     root: bytes
     signature: tuple[int, int]
 
-    def verifies(self, params: GroupParams, public: int, epoch: int) -> bool:
-        payload = endorse_payload(self.root, self.part, epoch)
+    def verifies(self, params: GroupParams, public: int, epoch: int, optouts) -> bool:
+        """Whether the signature holds under ``public`` for the epoch and
+        the session's opted-out pairs ``optouts``."""
+        payload = endorse_payload(self.root, self.part, epoch, opted_out_peers(optouts, self.part))
         return verify_sig(params, public, payload, self.signature)
 
 
@@ -234,29 +249,32 @@ def establish_row(params: GroupParams, lo: int, peers, rng):
     lo holds and the one hi holds.
 
     The edges go through each stage together.  Each draws its secrets
-    from ``rng`` in turn, key then blinding value for each slot, as
-    ``rng.randrange(q)`` would.
+    from ``rng`` in turn, count key, total key and blinding value for
+    each slot, as ``rng.randrange(q)`` would.
     """
-    # rng.randrange(q) 2 * EPOCH_SLOTS times per edge: the same rejection
+    # rng.randrange(q) 3 * EPOCH_SLOTS times per edge: the same rejection
     # loop over q.bit_length() random bits, without a call per draw
     q, p, getrandbits, draws = params.q, params.p, rng.getrandbits, []
     bits = q.bit_length()
-    for _ in range(2 * EPOCH_SLOTS * len(peers)):
+    for _ in range(3 * EPOCH_SLOTS * len(peers)):
         r = getrandbits(bits)
         while r >= q:
             r = getrandbits(bits)
         draws.append(r)
-    keys, blinds = draws[::2], draws[1::2]
+    counts, totals, blinds = draws[::3], draws[1::3], draws[2::3]
     c_lo = [
-        a * b % p for a, b in zip(params.g_table.powers(keys), params.h_table.powers(blinds))
+        a * b % p * c % p
+        for a, b, c in zip(
+            params.g_table.powers(counts),
+            params.f_table.powers(totals),
+            params.h_table.powers(blinds),
+        )
     ]
     # commit(-k, -r) is the inverse of commit(k, r)
     held = endorse(params, c_lo + invert_all(params, c_lo))
     secrets = [
-        PairwiseSecret(
-            lo, hi, tuple(keys[at : at + EPOCH_SLOTS]), tuple(blinds[at : at + EPOCH_SLOTS])
-        )
-        for hi, at in zip(peers, range(0, len(keys), EPOCH_SLOTS))
+        PairwiseSecret(lo, hi, *(tuple(x[at : at + EPOCH_SLOTS]) for x in (counts, totals, blinds)))
+        for hi, at in zip(peers, range(0, len(blinds), EPOCH_SLOTS))
     ]
     return list(zip(secrets, held, held[len(peers) :]))
 
@@ -288,11 +306,12 @@ class Epoch(NamedTuple):
 
 
 class EpochShare(NamedTuple):
-    """One participant's sums for each slot of an epoch: of its pads, of
-    its blinding values and, as a product, of the pair commitments it
-    holds; and those commitments' endorsements, by peer."""
+    """One participant's sums for each slot of an epoch: of its pads, as
+    (count, total) pairs, of its blinding values and, as a product, of
+    the pair commitments it holds; and those commitments' endorsements,
+    by peer."""
 
-    pads: list[int]
+    pads: list[tuple[int, int]]
     blinds: list[int]
     commitments: list[int]
     held: dict
@@ -352,10 +371,11 @@ class KeyGraph:
                     row.append(held.root if state.established else NO_EDGE)
             leaves += row + [NO_EDGE] * (self.width - len(row))
         trees = merkle.build_tree(leaves, self.width)
+        optouts = [pair for pair, state in edges.items() if not state.established]
         signed = []
         for signer, root in zip(self.participants, trees[-1]):
-            key, payload = self.signing[signer], endorse_payload(root, signer, epoch)
-            signed.append(SignedRoot(signer, root, sign(self.params, key, payload)))
+            payload = endorse_payload(root, signer, epoch, opted_out_peers(optouts, signer))
+            signed.append(SignedRoot(signer, root, sign(self.params, self.signing[signer], payload)))
         return Epoch(edges, trees, tuple(signed))
 
     def edge(self, a: int, b: int, epoch: int = 0) -> EdgeState:
@@ -387,30 +407,24 @@ class KeyGraph:
         secrets count negated when the participant is the hi end."""
         q, p = self.params.q, self.params.p
         zeros = (0,) * EPOCH_SLOTS   # one row in each list, so every column exists
-        keys_lo, blinds_lo, keys_hi, blinds_hi, held = [zeros], [zeros], [zeros], [zeros], {}
+        # per secret (count keys, total keys, blinds): the rows added, then those taken away
+        rows = [([zeros], [zeros]) for _ in range(3)]
+        held = {}
         for peer in self.participants:
             if peer == pid:
                 continue
             state = self.edge(pid, peer, epoch)
             if not state.established:
                 continue  # opted-out edges contribute zero pads
-            if pid == state.lo:
-                keys_lo.append(state.secret.keys)
-                blinds_lo.append(state.secret.blinds)
-                held[peer] = state.held_lo
-            else:
-                keys_hi.append(state.secret.keys)
-                blinds_hi.append(state.secret.blinds)
-                held[peer] = state.held_hi
+            secret, is_hi = state.secret, pid != state.lo
+            for plus_minus, values in zip(rows, (secret.count_keys, secret.total_keys, secret.blinds)):
+                plus_minus[is_hi].append(values)
+            held[peer] = state.held_hi if is_hi else state.held_lo
         commitments = [1] * EPOCH_SLOTS
         for endorsement in held.values():
             commitments = [a * c % p for a, c in zip(commitments, endorsement.commitments)]
-        return EpochShare(
-            _column_differences(keys_lo, keys_hi, q),
-            _column_differences(blinds_lo, blinds_hi, q),
-            commitments,
-            held,
-        )
+        counts, totals, blinds = (_column_differences(plus, minus, q) for plus, minus in rows)
+        return EpochShare(list(zip(counts, totals)), blinds, commitments, held)
 
 
 def _column_differences(plus, minus, q: int) -> list[int]:
@@ -457,7 +471,8 @@ class KeyView:
             self._shares.append(self.graph.share(self.pid, len(self._shares)))
         return self._shares[epoch], index
 
-    def pad_sum(self, slot: int) -> int:
+    def pad_sum(self, slot: int) -> tuple[int, int]:
+        """The slot's (count, total) pad sum."""
         share, index = self._share(slot)
         return share.pads[index]
 

@@ -304,6 +304,7 @@ class HonestParticipant:
                 node_id,
                 self.rng,
                 self.session_tag,
+                self.tree.nodes[node_id].equal_payload,
             )
         except WitnessMismatch:
             return None
@@ -335,7 +336,12 @@ class _ForgingAdversary(HonestParticipant):
         proof = super()._denial_proof(node_id)
         if proof is None:
             stmt = splitter.denial_statement(
-                self.params, self.broadcasts, self.pid, node_id, self.session_tag
+                self.params,
+                self.broadcasts,
+                self.pid,
+                node_id,
+                self.session_tag,
+                self.tree.nodes[node_id].equal_payload,
             )
             proof = zkp.forge_attempt(self.params, stmt, self.rng)
         return proof
@@ -348,7 +354,7 @@ class BadPadParticipant(_ForgingAdversary):
     def broadcast(self, round_id):
         ct = super().broadcast(round_id)
         if round_id == 1:
-            tampered_value = (ct.value + 1) % self.params.q
+            tampered_value = ((ct.value[0] + 1) % self.params.q, ct.value[1])
             tampered_commitment = ct.commitment * self.params.g % self.params.p
             self.broadcasts[round_id] = (tampered_value, tampered_commitment)
             ct = replace(ct, value=tampered_value, commitment=tampered_commitment)
@@ -386,7 +392,9 @@ class DoubleBranchParticipant(_ForgingAdversary):
 
 
 class MutateMessageParticipant(_ForgingAdversary):
-    """Retransmits a shifted message instead of the one it sent."""
+    """Retransmits a shifted message instead of the one it sent, at the
+    first split of its message's node, whichever side the message
+    belongs on."""
 
     def begin_session(self, *args):
         super().begin_session(*args)
@@ -394,9 +402,10 @@ class MutateMessageParticipant(_ForgingAdversary):
 
     def _message_for(self, round_id):
         message = super()._message_for(round_id)
-        if message is not None and round_id != 1 and not self.mutated:
+        # _transmit_decision has just moved the message to one of this round's nodes
+        if round_id != 1 and not self.mutated and self.message_node in (round_id, round_id + 1):
             self.mutated = True
-            message = (message + 1) % self.params.q
+            message = (self.slot_value[0], (self.slot_value[1] + 1) % self.params.q)
         return message
 
 
@@ -424,7 +433,7 @@ class BadSlotCountParticipant(_ForgingAdversary):
 
     def begin_session(self, *args):
         super().begin_session(*args)
-        self.slot_value = (2 << self.payload_bits) + self.payload
+        self.slot_value = (2, self.payload)
 
 
 class RefuseProofParticipant(HonestParticipant):
@@ -496,7 +505,7 @@ def _key_records(session, public: KeyGraphPublic):
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v4", hash="sha256"),
+        record("DCMESH", version="v5", hash="sha256"),
         record(
             "GROUP",
             name=params.name,
@@ -583,7 +592,6 @@ def _play_session(params, scenario, active, pending, session, session_tag):
     outcome = run_session(
         params,
         public,
-        scenario.payload_bits,
         scenario.max_retries,
         session,
         session_tag,
@@ -710,15 +718,17 @@ class _Replay:
             if not 1 <= self.publics[pid] < params.p:
                 raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
         # a pair that is not two active ids in order is dropped here, so
-        # the re-emitted key records show it as a divergence
+        # the re-emitted key records show it as a divergence; the rest are
+        # signed into each ENDORSE
         optouts = set()
         while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
             lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
             if lo < hi and {lo, hi} <= self.publics.keys():
                 optouts.add((lo, hi))
             self.read += 1
+        self.optouts = frozenset(optouts)
         signed = self.epoch(0)
-        self.public = KeyGraphPublic(tuple(pids), self.publics, frozenset(optouts), (signed,))
+        self.public = KeyGraphPublic(tuple(pids), self.publics, self.optouts, (signed,))
         self.at = self.read   # the judge's records follow the key records
 
     def _input(self, rtype, **key):
@@ -738,7 +748,7 @@ class _Replay:
             signed = SignedRoot(pid, bytes.fromhex(rec["root"]), (rec["sig_e"], rec["sig_s"]))
         except ValueError:
             raise MalformedRecord(index, "ENDORSE root is not hex") from None
-        if not signed.verifies(self.params, self.publics[pid], epoch):
+        if not signed.verifies(self.params, self.publics[pid], epoch, self.optouts):
             raise MalformedRecord(index, f"ENDORSE signature of participant {pid} does not verify")
         return signed
 
@@ -760,9 +770,8 @@ class _Replay:
             if not self.params.is_element(rec["c"]):
                 message = f"CIPHER c of {pid} not in the group"
                 raise MalformedRecord(self.index + self.read - 1, message)
-            cts.append(
-                RoundCiphertext(pid, round_id, rec["O"] % self.params.q, rec["c"], _proof(rec))
-            )
+            value = (rec["O_count"] % self.params.q, rec["O_total"] % self.params.q)
+            cts.append(RoundCiphertext(pid, round_id, value, rec["c"], _proof(rec)))
         return cts
 
     def publish(self, slot):
@@ -842,7 +851,6 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             outcome = run_session(
                 params,
                 replay.public,
-                config["payload_bits"],
                 config["max_retries"],
                 session,
                 _session_tag(config["scenario"], session),

@@ -1,20 +1,32 @@
 """Verifiable superposed receiving: tree-based collision resolution.
 
-Messages are slot tuples (count, payload) packed into one scalar so
-that colliding slots add componentwise.  A collision observed in round
-k is split over rounds 2k and 2k+1: holders of payloads below the
-collision's average retransmit in round 2k, the rest do nothing, and
-round 2k+1 is never transmitted -- its aggregate is inferred as
-C(k) - C(2k).  That inference gives one delivered message per
-transmitted round when all payloads are distinct.
+A message x travels as the slot (1, x), a pair of scalars, and
+colliding slots add componentwise mod q, so an aggregate reads
+(count, total) directly: how many messages collided and what their
+payloads sum to.  A collision observed in round k is split over rounds
+2k and 2k+1: holders of payloads below the collision's average
+retransmit in round 2k, the rest do nothing, and round 2k+1 is never
+transmitted -- its aggregate is inferred as C(k) - C(2k).  That
+inference gives one delivered message per transmitted round when all
+payloads are distinct.
+
+When they are not, the split is degenerate: round 2k comes back empty
+and the inferred node 2k+1 holds (count, count * x).  The judge then
+asks every participant to prove that its context there is empty or
+exactly one copy (1, x), and delivers x count times when every proof
+verifies.  A lone failed proof is blamed: the verified contexts leave
+the failer the share (c, c * x), which an honest context of at most one
+message passes with.  Several failures cannot be told apart from an
+honest holder of another payload beside a malformed slot, so the node
+takes the coin path instead.
 
 Every participant broadcasts in every transmitted round and attaches,
 for every non-root round, a proof that the new broadcast either
 carries no message or repeats exactly the message content of the
 nearest transmitted ancestor context.  Disruption that survives those
-proofs (equal payloads, malformed slots, deliberate wrong branching)
-is handled by probabilistic re-splitting, and blame is assigned by
-demanding no-message proofs against the offending tree node.
+proofs (malformed slots, deliberate wrong branching) is handled by
+probabilistic re-splitting, and blame is assigned by demanding
+no-message proofs against the offending tree node.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .dcnet import (
     INVALID_PROOF,
     NON_COOPERATION,
     STUCK_COLLISION,
+    UNEQUAL_PAYLOAD,
     WRONG_BRANCH,
     RoundResult,
     aggregate_round,
@@ -47,26 +60,27 @@ EMPTY = "empty"
 RESOLVED = "resolved"
 COLLISION = "collision"
 STUCK = "stuck"
+EQUAL = "equal"   # a degenerate split's collision of equal payloads
 
 
 # ---------------------------------------------------------------------------
 # slot encoding
 
 
-def encode_slot(payload: int, payload_bits: int) -> int:
-    """Pack a single message as the slot tuple (1, payload)."""
+def encode_slot(payload: int, payload_bits: int) -> tuple[int, int]:
+    """The slot (1, payload) of a single message."""
     if not 0 <= payload < (1 << payload_bits):
         raise PayloadOverflow(f"payload {payload} needs more than {payload_bits} bits")
-    return (1 << payload_bits) + payload
-
-
-def decode_slot(value: int, payload_bits: int) -> tuple[int, int]:
-    """Split an aggregate back into (count, payload total)."""
-    return value >> payload_bits, value & ((1 << payload_bits) - 1)
+    return (1, payload)
 
 
 def slot_fits(count: int, payload_bits: int, q: int) -> bool:
-    """Overflow guard: the largest possible aggregate must stay below q."""
+    """Configuration guard: ``count`` messages of ``payload_bits`` bits fit below q.
+
+    Their total needs only count * (2^payload_bits - 1) < q; the bound
+    checked is about twice that, the one configurations have always
+    been validated against.
+    """
     return count * (1 << payload_bits) + count * ((1 << payload_bits) - 1) < q
 
 
@@ -105,7 +119,7 @@ def node_kind(node_id: int) -> str:
 @dataclass
 class TreeNode:
     round_id: int
-    aggregate: int | None = None
+    aggregate: tuple[int, int] | None = None
     count: int | None = None
     total: int | None = None
     status: str = PENDING
@@ -117,6 +131,11 @@ class TreeNode:
     def kind(self) -> str:
         return node_kind(self.round_id)
 
+    @property
+    def equal_payload(self) -> int | None:
+        """The payload every message at an equal-payload node carries."""
+        return self.total // self.count if self.status == EQUAL else None
+
 
 class ResolutionTree:
     """Shared public state of one collision resolution session.
@@ -126,15 +145,13 @@ class ResolutionTree:
     round id, and no new message may enter until the tree is done.
     """
 
-    def __init__(self, q: int, payload_bits: int, max_retries: int):
+    def __init__(self, q: int, max_retries: int):
         self.q = q
-        self.payload_bits = payload_bits
         self.max_retries = max_retries
         self.nodes: dict[int, TreeNode] = {1: TreeNode(1)}
         self._frontier = [1]
         self.transmitted_order: list[int] = []
         self.resolved: list[tuple[int, int]] = []   # (node_id, payload)
-        self.stuck_nodes: list[int] = []
         self.split_attempts: list[int] = []         # non-split chain lengths at first split
         self.blocked = False
         self._touched: list[int] = []
@@ -160,7 +177,7 @@ class ResolutionTree:
         self._touched = []
         rid = result.round_id
         node = self.nodes[rid]
-        node.aggregate = result.total
+        node.aggregate = result.aggregate
         self.transmitted_order.append(rid)
         self._classify(node)
         if rid == 1:
@@ -170,7 +187,9 @@ class ResolutionTree:
         else:
             parent = self.nodes[rid // 2]
             sibling = self.nodes[rid + 1]
-            sibling.aggregate = (parent.aggregate - node.aggregate) % self.q
+            sibling.aggregate = tuple(
+                (a - b) % self.q for a, b in zip(parent.aggregate, node.aggregate)
+            )
             self._classify(sibling)
             self._check_split(parent, node, sibling)
         if self.done:
@@ -178,7 +197,7 @@ class ResolutionTree:
         return sorted(set(self._touched))
 
     def _classify(self, node: TreeNode) -> None:
-        node.count, node.total = decode_slot(node.aggregate, self.payload_bits)
+        node.count, node.total = node.aggregate
         if node.count == 0:
             node.status = EMPTY
         elif node.count == 1:
@@ -205,6 +224,15 @@ class ResolutionTree:
         )
         if clean and parent.attempt > 0:
             self.split_attempts.append(parent.attempt)
+        if (
+            not parent.probabilistic
+            and left.aggregate == (0, 0)
+            and right.total == right.count * parent.threshold
+        ):
+            # every message went right and all sit at the average: equal
+            # payloads, which no split separates; the judge checks them
+            right.status = EQUAL
+            return
         for child in (left, right):
             if child.status != COLLISION:
                 continue
@@ -219,10 +247,20 @@ class ResolutionTree:
                 child.attempt = parent.attempt + 1
                 if child.attempt > self.max_retries:
                     child.status = STUCK
-                    self.stuck_nodes.append(child.round_id)
                     self._touched.append(child.round_id)
                     continue
             self._schedule_split(child)
+
+    def deliver(self, node_id: int) -> None:
+        """Resolve an equal-payload node: its payload, once per message."""
+        node = self.nodes[node_id]
+        self.resolved.extend([(node_id, node.equal_payload)] * node.count)
+
+    def resplit(self, node_id: int) -> None:
+        """Send an equal-payload node whose check failed down the coin path."""
+        node = self.nodes[node_id]
+        node.status, node.probabilistic, node.attempt = COLLISION, True, 1
+        self._schedule_split(node)
 
     def snapshot(self, node_id: int) -> dict:
         node = self.nodes[node_id]
@@ -243,19 +281,21 @@ class ResolutionTree:
 # ---------------------------------------------------------------------------
 # per-participant branch contexts and proofs
 #
-# ``broadcasts`` maps round id -> (O, c) for one participant; ``blinds``
-# maps round id -> that participant's blinding sum for the round.  Both
-# recursions accumulate along the path of inferred nodes, mirroring how
-# the tree itself infers aggregates.
+# ``broadcasts`` maps round id -> (O, c) for one participant, O the slot
+# value (count, total); ``blinds`` maps round id -> that participant's
+# blinding sum for the round.  Both recursions accumulate along the path
+# of inferred nodes, mirroring how the tree itself infers aggregates.
 
 
-def branch_context(params: GroupParams, broadcasts: dict, node_id: int) -> tuple[int, int]:
-    """(value, commitment) context of one participant at a tree node."""
+def branch_context(params: GroupParams, broadcasts: dict, node_id: int):
+    """((count, total), commitment) context of one participant at a tree node."""
     if node_kind(node_id) == "transmitted":
         return broadcasts[node_id]
-    value, gamma = branch_context(params, broadcasts, node_id // 2)
-    o_sib, c_sib = broadcasts[node_id - 1]
-    return (value - o_sib) % params.q, gamma * pow(c_sib, -1, params.p) % params.p
+    (count, total), gamma = branch_context(params, broadcasts, node_id // 2)
+    (o_count, o_total), c_sib = broadcasts[node_id - 1]
+    q = params.q
+    value = ((count - o_count) % q, (total - o_total) % q)
+    return value, gamma * pow(c_sib, -1, params.p) % params.p
 
 
 def blind_context(params: GroupParams, blinds: dict, node_id: int) -> int:
@@ -318,13 +358,23 @@ def verify_retransmission(
 
 
 def denial_statement(
-    params: GroupParams, broadcasts: dict, pid: int, node_id: int, session_tag: bytes
-) -> zkp.RepStatement:
-    """Claim that this participant's context at a node carries no message."""
+    params: GroupParams,
+    broadcasts: dict,
+    pid: int,
+    node_id: int,
+    session_tag: bytes,
+    copy: int | None = None,
+) -> zkp.OrStatement:
+    """Claim that this participant's context at a node carries no
+    message, or, where ``copy`` is an equal-payload node's payload x,
+    no message or exactly the one slot (1, x)."""
     value, gamma = branch_context(params, broadcasts, node_id)
-    return zkp.stmt_no_message(
-        params, value, gamma, _denial_context_tag(session_tag, pid, node_id)
-    )
+    ctx = _denial_context_tag(session_tag, pid, node_id)
+    branches = [zkp.stmt_no_message(params, value, gamma, ctx)]
+    if copy is not None:
+        shifted = (value[0] - 1, value[1] - copy)
+        branches.append(zkp.stmt_no_message(params, shifted, gamma, ctx))
+    return zkp.OrStatement(tuple(branches))
 
 
 def prove_node_denial(
@@ -335,9 +385,15 @@ def prove_node_denial(
     node_id: int,
     rng,
     session_tag: bytes,
+    copy: int | None = None,
 ) -> zkp.SigmaProof:
-    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag)
-    return zkp.prove_rep(params, stmt, blind_context(params, blinds, node_id), rng)
+    """A proof of :func:`denial_statement` on the branch the context
+    satisfies; WitnessMismatch when it satisfies none."""
+    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag, copy)
+    alpha = blind_context(params, blinds, node_id)
+    target = params.h_table.power(alpha)
+    branch = next((i for i, b in enumerate(stmt.branches) if b.target == target), 0)
+    return zkp.prove_or(params, stmt, branch, alpha, rng)
 
 
 def verify_node_denial(
@@ -347,9 +403,10 @@ def verify_node_denial(
     node_id: int,
     proof: zkp.SigmaProof,
     session_tag: bytes,
+    copy: int | None = None,
 ) -> bool:
-    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag)
-    return zkp.verify_rep(params, stmt, proof)
+    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag, copy)
+    return zkp.verify_or(params, stmt, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +470,6 @@ def _read_proof(params: GroupParams, text: str) -> zkp.SigmaProof | None:
 def run_session(
     params: GroupParams,
     graph_public,
-    payload_bits: int,
     max_retries: int,
     session: int,
     session_tag: bytes,
@@ -423,11 +479,12 @@ def run_session(
 
     The judge owns every session rule: round order, the validity check
     and the investigation after a failed one, retransmission proofs,
-    denial demands at stuck nodes, the wrong-branch audit, verdicts and
-    bans.  It emits every session record to ``source.records`` and reads
-    only public data: the participant set, the opt-outs and epoch 0's
-    signed roots come from ``graph_public``, and every protocol input
-    from ``source``, which answers five calls:
+    denial demands at stuck nodes, the check of equal-payload nodes, the
+    wrong-branch audit, verdicts and bans.  It emits every session record
+    to ``source.records`` and reads only public data: the participant
+    set, the opt-outs and epoch 0's signed roots come from
+    ``graph_public``, and every protocol input from ``source``, which
+    answers five calls:
 
     * ``begin(tree)``: the session starts on this tree;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
@@ -438,7 +495,8 @@ def run_session(
     * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
       for an investigation, paths in wire form;
     * ``respond(node_id)``: ``[(pid, proof or None)]`` denials, one per
-      participant, in participant order.
+      participant, in participant order; at an equal-payload node each
+      denies a message or claims one copy of the node's payload.
 
     Proofs arrive in wire form (hex text) and are recorded as given.
     The simulator's source is the live participants and its sink a list,
@@ -446,13 +504,12 @@ def run_session(
     inputs back from a transcript and compares each record as it is emitted.
     """
     pids = list(graph_public.participants)
-    tree = ResolutionTree(params.q, payload_bits, max_retries)
+    tree = ResolutionTree(params.q, max_retries)
     outcome = SessionOutcome(session=session, tree=tree, records=source.records)
     source.begin(tree)
 
     broadcasts = {pid: {} for pid in pids}   # pid -> round -> (O, c)
     demanded: set[int] = set()
-    stuck_seen = 0
     slot = 0
 
     while not tree.done:
@@ -469,7 +526,8 @@ def run_session(
                     session=session,
                     round=rid,
                     part=ct.participant,
-                    O=ct.value,
+                    O_count=ct.value[0],
+                    O_total=ct.value[1],
                     c=ct.commitment,
                     # the opening round carries no proof; none is read or recorded
                     proof="-" if ct.proof is None or rid == 1 else ct.proof,
@@ -477,7 +535,14 @@ def run_session(
             )
         result = aggregate_round(params, pids, cts)
         outcome.records.append(
-            record("AGGREGATE", session=session, round=rid, C=result.total, valid=int(result.valid))
+            record(
+                "AGGREGATE",
+                session=session,
+                round=rid,
+                C_count=result.aggregate[0],
+                C_total=result.aggregate[1],
+                valid=int(result.valid),
+            )
         )
         outcome.transmitted += 1
 
@@ -506,24 +571,36 @@ def run_session(
         _emit_nodes(tree, touched, session, outcome)
         slot += 1
 
-        while stuck_seen < len(tree.stuck_nodes):
-            node_id = tree.stuck_nodes[stuck_seen]
-            stuck_seen += 1
+        for node_id in touched:
+            node = tree.nodes[node_id]
+            if node.status not in (STUCK, EQUAL):
+                continue
             demanded.add(node_id)
-            _run_demand(
-                params, source, broadcasts, node_id, STUCK_COLLISION,
-                session, session_tag, outcome,
+            copy = node.equal_payload
+            failed = _run_demand(
+                params, source, broadcasts, node_id, session, session_tag, outcome, copy
             )
+            if node.status == STUCK:
+                _blame(outcome, failed, STUCK_COLLISION, node_id)
+            elif not failed:
+                tree.deliver(node_id)
+                for _ in range(node.count):
+                    outcome.records.append(
+                        record("RESOLVED", session=session, node=node_id, payload=copy)
+                    )
+            elif len(failed) == 1:
+                _blame(outcome, failed, UNEQUAL_PAYLOAD, node_id)
+            else:
+                tree.resplit(node_id)
+                _emit_nodes(tree, [node_id], session, outcome)
 
     if not outcome.aborted:
         for leaf_id in audit_wrong_branches(tree):
             if leaf_id in demanded:
                 continue
             demanded.add(leaf_id)
-            _run_demand(
-                params, source, broadcasts, leaf_id, WRONG_BRANCH,
-                session, session_tag, outcome,
-            )
+            failed = _run_demand(params, source, broadcasts, leaf_id, session, session_tag, outcome)
+            _blame(outcome, failed, WRONG_BRANCH, leaf_id)
 
     outcome.resolved = list(tree.resolved)
     outcome.epochs = len(graph_public.epochs)
@@ -608,16 +685,20 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
             outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
 
 
-def _run_demand(params, source, broadcasts, node_id, reason, session, session_tag, outcome):
-    """Ask every participant to deny carrying a message at a node."""
+def _run_demand(params, source, broadcasts, node_id, session, session_tag, outcome, copy=None):
+    """Ask every participant to deny carrying a message at a node (or,
+    where ``copy`` is an equal-payload node's payload, to carry nothing
+    or that one copy); returns those whose proofs fail."""
+    failed = []
     for pid, text in source.respond(node_id):
         proof = None if text is None else _read_proof(params, text)
         ok = proof is not None and verify_node_denial(
-            params, broadcasts[pid], pid, node_id, proof, session_tag
+            params, broadcasts[pid], pid, node_id, proof, session_tag, copy
         )
         outcome.proofs_checked += 1
         if not ok:
             outcome.proofs_failed += 1
+            failed.append(pid)
         outcome.records.append(
             record(
                 "DEMAND",
@@ -628,5 +709,8 @@ def _run_demand(params, source, broadcasts, node_id, reason, session, session_ta
                 proof="-" if text is None else text,
             )
         )
-        if not ok:
-            outcome.verdicts.append(Verdict(pid, reason, f"node:{node_id}"))
+    return failed
+
+
+def _blame(outcome, pids, reason, node_id):
+    outcome.verdicts.extend(Verdict(pid, reason, f"node:{node_id}") for pid in pids)

@@ -5,12 +5,17 @@ group, configuration and a digest binding them) followed by the
 sessions and a closing SUMMARY.  Each session opens with a SESSION
 record and its key records: every participant's signing key (PUBKEY),
 the pairs opted out for the whole session (OPTOUT) and every
-participant's signed root for epoch 0 (ENDORSE).  A later epoch's
-ENDORSE records, one per participant, sit in the session where the
-epoch was endorsed, before the first round that spends it.  Everything
-an independent verifier needs is either in the records or recomputable
-from them; secrets never appear except for pair commitments revealed
-during an investigation, which are safe to publish.
+participant's signed root for epoch 0 (ENDORSE), whose signature also
+covers the signer's opted-out peers.  A later epoch's ENDORSE records,
+one per participant, sit in the session where the epoch was endorsed,
+before the first round that spends it.  A slot value is a pair: each
+CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
+At an equal-payload node (NODE status=equal) the DEMAND records carry
+the equal-payload check, and the RESOLVED records that follow are one
+per delivered copy.  Everything an independent verifier needs is
+either in the records or recomputable from them; secrets never appear
+except for pair commitments revealed during an investigation, which are
+safe to publish.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ _SCHEMA = {
     "HEADEREND": ("digest",),
     "SESSION": ("idx", "active", "budget", "keys"),
     "ROUND": ("session", "id", "slot"),
-    "CIPHER": ("session", "round", "part", "O", "c", "proof"),
-    "AGGREGATE": ("session", "round", "C", "valid"),
+    "CIPHER": ("session", "round", "part", "O_count", "O_total", "c", "proof"),
+    "AGGREGATE": ("session", "round", "C_count", "C_total", "valid"),
     "NODE": (
         "session",
         "id",
@@ -78,9 +83,11 @@ _INT_FIELDS = {
     "id",
     "slot",
     "round",
-    "O",
+    "O_count",
+    "O_total",
     "c",
-    "C",
+    "C_count",
+    "C_total",
     "valid",
     "count",
     "total",

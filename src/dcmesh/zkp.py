@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import EmptyClauseList, WitnessMismatch
-from .groups import GroupParams
+from .groups import GroupParams, value_term
 
 _FS_TAG = b"dcmesh/fs/v1"
 
@@ -195,29 +195,31 @@ def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
     return _verify(params, or_statement_bytes(params, stmt), targets, proof)
 
 
-def stmt_no_message(params, value: int, commitment: int, context: bytes = b"") -> RepStatement:
-    """Statement that a broadcast value carries no message.
+def stmt_no_message(params, value, commitment: int, context: bytes = b"") -> RepStatement:
+    """Statement that a broadcast slot value (count, total) carries no message.
 
-    The commitment binds the broadcaster to the pad sum; dividing the
-    claimed value out of it leaves a pure power of h exactly when the
-    value equals the pad sum.
+    The commitment binds the broadcaster to its pad sums; dividing the
+    g and f terms of the claimed value out of it leaves a pure power of h
+    exactly when the value equals the pad sums.
     """
-    target = commitment * params.g_table.power(-value) % params.p
+    count, total = value
+    target = commitment * value_term(params, (-count, -total)) % params.p
     return RepStatement(target=target, context=context)
 
 
 def stmt_same_message(
-    params, value1: int, commitment1: int, value2: int, commitment2: int, context: bytes = b""
+    params, value1, commitment1: int, value2, commitment2: int, context: bytes = b""
 ) -> RepStatement:
-    """Statement that two broadcasts carry the same message.
+    """Statement that two broadcast slot values carry the same message.
 
     Taking the quotient of the two commitments and dividing out the
-    value difference leaves a power of h exactly when the two message
-    contributions cancel.
+    g and f terms of the value difference leaves a power of h exactly
+    when the two message contributions cancel.
     """
     p = params.p
     quotient = commitment1 * pow(commitment2, -1, p) % p
-    target = quotient * params.g_table.power(value2 - value1) % p
+    shift = (value2[0] - value1[0], value2[1] - value1[1])
+    target = quotient * value_term(params, shift) % p
     return RepStatement(target=target, context=context)
 
 

@@ -164,9 +164,10 @@ def test_verify_names_the_aggregate_of_a_changed_tree(tmp_path, capsys):
     def add_count(lines):
         index = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER "))
         tokens = lines[index].split(" ")
+        assert tokens[4].startswith("O_count=")
         q = derive_params(HONEST.group, sim.DOMAIN_TAG).q
-        value = (int(tokens[4].split("=")[1]) + (1 << HONEST.payload_bits)) % q
-        lines[index] = " ".join(tokens[:4] + [f"O={value}"] + tokens[5:])
+        value = (int(tokens[4].split("=")[1]) + 1) % q
+        lines[index] = " ".join(tokens[:4] + [f"O_count={value}"] + tokens[5:])
 
     code, lines, reported = _verify_edited(tmp_path, capsys, add_count)
     assert code == 2

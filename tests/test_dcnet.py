@@ -35,32 +35,39 @@ def run_round(params, graph, n, round_id=1, messages=None):
     return views, cts, aggregate_round(params, range(n), cts)
 
 
+def shift(value, delta, q=53):
+    """A slot value with ``delta`` added to one component: the count for
+    a (delta, 0) pair, the total for (0, delta)."""
+    return ((value[0] + delta[0]) % q, (value[1] + delta[1]) % q)
+
+
 def test_honest_round_no_sender(small):
     _, _, result = run_round(small, fresh_graph(small, 4), 4)
     assert result.valid
-    assert result.total == 0
+    assert result.aggregate == (0, 0)
 
 
 def test_honest_round_single_sender(small):
-    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages={2: 42})
+    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages={2: (1, 42)})
     assert result.valid
-    assert result.total == 42
+    assert result.aggregate == (1, 42)
 
 
 def test_colliding_messages_add(small):
-    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages={1: 3, 3: 4})
+    messages = {1: (1, 3), 3: (1, 4)}
+    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages=messages)
     assert result.valid
-    assert result.total == 7
+    assert result.aggregate == (2, 7)
 
 
 def test_degenerate_single_participant(small):
     graph = fresh_graph(small, 1)
     view = graph.view(0)
-    ct = make_ciphertext(view, 1, 9)
-    assert ct.value == 9
+    ct = make_ciphertext(view, 1, (1, 9))
+    assert ct.value == (1, 9)
     assert ct.commitment == 1
     result = aggregate_round(small, [0], [ct])
-    assert result.valid and result.total == 9
+    assert result.valid and result.aggregate == (1, 9)
 
 
 def test_no_message_proof_from_honest_ciphertext(small):
@@ -104,11 +111,11 @@ def test_random_honest_configurations(small):
         n = rng.randrange(2, 9)
         graph = fresh_graph(small, n, seed=100 + trial)
         senders = {
-            pid: rng.randrange(53) for pid in rng.sample(range(n), rng.randrange(n + 1))
+            pid: (1, rng.randrange(53)) for pid in rng.sample(range(n), rng.randrange(n + 1))
         }
         _, _, result = run_round(small, graph, n, messages=senders)
         assert result.valid
-        assert result.total == sum(senders.values()) % 53
+        assert result.aggregate == (len(senders), sum(x for _, x in senders.values()) % 53)
 
 
 def test_pad_tampering_invalidates_round(small):
@@ -121,10 +128,12 @@ def test_pad_tampering_invalidates_round(small):
         cheat = rng.randrange(n)
         bad = cts[cheat]
         delta = rng.randrange(1, 53)
+        # a consistent shift of the count (g) or of the total (f)
+        base, component = (small.g, (delta, 0)) if trial % 2 else (small.f, (0, delta))
         bad = replace(
             bad,
-            value=(bad.value + delta) % 53,
-            commitment=bad.commitment * pow(small.g, delta, small.p) % small.p,
+            value=shift(bad.value, component),
+            commitment=bad.commitment * pow(base, delta, small.p) % small.p,
         )
         cts[cheat] = bad
         result = aggregate_round(small, range(n), cts)
@@ -140,7 +149,11 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
     from dcmesh.splitter import prove_retransmission
 
     rng = random.Random(77)
-    for style in ("value_only", "commitment_only", "consistent_pair"):
+    styles = ("value_only", "commitment_only", "consistent_pair")
+    # each style shifts the count (with g) and then the total (with f)
+    for style, (base, delta) in (
+        (style, shifted) for style in styles for shifted in ((medium.g, (5, 0)), (medium.f, (0, 5)))
+    ):
         graph = build_key_graph(medium, range(3), rng)
         views = {pid: graph.view(pid) for pid in range(3)}
         broadcasts, blinds = {pid: {} for pid in range(3)}, {pid: {} for pid in range(3)}
@@ -150,9 +163,9 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
                 o, c = ct.value, ct.commitment
                 if pid == 0 and rid == 2:
                     if style in ("value_only", "consistent_pair"):
-                        o = (o + 5) % medium.q
+                        o = shift(o, delta, medium.q)
                     if style in ("commitment_only", "consistent_pair"):
-                        c = c * pow(medium.g, 5, medium.p) % medium.p
+                        c = c * pow(base, 5, medium.p) % medium.p
                 broadcasts[pid][rid] = (o, c)
                 blinds[pid][rid] = views[pid].blind_sum(views[pid].slot_of(rid))
         product = 1
@@ -204,7 +217,7 @@ def test_investigation_aggregate_mismatch(small):
     cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
     cts[2] = replace(
         cts[2],
-        value=(cts[2].value + 1) % 53,
+        value=shift(cts[2].value, (1, 0)),
         commitment=cts[2].commitment * small.g % small.p,
     )
     result = aggregate_round(small, range(n), cts)
@@ -227,7 +240,7 @@ def test_investigation_bad_signature_pins_tamperer(small):
     published[1][2] = shifted
     cts[1] = replace(
         cts[1],
-        value=(cts[1].value + 1) % 53,
+        value=shift(cts[1].value, (1, 0)),
         commitment=cts[1].commitment * small.g % small.p,
     )
     result = aggregate_round(small, range(n), cts)

@@ -26,14 +26,21 @@ from dcmesh.groups import (
 TAG = b"dc-mesh/v1"
 
 
-def oracle_commit(p, g, h, k, r):
+def oracle_commit(p, generators, value, r):
     # independent check: direct exponentiation, no library calls
-    return pow(g, k, p) * pow(h, r, p) % p
+    (g, f, h), (count, total) = generators, value
+    return pow(g, count, p) * pow(f, total, p) * pow(h, r, p) % p
 
 
 def test_test_small_fixed_parameters(small):
-    assert (small.p, small.q, small.g, small.h) == (107, 53, 4, 9)
+    assert (small.p, small.q, small.g, small.f, small.h) == (107, 53, 4, 25, 9)
     small.validate()
+
+
+def test_validate_wants_three_distinct_generators(small):
+    for generators in ((4, 9), (4, 25, 9, 16), (4, 4, 9), (4, 2, 9)):
+        with pytest.raises(ValueError):
+            GroupParams("test_small", 107, 53, generators, TAG).validate()
 
 
 def test_derivation_is_deterministic_per_tag():
@@ -59,53 +66,59 @@ def test_empty_domain_tag_rejected():
 
 
 def test_commit_golden_value(small):
-    # frozen: 4^5 * 9^7 mod 107 = 36
-    assert commit(small, 5, 7) == 36
-    assert commit(small, 5, 7) == oracle_commit(107, 4, 9, 5, 7)
+    # frozen: 4^5 * 25^0 * 9^7 mod 107 = 36
+    assert commit(small, (5, 0), 7) == 36
+    assert commit(small, (5, 0), 7) == oracle_commit(107, (4, 25, 9), (5, 0), 7)
+    # frozen: 4^5 * 25^1 * 9^7 mod 107 = 36 * 25 mod 107 = 44
+    assert commit(small, (5, 1), 7) == 44
+    assert commit(small, (5, 1), 7) == oracle_commit(107, (4, 25, 9), (5, 1), 7)
 
 
 def test_commit_identity_and_cancellation(small):
-    assert commit(small, 0, 0) == 1
-    c = commit(small, 5, 7)
-    assert combine(small, c, commit(small, -5 % 53, -7 % 53)) == 1
+    assert commit(small, (0, 0), 0) == 1
+    c = commit(small, (5, 3), 7)
+    assert combine(small, c, commit(small, (-5 % 53, -3 % 53), -7 % 53)) == 1
 
 
 def test_verify_open_roundtrip_and_rejection(small):
-    c = commit(small, 5, 7)
-    assert verify_open(small, c, 5, 7)
+    c = commit(small, (5, 0), 7)
+    assert verify_open(small, c, (5, 0), 7)
     # frozen: 4^6 * 9^7 mod 107 = 37 != 36
-    assert oracle_commit(107, 4, 9, 6, 7) == 37
-    assert not verify_open(small, c, 6, 7)
-    assert verify_open(small, 1, 0, 0)
+    assert oracle_commit(107, (4, 25, 9), (6, 0), 7) == 37
+    assert not verify_open(small, c, (6, 0), 7)
+    # the count and the total are bound separately
+    assert not verify_open(small, c, (0, 5), 7)
+    assert verify_open(small, 1, (0, 0), 0)
 
 
 def test_combine_negate_basics(small):
-    c = commit(small, 12, 33)
+    c = commit(small, (12, 40), 33)
     assert combine(small, c, 1) == c
     assert combine(small, c, negate(small, c)) == 1
-    # frozen: 5+48 = 53 = 0 and 7+46 = 53 = 0 mod q
-    assert combine(small, commit(small, 5, 7), commit(small, 48, 46)) == 1
+    # frozen: 5+48 = 2+51 = 7+46 = 53 = 0 mod q
+    assert combine(small, commit(small, (5, 2), 7), commit(small, (48, 51), 46)) == 1
 
 
 def test_homomorphism_random_sampling(small):
     rng = random.Random(42)
     for _ in range(300):
-        a, b, r, s = (rng.randrange(53) for _ in range(4))
-        lhs = combine(small, commit(small, a, r), commit(small, b, s))
-        assert lhs == commit(small, (a + b) % 53, (r + s) % 53)
+        a, a2, b, b2, r, s = (rng.randrange(53) for _ in range(6))
+        lhs = combine(small, commit(small, (a, a2), r), commit(small, (b, b2), s))
+        assert lhs == commit(small, ((a + b) % 53, (a2 + b2) % 53), (r + s) % 53)
 
 
 def test_homomorphism_medium_group(medium):
     rng = random.Random(7)
+    q = medium.q
     for _ in range(100):
-        a, b, r, s = (rng.randrange(medium.q) for _ in range(4))
-        lhs = combine(medium, commit(medium, a, r), commit(medium, b, s))
-        assert lhs == commit(medium, (a + b) % medium.q, (r + s) % medium.q)
+        a, a2, b, b2, r, s = (rng.randrange(q) for _ in range(6))
+        lhs = combine(medium, commit(medium, (a, a2), r), commit(medium, (b, b2), s))
+        assert lhs == commit(medium, ((a + b) % q, (a2 + b2) % q), (r + s) % q)
 
 
 def test_hiding_enumeration_covers_coset(small):
     # r -> commit(K, r) is a bijection onto the whole order-q subgroup
-    for k in (0, 5, 29):
+    for k in ((0, 0), (5, 0), (29, 11)):
         outputs = {commit(small, k, r) for r in range(53)}
         assert len(outputs) == 53
         subgroup = {pow(small.g, x, small.p) for x in range(53)}
@@ -115,7 +128,7 @@ def test_hiding_enumeration_covers_coset(small):
 def test_elements_satisfy_subgroup_membership(small):
     rng = random.Random(1)
     for _ in range(50):
-        c = commit(small, rng.randrange(53), rng.randrange(53))
+        c = commit(small, (rng.randrange(53), rng.randrange(53)), rng.randrange(53))
         assert small.is_element(c)
 
 
@@ -149,7 +162,7 @@ def test_binding_break_recovers_base_relation(small):
         delta = rng.randrange(1, 53)
         a2 = (a + delta) % 53
         b2 = (b - lam * delta) % 53
-        assert commit(small, a, b) == commit(small, a2, b2)
+        assert commit(small, (a, 0), b) == commit(small, (a2, 0), b2)
         recovered = (b2 - b) * pow(a - a2, -1, 53) % 53
         assert recovered == lam
 
@@ -177,7 +190,7 @@ def edge_exponents(q, rng, extra=50):
 def test_window_table_power_matches_pow(level):
     params = derive_params(level, TAG)
     rng = random.Random(21)
-    for table, base in ((params.g_table, params.g), (params.h_table, params.h)):
+    for table, base in ((params.g_table, params.g), (params.f_table, params.f), (params.h_table, params.h)):
         assert table.width == 9
         for e in edge_exponents(params.q, rng):
             assert table.power(e) == pow(base, e % params.q, params.p)
@@ -197,16 +210,17 @@ def test_window_table_rows_hold_digit_powers(medium):
 def test_commit_of_negations_cancels(level):
     params = derive_params(level, TAG)
     rng = random.Random(22)
-    for k, r in [(0, 0), (1, params.q - 1)] + [
-        (rng.randrange(params.q), rng.randrange(params.q)) for _ in range(50)
+    q = params.q
+    for k, t, r in [(0, 0, 0), (1, q - 1, q - 1)] + [
+        (rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(50)
     ]:
-        assert commit(params, k, r) * commit(params, -k, -r) % params.p == 1
+        assert commit(params, (k, t), r) * commit(params, (-k, -t), -r) % params.p == 1
 
 
 def test_window_table_production():
     params = derive_params("production", TAG)
     bits, rng = params.q.bit_length(), random.Random(23)
-    for table, base in ((params.g_table, params.g), (params.h_table, params.h)):
+    for table, base in ((params.g_table, params.g), (params.f_table, params.f), (params.h_table, params.h)):
         # the widest window whose table fits the per-base budget
         entries = sum(len(row) for row in table.rows)
         assert table.width == 5
@@ -215,9 +229,9 @@ def test_window_table_production():
         assert wider * params.element_bytes > WINDOW_TABLE_BYTES
         for e in edge_exponents(params.q, rng, extra=1):
             assert table.power(e) == pow(base, e % params.q, params.p)
-    k, r = rng.randrange(params.q), rng.randrange(params.q)
-    assert commit(params, k, r) == oracle_commit(params.p, params.g, params.h, k, r)
-    assert commit(params, k, r) * commit(params, -k, -r) % params.p == 1
+    k, t, r = (rng.randrange(params.q) for _ in range(3))
+    assert commit(params, (k, t), r) == oracle_commit(params.p, params.generators, (k, t), r)
+    assert commit(params, (k, t), r) * commit(params, (-k, -t), -r) % params.p == 1
 
 
 def test_parsed_params_share_tables_and_stay_equal(medium):
@@ -267,18 +281,18 @@ def test_named_groups_skip_the_primality_test(monkeypatch):
     assert GroupParams.from_text(text).name == "production"
     assert tested == []
     # any other (name, p, q) is tested, a built-in name included
-    GroupParams("toy", 23, 11, (4, 9), TAG).validate()
+    GroupParams("toy", 23, 11, (4, 3, 9), TAG).validate()
     assert tested == [23, 11]
     for name in ("toy", "test_small"):
         with pytest.raises(ValueError, match="prime"):
-            GroupParams(name, 23, 22, (4, 9), TAG).validate()
+            GroupParams(name, 23, 22, (4, 3, 9), TAG).validate()
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
 def test_window_table_powers_match_power(level):
     params = derive_params(level, TAG)
     exponents = [0, params.q - 1, params.q, -3, 2 * params.q + 5]
-    for table in (params.g_table, params.h_table):
+    for table in (params.g_table, params.f_table, params.h_table):
         assert table.powers(exponents) == [table.power(e) for e in exponents]
     assert params.g_table.powers([]) == []
 
@@ -286,7 +300,8 @@ def test_window_table_powers_match_power(level):
 def test_invert_all_matches_negate(medium):
     rng = random.Random(25)
     values = [1, medium.p - 1] + [
-        commit(medium, rng.randrange(medium.q), rng.randrange(medium.q)) for _ in range(30)
+        commit(medium, (rng.randrange(medium.q), rng.randrange(medium.q)), rng.randrange(medium.q))
+        for _ in range(30)
     ]
     for count in (0, 1, 2, 3, len(values)):
         assert invert_all(medium, values[:count]) == [negate(medium, c) for c in values[:count]]

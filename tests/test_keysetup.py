@@ -17,6 +17,7 @@ from dcmesh.keysetup import (
     establish_row,
     gen_signing_key,
     is_endorsed,
+    opted_out_peers,
     sign,
     signer_width,
     verify_sig,
@@ -30,16 +31,24 @@ TAG = b"dc-mesh/v1"
 
 
 def round_secret(graph, i, j, slot):
-    """(key, blinding value) of edge i -> j for a slot; zero when opted out."""
+    """((count key, total key), blinding value) of edge i -> j for a slot;
+    zero when opted out."""
     epoch, index = divmod(slot, EPOCH_SLOTS)
     state = graph.edge(i, j, epoch)
     if not state.established:
-        return 0, 0
-    key, blind = state.secret.keys[index], state.secret.blinds[index]
+        return (0, 0), 0
+    secret = state.secret
+    key = (secret.count_keys[index], secret.total_keys[index])
+    blind = secret.blinds[index]
     if i == state.lo:
         return key, blind
     q = graph.params.q
-    return (-key) % q, (-blind) % q
+    return (-key[0] % q, -key[1] % q), (-blind) % q
+
+
+def pair_sum(pairs, q):
+    pairs = list(pairs)
+    return sum(a for a, _ in pairs) % q, sum(b for _, b in pairs) % q
 
 
 def aggregate_commitment(graph, pid, slot):
@@ -67,10 +76,13 @@ def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
     ((secret, held_i, held_j),) = establish_row(params, 0, [1], rng)
-    assert len(secret.keys) == len(secret.blinds) == EPOCH_SLOTS
-    for slot, (key, blind) in enumerate(zip(secret.keys, secret.blinds)):
-        c_ij = commit(params, key, blind)
-        c_ji = commit(params, -key % params.q, -blind % params.q)
+    assert len(secret.count_keys) == len(secret.total_keys) == len(secret.blinds) == EPOCH_SLOTS
+    q = params.q
+    for slot, (count, total, blind) in enumerate(
+        zip(secret.count_keys, secret.total_keys, secret.blinds)
+    ):
+        c_ij = commit(params, (count, total), blind)
+        c_ji = commit(params, (-count % q, -total % q), -blind % q)
         assert c_ij * c_ji % params.p == 1
         assert held_i.commitments[slot] == c_ij
         assert held_j.commitments[slot] == c_ji
@@ -95,14 +107,20 @@ def test_pair_secrets_are_a_randrange_stream(level):
     graph.add_epoch(rng)
     shared = [e.secret for _, e in sorted(graph.epochs[0].edges.items()) if e.established]
     assert len(shared) == 10   # fifteen edges, five of them opted out by 2
-    drawn = [x for s in [secret] + shared for pair in zip(s.keys, s.blinds) for x in pair]
-    assert drawn == [reference.randrange(params.q) for _ in range(11 * 2 * EPOCH_SLOTS)]
+    drawn = [
+        x
+        for s in [secret] + shared
+        for triple in zip(s.count_keys, s.total_keys, s.blinds)
+        for x in triple
+    ]
+    assert drawn == [reference.randrange(params.q) for _ in range(11 * 3 * EPOCH_SLOTS)]
     assert rng.getstate() == reference.getstate()
 
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # one commitment per slot and the reverse direction by inversion:
-    # 2 * EPOCH_SLOTS table powers, and a row's inversions share one pow;
+    # 3 * EPOCH_SLOTS table powers (g, f and h), and a row's inversions
+    # share one pow;
     # an epoch adds one nonce power per participant's signature
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
@@ -125,7 +143,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
     establish_row(medium, 0, [1], rng)
-    assert len(exponents) == 2 * EPOCH_SLOTS
+    assert len(exponents) == 3 * EPOCH_SLOTS
     assert len(inversions) == 1
     # six participants: five rows with a higher peer, one inversion each;
     # fifteen edges and six signatures
@@ -134,7 +152,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     inversions.clear()
     graph.add_epoch(rng)
     assert len(inversions) == 5
-    assert len(exponents) == 15 * 2 * EPOCH_SLOTS + 6
+    assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6
 
 
 def test_per_round_secrets_are_fresh(small):
@@ -144,9 +162,11 @@ def test_per_round_secrets_are_fresh(small):
     repeats = 0
     for _ in range(120):
         ((secret, _, _),) = establish_row(small, 0, [1], rng)
-        if secret.keys[0] == secret.keys[1]:
+        if secret.count_keys[0] == secret.count_keys[1]:
             repeats += 1
-    assert repeats < 20  # expectation is about 120/53
+        if secret.total_keys[0] == secret.total_keys[1]:
+            repeats += 1
+    assert repeats < 20  # expectation is about 240/53
 
 
 def test_key_graph_structure_and_views(small):
@@ -161,14 +181,14 @@ def test_key_graph_structure_and_views(small):
             for j in range(4):
                 if i == j:
                     continue
-                a = round_secret(graph, i, j, slot)
-                b = round_secret(graph, j, i, slot)
-                assert (a[0] + b[0]) % 53 == 0
-                assert (a[1] + b[1]) % 53 == 0
+                (a_count, a_total), a_blind = round_secret(graph, i, j, slot)
+                (b_count, b_total), b_blind = round_secret(graph, j, i, slot)
+                assert (a_count + b_count) % 53 == 0
+                assert (a_total + b_total) % 53 == 0
+                assert (a_blind + b_blind) % 53 == 0
     # pad sums cancel across all participants
     for slot in slots:
-        total = sum(graph.view(i).pad_sum(slot) for i in range(4)) % 53
-        assert total == 0
+        assert pair_sum((graph.view(i).pad_sum(slot) for i in range(4)), 53) == (0, 0)
 
 
 def test_aggregate_commitments_cancel(small):
@@ -196,10 +216,10 @@ def test_views_match_the_round_secret_oracle(small):
     for slot in range(budget):
         for pid, view in views.items():
             secrets = [round_secret(graph, pid, peer, slot) for peer in range(n) if peer != pid]
-            assert view.pad_sum(slot) == sum(key for key, _ in secrets) % q
+            assert view.pad_sum(slot) == pair_sum((key for key, _ in secrets), q)
             assert view.blind_sum(slot) == sum(blind for _, blind in secrets) % q
             assert view.aggregate_commitment(slot) == aggregate_commitment(graph, pid, slot)
-        assert sum(v.pad_sum(slot) for v in views.values()) % q == 0
+        assert pair_sum((v.pad_sum(slot) for v in views.values()), q) == (0, 0)
         assert sum(v.blind_sum(slot) for v in views.values()) % q == 0
     # spending moves the ledger only, for a refuser and for a shared view
     for pid in (1, 2):
@@ -210,7 +230,7 @@ def test_views_match_the_round_secret_oracle(small):
         with pytest.raises(RoundBudgetExhausted):
             view.spend(("r", budget))
         assert sums == [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
-    assert views[1].pad_sum(0) == views[1].blind_sum(0) == 0
+    assert views[1].pad_sum(0) == (0, 0) and views[1].blind_sum(0) == 0
 
 
 def test_optout_edges_contribute_identity(small):
@@ -219,7 +239,7 @@ def test_optout_edges_contribute_identity(small):
     for peer in (0, 1, 3):
         state = graph.edge(2, peer)
         assert not state.established
-        assert round_secret(graph, 2, peer, 0) == (0, 0)
+        assert round_secret(graph, 2, peer, 0) == ((0, 0), 0)
     # a full refuser has the identity aggregate
     assert aggregate_commitment(graph, 2, 0) == 1
     # validity still holds for everyone
@@ -234,7 +254,7 @@ def test_all_edges_opted_out(small):
     graph = build_key_graph(small, range(3), rng, refusers={0, 1, 2})
     for pid in range(3):
         assert aggregate_commitment(graph, pid, 0) == 1
-        assert graph.view(pid).pad_sum(0) == 0
+        assert graph.view(pid).pad_sum(0) == (0, 0)
 
 
 def test_view_slot_ledger(small):
@@ -279,17 +299,28 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
     public = graph.public()
     # exactly one root signature per participant and epoch, the refuser's too
     assert len(signed) == 5 * 3
+    # each signs its opted-out peers too: 3 refuses every edge
+    assert [opted_out_peers(public.optouts, pid) for pid in range(5)] == [
+        [3], [3], [3], [0, 1, 2, 4], [3]
+    ]
     assert signed == [
-        endorse_payload(s.root, s.part, epoch)
+        endorse_payload(s.root, s.part, epoch, opted_out_peers(public.optouts, s.part))
         for epoch, e in enumerate(graph.epochs)
         for s in e.signed
     ]
     for epoch, e in enumerate(graph.epochs):
         for s in e.signed:
-            # it verifies under the signer's key, for its epoch only
-            assert s.verifies(medium, public.publics[s.part], epoch)
-            assert not s.verifies(medium, public.publics[s.part], epoch + 1)
-            assert not s.verifies(medium, public.publics[(s.part + 1) % 5], epoch)
+            # it verifies under the signer's key, for its epoch and the
+            # session's opt-outs only
+            optouts = public.optouts
+            assert s.verifies(medium, public.publics[s.part], epoch, optouts)
+            assert not s.verifies(medium, public.publics[s.part], epoch + 1, optouts)
+            assert not s.verifies(medium, public.publics[(s.part + 1) % 5], epoch, optouts)
+            assert not s.verifies(medium, public.publics[s.part], epoch, frozenset())
+            # an opt-out added to one of its edges (3 has none left)
+            for peer in sorted(set(range(5)) - {s.part} - set(opted_out_peers(optouts, s.part))):
+                added = optouts | {(min(s.part, peer), max(s.part, peer))}
+                assert not s.verifies(medium, public.publics[s.part], epoch, added)
             # over the root of the directions it is the peer of, in id
             # order, with a tag leaf for an opted-out edge and for padding
             leaves = []
@@ -343,7 +374,7 @@ def test_merkle_roots_match_build_tree(small):
 
 def test_merkle_batch_inclusion_paths(small):
     rng = random.Random(11)
-    commitments = [commit(small, k, k + 1) for k in range(2 * EPOCH_SLOTS)]
+    commitments = [commit(small, (k, 0), k + 1) for k in range(2 * EPOCH_SLOTS)]
     # every tree width, in a forest of two trees
     for width in (1, 2, 4, 8, EPOCH_SLOTS):
         leaves = [small.element_to_bytes(c) for c in commitments[: 2 * width]]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from dcmesh import keysetup, sim
+from dcmesh import keysetup, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript, records_digest
@@ -92,54 +92,56 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v4).  Test ids are the list positions, so a re-pin
+# (pinned at format v5).  Test ids are the list positions, so a re-pin
 # keeps them.
-# the smallest session here that crosses an endorsement epoch boundary
+# the smallest session here that crosses an endorsement epoch boundary:
+# the malformed slot (2, 101) has an odd total, so it is no equal-payload
+# node (101 != 2 * 51) and stays stuck on the coin path for 14 retries
 EPOCH_CROSSING = sim.Scenario(
-    n=2, senders=((0, 9), (1, 100)), adversaries=((1, "bad_slot_count"),), seed=0,
+    n=2, senders=((0, 9), (1, 101)), adversaries=((1, "bad_slot_count"),), seed=0,
     max_retries=14,
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "ee278045a458fcd03d8ce4e729f97a7612d4679a42523a5dfaec87b0aa5cbdbb"),
+     "205fc55ae87f3f6809da1232f0322a59294656eaab1f0095dac75a0fa7305be1"),
     (sim.Scenario(n=2, seed=1),
-     "23d28a7a9bd984ec85ec3f781037818dceeda2f30fafe15a646a180550053e1f"),
+     "2b4686052bef1d75de0ffe946da56eb58a578f4f8def0196b092e6c825b1643f"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "e25047a2349a103e68f3cc4567e0629cb4366f750d1b169daefcfb4e7d7c7c68"),
+     "aa6aaf6c287d127e6d68a1285de0988fbd4689419029fbad268f6392ab544aed"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "4d14eeddbf5d9b893ae7e4d03479c3af438079377ae327ebbb4655ef42304e26"),
+     "0153221830dfac10fc410e3ab4c60d03fcb959c9edb0fb1768494b55c25ea1d1"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "523678bbe9a189f582c90c239c0ef609ee4a70cddb5d30595cad5d5403760d19"),
+     "5793089134babdd566b62c5546a8965a7e2e7bc26b776fe5b0b78a0d2137bb91"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "0cb9ff9f4b2d8890c8187e6e6d9b955df5c872aa94e1a41f74284d5409eb6b4b"),
+     "55d44bdfa16407f4aec499235974b484571cd91ede245173cf6a78145814a6ee"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "c135b380a520b4ab5137662ff4cd5f898bf3690e863cc6d7154d930ec41e50ff"),
+     "615dacce1289e984404f51850879329109248f7b8c9d6ade9b891c9e392845ef"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "e833e77496cd35ccc10c93d578c74abb4f01e35dcbf703c76f11f10cb62859db"),
+     "249684685752c7524cf3b4d9dc0b65a8588a0ccea2be95827e001dd6059772e5"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "bfd1879548eccc6db279a494066be99d09a72d8006838d28aba57645f51b6a4b"),
+     "94504522cfa09770855ed65248a6b69191593645d51681f63836b05d140fc363"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11, max_retries=32),
-     "d0819b4efc71c1b6be1c8eacb8652620c7fa0432e4c189cab4f60998b06e27ba"),
+     "05570540deff4f7ae564ec5ab0cb8569424ec4c32c47ab9db54d6dcb45e74ce7"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "c79743a1ff274a1c33952af8f960a4a26d6f5e1672669cc92fb260182d0f021d"),
+     "df1fd9fd7b27cf6679d13271a0fb17031e8cb561b0c12d439452e0ecb0ca66f5"),
     # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "188947e2ea7693bc59804d36ccc6fe8843e0f1a9efa58358252bade498a12154"),
+     "f1710011649482dce953162dd8019a480acdd1a1fd54bdf9fe953d1c820b0adc"),
     # a refuser in mid-row, whose edges draw nothing, and a session that
     # endorses epoch 1 (budget 32, six later-epoch ENDORSE records)
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "7cb655bf73f50bf8f67d9410ddb1a13f4218e036350885ed7984f71eef5bd363"),
+     "1a9c02df0df7894454c2728f3dcb56b9c8bed9135611e1b0fe1f184f3d865b43"),
 ]
 
 
@@ -278,14 +280,15 @@ def test_two_announcement_proof_block_is_invalid_proof(monkeypatch):
     # a block holds one announcement, so this proof does not parse; the
     # judge gives it the verdict, and the records, of a proof that fails
     # to verify (at format v3 the digest was taken when such a block still
-    # parsed; at v4 only the key records, PUBLISH and digests changed)
+    # parsed; v4 changed the key records, PUBLISH and digests, and v5 the
+    # slot fields and the signed opt-outs)
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _TwoAnnouncementParticipant)
     t = run(
         sim.Scenario(n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1)
     )
     assert verdicts_of(t) == [(2, "invalid_proof")]
     assert hashlib.sha256(t.to_text().encode()).hexdigest() == (
-        "77c21133ab370cfe933d2d365be4fc7bb6e203a5ac6d3ffe231f444cda350600"
+        "5d4e8cf76de79c5a2a1e0bae0cbac3cd844b58a9385feda88b68c3fb52a3d402"
     )
 
 
@@ -310,6 +313,96 @@ def test_investigation_of_a_participant_without_edges_replays_clean():
     ):
         t = run(scenario)
         assert verdicts_of(t) == [(0, "aggregate_mismatch")]
+
+
+def _resealed_body(transcript, body):
+    """The transcript's text with ``body`` in place of its records, each
+    session's ``keys`` and the SUMMARY ``bind`` recomputed to match."""
+    body = [dict(rec) for rec in body]
+    for start in (i for i, rec in enumerate(body) if rec["type"] == "SESSION"):
+        keys = []
+        for rec in body[start + 1 :]:
+            if rec["type"] not in ("PUBKEY", "OPTOUT", "ENDORSE"):
+                break
+            keys.append(rec)
+        body[start]["keys"] = records_digest(keys)
+    body[-1]["bind"] = records_digest(body[:-1])
+    return Transcript(transcript.header, body).to_text()
+
+
+def test_optout_records_are_signed():
+    # each ENDORSE signs its signer's opted-out peers: dropping the
+    # OPTOUT records, or adding one, with every digest recomputed, breaks
+    # the first signature that covers a changed peer set
+    scenario = sim.Scenario(
+        n=5, senders=((0, 5), (1, 9)), adversaries=((2, "refuse_signature"),), seed=9
+    )
+    transcript = sim.run_scenario(scenario)
+    assert sim.verify_transcript(transcript).clean
+    body = transcript.records
+    optouts = [i for i, rec in enumerate(body) if rec["type"] == "OPTOUT"]
+    assert [(body[i]["lo"], body[i]["hi"]) for i in optouts] == [(0, 2), (1, 2), (2, 3), (2, 4)]
+    dropped = [rec for i, rec in enumerate(body) if i not in optouts]
+    added = body[: optouts[0]] + [{**body[optouts[0]], "lo": 0, "hi": 1}] + body[optouts[0] :]
+    for edited in (dropped, added):
+        text = _resealed_body(transcript, edited)
+        first_endorse = next(i for i, rec in enumerate(edited) if rec["type"] == "ENDORSE")
+        assert edited[first_endorse]["part"] == 0
+        with pytest.raises(MalformedRecord, match="ENDORSE signature of participant 0") as info:
+            sim.verify_transcript(Transcript.from_text(text))
+        assert info.value.index == len(transcript.header) + first_endorse
+
+
+def test_bad_slot_count_blamed_at_an_equal_payload_node():
+    # the slot (2, 100) claims two messages; alone at node 3 it splits
+    # degenerately, and node 7 holds two copies of 50, which it cannot claim
+    t = run(
+        sim.Scenario(
+            n=3, senders=((0, 10), (1, 100)), adversaries=((1, "bad_slot_count"),), seed=9
+        )
+    )
+    root = next(r for r in t.records if r["type"] == "AGGREGATE")
+    assert (root["C_count"], root["C_total"]) == (3, 110)
+    node = next(r for r in t.records if r["type"] == "NODE" and r["status"] == "equal")
+    assert (node["id"], node["count"], node["total"]) == (7, 2, 100)
+    demands = [(r["part"], r["ok"]) for r in t.records if r["type"] == "DEMAND"]
+    assert demands == [(0, 1), (1, 0), (2, 1)]
+    assert verdicts_of(t) == [(1, "unequal_payload")]
+    assert [r["payload"] for r in t.records if r["type"] == "RESOLVED"] == [10]
+
+
+class _LyingHolder(sim._ForgingAdversary):
+    """Honest until asked about its equal-payload node, where it forges
+    its claim instead of proving the copy it holds."""
+
+    def respond_demand(self, node_id):
+        node = self.tree.nodes[node_id]
+        if node.equal_payload is None:
+            return super().respond_demand(node_id)
+        stmt = splitter.denial_statement(
+            self.params, self.broadcasts, self.pid, node_id, self.session_tag, node.equal_payload
+        )
+        return self._wire(zkp.forge_attempt(self.params, stmt, self.rng))
+
+
+def test_lying_holder_blamed_at_an_equal_payload_node(monkeypatch):
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _LyingHolder)
+    t = run(
+        sim.Scenario(
+            n=4, senders=((0, 9), (1, 9), (2, 9), (3, 40)),
+            adversaries=((2, "refuse_proof"),), seed=9,
+        )
+    )
+    # only the liar is blamed, nothing is delivered from its node, and
+    # the two honest copies of 9 are delivered once it is banned; 40 was
+    # delivered in the first session
+    assert verdicts_of(t) == [(2, "unequal_payload")]
+    sessions = [r for r in t.records if r["type"] == "SESSION"]
+    assert [r["active"] for r in sessions] == ["0,1,2,3", "0,1,3"]
+    delivered = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
+    assert delivered == Counter({9: 2, 40: 1})
+    first = [r for r in t.records if r["type"] == "DEMAND" and r["session"] == 1]
+    assert [(r["part"], r["ok"]) for r in first] == [(0, 1), (1, 1), (2, 0), (3, 1)]
 
 
 def test_wrong_branch_flagged_via_audit():
@@ -446,12 +539,14 @@ def _path_mutations(path: str):
 
 def test_every_field_mutation_detected():
     # an investigation and a re-keyed session, then a session that
-    # endorses epoch 1 mid-tree, whose later ENDORSE records are mutated too
+    # endorses epoch 1 mid-tree, whose later ENDORSE records are mutated
+    # too, and an equal-payload check that delivers three copies of 9
     scenarios = [
         sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
         EPOCH_CROSSING,
+        sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4),
     ]
-    later_endorse_fields, publish_paths = set(), 0
+    later_endorse_fields, publish_paths, mutated_fields = set(), 0, set()
     missed, malformed = [], []
     for scenario in scenarios:
         transcript = sim.run_scenario(scenario)
@@ -464,6 +559,7 @@ def test_every_field_mutation_detected():
                 key, value = token.split("=", 1)
                 mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
                 candidates.append((key, mutated))
+                mutated_fields.add((tokens[0], key))
                 if line.startswith("ENDORSE ") and " epoch=0 " not in line:
                     later_endorse_fields.add(key)
             if tokens[0] == "PUBLISH":
@@ -484,6 +580,21 @@ def test_every_field_mutation_detected():
     assert not malformed, malformed
     assert later_endorse_fields == {"session", "epoch", "part", "root", "sig_e", "sig_s"}
     assert publish_paths == 6
+    # the pair slot's fields, and the equal-payload check's records
+    assert {("CIPHER", "O_count"), ("CIPHER", "O_total")} <= mutated_fields
+    assert {("AGGREGATE", "C_count"), ("AGGREGATE", "C_total")} <= mutated_fields
+    equal = sim.run_scenario(scenarios[-1])
+    node = next(r for r in equal.records if r["type"] == "NODE" and r["status"] == "equal")
+    checked = [r for r in equal.records if r["type"] in ("DEMAND", "RESOLVED")]
+    assert [(r["type"], r.get("ok", 1)) for r in checked] == [("DEMAND", 1)] * 4 + [
+        ("RESOLVED", 1)
+    ] * 3
+    assert {r["node"] for r in checked} == {node["id"]}
+    for rtype, fields in (
+        ("DEMAND", {"session", "node", "part", "ok", "proof"}),
+        ("RESOLVED", {"session", "node", "payload"}),
+    ):
+        assert {key for (t, key) in mutated_fields if t == rtype} == fields, rtype
 
 
 def test_oversized_participant_count_is_malformed():
@@ -593,7 +704,8 @@ def test_replaced_endorse_record_is_not_clean(fields):
 
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     """n=32 and a bad_slot_count adversary that keeps a collision stuck
-    for 48 retries: one session endorses four epochs, each with one
+    for 48 retries (its slot (2, 31) has an odd total, so the
+    equal-payload check does not take it): one session endorses four epochs, each with one
     ENDORSE record, one signature in the run and one check on replay per
     participant, and every check passes."""
     counts = Counter()
@@ -611,7 +723,7 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     monkeypatch.setattr(keysetup, "sign", counting_sign)
     monkeypatch.setattr(keysetup, "verify_sig", counting_verify_sig)
     scenario = sim.Scenario(
-        n=32, senders=((0, 9), (5, 100), (9, 30)), adversaries=((9, "bad_slot_count"),),
+        n=32, senders=((0, 9), (5, 100), (9, 31)), adversaries=((9, "bad_slot_count"),),
         max_retries=48,
     )
     transcript = sim.run_scenario(scenario)
@@ -632,7 +744,7 @@ def test_session_after_everyone_is_banned_is_not_clean():
     forged = [
         f"SESSION idx=2 active= budget={EPOCH_SLOTS} keys={records_digest([])}",
         "ROUND session=2 id=1 slot=0",
-        "AGGREGATE session=2 round=1 C=0 valid=1",
+        "AGGREGATE session=2 round=1 C_count=0 C_total=0 valid=1",
     ]
     assert _detects("\n".join(lines[:-2] + forged + lines[-2:]))
 
@@ -713,24 +825,25 @@ def test_randomized_soak_mixed_scenarios():
 
 
 def test_stuck_collision_session_endorses_epochs_on_demand():
-    """Scenario 29 of the disrupted bench workload at seed 204: a
+    """Scenario 13 of the disrupted bench workload at seed 13: a
     bad_slot_count adversary keeps one collision stuck, and the session
-    transmits 53 rounds.  A budget guessed up front (52 slots) ran out
-    here; epochs are endorsed as the tree reaches them."""
+    transmits 53 rounds; epochs are endorsed as the tree reaches them.
+    (Scenario 29 at seed 204 did this before slots were pairs; its slot
+    (2, 134) is now an equal-payload node and blamed at once.)"""
     scenario = sim.Scenario(
         n=12,
-        senders=((0, 203), (1, 32), (3, 38), (4, 80), (6, 134), (7, 241), (8, 242)),
-        adversaries=((6, "bad_slot_count"),),
-        seed=16561780994440469849,
+        senders=((4, 157), (6, 218), (7, 6), (8, 237), (9, 213), (10, 210), (11, 73)),
+        adversaries=((10, "bad_slot_count"),),
+        seed=14583117631966207472,
     )
     t = run(scenario)
     assert summary_of(t)["sessions"] == 1
     assert summary_of(t)["transmitted"] == 53
     session = next(r for r in t.records if r["type"] == "SESSION")
     assert session["budget"] == 4 * EPOCH_SLOTS
-    assert verdicts_of(t) == [(6, "stuck_collision")]
+    assert verdicts_of(t) == [(10, "stuck_collision")]
     resolved = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
-    assert Counter(p for pid, p in scenario.senders if pid != 6) <= resolved
+    assert Counter(p for pid, p in scenario.senders if pid != 10) <= resolved
     # each later epoch's ENDORSE records (one per participant) sit just
     # before the round that spends the epoch's first slot
     signed = Counter(r["epoch"] for r in t.records if r["type"] == "ENDORSE")

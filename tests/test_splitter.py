@@ -10,12 +10,12 @@ from dcmesh.errors import NotACollision, PayloadOverflow, ProtocolOrderViolation
 from dcmesh.splitter import (
     COLLISION,
     EMPTY,
+    EQUAL,
     RESOLVED,
     STUCK,
     ResolutionTree,
     audit_wrong_branches,
     branch_context,
-    decode_slot,
     encode_slot,
     prove_node_denial,
     prove_retransmission,
@@ -31,21 +31,42 @@ from dcmesh.splitter import (
 # slot codec and split arithmetic
 
 
+def add_slots(*slots):
+    return tuple(map(sum, zip(*slots))) if slots else (0, 0)
+
+
 def test_encode_decode_roundtrip():
-    assert encode_slot(130, 8) == 386
-    assert decode_slot(386, 8) == (1, 130)
+    assert encode_slot(130, 8) == (1, 130)
     for payload in (0, 1, 254, 255):
-        assert decode_slot(encode_slot(payload, 8), 8) == (1, payload)
+        assert encode_slot(payload, 8) == (1, payload)
 
 
 def test_three_colliding_slots_add():
     m1, m2, m3 = 20, 31, 77
-    total = encode_slot(m1, 8) + encode_slot(m2, 8) + encode_slot(m3, 8)
-    assert decode_slot(total, 8) == (3, m1 + m2 + m3)
+    assert add_slots(encode_slot(m1, 8), encode_slot(m2, 8), encode_slot(m3, 8)) == (
+        3, m1 + m2 + m3
+    )
+
+
+def test_slots_summing_past_the_payload_width_keep_their_count(medium):
+    # 200 + 100 + 50 = 350 >= 2^8, which one packed scalar would carry
+    # into the count, reading (4, 94); the pair reads (3, 350), in a round too
+    slots = [encode_slot(m, 8) for m in (200, 100, 50)]
+    assert add_slots(*slots) == (3, 350)
+    from dcmesh.dcnet import make_ciphertext
+    from dcmesh.keysetup import build_key_graph
+
+    graph = build_key_graph(medium, range(4), random.Random(2))
+    cts = [make_ciphertext(graph.view(pid), 1, (slots + [None])[pid]) for pid in range(4)]
+    result = aggregate_round(medium, range(4), cts)
+    assert result.valid and result.aggregate == (3, 350)
 
 
 def test_zero_aggregate_is_empty():
-    assert decode_slot(0, 8) == (0, 0)
+    assert add_slots() == (0, 0)
+    tree = ResolutionTree(1009, 4)
+    tree.advance(synthetic_result(1, []))
+    assert tree.nodes[1].status == EMPTY and (tree.nodes[1].count, tree.nodes[1].total) == (0, 0)
 
 
 def test_payload_overflow_guard():
@@ -142,7 +163,7 @@ def test_tree_conservation_exact():
         assert left.total + right.total == node.total
         # aggregate-level cancellation holds in the scalar field too
         q = tree.q
-        assert (left.aggregate + right.aggregate) % q == node.aggregate % q
+        assert tuple((a + b) % q for a, b in zip(left.aggregate, right.aggregate)) == node.aggregate
 
 
 def test_single_sender_resolves_at_root():
@@ -161,7 +182,7 @@ def test_no_sender_root_empty():
 
 
 def test_advance_rejects_out_of_order_rounds(medium):
-    tree = ResolutionTree(medium.q, 8, 4)
+    tree = ResolutionTree(medium.q, 4)
     fake = aggregate_round(medium, [], [])
     with pytest.raises(ProtocolOrderViolation):
         tree.advance(fake)  # round id 0 is never schedulable
@@ -171,12 +192,12 @@ def synthetic_result(rid, payloads, payload_bits=8):
     """RoundResult carrying just an aggregate; tree mechanics need no crypto."""
     from dcmesh.dcnet import RoundResult
 
-    total = sum(encode_slot(m, payload_bits) for m in payloads)
-    return RoundResult(round_id=rid, total=total, valid=True, ciphertexts=())
+    aggregate = add_slots(*(encode_slot(m, payload_bits) for m in payloads))
+    return RoundResult(round_id=rid, aggregate=aggregate, valid=True, ciphertexts=())
 
 
 def test_tree_blocked_until_fully_resolved(medium):
-    tree = ResolutionTree(medium.q, 8, 4)
+    tree = ResolutionTree(medium.q, 4)
     assert not tree.blocked
     tree.advance(synthetic_result(1, [10, 20, 30]))  # collision opens the tree
     assert tree.blocked
@@ -191,7 +212,7 @@ def test_tree_blocked_until_fully_resolved(medium):
 
 
 def test_tree_rejects_skipped_round(medium):
-    tree = ResolutionTree(medium.q, 8, 4)
+    tree = ResolutionTree(medium.q, 4)
     tree.advance(synthetic_result(1, [10, 20]))
     with pytest.raises(ProtocolOrderViolation):
         tree.advance(synthetic_result(4, [10]))  # round 2 is next, not 4
@@ -205,6 +226,15 @@ def test_frontier_processes_increasing_ids():
     assert sorted(order) == order
 
 
+def malformed_beside_honest(seed, max_retries=32):
+    """An honest 5 beside a slot (2, 4) claiming two messages: (3, 9) =
+    3 * 3 splits degenerately, and neither holder can claim (1, 3)."""
+    return sim.single_session(
+        [(0, 5), (1, 4)], adversaries=[(1, "bad_slot_count")], seed=seed, n=2,
+        max_retries=max_retries,
+    )
+
+
 def test_equal_payloads_nonsplit_then_probabilistic():
     out = sim.single_session([(0, 9), (1, 9)], seed=13, n=2)
     tree = out.tree
@@ -213,9 +243,24 @@ def test_equal_payloads_nonsplit_then_probabilistic():
     # the deterministic split failed: everything went right (ties go right)
     assert tree.nodes[2].status == EMPTY
     assert tree.nodes[3].count == 2
+    # equal payloads: both prove one copy of 9 or nothing, and 9 is
+    # delivered twice without a coin flip
+    assert tree.nodes[3].status == EQUAL and tree.nodes[3].equal_payload == 9
+    assert not tree.nodes[3].probabilistic
+    assert tree.transmitted_order == [1, 2]
+    assert tree.split_attempts == []
+    demands = [r for r in out.records if r["type"] == "DEMAND"]
+    assert [(r["node"], r["part"], r["ok"]) for r in demands] == [(3, 0, 1), (3, 1, 1)]
+    # an inconsistent non-split goes probabilistic: two proofs fail there
+    out = malformed_beside_honest(seed=13)
+    tree = out.tree
+    assert tree.nodes[2].status == EMPTY and tree.nodes[3].count == 3
+    assert tree.nodes[3].status == COLLISION
     assert tree.nodes[3].probabilistic
     assert tree.nodes[3].attempt == 1
     assert tree.split_attempts and tree.split_attempts[0] >= 1
+    demands = [r for r in out.records if r["type"] == "DEMAND" and r["node"] == 3]
+    assert [r["ok"] for r in demands] == [0, 0]
 
 
 def test_probabilistic_retry_statistics():
@@ -225,9 +270,11 @@ def test_probabilistic_retry_statistics():
         out = sim.single_session([(0, 5), (1, 5)], seed=seed, n=2, max_retries=32)
         tree = out.tree
         assert [p for _, p in tree.resolved] == [5, 5]
-        if not out.verdicts:
+        assert not out.verdicts and tree.split_attempts == []
+        out = malformed_beside_honest(seed)
+        if [p for _, p in out.tree.resolved] == [5]:
             resolved_within += 1
-        attempts.extend(tree.split_attempts)
+        attempts.extend(out.tree.split_attempts)
     assert resolved_within == 400
     mean = sum(attempts) / len(attempts)
     assert 1.5 <= mean <= 2.5  # geometric with success probability 1/2
@@ -244,7 +291,8 @@ def participant_state(seed=7):
     broadcasts = {}
     for rec in out.records:
         if rec["type"] == "CIPHER":
-            broadcasts.setdefault(rec["part"], {})[rec["round"]] = (rec["O"], rec["c"])
+            value = (rec["O_count"], rec["O_total"])
+            broadcasts.setdefault(rec["part"], {})[rec["round"]] = (value, rec["c"])
     return params, out, broadcasts
 
 
@@ -255,17 +303,23 @@ def test_branch_context_matches_worked_chain():
         b = broadcasts[pid]
         # transmitted nodes are their own context
         assert branch_context(params, b, 2) == b[2]
+        def less(node, *rounds):
+            # each component of a node's value less those of the rounds
+            return tuple(
+                (b[node][0][i] - sum(b[r][0][i] for r in rounds)) % q for i in (0, 1)
+            )
+
         # node 3 accumulates rounds 1 and 2
         v3, g3 = branch_context(params, b, 3)
-        assert v3 == (b[1][0] - b[2][0]) % q
+        assert v3 == less(1, 2)
         assert g3 == b[1][1] * pow(b[2][1], -1, p) % p
         # node 7 accumulates rounds 1, 2 and 6
         v7, g7 = branch_context(params, b, 7)
-        assert v7 == (b[1][0] - b[2][0] - b[6][0]) % q
+        assert v7 == less(1, 2, 6)
         assert g7 == b[1][1] * pow(b[2][1], -1, p) * pow(b[6][1], -1, p) % p
         # node 15 additionally subtracts round 14
         v15, _ = branch_context(params, b, 15)
-        assert v15 == (b[1][0] - b[2][0] - b[6][0] - b[14][0]) % q
+        assert v15 == less(1, 2, 6, 14)
 
 
 def test_all_reference_proofs_verify():
@@ -345,7 +399,7 @@ def test_retransmission_proof_fresh_construction(medium):
     # a shifted retransmission has no witness on either branch
     from dcmesh.errors import WitnessMismatch
 
-    tx(0, 4, (slot_value + 1) % medium.q)
+    tx(0, 4, (slot_value[0], slot_value[1] + 1))
     for retransmitted in (False, True):
         with pytest.raises(WitnessMismatch):
             prove_retransmission(
@@ -460,6 +514,11 @@ def test_resolve_stuck_malformed_slot():
 def test_audit_ignores_probabilistic_ancestors():
     out = sim.single_session([(0, 9), (1, 9)], seed=13, n=2)
     assert audit_wrong_branches(out.tree) == []
+    # the honest 5 resolves under coin-flip ancestors: no rule to audit
+    out = malformed_beside_honest(seed=13)
+    (leaf,) = [leaf for leaf, payload in out.tree.resolved if payload == 5]
+    assert out.tree.nodes[leaf // 2].probabilistic
+    assert audit_wrong_branches(out.tree) == []
 
 
 def test_chain_proof_soundness_exhaustive(medium):
@@ -479,12 +538,13 @@ def test_chain_proof_soundness_exhaustive(medium):
     from dcmesh.zkp import forge_attempt
 
     rng = random.Random(17)
-    message = encode_slot(77, 8)
+    message, none = encode_slot(77, 8), (0, 0)
     cases = []
-    for c1 in (0, message):
-        for c2 in (0, message):
-            for c6 in (0, message):
-                legal = c2 in (0, c1) and c6 in (0, (c1 - c2) % medium.q)
+    for c1 in (none, message):
+        for c2 in (none, message):
+            for c6 in (none, message):
+                node3 = tuple((a - b) % medium.q for a, b in zip(c1, c2))
+                legal = c2 in (none, c1) and c6 in (none, node3)
                 cases.append(((c1, c2, c6), legal))
     checked_legal = checked_illegal = 0
     for (c1, c2, c6), legal in cases:
@@ -492,7 +552,7 @@ def test_chain_proof_soundness_exhaustive(medium):
         view = graph.view(0)
         broadcasts, blinds = {}, {}
         for rid, content in ((1, c1), (2, c2), (6, c6)):
-            ct = make_ciphertext(view, rid, content or None)
+            ct = make_ciphertext(view, rid, None if content == none else content)
             broadcasts[rid] = (ct.value, ct.commitment)
             blinds[rid] = view.blind_sum(view.slot_of(rid))
         outcomes = []

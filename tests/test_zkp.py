@@ -277,10 +277,14 @@ def test_simulator_transcripts_verify_interactively(small):
 # statement builders
 
 
+def add(a, b, q=53):
+    return ((a[0] + b[0]) % q, (a[1] + b[1]) % q)
+
+
 def test_no_message_statement_honest_case(small):
     rng = random.Random(17)
     for _ in range(50):
-        pad, blind = rng.randrange(53), rng.randrange(53)
+        pad, blind = (rng.randrange(53), rng.randrange(53)), rng.randrange(53)
         c = commit(small, pad, blind)
         stmt = stmt_no_message(small, pad, c)
         proof = prove_rep(small, stmt, blind, rng)
@@ -289,15 +293,17 @@ def test_no_message_statement_honest_case(small):
 
 def test_no_message_statement_with_message_unprovable(small):
     rng = random.Random(18)
-    pad, blind, message = 12, 30, 7
+    pad, blind = (12, 40), 30
     c = commit(small, pad, blind)
-    stmt = stmt_no_message(small, (pad + message) % 53, c)
-    with pytest.raises(WitnessMismatch):
-        prove_rep(small, stmt, blind, rng)
+    # a message in either component leaves no witness
+    for message in ((1, 7), (0, 7), (1, 0)):
+        stmt = stmt_no_message(small, add(pad, message), c)
+        with pytest.raises(WitnessMismatch):
+            prove_rep(small, stmt, blind, rng)
 
 
 def test_no_message_identity_case(small):
-    stmt = stmt_no_message(small, 0, 1)
+    stmt = stmt_no_message(small, (0, 0), 1)
     assert stmt.target == 1
     proof = prove_rep(small, stmt, 0, random.Random(19))
     assert verify_rep(small, stmt, proof)
@@ -307,22 +313,25 @@ def test_same_message_statement_cases(small):
     rng = random.Random(20)
     q = small.q
     for _ in range(50):
-        pad1, blind1, pad2, blind2 = (rng.randrange(q) for _ in range(4))
-        message = rng.randrange(q)
+        pad1, pad2 = ((rng.randrange(q), rng.randrange(q)) for _ in range(2))
+        blind1, blind2 = rng.randrange(q), rng.randrange(q)
+        message = (rng.randrange(q), rng.randrange(q))
         c1, c2 = commit(small, pad1, blind1), commit(small, pad2, blind2)
-        v1, v2 = (pad1 + message) % q, (pad2 + message) % q
+        v1, v2 = add(pad1, message), add(pad2, message)
         stmt = stmt_same_message(small, v1, c1, v2, c2)
         proof = prove_rep(small, stmt, (blind1 - blind2) % q, rng)
         assert verify_rep(small, stmt, proof)
     # identical tuples need witness zero
-    c = commit(small, 5, 6)
-    stmt = stmt_same_message(small, 11, c, 11, c)
+    c = commit(small, (5, 7), 6)
+    stmt = stmt_same_message(small, (11, 3), c, (11, 3), c)
     assert stmt.target == 1
-    # different messages leave no witness for the honest blinding delta
-    c1, c2 = commit(small, 3, 8), commit(small, 9, 2)
-    stmt = stmt_same_message(small, 3 + 20, c1, (9 + 21) % q, c2)
-    with pytest.raises(WitnessMismatch):
-        prove_rep(small, stmt, (8 - 2) % q, rng)
+    # different messages, in either component, leave no witness for the
+    # honest blinding delta
+    c1, c2 = commit(small, (3, 4), 8), commit(small, (9, 10), 2)
+    for m1, m2 in (((1, 20), (1, 21)), ((1, 20), (2, 20)), ((0, 0), (1, 0))):
+        stmt = stmt_same_message(small, add((3, 4), m1), c1, add((9, 10), m2), c2)
+        with pytest.raises(WitnessMismatch):
+            prove_rep(small, stmt, (8 - 2) % q, rng)
 
 
 # ---------------------------------------------------------------------------
