@@ -505,7 +505,7 @@ def _key_records(session, public: KeyGraphPublic):
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v5", hash="sha256"),
+        record("DCMESH", version="v6", hash="sha256"),
         record(
             "GROUP",
             name=params.name,

@@ -10,6 +10,8 @@ covers the signer's opted-out peers.  A later epoch's ENDORSE records,
 one per participant, sit in the session where the epoch was endorsed,
 before the first round that spends it.  A slot value is a pair: each
 CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
+A CIPHER or DEMAND proof is the hex of its (challenge, response)
+scalars, one pair per branch, or ``-`` where none is sent.
 At an equal-payload node (NODE status=equal) the DEMAND records carry
 the equal-payload check, and the RESOLVED records that follow are one
 per delivered copy.  Everything an independent verifier needs is

@@ -3,15 +3,18 @@
 Everything here is a Fiat-Shamir sigma protocol over branches of one
 shape, "I know alpha with target = h^alpha", for the group's blinding
 generator h.  Composition is by the classic simulate-the-untrue-branches
-OR technique (Cramer-Damgard-Schoenmakers 1994):
+OR technique (Cramer-Damgard-Schoenmakers 1994): every statement is an
+OR of branches, a plain knowledge proof is a one-branch OR, and the
+branch challenges sum to the hashed top-level challenge.
 
-* a plain knowledge proof is a one-branch OR,
-* an OR statement becomes one block per branch, with the branch
-  challenges summing to the hashed top-level challenge.
-
-A block is one announcement, its challenge and its response.  Provers
-check their own witness and refuse to emit anything unsound; dishonest
-transcripts are produced explicitly via :func:`forge_attempt`.
+A proof is in challenge form, one (challenge, response) pair per
+branch, the shape of a key-setup signature.  The verifier rebuilds each
+branch's announcement h^z * T^-e with :func:`simulate` and accepts when
+the challenge of the statement and those announcements is the sum of
+the branch challenges.  On the wire a proof is its scalars and nothing
+else.  Provers check their own witness and refuse to emit anything
+unsound; dishonest proofs are produced explicitly via
+:func:`forge_attempt`.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ from .groups import GroupParams, value_term
 
 _FS_TAG = b"dcmesh/fs/v1"
 
-# a block's announcement count on the wire; every block holds one
-_ONE_ANNOUNCEMENT = (1).to_bytes(2, "big")
-
 
 @dataclass(frozen=True)
 class RepStatement:
-    """Claim of knowledge of alpha with ``target = h^alpha``.
+    """One branch: knowledge of alpha with ``target = h^alpha``.
 
     ``context`` carries the statement's role bytes (round ids,
     participant id, session label) so a proof cannot be replayed for a
@@ -50,17 +50,8 @@ class OrStatement:
             raise EmptyClauseList("an OR statement needs at least one branch")
 
 
-@dataclass(frozen=True)
-class ProofBlock:
-    commitment: int
-    challenge: int
-    response: int
-
-
-@dataclass(frozen=True)
-class SigmaProof:
-    statement_digest: bytes
-    blocks: tuple[ProofBlock, ...]
+# one (challenge, response) pair per branch of the statement
+SigmaProof = tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +73,7 @@ def or_statement_bytes(params: GroupParams, stmt: OrStatement) -> bytes:
     return b"or|" + len(stmt.branches).to_bytes(2, "big") + body
 
 
-def fs_challenge(params: GroupParams, statement_bytes: bytes, commitments: list[int]) -> int:
+def fs_challenge(params: GroupParams, statement_bytes: bytes, announcements: list[int]) -> int:
     """Hash the statement and announcement elements into a challenge scalar."""
     h = hashlib.sha256()
     h.update(_FS_TAG)
@@ -90,9 +81,9 @@ def fs_challenge(params: GroupParams, statement_bytes: bytes, commitments: list[
     h.update(params.domain_tag)
     h.update(len(statement_bytes).to_bytes(4, "big"))
     h.update(statement_bytes)
-    h.update(len(commitments).to_bytes(4, "big"))
-    for c in commitments:
-        h.update(params.element_to_bytes(c))
+    h.update(len(announcements).to_bytes(4, "big"))
+    for a in announcements:
+        h.update(params.element_to_bytes(a))
     return int.from_bytes(h.digest(), "big") % params.q
 
 
@@ -111,7 +102,6 @@ class Prover:
 
     def __init__(self, params, targets, true_index, alpha, rng):
         self.params = params
-        self.true_index = true_index
         self.alpha = alpha % params.q
         q, power = params.q, params.h_table.power
         if power(self.alpha) != targets[true_index]:
@@ -128,71 +118,49 @@ class Prover:
                 self.announcements.append(simulate(params, target, e_d, z_d))
                 self._sim[d] = (e_d, z_d)
 
-    def respond(self, challenge: int) -> tuple[ProofBlock, ...]:
+    def respond(self, challenge: int) -> SigmaProof:
         q = self.params.q
         used = sum(e for e, _ in self._sim.values()) % q
         e_true = (challenge - used) % q
         z_true = (self.witness_nonce + e_true * self.alpha) % q
-        return tuple(
-            ProofBlock(t, e_true, z_true) if d == self.true_index else ProofBlock(t, *self._sim[d])
-            for d, t in enumerate(self.announcements)
-        )
+        return tuple(self._sim.get(d, (e_true, z_true)) for d in range(len(self.announcements)))
 
 
 def simulate(params, target, challenge, response):
-    """Announcement that makes (challenge, response) verify for ``target``."""
+    """Announcement that makes (challenge, response) verify for
+    ``target``: h^response * target^-challenge.
+
+    target^(q - challenge) is target^-challenge because every target lies
+    in the order-q subgroup: targets are built from generator powers and
+    CIPHER ``c`` values, and the replay checks each ``c`` with
+    ``is_element`` when it reads the record.
+    """
     p, q = params.p, params.q
     return params.h_table.power(response) * pow(target, q - challenge % q, p) % p
 
 
-def _prove(params, statement_bytes, targets, true_index, alpha, rng) -> SigmaProof:
-    prover = Prover(params, targets, true_index, alpha, rng)
-    challenge = fs_challenge(params, statement_bytes, prover.announcements)
-    return SigmaProof(
-        statement_digest=hashlib.sha256(statement_bytes).digest(),
-        blocks=prover.respond(challenge),
-    )
+def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> SigmaProof:
+    prover = Prover(params, [b.target for b in stmt.branches], true_branch, alpha, rng)
+    statement_bytes = or_statement_bytes(params, stmt)
+    return prover.respond(fs_challenge(params, statement_bytes, prover.announcements))
 
 
-def _verify(params, statement_bytes, targets, proof: SigmaProof) -> bool:
-    if proof.statement_digest != hashlib.sha256(statement_bytes).digest():
+def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
+    # zip below would silently drop the branches a short proof lacks
+    if len(proof) != len(stmt.branches):
         return False
-    if len(proof.blocks) != len(targets):
+    q = params.q
+    if not all(0 <= e < q and 0 <= z < q for e, z in proof):
         return False
-    challenge = fs_challenge(params, statement_bytes, [b.commitment for b in proof.blocks])
-    if sum(b.challenge for b in proof.blocks) % params.q != challenge:
-        return False
-    p, q, power = params.p, params.q, params.h_table.power
-    for target, block in zip(targets, proof.blocks):
-        if not (0 <= block.challenge < q and 0 <= block.response < q):
-            return False
-        if not 0 < block.commitment < p:  # reject non-canonical encodings
-            return False
-        if power(block.response) != block.commitment * pow(target, block.challenge, p) % p:
-            return False
-    return True
+    announcements = [
+        simulate(params, b.target, e, z) for b, (e, z) in zip(stmt.branches, proof)
+    ]
+    challenge = fs_challenge(params, or_statement_bytes(params, stmt), announcements)
+    return sum(e for e, _ in proof) % q == challenge
 
 
 # ---------------------------------------------------------------------------
 # statement families
-
-
-def prove_rep(params, stmt: RepStatement, alpha: int, rng) -> SigmaProof:
-    return _prove(params, rep_statement_bytes(params, stmt), [stmt.target], 0, alpha, rng)
-
-
-def verify_rep(params, stmt: RepStatement, proof: SigmaProof) -> bool:
-    return _verify(params, rep_statement_bytes(params, stmt), [stmt.target], proof)
-
-
-def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> SigmaProof:
-    targets = [b.target for b in stmt.branches]
-    return _prove(params, or_statement_bytes(params, stmt), targets, true_branch, alpha, rng)
-
-
-def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
-    targets = [b.target for b in stmt.branches]
-    return _verify(params, or_statement_bytes(params, stmt), targets, proof)
 
 
 def stmt_no_message(params, value, commitment: int, context: bytes = b"") -> RepStatement:
@@ -223,39 +191,28 @@ def stmt_same_message(
     return RepStatement(target=target, context=context)
 
 
-def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaProof:
-    """Structurally valid proof bytes for a statement the caller cannot prove.
+def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
+    """Well-formed proof for a statement the caller cannot prove.
 
-    Adversary simulation hook: the result has the right shape and a
-    consistent challenge sum, but at least one verification equation is
-    broken, so honest verifiers always reject it.
+    Adversary simulation hook, playing a cheat that fixes every branch's
+    announcement first: it simulates each branch, takes the challenge of
+    those announcements, and moves the first branch's challenge so the
+    sum matches, which breaks that branch's announcement.  Honest
+    verifiers always reject the result.
     """
-    if isinstance(statement, RepStatement):
-        statement_bytes = rep_statement_bytes(params, statement)
-        targets = [statement.target]
-    else:
-        statement_bytes = or_statement_bytes(params, statement)
-        targets = [b.target for b in statement.branches]
     q = params.q
+    targets = [b.target for b in statement.branches]
     challenges = [rng.randrange(q) for _ in targets]
     responses = [rng.randrange(q) for _ in targets]
-    blocks = [
-        ProofBlock(simulate(params, target, e, z), e, z)
-        for target, e, z in zip(targets, challenges, responses)
-    ]
-    top = fs_challenge(params, statement_bytes, [b.commitment for b in blocks])
-    # force the challenge sum to match; the first block's equation now
-    # refers to a challenge its announcement was not simulated for
-    delta = (top - sum(challenges)) % q
-    fixed = (blocks[0].challenge + delta) % q
-    blocks[0] = ProofBlock(blocks[0].commitment, fixed, blocks[0].response)
-    proof = SigmaProof(hashlib.sha256(statement_bytes).digest(), tuple(blocks))
-    if _verify(params, statement_bytes, targets, proof):
-        # delta landed on zero (or the targets were trivial); break an equation
-        blocks[0] = ProofBlock(
-            blocks[0].commitment, blocks[0].challenge, (blocks[0].response + 1) % q
-        )
-        proof = SigmaProof(proof.statement_digest, tuple(blocks))
+    announcements = [simulate(params, t, e, z) for t, e, z in zip(targets, challenges, responses)]
+    top = fs_challenge(params, or_statement_bytes(params, statement), announcements)
+    challenges[0] = (challenges[0] + top - sum(challenges)) % q
+    proof = tuple(zip(challenges, responses))
+    while verify_or(params, statement, proof):
+        # the moved challenge changed nothing, or the rebuilt announcement
+        # happened to hash to the same sum; move the response until it fails
+        responses[0] = (responses[0] + 1) % q
+        proof = tuple(zip(challenges, responses))
     return proof
 
 
@@ -264,39 +221,14 @@ def forge_attempt(params, statement: RepStatement | OrStatement, rng) -> SigmaPr
 
 
 def proof_to_bytes(params: GroupParams, proof: SigmaProof) -> bytes:
-    out = [proof.statement_digest, len(proof.blocks).to_bytes(2, "big")]
-    for block in proof.blocks:
-        out.append(_ONE_ANNOUNCEMENT)
-        out.append(params.element_to_bytes(block.commitment))
-        out.append(params.scalar_to_bytes(block.challenge))
-        out.append(params.scalar_to_bytes(block.response))
-    return b"".join(out)
+    return b"".join(params.scalar_to_bytes(x) for pair in proof for x in pair)
 
 
 def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:
-    """Parse a proof; ValueError for truncated or trailing bytes, and for
-    a block whose announcement count is not one."""
-    ew, sw = params.element_bytes, params.scalar_bytes
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise ValueError("proof bytes truncated")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    digest = take(32)
-    n_blocks = int.from_bytes(take(2), "big")
-    blocks = []
-    for _ in range(n_blocks):
-        if take(2) != _ONE_ANNOUNCEMENT:
-            raise ValueError("a proof block holds one announcement")
-        commitment = int.from_bytes(take(ew), "big")
-        challenge = int.from_bytes(take(sw), "big")
-        response = int.from_bytes(take(sw), "big")
-        blocks.append(ProofBlock(commitment, challenge, response))
-    if pos != len(data):
-        raise ValueError("trailing bytes after proof")
-    return SigmaProof(digest, tuple(blocks))
+    """Parse a proof; ValueError unless ``data`` is a non-zero whole
+    number of (challenge, response) pairs."""
+    sw = params.scalar_bytes
+    if not data or len(data) % (2 * sw):
+        raise ValueError("proof bytes are not whole (challenge, response) pairs")
+    scalars = [int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)]
+    return tuple(zip(scalars[::2], scalars[1::2]))

@@ -21,7 +21,7 @@ from dcmesh.errors import (
     RoundBudgetExhausted,
 )
 from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
-from dcmesh.zkp import prove_rep, stmt_no_message, verify_rep
+from dcmesh.zkp import OrStatement, prove_or, stmt_no_message, verify_or
 
 
 def fresh_graph(params, n, seed=0, refusers=frozenset()):
@@ -74,9 +74,9 @@ def test_no_message_proof_from_honest_ciphertext(small):
     graph = fresh_graph(small, 4, seed=3)
     view = graph.view(1)
     ct = make_ciphertext(view, 1, None)
-    stmt = stmt_no_message(small, ct.value, ct.commitment)
-    proof = prove_rep(small, stmt, view.blind_sum(0), random.Random(5))
-    assert verify_rep(small, stmt, proof)
+    stmt = OrStatement((stmt_no_message(small, ct.value, ct.commitment),))
+    proof = prove_or(small, stmt, 0, view.blind_sum(0), random.Random(5))
+    assert verify_or(small, stmt, proof)
 
 
 def test_round_budget_and_single_use(small):

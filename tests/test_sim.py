@@ -92,7 +92,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v5).  Test ids are the list positions, so a re-pin
+# (pinned at format v6).  Test ids are the list positions, so a re-pin
 # keeps them.
 # the smallest session here that crosses an endorsement epoch boundary:
 # the malformed slot (2, 101) has an odd total, so it is no equal-payload
@@ -103,45 +103,45 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "205fc55ae87f3f6809da1232f0322a59294656eaab1f0095dac75a0fa7305be1"),
+     "f2e09eec563be91e751714b1a0fd5bae35eaa46f65131e8500940ad34f1e1eb3"),
     (sim.Scenario(n=2, seed=1),
-     "2b4686052bef1d75de0ffe946da56eb58a578f4f8def0196b092e6c825b1643f"),
+     "e480274f49172c5e2327978b9a272346a74d68cadcaea142b9381a9c99fc5790"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "aa6aaf6c287d127e6d68a1285de0988fbd4689419029fbad268f6392ab544aed"),
+     "d01d0245d2c6a671398c369f0aabbbb772ac8a0d97c97378c2794a297e47bc32"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "0153221830dfac10fc410e3ab4c60d03fcb959c9edb0fb1768494b55c25ea1d1"),
+     "7b2ef38e1c835a9947f79150f928f75f509b980c6fbaadc0a69fac852fff04dc"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "5793089134babdd566b62c5546a8965a7e2e7bc26b776fe5b0b78a0d2137bb91"),
+     "c34d7d45b628cb5a55b0bbec38cb0576f181e58bc763bad870f9e5ecf9ad8f5f"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "55d44bdfa16407f4aec499235974b484571cd91ede245173cf6a78145814a6ee"),
+     "f0c7300644b9d99fe6ccf91f942dd878a269cbaef08f48120fd404a8dfb07a32"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "615dacce1289e984404f51850879329109248f7b8c9d6ade9b891c9e392845ef"),
+     "c2366f33d791c8cd444dd096ccf27b3ebfb9e86038d7ddbab6e347af0e3f27ff"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "249684685752c7524cf3b4d9dc0b65a8588a0ccea2be95827e001dd6059772e5"),
+     "a3e28ec415cf032d15c695adc17df6e5e45d719a1b96fa3b80d5e52db1382509"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "94504522cfa09770855ed65248a6b69191593645d51681f63836b05d140fc363"),
+     "21ac81c7092129f50077310caae45bef6d9948a3700bf875accec54617100ebb"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11, max_retries=32),
-     "05570540deff4f7ae564ec5ab0cb8569424ec4c32c47ab9db54d6dcb45e74ce7"),
+     "a9ce56df5453c3a541271d5a3a4cb46fb5f9fc10c62006c92bb1dad76d405d98"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "df1fd9fd7b27cf6679d13271a0fb17031e8cb561b0c12d439452e0ecb0ca66f5"),
+     "bcf871634849f828bbd45b149e20bcffc55c4e122202556849ef6f4354856c7d"),
     # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "f1710011649482dce953162dd8019a480acdd1a1fd54bdf9fe953d1c820b0adc"),
+     "bd252ff503aa203e86d0866703a90628c3ba63e5f2b6946c5dd359112040d1b1"),
     # a refuser in mid-row, whose edges draw nothing, and a session that
     # endorses epoch 1 (budget 32, six later-epoch ENDORSE records)
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "1a9c02df0df7894454c2728f3dcb56b9c8bed9135611e1b0fe1f184f3d865b43"),
+     "e3fd730b34d45fab7ff19d3b250218490b8e531484f544cc153f9a377d83d66b"),
 ]
 
 
@@ -261,34 +261,47 @@ def test_refuse_proof_flagged_as_non_cooperation():
     assert verdicts_of(t) == [(2, "non_cooperation")]
 
 
-class _TwoAnnouncementParticipant(sim.HonestParticipant):
-    """Honest, but sends each CIPHER proof with its first block's
-    announcement twice and that block's announcement count set to 2."""
+class _MalformedProofParticipant(sim.HonestParticipant):
+    """Honest, but sends each CIPHER proof in one malformed ``shape``:
+    ``short`` drops its last scalar, ``extra`` appends a copy of its
+    first (challenge, response) pair, and ``big_challenge`` adds q to its
+    first challenge, which still fits the scalar width."""
+
+    shape = "short"
 
     def broadcast(self, round_id):
         ct = super().broadcast(round_id)
         if ct.proof is None:
             return ct
+        sw = self.params.scalar_bytes
         data = bytes.fromhex(ct.proof)
-        announcement = data[36 : 36 + self.params.element_bytes]
-        # the digest and block count, then the first block
-        proof = data[:34] + (2).to_bytes(2, "big") + announcement + data[36:]
-        return replace(ct, proof=proof.hex())
+        if self.shape == "short":
+            data = data[:-sw]
+        elif self.shape == "extra":
+            data += data[: 2 * sw]
+        else:
+            challenge = int.from_bytes(data[:sw], "big") + self.params.q
+            data = self.params.scalar_to_bytes(challenge) + data[sw:]
+        return replace(ct, proof=data.hex())
 
 
-def test_two_announcement_proof_block_is_invalid_proof(monkeypatch):
-    # a block holds one announcement, so this proof does not parse; the
-    # judge gives it the verdict, and the records, of a proof that fails
-    # to verify (at format v3 the digest was taken when such a block still
-    # parsed; v4 changed the key records, PUBLISH and digests, and v5 the
-    # slot fields and the signed opt-outs)
-    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _TwoAnnouncementParticipant)
-    t = run(
-        sim.Scenario(n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1)
+def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
+    # a proof one scalar short does not parse; one with an extra pair, or
+    # with a challenge >= q, parses but does not verify.  The judge gives
+    # each the verdict, and the records, of a proof that fails to verify,
+    # for the sender alone
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MalformedProofParticipant)
+    scenario = sim.Scenario(
+        n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1
     )
-    assert verdicts_of(t) == [(2, "invalid_proof")]
-    assert hashlib.sha256(t.to_text().encode()).hexdigest() == (
-        "5d4e8cf76de79c5a2a1e0bae0cbac3cd844b58a9385feda88b68c3fb52a3d402"
+    digests = {}
+    for shape in ("short", "extra", "big_challenge"):
+        monkeypatch.setattr(_MalformedProofParticipant, "shape", shape)
+        t = run(scenario)
+        assert verdicts_of(t) == [(2, "invalid_proof")], shape
+        digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
+    assert digests["short"] == (
+        "f8cfc11ad5cbd6eb3aefeae870c92cb5425f1dfcae5c9777e3ae57de73a4f783"
     )
 
 

@@ -16,23 +16,29 @@ from dcmesh.zkp import (
     OrStatement,
     Prover,
     RepStatement,
-    SigmaProof,
     forge_attempt,
     fs_challenge,
     proof_from_bytes,
     proof_to_bytes,
     prove_or,
-    prove_rep,
     simulate,
     stmt_no_message,
     stmt_same_message,
     verify_or,
-    verify_rep,
 )
 
 
 def rep_for(params, alpha, context=b"t"):
     return RepStatement(target=pow(params.h, alpha, params.p), context=context)
+
+
+def prove_one(params, branch, alpha, rng):
+    """A proof of the one-branch statement ``branch``."""
+    return prove_or(params, OrStatement((branch,)), 0, alpha, rng)
+
+
+def verify_one(params, branch, proof):
+    return verify_or(params, OrStatement((branch,)), proof)
 
 
 # ---------------------------------------------------------------------------
@@ -68,42 +74,39 @@ def test_rep_completeness_random(small):
     for _ in range(1000):
         alpha = rng.randrange(small.q)
         stmt = rep_for(small, alpha)
-        proof = prove_rep(small, stmt, alpha, rng)
-        assert verify_rep(small, stmt, proof)
+        proof = prove_one(small, stmt, alpha, rng)
+        assert verify_one(small, stmt, proof)
 
 
 def test_rep_zero_witness_identity_target(small):
     rng = random.Random(1)
     stmt = rep_for(small, 0)
     assert stmt.target == 1
-    assert verify_rep(small, stmt, prove_rep(small, stmt, 0, rng))
+    assert verify_one(small, stmt, prove_one(small, stmt, 0, rng))
 
 
 def test_rep_wrong_witness_refused(small):
     stmt = rep_for(small, 5)
     with pytest.raises(WitnessMismatch):
-        prove_rep(small, stmt, 6, random.Random(0))
+        prove_one(small, stmt, 6, random.Random(0))
 
 
 def test_rep_tampered_response_rejected(small):
     rng = random.Random(3)
     stmt = rep_for(small, 21)
-    proof = prove_rep(small, stmt, 21, rng)
-    block = proof.blocks[0]
-    bad = SigmaProof(
-        proof.statement_digest,
-        (type(block)(block.commitment, block.challenge, (block.response + 1) % small.q),),
-    )
-    assert not verify_rep(small, stmt, bad)
+    proof = prove_one(small, stmt, 21, rng)
+    ((e, z),) = proof
+    bad = ((e, (z + 1) % small.q),)
+    assert not verify_one(small, stmt, bad)
 
 
 def test_statement_byte_binding(small):
     rng = random.Random(4)
     stmt = rep_for(small, 9, context=b"round-7")
-    proof = prove_rep(small, stmt, 9, rng)
+    proof = prove_one(small, stmt, 9, rng)
     other = RepStatement(stmt.target, b"round-8")
-    assert verify_rep(small, stmt, proof)
-    assert not verify_rep(small, other, proof)
+    assert verify_one(small, stmt, proof)
+    assert not verify_one(small, other, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +146,10 @@ def test_or_challenge_split_tampering_rejected(small):
     rng = random.Random(7)
     stmt = or_pair(small, 22, 0, rng)
     proof = prove_or(small, stmt, 0, 22, rng)
-    b0, b1 = proof.blocks
-    shifted = SigmaProof(
-        proof.statement_digest,
-        (
-            type(b0)(b0.commitment, (b0.challenge + 1) % small.q, b0.response),
-            type(b1)(b1.commitment, (b1.challenge - 1) % small.q, b1.response),
-        ),
-    )
-    # sum is still right, but the per-branch equations now fail
-    assert sum(b.challenge for b in shifted.blocks) % small.q == sum(
-        b.challenge for b in proof.blocks
-    ) % small.q
+    (e0, z0), (e1, z1) = proof
+    shifted = (((e0 + 1) % small.q, z0), ((e1 - 1) % small.q, z1))
+    # sum is still right, but the rebuilt announcements now hash elsewhere
+    assert sum(e for e, _ in shifted) % small.q == sum(e for e, _ in proof) % small.q
     assert not verify_or(small, stmt, shifted)
 
 
@@ -177,7 +172,7 @@ def test_or_hiding_structure(small):
             proof = prove_or(small, stmt, true_branch, alpha, rng)
             assert verify_or(small, stmt, proof)
             sizes.add(len(proof_to_bytes(small, proof)))
-            first_challenges[true_branch][proof.blocks[0].challenge] += 1
+            first_challenges[true_branch][proof[0][0]] += 1
     assert len(sizes) == 1
     # the first branch's challenge spreads over the space either way; no
     # field separates the proofs by which branch was real
@@ -191,13 +186,13 @@ def test_or_hiding_structure(small):
 
 def extract(params, targets, prover, e1, e2):
     """Two-transcript extractor for the OR core."""
-    blocks1 = prover.respond(e1)
-    blocks2 = prover.respond(e2)
-    for target, b1, b2 in zip(targets, blocks1, blocks2):
-        if b1.challenge == b2.challenge:
+    pairs1 = prover.respond(e1)
+    pairs2 = prover.respond(e2)
+    for target, (c1, z1), (c2, z2) in zip(targets, pairs1, pairs2):
+        if c1 == c2:
             continue
-        de = (b1.challenge - b2.challenge) % params.q
-        dz = (b1.response - b2.response) % params.q
+        de = (c1 - c2) % params.q
+        dz = (z1 - z2) % params.q
         alpha = dz * pow(de, -1, params.q) % params.q
         # the recovered witness must satisfy the branch
         assert pow(params.h, alpha, params.p) == target
@@ -263,14 +258,13 @@ def test_simulator_transcripts_verify_interactively(small):
     rng = random.Random(16)
     alpha = 44
     stmt = rep_for(small, alpha)
-    real = prove_rep(small, stmt, alpha, rng)
+    real = prove_one(small, stmt, alpha, rng)
     p, h = small.p, small.h
     for e in range(small.q):
         z = rng.randrange(small.q)
         t = simulate(small, stmt.target, e, z)
         assert pow(h, z, p) == t * pow(stmt.target, e, p) % p
-        fake = SigmaProof(real.statement_digest, (type(real.blocks[0])(t, e, z),))
-        assert len(proof_to_bytes(small, fake)) == len(proof_to_bytes(small, real))
+        assert len(proof_to_bytes(small, ((e, z),))) == len(proof_to_bytes(small, real))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +281,8 @@ def test_no_message_statement_honest_case(small):
         pad, blind = (rng.randrange(53), rng.randrange(53)), rng.randrange(53)
         c = commit(small, pad, blind)
         stmt = stmt_no_message(small, pad, c)
-        proof = prove_rep(small, stmt, blind, rng)
-        assert verify_rep(small, stmt, proof)
+        proof = prove_one(small, stmt, blind, rng)
+        assert verify_one(small, stmt, proof)
 
 
 def test_no_message_statement_with_message_unprovable(small):
@@ -299,14 +293,14 @@ def test_no_message_statement_with_message_unprovable(small):
     for message in ((1, 7), (0, 7), (1, 0)):
         stmt = stmt_no_message(small, add(pad, message), c)
         with pytest.raises(WitnessMismatch):
-            prove_rep(small, stmt, blind, rng)
+            prove_one(small, stmt, blind, rng)
 
 
 def test_no_message_identity_case(small):
     stmt = stmt_no_message(small, (0, 0), 1)
     assert stmt.target == 1
-    proof = prove_rep(small, stmt, 0, random.Random(19))
-    assert verify_rep(small, stmt, proof)
+    proof = prove_one(small, stmt, 0, random.Random(19))
+    assert verify_one(small, stmt, proof)
 
 
 def test_same_message_statement_cases(small):
@@ -319,8 +313,8 @@ def test_same_message_statement_cases(small):
         c1, c2 = commit(small, pad1, blind1), commit(small, pad2, blind2)
         v1, v2 = add(pad1, message), add(pad2, message)
         stmt = stmt_same_message(small, v1, c1, v2, c2)
-        proof = prove_rep(small, stmt, (blind1 - blind2) % q, rng)
-        assert verify_rep(small, stmt, proof)
+        proof = prove_one(small, stmt, (blind1 - blind2) % q, rng)
+        assert verify_one(small, stmt, proof)
     # identical tuples need witness zero
     c = commit(small, (5, 7), 6)
     stmt = stmt_same_message(small, (11, 3), c, (11, 3), c)
@@ -331,7 +325,7 @@ def test_same_message_statement_cases(small):
     for m1, m2 in (((1, 20), (1, 21)), ((1, 20), (2, 20)), ((0, 0), (1, 0))):
         stmt = stmt_same_message(small, add((3, 4), m1), c1, add((9, 10), m2), c2)
         with pytest.raises(WitnessMismatch):
-            prove_rep(small, stmt, (8 - 2) % q, rng)
+            prove_one(small, stmt, (8 - 2) % q, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +338,14 @@ def test_forge_attempt_always_rejected(small):
         alpha = rng.randrange(small.q)
         stmt = or_pair(small, alpha, 0, rng)
         forged = forge_attempt(small, stmt, rng)
-        assert len(forged.blocks) == 2
+        assert len(forged) == 2
         assert not verify_or(small, stmt, forged)
 
 
 def test_forge_attempt_rep_rejected(small):
     rng = random.Random(22)
     stmt = rep_for(small, 10)
-    assert not verify_rep(small, stmt, forge_attempt(small, stmt, rng))
+    assert not verify_one(small, stmt, forge_attempt(small, OrStatement((stmt,)), rng))
 
 
 def test_proof_serialization_roundtrip(small, medium):
@@ -361,22 +355,40 @@ def test_proof_serialization_roundtrip(small, medium):
         stmt = or_pair(params, alpha, 1, rng)
         proof = prove_or(params, stmt, 1, alpha, rng)
         data = proof_to_bytes(params, proof)
+        # a proof is its scalars, one (challenge, response) pair per
+        # branch: in test_medium 12 bytes for two branches, 6 for one
+        sw = params.scalar_bytes
+        assert len(data) == 2 * 2 * sw
+        (true_branch,) = [b for b in stmt.branches if b.context == b"true"]
+        alone = prove_one(params, true_branch, alpha, rng)
+        assert len(proof_to_bytes(params, alone)) == 2 * sw
         again = proof_from_bytes(params, data)
         assert again == proof
         assert verify_or(params, stmt, again)
-        with pytest.raises(ValueError):
-            proof_from_bytes(params, data[:-1])
-        with pytest.raises(ValueError):
-            proof_from_bytes(params, data + b"\x00")
-        # every block holds one announcement: a first block with none, or
-        # with two, is not a proof
-        ew, sw = params.element_bytes, params.scalar_bytes
-        count, announcement, scalars = data[34:36], data[36 : 36 + ew], data[36 + ew :]
-        assert count == (1).to_bytes(2, "big") and len(scalars) > 2 * sw
-        for n, announcements in ((0, b""), (2, announcement * 2)):
-            block = n.to_bytes(2, "big") + announcements
+        # empty, truncated and trailing bytes are not a proof
+        for bad in (b"", data[:-1], data + b"\x00", data[: 2 * sw + 1]):
             with pytest.raises(ValueError):
-                proof_from_bytes(params, data[:34] + block + scalars)
-            # nor is one announcement under another count
-            with pytest.raises(ValueError):
-                proof_from_bytes(params, data[:34] + n.to_bytes(2, "big") + data[36:])
+                proof_from_bytes(params, bad)
+        # a pair short, or one too many, parses but is no proof of stmt,
+        # even an extra pair whose zero challenge keeps the sum; nor is a
+        # valid one-branch proof of its true branch alone
+        assert not verify_or(params, stmt, proof_from_bytes(params, data[: 2 * sw]))
+        assert not verify_or(params, stmt, proof_from_bytes(params, data + data[: 2 * sw]))
+        assert not verify_or(params, stmt, proof + ((0, 0),))
+        assert verify_one(params, true_branch, alone)
+        assert not verify_or(params, stmt, alone)
+
+
+def test_verify_rejects_scalars_outside_the_field(small, medium):
+    # (e + q, z) and (e, z + q) are congruent to a valid pair and still
+    # fit the wire's scalar width, but only canonical scalars verify
+    rng = random.Random(26)
+    for params in (small, medium):
+        q = params.q
+        alpha = rng.randrange(q)
+        stmt = or_pair(params, alpha, 1, rng)
+        (e0, z0), (e1, z1) = proof = prove_or(params, stmt, 1, alpha, rng)
+        assert verify_or(params, stmt, proof)
+        for bad in (((e0 + q, z0), (e1, z1)), ((e0, z0), (e1, z1 + q))):
+            data = proof_to_bytes(params, bad)
+            assert not verify_or(params, stmt, proof_from_bytes(params, data))
