@@ -5,20 +5,21 @@ Each unordered pair of participants shares, per slot, a pair of keys
 committed to as g^count_key * f^total_key * h^blinding; the reverse
 direction holds the negations so all pads cancel in a round sum, and
 its commitments, from hi to lo, are the inverses of the lo -> hi ones.
-Slots are endorsed in epochs of ``EPOCH_SLOTS``.  Each edge direction's
-commitments for an epoch are the leaves of a Merkle tree.  The roots of
-the directions a participant is the peer of, one per other participant
-in id order, are the leaves of that participant's own tree, and it
-signs that tree's root once per epoch, bound to the epoch and to the
-peers it shares no edge with (an ENDORSE record).  A commitment revealed
-with its path through both trees is endorsed by that one signature,
-which is what later lets an investigation pin blame.  Epoch 0 is built
-with the graph and later epochs on demand, over the same edges and
-signing keys.  A participant may refuse to share a secret with a peer;
-the edge is then publicly marked opted out for the whole session,
-contributes zero pads and identity commitments, and has a fixed tag
-leaf in the peer's tree, which is padded with the same tag to a
-power-of-two width.
+Slots are endorsed in epochs of ``EPOCH_SLOTS`` = 8, the measured median
+session: every honest bench session at seed 1 but one transmits 8
+rounds.  Each edge direction's commitments for an epoch are the leaves
+of a Merkle tree.  The roots of the directions a participant is the peer
+of, one per other participant in id order, are the leaves of that
+participant's own tree, and it signs that tree's root once per epoch,
+bound to the epoch and to the peers it shares no edge with (an ENDORSE
+record).  A commitment revealed with its path through both trees is
+endorsed by that one signature, which is what later lets an
+investigation pin blame.  Epoch 0 is built with the graph and later
+epochs on demand, over the same edges and signing keys.  A participant
+may refuse to share a secret with a peer; the edge is then publicly
+marked opted out for the whole session, contributes zero pads and
+identity commitments, and has a fixed tag leaf in the peer's tree, which
+is padded with the same tag to a power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
@@ -46,9 +47,9 @@ from .errors import RoundBudgetExhausted
 from .groups import GroupParams, invert_all
 
 # slots per endorsement epoch: one Merkle root per edge direction and
-# epoch, and one signature per participant and epoch; fits the median
-# session of every bench workload in epoch 0
-EPOCH_SLOTS = 16
+# epoch, and one signature per participant and epoch; the median session
+# fits epoch 0, and a longer one endorses more epochs as it reaches them
+EPOCH_SLOTS = 8
 # siblings on a path through one edge direction's tree
 _EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 # a signer's leaf where it endorses no direction: an opted-out edge, or padding
@@ -169,16 +170,6 @@ class Endorsement:
 
     commitments: tuple[int, ...]
     root: bytes
-
-    def reveal(self, params: GroupParams, index: int, signer_path) -> RevealedCommitment:
-        """The commitment at ``index`` of the epoch, with its path up to
-        this root and on through ``signer_path``."""
-        levels = merkle.build_tree(
-            [params.element_to_bytes(c) for c in self.commitments], EPOCH_SLOTS
-        )
-        return RevealedCommitment(
-            self.commitments[index], _path_text(merkle.path(levels, index) + signer_path)
-        )
 
 
 def endorse(params: GroupParams, commitments) -> list[Endorsement]:
@@ -487,15 +478,18 @@ class KeyView:
 
     def published_pairs(self, slot: int):
         """The endorsed per-pair commitments this participant can reveal,
-        each with its path up to the peer's signed root."""
+        each with its path up to the peer's signed root.  The trees of
+        every direction it holds in the slot's epoch are built together."""
         share, index = self._share(slot)
-        epoch = slot // EPOCH_SLOTS
-        return {
-            peer: share.held[peer].reveal(
-                self.params, index, self.graph.signer_path(epoch, self.pid, peer)
-            )
-            for peer in sorted(share.held)
-        }
+        peers = sorted(share.held)
+        leaves = [self.params.element_to_bytes(c) for p in peers for c in share.held[p].commitments]
+        levels = merkle.build_tree(leaves, EPOCH_SLOTS)
+        published = {}
+        for at, peer in enumerate(peers):
+            path = merkle.path(levels, at * EPOCH_SLOTS + index)
+            path += self.graph.signer_path(slot // EPOCH_SLOTS, self.pid, peer)
+            published[peer] = RevealedCommitment(share.held[peer].commitments[index], _path_text(path))
+        return published
 
 
 def build_key_graph(

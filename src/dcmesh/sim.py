@@ -42,6 +42,8 @@ from .splitter import (
 from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
+# the transcript format this engine writes, and the only one it replays
+FORMAT_VERSION = "v7"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -505,7 +507,7 @@ def _key_records(session, public: KeyGraphPublic):
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version="v6", hash="sha256"),
+        record("DCMESH", version=FORMAT_VERSION, hash="sha256"),
         record(
             "GROUP",
             name=params.name,
@@ -801,6 +803,8 @@ def _check_header(header, report):
     types = [r["type"] for r in header]
     if "GROUP" not in types or "CONFIG" not in types:
         raise MalformedRecord(len(header) - 1, "incomplete header")
+    if header[0].get("version") != FORMAT_VERSION:
+        raise MalformedRecord(0, f"not a format {FORMAT_VERSION} transcript")
     group = header[types.index("GROUP")]
     try:
         # a GROUP record's fields are GroupParams.to_text's, in its layout
@@ -825,11 +829,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     through the judge with a ``_Replay`` as its source and sink.  Where
     the judge asks for an input the record at the cursor is not, verify
     stops there.  Raises MalformedRecord only for what cannot be parsed
-    or checked: the header and group, a CONFIG n the body cannot hold, a
-    missing SUMMARY or opening SESSION record, and, at its own index, a
-    PUBKEY y outside [1, p), an ENDORSE root that is not hex or whose
-    signature does not verify under the participant's PUBKEY, or a
-    CIPHER c outside the group.
+    or checked: the header, its format version and group, a CONFIG n
+    the body cannot hold, a missing SUMMARY or opening SESSION record,
+    and, at its own index, a PUBKEY y outside [1, p), an ENDORSE root
+    that is not hex or whose signature does not verify under the
+    participant's PUBKEY, or a CIPHER c outside the group.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)

@@ -23,6 +23,9 @@ from dcmesh.errors import (
 from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
 from dcmesh.zkp import OrStatement, prove_or, stmt_no_message, verify_or
 
+# siblings on a path through one edge direction's tree
+EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
+
 
 def fresh_graph(params, n, seed=0, refusers=frozenset()):
     return build_key_graph(params, range(n), random.Random(seed), refusers=refusers)
@@ -312,7 +315,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
         assert not result.valid
         published = honest_published(graph, n, slot)
         published[1] = dict(published[1])
-        published[1][2] = used.reveal(small, index, graph.signer_path(used_epoch, 1, 2))
+        published[1][2] = graph.view(1).published_pairs(used_epoch * EPOCH_SLOTS + index)[2]
         record = investigate(small, result, slot, published, graph.public())
         assert BAD_SIGNATURE in record.verdicts[1], (slot, index)
         assert AGGREGATE_MISMATCH not in record.verdicts[1]
@@ -328,8 +331,9 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
     graph = fresh_graph(small, n, seed=18)
     _, _, result = run_round(small, graph, n)
     path = graph.view(1).published_pairs(0)[2].path
-    assert len(path) == (4 + 2) * 64
-    for tampered in (path[:-64], path[64:], path + path[:64], path[4 * 64 :] + path[: 4 * 64]):
+    assert len(path) == (EDGE_LEVELS + 2) * 64
+    swapped = path[EDGE_LEVELS * 64 :] + path[: EDGE_LEVELS * 64]
+    for tampered in (path[:-64], path[64:], path + path[:64], swapped):
         published = honest_published(graph, n, 0)
         published[1] = dict(published[1])
         published[1][2] = replace(published[1][2], path=tampered)

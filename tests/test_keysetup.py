@@ -24,6 +24,8 @@ from dcmesh.keysetup import (
 )
 
 TAG = b"dc-mesh/v1"
+# siblings on a path through one edge direction's tree
+EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +411,8 @@ def test_merkle_batch_inclusion_paths(small):
                 pairs = graph.view(holder).published_pairs(base + index)
                 assert sorted(pairs) == [peer for peer in participants if peer != holder]
                 for signer, revealed in pairs.items():
-                    # four levels of the direction's tree, two of the signer's
-                    assert len(revealed.path) == (4 + 2) * 64
+                    # every level of the direction's tree, two of the signer's
+                    assert len(revealed.path) == (EDGE_LEVELS + 2) * 64
                     assert endorsed(revealed, holder, signer, base + index)
                     for other in (index - 1, index + 1):
                         if 0 <= other < EPOCH_SLOTS:
@@ -432,12 +434,12 @@ def test_merkle_batch_rejects_tampering(small):
         return is_endorsed(small, graph.participants, root, holder, signer, 2, revealed)
 
     assert endorsed(revealed)
-    # four siblings in the direction's tree, then one in the signer's (width 2)
-    assert len(revealed.path) == 5 * 64
+    # one sibling per level of the direction's tree, then one in the signer's (width 2)
+    assert len(revealed.path) == (EDGE_LEVELS + 1) * 64
     # wrong leaf value
     assert not endorsed(replace(revealed, commitment=held.commitments[1]))
     # a flipped digit in either tree's siblings
-    for at in (0, 4 * 64):
+    for at in (0, EDGE_LEVELS * 64):
         digit = "1" if revealed.path[at] == "0" else "0"
         flipped = revealed.path[:at] + digit + revealed.path[at + 1 :]
         assert not endorsed(replace(revealed, path=flipped))
@@ -446,7 +448,8 @@ def test_merkle_batch_rejects_tampering(small):
     assert not endorsed(replace(revealed, path=revealed.path[:-64]))
     assert not endorsed(replace(revealed, path=revealed.path + "00" * 32))
     # the two trees' halves swapped
-    assert not endorsed(replace(revealed, path=revealed.path[4 * 64 :] + revealed.path[: 4 * 64]))
+    half = EDGE_LEVELS * 64
+    assert not endorsed(replace(revealed, path=revealed.path[half:] + revealed.path[:half]))
     # path text that is not canonical hex of whole digests
     for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2]):
         assert not endorsed(replace(revealed, path=garbled))

@@ -11,6 +11,9 @@ from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript, records_digest
 
+# siblings on a path through one edge direction's tree
+EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
+
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
 
 
@@ -92,9 +95,9 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v6).  Test ids are the list positions, so a re-pin
+# (pinned at format v7).  Test ids are the list positions, so a re-pin
 # keeps them.
-# the smallest session here that crosses an endorsement epoch boundary:
+# an n=2 session that spends 17 slots, so it endorses epochs 1 and 2:
 # the malformed slot (2, 101) has an odd total, so it is no equal-payload
 # node (101 != 2 * 51) and stays stuck on the coin path for 14 retries
 EPOCH_CROSSING = sim.Scenario(
@@ -103,45 +106,45 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "f2e09eec563be91e751714b1a0fd5bae35eaa46f65131e8500940ad34f1e1eb3"),
+     "98d7c4471ceab375d09c63f985f8f44ed4af0618d355bddebfaa9093fdef40a3"),
     (sim.Scenario(n=2, seed=1),
-     "e480274f49172c5e2327978b9a272346a74d68cadcaea142b9381a9c99fc5790"),
+     "76018f5c3833dfb50452c9fc1d7df22c50c4cb528f9dcea87d3d0e72c6c951cd"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "d01d0245d2c6a671398c369f0aabbbb772ac8a0d97c97378c2794a297e47bc32"),
+     "ac3d341727f27d5da231442d18e04d2e22ec4744f231df570bf11056e57e29ba"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "7b2ef38e1c835a9947f79150f928f75f509b980c6fbaadc0a69fac852fff04dc"),
+     "cafdb1fbe7f2811d0e90db7b1d4eac5b0d60354371e00cfafdbdef0c60e17e87"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "c34d7d45b628cb5a55b0bbec38cb0576f181e58bc763bad870f9e5ecf9ad8f5f"),
+     "a6b00b432d040019de0732e7c512cdde19b58438debd4f40f293bbf6e2d1e702"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "f0c7300644b9d99fe6ccf91f942dd878a269cbaef08f48120fd404a8dfb07a32"),
+     "69e258d72992121163f1375457712921185cb2058d742b9d2a56be428766a0b1"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "c2366f33d791c8cd444dd096ccf27b3ebfb9e86038d7ddbab6e347af0e3f27ff"),
+     "2f807915b734d0e485e8642365acc3609d872027beb6adb182517eedf1854a52"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "a3e28ec415cf032d15c695adc17df6e5e45d719a1b96fa3b80d5e52db1382509"),
+     "b82256bb5295c596135d2fb332d01ed620b222690a1a319f3b26634dabccdc68"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "21ac81c7092129f50077310caae45bef6d9948a3700bf875accec54617100ebb"),
+     "f5c958ea22a3855a89ab6a78652347403ef4fba83fa53fb03cf052b8c92dd3a6"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11, max_retries=32),
-     "a9ce56df5453c3a541271d5a3a4cb46fb5f9fc10c62006c92bb1dad76d405d98"),
+     "1c9df04df0ce0c16a3a75d08631d3d43c0e1f696300cb7bb49663fd07e6ad1f7"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "bcf871634849f828bbd45b149e20bcffc55c4e122202556849ef6f4354856c7d"),
-    # a stuck collision that spends 17 slots: epoch 1 is endorsed mid-session
+     "2ea6002df8efef3a1ff118e7b677b3f460602a38dca2a0948bc48e2111cdc4ed"),
+    # a stuck collision that spends 17 slots: epochs 1 and 2 are endorsed mid-session
     (EPOCH_CROSSING,
-     "bd252ff503aa203e86d0866703a90628c3ba63e5f2b6946c5dd359112040d1b1"),
+     "04055491e02724f42b4e9f0a23d2ac43947b9e7b65e3922ba7b95e8a3a11b4c1"),
     # a refuser in mid-row, whose edges draw nothing, and a session that
-    # endorses epoch 1 (budget 32, six later-epoch ENDORSE records)
+    # endorses epochs 1 and 2 (budget 24, twelve later-epoch ENDORSE records)
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "e3fd730b34d45fab7ff19d3b250218490b8e531484f544cc153f9a377d83d66b"),
+     "68d0a02dff29b8c8ddcb1a0d3dff8dea600ae20b74b9b7ba64b6a3a7fc1cb162"),
 ]
 
 
@@ -180,6 +183,19 @@ def test_record_line_parse_errors():
     for spelling in ("09", "+9", "0_9"):  # int() accepts these; only "9" is canonical
         with pytest.raises(MalformedRecord):
             line_to_record(f"BAN session=1 part={spelling}", 0)
+
+
+def test_transcript_of_another_format_version_is_malformed():
+    # an older transcript's PUBLISH paths and SESSION budgets follow
+    # another epoch size; it ends malformed at its header instead of
+    # replaying into verdicts that were never issued
+    text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
+    assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
+    for version in ("v6", "v8"):
+        relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
+        with pytest.raises(MalformedRecord) as exc:
+            sim.verify_transcript(Transcript.from_text(relabelled))
+        assert exc.value.index == 0, version
 
 
 def test_truncated_transcript_is_malformed():
@@ -301,7 +317,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "f8cfc11ad5cbd6eb3aefeae870c92cb5425f1dfcae5c9777e3ae57de73a4f783"
+        "e225ecb67925070d3e15292c5103bb7d71680adb063ca76d06e00243b7ca4e91"
     )
 
 
@@ -530,11 +546,13 @@ def _detects(text: str) -> bool:
     return _outcome(text) != "clean"
 
 
-# the only fields whose mutation leaves nothing to check: the group, a
-# participant count the transcript does not hold, a commitment outside the
-# group, and a signed root whose signature no longer verifies (the root,
-# the signature, or the signing key it is checked against)
+# the only fields whose mutation leaves nothing to check: a format version
+# this engine does not replay, the group, a participant count the
+# transcript does not hold, a commitment outside the group, and a signed
+# root whose signature no longer verifies (the root, the signature, or the
+# signing key it is checked against)
 MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "tag")} | {
+    ("DCMESH", "version"),
     ("CONFIG", "n"),
     ("CIPHER", "c"),
     ("PUBKEY", "y"),
@@ -547,12 +565,12 @@ MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "
 def _path_mutations(path: str):
     """A PUBLISH path one sibling short, one sibling long, and with its
     direction-tree and signer-tree halves swapped."""
-    return [path[:-64], path + path[:64], path[4 * 64 :] + path[: 4 * 64]]
+    return [path[:-64], path + path[:64], path[EDGE_LEVELS * 64 :] + path[: EDGE_LEVELS * 64]]
 
 
 def test_every_field_mutation_detected():
     # an investigation and a re-keyed session, then a session that
-    # endorses epoch 1 mid-tree, whose later ENDORSE records are mutated
+    # endorses epochs 1 and 2 mid-tree, whose later ENDORSE records are mutated
     # too, and an equal-payload check that delivers three copies of 9
     scenarios = [
         sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
@@ -576,9 +594,9 @@ def test_every_field_mutation_detected():
                 if line.startswith("ENDORSE ") and " epoch=0 " not in line:
                     later_endorse_fields.add(key)
             if tokens[0] == "PUBLISH":
-                # n=3: four siblings in the direction's tree, one in the signer's
+                # n=3: one sibling per level of the direction's tree, one in the signer's
                 path = tokens[-1].split("=", 1)[1]
-                assert len(path) == (4 + 1) * 64
+                assert len(path) == (EDGE_LEVELS + 1) * 64
                 publish_paths += 1
                 candidates += [("path", tokens[:-1] + [f"path={p}"]) for p in _path_mutations(path)]
             for key, mutated in candidates:
@@ -718,7 +736,7 @@ def test_replaced_endorse_record_is_not_clean(fields):
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     """n=32 and a bad_slot_count adversary that keeps a collision stuck
     for 48 retries (its slot (2, 31) has an odd total, so the
-    equal-payload check does not take it): one session endorses four epochs, each with one
+    equal-payload check does not take it): one session endorses seven epochs, each with one
     ENDORSE record, one signature in the run and one check on replay per
     participant, and every check passes."""
     counts = Counter()
@@ -743,10 +761,10 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     assert summary_of(transcript)["sessions"] == 1
     assert verdicts_of(transcript) == [(9, "stuck_collision")]
     signed = Counter(r["epoch"] for r in transcript.records if r["type"] == "ENDORSE")
-    assert signed == {0: 32, 1: 32, 2: 32, 3: 32}
-    assert counts == {"sign": 4 * 32}
+    assert signed == {epoch: 32 for epoch in range(7)}
+    assert counts == {"sign": 7 * 32}
     assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
-    assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
+    assert counts == {"sign": 7 * 32, ("verify_sig", True): 7 * 32}
 
 
 def test_session_after_everyone_is_banned_is_not_clean():
@@ -853,20 +871,49 @@ def test_stuck_collision_session_endorses_epochs_on_demand():
     assert summary_of(t)["sessions"] == 1
     assert summary_of(t)["transmitted"] == 53
     session = next(r for r in t.records if r["type"] == "SESSION")
-    assert session["budget"] == 4 * EPOCH_SLOTS
+    assert session["budget"] == 7 * EPOCH_SLOTS
     assert verdicts_of(t) == [(10, "stuck_collision")]
     resolved = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
     assert Counter(p for pid, p in scenario.senders if pid != 10) <= resolved
     # each later epoch's ENDORSE records (one per participant) sit just
     # before the round that spends the epoch's first slot
     signed = Counter(r["epoch"] for r in t.records if r["type"] == "ENDORSE")
-    assert signed == {0: 12, 1: 12, 2: 12, 3: 12}
-    for epoch in (1, 2, 3):
+    assert signed == {epoch: 12 for epoch in range(7)}
+    for epoch in range(1, 7):
         last = max(
             i for i, r in enumerate(t.records) if r["type"] == "ENDORSE" and r["epoch"] == epoch
         )
         assert t.records[last + 1]["type"] == "ROUND"
         assert t.records[last + 1]["slot"] == epoch * EPOCH_SLOTS
+
+
+@pytest.mark.parametrize(
+    "rounds, epochs", [(EPOCH_SLOTS, 1), (EPOCH_SLOTS + 1, 2)], ids=["full_epoch", "one_past"]
+)
+def test_honest_session_endorses_a_later_epoch_only_past_the_boundary(rounds, epochs):
+    """Honest senders of distinct payloads transmit one round each: a
+    session of ``EPOCH_SLOTS`` rounds fits epoch 0, and one more round
+    makes it endorse epoch 1, whose ENDORSE records (one per participant,
+    in order) sit just before the round that spends slot ``EPOCH_SLOTS``."""
+    n = EPOCH_SLOTS + 1
+    scenario = sim.Scenario(n=n, senders=tuple((pid, 3 + 7 * pid) for pid in range(rounds)))
+    t = run(scenario)
+    assert verdicts_of(t) == []
+    assert summary_of(t)["transmitted"] == summary_of(t)["delivered"] == rounds
+    session = next(r for r in t.records if r["type"] == "SESSION")
+    assert session["budget"] == epochs * EPOCH_SLOTS
+    signed = Counter(r["epoch"] for r in t.records if r["type"] == "ENDORSE")
+    assert signed == {epoch: n for epoch in range(epochs)}
+    for epoch in range(1, epochs):
+        at = next(
+            i for i, r in enumerate(t.records)
+            if r["type"] == "ROUND" and r["slot"] == epoch * EPOCH_SLOTS
+        )
+        before = t.records[at - n : at]
+        assert [(r["type"], r["epoch"], r["part"]) for r in before] == [
+            ("ENDORSE", epoch, pid) for pid in range(n)
+        ]
+    assert sim.verify_transcript(Transcript.from_text(t.to_text())).clean
 
 
 def test_production_group_end_to_end():
