@@ -36,7 +36,7 @@ SCENARIOS = {
     ),
     "bad_slot_count (claims two messages)": sim.Scenario(
         n=3, senders=((0, 10), (1, 20), (2, 7)),
-        adversaries=((2, "bad_slot_count"),), seed=3, max_retries=6,
+        adversaries=((2, "bad_slot_count"),), seed=3,
     ),
     "refuse_signature (opts out of key setup)": sim.Scenario(
         n=5, senders=((0, 36), (1, 11), (2, 28), (3, 17), (4, 38)),

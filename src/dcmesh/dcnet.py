@@ -26,7 +26,6 @@ PAIR_MISMATCH = "pair_mismatch"
 NON_COOPERATION = "non_cooperation"
 INVALID_PROOF = "invalid_proof"
 WRONG_BRANCH = "wrong_branch"
-STUCK_COLLISION = "stuck_collision"
 UNEQUAL_PAYLOAD = "unequal_payload"
 
 

@@ -37,13 +37,12 @@ from .splitter import (
     endorse_record,
     run_session,
     slot_fits,
-    split_decision,
 )
 from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 # the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v7"
+FORMAT_VERSION = "v8"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -94,7 +93,8 @@ class Scenario:
     seed: int = 0
     group: str = "test_medium"
     payload_bits: int = 8
-    max_retries: int = 32
+    # read by nothing and not serialised: bench/workloads.py still passes max_retries=
+    max_retries: int | None = field(default=None, compare=False)
 
     def to_text(self) -> str:
         lines = [
@@ -103,7 +103,6 @@ class Scenario:
             f"group = {self.group}",
             f"seed = {self.seed}",
             f"payload_bits = {self.payload_bits}",
-            f"max_retries = {self.max_retries}",
         ]
         for pid, payload in self.senders:
             lines.append(f"sender = {pid} {payload}")
@@ -129,7 +128,7 @@ class Scenario:
                 elif key == "adversary":
                     pid, strategy = value.split()
                     adversaries.append((int(pid), strategy))
-                elif key not in ("n", "group", "seed", "payload_bits", "max_retries"):
+                elif key not in ("n", "group", "seed", "payload_bits"):
                     raise ConfigInvalid(f"unknown scenario key {key!r}")
                 elif key in fields:
                     raise ConfigInvalid(f"repeated scenario key {key!r}")
@@ -142,7 +141,6 @@ class Scenario:
                 seed=int(fields.get("seed", "0")),
                 group=fields.get("group", "test_medium"),
                 payload_bits=int(fields.get("payload_bits", "8")),
-                max_retries=int(fields.get("max_retries", "32")),
             )
         except (KeyError, ValueError) as exc:
             raise ConfigInvalid(f"bad scenario field: {exc}") from exc
@@ -160,7 +158,7 @@ class Scenario:
         if self.group not in SECURITY_LEVELS:
             raise ConfigInvalid(f"unknown group {self.group!r}")
         params = derive_params(self.group, DOMAIN_TAG)
-        check_config(self.n, self.payload_bits, self.max_retries, params)
+        check_config(self.n, self.payload_bits, params)
         sender_ids = [pid for pid, _ in self.senders]
         if len(set(sender_ids)) != len(sender_ids):
             raise ConfigInvalid("duplicate sender ids")
@@ -182,12 +180,10 @@ class Scenario:
                 raise ConfigInvalid(f"strategy {strategy} requires a sender payload")
 
 
-def check_config(n: int, payload_bits: int, max_retries: int, params: GroupParams) -> None:
+def check_config(n: int, payload_bits: int, params: GroupParams) -> None:
     """The session rules of a CONFIG, for a run and for its verify alike."""
     if payload_bits < 1:
         raise ConfigInvalid("payload_bits must be positive")
-    if max_retries < 1:
-        raise ConfigInvalid("max_retries must be positive")
     # a payload as wide as q never fits; checked first, so that a huge
     # payload_bits from a transcript never reaches slot_fits' shift
     if payload_bits >= params.q.bit_length() or not slot_fits(n, payload_bits, params.q):
@@ -260,12 +256,7 @@ class HonestParticipant:
         return go_left
 
     def _goes_left(self, parent) -> bool:
-        return split_decision(
-            self.payload,
-            parent.threshold,
-            parent.probabilistic,
-            lambda: self.rng.getrandbits(1),
-        )
+        return self.payload < parent.threshold
 
     def _message_for(self, round_id):
         return self.slot_value if self._transmit_decision(round_id) else None
@@ -364,11 +355,10 @@ class BadPadParticipant(_ForgingAdversary):
 
 
 class WrongBranchParticipant(_ForgingAdversary):
-    """Retransmits its message against every deterministic split rule."""
+    """Retransmits its message against every split rule."""
 
     def _goes_left(self, parent):
-        go_left = super()._goes_left(parent)
-        return go_left if parent.probabilistic else not go_left
+        return not super()._goes_left(parent)
 
 
 class DoubleBranchParticipant(_ForgingAdversary):
@@ -412,8 +402,8 @@ class MutateMessageParticipant(_ForgingAdversary):
 
 
 class LateInjectionParticipant(_ForgingAdversary):
-    """Starts silent, then injects a fresh message mid-tree, violating
-    blocked access."""
+    """Starts silent, then injects a fresh message mid-tree, where no
+    new message may enter."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -594,7 +584,7 @@ def _play_session(params, scenario, active, pending, session, session_tag):
     outcome = run_session(
         params,
         public,
-        scenario.max_retries,
+        scenario.payload_bits,
         session,
         session_tag,
         _Participants(participants, graph, scenario.seed, session),
@@ -618,7 +608,6 @@ def run_scenario(scenario: Scenario) -> Transcript:
             "CONFIG",
             n=scenario.n,
             payload_bits=scenario.payload_bits,
-            max_retries=scenario.max_retries,
             scenario=digest,
         ),
     )
@@ -656,7 +645,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
 
 def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_medium",
-                   payload_bits=8, max_retries=32):
+                   payload_bits=8):
     """Run one collision resolution session (no bans, no restarts)."""
     ids = [pid for pid, _ in senders] + [pid for pid, _ in adversaries]
     n = n if n is not None else (max(ids) + 1 if ids else 1)
@@ -667,7 +656,6 @@ def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_mediu
         seed=seed,
         group=group,
         payload_bits=payload_bits,
-        max_retries=max_retries,
     )
     scenario.validate()
     params = derive_params(group, DOMAIN_TAG)
@@ -813,7 +801,7 @@ def _check_header(header, report):
         raise MalformedRecord(types.index("GROUP"), f"bad group parameters: {exc}") from exc
     config = header[types.index("CONFIG")]
     try:
-        check_config(config["n"], config["payload_bits"], config["max_retries"], params)
+        check_config(config["n"], config["payload_bits"], params)
     except ConfigInvalid as exc:
         raise MalformedRecord(types.index("CONFIG"), f"bad CONFIG: {exc}") from exc
     for index, (rec, exp) in enumerate(zip_longest(header, _header(params, config))):
@@ -855,7 +843,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             outcome = run_session(
                 params,
                 replay.public,
-                config["max_retries"],
+                config["payload_bits"],
                 session,
                 _session_tag(config["scenario"], session),
                 replay,

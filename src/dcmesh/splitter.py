@@ -10,23 +10,47 @@ transmitted -- its aggregate is inferred as C(k) - C(2k).  That
 inference gives one delivered message per transmitted round when all
 payloads are distinct.
 
-When they are not, the split is degenerate: round 2k comes back empty
-and the inferred node 2k+1 holds (count, count * x).  The judge then
-asks every participant to prove that its context there is empty or
-exactly one copy (1, x), and delivers x count times when every proof
-verifies.  A lone failed proof is blamed: the verified contexts leave
-the failer the share (c, c * x), which an honest context of at most one
-message passes with.  Several failures cannot be told apart from an
-honest holder of another payload beside a malformed slot, so the node
-takes the coin path instead.
+Every node carries the interval [lo, hi) its honest payloads lie in:
+[0, 2^payload_bits) at the root, and a split at threshold t gives the
+children [lo, c) and [c, hi), c being t clamped into [lo, hi].  An
+honest payload goes left exactly when it is below t, so it stays
+inside the interval of every node it reaches.
+
+When the payloads at a collision are all equal, the split is
+degenerate: round 2k comes back empty and the inferred node 2k+1 holds
+(count, count * x), where x is the average and the node's lo.  The
+judge then asks every participant to prove that its context there is
+empty or exactly one copy (1, lo), and delivers lo count times when
+every proof verifies.  A lone failed proof is blamed: the verified
+contexts leave the failer the share (c, c * lo), which an honest
+context of at most one message passes with.  At a node one value wide
+every failer is blamed, since an honest context there is empty or
+(1, lo).
 
 Every participant broadcasts in every transmitted round and attaches,
 for every non-root round, a proof that the new broadcast either
 carries no message or repeats exactly the message content of the
-nearest transmitted ancestor context.  Disruption that survives those
-proofs (malformed slots, deliberate wrong branching) is handled by
-probabilistic re-splitting, and blame is assigned by demanding
-no-message proofs against the offending tree node.
+nearest transmitted ancestor context.  A split that survives those
+proofs but is inconsistent -- the children's counts do not add up to
+the parent's, or one side is empty -- comes from a malformed slot.
+Its colliding children, and an equal-payload node where two or more
+proofs fail, are split at the midpoint (lo + hi) // 2 of their
+interval instead of the average, and a midpoint node whose interval
+holds at most one value becomes an equal-payload node.  A payload
+against an ancestor's split is found by the wrong-branch audit, and
+blame is assigned by demanding no-message proofs at the offending leaf.
+
+The proofs bound a session's length.  Call a participant's first-round
+slot its unit: the proofs make every unit travel down the tree whole,
+so a split either separates the units at its node, at most n - 1
+times in a session of n participants, or sends them all one way.  Such
+a split is inconsistent, so a chain of them under one set of units
+holds at most one split at the average, and then midpoint splits, each
+of which halves the interval, until it holds at most one value: at
+most payload_bits of them.  A chain hangs below the root and below
+each side of a separating split, at most 2n - 1 places, and every
+transmitted round after the first is one split, so a session transmits
+at most n + (2n - 1)(payload_bits + 1) rounds.
 """
 
 from __future__ import annotations
@@ -38,7 +62,6 @@ from . import zkp
 from .dcnet import (
     INVALID_PROOF,
     NON_COOPERATION,
-    STUCK_COLLISION,
     UNEQUAL_PAYLOAD,
     WRONG_BRANCH,
     RoundResult,
@@ -59,7 +82,6 @@ PENDING = "pending"
 EMPTY = "empty"
 RESOLVED = "resolved"
 COLLISION = "collision"
-STUCK = "stuck"
 EQUAL = "equal"   # a degenerate split's collision of equal payloads
 
 
@@ -96,18 +118,6 @@ def threshold(count: int, total: int) -> int:
     return -(-total // count)
 
 
-def split_decision(payload: int, t: int | None, probabilistic: bool, coin) -> bool:
-    """True when this payload retransmits in the left (2k) round.
-
-    Deterministic splits send strictly-below-threshold payloads left
-    and everything else (ties included) right; probabilistic splits
-    flip the supplied coin.
-    """
-    if probabilistic:
-        return bool(coin())
-    return payload < t
-
-
 # ---------------------------------------------------------------------------
 # the resolution tree
 
@@ -119,13 +129,14 @@ def node_kind(node_id: int) -> str:
 @dataclass
 class TreeNode:
     round_id: int
+    lo: int                   # the node's honest payloads lie in [lo, hi)
+    hi: int
     aggregate: tuple[int, int] | None = None
     count: int | None = None
     total: int | None = None
     status: str = PENDING
     threshold: int | None = None
-    probabilistic: bool = False
-    attempt: int = 0          # position in a consecutive non-split chain
+    midpoint: bool = False    # split at the interval's midpoint, not the average
 
     @property
     def kind(self) -> str:
@@ -134,7 +145,7 @@ class TreeNode:
     @property
     def equal_payload(self) -> int | None:
         """The payload every message at an equal-payload node carries."""
-        return self.total // self.count if self.status == EQUAL else None
+        return self.lo if self.status == EQUAL else None
 
 
 class ResolutionTree:
@@ -145,15 +156,12 @@ class ResolutionTree:
     round id, and no new message may enter until the tree is done.
     """
 
-    def __init__(self, q: int, max_retries: int):
+    def __init__(self, q: int, payload_bits: int):
         self.q = q
-        self.max_retries = max_retries
-        self.nodes: dict[int, TreeNode] = {1: TreeNode(1)}
+        self.nodes: dict[int, TreeNode] = {1: TreeNode(1, 0, 1 << payload_bits)}
         self._frontier = [1]
         self.transmitted_order: list[int] = []
         self.resolved: list[tuple[int, int]] = []   # (node_id, payload)
-        self.split_attempts: list[int] = []         # non-split chain lengths at first split
-        self.blocked = False
         self._touched: list[int] = []
 
     def next_round(self) -> int | None:
@@ -182,7 +190,6 @@ class ResolutionTree:
         self._classify(node)
         if rid == 1:
             if node.status == COLLISION:
-                self.blocked = True
                 self._schedule_split(node)
         else:
             parent = self.nodes[rid // 2]
@@ -192,8 +199,6 @@ class ResolutionTree:
             )
             self._classify(sibling)
             self._check_split(parent, node, sibling)
-        if self.done:
-            self.blocked = False
         return sorted(set(self._touched))
 
     def _classify(self, node: TreeNode) -> None:
@@ -208,10 +213,13 @@ class ResolutionTree:
         self._touched.append(node.round_id)
 
     def _schedule_split(self, node: TreeNode) -> None:
-        if not node.probabilistic:
+        if node.midpoint:
+            node.threshold = (node.lo + node.hi) // 2
+        else:
             node.threshold = threshold(node.count, node.total)
-        left = TreeNode(2 * node.round_id)
-        right = TreeNode(2 * node.round_id + 1)
+        cut = min(max(node.threshold, node.lo), node.hi)
+        left = TreeNode(2 * node.round_id, node.lo, cut)
+        right = TreeNode(2 * node.round_id + 1, cut, node.hi)
         self.nodes[left.round_id] = left
         self.nodes[right.round_id] = right
         heapq.heappush(self._frontier, left.round_id)
@@ -222,10 +230,8 @@ class ResolutionTree:
             and left.count > 0
             and right.count > 0
         )
-        if clean and parent.attempt > 0:
-            self.split_attempts.append(parent.attempt)
         if (
-            not parent.probabilistic
+            not parent.midpoint
             and left.aggregate == (0, 0)
             and right.total == right.count * parent.threshold
         ):
@@ -236,30 +242,23 @@ class ResolutionTree:
         for child in (left, right):
             if child.status != COLLISION:
                 continue
-            if clean:
-                # real progress: inherit the splitting mode, reset the chain
-                child.probabilistic = parent.probabilistic
-                child.attempt = 0
+            # a collision that an inconsistent split left behind holds a
+            # malformed slot: bisect its interval down to a single value
+            child.midpoint = not clean
+            if child.midpoint and child.hi - child.lo <= 1:
+                child.status = EQUAL
             else:
-                # the collision survived intact (or the slot arithmetic is
-                # inconsistent): fall back to coin-flip splitting
-                child.probabilistic = True
-                child.attempt = parent.attempt + 1
-                if child.attempt > self.max_retries:
-                    child.status = STUCK
-                    self._touched.append(child.round_id)
-                    continue
-            self._schedule_split(child)
+                self._schedule_split(child)
 
     def deliver(self, node_id: int) -> None:
         """Resolve an equal-payload node: its payload, once per message."""
         node = self.nodes[node_id]
         self.resolved.extend([(node_id, node.equal_payload)] * node.count)
 
-    def resplit(self, node_id: int) -> None:
-        """Send an equal-payload node whose check failed down the coin path."""
+    def bisect(self, node_id: int) -> None:
+        """Split an equal-payload node whose check failed at its midpoint."""
         node = self.nodes[node_id]
-        node.status, node.probabilistic, node.attempt = COLLISION, True, 1
+        node.status, node.midpoint = COLLISION, True
         self._schedule_split(node)
 
     def snapshot(self, node_id: int) -> dict:
@@ -273,8 +272,6 @@ class ResolutionTree:
             total=node.total,
             status=node.status,
             threshold="-" if node.threshold is None else str(node.threshold),
-            probabilistic=int(node.probabilistic),
-            attempt=node.attempt,
         )
 
 
@@ -435,26 +432,16 @@ class SessionOutcome:
 
 
 def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
-    """Leaves whose payload contradicts a deterministic ancestor split.
-
-    Probabilistic splits carry no payload rule, so only deterministic
-    collision nodes are audited.  Returns offending leaf node ids.
-    """
+    """Leaves whose payload contradicts an ancestor's split, which sends
+    payloads below its threshold left.  Returns offending leaf node ids."""
     offending = []
     for leaf_id, payload in tree.resolved:
         node_id = leaf_id
         while node_id > 1:
-            parent = tree.nodes[node_id // 2]
             went_left = node_id % 2 == 0
-            if (
-                parent.status == COLLISION
-                and not parent.probabilistic
-                and parent.threshold is not None
-            ):
-                should_left = payload < parent.threshold
-                if went_left != should_left:
-                    offending.append(leaf_id)
-                    break
+            if went_left != (payload < tree.nodes[node_id // 2].threshold):
+                offending.append(leaf_id)
+                break
             node_id = node_id // 2
     return offending
 
@@ -470,21 +457,21 @@ def _read_proof(params: GroupParams, text: str) -> zkp.SigmaProof | None:
 def run_session(
     params: GroupParams,
     graph_public,
-    max_retries: int,
+    payload_bits: int,
     session: int,
     session_tag: bytes,
     source,
 ) -> SessionOutcome:
-    """Judge one blocked-access collision resolution session.
+    """Judge one collision resolution session, closed to new messages
+    until its tree is done.
 
     The judge owns every session rule: round order, the validity check
     and the investigation after a failed one, retransmission proofs,
-    denial demands at stuck nodes, the check of equal-payload nodes, the
-    wrong-branch audit, verdicts and bans.  It emits every session record
-    to ``source.records`` and reads only public data: the participant
-    set, the opt-outs and epoch 0's signed roots come from
-    ``graph_public``, and every protocol input from ``source``, which
-    answers five calls:
+    the check of equal-payload nodes, the wrong-branch audit, verdicts
+    and bans.  It emits every session record to ``source.records`` and
+    reads only public data: the participant set, the opt-outs and epoch
+    0's signed roots come from ``graph_public``, and every protocol input
+    from ``source``, which answers five calls:
 
     * ``begin(tree)``: the session starts on this tree;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
@@ -504,7 +491,7 @@ def run_session(
     inputs back from a transcript and compares each record as it is emitted.
     """
     pids = list(graph_public.participants)
-    tree = ResolutionTree(params.q, max_retries)
+    tree = ResolutionTree(params.q, payload_bits)
     outcome = SessionOutcome(session=session, tree=tree, records=source.records)
     source.begin(tree)
 
@@ -573,25 +560,23 @@ def run_session(
 
         for node_id in touched:
             node = tree.nodes[node_id]
-            if node.status not in (STUCK, EQUAL):
+            if node.status != EQUAL:
                 continue
             demanded.add(node_id)
             copy = node.equal_payload
             failed = _run_demand(
                 params, source, broadcasts, node_id, session, session_tag, outcome, copy
             )
-            if node.status == STUCK:
-                _blame(outcome, failed, STUCK_COLLISION, node_id)
-            elif not failed:
+            if not failed:
                 tree.deliver(node_id)
                 for _ in range(node.count):
                     outcome.records.append(
                         record("RESOLVED", session=session, node=node_id, payload=copy)
                     )
-            elif len(failed) == 1:
+            elif len(failed) == 1 or node.hi - node.lo <= 1:
                 _blame(outcome, failed, UNEQUAL_PAYLOAD, node_id)
             else:
-                tree.resplit(node_id)
+                tree.bisect(node_id)
                 _emit_nodes(tree, [node_id], session, outcome)
 
     if not outcome.aborted:

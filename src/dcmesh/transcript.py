@@ -31,7 +31,7 @@ from .errors import MalformedRecord
 _SCHEMA = {
     "DCMESH": ("version", "hash"),
     "GROUP": ("name", "p", "q", "generators", "tag"),
-    "CONFIG": ("n", "payload_bits", "max_retries", "scenario"),
+    "CONFIG": ("n", "payload_bits", "scenario"),
     "PUBKEY": ("session", "part", "y"),
     "OPTOUT": ("session", "lo", "hi"),
     "ENDORSE": ("session", "epoch", "part", "root", "sig_e", "sig_s"),
@@ -40,17 +40,7 @@ _SCHEMA = {
     "ROUND": ("session", "id", "slot"),
     "CIPHER": ("session", "round", "part", "O_count", "O_total", "c", "proof"),
     "AGGREGATE": ("session", "round", "C_count", "C_total", "valid"),
-    "NODE": (
-        "session",
-        "id",
-        "kind",
-        "count",
-        "total",
-        "status",
-        "threshold",
-        "probabilistic",
-        "attempt",
-    ),
+    "NODE": ("session", "id", "kind", "count", "total", "status", "threshold"),
     "RESOLVED": ("session", "node", "payload"),
     "PUBLISH": ("session", "slot", "part", "peer", "c", "path"),
     "INVESTIGATION": ("session", "round", "cheaters"),
@@ -73,7 +63,6 @@ _INT_FIELDS = {
     "q",
     "n",
     "payload_bits",
-    "max_retries",
     "part",
     "y",
     "lo",
@@ -93,8 +82,6 @@ _INT_FIELDS = {
     "valid",
     "count",
     "total",
-    "probabilistic",
-    "attempt",
     "node",
     "payload",
     "peer",

@@ -55,7 +55,7 @@ def test_c02_throughput_optimality():
         payloads = rng.sample(range(256), m)  # distinct, sums < 2^12
         senders = [(pid, payloads[pid]) for pid in range(m)]
         out = sim.single_session(
-            senders, seed=trial, n=m, payload_bits=12, max_retries=2
+            senders, seed=trial, n=m, payload_bits=12
         )
         if out.transmitted != m or out.verdicts:
             failures.append((trial, m, out.transmitted))
@@ -300,7 +300,7 @@ def test_c07_conservation_exact():
         runs.append(
             sim.single_session(
                 [(pid, payloads[pid]) for pid in range(m)],
-                seed=trial, n=m, payload_bits=12, max_retries=4,
+                seed=trial, n=m, payload_bits=12,
             )
         )
     for trial in range(10):  # duplicate payloads exercise the degenerate split
@@ -326,38 +326,37 @@ def test_c07_conservation_exact():
            checked > 50 and not failures, f"{checked} splits checked")
 
 
-def test_c08_probabilistic_fallback():
-    # equal honest payloads no longer need the coin: the degenerate split
-    # and the equal-payload check deliver both in two rounds, every time
+def test_c08_bisection_fallback():
+    # equal honest payloads need no fallback: the degenerate split and the
+    # equal-payload check deliver both in two rounds, every time
     runs = 1000
     equal_checked = 0
     for seed in range(runs):
-        out = sim.single_session([(0, 5), (1, 5)], seed=seed, n=2, max_retries=32)
+        out = sim.single_session([(0, 5), (1, 5)], seed=seed, n=2)
         delivered = sorted(p for _, p in out.resolved) == [5, 5]
-        coins = any(node.probabilistic for node in out.tree.nodes.values())
-        if delivered and not out.verdicts and out.transmitted == 2 and not coins:
+        bisected = any(node.midpoint for node in out.tree.nodes.values())
+        if delivered and not out.verdicts and out.transmitted == 2 and not bisected:
             equal_checked += 1
-    # the coin path stays for inconsistent splits: an honest 5 beside a
-    # malformed slot (2, 4) sums to (3, 9) = 3 * 3, but neither can claim
-    # the copy (1, 3), so the pair is separated by coin flips
-    attempts = []
+    # an honest 5 beside a malformed slot (2, 4) sums to (3, 9) = 3 * 3,
+    # but neither can claim the copy (1, 3): the node is bisected until
+    # the two part, and only the malformed slot is blamed, within the
+    # splitter's bound of n + (2n - 1)(payload_bits + 1) = 29 rounds
     within = 0
+    rounds = set()
     for seed in range(runs):
         out = sim.single_session(
-            [(0, 5), (1, 4)], adversaries=[(1, "bad_slot_count")], seed=seed, n=2,
-            max_retries=32,
+            [(0, 5), (1, 4)], adversaries=[(1, "bad_slot_count")], seed=seed, n=2
         )
         delivered = [p for _, p in out.resolved] == [5]
-        if delivered and {v.participant for v in out.verdicts} == {1}:
+        if delivered and {v.participant for v in out.verdicts} == {1} and out.transmitted <= 29:
             within += 1
-        attempts.extend(out.tree.split_attempts)
-    mean = sum(attempts) / len(attempts)
-    ok = equal_checked == runs and within >= 999 and 1.5 <= mean <= 2.5
+        rounds.add(out.transmitted)
+    ok = equal_checked == runs and within == runs
     report(
-        "C08 probabilistic fallback: equal honest payloads 1000/1000 without coins; "
-        ">=999/1000 resolve beside a malformed slot; mean retries 2.0 +/- 0.5",
+        "C08 bisection fallback: equal honest payloads 1000/1000 in two rounds; "
+        "1000/1000 resolve beside a malformed slot, blaming it alone within 29 rounds",
         ok,
-        f"equal {equal_checked}/1000, resolved {within}/1000, mean {mean:.2f}",
+        f"equal {equal_checked}/1000, resolved {within}/1000, rounds {sorted(rounds)}",
     )
 
 
@@ -402,7 +401,7 @@ def test_c10_transcript_closure_and_mutation_detection():
         sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                      adversaries=((1, "wrong_branch"),), seed=2),
         sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
-                     adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
+                     adversaries=((2, "bad_slot_count"),), seed=2),
         sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                      adversaries=((3, "refuse_signature"),), seed=2),
     ]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmesh import sim
+from dcmesh.splitter import threshold
 from dcmesh.transcript import Transcript
 
 
@@ -33,19 +34,31 @@ def accepted_scenarios(draw):
         senders=tuple(sorted(senders.items())),
         adversaries=adversaries,
         seed=draw(st.integers(0, (1 << 64) - 1)),
-        max_retries=draw(st.sampled_from((1, 2, 4, 32))),
     )
     scenario.validate()
     return scenario
 
 
 def assert_honest_run_served(scenario, transcript):
-    """No verdict, every payload delivered once per sender, and no coin flip."""
+    """No verdict, every payload delivered once per sender, and every
+    split at its collision's average, never at a midpoint."""
     records = transcript.records
     assert [r for r in records if r["type"] == "VERDICT"] == []
     delivered = Counter(r["payload"] for r in records if r["type"] == "RESOLVED")
     assert delivered == Counter(payload for _, payload in scenario.senders)
-    assert not any(r["type"] == "NODE" and r["probabilistic"] for r in records)
+    for r in records:
+        if r["type"] == "NODE" and r["threshold"] != "-":
+            assert int(r["threshold"]) == threshold(r["count"], r["total"]), r
+
+
+def session_rounds(transcript):
+    """(active participants, transmitted rounds) of each session."""
+    rounds = Counter(r["session"] for r in transcript.records if r["type"] == "ROUND")
+    return [
+        (len(r["active"].split(",")) if r["active"] else 0, rounds[r["idx"]])
+        for r in transcript.records
+        if r["type"] == "SESSION"
+    ]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -54,6 +67,12 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
     transcript = sim.run_scenario(scenario)
     report = sim.verify_transcript(Transcript.from_text(transcript.to_text()))
     assert report.clean, report.divergences[:3]
+    flagged = {r["part"] for r in transcript.records if r["type"] == "VERDICT"}
+    assert flagged <= {pid for pid, _ in scenario.adversaries}
+    # the splitter's bound on a session of n participants
+    bits = scenario.payload_bits
+    for n, rounds in session_rounds(transcript):
+        assert rounds <= n + (2 * n - 1) * (bits + 1), (n, rounds)
     if not scenario.adversaries:
         assert_honest_run_served(scenario, transcript)
 
@@ -61,24 +80,20 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
 def test_honest_random_payloads_at_four_retries_are_never_blamed():
     # n=8 with uniform 8-bit payloads: sums pass 256, which one packed
     # scalar per slot would carry into its count, banning honest senders
-    # in 3 of these 20 runs
+    # in 3 of these 20 runs when coin flips were bounded by four retries
     rng = random.Random(0)
     for seed in range(20):
         payloads = [rng.randrange(256) for _ in range(8)]
-        scenario = sim.Scenario(
-            n=8, senders=tuple(enumerate(payloads)), seed=seed, max_retries=4
-        )
+        scenario = sim.Scenario(n=8, senders=tuple(enumerate(payloads)), seed=seed)
         assert_honest_run_served(scenario, sim.run_scenario(scenario))
 
 
 def test_sixteen_equal_payloads_at_two_retries_are_never_blamed():
     # sixteen copies of 77 cannot be split by any threshold; coin flips
-    # at two retries would leave 18 of these 20 runs stuck, banning
+    # bounded by two retries left 18 of these 20 runs stuck, banning
     # honest senders
     for seed in range(20):
-        scenario = sim.Scenario(
-            n=16, senders=tuple((pid, 77) for pid in range(16)), seed=seed, max_retries=2
-        )
+        scenario = sim.Scenario(n=16, senders=tuple((pid, 77) for pid in range(16)), seed=seed)
         transcript = sim.run_scenario(scenario)
         assert_honest_run_served(scenario, transcript)
         # one degenerate split, and one equal-payload check delivers all 16

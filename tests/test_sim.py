@@ -95,56 +95,56 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v7).  Test ids are the list positions, so a re-pin
+# (pinned at format v8).  Test ids are the list positions, so a re-pin
 # keeps them.
-# an n=2 session that spends 17 slots, so it endorses epochs 1 and 2:
-# the malformed slot (2, 101) has an odd total, so it is no equal-payload
-# node (101 != 2 * 51) and stays stuck on the coin path for 14 retries
+# an n=2 session that spends 11 slots, so it endorses epoch 1: the
+# malformed slot (2, 101) has an odd total, so it is no equal-payload
+# node (101 != 2 * 51), and its interval [51, 256) is bisected eight
+# times down to [101, 102)
 EPOCH_CROSSING = sim.Scenario(
-    n=2, senders=((0, 9), (1, 101)), adversaries=((1, "bad_slot_count"),), seed=0,
-    max_retries=14,
+    n=2, senders=((0, 9), (1, 101)), adversaries=((1, "bad_slot_count"),), seed=0
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "98d7c4471ceab375d09c63f985f8f44ed4af0618d355bddebfaa9093fdef40a3"),
+     "8e634fddb862f232a72d221decaef106ea3c1642270769ec5746ca85f6550544"),
     (sim.Scenario(n=2, seed=1),
-     "76018f5c3833dfb50452c9fc1d7df22c50c4cb528f9dcea87d3d0e72c6c951cd"),
+     "793aa3cdc72aef8e02a6bf820470deb7b7b99bae3b8f838c70077f6c73721343"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "ac3d341727f27d5da231442d18e04d2e22ec4744f231df570bf11056e57e29ba"),
+     "75060577059ba5b7c936acc65f4ef049ea00870f92e650ef3293678e5b927617"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "cafdb1fbe7f2811d0e90db7b1d4eac5b0d60354371e00cfafdbdef0c60e17e87"),
+     "e9f756bb64c7631b1c02d892e1ff926fa28fdf6fc50755e98ca95c869df6c0db"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "a6b00b432d040019de0732e7c512cdde19b58438debd4f40f293bbf6e2d1e702"),
+     "fbebd6774c276df9c7c9aa2a5fcaa65266c36a790b5a3a3bf757c75bbe94645a"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "69e258d72992121163f1375457712921185cb2058d742b9d2a56be428766a0b1"),
+     "c19a67b8c89eb68ff8a9a40531a47966aa2ff52b79cf98527aca0a1149881e63"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "2f807915b734d0e485e8642365acc3609d872027beb6adb182517eedf1854a52"),
+     "337cfcaaf5d3c3cf5da0f007d113b429e3016050b54f519aa9c38251397c8bd2"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
-                  adversaries=((2, "bad_slot_count"),), seed=2, max_retries=5),
-     "b82256bb5295c596135d2fb332d01ed620b222690a1a319f3b26634dabccdc68"),
+                  adversaries=((2, "bad_slot_count"),), seed=2),
+     "b496bdc058ec44110754890fda2a2ac4ebdd6ecd826baaf213e74a86036a4214"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "f5c958ea22a3855a89ab6a78652347403ef4fba83fa53fb03cf052b8c92dd3a6"),
+     "1300e5b04fb40935c89daebddfdb9f8cf03d37a94d1188450a62d41ba0739276"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
-                                 (13, 8), (15, 9)), seed=11, max_retries=32),
-     "1c9df04df0ce0c16a3a75d08631d3d43c0e1f696300cb7bb49663fd07e6ad1f7"),
+                                 (13, 8), (15, 9)), seed=11),
+     "1992c907ff42ae81b083b2c62a550e1247babb024d1ab902b1ebbaca7456a094"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "2ea6002df8efef3a1ff118e7b677b3f460602a38dca2a0948bc48e2111cdc4ed"),
-    # a stuck collision that spends 17 slots: epochs 1 and 2 are endorsed mid-session
+     "27257febe665c68cab257e1f1d3c1549b1f0d16d9c663da617d366f0b7d262a2"),
+    # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "04055491e02724f42b4e9f0a23d2ac43947b9e7b65e3922ba7b95e8a3a11b4c1"),
-    # a refuser in mid-row, whose edges draw nothing, and a session that
-    # endorses epochs 1 and 2 (budget 24, twelve later-epoch ENDORSE records)
+     "ff2ccf2511e2e998ea76ba759704f6aa788b708c9cfe853dd64daebc507d204f"),
+    # a refuser in mid-row, whose edges draw nothing, and a malformed slot
+    # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "68d0a02dff29b8c8ddcb1a0d3dff8dea600ae20b74b9b7ba64b6a3a7fc1cb162"),
+     "70130309215fb639b66a23c30333b455bc99eaa2d49d85644eeb56deada89835"),
 ]
 
 
@@ -191,7 +191,7 @@ def test_transcript_of_another_format_version_is_malformed():
     # replaying into verdicts that were never issued
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
     assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
-    for version in ("v6", "v8"):
+    for version in ("v7", "v9"):
         relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
         with pytest.raises(MalformedRecord) as exc:
             sim.verify_transcript(Transcript.from_text(relabelled))
@@ -317,7 +317,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "e225ecb67925070d3e15292c5103bb7d71680adb063ca76d06e00243b7ca4e91"
+        "cf3545dfb41e027eaa37d14a3072cd0b42f1f001864a056b3d6feb418f6f4967"
     )
 
 
@@ -444,19 +444,39 @@ def test_wrong_branch_flagged_via_audit():
     assert summary_of(t)["delivered"] == 2
 
 
-def test_bad_slot_count_flagged_via_stuck_collision():
+def test_bad_slot_count_flagged_via_bisection():
     t = run(
         sim.Scenario(
             n=3,
             senders=((0, 10), (1, 20), (2, 7)),
             adversaries=((2, "bad_slot_count"),),
             seed=9,
-            max_retries=6,
         )
     )
-    assert verdicts_of(t) == [(2, "stuck_collision")]
+    assert verdicts_of(t) == [(2, "unequal_payload")]
     resolved = [r["payload"] for r in t.records if r["type"] == "RESOLVED"]
     assert {10, 20} <= set(resolved)
+    # no node is left undecided: every collision was split or checked
+    statuses = {r["status"] for r in t.records if r["type"] == "NODE"}
+    assert statuses <= {"empty", "resolved", "collision", "equal"}
+
+
+def test_every_failer_is_blamed_at_a_node_one_value_wide():
+    # two malformed slots (2, 4) beside an honest 4: (5, 12) is no
+    # equal-payload node at its average 3, so it is bisected down to
+    # [4, 5), where the honest context (1, 4) passes and both fail
+    t = run(
+        sim.Scenario(
+            n=3, senders=((0, 4), (1, 4), (2, 4)),
+            adversaries=((0, "bad_slot_count"), (1, "bad_slot_count")), seed=3,
+        )
+    )
+    node = next(r for r in t.records if r["type"] == "NODE" and r["status"] == "equal")
+    demands = [(r["node"], r["part"], r["ok"]) for r in t.records if r["type"] == "DEMAND"]
+    assert demands == [(node["id"], 0, 0), (node["id"], 1, 0), (node["id"], 2, 1)]
+    assert verdicts_of(t) == [(0, "unequal_payload"), (1, "unequal_payload")]
+    # the honest 4 is delivered once both are banned
+    assert [r["payload"] for r in t.records if r["type"] == "RESOLVED"] == [4]
 
 
 def test_detection_across_seeds():
@@ -638,8 +658,7 @@ def test_oversized_participant_count_is_malformed():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("payload_bits", -1), ("payload_bits", 0), ("payload_bits", 1 << 40),
-     ("max_retries", 0), ("max_retries", -3)],
+    [("payload_bits", -1), ("payload_bits", 0), ("payload_bits", 1 << 40)],
 )
 def test_config_outside_the_run_rules_is_malformed(field, value):
     # the HEADEREND digest is recomputed, so only the rules that
@@ -659,6 +678,10 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
     [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
      ("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc"),
      ("CIPHER session=1 round=1 part=2", "c", "0")],
+    # the ids the parameters always had, and a plain one for the CIPHER
+    # prefix, whose own spaces and = signs would split a list of test ids
+    ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p", "ENDORSE-root-zz", "ENDORSE-root-abc",
+         "cipher-c-zero"],
 )
 def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, medium):
     # at its own index and naming the field, not as an unreplayable
@@ -675,6 +698,9 @@ def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, 
         sim.verify_transcript(Transcript.from_text("\n".join(lines) + "\n"))
     assert info.value.index == index
 
+
+# n=32 distinct payloads, one per participant: 32 rounds, so four epochs
+DISTINCT_32 = tuple((pid, 3 + 7 * pid) for pid in range(32))
 
 # scenario 0 of the bench's wide_honest workload at seed 1: an honest n=32 run
 WIDE_HONEST = sim.Scenario(
@@ -734,11 +760,10 @@ def test_replaced_endorse_record_is_not_clean(fields):
 
 
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
-    """n=32 and a bad_slot_count adversary that keeps a collision stuck
-    for 48 retries (its slot (2, 31) has an odd total, so the
-    equal-payload check does not take it): one session endorses seven epochs, each with one
-    ENDORSE record, one signature in the run and one check on replay per
-    participant, and every check passes."""
+    """n=32 honest senders of distinct payloads: the session transmits
+    32 rounds and endorses four epochs, each with one ENDORSE record, one
+    signature in the run and one check on replay per participant, and
+    every check passes."""
     counts = Counter()
     sign, verify_sig = keysetup.sign, keysetup.verify_sig
 
@@ -753,18 +778,16 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
 
     monkeypatch.setattr(keysetup, "sign", counting_sign)
     monkeypatch.setattr(keysetup, "verify_sig", counting_verify_sig)
-    scenario = sim.Scenario(
-        n=32, senders=((0, 9), (5, 100), (9, 31)), adversaries=((9, "bad_slot_count"),),
-        max_retries=48,
-    )
+    scenario = sim.Scenario(n=32, senders=DISTINCT_32)
     transcript = sim.run_scenario(scenario)
     assert summary_of(transcript)["sessions"] == 1
-    assert verdicts_of(transcript) == [(9, "stuck_collision")]
+    assert summary_of(transcript)["transmitted"] == 32
+    assert verdicts_of(transcript) == []
     signed = Counter(r["epoch"] for r in transcript.records if r["type"] == "ENDORSE")
-    assert signed == {epoch: 32 for epoch in range(7)}
-    assert counts == {"sign": 7 * 32}
+    assert signed == {epoch: 32 for epoch in range(4)}
+    assert counts == {"sign": 4 * 32}
     assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
-    assert counts == {"sign": 7 * 32, ("verify_sig", True): 7 * 32}
+    assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
 
 
 def test_session_after_everyone_is_banned_is_not_clean():
@@ -846,7 +869,7 @@ def test_randomized_soak_mixed_scenarios():
             adversaries = ((adv, strategy),)
         scenario = sim.Scenario(
             n=n, senders=tuple(senders), adversaries=adversaries,
-            seed=trial, max_retries=16,
+            seed=trial,
         )
         transcript = sim.run_scenario(scenario)
         assert sim.verify_transcript(transcript).clean, (trial, scenario)
@@ -855,31 +878,26 @@ def test_randomized_soak_mixed_scenarios():
         assert flagged <= adversary_ids, (trial, scenario, flagged)
 
 
-def test_stuck_collision_session_endorses_epochs_on_demand():
-    """Scenario 13 of the disrupted bench workload at seed 13: a
-    bad_slot_count adversary keeps one collision stuck, and the session
-    transmits 53 rounds; epochs are endorsed as the tree reaches them.
-    (Scenario 29 at seed 204 did this before slots were pairs; its slot
-    (2, 134) is now an equal-payload node and blamed at once.)"""
+def test_malformed_slot_session_endorses_epochs_on_demand():
+    """The n=32 senders of distinct payloads with participant 10 sending
+    the malformed slot (2, 73): its bisection takes the session to 38
+    rounds, and epochs are endorsed as the tree reaches them."""
     scenario = sim.Scenario(
-        n=12,
-        senders=((4, 157), (6, 218), (7, 6), (8, 237), (9, 213), (10, 210), (11, 73)),
-        adversaries=((10, "bad_slot_count"),),
-        seed=14583117631966207472,
+        n=32, senders=DISTINCT_32, adversaries=((10, "bad_slot_count"),)
     )
     t = run(scenario)
     assert summary_of(t)["sessions"] == 1
-    assert summary_of(t)["transmitted"] == 53
+    assert summary_of(t)["transmitted"] == 38
     session = next(r for r in t.records if r["type"] == "SESSION")
-    assert session["budget"] == 7 * EPOCH_SLOTS
-    assert verdicts_of(t) == [(10, "stuck_collision")]
+    assert session["budget"] == 5 * EPOCH_SLOTS
+    assert verdicts_of(t) == [(10, "unequal_payload")]
     resolved = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
-    assert Counter(p for pid, p in scenario.senders if pid != 10) <= resolved
+    assert Counter(p for pid, p in scenario.senders if pid != 10) == resolved
     # each later epoch's ENDORSE records (one per participant) sit just
     # before the round that spends the epoch's first slot
     signed = Counter(r["epoch"] for r in t.records if r["type"] == "ENDORSE")
-    assert signed == {epoch: 12 for epoch in range(7)}
-    for epoch in range(1, 7):
+    assert signed == {epoch: 32 for epoch in range(5)}
+    for epoch in range(1, 5):
         last = max(
             i for i, r in enumerate(t.records) if r["type"] == "ENDORSE" and r["epoch"] == epoch
         )
@@ -919,7 +937,7 @@ def test_honest_session_endorses_a_later_epoch_only_past_the_boundary(rounds, ep
 def test_production_group_end_to_end():
     """One small run in the 2048-bit group: same protocol, real sizes."""
     scenario = sim.Scenario(
-        n=2, senders=((0, 5), (1, 200)), seed=11, group="production", max_retries=2
+        n=2, senders=((0, 5), (1, 200)), seed=11, group="production"
     )
     transcript = sim.run_scenario(scenario)
     assert verdicts_of(transcript) == []

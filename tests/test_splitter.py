@@ -12,7 +12,6 @@ from dcmesh.splitter import (
     EMPTY,
     EQUAL,
     RESOLVED,
-    STUCK,
     ResolutionTree,
     audit_wrong_branches,
     branch_context,
@@ -20,7 +19,6 @@ from dcmesh.splitter import (
     prove_node_denial,
     prove_retransmission,
     slot_fits,
-    split_decision,
     threshold,
     verify_node_denial,
     verify_retransmission,
@@ -64,7 +62,7 @@ def test_slots_summing_past_the_payload_width_keep_their_count(medium):
 
 def test_zero_aggregate_is_empty():
     assert add_slots() == (0, 0)
-    tree = ResolutionTree(1009, 4)
+    tree = ResolutionTree(1009, 8)
     tree.advance(synthetic_result(1, []))
     assert tree.nodes[1].status == EMPTY and (tree.nodes[1].count, tree.nodes[1].total) == (0, 0)
 
@@ -100,18 +98,6 @@ def test_threshold_always_separates_distinct_payloads():
         left = [m for m in payloads if m < t]
         right = [m for m in payloads if m >= t]
         assert left and right
-
-
-def test_split_decision_reference_values():
-    assert split_decision(11, 14, False, None) is True
-    assert split_decision(17, 14, False, None) is False
-    assert split_decision(36, 37, False, None) is True
-    assert split_decision(38, 37, False, None) is False
-    # tie goes right by convention
-    assert split_decision(14, 14, False, None) is False
-    # probabilistic mode consults the coin only
-    assert split_decision(99, None, True, lambda: 1) is True
-    assert split_decision(0, None, True, lambda: 0) is False
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +168,39 @@ def test_no_sender_root_empty():
 
 
 def test_advance_rejects_out_of_order_rounds(medium):
-    tree = ResolutionTree(medium.q, 4)
+    tree = ResolutionTree(medium.q, 8)
     fake = aggregate_round(medium, [], [])
     with pytest.raises(ProtocolOrderViolation):
         tree.advance(fake)  # round id 0 is never schedulable
 
 
-def synthetic_result(rid, payloads, payload_bits=8):
-    """RoundResult carrying just an aggregate; tree mechanics need no crypto."""
+def raw_result(rid, aggregate):
+    """RoundResult carrying just an aggregate, malformed ones included;
+    tree mechanics need no crypto."""
     from dcmesh.dcnet import RoundResult
 
-    aggregate = add_slots(*(encode_slot(m, payload_bits) for m in payloads))
     return RoundResult(round_id=rid, aggregate=aggregate, valid=True, ciphertexts=())
 
 
+def synthetic_result(rid, payloads, payload_bits=8):
+    """The round of these payloads' slots."""
+    return raw_result(rid, add_slots(*(encode_slot(m, payload_bits) for m in payloads)))
+
+
 def test_tree_blocked_until_fully_resolved(medium):
-    tree = ResolutionTree(medium.q, 4)
-    assert not tree.blocked
+    tree = ResolutionTree(medium.q, 8)
     tree.advance(synthetic_result(1, [10, 20, 30]))  # collision opens the tree
-    assert tree.blocked
-    assert tree.next_round() == 2
+    assert tree.next_round() == 2 and not tree.done
     tree.advance(synthetic_result(2, [10]))  # 10 below ceil(60/3)=20
-    assert tree.blocked
-    assert tree.next_round() == 6  # node 3 = {20,30} splits next
+    assert tree.next_round() == 6 and not tree.done  # node 3 = {20,30} splits next
     tree.advance(synthetic_result(6, [20]))
-    assert not tree.blocked and tree.done
+    assert tree.next_round() is None and tree.done
     assert [p for _, p in tree.resolved] == [10, 20, 30]
     assert tree.transmitted_order == [1, 2, 6]
 
 
 def test_tree_rejects_skipped_round(medium):
-    tree = ResolutionTree(medium.q, 4)
+    tree = ResolutionTree(medium.q, 8)
     tree.advance(synthetic_result(1, [10, 20]))
     with pytest.raises(ProtocolOrderViolation):
         tree.advance(synthetic_result(4, [10]))  # round 2 is next, not 4
@@ -226,16 +214,52 @@ def test_frontier_processes_increasing_ids():
     assert sorted(order) == order
 
 
-def malformed_beside_honest(seed, max_retries=32):
+def test_children_split_the_interval_at_the_clamped_threshold():
+    tree = reference_tree()
+    intervals = {nid: (n.lo, n.hi) for nid, n in tree.nodes.items()}
+    assert intervals == {
+        1: (0, 256), 2: (0, 26), 3: (26, 256), 4: (0, 14), 5: (14, 26),
+        6: (26, 34), 7: (34, 256), 14: (34, 37), 15: (37, 256),
+    }
+    # an average outside the interval is clamped into it: (4, 400) splits
+    # at 100, then (2, 350) at [0, 100) splits at 175 and (2, 50) at
+    # [100, 256) at 25, each leaving one child an empty interval
+    tree = ResolutionTree(1009, 8)
+    tree.advance(synthetic_result(1, [175, 175, 25, 25]))
+    tree.advance(synthetic_result(2, [175, 175]))
+    assert (tree.nodes[2].threshold, tree.nodes[3].threshold) == (175, 25)
+    intervals = {nid: (tree.nodes[nid].lo, tree.nodes[nid].hi) for nid in (4, 5, 6, 7)}
+    assert intervals == {4: (0, 100), 5: (100, 100), 6: (100, 100), 7: (100, 256)}
+    assert not any(node.midpoint for node in tree.nodes.values())
+
+
+def test_inconsistent_split_bisects_down_to_one_value():
+    tree = ResolutionTree(1009, 2)   # payloads in [0, 4)
+    tree.advance(raw_result(1, (3, 3)))   # average 1: [0, 1) and [1, 4)
+    # a count of 0 beside a nonzero total: the split is inconsistent, so
+    # node 3 splits at the midpoint of [1, 4), not at its average
+    tree.advance(raw_result(2, (0, 1)))
+    node = tree.nodes[3]
+    assert (node.count, node.total, node.status) == (3, 2, COLLISION)
+    assert node.midpoint and node.threshold == 2
+    assert [(tree.nodes[k].lo, tree.nodes[k].hi) for k in (6, 7)] == [(1, 2), (2, 4)]
+    # everything goes left again, into [1, 2): one value, so the judge
+    # checks it as an equal-payload node of payload 1
+    tree.advance(raw_result(6, (3, 2)))
+    assert tree.nodes[6].status == EQUAL and tree.nodes[6].equal_payload == 1
+    assert tree.nodes[7].status == EMPTY
+    assert tree.done and tree.transmitted_order == [1, 2, 6]
+
+
+def malformed_beside_honest(seed):
     """An honest 5 beside a slot (2, 4) claiming two messages: (3, 9) =
     3 * 3 splits degenerately, and neither holder can claim (1, 3)."""
     return sim.single_session(
-        [(0, 5), (1, 4)], adversaries=[(1, "bad_slot_count")], seed=seed, n=2,
-        max_retries=max_retries,
+        [(0, 5), (1, 4)], adversaries=[(1, "bad_slot_count")], seed=seed, n=2
     )
 
 
-def test_equal_payloads_nonsplit_then_probabilistic():
+def test_equal_payloads_nonsplit_then_bisected():
     out = sim.single_session([(0, 9), (1, 9)], seed=13, n=2)
     tree = out.tree
     assert not out.verdicts
@@ -244,40 +268,35 @@ def test_equal_payloads_nonsplit_then_probabilistic():
     assert tree.nodes[2].status == EMPTY
     assert tree.nodes[3].count == 2
     # equal payloads: both prove one copy of 9 or nothing, and 9 is
-    # delivered twice without a coin flip
+    # delivered twice without another split
     assert tree.nodes[3].status == EQUAL and tree.nodes[3].equal_payload == 9
-    assert not tree.nodes[3].probabilistic
+    assert not tree.nodes[3].midpoint
     assert tree.transmitted_order == [1, 2]
-    assert tree.split_attempts == []
     demands = [r for r in out.records if r["type"] == "DEMAND"]
     assert [(r["node"], r["part"], r["ok"]) for r in demands] == [(3, 0, 1), (3, 1, 1)]
-    # an inconsistent non-split goes probabilistic: two proofs fail there
+    # two proofs fail at an equal-payload node: it is bisected at the
+    # midpoint of [3, 256), and the halving goes on until the 5 and the
+    # malformed (2, 4) part, at the split of [4, 6) at 5
     out = malformed_beside_honest(seed=13)
     tree = out.tree
     assert tree.nodes[2].status == EMPTY and tree.nodes[3].count == 3
     assert tree.nodes[3].status == COLLISION
-    assert tree.nodes[3].probabilistic
-    assert tree.nodes[3].attempt == 1
-    assert tree.split_attempts and tree.split_attempts[0] >= 1
+    assert tree.nodes[3].midpoint and tree.nodes[3].threshold == 129
     demands = [r for r in out.records if r["type"] == "DEMAND" and r["node"] == 3]
     assert [r["ok"] for r in demands] == [0, 0]
+    (leaf,) = [leaf for leaf, payload in tree.resolved if payload == 5]
+    parent = tree.nodes[leaf // 2]
+    assert (parent.lo, parent.hi, parent.threshold) == (4, 6, 5)
+    assert [(v.participant, v.reason) for v in out.verdicts] == [(1, "unequal_payload")]
 
 
-def test_probabilistic_retry_statistics():
-    attempts = []
-    resolved_within = 0
-    for seed in range(400):
-        out = sim.single_session([(0, 5), (1, 5)], seed=seed, n=2, max_retries=32)
-        tree = out.tree
-        assert [p for _, p in tree.resolved] == [5, 5]
-        assert not out.verdicts and tree.split_attempts == []
+def test_malformed_slot_beside_honest_never_blames_the_honest_holder():
+    # a stuck node's denial demand once blamed both holders here, the
+    # honest one on 92 of these 200 seeds; bisection separates them
+    for seed in range(200):
         out = malformed_beside_honest(seed)
-        if [p for _, p in out.tree.resolved] == [5]:
-            resolved_within += 1
-        attempts.extend(out.tree.split_attempts)
-    assert resolved_within == 400
-    mean = sum(attempts) / len(attempts)
-    assert 1.5 <= mean <= 2.5  # geometric with success probability 1/2
+        assert [(v.participant, v.reason) for v in out.verdicts] == [(1, "unequal_payload")]
+        assert [p for _, p in out.resolved] == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -497,27 +516,28 @@ def test_resolve_wrong_branch_adversary_audited():
     assert out.tree.nodes[leaf].total == 40
 
 
-def test_resolve_stuck_malformed_slot():
+def test_resolve_malformed_slot_by_bisection():
     out = sim.single_session(
         [(0, 10), (1, 20), (2, 7)],
         adversaries=[(2, "bad_slot_count")],
         seed=4,
-        max_retries=6,
     )
     assert [v.participant for v in out.verdicts] == [2]
-    assert out.verdicts[0].reason == "stuck_collision"
-    assert sorted(p for _, p in out.resolved if p in (10, 20)) == [10, 20]
-    stuck = int(out.verdicts[0].where.split(":")[1])
-    assert out.tree.nodes[stuck].status == STUCK
+    assert out.verdicts[0].reason == "unequal_payload"
+    assert sorted(p for _, p in out.resolved) == [10, 20]
+    # (2, 7) splits inconsistently at its average 4, and bisection takes
+    # it down to [7, 8), where it cannot claim the one copy (1, 7)
+    node = out.tree.nodes[int(out.verdicts[0].where.split(":")[1])]
+    assert (node.status, node.lo, node.hi, node.count, node.total) == (EQUAL, 7, 8, 2, 7)
 
 
-def test_audit_ignores_probabilistic_ancestors():
+def test_audit_passes_honest_leaves_under_bisected_ancestors():
     out = sim.single_session([(0, 9), (1, 9)], seed=13, n=2)
     assert audit_wrong_branches(out.tree) == []
-    # the honest 5 resolves under coin-flip ancestors: no rule to audit
+    # the honest 5 resolves under midpoint splits, and obeys every one
     out = malformed_beside_honest(seed=13)
     (leaf,) = [leaf for leaf, payload in out.tree.resolved if payload == 5]
-    assert out.tree.nodes[leaf // 2].probabilistic
+    assert out.tree.nodes[leaf // 2].midpoint
     assert audit_wrong_branches(out.tree) == []
 
 
