@@ -126,14 +126,15 @@ def investigate(
     """Attribute blame for a round from published pair commitments.
 
     ``published`` maps participant -> {peer: RevealedCommitment} as each
-    participant revealed them.  Checks, per participant: each revealed
-    commitment's path leads to the peer's signed ENDORSE root for the
-    epoch of ``slot`` (whose signature was checked when it was read),
-    the broadcast aggregate equals the product of the revealed pair
-    commitments, and each revealed pair multiplies with its reverse to
-    the identity.  A bare pair mismatch with both endorsements intact
-    flags both endpoints; anyone whose revealed value lacks a valid
-    endorsement is pinned directly.
+    participant revealed them: both ends of an edge reveal its lo -> hi
+    commitment.  Checks, per participant: each revealed commitment's
+    path leads to the peer's signed ENDORSE root for the epoch of
+    ``slot`` (whose signature was checked when it was read), and the
+    broadcast aggregate times the commitments of the edges it is the hi
+    end of equals the product of those it is the lo end of; and per
+    edge, that both ends revealed the same commitment.  A bare pair
+    mismatch with both endorsements intact flags both endpoints; anyone
+    whose revealed value lacks a valid endorsement is pinned directly.
     """
     record = InvestigationRecord(round_id=round_result.round_id, slot=slot)
     participants = graph_public.participants
@@ -155,18 +156,21 @@ def investigate(
         if set(revealed) != expected_peers:
             record.flag(pid, NON_COOPERATION)
             continue
-        product = 1
+        # the broadcast times the hi-end edges' commitments, and the lo-end edges' product
+        hi_side, lo_side = round_result.by_participant(pid).commitment, 1
         for peer, sc in sorted(revealed.items()):
             ok = is_endorsed(params, participants, roots[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
                 record.flag(pid, BAD_SIGNATURE)
-            product = product * sc.commitment % params.p
-        broadcast = round_result.by_participant(pid).commitment
-        if product != broadcast:
+            if peer < pid:
+                hi_side = hi_side * sc.commitment % params.p
+            else:
+                lo_side = lo_side * sc.commitment % params.p
+        if hi_side != lo_side:
             record.flag(pid, AGGREGATE_MISMATCH)
 
-    # pairwise cancellation across the published values
+    # both ends of each edge reveal the same lo -> hi commitment
     for idx, a in enumerate(participants):
         for b in participants[idx + 1 :]:
             if (a, b) in optouts:
@@ -177,7 +181,7 @@ def investigate(
             sc_ab, sc_ba = pub_a.get(b), pub_b.get(a)
             if sc_ab is None or sc_ba is None:
                 continue
-            if sc_ab.commitment * sc_ba.commitment % params.p == 1:
+            if sc_ab.commitment == sc_ba.commitment:
                 continue
             a_ok = sig_ok.get((a, b), False)
             b_ok = sig_ok.get((b, a), False)

@@ -19,12 +19,11 @@ generators: fixed constants in the test sets, hash-derived in
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
 protocol, every branch of which is a power of h; ``WindowTable.powers``
-raises the base to a list of exponents one table row at a time, for key
-setup's commitments.  ``pow`` is left for variable bases and inverses, and
-``invert_all`` inverts a list with one ``pow`` (Montgomery 1987).  A
-group named after a built-in set with that set's (p, q) is validated
-against the table of built-in sets, whose primality the tests check;
-any other group runs the Miller-Rabin test.
+raises the base to a list of exponents one table row at a time, and
+``commit_all`` commits to a list of slot values with one ``powers`` per
+generator, for key setup.  ``pow`` is left for variable bases and
+inverses.  Every group is one of the built-in sets, derived from its
+name and a domain tag; the tests check that their p and q are prime.
 """
 
 from __future__ import annotations
@@ -176,12 +175,8 @@ class GroupParams:
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on failure.
 
-        A built-in set's (p, q) under its own name skips the primality test.
+        p and q are a built-in set's, whose primality the tests check.
         """
-        if _BUILT_IN.get(self.name) != (self.p, self.q) and not (
-            _is_probable_prime(self.p) and _is_probable_prime(self.q)
-        ):
-            raise ValueError("p and q must be prime")
         if (self.p - 1) % self.q != 0:
             raise ValueError("q must divide p-1")
         if len(self.generators) != 3:
@@ -200,49 +195,6 @@ class GroupParams:
             f"name={self.name} p={self.p} q={self.q} "
             f"generators={gens} tag={self.domain_tag.hex()}"
         )
-
-    @classmethod
-    def from_text(cls, text: str) -> "GroupParams":
-        fields = dict(item.split("=", 1) for item in text.split())
-        params = cls(
-            name=fields["name"],
-            p=int(fields["p"]),
-            q=int(fields["q"]),
-            generators=tuple(int(x) for x in fields["generators"].split(",")),
-            domain_tag=bytes.fromhex(fields["tag"]),
-        )
-        params.validate()
-        return params
-
-
-def _is_probable_prime(n: int, rounds: int = 24) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic witnesses are fine at these sizes; extend with a few
-    # pseudo-random ones derived from n for the 2048-bit case
-    witnesses = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    seed = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
-    for i in range(rounds - len(witnesses)):
-        w = int.from_bytes(hashlib.sha256(seed + bytes([i])).digest(), "big")
-        witnesses.append(w % (n - 3) + 2)
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def hash_to_subgroup(p: int, q: int, domain_tag: bytes, label: bytes) -> int:
@@ -303,6 +255,18 @@ def commit(params: GroupParams, value, blinding: int) -> int:
     return value_term(params, value) * params.h_table.power(blinding) % params.p
 
 
+def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
+    """``commit`` of each slot value (count, total) and blinding value of
+    the three lists, with one ``WindowTable.powers`` per generator."""
+    p = params.p
+    return [
+        a * b % p * c % p
+        for a, b, c in zip(
+            params.g_table.powers(counts), params.f_table.powers(totals), params.h_table.powers(blinds)
+        )
+    ]
+
+
 def verify_open(params: GroupParams, commitment: int, value, blinding: int) -> bool:
     return commitment == commit(params, value, blinding)
 
@@ -316,24 +280,6 @@ def combine(params: GroupParams, c1: int, c2: int) -> int:
 def negate(params: GroupParams, c: int) -> int:
     """Group inverse: commit(a,r)^-1 = commit(-a, -r)."""
     return pow(c, -1, params.p)
-
-
-def invert_all(params: GroupParams, values) -> list[int]:
-    """``negate`` of each value, with one ``pow`` for the whole list.
-
-    Montgomery's trick: invert the product of all values, then peel
-    each inverse off with the running products of the values before it.
-    """
-    if not values:
-        return []
-    p, prefix = params.p, [1]   # prefix[k]: the product of values[:k]
-    for x in values[:-1]:
-        prefix.append(prefix[-1] * x % p)
-    inverse, out = pow(prefix[-1] * values[-1] % p, -1, p), [0] * len(values)
-    for k in range(len(values) - 1, -1, -1):
-        out[k] = inverse * prefix[k] % p   # the inverse of values[k]
-        inverse = inverse * values[k] % p  # the inverse of the product of values[:k]
-    return out
 
 
 def brute_force_dlog(params: GroupParams, base: int, target: int) -> int:

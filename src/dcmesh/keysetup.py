@@ -1,35 +1,34 @@
 """Pairwise secret establishment and mutual commitment endorsement.
 
-Each unordered pair of participants shares, per slot, a pair of keys
-(one pads a slot's count, the other its total) and a blinding value,
-committed to as g^count_key * f^total_key * h^blinding; the reverse
-direction holds the negations so all pads cancel in a round sum, and
-its commitments, from hi to lo, are the inverses of the lo -> hi ones.
-Slots are endorsed in epochs of ``EPOCH_SLOTS`` = 8, the measured median
-session: every honest bench session at seed 1 but one transmits 8
-rounds.  Each edge direction's commitments for an epoch are the leaves
-of a Merkle tree.  The roots of the directions a participant is the peer
-of, one per other participant in id order, are the leaves of that
-participant's own tree, and it signs that tree's root once per epoch,
-bound to the epoch and to the peers it shares no edge with (an ENDORSE
-record).  A commitment revealed with its path through both trees is
-endorsed by that one signature, which is what later lets an
+Each unordered pair of participants lo < hi shares, per slot, a pair of
+keys (one pads a slot's count, the other its total) and a blinding
+value, committed to as g^count_key * f^total_key * h^blinding.  The
+keys are lo's pads and their negations hi's, so all pads cancel in a
+round sum.  Slots are endorsed in epochs of ``EPOCH_SLOTS`` = 8, the
+measured median session: every honest bench session at seed 1 but one
+transmits 8 rounds.  Each edge's lo -> hi commitments for an epoch are
+the leaves of one Merkle tree, and both ends endorse its root: it is
+the leaf for lo in hi's tree and the leaf for hi in lo's.  A
+participant's tree has one leaf per other participant, in id order,
+and it signs that tree's root once per epoch, bound to the epoch and to
+the peers it shares no edge with (an ENDORSE record).  A commitment
+revealed with its path through the edge's tree and the other end's
+tree is endorsed by that one signature, which is what later lets an
 investigation pin blame.  Epoch 0 is built with the graph and later
 epochs on demand, over the same edges and signing keys.  A participant
 may refuse to share a secret with a peer; the edge is then publicly
 marked opted out for the whole session, contributes zero pads and
-identity commitments, and has a fixed tag leaf in the peer's tree, which
-is padded with the same tag to a power-of-two width.
+identity commitments, and has a fixed tag leaf in both ends' trees,
+which are padded with the same tag to a power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
-secrets drawn in one loop, the commitments made with one
-``WindowTable.powers`` per generator, their inverses with
-``groups.invert_all`` and the Merkle trees with one
+secrets drawn in one loop, the commitments made with
+``groups.commit_all`` and the Merkle trees with one
 ``merkle.build_tree``; one more builds every participant's tree.  A
 participant's view sums each epoch once: its (count, total) pad sums,
-its blinding sums and its aggregate commitment for every slot of the
-epoch.
+its blinding sums and, committed to with ``commit_all``, its aggregate
+commitment for every slot of the epoch.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -44,15 +43,15 @@ from typing import NamedTuple
 
 from . import merkle
 from .errors import RoundBudgetExhausted
-from .groups import GroupParams, invert_all
+from .groups import GroupParams, commit_all
 
-# slots per endorsement epoch: one Merkle root per edge direction and
-# epoch, and one signature per participant and epoch; the median session
+# slots per endorsement epoch: one Merkle root per edge and epoch, and
+# one signature per participant and epoch; the median session
 # fits epoch 0, and a longer one endorses more epochs as it reaches them
 EPOCH_SLOTS = 8
-# siblings on a path through one edge direction's tree
+# siblings on a path through one edge's tree
 _EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
-# a signer's leaf where it endorses no direction: an opted-out edge, or padding
+# a signer's leaf where it endorses no edge: an opted-out edge, or padding
 NO_EDGE = b"dcmesh/no-edge"
 
 
@@ -123,9 +122,9 @@ class PairwiseSecret:
 
 
 def endorse_payload(root: bytes, signer: int, epoch: int, opted_out) -> bytes:
-    """What a participant signs to endorse, for one epoch, every
-    direction it is the peer of: the root of its tree, and the peers it
-    shares no edge with, in id order."""
+    """What a participant signs to endorse, for one epoch, every edge it
+    is an end of: the root of its tree, and the peers it shares no edge
+    with, in id order."""
     fields = [epoch, signer, len(opted_out), *sorted(opted_out)]
     return b"dcmesh/endorse/v2" + b"".join(x.to_bytes(4, "big") for x in fields) + root
 
@@ -142,8 +141,9 @@ def signer_width(count: int) -> int:
 
 
 def _leaf_index(participants, holder: int, signer: int) -> int:
-    """The leaf of direction holder -> signer in the signer's tree: the
-    holder's place among the participants other than the signer."""
+    """The leaf of the edge between holder and signer in the signer's
+    tree: the holder's place among the participants other than the
+    signer."""
     index = participants.index(holder)
     return index - (index > participants.index(signer))
 
@@ -157,7 +157,7 @@ class RevealedCommitment:
     """A pair commitment revealed for an investigation.
 
     ``path`` is its inclusion path in wire form: hex of the concatenated
-    sibling digests, first the direction tree's, then the signer tree's.
+    sibling digests, first the edge tree's, then the signer tree's.
     """
 
     commitment: int
@@ -166,7 +166,7 @@ class RevealedCommitment:
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One edge direction's commitments for an epoch and their Merkle root."""
+    """One edge's lo -> hi commitments for an epoch and their Merkle root."""
 
     commitments: tuple[int, ...]
     root: bytes
@@ -208,10 +208,11 @@ def is_endorsed(
     slot: int,
     revealed: RevealedCommitment,
 ) -> bool:
-    """Whether the revealed path leads from the commitment at ``slot``,
-    through the root of direction holder -> signer for the slot's epoch,
-    to ``root``, the signer's root for that epoch.  The signature over
-    ``root`` is checked where the root is read, not here.
+    """Whether the revealed path leads from the lo -> hi commitment at
+    ``slot`` of the edge between holder and signer, through the edge's
+    root for the slot's epoch, to ``root``, the signer's root for that
+    epoch.  The signature over ``root`` is checked where the root is
+    read, not here.
 
     A path that is not canonical hex of whole digests fails, as does one
     with another number of siblings or a commitment that does not fit
@@ -236,8 +237,8 @@ def is_endorsed(
 
 def establish_row(params: GroupParams, lo: int, peers, rng):
     """One epoch of the edges lo -> hi for each hi of ``peers``, in
-    order: per edge, the secrets of direction lo -> hi, the endorsement
-    lo holds and the one hi holds.
+    order: per edge, its secrets and the endorsement of its lo -> hi
+    commitments.
 
     The edges go through each stage together.  Each draws its secrets
     from ``rng`` in turn, count key, total key and blinding value for
@@ -245,7 +246,7 @@ def establish_row(params: GroupParams, lo: int, peers, rng):
     """
     # rng.randrange(q) 3 * EPOCH_SLOTS times per edge: the same rejection
     # loop over q.bit_length() random bits, without a call per draw
-    q, p, getrandbits, draws = params.q, params.p, rng.getrandbits, []
+    q, getrandbits, draws = params.q, rng.getrandbits, []
     bits = q.bit_length()
     for _ in range(3 * EPOCH_SLOTS * len(peers)):
         r = getrandbits(bits)
@@ -253,21 +254,12 @@ def establish_row(params: GroupParams, lo: int, peers, rng):
             r = getrandbits(bits)
         draws.append(r)
     counts, totals, blinds = draws[::3], draws[1::3], draws[2::3]
-    c_lo = [
-        a * b % p * c % p
-        for a, b, c in zip(
-            params.g_table.powers(counts),
-            params.f_table.powers(totals),
-            params.h_table.powers(blinds),
-        )
-    ]
-    # commit(-k, -r) is the inverse of commit(k, r)
-    held = endorse(params, c_lo + invert_all(params, c_lo))
+    endorsements = endorse(params, commit_all(params, counts, totals, blinds))
     secrets = [
         PairwiseSecret(lo, hi, *(tuple(x[at : at + EPOCH_SLOTS]) for x in (counts, totals, blinds)))
         for hi, at in zip(peers, range(0, len(blinds), EPOCH_SLOTS))
     ]
-    return list(zip(secrets, held, held[len(peers) :]))
+    return list(zip(secrets, endorsements))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +273,8 @@ class EdgeState:
     lo: int
     hi: int
     established: bool
-    secret: PairwiseSecret | None = None   # direction lo -> hi
-    held_lo: Endorsement | None = None     # held by lo, endorsed by hi
-    held_hi: Endorsement | None = None     # held by hi, endorsed by lo
+    secret: PairwiseSecret | None = None     # direction lo -> hi
+    endorsement: Endorsement | None = None   # its commitments, endorsed by both ends
 
 
 class Epoch(NamedTuple):
@@ -298,14 +289,14 @@ class Epoch(NamedTuple):
 
 class EpochShare(NamedTuple):
     """One participant's sums for each slot of an epoch: of its pads, as
-    (count, total) pairs, of its blinding values and, as a product, of
-    the pair commitments it holds; and those commitments' endorsements,
-    by peer."""
+    (count, total) pairs, and of its blinding values; the commitment to
+    each slot's sums, its aggregate commitment; and the endorsements of
+    its edges, by peer."""
 
     pads: list[tuple[int, int]]
     blinds: list[int]
     commitments: list[int]
-    held: dict
+    endorsements: dict
 
 
 @dataclass(frozen=True)
@@ -350,16 +341,15 @@ class KeyGraph:
 
     def sign_epoch(self, edges, epoch: int) -> Epoch:
         """Epoch ``epoch`` over ``edges``: every participant's tree over
-        the roots of the directions it is the peer of, built together,
-        and one signature per root."""
+        the roots of its edges, built together, and one signature per
+        root."""
         leaves = []
         for signer in self.participants:
             row = []
             for holder in self.participants:
                 if holder != signer:
                     state = edges[(min(holder, signer), max(holder, signer))]
-                    held = state.held_lo if holder == state.lo else state.held_hi
-                    row.append(held.root if state.established else NO_EDGE)
+                    row.append(state.endorsement.root if state.established else NO_EDGE)
             leaves += row + [NO_EDGE] * (self.width - len(row))
         trees = merkle.build_tree(leaves, self.width)
         optouts = [pair for pair, state in edges.items() if not state.established]
@@ -373,8 +363,8 @@ class KeyGraph:
         return self.epochs[epoch].edges[(min(a, b), max(a, b))]
 
     def signer_path(self, epoch: int, holder: int, signer: int) -> list[bytes]:
-        """The siblings from direction holder -> signer's leaf up to the
-        signer's root for the epoch."""
+        """The siblings from the leaf of the edge between holder and
+        signer up to the signer's root for the epoch."""
         leaf = self.participants.index(signer) * self.width
         leaf += _leaf_index(self.participants, holder, signer)
         return merkle.path(self.epochs[epoch].trees, leaf)
@@ -395,12 +385,15 @@ class KeyGraph:
     def share(self, pid: int, epoch: int) -> EpochShare:
         """One participant's part of an epoch, summed once for all the
         epoch's slots over its established edges; an edge's lo -> hi
-        secrets count negated when the participant is the hi end."""
-        q, p = self.params.q, self.params.p
+        secrets count negated when the participant is the hi end.
+        Pedersen commitments are homomorphic, so committing to the sums
+        gives the product of its pair commitments, the hi end's
+        inverted, without an inversion."""
+        q = self.params.q
         zeros = (0,) * EPOCH_SLOTS   # one row in each list, so every column exists
         # per secret (count keys, total keys, blinds): the rows added, then those taken away
         rows = [([zeros], [zeros]) for _ in range(3)]
-        held = {}
+        endorsements = {}
         for peer in self.participants:
             if peer == pid:
                 continue
@@ -410,12 +403,10 @@ class KeyGraph:
             secret, is_hi = state.secret, pid != state.lo
             for plus_minus, values in zip(rows, (secret.count_keys, secret.total_keys, secret.blinds)):
                 plus_minus[is_hi].append(values)
-            held[peer] = state.held_hi if is_hi else state.held_lo
-        commitments = [1] * EPOCH_SLOTS
-        for endorsement in held.values():
-            commitments = [a * c % p for a, c in zip(commitments, endorsement.commitments)]
+            endorsements[peer] = state.endorsement
         counts, totals, blinds = (_column_differences(plus, minus, q) for plus, minus in rows)
-        return EpochShare(list(zip(counts, totals)), blinds, commitments, held)
+        commitments = commit_all(self.params, counts, totals, blinds)
+        return EpochShare(list(zip(counts, totals)), blinds, commitments, endorsements)
 
 
 def _column_differences(plus, minus, q: int) -> list[int]:
@@ -472,23 +463,29 @@ class KeyView:
         return share.blinds[index]
 
     def aggregate_commitment(self, slot: int) -> int:
-        """Product of the stored pair commitments; opted-out edges add the identity."""
+        """The commitment to the slot's pad and blinding sums: the product
+        of the participant's pair commitments, the hi end's inverted, in
+        which opted-out edges count as the identity."""
         share, index = self._share(slot)
         return share.commitments[index]
 
     def published_pairs(self, slot: int):
-        """The endorsed per-pair commitments this participant can reveal,
-        each with its path up to the peer's signed root.  The trees of
-        every direction it holds in the slot's epoch are built together."""
+        """The endorsed lo -> hi commitment of each of this participant's
+        edges at the slot, which both ends reveal alike, each with its
+        path up to the peer's signed root.  The trees of its edges in the
+        slot's epoch are built together."""
         share, index = self._share(slot)
-        peers = sorted(share.held)
-        leaves = [self.params.element_to_bytes(c) for p in peers for c in share.held[p].commitments]
+        peers = sorted(share.endorsements)
+        leaves = [
+            self.params.element_to_bytes(c) for p in peers for c in share.endorsements[p].commitments
+        ]
         levels = merkle.build_tree(leaves, EPOCH_SLOTS)
         published = {}
         for at, peer in enumerate(peers):
             path = merkle.path(levels, at * EPOCH_SLOTS + index)
             path += self.graph.signer_path(slot // EPOCH_SLOTS, self.pid, peer)
-            published[peer] = RevealedCommitment(share.held[peer].commitments[index], _path_text(path))
+            commitment = share.endorsements[peer].commitments[index]
+            published[peer] = RevealedCommitment(commitment, _path_text(path))
         return published
 
 

@@ -42,7 +42,7 @@ from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 # the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v8"
+FORMAT_VERSION = "v9"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -795,9 +795,11 @@ def _check_header(header, report):
         raise MalformedRecord(0, f"not a format {FORMAT_VERSION} transcript")
     group = header[types.index("GROUP")]
     try:
-        # a GROUP record's fields are GroupParams.to_text's, in its layout
-        params = GroupParams.from_text(record_to_line(group).partition(" ")[2])
-    except (ValueError, KeyError) as exc:
+        # only built-in groups are named: p, q and the generators follow
+        # from the name and the tag, and the header comparison below
+        # reports a GROUP record that says otherwise
+        params = derive_params(group["name"], bytes.fromhex(group["tag"]))
+    except ValueError as exc:
         raise MalformedRecord(types.index("GROUP"), f"bad group parameters: {exc}") from exc
     config = header[types.index("CONFIG")]
     try:

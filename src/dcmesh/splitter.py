@@ -36,8 +36,9 @@ the parent's, or one side is empty -- comes from a malformed slot.
 Its colliding children, and an equal-payload node where two or more
 proofs fail, are split at the midpoint (lo + hi) // 2 of their
 interval instead of the average, and a midpoint node whose interval
-holds at most one value becomes an equal-payload node.  A payload
-against an ancestor's split is found by the wrong-branch audit, and
+holds at most one value becomes an equal-payload node.  A delivered
+payload outside its leaf's interval, against an ancestor's split or
+outside [0, 2^payload_bits), is found by the wrong-branch audit, and
 blame is assigned by demanding no-message proofs at the offending leaf.
 
 The proofs bound a session's length.  Call a participant's first-round
@@ -432,18 +433,15 @@ class SessionOutcome:
 
 
 def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
-    """Leaves whose payload contradicts an ancestor's split, which sends
-    payloads below its threshold left.  Returns offending leaf node ids."""
-    offending = []
-    for leaf_id, payload in tree.resolved:
-        node_id = leaf_id
-        while node_id > 1:
-            went_left = node_id % 2 == 0
-            if went_left != (payload < tree.nodes[node_id // 2].threshold):
-                offending.append(leaf_id)
-                break
-            node_id = node_id // 2
-    return offending
+    """Leaves whose payload lies outside their node's interval [lo, hi),
+    which holds every honest payload that reaches the node.  Returns
+    offending leaf node ids."""
+    nodes = tree.nodes
+    return [
+        leaf_id
+        for leaf_id, payload in tree.resolved
+        if not nodes[leaf_id].lo <= payload < nodes[leaf_id].hi
+    ]
 
 
 def _read_proof(params: GroupParams, text: str) -> zkp.SigmaProof | None:

@@ -143,18 +143,23 @@ def test_c04_investigation_blame():
         return cts, published, public
 
     def pair_mismatch(graph, cts, published, public):
-        # both endpoints hold endorsed but non-cancelling values: 1 signed
-        # its tree over the root of a forged list, and everyone reveals
-        # from the epoch it signed
-        held = graph.edge(0, 1).held_lo
-        forged_list = (held.commitments[0] * SMALL.g % SMALL.p,) + held.commitments[1:]
+        # both endpoints reveal endorsed but differing values: 1 signed
+        # its tree over the root of a forged list of edge (0, 1), 0 its
+        # own over the real one, and each reveal toward 1 leads to 1's
+        real = graph.epochs[0]
+        endorsement = real.edges[(0, 1)].endorsement
+        forged_list = (endorsement.commitments[0] * SMALL.g % SMALL.p,) + endorsement.commitments[1:]
         (forged,) = endorse(SMALL, forged_list)
-        edges = dict(graph.epochs[0].edges)
-        edges[(0, 1)] = replace(edges[(0, 1)], held_lo=forged)
+        edges = dict(real.edges)
+        edges[(0, 1)] = replace(edges[(0, 1)], endorsement=forged)
         graph.epochs[0] = graph.sign_epoch(edges, 0)
-        published = {pid: graph.view(pid).published_pairs(0) for pid in range(4)}
+        for pid in (0, 2, 3):
+            published[pid] = dict(published[pid])
+            published[pid][1] = graph.view(pid).published_pairs(0)[1]
+        signed = (real.signed[0], graph.epochs[0].signed[1]) + real.signed[2:]
+        graph.epochs[0] = real
         cts[0] = replace(cts[0], commitment=cts[0].commitment * SMALL.g % SMALL.p)
-        return cts, published, graph.public()
+        return cts, published, replace(public, epochs=(signed,))
 
     def non_cooperation(graph, cts, published, public):
         cts[3] = replace(cts[3], commitment=cts[3].commitment * SMALL.g % SMALL.p)

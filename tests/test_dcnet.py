@@ -23,7 +23,7 @@ from dcmesh.errors import (
 from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
 from dcmesh.zkp import OrStatement, prove_or, stmt_no_message, verify_or
 
-# siblings on a path through one edge direction's tree
+# siblings on a path through one edge's tree
 EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 
 
@@ -255,33 +255,49 @@ def test_investigation_bad_signature_pins_tamperer(small):
     assert 0 not in record.verdicts
 
 
-def forge_direction(params, graph, holder, signer, commitments):
-    """Epoch 0 of direction holder -> signer with ``commitments`` in place
-    of the real ones, signed by the signer as if they were."""
+def forge_endorsement(params, graph, holder, signer, commitments):
+    """A corrupted setup channel in epoch 0: ``signer`` endorses
+    ``commitments`` as its edge with ``holder``, which reveals them,
+    while every other tree holds the edge's real root.  Returns what
+    everyone reveals at slot 0 and the public key graph."""
     (forged,) = endorse(params, commitments)
-    edges = dict(graph.epochs[0].edges)
+    real = graph.epochs[0]
     pair = (min(holder, signer), max(holder, signer))
-    held = "held_lo" if holder < signer else "held_hi"
-    edges[pair] = replace(edges[pair], **{held: forged})
+    edges = dict(real.edges)
+    edges[pair] = replace(edges[pair], endorsement=forged)
     graph.epochs[0] = graph.sign_epoch(edges, 0)
+    # every reveal toward the signer leads to its root over the forged edge
+    toward_signer = {
+        pid: graph.view(pid).published_pairs(0)[signer]
+        for pid in graph.participants
+        if pid != signer
+    }
+    signed = tuple(s if s.part == signer else r for s, r in zip(graph.epochs[0].signed, real.signed))
+    graph.epochs[0] = real
+    n = len(graph.participants)
+    published = {pid: dict(pairs) for pid, pairs in honest_published(graph, n, 0).items()}
+    for pid, revealed in toward_signer.items():
+        published[pid][signer] = revealed
+    return published, replace(graph.public(), epochs=(signed,))
 
 
 def test_investigation_pair_mismatch_both_flagged(small):
-    """If both endpoints hold mutually inconsistent endorsed values (a
+    """If both endpoints reveal mutually inconsistent endorsed values (a
     corrupted setup channel), both are flagged: there is no tiebreak."""
     n = 3
     graph = fresh_graph(small, n, seed=11)
 
     views = {pid: graph.view(pid) for pid in range(n)}
     cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
-    # forge a consistent-looking but non-cancelling endorsement pair (0,1):
+    # forge a consistent-looking but differing endorsement of edge (0, 1):
     # 1 signs its tree over the root of a list whose slot 0 is shifted
-    held = graph.edge(0, 1).held_lo
-    forged_list = (held.commitments[0] * small.g % small.p,) + held.commitments[1:]
-    forge_direction(small, graph, 0, 1, forged_list)
+    endorsement = graph.edge(0, 1).endorsement
+    forged_list = (endorsement.commitments[0] * small.g % small.p,) + endorsement.commitments[1:]
+    published, public = forge_endorsement(small, graph, 0, 1, forged_list)
+    assert published[0][1].commitment != published[1][0].commitment
     cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
     result = aggregate_round(small, range(n), cts)
-    record = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
+    record = investigate(small, result, 0, published, public)
     assert PAIR_MISMATCH in record.verdicts.get(0, [])
     assert PAIR_MISMATCH in record.verdicts.get(1, [])
 
@@ -293,12 +309,12 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
     n = 3
     graph = fresh_graph(small, n, seed=16)
     graph.add_epoch(random.Random(17))
-    held = [graph.edge(1, 2, epoch).held_lo for epoch in (0, 1)]
+    endorsed = [graph.edge(1, 2, epoch).endorsement for epoch in (0, 1)]
     # (slot spent, the epoch of what 1 used and revealed, its index):
     # another slot's in the same epoch, and the same index of another epoch
     cases = [(0, 0, 1), (0, 1, 0), (EPOCH_SLOTS, 0, 0)]
     for slot, used_epoch, index in cases:
-        honest, used = held[slot // EPOCH_SLOTS], held[used_epoch]
+        honest, used = endorsed[slot // EPOCH_SLOTS], endorsed[used_epoch]
         assert used.commitments[index] != honest.commitments[slot % EPOCH_SLOTS]
         views = {pid: graph.view(pid) for pid in range(n)}
         for view in views.values():
@@ -325,7 +341,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
 
 def test_investigation_short_or_swapped_path_is_bad_signature(small):
     # an honest round, but 1 reveals its commitment toward 2 with a path
-    # one sibling short, one sibling long, or with its direction-tree and
+    # one sibling short, one sibling long, or with its edge-tree and
     # signer-tree halves swapped: only 1 is flagged, and nothing raises
     n = 4
     graph = fresh_graph(small, n, seed=18)

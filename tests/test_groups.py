@@ -5,6 +5,7 @@ modular-exponentiation oracle below (plain pow on the fixed test
 group), not with the code under test.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from dcmesh.groups import (
     combine,
     commit,
     derive_params,
-    invert_all,
     negate,
     verify_open,
 )
@@ -168,9 +168,12 @@ def test_binding_break_recovers_base_relation(small):
 
 
 def test_params_text_roundtrip(small):
-    text = small.to_text()
-    again = GroupParams.from_text(text)
-    assert again == small
+    # the text keygen prints names the group: its name and tag derive it again
+    fields = dict(item.split("=", 1) for item in small.to_text().split())
+    assert fields == {
+        "name": "test_small", "p": "107", "q": "53", "generators": "4,25,9", "tag": TAG.hex()
+    }
+    assert derive_params(fields["name"], bytes.fromhex(fields["tag"])) == small
 
 
 def test_scalar_element_serialization_widths(medium):
@@ -236,7 +239,7 @@ def test_window_table_production():
 
 def test_parsed_params_share_tables_and_stay_equal(medium):
     table = medium.g_table
-    again = GroupParams.from_text(medium.to_text())
+    again = GroupParams(medium.name, medium.p, medium.q, medium.generators, bytes(medium.domain_tag))
     assert again.g_table is table
     assert again == medium and hash(again) == hash(medium)
     assert again.to_text() == medium.to_text()
@@ -244,10 +247,10 @@ def test_parsed_params_share_tables_and_stay_equal(medium):
 
 
 def test_parsed_group_is_validated_once(monkeypatch):
-    # a built-in set's p and q are validated by table: a parse only
-    # checks that the generators lie in the subgroup
-    params = derive_params("production", TAG)
-    text = params.to_text()
+    # a derived group is validated once, when it is first derived, and
+    # validation runs no primality test: it checks that the generators
+    # lie in the subgroup (a tag no other test derives, so this is the
+    # first derivation)
     calls = []
 
     def counting_pow(*args):
@@ -255,37 +258,56 @@ def test_parsed_group_is_validated_once(monkeypatch):
         return pow(*args)
 
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
-    assert GroupParams.from_text(text) == params
+    params = derive_params("test_medium", b"validated-once")
+    assert derive_params("test_medium", b"validated-once") is params
     assert calls == [(x, params.q, params.p) for x in params.generators]
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes and twelve witnesses
+    hashed from n, independent of the code under test."""
+    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for prime in small_primes:
+        if n % prime == 0:
+            return n == prime
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    seed = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
+    hashed = [
+        int.from_bytes(hashlib.sha256(seed + bytes([i])).digest(), "big") % (n - 3) + 2
+        for i in range(12)
+    ]
+    for a in small_primes + tuple(hashed):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_probable_prime_oracle():
+    # the test-local oracle against trial division, and a Carmichael number
+    primes = [n for n in range(2, 400) if all(n % k for k in range(2, n))]
+    assert [n for n in range(400) if is_probable_prime(n)] == primes
+    assert not is_probable_prime(561) and not is_probable_prime(41041)
 
 
 @pytest.mark.parametrize("level", groups.SECURITY_LEVELS)
 def test_built_in_sets_are_safe_primes(level):
-    # what validate takes from the table of built-in sets
+    # every group is a built-in set: its primality is checked here only
     p, q = groups._BUILT_IN[level]
-    assert groups._is_probable_prime(p) and groups._is_probable_prime(q)
+    assert is_probable_prime(p) and is_probable_prime(q)
     assert p == 2 * q + 1
     params = derive_params(level, TAG)
     assert (params.p, params.q) == (p, q)
-
-
-def test_named_groups_skip_the_primality_test(monkeypatch):
-    is_probable_prime, tested = groups._is_probable_prime, []
-
-    def counting(n, *args):
-        tested.append(n)
-        return is_probable_prime(n, *args)
-
-    monkeypatch.setattr(groups, "_is_probable_prime", counting)
-    text = derive_params("production", TAG).to_text()
-    assert GroupParams.from_text(text).name == "production"
-    assert tested == []
-    # any other (name, p, q) is tested, a built-in name included
-    GroupParams("toy", 23, 11, (4, 3, 9), TAG).validate()
-    assert tested == [23, 11]
-    for name in ("toy", "test_small"):
-        with pytest.raises(ValueError, match="prime"):
-            GroupParams(name, 23, 22, (4, 3, 9), TAG).validate()
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
@@ -295,13 +317,3 @@ def test_window_table_powers_match_power(level):
     for table in (params.g_table, params.f_table, params.h_table):
         assert table.powers(exponents) == [table.power(e) for e in exponents]
     assert params.g_table.powers([]) == []
-
-
-def test_invert_all_matches_negate(medium):
-    rng = random.Random(25)
-    values = [1, medium.p - 1] + [
-        commit(medium, (rng.randrange(medium.q), rng.randrange(medium.q)), rng.randrange(medium.q))
-        for _ in range(30)
-    ]
-    for count in (0, 1, 2, 3, len(values)):
-        assert invert_all(medium, values[:count]) == [negate(medium, c) for c in values[:count]]

@@ -1,7 +1,9 @@
 """Pairwise setup: antisymmetry, endorsements, opt-outs, epochs."""
 
+import hashlib
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,7 @@ from dcmesh.keysetup import (
 )
 
 TAG = b"dc-mesh/v1"
-# siblings on a path through one edge direction's tree
+# siblings on a path through one edge's tree
 EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 
 
@@ -77,7 +79,7 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
-    ((secret, held_i, held_j),) = establish_row(params, 0, [1], rng)
+    ((secret, endorsement),) = establish_row(params, 0, [1], rng)
     assert len(secret.count_keys) == len(secret.total_keys) == len(secret.blinds) == EPOCH_SLOTS
     q = params.q
     for slot, (count, total, blind) in enumerate(
@@ -86,13 +88,11 @@ def test_establish_pair_antisymmetry(level, request):
         c_ij = commit(params, (count, total), blind)
         c_ji = commit(params, (-count % q, -total % q), -blind % q)
         assert c_ij * c_ji % params.p == 1
-        assert held_i.commitments[slot] == c_ij
-        assert held_j.commitments[slot] == c_ji
-    # each direction's root is the root of the tree over its commitments
-    for held in (held_i, held_j):
-        leaves = [params.element_to_bytes(c) for c in held.commitments]
-        assert merkle.build_tree(leaves, EPOCH_SLOTS)[-1] == [held.root]
-    assert held_i.root != held_j.root
+        # one list per edge: the lo -> hi commitments, which both ends reveal
+        assert endorsement.commitments[slot] == c_ij
+    # the edge's root is the root of the tree over its commitments
+    leaves = [params.element_to_bytes(c) for c in endorsement.commitments]
+    assert merkle.build_tree(leaves, EPOCH_SLOTS)[-1] == [endorsement.root]
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
@@ -104,7 +104,7 @@ def test_pair_secrets_are_a_randrange_stream(level):
     keys = random.Random(4)
     signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    ((secret, _, _),) = establish_row(params, 0, [1], rng)
+    ((secret, _),) = establish_row(params, 0, [1], rng)
     graph = KeyGraph(params, range(6), signing, frozenset({2}))
     graph.add_epoch(rng)
     shared = [e.secret for _, e in sorted(graph.epochs[0].edges.items()) if e.established]
@@ -120,13 +120,13 @@ def test_pair_secrets_are_a_randrange_stream(level):
 
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
-    # one commitment per slot and the reverse direction by inversion:
-    # 3 * EPOCH_SLOTS table powers (g, f and h), and a row's inversions
-    # share one pow;
-    # an epoch adds one nonce power per participant's signature
+    # one commitment per slot: 3 * EPOCH_SLOTS table powers (g, f and h),
+    # no inversion, and one 15-hash tree per edge;
+    # an epoch adds one nonce power per participant's signature, and the
+    # participants' trees
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
-    exponents, inversions = [], []
+    exponents, inversions, hashes = [], [], []
 
     def counting_power(table, exponent):
         exponents.append(exponent)
@@ -141,20 +141,30 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
             inversions.append(args)
         return pow(*args)
 
+    def counting_sha256(data=b""):
+        hashes.append(data)
+        return hashlib.sha256(data)
+
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
-    monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
+    for module in (groups, keysetup):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(merkle, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    tree_hashes = 2 * EPOCH_SLOTS - 1
     establish_row(medium, 0, [1], rng)
     assert len(exponents) == 3 * EPOCH_SLOTS
-    assert len(inversions) == 1
-    # six participants: five rows with a higher peer, one inversion each;
-    # fifteen edges and six signatures
+    assert inversions == []
+    assert len(hashes) == tree_hashes
+    # six participants: fifteen edges, one tree each, and six signers'
+    # trees eight leaves wide; six signatures
     graph = build_key_graph(medium, range(6), rng)
     exponents.clear()
-    inversions.clear()
+    hashes.clear()
     graph.add_epoch(rng)
-    assert len(inversions) == 5
+    assert inversions == []
     assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6
+    assert signer_width(6) == 8
+    assert len(hashes) == 15 * tree_hashes + 6 * (2 * 8 - 1)
 
 
 def test_per_round_secrets_are_fresh(small):
@@ -163,7 +173,7 @@ def test_per_round_secrets_are_fresh(small):
     rng = random.Random(3)
     repeats = 0
     for _ in range(120):
-        ((secret, _, _),) = establish_row(small, 0, [1], rng)
+        ((secret, _),) = establish_row(small, 0, [1], rng)
         if secret.count_keys[0] == secret.count_keys[1]:
             repeats += 1
         if secret.total_keys[0] == secret.total_keys[1]:
@@ -323,14 +333,13 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
             for peer in sorted(set(range(5)) - {s.part} - set(opted_out_peers(optouts, s.part))):
                 added = optouts | {(min(s.part, peer), max(s.part, peer))}
                 assert not s.verifies(medium, public.publics[s.part], epoch, added)
-            # over the root of the directions it is the peer of, in id
-            # order, with a tag leaf for an opted-out edge and for padding
+            # over the roots of its edges, in id order, with a tag leaf
+            # for an opted-out edge and for padding
             leaves = []
             for holder in range(5):
                 if holder != s.part:
                     state = graph.edge(holder, s.part, epoch)
-                    held = state.held_lo if holder == state.lo else state.held_hi
-                    leaves.append(held.root if state.established else NO_EDGE)
+                    leaves.append(state.endorsement.root if state.established else NO_EDGE)
             assert merkle.build_tree(leaves, 4)[-1] == [s.root]
 
 
@@ -393,51 +402,62 @@ def test_merkle_batch_inclusion_paths(small):
                 if path:
                     assert merkle.root_at(leaf, index, width, path[:-1]) is None
                 assert merkle.root_at(leaf, index, width, path + [root]) is None
-    # two endorsed epochs of five participants: every revealed commitment's
-    # path leads, through its direction's root, to the root its peer signed
-    graph = build_key_graph(small, range(5), rng)
+    # two endorsed epochs of five participants, one of them a refuser:
+    # at every slot both ends of an edge reveal its lo -> hi commitment,
+    # each with a path, through the edge's root, to the root the other
+    # end signed
+    graph = build_key_graph(small, range(5), rng, refusers={3})
     graph.add_epoch(rng)
     participants = graph.participants
+    shared = [(a, b) for a in participants for b in participants if a != b and 3 not in (a, b)]
 
-    def endorsed(revealed, holder, signer, slot, epoch=None):
+    def endorsed(revealed, holder, signer, slot, epoch=None, root_of=None):
         epoch = slot // EPOCH_SLOTS if epoch is None else epoch
-        root = graph.epochs[epoch].signed[signer].root
+        root = graph.epochs[epoch].signed[signer if root_of is None else root_of].root
         return is_endorsed(small, participants, root, holder, signer, slot, revealed)
 
-    for epoch in (0, 1):
-        base = epoch * EPOCH_SLOTS
-        for index in (0, 1, 7, EPOCH_SLOTS - 1):
-            for holder in participants:
-                pairs = graph.view(holder).published_pairs(base + index)
-                assert sorted(pairs) == [peer for peer in participants if peer != holder]
-                for signer, revealed in pairs.items():
-                    # every level of the direction's tree, two of the signer's
-                    assert len(revealed.path) == (EDGE_LEVELS + 2) * 64
-                    assert endorsed(revealed, holder, signer, base + index)
-                    for other in (index - 1, index + 1):
-                        if 0 <= other < EPOCH_SLOTS:
-                            assert not endorsed(revealed, holder, signer, base + other)
-                    # the same index of the other epoch: each epoch has its own roots
-                    assert not endorsed(revealed, holder, signer, base + index, 1 - epoch)
-                    # another holder's leaf of the same signer's tree
-                    other_holder = next(p for p in participants if p not in (holder, signer))
-                    assert not endorsed(revealed, other_holder, signer, base + index)
+    for slot in range(2 * EPOCH_SLOTS):
+        epoch, index = divmod(slot, EPOCH_SLOTS)
+        pairs = {holder: graph.view(holder).published_pairs(slot) for holder in participants}
+        assert pairs[3] == {}
+        assert sorted((a, b) for a in pairs for b in pairs[a]) == sorted(shared)
+        for holder, signer in shared:
+            revealed = pairs[holder][signer]
+            lo, hi = min(holder, signer), max(holder, signer)
+            assert revealed.commitment == graph.edge(lo, hi, epoch).endorsement.commitments[index]
+            assert revealed.commitment == pairs[signer][holder].commitment
+            # every level of the edge's tree, two of the signer's
+            assert len(revealed.path) == (EDGE_LEVELS + 2) * 64
+            assert endorsed(revealed, holder, signer, slot)
+            # not against a third signer's root
+            for third in participants:
+                if third not in (holder, signer):
+                    assert not endorsed(revealed, holder, signer, slot, root_of=third)
+            # nor at another slot: another index, or the same index of the
+            # other epoch, which has its own roots
+            for other in (index - 1, index + 1):
+                if 0 <= other < EPOCH_SLOTS:
+                    assert not endorsed(revealed, holder, signer, epoch * EPOCH_SLOTS + other)
+            assert not endorsed(revealed, holder, signer, slot, 1 - epoch)
+            # another holder's leaf of the same signer's tree
+            other_holder = next(p for p in participants if p not in (holder, signer))
+            assert not endorsed(revealed, other_holder, signer, slot)
 
 
 def test_merkle_batch_rejects_tampering(small):
     graph = build_key_graph(small, range(3), random.Random(12))
     revealed = graph.view(0).published_pairs(2)[1]
-    held = graph.edge(0, 1).held_lo
+    endorsement = graph.edge(0, 1).endorsement
 
     def endorsed(revealed, holder=0, signer=1):
         root = graph.epochs[0].signed[signer].root
         return is_endorsed(small, graph.participants, root, holder, signer, 2, revealed)
 
     assert endorsed(revealed)
-    # one sibling per level of the direction's tree, then one in the signer's (width 2)
+    # one sibling per level of the edge's tree, then one in the signer's (width 2)
     assert len(revealed.path) == (EDGE_LEVELS + 1) * 64
     # wrong leaf value
-    assert not endorsed(replace(revealed, commitment=held.commitments[1]))
+    assert not endorsed(replace(revealed, commitment=endorsement.commitments[1]))
     # a flipped digit in either tree's siblings
     for at in (0, EDGE_LEVELS * 64):
         digit = "1" if revealed.path[at] == "0" else "0"
@@ -455,7 +475,7 @@ def test_merkle_batch_rejects_tampering(small):
         assert not endorsed(replace(revealed, path=garbled))
     # a commitment outside the group's encoding
     assert not endorsed(replace(revealed, commitment=-1))
-    # another signer's root, and the leaf of the other direction
+    # another signer's root, and the other end's leaf in 0's own tree
     assert not endorsed(revealed, signer=2)
     assert not endorsed(revealed, holder=1, signer=0)
 
@@ -466,6 +486,5 @@ def test_setup_determinism(small):
     for pair in a.epochs[0].edges:
         ea, eb = a.edge(*pair), b.edge(*pair)
         assert ea.secret == eb.secret
-        assert ea.held_lo == eb.held_lo
-        assert ea.held_hi == eb.held_hi
+        assert ea.endorsement == eb.endorsement
     assert a.public() == b.public()

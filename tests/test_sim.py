@@ -11,7 +11,7 @@ from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript, records_digest
 
-# siblings on a path through one edge direction's tree
+# siblings on a path through one edge's tree
 EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
@@ -95,7 +95,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v8).  Test ids are the list positions, so a re-pin
+# (pinned at format v9).  Test ids are the list positions, so a re-pin
 # keeps them.
 # an n=2 session that spends 11 slots, so it endorses epoch 1: the
 # malformed slot (2, 101) has an odd total, so it is no equal-payload
@@ -106,45 +106,45 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "8e634fddb862f232a72d221decaef106ea3c1642270769ec5746ca85f6550544"),
+     "4fe6fe1524be3b74dd662cb25b09f82bee6ead9766cef052642d45851629be1a"),
     (sim.Scenario(n=2, seed=1),
-     "793aa3cdc72aef8e02a6bf820470deb7b7b99bae3b8f838c70077f6c73721343"),
+     "af1055cb6d6fbd1d8f839c08d1831d8b405ae96b9f097007927c16dc87a03c42"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "75060577059ba5b7c936acc65f4ef049ea00870f92e650ef3293678e5b927617"),
+     "adbf7514735ae3b87dfd2fb0d4aa45c5d60429bdd0d1a30919ac26ff676f6b13"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "e9f756bb64c7631b1c02d892e1ff926fa28fdf6fc50755e98ca95c869df6c0db"),
+     "43b0e94dd1829b57b9f81bbc96b6ad62cb213c6922020c9abec412709c42f355"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "fbebd6774c276df9c7c9aa2a5fcaa65266c36a790b5a3a3bf757c75bbe94645a"),
+     "5749b144272364a18b56664aba4783f2c4d766b3bc1e536396103fab7dc7b043"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "c19a67b8c89eb68ff8a9a40531a47966aa2ff52b79cf98527aca0a1149881e63"),
+     "1223c9950580bc29cfa9711063390726ba6126447d7daeb5750faca924483086"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "337cfcaaf5d3c3cf5da0f007d113b429e3016050b54f519aa9c38251397c8bd2"),
+     "ac83484ed63c4962d7ab3cc61a86c4d1c3d1e65120a3dc57df1dfc7dc683d693"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2),
-     "b496bdc058ec44110754890fda2a2ac4ebdd6ecd826baaf213e74a86036a4214"),
+     "6dde3cf609e4461504d4138629cc587522f39d57b85a81d429f7211041f5b6a1"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "1300e5b04fb40935c89daebddfdb9f8cf03d37a94d1188450a62d41ba0739276"),
+     "64e8bf756a7fa98efc3733deef529887fe9ddab9e392201db818f26544786f36"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11),
-     "1992c907ff42ae81b083b2c62a550e1247babb024d1ab902b1ebbaca7456a094"),
+     "fe1aa483f8196a5aa49895b1caadffa93f7cfa80c5938617cff135e94c914142"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "27257febe665c68cab257e1f1d3c1549b1f0d16d9c663da617d366f0b7d262a2"),
+     "d74afb8c26fb9da3d822df93b7ccc6285a05b5938e17210316a6674952d73fbd"),
     # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "ff2ccf2511e2e998ea76ba759704f6aa788b708c9cfe853dd64daebc507d204f"),
+     "d6a18c84121e95b6e65be5b1e338bedbc26aaac2d23f5df8750c1462b3714688"),
     # a refuser in mid-row, whose edges draw nothing, and a malformed slot
     # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "70130309215fb639b66a23c30333b455bc99eaa2d49d85644eeb56deada89835"),
+     "768f06c9ae02c24c0629a2ed84f016e36f6cc6d8b61af6da336064aa2918a5a0"),
 ]
 
 
@@ -191,11 +191,46 @@ def test_transcript_of_another_format_version_is_malformed():
     # replaying into verdicts that were never issued
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
     assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
-    for version in ("v7", "v9"):
+    for version in ("v8", "v10"):
         relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
         with pytest.raises(MalformedRecord) as exc:
             sim.verify_transcript(Transcript.from_text(relabelled))
         assert exc.value.index == 0, version
+
+
+def test_substituted_generator_diverges_at_group(monkeypatch):
+    # a run whose GROUP record keeps the name test_medium but sets h = g^5,
+    # so that its commitments do not bind: the verifier derives the named
+    # group, and the record diverges at GROUP and at HEADEREND
+    derive = sim.derive_params
+
+    def substituted(name, tag):
+        params = derive(name, tag)
+        return replace(params, generators=(params.g, params.f, pow(params.g, 5, params.p)))
+
+    monkeypatch.setattr(sim, "derive_params", substituted)
+    text = sim.run_scenario(
+        sim.Scenario(n=4, senders=((0, 9), (1, 200), (2, 31)), seed=3)
+    ).to_text()
+    monkeypatch.undo()
+    assert text.splitlines()[1].startswith("GROUP name=test_medium p=262643 q=131321 generators=4,25,1024 ")
+    report = sim.verify_transcript(Transcript.from_text(text))
+    assert [index for index, _ in report.divergences][:2] == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", "toy"), ("name", "TEST_MEDIUM"), ("tag", "zz"), ("tag", "abc"), ("tag", "")],
+)
+def test_group_record_naming_no_built_in_group_is_malformed(field, value):
+    # an unknown name, or a tag that is not hex of a domain tag, names no
+    # group: the transcript ends malformed at its GROUP record
+    transcript = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1))
+    assert transcript.header[1]["type"] == "GROUP"
+    transcript.header[1] = dict(transcript.header[1], **{field: value})
+    with pytest.raises(MalformedRecord) as exc:
+        sim.verify_transcript(transcript)
+    assert exc.value.index == 1
 
 
 def test_truncated_transcript_is_malformed():
@@ -317,8 +352,29 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "cf3545dfb41e027eaa37d14a3072cd0b42f1f001864a056b3d6feb418f6f4967"
+        "6a26098552a21b7d41b97125100f1d73de33be86d5c3cb6e8256863ff16887c6"
     )
+
+
+class _OutOfRangeSlotParticipant(sim.BadSlotCountParticipant):
+    """Sends the slot (1, 300), outside the range of an 8-bit payload."""
+
+    def begin_session(self, *args):
+        super().begin_session(*args)
+        self.slot_value = (1, 300)
+
+
+def test_lone_out_of_range_slot_is_blamed_wrong_branch(monkeypatch):
+    # alone in its session, the slot resolves at the root as payload 300,
+    # outside the root's interval [0, 256): the audit demands denials there
+    # and blames its sender, and the transcript replays clean
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "bad_slot_count", _OutOfRangeSlotParticipant)
+    t = run(sim.Scenario(n=3, senders=((1, 10),), adversaries=((1, "bad_slot_count"),), seed=4))
+    assert [(r["node"], r["payload"]) for r in t.records if r["type"] == "RESOLVED"] == [(1, 300)]
+    verdicts = [r for r in t.records if r["type"] == "VERDICT"]
+    assert [(r["part"], r["reason"], r["where"]) for r in verdicts] == [(1, "wrong_branch", "node:1")]
+    demands = [(r["node"], r["part"], r["ok"]) for r in t.records if r["type"] == "DEMAND"]
+    assert demands == [(1, 0, 1), (1, 1, 0), (1, 2, 1)]
 
 
 def test_refuse_signature_is_not_a_verdict():
@@ -567,11 +623,12 @@ def _detects(text: str) -> bool:
 
 
 # the only fields whose mutation leaves nothing to check: a format version
-# this engine does not replay, the group, a participant count the
+# this engine does not replay, a group name or tag that names no built-in
+# group (another p, q or generators diverges), a participant count the
 # transcript does not hold, a commitment outside the group, and a signed
-# root whose signature no longer verifies (the root, the signature, or the
-# signing key it is checked against)
-MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "tag")} | {
+# root whose signature no longer verifies (the root, the signature, the
+# signing key it is checked against, or the domain tag it is bound to)
+MALFORMED_FIELDS = {("GROUP", "name"), ("GROUP", "tag")} | {
     ("DCMESH", "version"),
     ("CONFIG", "n"),
     ("CIPHER", "c"),
@@ -584,7 +641,7 @@ MALFORMED_FIELDS = {("GROUP", key) for key in ("name", "p", "q", "generators", "
 
 def _path_mutations(path: str):
     """A PUBLISH path one sibling short, one sibling long, and with its
-    direction-tree and signer-tree halves swapped."""
+    edge-tree and signer-tree halves swapped."""
     return [path[:-64], path + path[:64], path[EDGE_LEVELS * 64 :] + path[: EDGE_LEVELS * 64]]
 
 
@@ -614,7 +671,7 @@ def test_every_field_mutation_detected():
                 if line.startswith("ENDORSE ") and " epoch=0 " not in line:
                     later_endorse_fields.add(key)
             if tokens[0] == "PUBLISH":
-                # n=3: one sibling per level of the direction's tree, one in the signer's
+                # n=3: one sibling per level of the edge's tree, one in the signer's
                 path = tokens[-1].split("=", 1)[1]
                 assert len(path) == (EDGE_LEVELS + 1) * 64
                 publish_paths += 1
@@ -755,7 +812,12 @@ def test_replaced_endorse_record_is_not_clean(fields):
         index = _first_endorse(transcript, epoch)
         other = transcript.records[index + 1]
         assert other["type"] == "ENDORSE"
+        if "root" in fields and other["root"] == transcript.records[index]["root"]:
+            # n=2: both ends sign their one edge's root alike, so the root
+            # comes from the same signer's record of the other epoch
+            other = transcript.records[_first_endorse(transcript, 1 - epoch)]
         text = _resealed(transcript, index, **{name: other[name] for name in fields})
+        assert text != transcript.to_text()
         assert _not_clean_at(text, len(transcript.header) + index), (scenario.n, fields)
 
 
