@@ -2,7 +2,8 @@
 
 Subcommands:
   run            execute a scenario file, write its transcript
-  verify         re-judge a transcript and report every divergence
+  verify         re-judge a transcript and report every divergence; with
+                 --explain, also the record that triggered each VERDICT
   paper-example  run the built-in five-message worked example
   keygen         print session 1's key records as ``run`` writes them:
                  PUBKEY, OPTOUT (none, as keygen refuses nothing) and
@@ -94,6 +95,10 @@ def cmd_verify(args) -> int:
     except MalformedRecord as exc:
         print(f"malformed transcript: {exc}", file=sys.stderr)
         return 1
+    if args.explain:
+        for index, rec, trigger in _verdict_triggers(transcript):
+            print(f"verdict at record {index}: participant {rec['part']} ({rec['reason']} at "
+                  f"{rec['where']}) triggered by record {trigger}")
     if report.clean:
         print("transcript verified: clean")
         return 0
@@ -101,6 +106,33 @@ def cmd_verify(args) -> int:
         print(f"divergence at record {index}: {message}")
     print(f"{len(report.divergences)} divergence(s) total")
     return 2
+
+
+# the key of each record a VERDICT can name as its trigger
+_TRIGGER_KEYS = {
+    "CIPHER": "{session} round:{round} {part}",
+    "DEMAND": "{session} node:{node} {part}",
+    "PUBLISH": "{session} published {part}",
+    "INVESTIGATION": "{session} investigation round:{round}",
+}
+
+
+def _verdict_triggers(transcript):
+    """(index, record, trigger index) of each VERDICT: at ``node:k`` its
+    participant's DEMAND record there; at ``round:r``, after an
+    investigation of round r, its first PUBLISH record of the session or
+    else the INVESTIGATION record, and after a failed proof its CIPHER
+    record of round r.  The trigger is None when no such record exists."""
+    first = {}
+    for index, rec in enumerate(transcript.records, len(transcript.header)):
+        if rec["type"] in _TRIGGER_KEYS:
+            first.setdefault(_TRIGGER_KEYS[rec["type"]].format_map(rec), index)
+        elif rec["type"] == "VERDICT":
+            trigger = first.get("{session} {where} {part}".format_map(rec))
+            investigation = first.get("{session} investigation {where}".format_map(rec))
+            if investigation is not None:
+                trigger = first.get("{session} published {part}".format_map(rec), investigation)
+            yield index, rec, trigger
 
 
 def cmd_paper_example(args) -> int:
@@ -170,6 +202,8 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="verify a transcript file")
     p_verify.add_argument("transcript")
+    p_verify.add_argument("--explain", action="store_true",
+                          help="print the index of the record that triggered each VERDICT")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ex = sub.add_parser("paper-example", help="run the built-in worked example")

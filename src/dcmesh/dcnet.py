@@ -45,12 +45,6 @@ class RoundResult:
     valid: bool       # commitment product is the identity
     ciphertexts: tuple[RoundCiphertext, ...]
 
-    def by_participant(self, pid: int) -> RoundCiphertext:
-        for ct in self.ciphertexts:
-            if ct.participant == pid:
-                return ct
-        raise MissingParticipant(f"no ciphertext from {pid}")
-
 
 def make_ciphertext(view: KeyView, round_id, message=None) -> RoundCiphertext:
     """Build this participant's broadcast for one round.
@@ -142,6 +136,7 @@ def investigate(
     # signer -> its signed root for the slot's epoch
     roots = {signed.part: signed.root for signed in graph_public.epochs[slot // EPOCH_SLOTS]}
     sig_ok: dict[tuple[int, int], bool] = {}
+    broadcast = {ct.participant: ct.commitment for ct in round_result.ciphertexts}
 
     for pid in participants:
         revealed = published.get(pid)
@@ -157,7 +152,7 @@ def investigate(
             record.flag(pid, NON_COOPERATION)
             continue
         # the broadcast times the hi-end edges' commitments, and the lo-end edges' product
-        hi_side, lo_side = round_result.by_participant(pid).commitment, 1
+        hi_side, lo_side = broadcast[pid], 1
         for peer, sc in sorted(revealed.items()):
             ok = is_endorsed(params, participants, roots[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok

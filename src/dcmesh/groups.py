@@ -19,11 +19,10 @@ generators: fixed constants in the test sets, hash-derived in
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
 protocol, every branch of which is a power of h; ``WindowTable.powers``
-raises the base to a list of exponents one table row at a time, and
-``commit_all`` commits to a list of slot values with one ``powers`` per
-generator, for key setup.  ``pow`` is left for variable bases and
-inverses.  Every group is one of the built-in sets, derived from its
-name and a domain tag; the tests check that their p and q are prime.
+raises it to a list of exponents, and ``commit_all`` commits to a list
+of slot values with one ``powers`` per generator.  ``pow`` is left for
+variable bases and inverses.  Every group is one of the built-in sets,
+derived from its name and a domain tag; the tests check its p and q.
 """
 
 from __future__ import annotations
@@ -100,15 +99,15 @@ class WindowTable:
         return acc
 
     def powers(self, exponents) -> list[int]:
-        """base^e for each exponent e, taken mod q: ``power`` of the whole
-        list, one table row at a time."""
-        q, p, width, mask = self.q, self.p, self.width, self.mask
-        digits = [e % q for e in exponents]
-        accs = [1] * len(digits)
-        for row in self.rows:
-            accs = [acc * row[e & mask] % p for acc, e in zip(accs, digits)]
-            digits = [e >> width for e in digits]
-        return accs
+        """``power`` of each exponent, without a call per exponent."""
+        q, p, width, mask, rows = self.q, self.p, self.width, self.mask, self.rows
+        out = []
+        for e in exponents:
+            e, acc = e % q, 1
+            for row in rows:
+                acc, e = acc * row[e & mask] % p, e >> width
+            out.append(acc)
+        return out
 
 
 @functools.lru_cache(maxsize=16)

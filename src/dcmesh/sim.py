@@ -54,17 +54,6 @@ BAD_SLOT_COUNT = "bad_slot_count"
 REFUSE_SIGNATURE = "refuse_signature"
 REFUSE_PROOF = "refuse_proof"
 
-STRATEGIES = (
-    BAD_PAD,
-    WRONG_BRANCH,
-    DOUBLE_BRANCH,
-    MUTATE_MESSAGE,
-    LATE_INJECTION,
-    BAD_SLOT_COUNT,
-    REFUSE_SIGNATURE,
-    REFUSE_PROOF,
-)
-
 # strategies that only make sense for a participant who is also a sender
 _SENDER_STRATEGIES = (WRONG_BRANCH, DOUBLE_BRANCH, MUTATE_MESSAGE, BAD_SLOT_COUNT)
 
@@ -236,8 +225,8 @@ class HonestParticipant:
 
     def begin_session(self, tree):
         self.tree = tree
-        self.broadcasts = {}
-        self.blinds = {}
+        self.targets = {}   # node -> no-message target of this participant's context
+        self.blinds = {}    # node -> that context's blinding sum
         self.slot_value = (
             None if self.payload is None else encode_slot(self.payload, self.payload_bits)
         )
@@ -265,17 +254,22 @@ class HonestParticipant:
 
     def broadcast(self, round_id) -> RoundCiphertext:
         message = self._message_for(round_id)
-        ct = make_ciphertext(self.view, round_id, message)
-        self.broadcasts[round_id] = (ct.value, ct.commitment)
-        self.blinds[round_id] = self.view.blind_sum(self.view.slot_of(round_id))
+        ct = self._ciphertext(round_id, message)
+        # the targets of what is broadcast, after any tampering
+        splitter.add_round(self.params, {self.pid: self.targets}, [ct])
+        blind = self.view.blind_sum(self.view.slot_of(round_id))
+        splitter.add_blind(self.params, self.blinds, round_id, blind)
         if round_id != 1:
             ct = replace(ct, proof=self._wire(self._attach_proof(round_id, message is not None)))
         return ct
 
+    def _ciphertext(self, round_id, message):
+        return make_ciphertext(self.view, round_id, message)
+
     def _attach_proof(self, round_id, retransmitted):
         return splitter.prove_retransmission(
             self.params,
-            self.broadcasts,
+            self.targets,
             self.blinds,
             self.pid,
             round_id,
@@ -291,7 +285,7 @@ class HonestParticipant:
         try:
             return splitter.prove_node_denial(
                 self.params,
-                self.broadcasts,
+                self.targets,
                 self.blinds,
                 self.pid,
                 node_id,
@@ -320,21 +314,15 @@ class _ForgingAdversary(HonestParticipant):
                 return super()._attach_proof(round_id, branch_retransmitted)
             except WitnessMismatch:
                 continue
-        stmt = splitter.retransmission_statement(
-            self.params, self.broadcasts, self.pid, round_id, self.session_tag
-        )
+        stmt = splitter.retransmission_statement(self.targets, self.pid, round_id, self.session_tag)
         return zkp.forge_attempt(self.params, stmt, self.rng)
 
     def _denial_proof(self, node_id):
         proof = super()._denial_proof(node_id)
         if proof is None:
+            term = splitter.copy_term(self.params, self.tree.nodes[node_id].equal_payload)
             stmt = splitter.denial_statement(
-                self.params,
-                self.broadcasts,
-                self.pid,
-                node_id,
-                self.session_tag,
-                self.tree.nodes[node_id].equal_payload,
+                self.params, self.targets, self.pid, node_id, self.session_tag, term
             )
             proof = zkp.forge_attempt(self.params, stmt, self.rng)
         return proof
@@ -344,13 +332,14 @@ class BadPadParticipant(_ForgingAdversary):
     """Shifts one pad in the first round without fixing the commitment
     product, so the round's validity check fails."""
 
-    def broadcast(self, round_id):
-        ct = super().broadcast(round_id)
+    def _ciphertext(self, round_id, message):
+        ct = super()._ciphertext(round_id, message)
         if round_id == 1:
-            tampered_value = ((ct.value[0] + 1) % self.params.q, ct.value[1])
-            tampered_commitment = ct.commitment * self.params.g % self.params.p
-            self.broadcasts[round_id] = (tampered_value, tampered_commitment)
-            ct = replace(ct, value=tampered_value, commitment=tampered_commitment)
+            ct = replace(
+                ct,
+                value=((ct.value[0] + 1) % self.params.q, ct.value[1]),
+                commitment=ct.commitment * self.params.g % self.params.p,
+            )
         return ct
 
 
@@ -453,6 +442,8 @@ _STRATEGY_CLASSES = {
     REFUSE_SIGNATURE: RefuseSignatureParticipant,
     REFUSE_PROOF: RefuseProofParticipant,
 }
+# every strategy, in the order above: bench workloads cycle through them by index
+STRATEGIES = tuple(_STRATEGY_CLASSES)
 
 
 # ---------------------------------------------------------------------------

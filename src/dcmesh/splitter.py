@@ -30,7 +30,10 @@ every failer is blamed, since an honest context there is empty or
 Every participant broadcasts in every transmitted round and attaches,
 for every non-root round, a proof that the new broadcast either
 carries no message or repeats exactly the message content of the
-nearest transmitted ancestor context.  A split that survives those
+nearest transmitted ancestor context.  Provers and the judge build
+every statement from per-participant target maps, one cached
+no-message target per tree node, and the judge checks a round's
+proofs, or a DEMAND round's, in one call.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
 the parent's, or one side is empty -- comes from a malformed slot.
 Its colliding children, and an equal-payload node where two or more
@@ -74,7 +77,7 @@ from .errors import (
     PayloadOverflow,
     ProtocolOrderViolation,
 )
-from .groups import GroupParams
+from .groups import GroupParams, value_term
 from .keysetup import EPOCH_SLOTS
 from .transcript import record
 
@@ -123,10 +126,6 @@ def threshold(count: int, total: int) -> int:
 # the resolution tree
 
 
-def node_kind(node_id: int) -> str:
-    return "transmitted" if node_id == 1 or node_id % 2 == 0 else "inferred"
-
-
 @dataclass
 class TreeNode:
     round_id: int
@@ -141,7 +140,7 @@ class TreeNode:
 
     @property
     def kind(self) -> str:
-        return node_kind(self.round_id)
+        return "transmitted" if self.round_id == 1 or self.round_id % 2 == 0 else "inferred"
 
     @property
     def equal_payload(self) -> int | None:
@@ -277,58 +276,52 @@ class ResolutionTree:
 
 
 # ---------------------------------------------------------------------------
-# per-participant branch contexts and proofs
+# per-participant target maps and proofs
 #
-# ``broadcasts`` maps round id -> (O, c) for one participant, O the slot
-# value (count, total); ``blinds`` maps round id -> that participant's
-# blinding sum for the round.  Both recursions accumulate along the path
-# of inferred nodes, mirroring how the tree itself infers aggregates.
+# ``targets`` maps participant id -> {node id: N}, N the no-message
+# target g^-count * f^-total * gamma of the participant's context
+# ((count, total), gamma) at the node, a power of h exactly when the
+# context carries no message.  A transmitted node's context is its
+# broadcast (O, c); an inferred node k's is its parent's less its
+# sibling k - 1's, so N(k) = N(k // 2) * N(k - 1)^-1.  A participant's
+# ``blinds`` map each node to the blinding sum of its context, by the
+# same rule, B(k) = B(k // 2) - B(k - 1): the witness of N(k).
 
 
-def branch_context(params: GroupParams, broadcasts: dict, node_id: int):
-    """((count, total), commitment) context of one participant at a tree node."""
-    if node_kind(node_id) == "transmitted":
-        return broadcasts[node_id]
-    (count, total), gamma = branch_context(params, broadcasts, node_id // 2)
-    (o_count, o_total), c_sib = broadcasts[node_id - 1]
-    q = params.q
-    value = ((count - o_count) % q, (total - o_total) % q)
-    return value, gamma * pow(c_sib, -1, params.p) % params.p
+def add_round(params: GroupParams, targets: dict, cts) -> None:
+    """Add one transmitted round's ciphertexts to their participants'
+    target maps, each with its inferred sibling's target after a split."""
+    p = params.p
+    fresh = zkp.no_message_targets(params, [(ct.value, ct.commitment) for ct in cts])
+    for ct, target in zip(cts, fresh):
+        nodes, rid = targets[ct.participant], ct.round_id
+        nodes[rid] = target
+        if rid != 1:
+            nodes[rid + 1] = nodes[rid // 2] * pow(target, -1, p) % p
 
 
-def blind_context(params: GroupParams, blinds: dict, node_id: int) -> int:
-    """Blinding-sum witness matching :func:`branch_context`."""
-    if node_kind(node_id) == "transmitted":
-        return blinds[node_id]
-    return (blind_context(params, blinds, node_id // 2) - blinds[node_id - 1]) % params.q
-
-
-def _retrans_context_tag(session_tag: bytes, pid: int, round_id: int) -> bytes:
-    return session_tag + b"|retrans|%d|%d" % (pid, round_id)
-
-
-def _denial_context_tag(session_tag: bytes, pid: int, node_id: int) -> bytes:
-    return session_tag + b"|denial|%d|%d" % (pid, node_id)
+def add_blind(params: GroupParams, blinds: dict, round_id: int, blind: int) -> None:
+    """Add a transmitted round's blinding sum to a participant's map,
+    with its inferred sibling's after a split."""
+    blinds[round_id] = blind
+    if round_id != 1:
+        blinds[round_id + 1] = (blinds[round_id // 2] - blind) % params.q
 
 
 def retransmission_statement(
-    params: GroupParams, broadcasts: dict, pid: int, round_id: int, session_tag: bytes
+    nodes: dict, pid: int, round_id: int, session_tag: bytes
 ) -> zkp.OrStatement:
-    """Either this broadcast carries nothing, or it repeats the parent context."""
-    ctx = _retrans_context_tag(session_tag, pid, round_id)
-    value, commitment = broadcasts[round_id]
-    parent_value, parent_gamma = branch_context(params, broadcasts, round_id // 2)
+    """Either this broadcast carries nothing, N(r), or it repeats the
+    parent context, N(r // 2) * N(r)^-1, which is N(r + 1)."""
+    ctx = session_tag + b"|retrans|%d|%d" % (pid, round_id)
     return zkp.OrStatement(
-        (
-            zkp.stmt_no_message(params, value, commitment, ctx),
-            zkp.stmt_same_message(params, parent_value, parent_gamma, value, commitment, ctx),
-        )
+        (zkp.RepStatement(nodes[round_id], ctx), zkp.RepStatement(nodes[round_id + 1], ctx))
     )
 
 
 def prove_retransmission(
     params: GroupParams,
-    broadcasts: dict,
+    nodes: dict,
     blinds: dict,
     pid: int,
     round_id: int,
@@ -336,48 +329,48 @@ def prove_retransmission(
     rng,
     session_tag: bytes,
 ) -> zkp.SigmaProof:
-    stmt = retransmission_statement(params, broadcasts, pid, round_id, session_tag)
+    """A proof over one participant's target map ``nodes``."""
+    stmt = retransmission_statement(nodes, pid, round_id, session_tag)
     if retransmitted:
-        alpha = (blind_context(params, blinds, round_id // 2) - blinds[round_id]) % params.q
-        return zkp.prove_or(params, stmt, 1, alpha, rng)
+        return zkp.prove_or(params, stmt, 1, blinds[round_id + 1], rng)
     return zkp.prove_or(params, stmt, 0, blinds[round_id], rng)
 
 
 def verify_retransmission(
-    params: GroupParams,
-    broadcasts: dict,
-    pid: int,
-    round_id: int,
-    proof: zkp.SigmaProof,
-    session_tag: bytes,
-) -> bool:
-    stmt = retransmission_statement(params, broadcasts, pid, round_id, session_tag)
-    return zkp.verify_or(params, stmt, proof)
+    params: GroupParams, targets: dict, round_id: int, proofs: dict, session_tag: bytes
+) -> list[bool]:
+    """One verdict per ``proofs`` item (pid, proof or None) of a round."""
+    stmts = [retransmission_statement(targets[pid], pid, round_id, session_tag) for pid in proofs]
+    return zkp.verify_or(params, stmts, list(proofs.values()))
+
+
+def copy_term(params: GroupParams, copy: int | None) -> int | None:
+    """g * f^copy, what one slot (1, copy) adds to a context; None for no copy."""
+    return None if copy is None else value_term(params, (1, copy))
 
 
 def denial_statement(
     params: GroupParams,
-    broadcasts: dict,
+    nodes: dict,
     pid: int,
     node_id: int,
     session_tag: bytes,
-    copy: int | None = None,
+    term: int | None = None,
 ) -> zkp.OrStatement:
     """Claim that this participant's context at a node carries no
-    message, or, where ``copy`` is an equal-payload node's payload x,
-    no message or exactly the one slot (1, x)."""
-    value, gamma = branch_context(params, broadcasts, node_id)
-    ctx = _denial_context_tag(session_tag, pid, node_id)
-    branches = [zkp.stmt_no_message(params, value, gamma, ctx)]
-    if copy is not None:
-        shifted = (value[0] - 1, value[1] - copy)
-        branches.append(zkp.stmt_no_message(params, shifted, gamma, ctx))
-    return zkp.OrStatement(tuple(branches))
+    message, N(k), or, where ``term`` is the :func:`copy_term` of an
+    equal-payload node's payload x, no message or exactly the one slot
+    (1, x), N(k) * g * f^x."""
+    ctx = session_tag + b"|denial|%d|%d" % (pid, node_id)
+    branches = [nodes[node_id]]
+    if term is not None:
+        branches.append(branches[0] * term % params.p)
+    return zkp.OrStatement(tuple(zkp.RepStatement(t, ctx) for t in branches))
 
 
 def prove_node_denial(
     params: GroupParams,
-    broadcasts: dict,
+    nodes: dict,
     blinds: dict,
     pid: int,
     node_id: int,
@@ -387,8 +380,8 @@ def prove_node_denial(
 ) -> zkp.SigmaProof:
     """A proof of :func:`denial_statement` on the branch the context
     satisfies; WitnessMismatch when it satisfies none."""
-    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag, copy)
-    alpha = blind_context(params, blinds, node_id)
+    stmt = denial_statement(params, nodes, pid, node_id, session_tag, copy_term(params, copy))
+    alpha = blinds[node_id]
     target = params.h_table.power(alpha)
     branch = next((i for i, b in enumerate(stmt.branches) if b.target == target), 0)
     return zkp.prove_or(params, stmt, branch, alpha, rng)
@@ -396,15 +389,16 @@ def prove_node_denial(
 
 def verify_node_denial(
     params: GroupParams,
-    broadcasts: dict,
-    pid: int,
+    targets: dict,
     node_id: int,
-    proof: zkp.SigmaProof,
+    proofs: dict,
     session_tag: bytes,
     copy: int | None = None,
-) -> bool:
-    stmt = denial_statement(params, broadcasts, pid, node_id, session_tag, copy)
-    return zkp.verify_or(params, stmt, proof)
+) -> list[bool]:
+    """One verdict per ``proofs`` item (pid, proof or None) at a node."""
+    term = copy_term(params, copy)
+    stmts = [denial_statement(params, targets[i], i, node_id, session_tag, term) for i in proofs]
+    return zkp.verify_or(params, stmts, list(proofs.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +438,11 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
     ]
 
 
-def _read_proof(params: GroupParams, text: str) -> zkp.SigmaProof | None:
-    """Decode a wire-form (hex) proof; None when the text is not a proof."""
+def _read_proof(params: GroupParams, text: str | None) -> zkp.SigmaProof | None:
+    """Decode a wire-form (hex) proof; None when there is none or the
+    text is not a proof."""
+    if text is None:
+        return None
     try:
         return zkp.proof_from_bytes(params, bytes.fromhex(text))
     except ValueError:
@@ -493,7 +490,7 @@ def run_session(
     outcome = SessionOutcome(session=session, tree=tree, records=source.records)
     source.begin(tree)
 
-    broadcasts = {pid: {} for pid in pids}   # pid -> round -> (O, c)
+    targets = {pid: {} for pid in pids}   # pid -> node -> no-message target
     demanded: set[int] = set()
     slot = 0
 
@@ -504,7 +501,6 @@ def run_session(
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
         cts = source.broadcast(rid)
         for ct in cts:
-            broadcasts[ct.participant][rid] = (ct.value, ct.commitment)
             outcome.records.append(
                 record(
                     "CIPHER",
@@ -536,19 +532,17 @@ def run_session(
             outcome.aborted = True
             break
 
+        add_round(params, targets, cts)
         if rid != 1:
-            bad = []
-            for ct in cts:
-                outcome.proofs_checked += 1
-                proof = None if ct.proof is None else _read_proof(params, ct.proof)
-                if proof is None or not verify_retransmission(
-                    params, broadcasts[ct.participant], ct.participant, rid, proof, session_tag
-                ):
+            proofs = {ct.participant: _read_proof(params, ct.proof) for ct in cts}
+            oks = verify_retransmission(params, targets, rid, proofs, session_tag)
+            outcome.proofs_checked += len(oks)
+            outcome.proofs_failed += oks.count(False)
+            for ct, ok in zip(cts, oks):
+                if not ok:
                     reason = NON_COOPERATION if ct.proof is None else INVALID_PROOF
-                    bad.append(Verdict(ct.participant, reason, f"round:{rid}"))
-                    outcome.proofs_failed += 1
-            if bad:
-                outcome.verdicts.extend(bad)
+                    outcome.verdicts.append(Verdict(ct.participant, reason, f"round:{rid}"))
+            if not all(oks):
                 outcome.aborted = True
                 break
 
@@ -563,7 +557,7 @@ def run_session(
             demanded.add(node_id)
             copy = node.equal_payload
             failed = _run_demand(
-                params, source, broadcasts, node_id, session, session_tag, outcome, copy
+                params, source, targets, node_id, session, session_tag, outcome, copy
             )
             if not failed:
                 tree.deliver(node_id)
@@ -582,7 +576,7 @@ def run_session(
             if leaf_id in demanded:
                 continue
             demanded.add(leaf_id)
-            failed = _run_demand(params, source, broadcasts, leaf_id, session, session_tag, outcome)
+            failed = _run_demand(params, source, targets, leaf_id, session, session_tag, outcome)
             _blame(outcome, failed, WRONG_BRANCH, leaf_id)
 
     outcome.resolved = list(tree.resolved)
@@ -668,20 +662,16 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
             outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
 
 
-def _run_demand(params, source, broadcasts, node_id, session, session_tag, outcome, copy=None):
+def _run_demand(params, source, targets, node_id, session, session_tag, outcome, copy=None):
     """Ask every participant to deny carrying a message at a node (or,
     where ``copy`` is an equal-payload node's payload, to carry nothing
     or that one copy); returns those whose proofs fail."""
-    failed = []
-    for pid, text in source.respond(node_id):
-        proof = None if text is None else _read_proof(params, text)
-        ok = proof is not None and verify_node_denial(
-            params, broadcasts[pid], pid, node_id, proof, session_tag, copy
-        )
-        outcome.proofs_checked += 1
-        if not ok:
-            outcome.proofs_failed += 1
-            failed.append(pid)
+    texts = dict(source.respond(node_id))
+    proofs = {pid: _read_proof(params, text) for pid, text in texts.items()}
+    oks = verify_node_denial(params, targets, node_id, proofs, session_tag, copy)
+    outcome.proofs_checked += len(oks)
+    outcome.proofs_failed += oks.count(False)
+    for (pid, text), ok in zip(texts.items(), oks):
         outcome.records.append(
             record(
                 "DEMAND",
@@ -692,7 +682,7 @@ def _run_demand(params, source, broadcasts, node_id, session, session_tag, outco
                 proof="-" if text is None else text,
             )
         )
-    return failed
+    return [pid for pid, ok in zip(texts, oks) if not ok]
 
 
 def _blame(outcome, pids, reason, node_id):

@@ -9,27 +9,31 @@ branch challenges sum to the hashed top-level challenge.
 
 A proof is in challenge form, one (challenge, response) pair per
 branch, the shape of a key-setup signature.  The verifier rebuilds each
-branch's announcement h^z * T^-e with :func:`simulate` and accepts when
-the challenge of the statement and those announcements is the sum of
-the branch challenges.  On the wire a proof is its scalars and nothing
-else.  Provers check their own witness and refuse to emit anything
-unsound; dishonest proofs are produced explicitly via
-:func:`forge_attempt`.
+branch's announcement h^z * T^-e and accepts when the challenge of the
+statement and those announcements is the sum of the branch challenges.
+:func:`verify_or` checks a whole round of statements at once: every h^z
+of the round goes through one ``WindowTable.powers`` call, then each
+branch takes one ``pow`` and each proof one hash.  Branch targets are
+built from no-message targets c * g^-count * f^-total of broadcasts
+(count, total) with commitment c, which :func:`no_message_targets`
+makes for a round with one ``powers`` per generator.  On the wire a proof
+is its scalars and nothing else.  Provers check their own witness and
+refuse to emit anything unsound; dishonest proofs are produced
+explicitly via :func:`forge_attempt`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyClauseList, WitnessMismatch
-from .groups import GroupParams, value_term
+from .groups import GroupParams
 
 _FS_TAG = b"dcmesh/fs/v1"
 
 
-@dataclass(frozen=True)
-class RepStatement:
+class RepStatement(NamedTuple):
     """One branch: knowledge of alpha with ``target = h^alpha``.
 
     ``context`` carries the statement's role bytes (round ids,
@@ -41,13 +45,10 @@ class RepStatement:
     context: bytes = b""
 
 
-@dataclass(frozen=True)
-class OrStatement:
-    branches: tuple[RepStatement, ...]
+class OrStatement(NamedTuple):
+    """An OR of branches; no proof of an empty one is made or accepted."""
 
-    def __post_init__(self):
-        if not self.branches:
-            raise EmptyClauseList("an OR statement needs at least one branch")
+    branches: tuple[RepStatement, ...]
 
 
 # one (challenge, response) pair per branch of the statement
@@ -58,19 +59,14 @@ SigmaProof = tuple[tuple[int, int], ...]
 # canonical statement encoding
 
 
-def rep_statement_bytes(params: GroupParams, stmt: RepStatement) -> bytes:
-    return (
-        b"rep|"
-        + params.element_to_bytes(stmt.target)
-        + params.element_to_bytes(params.h)   # the base of every branch
-        + len(stmt.context).to_bytes(4, "big")
-        + stmt.context
-    )
-
-
 def or_statement_bytes(params: GroupParams, stmt: OrStatement) -> bytes:
-    body = b"".join(rep_statement_bytes(params, b) for b in stmt.branches)
-    return b"or|" + len(stmt.branches).to_bytes(2, "big") + body
+    """Each branch as b"rep|" + target + h, the base of every branch, + context."""
+    size = params.element_bytes
+    base = params.h.to_bytes(size, "big")
+    parts = [b"or|", len(stmt.branches).to_bytes(2, "big")]
+    for target, ctx in stmt.branches:
+        parts += (b"rep|", target.to_bytes(size, "big"), base, len(ctx).to_bytes(4, "big"), ctx)
+    return b"".join(parts)
 
 
 def fs_challenge(params: GroupParams, statement_bytes: bytes, announcements: list[int]) -> int:
@@ -104,6 +100,8 @@ class Prover:
         self.params = params
         self.alpha = alpha % params.q
         q, power = params.q, params.h_table.power
+        if not targets:
+            raise EmptyClauseList("an OR statement needs at least one branch")
         if power(self.alpha) != targets[true_index]:
             raise WitnessMismatch("witness does not satisfy the designated branch")
         self._sim = {}
@@ -145,50 +143,43 @@ def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> Si
     return prover.respond(fs_challenge(params, statement_bytes, prover.announcements))
 
 
-def verify_or(params, stmt: OrStatement, proof: SigmaProof) -> bool:
+def verify_or(params, statements, proofs) -> list[bool]:
+    """One verdict per (statement, proof) pair of a round; a proof that
+    is None or empty, has a branch count other than its statement's, or
+    has a scalar outside [0, q) is False."""
+    q, p = params.q, params.p
     # zip below would silently drop the branches a short proof lacks
-    if len(proof) != len(stmt.branches):
-        return False
-    q = params.q
-    if not all(0 <= e < q and 0 <= z < q for e, z in proof):
-        return False
-    announcements = [
-        simulate(params, b.target, e, z) for b, (e, z) in zip(stmt.branches, proof)
+    formed = [
+        bool(proof) and len(proof) == len(stmt.branches)
+        and all(0 <= e < q and 0 <= z < q for e, z in proof)
+        for stmt, proof in zip(statements, proofs)
     ]
-    challenge = fs_challenge(params, or_statement_bytes(params, stmt), announcements)
-    return sum(e for e, _ in proof) % q == challenge
+    # h^z of every well-formed proof's branches, in order
+    h_z = iter(params.h_table.powers([z for ok, pr in zip(formed, proofs) if ok for _, z in pr]))
+    verdicts = []
+    for ok, stmt, proof in zip(formed, statements, proofs):
+        if ok:
+            announcements = [
+                next(h_z) * pow(b.target, q - e, p) % p for b, (e, _) in zip(stmt.branches, proof)
+            ]
+            challenge = fs_challenge(params, or_statement_bytes(params, stmt), announcements)
+            ok = sum(e for e, _ in proof) % q == challenge
+        verdicts.append(ok)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
-# statement families
+# statement targets
 
 
-def stmt_no_message(params, value, commitment: int, context: bytes = b"") -> RepStatement:
-    """Statement that a broadcast slot value (count, total) carries no message.
-
-    The commitment binds the broadcaster to its pad sums; dividing the
-    g and f terms of the claimed value out of it leaves a pure power of h
-    exactly when the value equals the pad sums.
-    """
-    count, total = value
-    target = commitment * value_term(params, (-count, -total)) % params.p
-    return RepStatement(target=target, context=context)
-
-
-def stmt_same_message(
-    params, value1, commitment1: int, value2, commitment2: int, context: bytes = b""
-) -> RepStatement:
-    """Statement that two broadcast slot values carry the same message.
-
-    Taking the quotient of the two commitments and dividing out the
-    g and f terms of the value difference leaves a power of h exactly
-    when the two message contributions cancel.
-    """
+def no_message_targets(params, broadcasts) -> list[int]:
+    """c * g^-count * f^-total of each broadcast ((count, total), c): as c
+    binds its broadcaster to its pad sums, a power of h exactly when the
+    broadcast carries no message."""
     p = params.p
-    quotient = commitment1 * pow(commitment2, -1, p) % p
-    shift = (value2[0] - value1[0], value2[1] - value1[1])
-    target = quotient * value_term(params, shift) % p
-    return RepStatement(target=target, context=context)
+    g_terms = params.g_table.powers([-value[0] for value, _ in broadcasts])
+    f_terms = params.f_table.powers([-value[1] for value, _ in broadcasts])
+    return [c * a % p * b % p for (_, c), a, b in zip(broadcasts, g_terms, f_terms)]
 
 
 def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
@@ -208,7 +199,7 @@ def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
     top = fs_challenge(params, or_statement_bytes(params, statement), announcements)
     challenges[0] = (challenges[0] + top - sum(challenges)) % q
     proof = tuple(zip(challenges, responses))
-    while verify_or(params, statement, proof):
+    while verify_or(params, [statement], [proof])[0]:
         # the moved challenge changed nothing, or the rebuilt announcement
         # happened to hash to the same sum; move the response until it fails
         responses[0] = (responses[0] + 1) % q
@@ -230,5 +221,5 @@ def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:
     sw = params.scalar_bytes
     if not data or len(data) % (2 * sw):
         raise ValueError("proof bytes are not whole (challenge, response) pairs")
-    scalars = [int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)]
-    return tuple(zip(scalars[::2], scalars[1::2]))
+    scalars = iter([int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)])
+    return tuple(zip(scalars, scalars))

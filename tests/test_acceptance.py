@@ -16,7 +16,7 @@ from dcmesh.groups import brute_force_dlog, commit, derive_params
 from dcmesh.keysetup import build_key_graph, endorse
 from dcmesh.splitter import COLLISION
 from dcmesh.transcript import Transcript
-from dcmesh.zkp import OrStatement, Prover
+from dcmesh.zkp import Prover
 
 SMALL = derive_params("test_small", sim.DOMAIN_TAG)
 
@@ -177,7 +177,8 @@ def test_c04_investigation_blame():
 def test_c05_proof_completeness_and_detection():
     rng = random.Random(5)
     # 10^3 honest two-branch retransmission proofs in the small group
-    from dcmesh.zkp import prove_or, stmt_no_message, stmt_same_message, verify_or
+    from dcmesh.dcnet import RoundCiphertext
+    from dcmesh.splitter import add_blind, add_round, prove_retransmission, verify_retransmission
 
     def add(value, message):
         return ((value[0] + message[0]) % 53, (value[1] + message[1]) % 53)
@@ -191,17 +192,13 @@ def test_c05_proof_completeness_and_detection():
         c1, c2 = commit(SMALL, pad1, blind1), commit(SMALL, pad2, blind2)
         v1 = add(pad1, message)
         v2 = add(pad2, message if sends else (0, 0))
-        stmt = OrStatement(
-            (
-                stmt_no_message(SMALL, v2, c2, b"acc"),
-                stmt_same_message(SMALL, v1, c1, v2, c2, b"acc"),
-            )
-        )
-        if sends:
-            proof = prove_or(SMALL, stmt, 1, (blind1 - blind2) % 53, rng)
-        else:
-            proof = prove_or(SMALL, stmt, 0, blind2, rng)
-        if not verify_or(SMALL, stmt, proof):
+        # rounds 1 and 2 of one participant: node 3 infers blind1 - blind2
+        targets, blinds = {0: {}}, {}
+        for rid, value, c, blind in ((1, v1, c1, blind1), (2, v2, c2, blind2)):
+            add_round(SMALL, targets, [RoundCiphertext(0, rid, value, c)])
+            add_blind(SMALL, blinds, rid, blind)
+        proof = prove_retransmission(SMALL, targets[0], blinds, 0, 2, sends, rng, b"acc")
+        if verify_retransmission(SMALL, targets, 2, {0: proof}, b"acc") != [True]:
             proof_failures += 1
 
     scenarios = {

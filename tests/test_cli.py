@@ -252,3 +252,33 @@ def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert f"record {index}:" in err
     assert "participant 3" in err
+
+
+@pytest.mark.parametrize("strategy, reason, trigger", [
+    ("bad_pad", "aggregate_mismatch", "PUBLISH session=1 slot=0 part=1 "),
+    ("refuse_proof", "non_cooperation", "CIPHER session=1 round=2 part=1 "),
+    ("wrong_branch", "wrong_branch", "DEMAND session=1 node=8 part=1 "),
+])
+def test_verify_explain_names_each_verdicts_trigger(tmp_path, capsys, strategy, reason, trigger):
+    scenario = sim.Scenario(
+        n=3, senders=((0, 10), (1, 40)), adversaries=((1, strategy),), seed=4
+    )
+    path = write_scenario(tmp_path, scenario)
+    out = str(tmp_path / "t.log")
+    assert main(["run", path, "--out", out]) == 2
+    lines = open(out).read().splitlines()
+    capsys.readouterr()
+    # the default output is unchanged; --explain adds one line per VERDICT
+    assert main(["verify", out]) == 0
+    plain = capsys.readouterr().out
+    assert plain == "transcript verified: clean\n"
+    assert main(["verify", "--explain", out]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith(plain)
+    (line,) = printed[: -len(plain)].splitlines()
+    verdict = next(i for i, ln in enumerate(lines) if ln.startswith("VERDICT "))
+    index = int(line.rsplit(" ", 1)[1])
+    assert line.startswith(f"verdict at record {verdict}: participant 1 ({reason} at ")
+    # the first record of that kind for the participant
+    assert lines[index].startswith(trigger)
+    assert index == next(i for i, ln in enumerate(lines) if ln.startswith(trigger))

@@ -11,6 +11,7 @@ from dcmesh.dcnet import (
     BAD_SIGNATURE,
     NON_COOPERATION,
     PAIR_MISMATCH,
+    RoundCiphertext,
     aggregate_round,
     investigate,
     make_ciphertext,
@@ -21,7 +22,7 @@ from dcmesh.errors import (
     RoundBudgetExhausted,
 )
 from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
-from dcmesh.zkp import OrStatement, prove_or, stmt_no_message, verify_or
+from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
 
 # siblings on a path through one edge's tree
 EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
@@ -77,9 +78,10 @@ def test_no_message_proof_from_honest_ciphertext(small):
     graph = fresh_graph(small, 4, seed=3)
     view = graph.view(1)
     ct = make_ciphertext(view, 1, None)
-    stmt = OrStatement((stmt_no_message(small, ct.value, ct.commitment),))
+    (target,) = no_message_targets(small, [(ct.value, ct.commitment)])
+    stmt = OrStatement((RepStatement(target),))
     proof = prove_or(small, stmt, 0, view.blind_sum(0), random.Random(5))
-    assert verify_or(small, stmt, proof)
+    assert verify_or(small, [stmt], [proof]) == [True]
 
 
 def test_round_budget_and_single_use(small):
@@ -149,7 +151,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
     value-only shift keeps validity but then no proof branch has a
     witness."""
     from dcmesh.errors import WitnessMismatch
-    from dcmesh.splitter import prove_retransmission
+    from dcmesh.splitter import add_blind, add_round, prove_retransmission
 
     rng = random.Random(77)
     styles = ("value_only", "commitment_only", "consistent_pair")
@@ -160,6 +162,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
         graph = build_key_graph(medium, range(3), rng)
         views = {pid: graph.view(pid) for pid in range(3)}
         broadcasts, blinds = {pid: {} for pid in range(3)}, {pid: {} for pid in range(3)}
+        targets = {pid: {} for pid in range(3)}
         for rid in (1, 2):
             for pid in range(3):
                 ct = make_ciphertext(views[pid], rid, None)
@@ -170,7 +173,8 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
                     if style in ("commitment_only", "consistent_pair"):
                         c = c * pow(base, 5, medium.p) % medium.p
                 broadcasts[pid][rid] = (o, c)
-                blinds[pid][rid] = views[pid].blind_sum(views[pid].slot_of(rid))
+                add_round(medium, targets, [RoundCiphertext(pid, rid, o, c)])
+                add_blind(medium, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
         product = 1
         for pid in range(3):
             product = product * broadcasts[pid][2][1] % medium.p
@@ -182,7 +186,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
         for branch in (False, True):  # ...but leaves no provable branch
             with pytest.raises(WitnessMismatch):
                 prove_retransmission(
-                    medium, broadcasts[0], blinds[0], 0, 2, branch, rng, b"t"
+                    medium, targets[0], blinds[0], 0, 2, branch, rng, b"t"
                 )
 
 

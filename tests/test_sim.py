@@ -356,6 +356,106 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
     )
 
 
+# the malformed proofs of one round, each sent by its own participant;
+# honest participants sit before, between and after them
+MIXED_SHAPES = {
+    1: "none", 3: "non_hex", 4: "short", 6: "extra", 7: "big_challenge",
+    9: "big_response", 10: "forged",
+}
+MIXED_HONEST = (0, 2, 5, 8, 11)
+
+
+class _MixedProofParticipant(sim.HonestParticipant):
+    """Honest, but sends every proof of its ``phase`` ("cipher" or
+    "demand") in its own malformed shape from MIXED_SHAPES."""
+
+    phase = "cipher"
+
+    def _malformed(self, text, statement):
+        shape, q, sw = MIXED_SHAPES[self.pid], self.params.q, self.params.scalar_bytes
+        data = bytes.fromhex(text)
+        if shape == "none":
+            return None
+        if shape == "non_hex":
+            return "zz" + text[2:]
+        if shape == "forged":
+            forged = zkp.forge_attempt(self.params, statement, self.rng)
+            data = zkp.proof_to_bytes(self.params, forged)
+        elif shape == "short":
+            data = data[:-sw]
+        elif shape == "extra":
+            data += data[: 2 * sw]
+        else:
+            # the first challenge, or the first response, plus q
+            at = 0 if shape == "big_challenge" else sw
+            scalar = int.from_bytes(data[at : at + sw], "big") + q
+            data = data[:at] + self.params.scalar_to_bytes(scalar) + data[at + sw :]
+        return data.hex()
+
+    def broadcast(self, round_id):
+        ct = super().broadcast(round_id)
+        if ct.proof is None or self.phase != "cipher":
+            return ct
+        stmt = splitter.retransmission_statement(self.targets, self.pid, round_id, self.session_tag)
+        return replace(ct, proof=self._malformed(ct.proof, stmt))
+
+    def respond_demand(self, node_id):
+        text = super().respond_demand(node_id)
+        if self.phase != "demand":
+            return text
+        term = splitter.copy_term(self.params, self.tree.nodes[node_id].equal_payload)
+        stmt = splitter.denial_statement(
+            self.params, self.targets, self.pid, node_id, self.session_tag, term
+        )
+        return self._malformed(text, stmt)
+
+
+def _mixed_round_scenario(monkeypatch, phase, senders):
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MixedProofParticipant)
+    monkeypatch.setattr(_MixedProofParticipant, "phase", phase)
+    return sim.Scenario(
+        n=12, senders=senders, adversaries=tuple((pid, "refuse_proof") for pid in MIXED_SHAPES),
+        seed=3,
+    )
+
+
+def test_mixed_cipher_round_gives_each_participant_its_own_verdict(monkeypatch):
+    # a skipped or malformed proof must not shift the checks of the
+    # proofs after it: each bad participant gets exactly its verdict and
+    # every honest one passes, in the one round where all of them fail
+    t = run(_mixed_round_scenario(monkeypatch, "cipher", ((0, 10), (2, 40), (5, 70))))
+    first = [r for r in t.records if r["type"] == "VERDICT" and r["session"] == 1]
+    expected = [
+        (pid, "non_cooperation" if shape == "none" else "invalid_proof", "round:2")
+        for pid, shape in MIXED_SHAPES.items()
+    ]
+    assert [(r["part"], r["reason"], r["where"]) for r in first] == expected
+    ciphers = [r for r in t.records if r["type"] == "CIPHER" and r["session"] == 1]
+    assert max(r["round"] for r in ciphers) == 2
+    assert summary_of(t)["proofs_failed"] == len(MIXED_SHAPES)
+    # the honest participants go on alone and deliver every payload
+    sessions = [r for r in t.records if r["type"] == "SESSION"]
+    assert [r["active"] for r in sessions] == ["0,1,2,3,4,5,6,7,8,9,10,11", "0,2,5,8,11"]
+    assert sorted(r["payload"] for r in t.records if r["type"] == "RESOLVED") == [10, 40, 70]
+
+
+def test_mixed_demand_round_fails_only_the_bad_responders(monkeypatch):
+    # two honest copies of 9 make an equal-payload node; in every DEMAND
+    # round there, only the malformed claims fail, and the node bisects
+    # down to [9, 10), where every failer is blamed
+    t = run(_mixed_round_scenario(monkeypatch, "demand", ((0, 9), (8, 9))))
+    demands = [r for r in t.records if r["type"] == "DEMAND" and r["session"] == 1]
+    assert demands
+    for node in {r["node"] for r in demands}:
+        responses = [(r["part"], r["ok"]) for r in demands if r["node"] == node]
+        assert responses == [(pid, int(pid in MIXED_HONEST)) for pid in range(12)]
+    first = [r for r in t.records if r["type"] == "VERDICT" and r["session"] == 1]
+    assert [(r["part"], r["reason"]) for r in first] == [
+        (pid, "unequal_payload") for pid in MIXED_SHAPES
+    ]
+    assert [r["payload"] for r in t.records if r["type"] == "RESOLVED"] == [9, 9]
+
+
 class _OutOfRangeSlotParticipant(sim.BadSlotCountParticipant):
     """Sends the slot (1, 300), outside the range of an 8-bit payload."""
 
@@ -464,8 +564,9 @@ class _LyingHolder(sim._ForgingAdversary):
         node = self.tree.nodes[node_id]
         if node.equal_payload is None:
             return super().respond_demand(node_id)
+        term = splitter.copy_term(self.params, node.equal_payload)
         stmt = splitter.denial_statement(
-            self.params, self.broadcasts, self.pid, node_id, self.session_tag, node.equal_payload
+            self.params, self.targets, self.pid, node_id, self.session_tag, term
         )
         return self._wire(zkp.forge_attempt(self.params, stmt, self.rng))
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dcmesh import sim, zkp
-from dcmesh.dcnet import aggregate_round
+from dcmesh.dcnet import RoundCiphertext, aggregate_round
 from dcmesh.errors import NotACollision, PayloadOverflow, ProtocolOrderViolation
 from dcmesh.splitter import (
     COLLISION,
@@ -13,8 +13,9 @@ from dcmesh.splitter import (
     EQUAL,
     RESOLVED,
     ResolutionTree,
+    add_blind,
+    add_round,
     audit_wrong_branches,
-    branch_context,
     encode_slot,
     prove_node_denial,
     prove_retransmission,
@@ -23,6 +24,7 @@ from dcmesh.splitter import (
     verify_node_denial,
     verify_retransmission,
 )
+from dcmesh.groups import value_term
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +302,42 @@ def test_malformed_slot_beside_honest_never_blames_the_honest_holder():
 
 
 # ---------------------------------------------------------------------------
-# branch contexts and chain proofs (the worked proof chain)
+# target maps and chain proofs (the worked proof chain)
 
 
 def participant_state(seed=7):
-    """Run the reference session and pull one participant's records."""
+    """Run the reference session and pull each participant's broadcasts
+    and target map from its records."""
     params = sim.derive_params("test_medium", sim.DOMAIN_TAG)
     out = sim.single_session(sim.REFERENCE_SCENARIO.senders, seed=seed, n=5)
-    broadcasts = {}
+    broadcasts, targets = {}, {pid: {} for pid in range(5)}
     for rec in out.records:
         if rec["type"] == "CIPHER":
             value = (rec["O_count"], rec["O_total"])
             broadcasts.setdefault(rec["part"], {})[rec["round"]] = (value, rec["c"])
-    return params, out, broadcasts
+            ct = RoundCiphertext(rec["part"], rec["round"], value, rec["c"])
+            add_round(params, targets, [ct])
+    return params, out, broadcasts, targets
 
 
-def test_branch_context_matches_worked_chain():
-    params, out, broadcasts = participant_state()
+def verifies(params, nodes, pid, round_id, proof, tag):
+    """Whether ``proof`` verifies as pid's retransmission proof over ``nodes``."""
+    (ok,) = verify_retransmission(params, {pid: nodes}, round_id, {pid: proof}, tag)
+    return ok
+
+
+def test_target_map_matches_worked_chain():
+    params, out, broadcasts, targets = participant_state()
     q, p = params.q, params.p
+
+    def target(value, gamma):
+        # the no-message target of a context ((count, total), gamma)
+        return gamma * value_term(params, (-value[0], -value[1])) % p
+
     for pid in range(5):
-        b = broadcasts[pid]
+        b, n = broadcasts[pid], targets[pid]
         # transmitted nodes are their own context
-        assert branch_context(params, b, 2) == b[2]
+        assert n[2] == target(*b[2])
         def less(node, *rounds):
             # each component of a node's value less those of the rounds
             return tuple(
@@ -329,20 +345,18 @@ def test_branch_context_matches_worked_chain():
             )
 
         # node 3 accumulates rounds 1 and 2
-        v3, g3 = branch_context(params, b, 3)
-        assert v3 == less(1, 2)
-        assert g3 == b[1][1] * pow(b[2][1], -1, p) % p
+        g3 = b[1][1] * pow(b[2][1], -1, p) % p
+        assert n[3] == target(less(1, 2), g3)
         # node 7 accumulates rounds 1, 2 and 6
-        v7, g7 = branch_context(params, b, 7)
-        assert v7 == less(1, 2, 6)
-        assert g7 == b[1][1] * pow(b[2][1], -1, p) * pow(b[6][1], -1, p) % p
+        g7 = b[1][1] * pow(b[2][1], -1, p) * pow(b[6][1], -1, p) % p
+        assert n[7] == target(less(1, 2, 6), g7)
         # node 15 additionally subtracts round 14
-        v15, _ = branch_context(params, b, 15)
-        assert v15 == less(1, 2, 6, 14)
+        g15 = g7 * pow(b[14][1], -1, p) % p
+        assert n[15] == target(less(1, 2, 6, 14), g15)
 
 
 def test_all_reference_proofs_verify():
-    params, out, broadcasts = participant_state()
+    params, out, broadcasts, targets = participant_state()
     proofs = {
         (rec["part"], rec["round"]): rec["proof"]
         for rec in out.records
@@ -354,7 +368,13 @@ def test_all_reference_proofs_verify():
     assert len(proofs) == 20  # 5 participants, 4 non-root rounds
     for (pid, rid), blob in proofs.items():
         proof = proof_from_bytes(params, bytes.fromhex(blob))
-        assert verify_retransmission(params, broadcasts[pid], pid, rid, proof, tag)
+        assert verifies(params, targets[pid], pid, rid, proof, tag)
+    # and round by round, in one check each
+    for rid in (2, 4, 6, 14):
+        round_proofs = {
+            pid: proof_from_bytes(params, bytes.fromhex(proofs[pid, rid])) for pid in range(5)
+        }
+        assert verify_retransmission(params, targets, rid, round_proofs, tag) == [True] * 5
 
 
 def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
@@ -365,11 +385,11 @@ def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
 
     rng = random.Random(8)
     view = build_key_graph(medium, range(2), rng).view(0)
-    broadcasts, blinds = {}, {}
+    targets, blinds = {0: {}}, {}
     for rid in (1, 2):
         ct = make_ciphertext(view, rid, encode_slot(50, 8))
-        broadcasts[rid] = (ct.value, ct.commitment)
-        blinds[rid] = view.blind_sum(view.slot_of(rid))
+        add_round(medium, targets, [ct])
+        add_blind(medium, blinds, rid, view.blind_sum(view.slot_of(rid)))
     bases = []
 
     def counting_pow(base, *rest):
@@ -377,8 +397,8 @@ def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
         return pow(base, *rest)
 
     monkeypatch.setattr(zkp, "pow", counting_pow, raising=False)
-    proof = prove_retransmission(medium, broadcasts, blinds, 0, 2, True, rng, b"unit")
-    assert verify_retransmission(medium, broadcasts, 0, 2, proof, b"unit")
+    proof = prove_retransmission(medium, targets[0], blinds, 0, 2, True, rng, b"unit")
+    assert verifies(medium, targets[0], 0, 2, proof, b"unit")
     assert bases and medium.h not in bases
 
 
@@ -394,13 +414,13 @@ def test_retransmission_proof_fresh_construction(medium):
     slot_value = encode_slot(50, 8)
 
     views = {pid: graph.view(pid) for pid in range(3)}
-    broadcasts = {pid: {} for pid in range(3)}
+    targets = {pid: {} for pid in range(3)}
     blinds = {pid: {} for pid in range(3)}
 
     def tx(pid, rid, message):
         ct = make_ciphertext(views[pid], rid, message)
-        broadcasts[pid][rid] = (ct.value, ct.commitment)
-        blinds[pid][rid] = views[pid].blind_sum(views[pid].slot_of(rid))
+        add_round(medium, targets, [ct])
+        add_blind(medium, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
         return ct
 
     for pid in range(3):
@@ -411,9 +431,9 @@ def test_retransmission_proof_fresh_construction(medium):
     # honest sender proves the repeat branch, non-senders the empty branch
     for pid, retransmitted in ((0, True), (1, False), (2, False)):
         proof = prove_retransmission(
-            medium, broadcasts[pid], blinds[pid], pid, 2, retransmitted, rng, tag
+            medium, targets[pid], blinds[pid], pid, 2, retransmitted, rng, tag
         )
-        assert verify_retransmission(medium, broadcasts[pid], pid, 2, proof, tag)
+        assert verifies(medium, targets[pid], pid, 2, proof, tag)
 
     # a shifted retransmission has no witness on either branch
     from dcmesh.errors import WitnessMismatch
@@ -422,20 +442,18 @@ def test_retransmission_proof_fresh_construction(medium):
     for retransmitted in (False, True):
         with pytest.raises(WitnessMismatch):
             prove_retransmission(
-                medium, broadcasts[0], blinds[0], 0, 4, retransmitted, rng, tag
+                medium, targets[0], blinds[0], 0, 4, retransmitted, rng, tag
             )
     # the forged fallback is rejected by every verifier
     from dcmesh.zkp import forge_attempt
     from dcmesh.splitter import retransmission_statement
 
-    stmt = retransmission_statement(medium, broadcasts[0], 0, 4, tag)
-    assert not verify_retransmission(
-        medium, broadcasts[0], 0, 4, forge_attempt(medium, stmt, rng), tag
-    )
+    stmt = retransmission_statement(targets[0], 0, 4, tag)
+    assert not verifies(medium, targets[0], 0, 4, forge_attempt(medium, stmt, rng), tag)
 
 
 def test_retransmission_proof_binds_participant_and_round():
-    params, out, broadcasts = participant_state()
+    params, out, broadcasts, targets = participant_state()
     from dcmesh.zkp import proof_from_bytes
 
     tag = b"dcmesh|adhoc|s1"
@@ -445,16 +463,16 @@ def test_retransmission_proof_binds_participant_and_round():
         if rec["type"] == "CIPHER" and rec["round"] == 2 and rec["part"] == 0
     )
     proof = proof_from_bytes(params, bytes.fromhex(blob))
-    assert verify_retransmission(params, broadcasts[0], 0, 2, proof, tag)
+    assert verifies(params, targets[0], 0, 2, proof, tag)
     # same proof rejected for another participant, round, or session tag
-    assert not verify_retransmission(params, broadcasts[1], 1, 2, proof, tag)
-    assert not verify_retransmission(params, broadcasts[0], 1, 2, proof, tag)
-    assert not verify_retransmission(params, broadcasts[0], 0, 4, proof, tag)
-    assert not verify_retransmission(params, broadcasts[0], 0, 2, proof, b"other")
+    assert not verifies(params, targets[1], 1, 2, proof, tag)
+    assert not verifies(params, targets[0], 1, 2, proof, tag)
+    assert not verifies(params, targets[0], 0, 4, proof, tag)
+    assert not verifies(params, targets[0], 0, 2, proof, b"other")
 
 
 def test_node_denial_proofs(medium):
-    params, out, broadcasts = participant_state()
+    params, out, broadcasts, targets = participant_state()
     # recover blinding data by rebuilding the same session's key graph
     from dcmesh.keysetup import build_key_graph
 
@@ -462,9 +480,9 @@ def test_node_denial_proofs(medium):
     tag = b"dcmesh|adhoc|s1"
     tree_rounds = [1, 2, 4, 6, 14]
     for pid in range(5):
-        blinds = {
-            rid: graph.view(pid).blind_sum(slot) for slot, rid in enumerate(tree_rounds)
-        }
+        blinds = {}
+        for slot, rid in enumerate(tree_rounds):
+            add_blind(params, blinds, rid, graph.view(pid).blind_sum(slot))
         # participant 0 sent payload 36, resolved at node 14; everyone
         # except the sender can deny node 14
         if pid == 0:
@@ -472,13 +490,13 @@ def test_node_denial_proofs(medium):
 
             with pytest.raises(WitnessMismatch):
                 prove_node_denial(
-                    params, broadcasts[pid], blinds, pid, 14, random.Random(1), tag
+                    params, targets[pid], blinds, pid, 14, random.Random(1), tag
                 )
         else:
             proof = prove_node_denial(
-                params, broadcasts[pid], blinds, pid, 14, random.Random(1), tag
+                params, targets[pid], blinds, pid, 14, random.Random(1), tag
             )
-            assert verify_node_denial(params, broadcasts[pid], pid, 14, proof, tag)
+            assert verify_node_denial(params, {pid: targets[pid]}, 14, {pid: proof}, tag) == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -570,28 +588,28 @@ def test_chain_proof_soundness_exhaustive(medium):
     for (c1, c2, c6), legal in cases:
         graph = build_key_graph(medium, range(2), rng)
         view = graph.view(0)
-        broadcasts, blinds = {}, {}
+        targets, blinds = {0: {}}, {}
         for rid, content in ((1, c1), (2, c2), (6, c6)):
             ct = make_ciphertext(view, rid, None if content == none else content)
-            broadcasts[rid] = (ct.value, ct.commitment)
-            blinds[rid] = view.blind_sum(view.slot_of(rid))
+            add_round(medium, targets, [ct])
+            add_blind(medium, blinds, rid, view.blind_sum(view.slot_of(rid)))
         outcomes = []
         for rid, content in ((2, c2), (6, c6)):
             provable = False
             for branch in (False, True):
                 try:
                     proof = prove_retransmission(
-                        medium, broadcasts, blinds, 0, rid, branch, rng, b"sweep"
+                        medium, targets[0], blinds, 0, rid, branch, rng, b"sweep"
                     )
-                    assert verify_retransmission(medium, broadcasts, 0, rid, proof, b"sweep")
+                    assert verifies(medium, targets[0], 0, rid, proof, b"sweep")
                     provable = True
                     break
                 except WitnessMismatch:
                     continue
             if not provable:
-                stmt = retransmission_statement(medium, broadcasts, 0, rid, b"sweep")
+                stmt = retransmission_statement(targets[0], 0, rid, b"sweep")
                 forged = forge_attempt(medium, stmt, rng)
-                assert not verify_retransmission(medium, broadcasts, 0, rid, forged, b"sweep")
+                assert not verifies(medium, targets[0], 0, rid, forged, b"sweep")
             outcomes.append(provable)
         if legal:
             assert all(outcomes), (c1, c2, c6)

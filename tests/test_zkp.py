@@ -5,25 +5,27 @@ and zero-knowledge structurally: over the full challenge space of the
 small group, real and simulated transcripts form identical multisets.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmesh.errors import WitnessMismatch
-from dcmesh.groups import commit
+from dcmesh.groups import commit, derive_params
 from dcmesh.zkp import (
     OrStatement,
     Prover,
     RepStatement,
     forge_attempt,
     fs_challenge,
+    no_message_targets,
     proof_from_bytes,
     proof_to_bytes,
     prove_or,
     simulate,
-    stmt_no_message,
-    stmt_same_message,
     verify_or,
 )
 
@@ -37,8 +39,14 @@ def prove_one(params, branch, alpha, rng):
     return prove_or(params, OrStatement((branch,)), 0, alpha, rng)
 
 
+def verify_proof(params, stmt, proof):
+    """The verdict on one proof, checked as a round of one."""
+    (ok,) = verify_or(params, [stmt], [proof])
+    return ok
+
+
 def verify_one(params, branch, proof):
-    return verify_or(params, OrStatement((branch,)), proof)
+    return verify_proof(params, OrStatement((branch,)), proof)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +140,7 @@ def test_or_completeness_both_sides(small):
         alpha = rng.randrange(small.q)
         stmt = or_pair(small, alpha, true_branch, rng)
         proof = prove_or(small, stmt, true_branch, alpha, rng)
-        assert verify_or(small, stmt, proof)
+        assert verify_proof(small, stmt, proof)
 
 
 def test_or_wrong_branch_witness_refused(small):
@@ -150,7 +158,7 @@ def test_or_challenge_split_tampering_rejected(small):
     shifted = (((e0 + 1) % small.q, z0), ((e1 - 1) % small.q, z1))
     # sum is still right, but the rebuilt announcements now hash elsewhere
     assert sum(e for e, _ in shifted) % small.q == sum(e for e, _ in proof) % small.q
-    assert not verify_or(small, stmt, shifted)
+    assert not verify_proof(small, stmt, shifted)
 
 
 def test_or_hiding_structure(small):
@@ -170,7 +178,7 @@ def test_or_hiding_structure(small):
     for true_branch in (0, 1):
         for _ in range(250):
             proof = prove_or(small, stmt, true_branch, alpha, rng)
-            assert verify_or(small, stmt, proof)
+            assert verify_proof(small, stmt, proof)
             sizes.add(len(proof_to_bytes(small, proof)))
             first_challenges[true_branch][proof[0][0]] += 1
     assert len(sizes) == 1
@@ -275,6 +283,19 @@ def add(a, b, q=53):
     return ((a[0] + b[0]) % q, (a[1] + b[1]) % q)
 
 
+def stmt_no_message(params, value, commitment, context=b""):
+    """Claim that the broadcast (value, commitment) carries no message."""
+    (target,) = no_message_targets(params, [(value, commitment)])
+    return RepStatement(target, context)
+
+
+def stmt_same_message(params, value1, commitment1, value2, commitment2, context=b""):
+    """Claim that two broadcasts carry the same message: the quotient of
+    their no-message targets."""
+    t1, t2 = no_message_targets(params, [(value1, commitment1), (value2, commitment2)])
+    return RepStatement(t1 * pow(t2, -1, params.p) % params.p, context)
+
+
 def test_no_message_statement_honest_case(small):
     rng = random.Random(17)
     for _ in range(50):
@@ -339,7 +360,7 @@ def test_forge_attempt_always_rejected(small):
         stmt = or_pair(small, alpha, 0, rng)
         forged = forge_attempt(small, stmt, rng)
         assert len(forged) == 2
-        assert not verify_or(small, stmt, forged)
+        assert not verify_proof(small, stmt, forged)
 
 
 def test_forge_attempt_rep_rejected(small):
@@ -364,7 +385,7 @@ def test_proof_serialization_roundtrip(small, medium):
         assert len(proof_to_bytes(params, alone)) == 2 * sw
         again = proof_from_bytes(params, data)
         assert again == proof
-        assert verify_or(params, stmt, again)
+        assert verify_proof(params, stmt, again)
         # empty, truncated and trailing bytes are not a proof
         for bad in (b"", data[:-1], data + b"\x00", data[: 2 * sw + 1]):
             with pytest.raises(ValueError):
@@ -372,11 +393,11 @@ def test_proof_serialization_roundtrip(small, medium):
         # a pair short, or one too many, parses but is no proof of stmt,
         # even an extra pair whose zero challenge keeps the sum; nor is a
         # valid one-branch proof of its true branch alone
-        assert not verify_or(params, stmt, proof_from_bytes(params, data[: 2 * sw]))
-        assert not verify_or(params, stmt, proof_from_bytes(params, data + data[: 2 * sw]))
-        assert not verify_or(params, stmt, proof + ((0, 0),))
+        assert not verify_proof(params, stmt, proof_from_bytes(params, data[: 2 * sw]))
+        assert not verify_proof(params, stmt, proof_from_bytes(params, data + data[: 2 * sw]))
+        assert not verify_proof(params, stmt, proof + ((0, 0),))
         assert verify_one(params, true_branch, alone)
-        assert not verify_or(params, stmt, alone)
+        assert not verify_proof(params, stmt, alone)
 
 
 def test_verify_rejects_scalars_outside_the_field(small, medium):
@@ -388,7 +409,80 @@ def test_verify_rejects_scalars_outside_the_field(small, medium):
         alpha = rng.randrange(q)
         stmt = or_pair(params, alpha, 1, rng)
         (e0, z0), (e1, z1) = proof = prove_or(params, stmt, 1, alpha, rng)
-        assert verify_or(params, stmt, proof)
+        assert verify_proof(params, stmt, proof)
         for bad in (((e0 + q, z0), (e1, z1)), ((e0, z0), (e1, z1 + q))):
             data = proof_to_bytes(params, bad)
-            assert not verify_or(params, stmt, proof_from_bytes(params, data))
+            assert not verify_proof(params, stmt, proof_from_bytes(params, data))
+
+
+# ---------------------------------------------------------------------------
+# the batched check against the single-proof algorithm
+
+
+def reference_verify(params, stmt, proof):
+    """One proof checked on its own, as before rounds were checked in one
+    call: statement bytes, announcements and challenge rebuilt here."""
+    if len(proof) != len(stmt.branches):
+        return False
+    p, q, size = params.p, params.q, params.element_bytes
+    if not all(0 <= e < q and 0 <= z < q for e, z in proof):
+        return False
+    body = b"".join(
+        b"rep|" + b.target.to_bytes(size, "big") + params.h.to_bytes(size, "big")
+        + len(b.context).to_bytes(4, "big") + b.context
+        for b in stmt.branches
+    )
+    statement_bytes = b"or|" + len(stmt.branches).to_bytes(2, "big") + body
+    h = hashlib.sha256()
+    h.update(b"dcmesh/fs/v1")
+    h.update(len(params.domain_tag).to_bytes(4, "big"))
+    h.update(params.domain_tag)
+    h.update(len(statement_bytes).to_bytes(4, "big"))
+    h.update(statement_bytes)
+    h.update(len(proof).to_bytes(4, "big"))
+    for b, (e, z) in zip(stmt.branches, proof):
+        h.update((pow(params.h, z, p) * pow(b.target, q - e, p) % p).to_bytes(size, "big"))
+    return sum(e for e, _ in proof) % q == int.from_bytes(h.digest(), "big") % q
+
+
+TAMPERINGS = ("none", "changed_scalar", "dropped_pair", "added_pair", "out_of_range")
+
+
+@st.composite
+def proved_statements(draw):
+    """A one- or two-branch statement, an honest proof of it, and one
+    tampering of that proof."""
+    params = derive_params("test_small", b"dc-mesh/v1")
+    q, p = params.q, params.p
+    alpha = draw(st.integers(0, q - 1))
+    true = RepStatement(pow(params.h, alpha, p), draw(st.binary(max_size=8)))
+    branches = [true]
+    if draw(st.booleans()):
+        # a decoy: any element of the group, provable or not
+        decoy = RepStatement(pow(params.g, draw(st.integers(0, q - 1)), p), true.context)
+        branches.insert(draw(st.integers(0, 1)), decoy)
+    stmt = OrStatement(tuple(branches))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pairs = [list(pair) for pair in prove_or(params, stmt, branches.index(true), alpha, rng)]
+    tampering = draw(st.sampled_from(TAMPERINGS))
+    at = draw(st.integers(0, len(pairs) - 1))
+    side = draw(st.integers(0, 1))
+    if tampering == "changed_scalar":
+        pairs[at][side] = (pairs[at][side] + draw(st.integers(1, q - 1))) % q
+    elif tampering == "dropped_pair":
+        del pairs[at]
+    elif tampering == "added_pair":
+        pairs.insert(at, [draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))])
+    elif tampering == "out_of_range":
+        pairs[at][side] += q
+    return stmt, tuple(tuple(pair) for pair in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(proved_statements(), min_size=1, max_size=6))
+def test_batched_verify_agrees_with_one_proof_at_a_time(batch):
+    params = derive_params("test_small", b"dc-mesh/v1")
+    statements = [stmt for stmt, _ in batch]
+    proofs = [proof for _, proof in batch]
+    expected = [reference_verify(params, stmt, proof) for stmt, proof in batch]
+    assert verify_or(params, statements, proofs) == expected
