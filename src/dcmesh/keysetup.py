@@ -7,28 +7,29 @@ keys are lo's pads and their negations hi's, so all pads cancel in a
 round sum.  Slots are endorsed in epochs of ``EPOCH_SLOTS`` = 8, the
 measured median session: every honest bench session at seed 1 but one
 transmits 8 rounds.  Each edge's lo -> hi commitments for an epoch are
-the leaves of one Merkle tree, and both ends endorse its root: it is
+hashed, in slot order, into one digest, and both ends endorse it: it is
 the leaf for lo in hi's tree and the leaf for hi in lo's.  A
 participant's tree has one leaf per other participant, in id order,
 and it signs that tree's root once per epoch, bound to the epoch and to
 the peers it shares no edge with (an ENDORSE record).  A commitment
-revealed with its path through the edge's tree and the other end's
-tree is endorsed by that one signature, which is what later lets an
-investigation pin blame.  Epoch 0 is built with the graph and later
-epochs on demand, over the same edges and signing keys.  A participant
-may refuse to share a secret with a peer; the edge is then publicly
-marked opted out for the whole session, contributes zero pads and
-identity commitments, and has a fixed tag leaf in both ends' trees,
+revealed with the edge's other ones for the epoch, which leak nothing
+as Pedersen commitments are perfectly hiding, and its path through the
+other end's tree is endorsed by that one signature, which is what later
+lets an investigation pin blame.  Epoch 0 is built with the graph and
+later epochs on demand, over the same edges and signing keys.  A
+participant may refuse to share a secret with a peer; the edge is then
+publicly marked opted out for the whole session, contributes zero pads
+and identity commitments, and has a fixed tag leaf in both ends' trees,
 which are padded with the same tag to a power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
 participant to its higher peers go through each stage together, the
 secrets drawn in one loop, the commitments made with
-``groups.commit_all`` and the Merkle trees with one
-``merkle.build_tree``; one more builds every participant's tree.  A
-participant's view sums each epoch once: its (count, total) pad sums,
-its blinding sums and, committed to with ``commit_all``, its aggregate
-commitment for every slot of the epoch.
+``groups.commit_all`` and serialised once, and each edge's digest
+hashed from its slice; one ``merkle.build_tree`` builds every
+participant's tree.  A participant's view sums each epoch once: its
+(count, total) pad sums, its blinding sums and, committed to with
+``commit_all``, its aggregate commitment for every slot of the epoch.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -45,12 +46,12 @@ from . import merkle
 from .errors import RoundBudgetExhausted
 from .groups import GroupParams, commit_all
 
-# slots per endorsement epoch: one Merkle root per edge and epoch, and
+# slots per endorsement epoch: one digest per edge and epoch, and
 # one signature per participant and epoch; the median session
 # fits epoch 0, and a longer one endorses more epochs as it reaches them
 EPOCH_SLOTS = 8
-# siblings on a path through one edge's tree
-_EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
+# the domain of an edge's digest over its commitments for an epoch
+_EDGE_TAG = b"dcmesh/edge/v1"
 # a signer's leaf where it endorses no edge: an opted-out edge, or padding
 NO_EDGE = b"dcmesh/no-edge"
 
@@ -148,16 +149,17 @@ def _leaf_index(participants, holder: int, signer: int) -> int:
     return index - (index > participants.index(signer))
 
 
-def _path_text(siblings) -> str:
-    return "".join(s.hex() for s in siblings)
+def edge_digest(row: bytes) -> bytes:
+    """What both ends endorse of an edge: its epoch's serialised commitments, in slot order."""
+    return hashlib.sha256(_EDGE_TAG + row).digest()
 
 
 @dataclass(frozen=True)
 class RevealedCommitment:
     """A pair commitment revealed for an investigation.
 
-    ``path`` is its inclusion path in wire form: hex of the concatenated
-    sibling digests, first the edge tree's, then the signer tree's.
+    ``path`` is its endorsement in wire form: hex of the edge's other
+    commitments for the epoch, in slot order, then of the signer tree's siblings.
     """
 
     commitment: int
@@ -166,20 +168,21 @@ class RevealedCommitment:
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One edge's lo -> hi commitments for an epoch and their Merkle root."""
+    """One edge's lo -> hi commitments for an epoch and their digest."""
 
     commitments: tuple[int, ...]
-    root: bytes
+    digest: bytes
 
 
 def endorse(params: GroupParams, commitments) -> list[Endorsement]:
-    """One endorsement per run of ``EPOCH_SLOTS`` commitments: the run
-    and its Merkle root."""
+    """One endorsement per run of ``EPOCH_SLOTS`` commitments: the run and its digest."""
     size = params.element_bytes
-    roots = merkle.build_tree([c.to_bytes(size, "big") for c in commitments], EPOCH_SLOTS)[-1]
+    row = b"".join([c.to_bytes(size, "big") for c in commitments])
+    step = EPOCH_SLOTS * size
+    digests = [edge_digest(row[at : at + step]) for at in range(0, len(row), step)]
     return [
-        Endorsement(tuple(commitments[at : at + EPOCH_SLOTS]), root)
-        for at, root in zip(range(0, len(commitments), EPOCH_SLOTS), roots)
+        Endorsement(tuple(commitments[at : at + EPOCH_SLOTS]), digest)
+        for at, digest in zip(range(0, len(commitments), EPOCH_SLOTS), digests)
     ]
 
 
@@ -208,31 +211,28 @@ def is_endorsed(
     slot: int,
     revealed: RevealedCommitment,
 ) -> bool:
-    """Whether the revealed path leads from the lo -> hi commitment at
-    ``slot`` of the edge between holder and signer, through the edge's
-    root for the slot's epoch, to ``root``, the signer's root for that
-    epoch.  The signature over ``root`` is checked where the root is
-    read, not here.
-
-    A path that is not canonical hex of whole digests fails, as does one
-    with another number of siblings or a commitment that does not fit
-    the group's encoding.
+    """Whether the revealed commitment, put back at ``slot``'s place
+    among its edge's other ones for the epoch, hashes to the digest
+    whose path leads from the edge's leaf to ``root``, the signer's root
+    for that epoch (its signature is checked where it is read).  One
+    equal to the edge's commitment at another slot passes there too: it
+    is that slot's.  Non-canonical hex, a path of another length and a
+    commitment outside the group's encoding fail.
     """
     try:
         raw = bytes.fromhex(revealed.path)
-        leaf = params.element_to_bytes(revealed.commitment)
+        own = params.element_to_bytes(revealed.commitment)
     except (ValueError, OverflowError):
         return False
-    siblings = [raw[i : i + 32] for i in range(0, len(raw), 32)]
-    if _path_text(siblings) != revealed.path:
+    width = signer_width(len(participants))
+    split = (EPOCH_SLOTS - 1) * len(own)   # the other commitments, then the siblings
+    if raw.hex() != revealed.path or len(raw) != split + 32 * (width.bit_length() - 1):
         return False
-    edge_root = merkle.root_at(leaf, slot % EPOCH_SLOTS, EPOCH_SLOTS, siblings[:_EDGE_LEVELS])
-    return edge_root is not None and root == merkle.root_at(
-        edge_root,
-        _leaf_index(participants, holder, signer),
-        signer_width(len(participants)),
-        siblings[_EDGE_LEVELS:],
-    )
+    at = slot % EPOCH_SLOTS * len(own)
+    digest = edge_digest(raw[:at] + own + raw[at:split])
+    siblings = [raw[i : i + 32] for i in range(split, len(raw), 32)]
+    index = _leaf_index(participants, holder, signer)
+    return root == merkle.root_at(digest, index, width, siblings)
 
 
 def establish_row(params: GroupParams, lo: int, peers, rng):
@@ -341,7 +341,7 @@ class KeyGraph:
 
     def sign_epoch(self, edges, epoch: int) -> Epoch:
         """Epoch ``epoch`` over ``edges``: every participant's tree over
-        the roots of its edges, built together, and one signature per
+        the digests of its edges, built together, and one signature per
         root."""
         leaves = []
         for signer in self.participants:
@@ -349,7 +349,7 @@ class KeyGraph:
             for holder in self.participants:
                 if holder != signer:
                     state = edges[(min(holder, signer), max(holder, signer))]
-                    row.append(state.endorsement.root if state.established else NO_EDGE)
+                    row.append(state.endorsement.digest if state.established else NO_EDGE)
             leaves += row + [NO_EDGE] * (self.width - len(row))
         trees = merkle.build_tree(leaves, self.width)
         optouts = [pair for pair, state in edges.items() if not state.established]
@@ -471,21 +471,16 @@ class KeyView:
 
     def published_pairs(self, slot: int):
         """The endorsed lo -> hi commitment of each of this participant's
-        edges at the slot, which both ends reveal alike, each with its
-        path up to the peer's signed root.  The trees of its edges in the
-        slot's epoch are built together."""
+        edges at the slot, which both ends reveal alike, each with the
+        edge's other commitments for the slot's epoch and the path from
+        the edge's digest up to the peer's signed root."""
         share, index = self._share(slot)
-        peers = sorted(share.endorsements)
-        leaves = [
-            self.params.element_to_bytes(c) for p in peers for c in share.endorsements[p].commitments
-        ]
-        levels = merkle.build_tree(leaves, EPOCH_SLOTS)
         published = {}
-        for at, peer in enumerate(peers):
-            path = merkle.path(levels, at * EPOCH_SLOTS + index)
-            path += self.graph.signer_path(slot // EPOCH_SLOTS, self.pid, peer)
-            commitment = share.endorsements[peer].commitments[index]
-            published[peer] = RevealedCommitment(commitment, _path_text(path))
+        for peer, endorsement in share.endorsements.items():
+            row = [self.params.element_to_bytes(c) for c in endorsement.commitments]
+            del row[index]
+            path = b"".join(row + self.graph.signer_path(slot // EPOCH_SLOTS, self.pid, peer))
+            published[peer] = RevealedCommitment(endorsement.commitments[index], path.hex())
         return published
 
 

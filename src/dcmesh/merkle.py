@@ -1,4 +1,4 @@
-"""Merkle trees with inclusion paths, used to endorse commitment lists with one signature.
+"""Merkle trees with inclusion paths: each signer's tree over its edges' digests.
 
 Every tree is a power of two leaves wide, so no node is ever promoted
 and every path has one sibling per level.  ``build_tree`` hashes many

@@ -42,7 +42,7 @@ from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 # the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v9"
+FORMAT_VERSION = "v10"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"

@@ -16,8 +16,9 @@ At an equal-payload node (NODE status=equal) the DEMAND records carry
 the equal-payload check, and the RESOLVED records that follow are one
 per delivered copy.  Everything an independent verifier needs is
 either in the records or recomputable from them; secrets never appear
-except for pair commitments revealed during an investigation, which are
-safe to publish.
+except for pair commitments revealed during an investigation (PUBLISH,
+each with its edge's other ones for the epoch), which are safe to
+publish: Pedersen commitments are perfectly hiding.
 """
 
 from __future__ import annotations

@@ -24,9 +24,6 @@ from dcmesh.errors import (
 from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
 from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
 
-# siblings on a path through one edge's tree
-EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
-
 
 def fresh_graph(params, n, seed=0, refusers=frozenset()):
     return build_key_graph(params, range(n), random.Random(seed), refusers=refusers)
@@ -308,8 +305,9 @@ def test_investigation_pair_mismatch_both_flagged(small):
 
 def test_investigation_binds_revealed_commitment_to_its_slot(small):
     """An endorsed commitment revealed with its own valid path does not
-    pass for another slot's: the path's sides follow from the slot, and
-    the root and its signature from the slot's epoch."""
+    pass for another slot's: it is put back at the slot's place in its
+    edge's row, and the root and its signature follow from the slot's
+    epoch."""
     n = 3
     graph = fresh_graph(small, n, seed=16)
     graph.add_epoch(random.Random(17))
@@ -345,15 +343,24 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
 
 def test_investigation_short_or_swapped_path_is_bad_signature(small):
     # an honest round, but 1 reveals its commitment toward 2 with a path
-    # one sibling short, one sibling long, or with its edge-tree and
-    # signer-tree halves swapped: only 1 is flagged, and nothing raises
+    # one sibling or one commitment short or long, or with its row of the
+    # edge's other commitments and its signer-tree siblings swapped: only
+    # 1 is flagged, and nothing raises
     n = 4
     graph = fresh_graph(small, n, seed=18)
     _, _, result = run_round(small, graph, n)
     path = graph.view(1).published_pairs(0)[2].path
-    assert len(path) == (EDGE_LEVELS + 2) * 64
-    swapped = path[EDGE_LEVELS * 64 :] + path[: EDGE_LEVELS * 64]
-    for tampered in (path[:-64], path[64:], path + path[:64], swapped):
+    one = 2 * small.element_bytes   # hex digits of one commitment
+    split = (EPOCH_SLOTS - 1) * one
+    assert len(path) == split + 2 * 64
+    row, siblings = path[:split], path[split:]
+    for tampered in (
+        path[:-64],
+        path + siblings[:64],
+        row[one:] + siblings,
+        row + row[:one] + siblings,
+        siblings + row,
+    ):
         published = honest_published(graph, n, 0)
         published[1] = dict(published[1])
         published[1][2] = replace(published[1][2], path=tampered)

@@ -15,6 +15,7 @@ from dcmesh.keysetup import (
     NO_EDGE,
     KeyGraph,
     build_key_graph,
+    edge_digest,
     endorse_payload,
     establish_row,
     gen_signing_key,
@@ -26,8 +27,6 @@ from dcmesh.keysetup import (
 )
 
 TAG = b"dc-mesh/v1"
-# siblings on a path through one edge's tree
-EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +89,9 @@ def test_establish_pair_antisymmetry(level, request):
         assert c_ij * c_ji % params.p == 1
         # one list per edge: the lo -> hi commitments, which both ends reveal
         assert endorsement.commitments[slot] == c_ij
-    # the edge's root is the root of the tree over its commitments
-    leaves = [params.element_to_bytes(c) for c in endorsement.commitments]
-    assert merkle.build_tree(leaves, EPOCH_SLOTS)[-1] == [endorsement.root]
+    # the edge's digest is over its commitments, in slot order
+    row = b"".join(params.element_to_bytes(c) for c in endorsement.commitments)
+    assert endorsement.digest == edge_digest(row)
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
@@ -121,9 +120,10 @@ def test_pair_secrets_are_a_randrange_stream(level):
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # one commitment per slot: 3 * EPOCH_SLOTS table powers (g, f and h),
-    # no inversion, and one 15-hash tree per edge;
-    # an epoch adds one nonce power per participant's signature, and the
-    # participants' trees
+    # no inversion, and one digest per edge; an epoch adds one nonce
+    # power per participant's signature, and the participants' trees.
+    # Every SHA-256 call of key setup is counted, in keysetup and merkle
+    # alike; a signature's two, its nonce's and its challenge's, apart
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
     exponents, inversions, hashes = [], [], []
@@ -145,18 +145,23 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
         hashes.append(data)
         return hashlib.sha256(data)
 
+    def setup_hashes():
+        """(hashes outside signatures, hashes in signatures) since the last clear."""
+        signing = sum(not data or data.startswith(b"dcmesh/nonce") for data in hashes)
+        return len(hashes) - signing, signing
+
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
     for module in (groups, keysetup):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(merkle, "hashlib", SimpleNamespace(sha256=counting_sha256))
-    tree_hashes = 2 * EPOCH_SLOTS - 1
+    for module in (keysetup, merkle):
+        monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=counting_sha256))
     establish_row(medium, 0, [1], rng)
     assert len(exponents) == 3 * EPOCH_SLOTS
     assert inversions == []
-    assert len(hashes) == tree_hashes
-    # six participants: fifteen edges, one tree each, and six signers'
-    # trees eight leaves wide; six signatures
+    assert setup_hashes() == (1, 0)
+    # six participants: fifteen edges, one digest each, six signers'
+    # trees eight leaves wide, 15 hashes each, and six signatures
     graph = build_key_graph(medium, range(6), rng)
     exponents.clear()
     hashes.clear()
@@ -164,7 +169,13 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     assert inversions == []
     assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6
     assert signer_width(6) == 8
-    assert len(hashes) == 15 * tree_hashes + 6 * (2 * 8 - 1)
+    assert setup_hashes() == (15 + 6 * (2 * 8 - 1), 2 * 6)
+    # thirty-two: 496 edges and 32 signers' trees 32 leaves wide
+    graph = build_key_graph(medium, range(32), rng)
+    hashes.clear()
+    graph.add_epoch(rng)
+    assert signer_width(32) == 32
+    assert setup_hashes() == (496 + 32 * (2 * 32 - 1), 2 * 32) == (2512, 64)
 
 
 def test_per_round_secrets_are_fresh(small):
@@ -333,13 +344,13 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
             for peer in sorted(set(range(5)) - {s.part} - set(opted_out_peers(optouts, s.part))):
                 added = optouts | {(min(s.part, peer), max(s.part, peer))}
                 assert not s.verifies(medium, public.publics[s.part], epoch, added)
-            # over the roots of its edges, in id order, with a tag leaf
+            # over the digests of its edges, in id order, with a tag leaf
             # for an opted-out edge and for padding
             leaves = []
             for holder in range(5):
                 if holder != s.part:
                     state = graph.edge(holder, s.part, epoch)
-                    leaves.append(state.endorsement.root if state.established else NO_EDGE)
+                    leaves.append(state.endorsement.digest if state.established else NO_EDGE)
             assert merkle.build_tree(leaves, 4)[-1] == [s.root]
 
 
@@ -404,11 +415,12 @@ def test_merkle_batch_inclusion_paths(small):
                 assert merkle.root_at(leaf, index, width, path + [root]) is None
     # two endorsed epochs of five participants, one of them a refuser:
     # at every slot both ends of an edge reveal its lo -> hi commitment,
-    # each with a path, through the edge's root, to the root the other
-    # end signed
+    # each with the edge's other commitments for the epoch and a path,
+    # from the edge's digest, to the root the other end signed
     graph = build_key_graph(small, range(5), rng, refusers={3})
     graph.add_epoch(rng)
     participants = graph.participants
+    split = 2 * (EPOCH_SLOTS - 1) * small.element_bytes   # hex digits of the other commitments
     shared = [(a, b) for a in participants for b in participants if a != b and 3 not in (a, b)]
 
     def endorsed(revealed, holder, signer, slot, epoch=None, root_of=None):
@@ -426,18 +438,24 @@ def test_merkle_batch_inclusion_paths(small):
             lo, hi = min(holder, signer), max(holder, signer)
             assert revealed.commitment == graph.edge(lo, hi, epoch).endorsement.commitments[index]
             assert revealed.commitment == pairs[signer][holder].commitment
-            # every level of the edge's tree, two of the signer's
-            assert len(revealed.path) == (EDGE_LEVELS + 2) * 64
+            # the edge's seven other commitments, alike from both ends,
+            # then two levels of the signer's tree
+            assert revealed.path[:split] == pairs[signer][holder].path[:split]
+            assert len(revealed.path) == split + 2 * 64
             assert endorsed(revealed, holder, signer, slot)
             # not against a third signer's root
             for third in participants:
                 if third not in (holder, signer):
                     assert not endorsed(revealed, holder, signer, slot, root_of=third)
-            # nor at another slot: another index, or the same index of the
-            # other epoch, which has its own roots
+            # nor at another slot: another index, unless the edge's
+            # commitment there is the same value (the small group repeats
+            # some), or the same index of the other epoch, which has its
+            # own roots
+            row = graph.edge(lo, hi, epoch).endorsement.commitments
             for other in (index - 1, index + 1):
                 if 0 <= other < EPOCH_SLOTS:
-                    assert not endorsed(revealed, holder, signer, epoch * EPOCH_SLOTS + other)
+                    same = row[other] == row[index]
+                    assert endorsed(revealed, holder, signer, epoch * EPOCH_SLOTS + other) == same
             assert not endorsed(revealed, holder, signer, slot, 1 - epoch)
             # another holder's leaf of the same signer's tree
             other_holder = next(p for p in participants if p not in (holder, signer))
@@ -446,35 +464,54 @@ def test_merkle_batch_inclusion_paths(small):
 
 def test_merkle_batch_rejects_tampering(small):
     graph = build_key_graph(small, range(3), random.Random(12))
-    revealed = graph.view(0).published_pairs(2)[1]
+    graph.add_epoch(random.Random(13))
+    published = graph.view(0).published_pairs(2)
+    revealed = published[1]
     endorsement = graph.edge(0, 1).endorsement
 
-    def endorsed(revealed, holder=0, signer=1):
-        root = graph.epochs[0].signed[signer].root
+    def endorsed(revealed, holder=0, signer=1, epoch=0):
+        root = graph.epochs[epoch].signed[signer].root
         return is_endorsed(small, graph.participants, root, holder, signer, 2, revealed)
 
     assert endorsed(revealed)
-    # one sibling per level of the edge's tree, then one in the signer's (width 2)
-    assert len(revealed.path) == (EDGE_LEVELS + 1) * 64
-    # wrong leaf value
-    assert not endorsed(replace(revealed, commitment=endorsement.commitments[1]))
-    # a flipped digit in either tree's siblings
-    for at in (0, EDGE_LEVELS * 64):
+    # the edge's other commitments in slot order, then one sibling in the
+    # signer's tree (width 2)
+    split = 2 * (EPOCH_SLOTS - 1) * small.element_bytes
+    row, siblings = revealed.path[:split], revealed.path[split:]
+    others = [c for slot, c in enumerate(endorsement.commitments) if slot != 2]
+    assert row == "".join(small.element_to_bytes(c).hex() for c in others)
+    assert len(siblings) == 64
+    # the other end reveals the same commitment and row, up to 0's root
+    other_end = graph.view(1).published_pairs(2)[0]
+    assert (other_end.commitment, other_end.path[:split]) == (revealed.commitment, row)
+    assert endorsed(other_end, holder=1, signer=0)
+    # wrong leaf value: the right row with a neighbouring slot's commitment
+    for neighbour in (1, 3):
+        assert not endorsed(replace(revealed, commitment=endorsement.commitments[neighbour]))
+    # another edge's row from the same holder and slot
+    assert not endorsed(replace(revealed, path=published[2].path[:split] + siblings))
+    # epoch 1's reveal, or its row, against epoch 0's signed root
+    later = graph.view(0).published_pairs(EPOCH_SLOTS + 2)[1]
+    assert endorsed(later, epoch=1)
+    assert not endorsed(later)
+    assert not endorsed(replace(revealed, path=later.path[:split] + siblings))
+    # a flipped digit in the row or in the signer tree's siblings
+    for at in (0, split):
         digit = "1" if revealed.path[at] == "0" else "0"
         flipped = revealed.path[:at] + digit + revealed.path[at + 1 :]
         assert not endorsed(replace(revealed, path=flipped))
-    # wrong sibling count: one digest short, one too many
-    assert not endorsed(replace(revealed, path=revealed.path[64:]))
-    assert not endorsed(replace(revealed, path=revealed.path[:-64]))
-    assert not endorsed(replace(revealed, path=revealed.path + "00" * 32))
-    # the two trees' halves swapped
-    half = EDGE_LEVELS * 64
-    assert not endorsed(replace(revealed, path=revealed.path[half:] + revealed.path[:half]))
-    # path text that is not canonical hex of whole digests
-    for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2]):
+    # wrong length: a row one commitment short or long, no sibling, one too many
+    one = 2 * small.element_bytes
+    for path in (row[one:] + siblings, row + row[:one] + siblings, row, revealed.path + "00" * 32):
+        assert not endorsed(replace(revealed, path=path))
+    # the row and the siblings swapped
+    assert not endorsed(replace(revealed, path=siblings + row))
+    # path text that is not canonical hex
+    for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2], " " + revealed.path):
         assert not endorsed(replace(revealed, path=garbled))
     # a commitment outside the group's encoding
     assert not endorsed(replace(revealed, commitment=-1))
+    assert not endorsed(replace(revealed, commitment=1 << 8 * small.element_bytes))
     # another signer's root, and the other end's leaf in 0's own tree
     assert not endorsed(revealed, signer=2)
     assert not endorsed(revealed, holder=1, signer=0)

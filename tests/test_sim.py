@@ -11,8 +11,10 @@ from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import Transcript, records_digest
 
-# siblings on a path through one edge's tree
-EDGE_LEVELS = EPOCH_SLOTS.bit_length() - 1
+# hex digits of one commitment, and of the edge's other commitments that
+# open a PUBLISH path
+ELEMENT_HEX = 2 * sim.derive_params("test_medium", sim.DOMAIN_TAG).element_bytes
+PATH_ROW = (EPOCH_SLOTS - 1) * ELEMENT_HEX
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
 
@@ -95,7 +97,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v9).  Test ids are the list positions, so a re-pin
+# (pinned at format v10).  Test ids are the list positions, so a re-pin
 # keeps them.
 # an n=2 session that spends 11 slots, so it endorses epoch 1: the
 # malformed slot (2, 101) has an odd total, so it is no equal-payload
@@ -106,45 +108,45 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "4fe6fe1524be3b74dd662cb25b09f82bee6ead9766cef052642d45851629be1a"),
+     "04e3f95a3bffcd1eb6c904409492660fa2d34fad951068b504866d5597406257"),
     (sim.Scenario(n=2, seed=1),
-     "af1055cb6d6fbd1d8f839c08d1831d8b405ae96b9f097007927c16dc87a03c42"),
+     "fae3c6f219ddaa7895346dfd080a382860cf2939d8aed092ec32654154aba3ad"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "adbf7514735ae3b87dfd2fb0d4aa45c5d60429bdd0d1a30919ac26ff676f6b13"),
+     "071b7fa2dcf57437650670c6d9e5bb4347683e8669290cabc751fd3eee8812dc"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "43b0e94dd1829b57b9f81bbc96b6ad62cb213c6922020c9abec412709c42f355"),
+     "689720b41338aa876f1c8675a992fd0db426b2fab10c0110558bd2fed2114308"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "5749b144272364a18b56664aba4783f2c4d766b3bc1e536396103fab7dc7b043"),
+     "101241864a895b101a847ab22058c9280cd1422fd74379a776ba27d3217cb5f4"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "1223c9950580bc29cfa9711063390726ba6126447d7daeb5750faca924483086"),
+     "11dc0ee8d74f66676db27319fa249e2db9cf3c87e7d96b71904ef22f2e77b2c2"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "ac83484ed63c4962d7ab3cc61a86c4d1c3d1e65120a3dc57df1dfc7dc683d693"),
+     "d2da9f1d889ca9f3f38fcdd5ae5a9f6830a14d11012c309edc69d4bba01117a6"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2),
-     "6dde3cf609e4461504d4138629cc587522f39d57b85a81d429f7211041f5b6a1"),
+     "9cc5e49a17ee33976722b538f6b1fa3f2233e0e26dcd3676c71a3f859b68fda7"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "64e8bf756a7fa98efc3733deef529887fe9ddab9e392201db818f26544786f36"),
+     "cd2115633cb50868d7852f7d01a44119d85cbfa8b4a4102f65c9df95ed7fccb5"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11),
-     "fe1aa483f8196a5aa49895b1caadffa93f7cfa80c5938617cff135e94c914142"),
+     "4d1d80dceab82ee6495a0c324a14c99237609ae4dd5e99ceadb9a437c40e45df"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "d74afb8c26fb9da3d822df93b7ccc6285a05b5938e17210316a6674952d73fbd"),
+     "1a31f79b13ab7381ba8fbbf0259f795592016272e9046d513a1025b14e87022d"),
     # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "d6a18c84121e95b6e65be5b1e338bedbc26aaac2d23f5df8750c1462b3714688"),
+     "1a5f0d21e00ec5edb964421645ef03deab081e60568b6f6cc2ce8b183adbc79b"),
     # a refuser in mid-row, whose edges draw nothing, and a malformed slot
     # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "768f06c9ae02c24c0629a2ed84f016e36f6cc6d8b61af6da336064aa2918a5a0"),
+     "be6064edd34439e2b15ce113d28a913b3522274c637b9fc4087e75bc0758bc12"),
 ]
 
 
@@ -191,7 +193,7 @@ def test_transcript_of_another_format_version_is_malformed():
     # replaying into verdicts that were never issued
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
     assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
-    for version in ("v8", "v10"):
+    for version in ("v9", "v11"):
         relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
         with pytest.raises(MalformedRecord) as exc:
             sim.verify_transcript(Transcript.from_text(relabelled))
@@ -352,7 +354,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "6a26098552a21b7d41b97125100f1d73de33be86d5c3cb6e8256863ff16887c6"
+        "47b991b8b9b2412a20fad69a356827d5f86a6f58cf8a47a2758b4ea4f94fafc5"
     )
 
 
@@ -741,9 +743,17 @@ MALFORMED_FIELDS = {("GROUP", "name"), ("GROUP", "tag")} | {
 
 
 def _path_mutations(path: str):
-    """A PUBLISH path one sibling short, one sibling long, and with its
-    edge-tree and signer-tree halves swapped."""
-    return [path[:-64], path + path[:64], path[EDGE_LEVELS * 64 :] + path[: EDGE_LEVELS * 64]]
+    """A PUBLISH path one sibling short, one sibling long, one commitment
+    short, one commitment long, and with its row of the edge's other
+    commitments and its signer-tree siblings swapped."""
+    row, siblings = path[:PATH_ROW], path[PATH_ROW:]
+    return [
+        path[:-64],
+        path + siblings[:64],
+        row[ELEMENT_HEX:] + siblings,
+        row + row[:ELEMENT_HEX] + siblings,
+        siblings + row,
+    ]
 
 
 def test_every_field_mutation_detected():
@@ -772,9 +782,9 @@ def test_every_field_mutation_detected():
                 if line.startswith("ENDORSE ") and " epoch=0 " not in line:
                     later_endorse_fields.add(key)
             if tokens[0] == "PUBLISH":
-                # n=3: one sibling per level of the edge's tree, one in the signer's
+                # n=3: the edge's seven other commitments, one sibling in the signer's tree
                 path = tokens[-1].split("=", 1)[1]
-                assert len(path) == (EDGE_LEVELS + 1) * 64
+                assert len(path) == PATH_ROW + 64
                 publish_paths += 1
                 candidates += [("path", tokens[:-1] + [f"path={p}"]) for p in _path_mutations(path)]
             for key, mutated in candidates:
