@@ -12,16 +12,9 @@ import random
 from dcmesh.dcnet import make_ciphertext
 from dcmesh.groups import derive_params
 from dcmesh.keysetup import build_key_graph
-from dcmesh.splitter import (
-    add_blind,
-    add_round,
-    encode_slot,
-    prove_retransmission,
-    retransmission_statement,
-    verify_retransmission,
-)
+from dcmesh.splitter import add_blind, add_round, encode_slot, retransmission_statement
 from dcmesh.errors import WitnessMismatch
-from dcmesh.zkp import forge_attempt
+from dcmesh.zkp import forge_attempt, prove_or, verify_or
 
 params = derive_params("test_medium", b"dc-mesh/v1")
 rng = random.Random(9)
@@ -30,7 +23,8 @@ tag = b"demo"
 slot = encode_slot(50, 8)
 
 views = {pid: graph.view(pid) for pid in range(3)}
-# each participant's no-message target and blinding sum at every tree node
+# the verifier's no-message target of each participant at every tree node,
+# built from the broadcasts alone, and each participant's own blinding sums
 targets = {pid: {} for pid in range(3)}
 blinds = {pid: {} for pid in range(3)}
 
@@ -41,6 +35,13 @@ def transmit(pid, rid, message):
     add_blind(params, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
 
 
+def prove(pid, rid, stmt, retransmitted):
+    """A participant's proof of the statement it is handed: branch 0 with
+    the round's blinding sum, branch 1 with the inferred sibling's."""
+    branch = int(retransmitted)
+    return prove_or(params, stmt, branch, blinds[pid][rid + branch], rng)
+
+
 print("round 1: P0 sends a slot; P1, P2 send pads only")
 for pid in range(3):
     transmit(pid, 1, slot if pid == 0 else None)
@@ -48,25 +49,24 @@ for pid in range(3):
 print("round 2: P0 retransmits, P1/P2 stay silent; everyone proves")
 for pid in range(3):
     transmit(pid, 2, slot if pid == 0 else None)
-proofs = {
-    pid: prove_retransmission(params, targets[pid], blinds[pid], pid, 2, retransmitted, rng, tag)
-    for pid, retransmitted in ((0, True), (1, False), (2, False))
-}
-# the verifier checks the whole round at once
-for pid, ok in zip(proofs, verify_retransmission(params, targets, 2, proofs, tag)):
+# the verifier builds each statement once, from public data
+stmts = [retransmission_statement(targets[pid], pid, 2, tag) for pid in range(3)]
+proofs = [prove(pid, 2, stmts[pid], pid == 0) for pid in range(3)]
+# and checks the whole round at once
+for pid, ok in enumerate(verify_or(params, stmts, proofs)):
     print(f"  P{pid} proof verifies: {ok}   (branch hidden from the verifier)")
 
 print("\nround 4: P0 retransmits the message shifted by one")
 transmit(0, 4, (slot[0], slot[1] + 1))
+stmt = retransmission_statement(targets[0], 0, 4, tag)
 for branch in (False, True):
     try:
-        prove_retransmission(params, targets[0], blinds[0], 0, 4, branch, rng, tag)
+        prove(0, 4, stmt, branch)
         print("  unexpectedly proved!")
     except WitnessMismatch:
         side = "repeat-parent" if branch else "no-message"
         print(f"  honest prover refuses the {side} branch: no witness")
 
-stmt = retransmission_statement(targets[0], 0, 4, tag)
 forged = forge_attempt(params, stmt, rng)
-(ok,) = verify_retransmission(params, targets, 4, {0: forged}, tag)
+(ok,) = verify_or(params, [stmt], [forged])
 print(f"  forged proof accepted by verifiers: {ok}")

@@ -8,7 +8,9 @@ C_total): how many messages the round carries and what their payloads
 sum to, exactly, since n * 2^payload_bits < q.  A round is valid
 when the commitment product over all participants is the identity;
 when it is not, participants publish their endorsed per-pair
-commitments and the checks here attribute blame.
+commitments and the checks here attribute blame.  A broadcast carries
+no proof: the session judge asks for a round's proofs separately,
+against statements it builds from the broadcasts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class RoundCiphertext:
     round_id: int
     value: tuple[int, int]          # O: (count, total) pad sums, plus the message slot if sending
     commitment: int                 # c: aggregate pair commitment
-    proof: str | None = None        # retransmission proof in wire form (hex)
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,6 @@ class InvestigationRecord:
         if reason not in reasons:
             reasons.append(reason)
             reasons.sort()
-
-    @property
-    def cheaters(self) -> set:
-        return set(self.verdicts)
 
 
 def investigate(

@@ -266,21 +266,6 @@ def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
     ]
 
 
-def verify_open(params: GroupParams, commitment: int, value, blinding: int) -> bool:
-    return commitment == commit(params, value, blinding)
-
-
-def combine(params: GroupParams, c1: int, c2: int) -> int:
-    """Homomorphic combination: commit(a,r) * commit(b,s) = commit(a+b, r+s),
-    values adding componentwise."""
-    return c1 * c2 % params.p
-
-
-def negate(params: GroupParams, c: int) -> int:
-    """Group inverse: commit(a,r)^-1 = commit(-a, -r)."""
-    return pow(c, -1, params.p)
-
-
 def brute_force_dlog(params: GroupParams, base: int, target: int) -> int:
     """Exhaustively find x with base^x = target.  Test-scale groups only."""
     if params.q > DESK_SCALE_LIMIT:

@@ -212,21 +212,20 @@ REFERENCE_RESOLUTION = [11, 17, 28, 36, 38]
 
 class HonestParticipant:
     """Follows the protocol: pads every round, splits by the book,
-    proves every non-root broadcast, answers every demand it can."""
+    proves the statement the judge builds for every non-root broadcast,
+    answers every demand it can."""
 
-    def __init__(self, params, view, payload, payload_bits, rng, session_tag):
+    def __init__(self, params, view, payload, payload_bits, rng):
         self.params = params
         self.view = view
         self.pid = view.pid
         self.payload = payload
         self.payload_bits = payload_bits
         self.rng = rng
-        self.session_tag = session_tag
 
     def begin_session(self, tree):
         self.tree = tree
-        self.targets = {}   # node -> no-message target of this participant's context
-        self.blinds = {}    # node -> that context's blinding sum
+        self.blinds = {}    # node -> blinding sum of this participant's context
         self.slot_value = (
             None if self.payload is None else encode_slot(self.payload, self.payload_bits)
         )
@@ -254,44 +253,30 @@ class HonestParticipant:
 
     def broadcast(self, round_id) -> RoundCiphertext:
         message = self._message_for(round_id)
+        self.retransmitted = message is not None
         ct = self._ciphertext(round_id, message)
-        # the targets of what is broadcast, after any tampering
-        splitter.add_round(self.params, {self.pid: self.targets}, [ct])
         blind = self.view.blind_sum(self.view.slot_of(round_id))
         splitter.add_blind(self.params, self.blinds, round_id, blind)
-        if round_id != 1:
-            ct = replace(ct, proof=self._wire(self._attach_proof(round_id, message is not None)))
         return ct
 
     def _ciphertext(self, round_id, message):
         return make_ciphertext(self.view, round_id, message)
 
-    def _attach_proof(self, round_id, retransmitted):
-        return splitter.prove_retransmission(
-            self.params,
-            self.targets,
-            self.blinds,
-            self.pid,
-            round_id,
-            retransmitted,
-            self.rng,
-            self.session_tag,
-        )
+    def prove_round(self, round_id, statement):
+        """The proof of this round's retransmission statement, in wire form."""
+        return self._wire(self._retransmission_proof(round_id, statement, self.retransmitted))
 
-    def respond_demand(self, node_id):
-        return self._wire(self._denial_proof(node_id))
+    def _retransmission_proof(self, round_id, statement, retransmitted):
+        branch = int(retransmitted)
+        return zkp.prove_or(self.params, statement, branch, self.blinds[round_id + branch], self.rng)
 
-    def _denial_proof(self, node_id):
+    def respond_demand(self, node_id, statement):
+        return self._wire(self._denial_proof(node_id, statement))
+
+    def _denial_proof(self, node_id, statement):
         try:
             return splitter.prove_node_denial(
-                self.params,
-                self.targets,
-                self.blinds,
-                self.pid,
-                node_id,
-                self.rng,
-                self.session_tag,
-                self.tree.nodes[node_id].equal_payload,
+                self.params, statement, self.blinds[node_id], self.rng
             )
         except WitnessMismatch:
             return None
@@ -306,25 +291,21 @@ class HonestParticipant:
 
 class _ForgingAdversary(HonestParticipant):
     """Shared adversary plumbing: when no witness exists for a proof
-    obligation, emit a well-shaped forgery instead of staying silent."""
+    obligation, emit a well-shaped forgery of the statement instead of
+    staying silent."""
 
-    def _attach_proof(self, round_id, retransmitted):
+    def _retransmission_proof(self, round_id, statement, retransmitted):
         for branch_retransmitted in (retransmitted, not retransmitted):
             try:
-                return super()._attach_proof(round_id, branch_retransmitted)
+                return super()._retransmission_proof(round_id, statement, branch_retransmitted)
             except WitnessMismatch:
                 continue
-        stmt = splitter.retransmission_statement(self.targets, self.pid, round_id, self.session_tag)
-        return zkp.forge_attempt(self.params, stmt, self.rng)
+        return zkp.forge_attempt(self.params, statement, self.rng)
 
-    def _denial_proof(self, node_id):
-        proof = super()._denial_proof(node_id)
+    def _denial_proof(self, node_id, statement):
+        proof = super()._denial_proof(node_id, statement)
         if proof is None:
-            term = splitter.copy_term(self.params, self.tree.nodes[node_id].equal_payload)
-            stmt = splitter.denial_statement(
-                self.params, self.targets, self.pid, node_id, self.session_tag, term
-            )
-            proof = zkp.forge_attempt(self.params, stmt, self.rng)
+            proof = zkp.forge_attempt(self.params, statement, self.rng)
         return proof
 
 
@@ -420,10 +401,10 @@ class BadSlotCountParticipant(_ForgingAdversary):
 class RefuseProofParticipant(HonestParticipant):
     """Participates but withholds every proof obligation."""
 
-    def _attach_proof(self, round_id, retransmitted):
+    def prove_round(self, round_id, statement):
         return None
 
-    def respond_demand(self, node_id):
+    def respond_demand(self, node_id, statement):
         return None
 
 
@@ -454,7 +435,7 @@ def _session_tag(scenario_digest: str, session: int) -> bytes:
     return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
 
 
-def _build_participants(params, scenario, graph, active, pending, session_tag):
+def _build_participants(params, scenario, graph, active, pending):
     strategy_of = dict(scenario.adversaries)
     participants = []
     for pid in sorted(active):
@@ -466,7 +447,6 @@ def _build_participants(params, scenario, graph, active, pending, session_tag):
                 pending.get(pid),
                 scenario.payload_bits,
                 fork_rng(scenario.seed, "participant", pid),
-                session_tag,
             )
         )
     return participants
@@ -554,11 +534,14 @@ class _Participants:
     def broadcast(self, round_id):
         return [p.broadcast(round_id) for p in self.participants]
 
+    def prove(self, round_id, statements):
+        return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
+
     def publish(self, slot):
         return {p.pid: p.publish_pairs(slot) for p in self.participants}
 
-    def respond(self, node_id):
-        return [(p.pid, p.respond_demand(node_id)) for p in self.participants]
+    def respond(self, node_id, statements):
+        return [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
 
 
 def _play_session(params, scenario, active, pending, session, session_tag):
@@ -571,7 +554,7 @@ def _play_session(params, scenario, active, pending, session, session_tag):
         refusers=refusers & set(active),
     )
     public = graph.public()
-    participants = _build_participants(params, scenario, graph, active, pending, session_tag)
+    participants = _build_participants(params, scenario, graph, active, pending)
     outcome = run_session(
         params,
         public,
@@ -583,12 +566,20 @@ def _play_session(params, scenario, active, pending, session, session_tag):
     return public, outcome
 
 
+def _survivors(active, outcome):
+    """The participants of the session after ``outcome``'s: the active
+    ones it did not ban, or None when it banned no one, and the run ends
+    with it.  Every later session has fewer participants than the one
+    before."""
+    banned = {v.participant for v in outcome.verdicts}
+    return [pid for pid in active if pid not in banned] if banned else None
+
+
 def run_scenario(scenario: Scenario) -> Transcript:
     """Execute a scenario to completion and return its transcript.
 
     Sessions repeat, banning every flagged disruptor, until all honest
-    pending messages have been delivered (or no progress is possible,
-    which scripted strategies never cause).
+    pending messages have been delivered or a session bans no one.
     """
     scenario.validate()
     params = derive_params(scenario.group, DOMAIN_TAG)
@@ -623,12 +614,11 @@ def run_scenario(scenario: Scenario) -> Transcript:
             if resolved_counts.get(payload, 0) > 0:
                 resolved_counts[payload] -= 1
                 del pending[pid]
-        banned = {v.participant for v in outcome.verdicts}
-        active = [pid for pid in active if pid not in banned]
-        for pid in banned:
-            pending.pop(pid, None)
-
-        if not pending or not banned or session > scenario.n:
+        active = _survivors(active, outcome)
+        if active is None:
+            break
+        pending = {pid: payload for pid, payload in pending.items() if pid in active}
+        if not pending:
             break
 
     body.append(_summary(outcomes, body))
@@ -745,15 +735,19 @@ class _Replay:
         return tuple(self._signed_root(k, pid) for pid in self.pids)
 
     def broadcast(self, round_id):
-        cts = []
+        cts, self.proofs = [], []
         for pid in self.pids:
             rec = self._input("CIPHER", round=round_id, part=pid)
             if not self.params.is_element(rec["c"]):
                 message = f"CIPHER c of {pid} not in the group"
                 raise MalformedRecord(self.index + self.read - 1, message)
             value = (rec["O_count"] % self.params.q, rec["O_total"] % self.params.q)
-            cts.append(RoundCiphertext(pid, round_id, value, rec["c"], _proof(rec)))
+            cts.append(RoundCiphertext(pid, round_id, value, rec["c"]))
+            self.proofs.append(_proof(rec))
         return cts
+
+    def prove(self, round_id, statements):
+        return self.proofs   # as read with the round's CIPHER records
 
     def publish(self, slot):
         # every participant publishes, if only the empty set of a participant
@@ -765,8 +759,8 @@ class _Replay:
             published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], rec["path"])
         return published
 
-    def respond(self, node_id):
-        return [(pid, _proof(self._input("DEMAND", node=node_id, part=pid))) for pid in self.pids]
+    def respond(self, node_id, statements):
+        return [_proof(self._input("DEMAND", node=node_id, part=pid)) for pid in self.pids]
 
 
 def _proof(rec):
@@ -831,6 +825,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     outcomes = []
     for session, (start, end) in enumerate(zip(starts, starts[1:] + [len(body) - 1]), 1):
         index = base + start
+        if active is None:   # the run ended with the session before
+            report.compare(index, body[start], None)
+            break
         try:
             replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
             outcome = run_session(
@@ -850,8 +847,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         for offset, rec in enumerate(_session_head(session, replay.public, outcome.epochs)):
             report.compare(index + offset, body[start + offset], rec)
         outcomes.append(outcome)
-        banned = {v.participant for v in outcome.verdicts}
-        active = [pid for pid in active if pid not in banned]
+        active = _survivors(active, outcome)
     else:
         report.compare(base + len(body) - 1, body[-1], _summary(outcomes, body[:-1]))
     report.divergences.sort(key=lambda divergence: divergence[0])

@@ -27,13 +27,14 @@ context of at most one message passes with.  At a node one value wide
 every failer is blamed, since an honest context there is empty or
 (1, lo).
 
-Every participant broadcasts in every transmitted round and attaches,
-for every non-root round, a proof that the new broadcast either
-carries no message or repeats exactly the message content of the
-nearest transmitted ancestor context.  Provers and the judge build
-every statement from per-participant target maps, one cached
-no-message target per tree node, and the judge checks a round's
-proofs, or a DEMAND round's, in one call.  A split that survives those
+Every participant broadcasts in every transmitted round and proves,
+for every non-root round, that the new broadcast either carries no
+message or repeats exactly the message content of the nearest
+transmitted ancestor context.  Only the judge keeps target maps, one
+no-message target per participant and tree node, built from the
+public broadcasts; it builds every statement from them once, hands
+each participant its statement to prove, and checks a round's proofs,
+or a DEMAND round's, in one call.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
 the parent's, or one side is empty -- comes from a malformed slot.
 Its colliding children, and an equal-payload node where two or more
@@ -276,16 +277,17 @@ class ResolutionTree:
 
 
 # ---------------------------------------------------------------------------
-# per-participant target maps and proofs
+# the judge's target maps and the statements built from them
 #
 # ``targets`` maps participant id -> {node id: N}, N the no-message
 # target g^-count * f^-total * gamma of the participant's context
 # ((count, total), gamma) at the node, a power of h exactly when the
 # context carries no message.  A transmitted node's context is its
 # broadcast (O, c); an inferred node k's is its parent's less its
-# sibling k - 1's, so N(k) = N(k // 2) * N(k - 1)^-1.  A participant's
-# ``blinds`` map each node to the blinding sum of its context, by the
-# same rule, B(k) = B(k // 2) - B(k - 1): the witness of N(k).
+# sibling k - 1's, so N(k) = N(k // 2) * N(k - 1)^-1.  Only the judge
+# keeps these maps; a participant keeps ``blinds``, mapping each node to
+# the blinding sum of its context by the same rule, B(k) = B(k // 2) -
+# B(k - 1): the witness of N(k), which it proves the judge's statements with.
 
 
 def add_round(params: GroupParams, targets: dict, cts) -> None:
@@ -312,41 +314,12 @@ def retransmission_statement(
     nodes: dict, pid: int, round_id: int, session_tag: bytes
 ) -> zkp.OrStatement:
     """Either this broadcast carries nothing, N(r), or it repeats the
-    parent context, N(r // 2) * N(r)^-1, which is N(r + 1)."""
+    parent context, N(r // 2) * N(r)^-1, which is N(r + 1).  A proof on
+    branch 0 has witness B(r), on branch 1 B(r + 1)."""
     ctx = session_tag + b"|retrans|%d|%d" % (pid, round_id)
     return zkp.OrStatement(
         (zkp.RepStatement(nodes[round_id], ctx), zkp.RepStatement(nodes[round_id + 1], ctx))
     )
-
-
-def prove_retransmission(
-    params: GroupParams,
-    nodes: dict,
-    blinds: dict,
-    pid: int,
-    round_id: int,
-    retransmitted: bool,
-    rng,
-    session_tag: bytes,
-) -> zkp.SigmaProof:
-    """A proof over one participant's target map ``nodes``."""
-    stmt = retransmission_statement(nodes, pid, round_id, session_tag)
-    if retransmitted:
-        return zkp.prove_or(params, stmt, 1, blinds[round_id + 1], rng)
-    return zkp.prove_or(params, stmt, 0, blinds[round_id], rng)
-
-
-def verify_retransmission(
-    params: GroupParams, targets: dict, round_id: int, proofs: dict, session_tag: bytes
-) -> list[bool]:
-    """One verdict per ``proofs`` item (pid, proof or None) of a round."""
-    stmts = [retransmission_statement(targets[pid], pid, round_id, session_tag) for pid in proofs]
-    return zkp.verify_or(params, stmts, list(proofs.values()))
-
-
-def copy_term(params: GroupParams, copy: int | None) -> int | None:
-    """g * f^copy, what one slot (1, copy) adds to a context; None for no copy."""
-    return None if copy is None else value_term(params, (1, copy))
 
 
 def denial_statement(
@@ -355,50 +328,27 @@ def denial_statement(
     pid: int,
     node_id: int,
     session_tag: bytes,
-    term: int | None = None,
+    copy: int | None = None,
 ) -> zkp.OrStatement:
     """Claim that this participant's context at a node carries no
-    message, N(k), or, where ``term`` is the :func:`copy_term` of an
-    equal-payload node's payload x, no message or exactly the one slot
-    (1, x), N(k) * g * f^x."""
+    message, N(k), or, where ``copy`` is an equal-payload node's payload
+    x, no message or exactly the one slot (1, x), N(k) * g * f^x."""
     ctx = session_tag + b"|denial|%d|%d" % (pid, node_id)
     branches = [nodes[node_id]]
-    if term is not None:
-        branches.append(branches[0] * term % params.p)
+    if copy is not None:
+        branches.append(branches[0] * value_term(params, (1, copy)) % params.p)
     return zkp.OrStatement(tuple(zkp.RepStatement(t, ctx) for t in branches))
 
 
 def prove_node_denial(
-    params: GroupParams,
-    nodes: dict,
-    blinds: dict,
-    pid: int,
-    node_id: int,
-    rng,
-    session_tag: bytes,
-    copy: int | None = None,
+    params: GroupParams, stmt: zkp.OrStatement, alpha: int, rng
 ) -> zkp.SigmaProof:
-    """A proof of :func:`denial_statement` on the branch the context
-    satisfies; WitnessMismatch when it satisfies none."""
-    stmt = denial_statement(params, nodes, pid, node_id, session_tag, copy_term(params, copy))
-    alpha = blinds[node_id]
+    """A proof of a :func:`denial_statement` with witness ``alpha``, the
+    context's blinding sum, on the branch h^alpha is the target of;
+    WitnessMismatch when it is none of them."""
     target = params.h_table.power(alpha)
     branch = next((i for i, b in enumerate(stmt.branches) if b.target == target), 0)
     return zkp.prove_or(params, stmt, branch, alpha, rng)
-
-
-def verify_node_denial(
-    params: GroupParams,
-    targets: dict,
-    node_id: int,
-    proofs: dict,
-    session_tag: bytes,
-    copy: int | None = None,
-) -> list[bool]:
-    """One verdict per ``proofs`` item (pid, proof or None) at a node."""
-    term = copy_term(params, copy)
-    stmts = [denial_statement(params, targets[i], i, node_id, session_tag, term) for i in proofs]
-    return zkp.verify_or(params, stmts, list(proofs.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +371,6 @@ class SessionOutcome:
     records: list = field(default_factory=list)
     tree: ResolutionTree | None = None
     epochs: int = 1           # endorsement epochs the session used
-    aborted: bool = False
     proofs_checked: int = 0
     proofs_failed: int = 0
 
@@ -463,10 +412,11 @@ def run_session(
     The judge owns every session rule: round order, the validity check
     and the investigation after a failed one, retransmission proofs,
     the check of equal-payload nodes, the wrong-branch audit, verdicts
-    and bans.  It emits every session record to ``source.records`` and
-    reads only public data: the participant set, the opt-outs and epoch
-    0's signed roots come from ``graph_public``, and every protocol input
-    from ``source``, which answers five calls:
+    and bans.  It alone keeps the session's target maps and builds every
+    proof statement from them, once.  It emits every session record to
+    ``source.records`` and reads only public data: the participant set,
+    the opt-outs and epoch 0's signed roots come from ``graph_public``,
+    and every protocol input from ``source``, which answers six calls:
 
     * ``begin(tree)``: the session starts on this tree;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
@@ -474,11 +424,15 @@ def run_session(
       the first round that spends one of its slots;
     * ``broadcast(round_id)``: one RoundCiphertext per participant, in
       participant order;
+    * ``prove(round_id, statements)``: for a round after the first, one
+      proof or None per participant, in participant order, of the
+      participant's retransmission statement;
     * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
       for an investigation, paths in wire form;
-    * ``respond(node_id)``: ``[(pid, proof or None)]`` denials, one per
-      participant, in participant order; at an equal-payload node each
-      denies a message or claims one copy of the node's payload.
+    * ``respond(node_id, statements)``: one proof or None per
+      participant, in participant order, of its denial statement: at an
+      equal-payload node each denies a message or claims one copy of
+      the node's payload.
 
     Proofs arrive in wire form (hex text) and are recorded as given.
     The simulator's source is the live participants and its sink a list,
@@ -493,6 +447,7 @@ def run_session(
     targets = {pid: {} for pid in pids}   # pid -> node -> no-message target
     demanded: set[int] = set()
     slot = 0
+    aborted = False
 
     while not tree.done:
         rid = tree.next_round()
@@ -500,7 +455,16 @@ def run_session(
             graph_public = _endorse_epoch(source, graph_public, session, outcome)
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
         cts = source.broadcast(rid)
-        for ct in cts:
+        add_round(params, targets, cts)
+        if rid == 1:   # the opening round carries no proof; none is asked for or recorded
+            stmts, texts = [], [None] * len(cts)
+        else:
+            stmts = [
+                retransmission_statement(targets[ct.participant], ct.participant, rid, session_tag)
+                for ct in cts
+            ]
+            texts = source.prove(rid, stmts)
+        for ct, text in zip(cts, texts):
             outcome.records.append(
                 record(
                     "CIPHER",
@@ -510,8 +474,7 @@ def run_session(
                     O_count=ct.value[0],
                     O_total=ct.value[1],
                     c=ct.commitment,
-                    # the opening round carries no proof; none is read or recorded
-                    proof="-" if ct.proof is None or rid == 1 else ct.proof,
+                    proof="-" if text is None else text,
                 )
             )
         result = aggregate_round(params, pids, cts)
@@ -529,21 +492,17 @@ def run_session(
 
         if not result.valid:
             _run_investigation(params, source, graph_public, result, slot, session, outcome)
-            outcome.aborted = True
+            aborted = True
             break
 
-        add_round(params, targets, cts)
         if rid != 1:
-            proofs = {ct.participant: _read_proof(params, ct.proof) for ct in cts}
-            oks = verify_retransmission(params, targets, rid, proofs, session_tag)
-            outcome.proofs_checked += len(oks)
-            outcome.proofs_failed += oks.count(False)
-            for ct, ok in zip(cts, oks):
+            oks = _check_proofs(params, stmts, texts, outcome)
+            for ct, text, ok in zip(cts, texts, oks):
                 if not ok:
-                    reason = NON_COOPERATION if ct.proof is None else INVALID_PROOF
+                    reason = NON_COOPERATION if text is None else INVALID_PROOF
                     outcome.verdicts.append(Verdict(ct.participant, reason, f"round:{rid}"))
             if not all(oks):
-                outcome.aborted = True
+                aborted = True
                 break
 
         touched = tree.advance(result)
@@ -571,7 +530,7 @@ def run_session(
                 tree.bisect(node_id)
                 _emit_nodes(tree, [node_id], session, outcome)
 
-    if not outcome.aborted:
+    if not aborted:
         for leaf_id in audit_wrong_branches(tree):
             if leaf_id in demanded:
                 continue
@@ -662,16 +621,25 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
             outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
 
 
+def _check_proofs(params, statements, texts, outcome) -> list[bool]:
+    """One verdict per statement and its wire-form proof, counted in the outcome."""
+    oks = zkp.verify_or(params, statements, [_read_proof(params, text) for text in texts])
+    outcome.proofs_checked += len(oks)
+    outcome.proofs_failed += oks.count(False)
+    return oks
+
+
 def _run_demand(params, source, targets, node_id, session, session_tag, outcome, copy=None):
     """Ask every participant to deny carrying a message at a node (or,
     where ``copy`` is an equal-payload node's payload, to carry nothing
     or that one copy); returns those whose proofs fail."""
-    texts = dict(source.respond(node_id))
-    proofs = {pid: _read_proof(params, text) for pid, text in texts.items()}
-    oks = verify_node_denial(params, targets, node_id, proofs, session_tag, copy)
-    outcome.proofs_checked += len(oks)
-    outcome.proofs_failed += oks.count(False)
-    for (pid, text), ok in zip(texts.items(), oks):
+    stmts = [
+        denial_statement(params, nodes, pid, node_id, session_tag, copy)
+        for pid, nodes in targets.items()
+    ]
+    texts = source.respond(node_id, stmts)
+    oks = _check_proofs(params, stmts, texts, outcome)
+    for pid, text, ok in zip(targets, texts, oks):
         outcome.records.append(
             record(
                 "DEMAND",
@@ -682,7 +650,7 @@ def _run_demand(params, source, targets, node_id, session, session_tag, outcome,
                 proof="-" if text is None else text,
             )
         )
-    return [pid for pid, ok in zip(texts, oks) if not ok]
+    return [pid for pid, ok in zip(targets, oks) if not ok]
 
 
 def _blame(outcome, pids, reason, node_id):

@@ -16,7 +16,9 @@ of the round goes through one ``WindowTable.powers`` call, then each
 branch takes one ``pow`` and each proof one hash.  Branch targets are
 built from no-message targets c * g^-count * f^-total of broadcasts
 (count, total) with commitment c, which :func:`no_message_targets`
-makes for a round with one ``powers`` per generator.  On the wire a proof
+makes for a round with one ``powers`` per generator; the session judge
+makes them once per round and hands each prover the statement built
+from them.  On the wire a proof
 is its scalars and nothing else.  Provers check their own witness and
 refuse to emit anything unsound; dishonest proofs are produced
 explicitly via :func:`forge_attempt`.

@@ -128,7 +128,7 @@ def test_c04_investigation_blame():
             cts, published, public = mutate(graph, cts, published, graph.public())
             result = aggregate_round(SMALL, range(n), cts)
             record = investigate(SMALL, result, 0, published, public)
-            if record.cheaters != expected:
+            if set(record.verdicts) != expected:
                 failures.append((name, seed, record.verdicts))
 
     def aggregate_mismatch(graph, cts, published, public):
@@ -178,7 +178,8 @@ def test_c05_proof_completeness_and_detection():
     rng = random.Random(5)
     # 10^3 honest two-branch retransmission proofs in the small group
     from dcmesh.dcnet import RoundCiphertext
-    from dcmesh.splitter import add_blind, add_round, prove_retransmission, verify_retransmission
+    from dcmesh.splitter import add_blind, add_round, retransmission_statement
+    from dcmesh.zkp import prove_or, verify_or
 
     def add(value, message):
         return ((value[0] + message[0]) % 53, (value[1] + message[1]) % 53)
@@ -197,8 +198,10 @@ def test_c05_proof_completeness_and_detection():
         for rid, value, c, blind in ((1, v1, c1, blind1), (2, v2, c2, blind2)):
             add_round(SMALL, targets, [RoundCiphertext(0, rid, value, c)])
             add_blind(SMALL, blinds, rid, blind)
-        proof = prove_retransmission(SMALL, targets[0], blinds, 0, 2, sends, rng, b"acc")
-        if verify_retransmission(SMALL, targets, 2, {0: proof}, b"acc") != [True]:
+        stmt = retransmission_statement(targets[0], 0, 2, b"acc")
+        branch = int(sends)   # a retransmission proves branch 1, with node 3's blinding sum
+        proof = prove_or(SMALL, stmt, branch, blinds[2 + branch], rng)
+        if verify_or(SMALL, [stmt], [proof]) != [True]:
             proof_failures += 1
 
     scenarios = {

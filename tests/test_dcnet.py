@@ -148,7 +148,8 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
     value-only shift keeps validity but then no proof branch has a
     witness."""
     from dcmesh.errors import WitnessMismatch
-    from dcmesh.splitter import add_blind, add_round, prove_retransmission
+    from dcmesh.splitter import add_blind, add_round, retransmission_statement
+    from dcmesh.zkp import prove_or
 
     rng = random.Random(77)
     styles = ("value_only", "commitment_only", "consistent_pair")
@@ -180,11 +181,10 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
             assert not valid  # the commitment product catches it at once
             continue
         assert valid  # a bare value shift is invisible to the product...
-        for branch in (False, True):  # ...but leaves no provable branch
+        stmt = retransmission_statement(targets[0], 0, 2, b"t")
+        for branch in (0, 1):  # ...but leaves no provable branch
             with pytest.raises(WitnessMismatch):
-                prove_retransmission(
-                    medium, targets[0], blinds[0], 0, 2, branch, rng, b"t"
-                )
+                prove_or(medium, stmt, branch, blinds[0][2 + branch], rng)
 
 
 def test_transcript_level_hiding_is_uniform(small):
@@ -405,4 +405,4 @@ def test_investigation_verdict_nonempty_on_invalid_rounds(small):
         record = investigate(
             small, result, 0, honest_published(graph, n, 0), graph.public()
         )
-        assert record.cheaters == {cheat}
+        assert set(record.verdicts) == {cheat}

@@ -147,6 +147,17 @@ PINNED_TRANSCRIPTS = [
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
      "be6064edd34439e2b15ce113d28a913b3522274c637b9fc4087e75bc0758bc12"),
+    # the three forged or withheld proofs the strategies above leave out:
+    # an injected copy caught at round 6, a fresh message caught at
+    # round 2, and a withheld proof at round 2
+    (sim.Scenario(n=4, senders=((0, 10), (1, 20), (2, 30), (3, 5)),
+                  adversaries=((3, "double_branch"),), seed=9),
+     "5fd8391664173e520ce430dab0ae7a2c4b384d0337036a3824f1229f6e7b6e35"),
+    (sim.Scenario(n=5, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
+                  adversaries=((4, "late_injection"),), seed=9),
+     "552c238ccc2b062d1db41fd96288ae9c5ee34d0c85b7637f72f6f3618b5ca1f4"),
+    (sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_proof"),), seed=9),
+     "5625d78cd7913e3b31735f8be4dc8ba99d0f3fe461d9a99f6efde86519edf488"),
 ]
 
 
@@ -322,12 +333,9 @@ class _MalformedProofParticipant(sim.HonestParticipant):
 
     shape = "short"
 
-    def broadcast(self, round_id):
-        ct = super().broadcast(round_id)
-        if ct.proof is None:
-            return ct
+    def prove_round(self, round_id, statement):
         sw = self.params.scalar_bytes
-        data = bytes.fromhex(ct.proof)
+        data = bytes.fromhex(super().prove_round(round_id, statement))
         if self.shape == "short":
             data = data[:-sw]
         elif self.shape == "extra":
@@ -335,7 +343,7 @@ class _MalformedProofParticipant(sim.HonestParticipant):
         else:
             challenge = int.from_bytes(data[:sw], "big") + self.params.q
             data = self.params.scalar_to_bytes(challenge) + data[sw:]
-        return replace(ct, proof=data.hex())
+        return data.hex()
 
 
 def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
@@ -394,22 +402,17 @@ class _MixedProofParticipant(sim.HonestParticipant):
             data = data[:at] + self.params.scalar_to_bytes(scalar) + data[at + sw :]
         return data.hex()
 
-    def broadcast(self, round_id):
-        ct = super().broadcast(round_id)
-        if ct.proof is None or self.phase != "cipher":
-            return ct
-        stmt = splitter.retransmission_statement(self.targets, self.pid, round_id, self.session_tag)
-        return replace(ct, proof=self._malformed(ct.proof, stmt))
+    def prove_round(self, round_id, statement):
+        text = super().prove_round(round_id, statement)
+        if self.phase != "cipher":
+            return text
+        return self._malformed(text, statement)
 
-    def respond_demand(self, node_id):
-        text = super().respond_demand(node_id)
+    def respond_demand(self, node_id, statement):
+        text = super().respond_demand(node_id, statement)
         if self.phase != "demand":
             return text
-        term = splitter.copy_term(self.params, self.tree.nodes[node_id].equal_payload)
-        stmt = splitter.denial_statement(
-            self.params, self.targets, self.pid, node_id, self.session_tag, term
-        )
-        return self._malformed(text, stmt)
+        return self._malformed(text, statement)
 
 
 def _mixed_round_scenario(monkeypatch, phase, senders):
@@ -562,15 +565,10 @@ class _LyingHolder(sim._ForgingAdversary):
     """Honest until asked about its equal-payload node, where it forges
     its claim instead of proving the copy it holds."""
 
-    def respond_demand(self, node_id):
-        node = self.tree.nodes[node_id]
-        if node.equal_payload is None:
-            return super().respond_demand(node_id)
-        term = splitter.copy_term(self.params, node.equal_payload)
-        stmt = splitter.denial_statement(
-            self.params, self.targets, self.pid, node_id, self.session_tag, term
-        )
-        return self._wire(zkp.forge_attempt(self.params, stmt, self.rng))
+    def respond_demand(self, node_id, statement):
+        if self.tree.nodes[node_id].equal_payload is None:
+            return super().respond_demand(node_id, statement)
+        return self._wire(zkp.forge_attempt(self.params, statement, self.rng))
 
 
 def test_lying_holder_blamed_at_an_equal_payload_node(monkeypatch):
@@ -963,6 +961,29 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
 
 
+def test_judge_alone_builds_targets_and_statements(monkeypatch):
+    """The reference run transmits 5 rounds, 4 of them after the root:
+    the judge takes each round's no-message targets once, and builds
+    each participant's retransmission statement once per later round;
+    the participants build none of their own."""
+    counts = Counter()
+    targets, statement = zkp.no_message_targets, splitter.retransmission_statement
+
+    def counting_targets(*args):
+        counts["no_message_targets"] += 1
+        return targets(*args)
+
+    def counting_statement(*args):
+        counts["retransmission_statement"] += 1
+        return statement(*args)
+
+    monkeypatch.setattr(zkp, "no_message_targets", counting_targets)
+    monkeypatch.setattr(splitter, "retransmission_statement", counting_statement)
+    transcript = sim.run_scenario(sim.REFERENCE_SCENARIO)
+    assert summary_of(transcript)["transmitted"] == len(sim.REFERENCE_TRANSMITTED) == 5
+    assert counts == {"no_message_targets": 5, "retransmission_statement": 4 * 5}
+
+
 def test_session_after_everyone_is_banned_is_not_clean():
     # the judge cannot run a session with no one active; a forged one
     # whose opening records match must not end verification clean
@@ -974,6 +995,38 @@ def test_session_after_everyone_is_banned_is_not_clean():
         "AGGREGATE session=2 round=1 C_count=0 C_total=0 valid=1",
     ]
     assert _detects("\n".join(lines[:-2] + forged + lines[-2:]))
+
+
+def test_session_after_a_session_without_a_ban_diverges():
+    # the run stops after a session that bans no one; a third session
+    # appended after the re-keyed one, played over the survivors for the
+    # already delivered 36, with the SUMMARY recomputed, delivers 36 twice
+    # and must diverge at its SESSION record
+    scenario = sim.Scenario(
+        n=4, senders=((0, 36), (1, 11), (2, 28)), adversaries=((3, "bad_pad"),), seed=2
+    )
+    transcript = sim.run_scenario(scenario)
+    body, summary = transcript.records[:-1], dict(transcript.records[-1])
+    assert [r["idx"] for r in body if r["type"] == "SESSION"] == [1, 2]
+    assert [r["session"] for r in body if r["type"] == "BAN"] == [1]
+    params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
+    tag = sim._session_tag(scenario.digest(), 3)
+    public, outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
+    extra = sim._session_head(3, public, outcome.epochs) + outcome.records
+    assert [payload for _, payload in outcome.resolved] == [36]
+    for key, added in (
+        ("sessions", 1),
+        ("delivered", len(outcome.resolved)),
+        ("transmitted", outcome.transmitted),
+        ("proofs_checked", outcome.proofs_checked),
+        ("proofs_failed", outcome.proofs_failed),
+        ("verdicts", len(outcome.verdicts)),
+    ):
+        summary[key] += added
+    summary["bind"] = records_digest(body + extra)
+    forged = Transcript(transcript.header, body + extra + [summary])
+    report = sim.verify_transcript(Transcript.from_text(forged.to_text()))
+    assert [index for index, _ in report.divergences] == [len(transcript.header) + len(body)]
 
 
 def test_dropped_verdict_detected():

@@ -16,13 +16,12 @@ from dcmesh.splitter import (
     add_blind,
     add_round,
     audit_wrong_branches,
+    denial_statement,
     encode_slot,
     prove_node_denial,
-    prove_retransmission,
+    retransmission_statement,
     slot_fits,
     threshold,
-    verify_node_denial,
-    verify_retransmission,
 )
 from dcmesh.groups import value_term
 
@@ -320,9 +319,17 @@ def participant_state(seed=7):
     return params, out, broadcasts, targets
 
 
+def prove_retransmission(params, nodes, blinds, pid, round_id, retransmitted, rng, tag):
+    """pid's proof of the retransmission statement over ``nodes``, on the
+    branch ``retransmitted`` picks, as a participant makes it."""
+    stmt = retransmission_statement(nodes, pid, round_id, tag)
+    branch = int(retransmitted)
+    return zkp.prove_or(params, stmt, branch, blinds[round_id + branch], rng)
+
+
 def verifies(params, nodes, pid, round_id, proof, tag):
     """Whether ``proof`` verifies as pid's retransmission proof over ``nodes``."""
-    (ok,) = verify_retransmission(params, {pid: nodes}, round_id, {pid: proof}, tag)
+    (ok,) = zkp.verify_or(params, [retransmission_statement(nodes, pid, round_id, tag)], [proof])
     return ok
 
 
@@ -371,10 +378,9 @@ def test_all_reference_proofs_verify():
         assert verifies(params, targets[pid], pid, rid, proof, tag)
     # and round by round, in one check each
     for rid in (2, 4, 6, 14):
-        round_proofs = {
-            pid: proof_from_bytes(params, bytes.fromhex(proofs[pid, rid])) for pid in range(5)
-        }
-        assert verify_retransmission(params, targets, rid, round_proofs, tag) == [True] * 5
+        stmts = [retransmission_statement(targets[pid], pid, rid, tag) for pid in range(5)]
+        round_proofs = [proof_from_bytes(params, bytes.fromhex(proofs[pid, rid])) for pid in range(5)]
+        assert zkp.verify_or(params, stmts, round_proofs) == [True] * 5
 
 
 def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
@@ -446,7 +452,6 @@ def test_retransmission_proof_fresh_construction(medium):
             )
     # the forged fallback is rejected by every verifier
     from dcmesh.zkp import forge_attempt
-    from dcmesh.splitter import retransmission_statement
 
     stmt = retransmission_statement(targets[0], 0, 4, tag)
     assert not verifies(medium, targets[0], 0, 4, forge_attempt(medium, stmt, rng), tag)
@@ -485,18 +490,15 @@ def test_node_denial_proofs(medium):
             add_blind(params, blinds, rid, graph.view(pid).blind_sum(slot))
         # participant 0 sent payload 36, resolved at node 14; everyone
         # except the sender can deny node 14
+        stmt = denial_statement(params, targets[pid], pid, 14, tag)
         if pid == 0:
             from dcmesh.errors import WitnessMismatch
 
             with pytest.raises(WitnessMismatch):
-                prove_node_denial(
-                    params, targets[pid], blinds, pid, 14, random.Random(1), tag
-                )
+                prove_node_denial(params, stmt, blinds[14], random.Random(1))
         else:
-            proof = prove_node_denial(
-                params, targets[pid], blinds, pid, 14, random.Random(1), tag
-            )
-            assert verify_node_denial(params, {pid: targets[pid]}, 14, {pid: proof}, tag) == [True]
+            proof = prove_node_denial(params, stmt, blinds[14], random.Random(1))
+            assert zkp.verify_or(params, [stmt], [proof]) == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +574,6 @@ def test_chain_proof_soundness_exhaustive(medium):
     from dcmesh.dcnet import make_ciphertext
     from dcmesh.errors import WitnessMismatch
     from dcmesh.keysetup import build_key_graph
-    from dcmesh.splitter import retransmission_statement
     from dcmesh.zkp import forge_attempt
 
     rng = random.Random(17)
