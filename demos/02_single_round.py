@@ -40,6 +40,6 @@ print(f"sum of broadcasts: {result.aggregate}   commitments valid: {result.valid
 
 print("\ninvestigation: everyone reveals the endorsed pair commitments")
 published = {pid: views[pid].published_pairs(1) for pid in range(n)}
-record = investigate(params, result, 1, published, graph.public())
-for pid, reasons in sorted(record.verdicts.items()):
+blamed = investigate(params, result, 1, published, graph.public())
+for pid, reasons in blamed.items():
     print(f"  verdict: P{pid} cheated ({', '.join(reasons)})")

@@ -15,7 +15,8 @@ against statements it builds from the broadcasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from .errors import DuplicateParticipant, MissingParticipant
 from .groups import GroupParams
@@ -94,27 +95,15 @@ def aggregate_round(
     )
 
 
-@dataclass
-class InvestigationRecord:
-    round_id: int
-    slot: int
-    verdicts: dict = field(default_factory=dict)  # pid -> sorted list of reasons
-
-    def flag(self, pid: int, reason: str) -> None:
-        reasons = self.verdicts.setdefault(pid, [])
-        if reason not in reasons:
-            reasons.append(reason)
-            reasons.sort()
-
-
 def investigate(
     params: GroupParams,
     round_result: RoundResult,
     slot: int,
     published: dict,
     graph_public: KeyGraphPublic,
-) -> InvestigationRecord:
-    """Attribute blame for a round from published pair commitments.
+) -> dict[int, list[str]]:
+    """Attribute blame for a round from published pair commitments:
+    each blamed participant, in id order, with its sorted reasons.
 
     ``published`` maps participant -> {peer: RevealedCommitment} as each
     participant revealed them: both ends of an edge reveal its lo -> hi
@@ -128,7 +117,7 @@ def investigate(
     mismatch with both endorsements intact flags both endpoints; anyone
     whose revealed value lacks a valid endorsement is pinned directly.
     """
-    record = InvestigationRecord(round_id=round_result.round_id, slot=slot)
+    flagged = defaultdict(set)   # pid -> its reasons
     participants = graph_public.participants
     optouts = graph_public.optouts
     # signer -> its signed root for the slot's epoch
@@ -139,7 +128,7 @@ def investigate(
     for pid in participants:
         revealed = published.get(pid)
         if revealed is None:
-            record.flag(pid, NON_COOPERATION)
+            flagged[pid].add(NON_COOPERATION)
             continue
         expected_peers = {
             peer
@@ -147,7 +136,7 @@ def investigate(
             if peer != pid and (min(pid, peer), max(pid, peer)) not in optouts
         }
         if set(revealed) != expected_peers:
-            record.flag(pid, NON_COOPERATION)
+            flagged[pid].add(NON_COOPERATION)
             continue
         # the broadcast times the hi-end edges' commitments, and the lo-end edges' product
         hi_side, lo_side = broadcast[pid], 1
@@ -155,13 +144,13 @@ def investigate(
             ok = is_endorsed(params, participants, roots[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
-                record.flag(pid, BAD_SIGNATURE)
+                flagged[pid].add(BAD_SIGNATURE)
             if peer < pid:
                 hi_side = hi_side * sc.commitment % params.p
             else:
                 lo_side = lo_side * sc.commitment % params.p
         if hi_side != lo_side:
-            record.flag(pid, AGGREGATE_MISMATCH)
+            flagged[pid].add(AGGREGATE_MISMATCH)
 
     # both ends of each edge reveal the same lo -> hi commitment
     for idx, a in enumerate(participants):
@@ -179,12 +168,12 @@ def investigate(
             a_ok = sig_ok.get((a, b), False)
             b_ok = sig_ok.get((b, a), False)
             if a_ok and not b_ok:
-                record.flag(b, PAIR_MISMATCH)
+                flagged[b].add(PAIR_MISMATCH)
             elif b_ok and not a_ok:
-                record.flag(a, PAIR_MISMATCH)
+                flagged[a].add(PAIR_MISMATCH)
             else:
                 # both endorsements check out (or both fail): cannot
                 # separate the endpoints, so both are flagged
-                record.flag(a, PAIR_MISMATCH)
-                record.flag(b, PAIR_MISMATCH)
-    return record
+                flagged[a].add(PAIR_MISMATCH)
+                flagged[b].add(PAIR_MISMATCH)
+    return {pid: sorted(flagged[pid]) for pid in sorted(flagged)}

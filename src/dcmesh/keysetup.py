@@ -16,10 +16,14 @@ revealed with the edge's other ones for the epoch, which leak nothing
 as Pedersen commitments are perfectly hiding, and its path through the
 other end's tree is endorsed by that one signature, which is what later
 lets an investigation pin blame.  Epoch 0 is built with the graph and
-later epochs on demand, over the same edges and signing keys.  A
-participant may refuse to share a secret with a peer; the edge is then
-publicly marked opted out for the whole session, contributes zero pads
-and identity commitments, and has a fixed tag leaf in both ends' trees,
+later epochs on demand, over the same edges and signing keys.
+
+One ``Edge`` record holds an edge's epoch: lo's keys and blinding
+values, the lo -> hi commitments to them, and their digest.  A
+participant may refuse to share a secret with a peer.  The edge is then
+opted out for the whole session: the graph's ``optouts`` names it once,
+and no epoch holds a record for it.  It contributes zero pads and
+identity commitments, and has a fixed tag leaf in both ends' trees,
 which are padded with the same tag to a power-of-two width.
 
 An epoch is set up one participant row at a time: the edges from a
@@ -30,6 +34,7 @@ hashed from its slice; one ``merkle.build_tree`` builds every
 participant's tree.  A participant's view sums each epoch once: its
 (count, total) pad sums, its blinding sums and, committed to with
 ``commit_all``, its aggregate commitment for every slot of the epoch.
+What it reveals in an investigation it reads from the graph's edges.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -40,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import NamedTuple
 
 from . import merkle
@@ -107,19 +113,20 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
 
 
 # ---------------------------------------------------------------------------
-# pairwise secrets and endorsements
+# edges and their endorsement
 
 
-@dataclass(frozen=True)
-class PairwiseSecret:
-    """One epoch's per-slot keys (for a slot's count and for its total)
-    and blinding values for the directed edge i -> j."""
+class Edge(NamedTuple):
+    """One epoch of one established edge lo -> hi: per slot, lo's count
+    key, total key and blinding value (hi's are their negations), the
+    lo -> hi commitment to them, and the digest of those commitments
+    that both ends endorse."""
 
-    i: int
-    j: int
     count_keys: tuple[int, ...]
     total_keys: tuple[int, ...]
     blinds: tuple[int, ...]
+    commitments: tuple[int, ...]
+    digest: bytes
 
 
 def endorse_payload(root: bytes, signer: int, epoch: int, opted_out) -> bytes:
@@ -164,26 +171,6 @@ class RevealedCommitment:
 
     commitment: int
     path: str
-
-
-@dataclass(frozen=True)
-class Endorsement:
-    """One edge's lo -> hi commitments for an epoch and their digest."""
-
-    commitments: tuple[int, ...]
-    digest: bytes
-
-
-def endorse(params: GroupParams, commitments) -> list[Endorsement]:
-    """One endorsement per run of ``EPOCH_SLOTS`` commitments: the run and its digest."""
-    size = params.element_bytes
-    row = b"".join([c.to_bytes(size, "big") for c in commitments])
-    step = EPOCH_SLOTS * size
-    digests = [edge_digest(row[at : at + step]) for at in range(0, len(row), step)]
-    return [
-        Endorsement(tuple(commitments[at : at + EPOCH_SLOTS]), digest)
-        for at, digest in zip(range(0, len(commitments), EPOCH_SLOTS), digests)
-    ]
 
 
 @dataclass(frozen=True)
@@ -235,10 +222,9 @@ def is_endorsed(
     return root == merkle.root_at(digest, index, width, siblings)
 
 
-def establish_row(params: GroupParams, lo: int, peers, rng):
-    """One epoch of the edges lo -> hi for each hi of ``peers``, in
-    order: per edge, its secrets and the endorsement of its lo -> hi
-    commitments.
+def establish_row(params: GroupParams, peers, rng) -> list[Edge]:
+    """One epoch of the edges from one participant to each of its
+    higher ``peers``, in order.
 
     The edges go through each stage together.  Each draws its secrets
     from ``rng`` in turn, count key, total key and blinding value for
@@ -253,50 +239,41 @@ def establish_row(params: GroupParams, lo: int, peers, rng):
         while r >= q:
             r = getrandbits(bits)
         draws.append(r)
-    counts, totals, blinds = draws[::3], draws[1::3], draws[2::3]
-    endorsements = endorse(params, commit_all(params, counts, totals, blinds))
-    secrets = [
-        PairwiseSecret(lo, hi, *(tuple(x[at : at + EPOCH_SLOTS]) for x in (counts, totals, blinds)))
-        for hi, at in zip(peers, range(0, len(blinds), EPOCH_SLOTS))
+    columns = [draws[::3], draws[1::3], draws[2::3]]
+    columns.append(commit_all(params, *columns))
+    size = params.element_bytes
+    row = b"".join([c.to_bytes(size, "big") for c in columns[-1]])
+    return [
+        Edge(
+            *(tuple(x[at : at + EPOCH_SLOTS]) for x in columns),
+            edge_digest(row[at * size : (at + EPOCH_SLOTS) * size]),
+        )
+        for at in range(0, len(columns[-1]), EPOCH_SLOTS)
     ]
-    return list(zip(secrets, endorsements))
 
 
 # ---------------------------------------------------------------------------
 # the key graph and per-participant views
 
 
-@dataclass(frozen=True)
-class EdgeState:
-    """One epoch of one edge."""
-
-    lo: int
-    hi: int
-    established: bool
-    secret: PairwiseSecret | None = None     # direction lo -> hi
-    endorsement: Endorsement | None = None   # its commitments, endorsed by both ends
-
-
 class Epoch(NamedTuple):
-    """One endorsed epoch: every edge's state, the levels of all the
+    """One endorsed epoch: its established edges, the levels of all the
     signers' trees (one per participant, in order, built together) and
     each participant's signed root."""
 
-    edges: dict     # (lo, hi) -> EdgeState
+    edges: dict     # (lo, hi) -> Edge; an opted-out pair is absent
     trees: list
     signed: tuple   # SignedRoot per participant
 
 
 class EpochShare(NamedTuple):
     """One participant's sums for each slot of an epoch: of its pads, as
-    (count, total) pairs, and of its blinding values; the commitment to
-    each slot's sums, its aggregate commitment; and the endorsements of
-    its edges, by peer."""
+    (count, total) pairs, and of its blinding values; and the commitment
+    to each slot's sums, its aggregate commitment."""
 
     pads: list[tuple[int, int]]
     blinds: list[int]
     commitments: list[int]
-    endorsements: dict
 
 
 @dataclass(frozen=True)
@@ -321,22 +298,21 @@ class KeyGraph:
         self.params = params
         self.participants = tuple(participants)
         self.signing = signing      # pid -> SigningKey
-        self.refusers = refusers    # their edges are opted out in every epoch
+        # every edge of a refuser, opted out for the whole session
+        pairs = combinations(self.participants, 2)
+        self.optouts = frozenset(pair for pair in pairs if not refusers.isdisjoint(pair))
         self.width = signer_width(len(self.participants))
         self.epochs: list[Epoch] = []
 
     def add_epoch(self, rng: random.Random) -> None:
         """Endorse the next epoch: every edge's secrets drawn from ``rng``,
         one ``establish_row`` per participant and its higher peers (an
-        edge with a refuser is opted out and draws nothing), then signed."""
+        opted-out edge draws nothing), then signed."""
         edges = {}
         for a_idx, lo in enumerate(self.participants):
-            higher = self.participants[a_idx + 1 :]
-            shared = [] if lo in self.refusers else [hi for hi in higher if hi not in self.refusers]
-            row = establish_row(self.params, lo, shared, rng)
-            states = {hi: EdgeState(lo, hi, True, *pair) for hi, pair in zip(shared, row)}
-            for hi in higher:
-                edges[(lo, hi)] = states.get(hi) or EdgeState(lo, hi, False)
+            shared = [hi for hi in self.participants[a_idx + 1 :] if (lo, hi) not in self.optouts]
+            row = establish_row(self.params, shared, rng)
+            edges.update(((lo, hi), edge) for hi, edge in zip(shared, row))
         self.epochs.append(self.sign_epoch(edges, len(self.epochs)))
 
     def sign_epoch(self, edges, epoch: int) -> Epoch:
@@ -348,19 +324,19 @@ class KeyGraph:
             row = []
             for holder in self.participants:
                 if holder != signer:
-                    state = edges[(min(holder, signer), max(holder, signer))]
-                    row.append(state.endorsement.digest if state.established else NO_EDGE)
+                    edge = edges.get((min(holder, signer), max(holder, signer)))
+                    row.append(NO_EDGE if edge is None else edge.digest)
             leaves += row + [NO_EDGE] * (self.width - len(row))
         trees = merkle.build_tree(leaves, self.width)
-        optouts = [pair for pair, state in edges.items() if not state.established]
         signed = []
         for signer, root in zip(self.participants, trees[-1]):
-            payload = endorse_payload(root, signer, epoch, opted_out_peers(optouts, signer))
+            payload = endorse_payload(root, signer, epoch, opted_out_peers(self.optouts, signer))
             signed.append(SignedRoot(signer, root, sign(self.params, self.signing[signer], payload)))
         return Epoch(edges, trees, tuple(signed))
 
-    def edge(self, a: int, b: int, epoch: int = 0) -> EdgeState:
-        return self.epochs[epoch].edges[(min(a, b), max(a, b))]
+    def edge(self, a: int, b: int, epoch: int = 0) -> Edge | None:
+        """The edge between a and b in the epoch; None when it is opted out."""
+        return self.epochs[epoch].edges.get((min(a, b), max(a, b)))
 
     def signer_path(self, epoch: int, holder: int, signer: int) -> list[bytes]:
         """The siblings from the leaf of the edge between holder and
@@ -373,9 +349,7 @@ class KeyGraph:
         return KeyGraphPublic(
             participants=self.participants,
             publics={pid: self.signing[pid].public for pid in self.participants},
-            optouts=frozenset(
-                pair for pair, state in self.epochs[0].edges.items() if not state.established
-            ),
+            optouts=self.optouts,
             epochs=tuple(epoch.signed for epoch in self.epochs),
         )
 
@@ -393,20 +367,15 @@ class KeyGraph:
         zeros = (0,) * EPOCH_SLOTS   # one row in each list, so every column exists
         # per secret (count keys, total keys, blinds): the rows added, then those taken away
         rows = [([zeros], [zeros]) for _ in range(3)]
-        endorsements = {}
         for peer in self.participants:
-            if peer == pid:
-                continue
-            state = self.edge(pid, peer, epoch)
-            if not state.established:
+            edge = None if peer == pid else self.edge(pid, peer, epoch)
+            if edge is None:
                 continue  # opted-out edges contribute zero pads
-            secret, is_hi = state.secret, pid != state.lo
-            for plus_minus, values in zip(rows, (secret.count_keys, secret.total_keys, secret.blinds)):
-                plus_minus[is_hi].append(values)
-            endorsements[peer] = state.endorsement
+            for plus_minus, values in zip(rows, edge[:3]):
+                plus_minus[pid > peer].append(values)
         counts, totals, blinds = (_column_differences(plus, minus, q) for plus, minus in rows)
         commitments = commit_all(self.params, counts, totals, blinds)
-        return EpochShare(list(zip(counts, totals)), blinds, commitments, endorsements)
+        return EpochShare(list(zip(counts, totals)), blinds, commitments)
 
 
 def _column_differences(plus, minus, q: int) -> list[int]:
@@ -474,13 +443,16 @@ class KeyView:
         edges at the slot, which both ends reveal alike, each with the
         edge's other commitments for the slot's epoch and the path from
         the edge's digest up to the peer's signed root."""
-        share, index = self._share(slot)
+        epoch, index = divmod(slot, EPOCH_SLOTS)
         published = {}
-        for peer, endorsement in share.endorsements.items():
-            row = [self.params.element_to_bytes(c) for c in endorsement.commitments]
+        for peer in self.graph.participants:
+            edge = None if peer == self.pid else self.graph.edge(self.pid, peer, epoch)
+            if edge is None:
+                continue
+            row = [self.params.element_to_bytes(c) for c in edge.commitments]
             del row[index]
-            path = b"".join(row + self.graph.signer_path(slot // EPOCH_SLOTS, self.pid, peer))
-            published[peer] = RevealedCommitment(endorsement.commitments[index], path.hex())
+            path = b"".join(row + self.graph.signer_path(epoch, self.pid, peer))
+            published[peer] = RevealedCommitment(edge.commitments[index], path.hex())
         return published
 
 

@@ -604,10 +604,8 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
                     path=sc.path,
                 )
             )
-    inv = investigate(params, result, slot, published, graph_public)
-    cheaters = ",".join(
-        f"{pid}:{'+'.join(inv.verdicts[pid])}" for pid in sorted(inv.verdicts)
-    )
+    blamed = investigate(params, result, slot, published, graph_public)
+    cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
     outcome.records.append(
         record(
             "INVESTIGATION",
@@ -616,8 +614,8 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
             cheaters=cheaters or "-",
         )
     )
-    for pid in sorted(inv.verdicts):
-        for reason in inv.verdicts[pid]:
+    for pid, reasons in blamed.items():
+        for reason in reasons:
             outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
 
 

@@ -13,7 +13,7 @@ from dcmesh import sim
 from dcmesh.dcnet import aggregate_round, investigate, make_ciphertext
 from dcmesh.errors import MalformedRecord
 from dcmesh.groups import brute_force_dlog, commit, derive_params
-from dcmesh.keysetup import build_key_graph, endorse
+from dcmesh.keysetup import build_key_graph, edge_digest
 from dcmesh.splitter import COLLISION
 from dcmesh.transcript import Transcript
 from dcmesh.zkp import Prover
@@ -115,7 +115,7 @@ def test_c04_investigation_blame():
         graph, cts = _honest_round(SMALL, n, 20_000 + trial, {})
         result = aggregate_round(SMALL, range(n), cts)
         published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
-        if investigate(SMALL, result, 0, published, graph.public()).verdicts:
+        if investigate(SMALL, result, 0, published, graph.public()):
             failures.append(("honest", trial))
 
     # scripted cheats -> exactly the scripted set, each over the same
@@ -127,9 +127,9 @@ def test_c04_investigation_blame():
             published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
             cts, published, public = mutate(graph, cts, published, graph.public())
             result = aggregate_round(SMALL, range(n), cts)
-            record = investigate(SMALL, result, 0, published, public)
-            if set(record.verdicts) != expected:
-                failures.append((name, seed, record.verdicts))
+            verdicts = investigate(SMALL, result, 0, published, public)
+            if set(verdicts) != expected:
+                failures.append((name, seed, verdicts))
 
     def aggregate_mismatch(graph, cts, published, public):
         cts[1] = replace(cts[1], commitment=cts[1].commitment * SMALL.g % SMALL.p)
@@ -147,11 +147,11 @@ def test_c04_investigation_blame():
         # its tree over the root of a forged list of edge (0, 1), 0 its
         # own over the real one, and each reveal toward 1 leads to 1's
         real = graph.epochs[0]
-        endorsement = real.edges[(0, 1)].endorsement
-        forged_list = (endorsement.commitments[0] * SMALL.g % SMALL.p,) + endorsement.commitments[1:]
-        (forged,) = endorse(SMALL, forged_list)
+        commitments = real.edges[(0, 1)].commitments
+        forged_list = (commitments[0] * SMALL.g % SMALL.p,) + commitments[1:]
+        row = b"".join(SMALL.element_to_bytes(c) for c in forged_list)
         edges = dict(real.edges)
-        edges[(0, 1)] = replace(edges[(0, 1)], endorsement=forged)
+        edges[(0, 1)] = edges[(0, 1)]._replace(commitments=forged_list, digest=edge_digest(row))
         graph.epochs[0] = graph.sign_epoch(edges, 0)
         for pid in (0, 2, 3):
             published[pid] = dict(published[pid])

@@ -1,5 +1,7 @@
 """Exit-code contract and output of the command-line driver."""
 
+from pathlib import Path
+
 import pytest
 
 from dcmesh import sim
@@ -60,7 +62,15 @@ def test_run_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["sender = 1", "sender = x 5", "adversary = 1", "max_retires = 2", "n = 4"]
+    "line",
+    ["sender = 1", "sender = x 5", "adversary = 1", "max_retires = 2", "n = 4"],
+    ids=[
+        "sender_without_payload",
+        "sender_id_not_a_number",
+        "adversary_without_strategy",
+        "misspelt_key",
+        "repeated_key",
+    ],
 )
 def test_run_rejects_bad_scenario_lines(tmp_path, capsys, line):
     bad = tmp_path / "bad.txt"
@@ -115,11 +125,11 @@ def test_verify_prints_every_divergence(tmp_path, capsys):
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     main(["run", path, "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     # a forged delivery diverges at its own record and at the body digest
     index = next(i for i, ln in enumerate(lines) if ln.startswith("RESOLVED"))
     lines[index] = lines[index].replace("payload=", "payload=1")
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", out]) == 2
     printed = capsys.readouterr().out.splitlines()
@@ -137,9 +147,9 @@ def _verify_edited(tmp_path, capsys, edit):
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     main(["run", path, "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     edit(lines)
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = main(["verify", out])
     printed = capsys.readouterr().out.splitlines()
@@ -179,14 +189,14 @@ def test_verify_detects_bit_flip(tmp_path):
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     main(["run", path, "--out", out])
-    text = open(out).read()
+    text = Path(out).read_text()
     # flip one hex digit inside the first attached proof
     index = text.index("proof=") + len("proof=")
     while text[index] == "-":
         index = text.index("proof=", index) + len("proof=")
     flipped = "0" if text[index] != "0" else "1"
     mutated = text[:index] + flipped + text[index + 1 :]
-    open(out, "w").write(mutated)
+    Path(out).write_text(mutated)
     assert main(["verify", out]) == 2
 
 
@@ -194,8 +204,8 @@ def test_verify_truncated_file(tmp_path):
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     main(["run", path, "--out", out])
-    lines = open(out).read().splitlines()
-    open(out, "w").write("\n".join(lines[: len(lines) // 2]) + "\n")
+    lines = Path(out).read_text().splitlines()
+    Path(out).write_text("\n".join(lines[: len(lines) // 2]) + "\n")
     assert main(["verify", out]) == 1
     assert main(["verify", str(tmp_path / "missing.log")]) == 1
 
@@ -237,7 +247,7 @@ def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     assert main(["run", path, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     prefix = "ENDORSE session=1 epoch=0 part=3 "
     index = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
     tokens = lines[index].split(" ")
@@ -246,7 +256,7 @@ def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
         for t in tokens
     ]
     lines[index] = " ".join(tokens)
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", out]) == 1
     err = capsys.readouterr().err
@@ -258,7 +268,7 @@ def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
     ("bad_pad", "aggregate_mismatch", "PUBLISH session=1 slot=0 part=1 "),
     ("refuse_proof", "non_cooperation", "CIPHER session=1 round=2 part=1 "),
     ("wrong_branch", "wrong_branch", "DEMAND session=1 node=8 part=1 "),
-])
+], ids=["bad_pad", "refuse_proof", "wrong_branch"])
 def test_verify_explain_names_each_verdicts_trigger(tmp_path, capsys, strategy, reason, trigger):
     scenario = sim.Scenario(
         n=3, senders=((0, 10), (1, 40)), adversaries=((1, strategy),), seed=4
@@ -266,7 +276,7 @@ def test_verify_explain_names_each_verdicts_trigger(tmp_path, capsys, strategy, 
     path = write_scenario(tmp_path, scenario)
     out = str(tmp_path / "t.log")
     assert main(["run", path, "--out", out]) == 2
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     capsys.readouterr()
     # the default output is unchanged; --explain adds one line per VERDICT
     assert main(["verify", out]) == 0

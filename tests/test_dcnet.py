@@ -21,7 +21,7 @@ from dcmesh.errors import (
     MissingParticipant,
     RoundBudgetExhausted,
 )
-from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, endorse
+from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, edge_digest
 from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
 
 
@@ -210,8 +210,8 @@ def test_investigation_honest_round_empty_verdicts(small):
     n = 4
     graph = fresh_graph(small, n, seed=8)
     _, _, result = run_round(small, graph, n)
-    record = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
-    assert record.verdicts == {}
+    verdicts = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
+    assert verdicts == {}
 
 
 def test_investigation_aggregate_mismatch(small):
@@ -226,8 +226,8 @@ def test_investigation_aggregate_mismatch(small):
     )
     result = aggregate_round(small, range(n), cts)
     assert not result.valid
-    record = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
-    assert record.verdicts == {2: [AGGREGATE_MISMATCH]}
+    verdicts = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
+    assert verdicts == {2: [AGGREGATE_MISMATCH]}
 
 
 def test_investigation_bad_signature_pins_tamperer(small):
@@ -249,11 +249,11 @@ def test_investigation_bad_signature_pins_tamperer(small):
     )
     result = aggregate_round(small, range(n), cts)
     assert not result.valid
-    record = investigate(small, result, 0, published, graph.public())
-    assert 1 in record.verdicts
-    assert BAD_SIGNATURE in record.verdicts[1]
-    assert 2 not in record.verdicts  # honest counterparty stays clean
-    assert 0 not in record.verdicts
+    verdicts = investigate(small, result, 0, published, graph.public())
+    assert 1 in verdicts
+    assert BAD_SIGNATURE in verdicts[1]
+    assert 2 not in verdicts  # honest counterparty stays clean
+    assert 0 not in verdicts
 
 
 def forge_endorsement(params, graph, holder, signer, commitments):
@@ -261,11 +261,11 @@ def forge_endorsement(params, graph, holder, signer, commitments):
     ``commitments`` as its edge with ``holder``, which reveals them,
     while every other tree holds the edge's real root.  Returns what
     everyone reveals at slot 0 and the public key graph."""
-    (forged,) = endorse(params, commitments)
     real = graph.epochs[0]
     pair = (min(holder, signer), max(holder, signer))
     edges = dict(real.edges)
-    edges[pair] = replace(edges[pair], endorsement=forged)
+    row = b"".join(params.element_to_bytes(c) for c in commitments)
+    edges[pair] = edges[pair]._replace(commitments=tuple(commitments), digest=edge_digest(row))
     graph.epochs[0] = graph.sign_epoch(edges, 0)
     # every reveal toward the signer leads to its root over the forged edge
     toward_signer = {
@@ -292,15 +292,15 @@ def test_investigation_pair_mismatch_both_flagged(small):
     cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
     # forge a consistent-looking but differing endorsement of edge (0, 1):
     # 1 signs its tree over the root of a list whose slot 0 is shifted
-    endorsement = graph.edge(0, 1).endorsement
-    forged_list = (endorsement.commitments[0] * small.g % small.p,) + endorsement.commitments[1:]
+    commitments = graph.edge(0, 1).commitments
+    forged_list = (commitments[0] * small.g % small.p,) + commitments[1:]
     published, public = forge_endorsement(small, graph, 0, 1, forged_list)
     assert published[0][1].commitment != published[1][0].commitment
     cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
     result = aggregate_round(small, range(n), cts)
-    record = investigate(small, result, 0, published, public)
-    assert PAIR_MISMATCH in record.verdicts.get(0, [])
-    assert PAIR_MISMATCH in record.verdicts.get(1, [])
+    verdicts = investigate(small, result, 0, published, public)
+    assert PAIR_MISMATCH in verdicts.get(0, [])
+    assert PAIR_MISMATCH in verdicts.get(1, [])
 
 
 def test_investigation_binds_revealed_commitment_to_its_slot(small):
@@ -311,7 +311,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
     n = 3
     graph = fresh_graph(small, n, seed=16)
     graph.add_epoch(random.Random(17))
-    endorsed = [graph.edge(1, 2, epoch).endorsement for epoch in (0, 1)]
+    endorsed = [graph.edge(1, 2, epoch) for epoch in (0, 1)]
     # (slot spent, the epoch of what 1 used and revealed, its index):
     # another slot's in the same epoch, and the same index of another epoch
     cases = [(0, 0, 1), (0, 1, 0), (EPOCH_SLOTS, 0, 0)]
@@ -334,11 +334,11 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
         published = honest_published(graph, n, slot)
         published[1] = dict(published[1])
         published[1][2] = graph.view(1).published_pairs(used_epoch * EPOCH_SLOTS + index)[2]
-        record = investigate(small, result, slot, published, graph.public())
-        assert BAD_SIGNATURE in record.verdicts[1], (slot, index)
-        assert AGGREGATE_MISMATCH not in record.verdicts[1]
-        assert 2 not in record.verdicts  # honest counterparty stays clean
-        assert 0 not in record.verdicts
+        verdicts = investigate(small, result, slot, published, graph.public())
+        assert BAD_SIGNATURE in verdicts[1], (slot, index)
+        assert AGGREGATE_MISMATCH not in verdicts[1]
+        assert 2 not in verdicts  # honest counterparty stays clean
+        assert 0 not in verdicts
 
 
 def test_investigation_short_or_swapped_path_is_bad_signature(small):
@@ -364,8 +364,8 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
         published = honest_published(graph, n, 0)
         published[1] = dict(published[1])
         published[1][2] = replace(published[1][2], path=tampered)
-        record = investigate(small, result, 0, published, graph.public())
-        assert record.verdicts == {1: [BAD_SIGNATURE]}
+        verdicts = investigate(small, result, 0, published, graph.public())
+        assert verdicts == {1: [BAD_SIGNATURE]}
 
 
 def test_investigation_non_cooperation(small):
@@ -374,8 +374,8 @@ def test_investigation_non_cooperation(small):
     _, _, result = run_round(small, graph, n)
     published = honest_published(graph, n, 0)
     del published[1]
-    record = investigate(small, result, 0, published, graph.public())
-    assert record.verdicts == {1: [NON_COOPERATION]}
+    verdicts = investigate(small, result, 0, published, graph.public())
+    assert verdicts == {1: [NON_COOPERATION]}
 
 
 def test_investigation_respects_optouts(small):
@@ -384,8 +384,8 @@ def test_investigation_respects_optouts(small):
     _, _, result = run_round(small, graph, n)
     assert result.valid
     published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
-    record = investigate(small, result, 0, published, graph.public())
-    assert record.verdicts == {}
+    verdicts = investigate(small, result, 0, published, graph.public())
+    assert verdicts == {}
 
 
 def test_investigation_verdict_nonempty_on_invalid_rounds(small):
@@ -402,7 +402,7 @@ def test_investigation_verdict_nonempty_on_invalid_rounds(small):
         )
         result = aggregate_round(small, range(n), cts)
         assert not result.valid
-        record = investigate(
+        verdicts = investigate(
             small, result, 0, honest_published(graph, n, 0), graph.public()
         )
-        assert set(record.verdicts) == {cheat}
+        assert set(verdicts) == {cheat}

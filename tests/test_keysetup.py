@@ -37,13 +37,12 @@ def round_secret(graph, i, j, slot):
     """((count key, total key), blinding value) of edge i -> j for a slot;
     zero when opted out."""
     epoch, index = divmod(slot, EPOCH_SLOTS)
-    state = graph.edge(i, j, epoch)
-    if not state.established:
+    edge = graph.edge(i, j, epoch)
+    if edge is None:
         return (0, 0), 0
-    secret = state.secret
-    key = (secret.count_keys[index], secret.total_keys[index])
-    blind = secret.blinds[index]
-    if i == state.lo:
+    key = (edge.count_keys[index], edge.total_keys[index])
+    blind = edge.blinds[index]
+    if i < j:
         return key, blind
     q = graph.params.q
     return (-key[0] % q, -key[1] % q), (-blind) % q
@@ -78,20 +77,18 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
-    ((secret, endorsement),) = establish_row(params, 0, [1], rng)
-    assert len(secret.count_keys) == len(secret.total_keys) == len(secret.blinds) == EPOCH_SLOTS
+    (edge,) = establish_row(params, [1], rng)
+    assert len(edge.count_keys) == len(edge.total_keys) == len(edge.blinds) == EPOCH_SLOTS
     q = params.q
-    for slot, (count, total, blind) in enumerate(
-        zip(secret.count_keys, secret.total_keys, secret.blinds)
-    ):
+    for slot, (count, total, blind) in enumerate(zip(edge.count_keys, edge.total_keys, edge.blinds)):
         c_ij = commit(params, (count, total), blind)
         c_ji = commit(params, (-count % q, -total % q), -blind % q)
         assert c_ij * c_ji % params.p == 1
         # one list per edge: the lo -> hi commitments, which both ends reveal
-        assert endorsement.commitments[slot] == c_ij
+        assert edge.commitments[slot] == c_ij
     # the edge's digest is over its commitments, in slot order
-    row = b"".join(params.element_to_bytes(c) for c in endorsement.commitments)
-    assert endorsement.digest == edge_digest(row)
+    row = b"".join(params.element_to_bytes(c) for c in edge.commitments)
+    assert edge.digest == edge_digest(row)
 
 
 @pytest.mark.parametrize("level", ["test_small", "test_medium", "production"])
@@ -103,14 +100,14 @@ def test_pair_secrets_are_a_randrange_stream(level):
     keys = random.Random(4)
     signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    ((secret, _),) = establish_row(params, 0, [1], rng)
+    (first,) = establish_row(params, [1], rng)
     graph = KeyGraph(params, range(6), signing, frozenset({2}))
     graph.add_epoch(rng)
-    shared = [e.secret for _, e in sorted(graph.epochs[0].edges.items()) if e.established]
+    shared = [edge for _, edge in sorted(graph.epochs[0].edges.items())]
     assert len(shared) == 10   # fifteen edges, five of them opted out by 2
     drawn = [
         x
-        for s in [secret] + shared
+        for s in [first] + shared
         for triple in zip(s.count_keys, s.total_keys, s.blinds)
         for x in triple
     ]
@@ -156,7 +153,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
     for module in (keysetup, merkle):
         monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=counting_sha256))
-    establish_row(medium, 0, [1], rng)
+    establish_row(medium, [1], rng)
     assert len(exponents) == 3 * EPOCH_SLOTS
     assert inversions == []
     assert setup_hashes() == (1, 0)
@@ -184,10 +181,10 @@ def test_per_round_secrets_are_fresh(small):
     rng = random.Random(3)
     repeats = 0
     for _ in range(120):
-        ((secret, _),) = establish_row(small, 0, [1], rng)
-        if secret.count_keys[0] == secret.count_keys[1]:
+        (edge,) = establish_row(small, [1], rng)
+        if edge.count_keys[0] == edge.count_keys[1]:
             repeats += 1
-        if secret.total_keys[0] == secret.total_keys[1]:
+        if edge.total_keys[0] == edge.total_keys[1]:
             repeats += 1
     assert repeats < 20  # expectation is about 240/53
 
@@ -260,8 +257,7 @@ def test_optout_edges_contribute_identity(small):
     rng = random.Random(6)
     graph = build_key_graph(small, range(4), rng, refusers={2})
     for peer in (0, 1, 3):
-        state = graph.edge(2, peer)
-        assert not state.established
+        assert graph.edge(2, peer) is None
         assert round_secret(graph, 2, peer, 0) == ((0, 0), 0)
     # a full refuser has the identity aggregate
     assert aggregate_commitment(graph, 2, 0) == 1
@@ -270,6 +266,21 @@ def test_optout_edges_contribute_identity(small):
     for pid in range(4):
         product = product * aggregate_commitment(graph, pid, 0) % small.p
     assert product == 1
+
+
+def test_opted_out_edges_are_absent(small):
+    # a refuser in mid-row: its five edges are held nowhere, in any epoch
+    graph = build_key_graph(small, range(6), random.Random(16), refusers={2})
+    graph.add_epoch(random.Random(17))
+    established = [(lo, hi) for lo in range(6) for hi in range(lo + 1, 6) if 2 not in (lo, hi)]
+    assert len(established) == 10
+    for epoch in graph.epochs:
+        assert sorted(epoch.edges) == established
+    for peer in (0, 1, 3, 4, 5):
+        assert graph.edge(2, peer) is None and graph.edge(peer, 2, 1) is None
+    assert graph.view(2).published_pairs(0) == {}
+    assert graph.optouts == {(min(2, peer), max(2, peer)) for peer in (0, 1, 3, 4, 5)}
+    assert graph.public().optouts == graph.optouts
 
 
 def test_all_edges_opted_out(small):
@@ -303,9 +314,9 @@ def test_public_header_shape(small):
     assert len(public.epochs) == 1
     # every participant signs, the refuser too
     assert [signed.part for signed in public.epochs[0]] == [0, 1, 2]
-    states = {pair: e.established for pair, e in graph.epochs[0].edges.items()}
-    assert states == {(0, 1): False, (0, 2): True, (1, 2): False}
-    assert public.optouts == {(0, 1), (1, 2)}
+    # only the established edge is held; the opted-out pairs are absent
+    assert list(graph.epochs[0].edges) == [(0, 2)]
+    assert public.optouts == graph.optouts == {(0, 1), (1, 2)}
 
 
 def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
@@ -349,8 +360,8 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
             leaves = []
             for holder in range(5):
                 if holder != s.part:
-                    state = graph.edge(holder, s.part, epoch)
-                    leaves.append(state.endorsement.digest if state.established else NO_EDGE)
+                    edge = graph.edge(holder, s.part, epoch)
+                    leaves.append(NO_EDGE if edge is None else edge.digest)
             assert merkle.build_tree(leaves, 4)[-1] == [s.root]
 
 
@@ -436,7 +447,7 @@ def test_merkle_batch_inclusion_paths(small):
         for holder, signer in shared:
             revealed = pairs[holder][signer]
             lo, hi = min(holder, signer), max(holder, signer)
-            assert revealed.commitment == graph.edge(lo, hi, epoch).endorsement.commitments[index]
+            assert revealed.commitment == graph.edge(lo, hi, epoch).commitments[index]
             assert revealed.commitment == pairs[signer][holder].commitment
             # the edge's seven other commitments, alike from both ends,
             # then two levels of the signer's tree
@@ -451,7 +462,7 @@ def test_merkle_batch_inclusion_paths(small):
             # commitment there is the same value (the small group repeats
             # some), or the same index of the other epoch, which has its
             # own roots
-            row = graph.edge(lo, hi, epoch).endorsement.commitments
+            row = graph.edge(lo, hi, epoch).commitments
             for other in (index - 1, index + 1):
                 if 0 <= other < EPOCH_SLOTS:
                     same = row[other] == row[index]
@@ -467,7 +478,7 @@ def test_merkle_batch_rejects_tampering(small):
     graph.add_epoch(random.Random(13))
     published = graph.view(0).published_pairs(2)
     revealed = published[1]
-    endorsement = graph.edge(0, 1).endorsement
+    edge = graph.edge(0, 1)
 
     def endorsed(revealed, holder=0, signer=1, epoch=0):
         root = graph.epochs[epoch].signed[signer].root
@@ -478,7 +489,7 @@ def test_merkle_batch_rejects_tampering(small):
     # signer's tree (width 2)
     split = 2 * (EPOCH_SLOTS - 1) * small.element_bytes
     row, siblings = revealed.path[:split], revealed.path[split:]
-    others = [c for slot, c in enumerate(endorsement.commitments) if slot != 2]
+    others = [c for slot, c in enumerate(edge.commitments) if slot != 2]
     assert row == "".join(small.element_to_bytes(c).hex() for c in others)
     assert len(siblings) == 64
     # the other end reveals the same commitment and row, up to 0's root
@@ -487,7 +498,7 @@ def test_merkle_batch_rejects_tampering(small):
     assert endorsed(other_end, holder=1, signer=0)
     # wrong leaf value: the right row with a neighbouring slot's commitment
     for neighbour in (1, 3):
-        assert not endorsed(replace(revealed, commitment=endorsement.commitments[neighbour]))
+        assert not endorsed(replace(revealed, commitment=edge.commitments[neighbour]))
     # another edge's row from the same holder and slot
     assert not endorsed(replace(revealed, path=published[2].path[:split] + siblings))
     # epoch 1's reveal, or its row, against epoch 0's signed root
@@ -521,7 +532,6 @@ def test_setup_determinism(small):
     a = build_key_graph(small, range(4), random.Random(99))
     b = build_key_graph(small, range(4), random.Random(99))
     for pair in a.epochs[0].edges:
-        ea, eb = a.edge(*pair), b.edge(*pair)
-        assert ea.secret == eb.secret
-        assert ea.endorsement == eb.endorsement
+        # the secrets, the commitments and their digest
+        assert a.edge(*pair) == b.edge(*pair)
     assert a.public() == b.public()

@@ -1,8 +1,11 @@
 """Scenario execution, strategy detection, transcript closure."""
 
 import hashlib
+import importlib.util
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,36 @@ PINNED_TRANSCRIPTS = [
 def test_transcripts_are_byte_identical_to_pinned(scenario, digest):
     text = sim.run_scenario(scenario).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _bench_workloads():
+    """The bench's workload module, loaded from its file (``bench`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# one SHA-256 per gated bench workload over its seed-1 pool's transcripts,
+# in pool order: 136 scenarios, so a refactor that keeps every transcript
+# byte-identical keeps these
+POOL_DIGESTS = {
+    "wide_honest": "6553ff5deabda987f3e0301170bf791020d7d1c8572672e81dd670b04faeb0a8",
+    "narrow_poll": "e56dd012a9b1bc128151e0a9cd893d671ae8a6be37a8cea7a4cee1d4547a2ae9",
+    "disrupted": "049663acc72568ab494bdc71d35073aa494a8b781f959b93341cc0fb832ecaf6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
+def test_bench_pool_transcripts_are_byte_identical_to_pinned(name):
+    workload = _bench_workloads().WORKLOADS[name]
+    digest = hashlib.sha256()
+    for index in range(workload.pool):
+        scenario = workload.scenario(sim, 1, index)
+        digest.update(sim.run_scenario(scenario).to_text().encode())
+    assert digest.hexdigest() == POOL_DIGESTS[name]
 
 
 def test_transcript_text_roundtrip_and_closure():
