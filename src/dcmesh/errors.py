@@ -17,10 +17,6 @@ class WitnessMismatch(DcMeshError):
     """Prover witness does not satisfy the statement; refusing to emit a proof."""
 
 
-class EmptyClauseList(DcMeshError):
-    """OR statement requested over zero branches."""
-
-
 class RoundBudgetExhausted(DcMeshError):
     """A round asked for a second slot, or for a slot whose epoch is not endorsed."""
 

@@ -91,21 +91,24 @@ class WindowTable:
     def power(self, exponent: int) -> int:
         """base^exponent, the exponent taken mod q."""
         e = exponent % self.q
-        p, width, mask = self.p, self.width, self.mask
-        acc = 1
-        for row in self.rows:
-            acc = acc * row[e & mask] % p
+        p, width, mask, rows = self.p, self.width, self.mask, iter(self.rows)
+        acc = next(rows)[e & mask]
+        for row in rows:
             e >>= width
+            acc = acc * row[e & mask] % p
         return acc
 
     def powers(self, exponents) -> list[int]:
         """``power`` of each exponent, without a call per exponent."""
         q, p, width, mask, rows = self.q, self.p, self.width, self.mask, self.rows
+        first, rest = rows[0], rows[1:]
         out = []
         for e in exponents:
-            e, acc = e % q, 1
-            for row in rows:
-                acc, e = acc * row[e & mask] % p, e >> width
+            e %= q
+            acc = first[e & mask]
+            for row in rest:
+                e >>= width
+                acc = acc * row[e & mask] % p
             out.append(acc)
         return out
 

@@ -26,15 +26,18 @@ and no epoch holds a record for it.  It contributes zero pads and
 identity commitments, and has a fixed tag leaf in both ends' trees,
 which are padded with the same tag to a power-of-two width.
 
-An epoch is set up one participant row at a time: the edges from a
-participant to its higher peers go through each stage together, the
-secrets drawn in one loop, the commitments made with
+An epoch's edges are established one participant row at a time: the
+edges from a participant to its higher peers go through each stage
+together, the secrets drawn in one loop, the commitments made with
 ``groups.commit_all`` and serialised once, and each edge's digest
-hashed from its slice; one ``merkle.build_tree`` builds every
-participant's tree.  A participant's view sums each epoch once: its
-(count, total) pad sums, its blinding sums and, committed to with
-``commit_all``, its aggregate commitment for every slot of the epoch.
-What it reveals in an investigation it reads from the graph's edges.
+hashed from its slice.  The graph then walks the epoch's edges once,
+hashing each edge's leaf once for both ends' trees, which one
+``merkle.build_tree`` builds, and adding its secrets to both ends'
+sums.  So every participant's (count, total) pad sums, blinding sums
+and, committed to with one ``commit_all``, aggregate commitments for
+every slot of the epoch are made when the epoch is set up, and a view
+reads them.  What it reveals in an investigation it reads from the
+graph's edges.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -258,12 +261,13 @@ def establish_row(params: GroupParams, peers, rng) -> list[Edge]:
 
 class Epoch(NamedTuple):
     """One endorsed epoch: its established edges, the levels of all the
-    signers' trees (one per participant, in order, built together) and
-    each participant's signed root."""
+    signers' trees (one per participant, in order, built together), each
+    participant's signed root and each participant's sums."""
 
     edges: dict     # (lo, hi) -> Edge; an opted-out pair is absent
     trees: list
     signed: tuple   # SignedRoot per participant
+    shares: tuple   # EpochShare per participant
 
 
 class EpochShare(NamedTuple):
@@ -292,11 +296,11 @@ class KeyGraphPublic:
 
 
 class KeyGraph:
-    """Complete graph of pairwise edges over the active participants."""
+    """Complete graph of pairwise edges over the active participants, in id order."""
 
     def __init__(self, params, participants, signing, refusers):
         self.params = params
-        self.participants = tuple(participants)
+        self.participants = tuple(sorted(participants))
         self.signing = signing      # pid -> SigningKey
         # every edge of a refuser, opted out for the whole session
         pairs = combinations(self.participants, 2)
@@ -316,23 +320,41 @@ class KeyGraph:
         self.epochs.append(self.sign_epoch(edges, len(self.epochs)))
 
     def sign_epoch(self, edges, epoch: int) -> Epoch:
-        """Epoch ``epoch`` over ``edges``: every participant's tree over
-        the digests of its edges, built together, and one signature per
-        root."""
-        leaves = []
-        for signer in self.participants:
-            row = []
-            for holder in self.participants:
-                if holder != signer:
-                    edge = edges.get((min(holder, signer), max(holder, signer)))
-                    row.append(NO_EDGE if edge is None else edge.digest)
-            leaves += row + [NO_EDGE] * (self.width - len(row))
-        trees = merkle.build_tree(leaves, self.width)
+        """Epoch ``epoch`` over ``edges``, walked once: every participant's
+        tree over the leaf hashes of its edges' digests, built together,
+        one signature per root, and every participant's sums.
+
+        An edge's lo -> hi secrets count negated for its hi end.  Pedersen
+        commitments are homomorphic, so committing to a participant's sums
+        gives the product of its pair commitments, the hi end's inverted,
+        without an inversion.
+        """
+        params, width, q = self.params, self.width, self.params.q
+        at = {pid: index for index, pid in enumerate(self.participants)}
+        # signer s's leaf for holder t sits at s * width + t's place among the others
+        leaves = [merkle.leaf_hash(NO_EDGE)] * (len(at) * width)
+        zeros = (0,) * (3 * EPOCH_SLOTS)   # one row in each list, so every column exists
+        # per participant: the secrets of the edges it is the lo end of, then the hi end of
+        plus, minus = [[zeros] for _ in at], [[zeros] for _ in at]
+        for (lo, hi), edge in edges.items():
+            a, b = at[lo], at[hi]
+            leaves[a * width + b - 1] = leaves[b * width + a] = merkle.leaf_hash(edge.digest)
+            secrets = edge.count_keys + edge.total_keys + edge.blinds
+            plus[a].append(secrets)
+            minus[b].append(secrets)
+        trees = merkle.build_tree(leaves, width)
         signed = []
         for signer, root in zip(self.participants, trees[-1]):
             payload = endorse_payload(root, signer, epoch, opted_out_peers(self.optouts, signer))
-            signed.append(SignedRoot(signer, root, sign(self.params, self.signing[signer], payload)))
-        return Epoch(edges, trees, tuple(signed))
+            signed.append(SignedRoot(signer, root, sign(params, self.signing[signer], payload)))
+        shares = []
+        for added, taken in zip(plus, minus):
+            # column by column: the count key sums, total key sums and blinding sums, slot by slot
+            sums = [(x - y) % q for x, y in zip(map(sum, zip(*added)), map(sum, zip(*taken)))]
+            counts, totals, blinds = (sums[i : i + EPOCH_SLOTS] for i in range(0, len(sums), EPOCH_SLOTS))
+            commitments = commit_all(params, counts, totals, blinds)
+            shares.append(EpochShare(list(zip(counts, totals)), blinds, commitments))
+        return Epoch(edges, trees, tuple(signed), tuple(shares))
 
     def edge(self, a: int, b: int, epoch: int = 0) -> Edge | None:
         """The edge between a and b in the epoch; None when it is opted out."""
@@ -356,46 +378,21 @@ class KeyGraph:
     def view(self, pid: int) -> "KeyView":
         return KeyView(self, pid)
 
-    def share(self, pid: int, epoch: int) -> EpochShare:
-        """One participant's part of an epoch, summed once for all the
-        epoch's slots over its established edges; an edge's lo -> hi
-        secrets count negated when the participant is the hi end.
-        Pedersen commitments are homomorphic, so committing to the sums
-        gives the product of its pair commitments, the hi end's
-        inverted, without an inversion."""
-        q = self.params.q
-        zeros = (0,) * EPOCH_SLOTS   # one row in each list, so every column exists
-        # per secret (count keys, total keys, blinds): the rows added, then those taken away
-        rows = [([zeros], [zeros]) for _ in range(3)]
-        for peer in self.participants:
-            edge = None if peer == pid else self.edge(pid, peer, epoch)
-            if edge is None:
-                continue  # opted-out edges contribute zero pads
-            for plus_minus, values in zip(rows, edge[:3]):
-                plus_minus[pid > peer].append(values)
-        counts, totals, blinds = (_column_differences(plus, minus, q) for plus, minus in rows)
-        commitments = commit_all(self.params, counts, totals, blinds)
-        return EpochShare(list(zip(counts, totals)), blinds, commitments)
-
-
-def _column_differences(plus, minus, q: int) -> list[int]:
-    """Per column, the sum of the ``plus`` rows less that of the ``minus`` rows, mod q."""
-    return [(a - b) % q for a, b in zip(map(sum, zip(*plus)), map(sum, zip(*minus)))]
-
 
 class KeyView:
     """One participant's private share of the key graph.
 
-    Reads each endorsed epoch's sums from its ``EpochShare``, made on
-    first use, and tracks which slots have been consumed; the same slot
-    is never handed out twice, nor one whose epoch is not endorsed yet.
+    Reads each endorsed epoch's sums from the participant's
+    ``EpochShare``, made when the epoch was set up, and tracks which
+    slots have been consumed; the same slot is never handed out twice,
+    nor one whose epoch is not endorsed yet.
     """
 
     def __init__(self, graph: KeyGraph, pid: int):
         self.graph = graph
         self.params = graph.params
         self.pid = pid
-        self._shares = []   # per epoch: KeyGraph.share(pid, epoch)
+        self._at = graph.participants.index(pid)
         self._next_slot = 0
         self._slot_by_round = {}
 
@@ -418,9 +415,7 @@ class KeyView:
     def _share(self, slot: int):
         """The slot's epoch share, and the slot's index in the epoch."""
         epoch, index = divmod(slot, EPOCH_SLOTS)
-        while len(self._shares) <= epoch:
-            self._shares.append(self.graph.share(self.pid, len(self._shares)))
-        return self._shares[epoch], index
+        return self.graph.epochs[epoch].shares[self._at], index
 
     def pad_sum(self, slot: int) -> tuple[int, int]:
         """The slot's (count, total) pad sum."""

@@ -1,8 +1,9 @@
 """Merkle trees with inclusion paths: each signer's tree over its edges' digests.
 
 Every tree is a power of two leaves wide, so no node is ever promoted
-and every path has one sibling per level.  ``build_tree`` hashes many
-equal trees one level at a time across all of them.
+and every path has one sibling per level.  ``build_tree`` takes the
+leaf hashes of many equal trees, so a leaf shared by two trees is
+hashed once, and hashes them one level at a time across all of them.
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE + left + right).digest()
 
 
-def build_tree(leaves, width: int) -> list[list[bytes]]:
+def build_tree(leaf_hashes, width: int) -> list[list[bytes]]:
     """The levels of the trees over each consecutive run of ``width``
-    leaves, leaf hashes first; the last level holds the trees' roots, in
-    order.
+    leaf hashes (``leaf_hash`` of each leaf), those first; the last level
+    holds the trees' roots, in order.
 
     ``width`` is a power of two, so a level's pairs never straddle two
-    trees.  Raises ValueError for another width or a leaf count that is
-    not a multiple of it.
+    trees.  Raises ValueError for another width or a count that is not a
+    multiple of it.
     """
-    if width < 1 or width & (width - 1) or len(leaves) % width:
-        raise ValueError(f"{len(leaves)} leaves do not make trees of width {width}")
-    sha256 = hashlib.sha256   # leaf_hash and node_hash, inlined
-    levels = [[sha256(_LEAF + x).digest() for x in leaves]]
+    if width < 1 or width & (width - 1) or len(leaf_hashes) % width:
+        raise ValueError(f"{len(leaf_hashes)} leaves do not make trees of width {width}")
+    sha256 = hashlib.sha256   # node_hash, inlined
+    levels = [list(leaf_hashes)]
     while width > 1:
         level = levels[-1]
         levels.append(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from typing import NamedTuple
 
-from .errors import EmptyClauseList, WitnessMismatch
+from .errors import WitnessMismatch
 from .groups import GroupParams
 
 _FS_TAG = b"dcmesh/fs/v1"
@@ -102,9 +102,8 @@ class Prover:
         self.params = params
         self.alpha = alpha % params.q
         q, power = params.q, params.h_table.power
-        if not targets:
-            raise EmptyClauseList("an OR statement needs at least one branch")
-        if power(self.alpha) != targets[true_index]:
+        # no branch at all, or none at true_index, is a witness for no branch
+        if not 0 <= true_index < len(targets) or power(self.alpha) != targets[true_index]:
             raise WitnessMismatch("witness does not satisfy the designated branch")
         self._sim = {}
         self.witness_nonce = rng.randrange(q)

@@ -53,6 +53,11 @@ def pair_sum(pairs, q):
     return sum(a for a, _ in pairs) % q, sum(b for _, b in pairs) % q
 
 
+def build_tree(leaves, width):
+    """``merkle.build_tree`` over the leaves' hashes."""
+    return merkle.build_tree([merkle.leaf_hash(leaf) for leaf in leaves], width)
+
+
 def aggregate_commitment(graph, pid, slot):
     """Product of the participant's directed pair commitments for a slot;
     an opted-out edge's zero secrets commit to the identity."""
@@ -118,9 +123,10 @@ def test_pair_secrets_are_a_randrange_stream(level):
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # one commitment per slot: 3 * EPOCH_SLOTS table powers (g, f and h),
     # no inversion, and one digest per edge; an epoch adds one nonce
-    # power per participant's signature, and the participants' trees.
-    # Every SHA-256 call of key setup is counted, in keysetup and merkle
-    # alike; a signature's two, its nonce's and its challenge's, apart
+    # power per participant's signature, each participant's commitments
+    # to its sums, and the participants' trees over leaves each hashed
+    # once.  Every SHA-256 call of key setup is counted, in keysetup and
+    # merkle alike; a signature's two, its nonce's and its challenge's, apart
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
     exponents, inversions, hashes = [], [], []
@@ -157,22 +163,28 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     assert len(exponents) == 3 * EPOCH_SLOTS
     assert inversions == []
     assert setup_hashes() == (1, 0)
-    # six participants: fifteen edges, one digest each, six signers'
-    # trees eight leaves wide, 15 hashes each, and six signatures
+    # six participants: fifteen edges, one digest and one leaf hash each,
+    # one leaf hash of NO_EDGE, six signers' trees eight leaves wide, 7
+    # node hashes each, six signatures and six participants' sums
     graph = build_key_graph(medium, range(6), rng)
     exponents.clear()
     hashes.clear()
     graph.add_epoch(rng)
     assert inversions == []
-    assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6
+    assert len(exponents) == (15 + 6) * 3 * EPOCH_SLOTS + 6 == 510
     assert signer_width(6) == 8
-    assert setup_hashes() == (15 + 6 * (2 * 8 - 1), 2 * 6)
+    assert setup_hashes() == (15 + 15 + 1 + 6 * (8 - 1), 2 * 6) == (73, 12)
+    # a view's first read makes no power; the build and every view's first
+    # read together make as many as when each view summed its epoch itself
+    for pid in range(6):
+        graph.view(pid).aggregate_commitment(EPOCH_SLOTS)
+    assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6 + 6 * 3 * EPOCH_SLOTS
     # thirty-two: 496 edges and 32 signers' trees 32 leaves wide
     graph = build_key_graph(medium, range(32), rng)
     hashes.clear()
     graph.add_epoch(rng)
     assert signer_width(32) == 32
-    assert setup_hashes() == (496 + 32 * (2 * 32 - 1), 2 * 32) == (2512, 64)
+    assert setup_hashes() == (496 + 496 + 1 + 32 * (32 - 1), 2 * 32) == (1985, 64)
 
 
 def test_per_round_secrets_are_fresh(small):
@@ -251,6 +263,27 @@ def test_views_match_the_round_secret_oracle(small):
             view.spend(("r", budget))
         assert sums == [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
     assert views[1].pad_sum(0) == (0, 0) and views[1].blind_sum(0) == 0
+
+
+def test_key_graph_over_unsorted_participants(small):
+    # the graph orders its participants itself: its edges run lo -> hi,
+    # and every view's sums match the oracle and cancel
+    rng = random.Random(18)
+    signing = {pid: gen_signing_key(small, rng) for pid in (2, 0, 1)}
+    graph = KeyGraph(small, [2, 0, 1], signing, frozenset())
+    graph.add_epoch(rng)
+    assert graph.participants == (0, 1, 2)
+    assert sorted(graph.epochs[0].edges) == [(0, 1), (0, 2), (1, 2)]
+    views = {pid: graph.view(pid) for pid in (2, 0, 1)}
+    for slot in range(EPOCH_SLOTS):
+        for pid, view in views.items():
+            secrets = [round_secret(graph, pid, peer, slot) for peer in range(3) if peer != pid]
+            assert view.pad_sum(slot) == pair_sum((key for key, _ in secrets), small.q)
+            assert view.blind_sum(slot) == sum(blind for _, blind in secrets) % small.q
+            assert view.aggregate_commitment(slot) == aggregate_commitment(graph, pid, slot)
+        assert pair_sum((v.pad_sum(slot) for v in views.values()), small.q) == (0, 0)
+        assert sum(v.blind_sum(slot) for v in views.values()) % small.q == 0
+    assert_endorsements_match_a_reference(graph)
 
 
 def test_optout_edges_contribute_identity(small):
@@ -362,7 +395,7 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
                 if holder != s.part:
                     edge = graph.edge(holder, s.part, epoch)
                     leaves.append(NO_EDGE if edge is None else edge.digest)
-            assert merkle.build_tree(leaves, 4)[-1] == [s.root]
+            assert build_tree(leaves, 4)[-1] == [s.root]
 
 
 def test_signer_width():
@@ -375,7 +408,7 @@ def test_signer_width():
 
 def test_merkle_batch_single_leaf(small):
     leaf = small.element_to_bytes(36)
-    levels = merkle.build_tree([leaf], 1)
+    levels = build_tree([leaf], 1)
     assert levels == [[merkle.leaf_hash(leaf)]]
     assert merkle.path(levels, 0) == []
     assert merkle.root_at(leaf, 0, 1, []) == merkle.leaf_hash(leaf)
@@ -397,12 +430,46 @@ def test_merkle_roots_match_build_tree(small):
         for trees in (0, 1, 2, 3):
             runs = [leaves[k * width : (k + 1) * width] for k in range(trees)]
             expected = [reference_root(run) for run in runs]
-            assert [merkle.build_tree(run, width)[-1] for run in runs] == [[r] for r in expected]
-            assert merkle.build_tree(leaves[: trees * width], width)[-1] == expected
+            assert [build_tree(run, width)[-1] for run in runs] == [[r] for r in expected]
+            assert build_tree(leaves[: trees * width], width)[-1] == expected
     # a width that is not a power of two, and a ragged last tree
     for count, width in ((6, 3), (6, 4), (1, 0)):
         with pytest.raises(ValueError):
-            merkle.build_tree(leaves[:count], width)
+            build_tree(leaves[:count], width)
+
+
+def assert_endorsements_match_a_reference(graph, epoch=0):
+    """Each signed root of the epoch is that of a tree hashed leaf by
+    leaf: the signer's peers in id order, each edge's digest or NO_EDGE,
+    padded with NO_EDGE; and every commitment revealed is endorsed."""
+    public, width = graph.public(), signer_width(len(graph.participants))
+    roots = {}
+    for signed in graph.epochs[epoch].signed:
+        peers = [peer for peer in graph.participants if peer != signed.part]
+        edges = [graph.edge(peer, signed.part, epoch) for peer in peers]
+        leaves = [NO_EDGE if edge is None else edge.digest for edge in edges]
+        assert signed.root == reference_root(leaves + [NO_EDGE] * (width - len(peers)))
+        assert signed.verifies(graph.params, public.publics[signed.part], epoch, public.optouts)
+        roots[signed.part] = signed.root
+    revealed = 0
+    for holder in graph.participants:
+        view = graph.view(holder)
+        for slot in range(epoch * EPOCH_SLOTS, (epoch + 1) * EPOCH_SLOTS):
+            for signer, reveal in view.published_pairs(slot).items():
+                args = (graph.params, graph.participants, roots[signer], holder, signer, slot)
+                assert is_endorsed(*args, reveal)
+                revealed += 1
+    assert revealed == 2 * len(graph.epochs[epoch].edges) * EPOCH_SLOTS
+
+
+@pytest.mark.parametrize("refuse", [False, True], ids=["no_refuser", "one_refuser"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 34])
+def test_signed_roots_match_a_reference_tree(small, n, refuse):
+    # every tree width up to 64: n=33 fills 32 leaves with no padding,
+    # n=34 pads 33 to 64; a refuser's edges are NO_EDGE in both ends' trees
+    refusers = {n // 2} if refuse else set()
+    graph = build_key_graph(small, range(n), random.Random(n), refusers=refusers)
+    assert_endorsements_match_a_reference(graph)
 
 
 def test_merkle_batch_inclusion_paths(small):
@@ -411,7 +478,7 @@ def test_merkle_batch_inclusion_paths(small):
     # every tree width, in a forest of two trees
     for width in (1, 2, 4, 8, EPOCH_SLOTS):
         leaves = [small.element_to_bytes(c) for c in commitments[: 2 * width]]
-        levels = merkle.build_tree(leaves, width)
+        levels = build_tree(leaves, width)
         for tree, root in enumerate(levels[-1]):
             for index in range(width):
                 path = merkle.path(levels, tree * width + index)

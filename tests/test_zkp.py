@@ -99,6 +99,19 @@ def test_rep_wrong_witness_refused(small):
         prove_one(small, stmt, 6, random.Random(0))
 
 
+def test_prover_refuses_an_empty_statement_and_an_index_outside_it(small):
+    # no branch to prove, or a true index naming none: a negative one
+    # would read a branch from the end and simulate every branch
+    target = rep_for(small, 5).target
+    with pytest.raises(WitnessMismatch):
+        Prover(small, [], 0, 5, random.Random(0))
+    with pytest.raises(WitnessMismatch):
+        prove_or(small, OrStatement(()), 0, 5, random.Random(0))
+    for index in (-1, -2, 2, 3):
+        with pytest.raises(WitnessMismatch):
+            Prover(small, [target, target], index, 5, random.Random(0))
+
+
 def test_rep_tampered_response_rejected(small):
     rng = random.Random(3)
     stmt = rep_for(small, 21)
