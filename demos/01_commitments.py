@@ -4,7 +4,7 @@ Walks through the commitment layer on the tiny test group (p=107,
 q=53), where everything can be checked by exhaustive search.
 """
 
-from dcmesh.groups import brute_force_dlog, commit, derive_params
+from dcmesh.groups import commit, derive_params
 
 params = derive_params("test_small", b"dc-mesh/v1")
 print(f"group: p={params.p} q={params.q} g={params.g} f={params.f} h={params.h}")
@@ -26,7 +26,7 @@ outputs = {commit(params, (1, 5), r) for r in range(params.q)}
 print(f"  53 blindings -> {len(outputs)} distinct commitments (the whole subgroup)")
 
 print("\nbinding: a double opening would reveal log_h(g)")
-lam = brute_force_dlog(params, params.h, params.g)
+lam = next(x for x in range(params.q) if pow(params.h, x, params.p) == params.g)
 print(f"  brute force says log_h(g) = {lam}")
 a, b, delta = 20, 31, 6
 a2, b2 = (a + delta) % 53, (b - lam * delta) % 53

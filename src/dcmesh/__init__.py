@@ -5,7 +5,7 @@ optimal tree collision resolution with disruptor detection, and a
 deterministic multi-party simulator with replayable transcripts.
 """
 
-from .groups import GroupParams, brute_force_dlog, commit, derive_params
+from .groups import GroupParams, commit, derive_params
 from .sim import Scenario, run_scenario, verify_transcript
 from .splitter import ResolutionTree
 from .transcript import Transcript
@@ -15,7 +15,6 @@ __all__ = [
     "ResolutionTree",
     "Scenario",
     "Transcript",
-    "brute_force_dlog",
     "commit",
     "derive_params",
     "run_scenario",

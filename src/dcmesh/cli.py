@@ -5,9 +5,9 @@ Subcommands:
   verify         re-judge a transcript and report every divergence; with
                  --explain, also the record that triggered each VERDICT
   paper-example  run the built-in five-message worked example
-  keygen         print session 1's key records as ``run`` writes them:
-                 PUBKEY, OPTOUT (none, as keygen refuses nothing) and
-                 the epoch-0 ENDORSE records
+  keygen         print the GROUP record and session 1's key records as
+                 ``run`` writes them: GROUP, then PUBKEY, OPTOUT (none, as
+                 keygen refuses nothing) and the epoch-0 ENDORSE records
 
 Exit codes are a stable contract: 0 clean, 1 usage or configuration
 error or a malformed transcript (one that cannot be parsed or checked),
@@ -180,8 +180,7 @@ def cmd_keygen(args) -> int:
     except (ValueError, OverflowError, ConfigInvalid) as exc:  # a seed outside 64 bits overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"GROUP {params.to_text()}")
-    for rec in sim._key_records(1, graph.public()):
+    for rec in [sim._group_record(params)] + sim._key_records(1, graph.public()):
         print(record_to_line(rec))
     return 0
 
@@ -211,9 +210,7 @@ def main(argv=None) -> int:
     p_ex.add_argument("--group", choices=sorted(_GROUP_CHOICES))
     p_ex.set_defaults(func=cmd_paper_example)
 
-    p_keys = sub.add_parser(
-        "keygen", help="print session 1's PUBKEY, OPTOUT and epoch-0 ENDORSE records"
-    )
+    p_keys = sub.add_parser("keygen", help="print the GROUP record and session 1's key records")
     p_keys.add_argument("--n", type=int, default=5)
     p_keys.add_argument("--seed", type=int, default=0)
     p_keys.add_argument("--group", choices=sorted(_GROUP_CHOICES))

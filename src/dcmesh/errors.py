@@ -5,14 +5,6 @@ class DcMeshError(Exception):
     """Base class for all protocol errors."""
 
 
-class GroupTooLarge(DcMeshError):
-    """Exhaustive search requested on a group above the desk-scale guard."""
-
-
-class DlogNotFound(DcMeshError):
-    """Target is not a power of the given base."""
-
-
 class WitnessMismatch(DcMeshError):
     """Prover witness does not satisfy the statement; refusing to emit a proof."""
 

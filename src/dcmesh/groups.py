@@ -23,6 +23,10 @@ raises it to a list of exponents, and ``commit_all`` commits to a list
 of slot values with one ``powers`` per generator.  ``pow`` is left for
 variable bases and inverses.  Every group is one of the built-in sets,
 derived from its name and a domain tag; the tests check its p and q.
+``derive_params`` derives each (name, tag) once, so a run, its replay
+and their window tables share one group.  A group's text form is the
+transcript's GROUP record, which ``dcmesh keygen`` prints first, as
+``dcmesh run`` writes it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-
-from .errors import DlogNotFound, GroupTooLarge
 
 # RFC 3526, 2048-bit MODP group: a safe prime, so (p-1)/2 is prime.
 _RFC3526_P2048 = int(
@@ -53,9 +55,6 @@ _BUILT_IN = {
     "production": (_RFC3526_P2048, (_RFC3526_P2048 - 1) // 2),
 }
 SECURITY_LEVELS = tuple(_BUILT_IN)
-
-# Exhaustive-search guard for brute_force_dlog and enumeration oracles.
-DESK_SCALE_LIMIT = 1 << 20
 
 # Window tables take the widest window up to WINDOW_MAX_BITS whose
 # entries fit in WINDOW_TABLE_BYTES per base: 9 bits for test_medium,
@@ -113,12 +112,6 @@ class WindowTable:
         return out
 
 
-@functools.lru_cache(maxsize=16)
-def window_table(params: "GroupParams", base: int) -> WindowTable:
-    """The table for one (group, base), shared by equal copies of the group."""
-    return WindowTable(params, base)
-
-
 @dataclass(frozen=True)
 class GroupParams:
     """A Schnorr group with its commitment generators.
@@ -155,15 +148,15 @@ class GroupParams:
 
     @functools.cached_property
     def g_table(self) -> WindowTable:
-        return window_table(self, self.g)
+        return WindowTable(self, self.g)
 
     @functools.cached_property
     def f_table(self) -> WindowTable:
-        return window_table(self, self.f)
+        return WindowTable(self, self.f)
 
     @functools.cached_property
     def h_table(self) -> WindowTable:
-        return window_table(self, self.h)
+        return WindowTable(self, self.h)
 
     def is_element(self, x: int) -> bool:
         return 1 <= x < self.p and pow(x, self.q, self.p) == 1
@@ -191,13 +184,6 @@ class GroupParams:
         if not self.domain_tag:
             raise ValueError("domain_tag must be non-empty")
 
-    def to_text(self) -> str:
-        gens = ",".join(str(x) for x in self.generators)
-        return (
-            f"name={self.name} p={self.p} q={self.q} "
-            f"generators={gens} tag={self.domain_tag.hex()}"
-        )
-
 
 def hash_to_subgroup(p: int, q: int, domain_tag: bytes, label: bytes) -> int:
     """Derive an order-q element by hashing, reducing, and squaring up.
@@ -221,15 +207,9 @@ def hash_to_subgroup(p: int, q: int, domain_tag: bytes, label: bytes) -> int:
         counter += 1
 
 
+@functools.lru_cache(maxsize=64)
 def derive_params(security_level: str, domain_tag: bytes) -> GroupParams:
     """Build group parameters for one of the named security levels."""
-    return _derive_params_cached(security_level, bytes(domain_tag))
-
-
-@functools.lru_cache(maxsize=64)
-def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams:
-    if not domain_tag:
-        raise ValueError("domain_tag must be non-empty")
     if security_level not in _BUILT_IN:
         raise ValueError(f"unknown security level {security_level!r}")
     p, q = _BUILT_IN[security_level]
@@ -237,9 +217,7 @@ def _derive_params_cached(security_level: str, domain_tag: bytes) -> GroupParams
         g, f, h = (hash_to_subgroup(p, q, domain_tag, label) for label in (b"g", b"f", b"h"))
     else:
         g, f, h = 4, 25, 9
-    params = GroupParams(
-        name=security_level, p=p, q=q, generators=(g, f, h), domain_tag=bytes(domain_tag)
-    )
+    params = GroupParams(security_level, p, q, (g, f, h), domain_tag)
     params.validate()
     return params
 
@@ -267,15 +245,3 @@ def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
             params.g_table.powers(counts), params.f_table.powers(totals), params.h_table.powers(blinds)
         )
     ]
-
-
-def brute_force_dlog(params: GroupParams, base: int, target: int) -> int:
-    """Exhaustively find x with base^x = target.  Test-scale groups only."""
-    if params.q > DESK_SCALE_LIMIT:
-        raise GroupTooLarge(f"q={params.q} exceeds the exhaustive-search guard")
-    acc = 1
-    for x in range(params.q):
-        if acc == target:
-            return x
-        acc = acc * base % params.p
-    raise DlogNotFound(f"{target} is not a power of {base}")

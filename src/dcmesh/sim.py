@@ -408,11 +408,6 @@ class RefuseProofParticipant(HonestParticipant):
         return None
 
 
-class RefuseSignatureParticipant(HonestParticipant):
-    """Opts out of key setup (handled at graph construction); otherwise
-    honest, with all-zero pads on its edges."""
-
-
 _STRATEGY_CLASSES = {
     BAD_PAD: BadPadParticipant,
     WRONG_BRANCH: WrongBranchParticipant,
@@ -420,7 +415,8 @@ _STRATEGY_CLASSES = {
     MUTATE_MESSAGE: MutateMessageParticipant,
     LATE_INJECTION: LateInjectionParticipant,
     BAD_SLOT_COUNT: BadSlotCountParticipant,
-    REFUSE_SIGNATURE: RefuseSignatureParticipant,
+    # the key graph opts the refuser's edges out; it is otherwise honest
+    REFUSE_SIGNATURE: HonestParticipant,
     REFUSE_PROOF: RefuseProofParticipant,
 }
 # every strategy, in the order above: bench workloads cycle through them by index
@@ -465,19 +461,22 @@ def _key_records(session, public: KeyGraphPublic):
     return records
 
 
+def _group_record(params):
+    """A group as the header's GROUP record, which ``dcmesh keygen`` prints first."""
+    return record(
+        "GROUP",
+        name=params.name,
+        p=params.p,
+        q=params.q,
+        generators=",".join(str(x) for x in params.generators),
+        tag=params.domain_tag.hex(),
+    )
+
+
 def _header(params, config):
     """The transcript header for a group and a CONFIG record."""
     header = [
-        record("DCMESH", version=FORMAT_VERSION, hash="sha256"),
-        record(
-            "GROUP",
-            name=params.name,
-            p=params.p,
-            q=params.q,
-            generators=",".join(str(x) for x in params.generators),
-            tag=params.domain_tag.hex(),
-        ),
-        config,
+        record("DCMESH", version=FORMAT_VERSION, hash="sha256"), _group_record(params), config
     ]
     header.append(record("HEADEREND", digest=records_digest(header)))
     return header

@@ -262,19 +262,6 @@ class ResolutionTree:
         node.status, node.midpoint = COLLISION, True
         self._schedule_split(node)
 
-    def snapshot(self, node_id: int) -> dict:
-        node = self.nodes[node_id]
-        return record(
-            "NODE",
-            session=0,  # filled in by the caller
-            id=node.round_id,
-            kind=node.kind,
-            count=node.count,
-            total=node.total,
-            status=node.status,
-            threshold="-" if node.threshold is None else str(node.threshold),
-        )
-
 
 # ---------------------------------------------------------------------------
 # the judge's target maps and the statements built from them
@@ -579,10 +566,19 @@ def _endorse_epoch(source, graph_public, session, outcome):
 
 def _emit_nodes(tree, touched, session, outcome):
     for node_id in touched:
-        snap = tree.snapshot(node_id)
-        snap["session"] = session
-        outcome.records.append(snap)
         node = tree.nodes[node_id]
+        outcome.records.append(
+            record(
+                "NODE",
+                session=session,
+                id=node.round_id,
+                kind=node.kind,
+                count=node.count,
+                total=node.total,
+                status=node.status,
+                threshold="-" if node.threshold is None else str(node.threshold),
+            )
+        )
         if node.status == RESOLVED:
             outcome.records.append(
                 record("RESOLVED", session=session, node=node_id, payload=node.total)

@@ -117,10 +117,7 @@ def record_to_line(rec: dict) -> str:
     rtype = rec["type"]
     parts = [rtype]
     for name in _SCHEMA[rtype]:
-        value = rec[name]
-        if isinstance(value, bool):
-            value = int(value)
-        parts.append(f"{name}={value}")
+        parts.append(f"{name}={rec[name]}")
     return " ".join(parts)
 
 
@@ -157,11 +154,8 @@ class Transcript:
     header: list = field(default_factory=list)   # records up to HEADEREND
     records: list = field(default_factory=list)  # session records + SUMMARY
 
-    def all_records(self):
-        return self.header + self.records
-
     def to_text(self) -> str:
-        return "\n".join(record_to_line(r) for r in self.all_records()) + "\n"
+        return "\n".join(record_to_line(r) for r in self.header + self.records) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":

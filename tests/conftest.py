@@ -15,3 +15,13 @@ def small():
 def medium():
     """The tree-capable test group (large enough for slot encodings)."""
     return derive_params("test_medium", TAG)
+
+
+@pytest.fixture(scope="session")
+def dlog():
+    """The exhaustive discrete log of a desk-scale group: x with base^x = target."""
+
+    def search(params, base, target):
+        return next(x for x in range(params.q) if pow(base, x, params.p) == target)
+
+    return search

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,8 @@ from dcmesh.errors import (
     MissingParticipant,
     RoundBudgetExhausted,
 )
-from dcmesh.keysetup import EPOCH_SLOTS, build_key_graph, edge_digest
+from dcmesh.groups import commit
+from dcmesh.keysetup import EPOCH_SLOTS, KeyGraph, build_key_graph, edge_digest, gen_signing_key
 from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
 
 
@@ -200,6 +202,54 @@ def test_transcript_level_hiding_is_uniform(small):
         for k02 in range(q):
             marginal[(k01 + k02 + message) % q] += 1
     assert all(marginal[v] == q for v in range(q))
+
+
+def with_slot0(edge, count_key, total_key, blind, q):
+    """The edge with its slot-0 secrets replaced."""
+    return edge._replace(
+        count_keys=(count_key % q,) + edge.count_keys[1:],
+        total_keys=(total_key % q,) + edge.total_keys[1:],
+        blinds=(blind % q,) + edge.blinds[1:],
+    )
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+def test_broadcasts_hide_the_sender_exactly(small, dlog, order):
+    """Untraceability through the engine, at test_small: for a sender a
+    of (1, x) and any other participant b, take delta with h^delta =
+    g * f^x and s = +1 when a is the lo end of edge (a, b), else -1.
+    Mapping the edge's slot-0 count key by +s, total key by +s * x and
+    blinding value by -s * delta takes every participant's round-1
+    broadcast with a sending, under the original keys, to the same
+    broadcast with b sending under the mapped keys, and leaves the
+    edge's endorsed commitment as it was.  The map is a bijection on the
+    uniform keys, so the broadcasts are as likely from either sender.
+    The count key is enumerated; total key, blinding value and x are
+    sampled."""
+    q, p, rng = small.q, small.p, random.Random(23)
+    signing = {pid: gen_signing_key(small, rng) for pid in order}
+    graph = KeyGraph(small, order, signing, frozenset())
+    graph.add_epoch(rng)
+    edges = graph.epochs[0].edges
+    deltas = [dlog(small, small.h, small.g * pow(small.f, x, p) % p) for x in range(q)]
+
+    def broadcasts(pair, edge, sender, x):
+        graph.epochs[0] = graph.sign_epoch({**edges, pair: edge}, 0)
+        return [
+            make_ciphertext(graph.view(pid), 1, (1, x) if pid == sender else None)
+            for pid in graph.participants
+        ]
+
+    for a, b in permutations(graph.participants, 2):
+        pair, s = (min(a, b), max(a, b)), 1 if a < b else -1
+        for count_key in range(q):
+            for _ in range(4):
+                total_key, blind, x = rng.randrange(q), rng.randrange(q), rng.randrange(q)
+                keys = (count_key, total_key, blind)
+                mapped = (count_key + s, total_key + s * x, blind - s * deltas[x])
+                assert commit(small, keys[:2], keys[2]) == commit(small, mapped[:2], mapped[2])
+                original = broadcasts(pair, with_slot0(edges[pair], *keys, q), a, x)
+                assert broadcasts(pair, with_slot0(edges[pair], *mapped, q), b, x) == original
 
 
 def honest_published(graph, n, slot):

@@ -10,15 +10,9 @@ import random
 
 import pytest
 
-from dcmesh import groups
-from dcmesh.errors import DlogNotFound, GroupTooLarge
-from dcmesh.groups import (
-    WINDOW_TABLE_BYTES,
-    GroupParams,
-    brute_force_dlog,
-    commit,
-    derive_params,
-)
+from dcmesh import groups, sim
+from dcmesh.groups import WINDOW_TABLE_BYTES, GroupParams, commit, derive_params
+from dcmesh.transcript import line_to_record, record_to_line
 
 TAG = b"dc-mesh/v1"
 
@@ -131,30 +125,9 @@ def test_elements_satisfy_subgroup_membership(small):
         assert small.is_element(c)
 
 
-def test_brute_force_dlog_basics(small):
-    assert brute_force_dlog(small, small.g, small.g) == 1
-    assert brute_force_dlog(small, small.g, 1) == 0
-    # frozen: 9^25 mod 107 = 4
-    x = brute_force_dlog(small, 9, 4)
-    assert x == 25
-    assert pow(9, x, 107) == 4
-
-
-def test_brute_force_dlog_not_found(small):
-    # 2 is not a quadratic residue mod 107, hence outside the subgroup
-    with pytest.raises(DlogNotFound):
-        brute_force_dlog(small, small.g, 2)
-
-
-def test_brute_force_dlog_guard():
-    params = derive_params("production", TAG)
-    with pytest.raises(GroupTooLarge):
-        brute_force_dlog(params, params.g, params.h)
-
-
-def test_binding_break_recovers_base_relation(small):
+def test_binding_break_recovers_base_relation(small, dlog):
     # a fabricated double opening yields the discrete log between bases
-    lam = brute_force_dlog(small, small.h, small.g)
+    lam = dlog(small, small.h, small.g)
     rng = random.Random(5)
     for _ in range(20):
         a, b = rng.randrange(53), rng.randrange(53)
@@ -167,12 +140,13 @@ def test_binding_break_recovers_base_relation(small):
 
 
 def test_params_text_roundtrip(small):
-    # the text keygen prints names the group: its name and tag derive it again
-    fields = dict(item.split("=", 1) for item in small.to_text().split())
+    # the GROUP record keygen prints names the group: its name and tag derive it again
+    fields = line_to_record(record_to_line(sim._group_record(small)), 0)
     assert fields == {
-        "name": "test_small", "p": "107", "q": "53", "generators": "4,25,9", "tag": TAG.hex()
+        "type": "GROUP", "name": "test_small", "p": 107, "q": 53, "generators": "4,25,9",
+        "tag": TAG.hex(),
     }
-    assert derive_params(fields["name"], bytes.fromhex(fields["tag"])) == small
+    assert derive_params(fields["name"], bytes.fromhex(fields["tag"])) is small
 
 
 def test_scalar_element_serialization_widths(medium):
@@ -236,12 +210,9 @@ def test_window_table_production():
     assert commit(params, (k, t), r) * commit(params, (-k, -t), -r) % params.p == 1
 
 
-def test_parsed_params_share_tables_and_stay_equal(medium):
-    table = medium.g_table
+def test_parsed_params_stay_equal(medium):
     again = GroupParams(medium.name, medium.p, medium.q, medium.generators, bytes(medium.domain_tag))
-    assert again.g_table is table
     assert again == medium and hash(again) == hash(medium)
-    assert again.to_text() == medium.to_text()
     assert (again.element_bytes, again.scalar_bytes) == (3, 3)
 
 

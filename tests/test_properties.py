@@ -3,8 +3,9 @@ honest runs that once issued verdicts."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcmesh import sim
@@ -75,6 +76,33 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
         assert rounds <= n + (2 * n - 1) * (bits + 1), (n, rounds)
     if not scenario.adversaries:
         assert_honest_run_served(scenario, transcript)
+
+
+# the records of a run that do not depend on which participant sends what
+_SENDER_FREE = ("SESSION", "PUBKEY", "ENDORSE", "ROUND", "AGGREGATE", "NODE", "RESOLVED")
+
+
+def sender_free_view(transcript):
+    """The records no observer could tell senders apart by: those of
+    ``_SENDER_FREE``, every DEMAND's ``ok`` and the SUMMARY less its
+    ``bind``, which digests the whole body."""
+    records = transcript.records
+    return (
+        [r for r in records if r["type"] in _SENDER_FREE],
+        [r["ok"] for r in records if r["type"] == "DEMAND"],
+        {k: v for k, v in records[-1].items() if k != "bind"},
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(accepted_scenarios().filter(lambda s: s.senders and not s.adversaries), st.data())
+def test_which_honest_participants_send_changes_no_public_record(scenario, data):
+    # the same payloads and seed, held by other participants
+    moved = data.draw(st.permutations(range(scenario.n)))
+    other = replace(scenario, senders=tuple(sorted((moved[pid], x) for pid, x in scenario.senders)))
+    assume(other.senders != scenario.senders)
+    other.validate()
+    assert sender_free_view(sim.run_scenario(other)) == sender_free_view(sim.run_scenario(scenario))
 
 
 def test_honest_random_payloads_at_four_retries_are_never_blamed():

@@ -201,6 +201,35 @@ def test_or_hiding_structure(small):
     assert len(first_challenges[1]) > 30
 
 
+class ScriptedRng:
+    """Hands ``randrange`` its draws from a script, in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, stop):
+        draw = next(self.draws)
+        assert 0 <= draw < stop
+        return draw
+
+
+def test_or_proof_is_witness_indistinguishable(small):
+    """Exactly, at test_small: a prover with a true branch 0, nonce k and
+    simulated branch-1 pair (e1, z1), and a prover with a true branch 1,
+    nonce z1 - e1 * alpha1 and the first proof's branch-0 pair (e0, z0)
+    as its simulated one, make the same announcements, so they emit the
+    same proof.  The map between their draws is a bijection, so each
+    proof is as likely under either witness."""
+    q, alphas = small.q, (17, 40)
+    stmt = OrStatement(tuple(rep_for(small, alpha, b"wi") for alpha in alphas))
+    e1, z1 = 23, 8
+    nonce = (z1 - e1 * alphas[1]) % q
+    for k in range(q):
+        proof = prove_or(small, stmt, 0, alphas[0], ScriptedRng([k, e1, z1]))
+        (e0, z0), _ = proof
+        assert prove_or(small, stmt, 1, alphas[1], ScriptedRng([nonce, e0, z0])) == proof
+
+
 # ---------------------------------------------------------------------------
 # special soundness: the rewinding extractor
 
