@@ -22,14 +22,14 @@ graph = build_key_graph(params, range(n), random.Random(1))
 views = {pid: graph.view(pid) for pid in range(n)}
 
 print("round 1: participant 2 sends the message 42")
-cts = [make_ciphertext(views[pid], 1, (1, 42) if pid == 2 else None) for pid in range(n)]
+cts = [make_ciphertext(views[pid], 1, 0, (1, 42) if pid == 2 else None) for pid in range(n)]
 for ct in cts:
     print(f"  P{ct.participant} broadcasts (O={ct.value}, c={ct.commitment})")
 result = aggregate_round(params, range(n), cts)
 print(f"sum of broadcasts: {result.aggregate}   commitments valid: {result.valid}")
 
 print("\nround 2: participant 3 shifts a pad without fixing the commitments")
-cts = [make_ciphertext(views[pid], 2, None) for pid in range(n)]
+cts = [make_ciphertext(views[pid], 2, 1, None) for pid in range(n)]
 cts[3] = replace(
     cts[3],
     value=((cts[3].value[0] + 1) % params.q, cts[3].value[1]),

@@ -27,12 +27,14 @@ views = {pid: graph.view(pid) for pid in range(3)}
 # built from the broadcasts alone, and each participant's own blinding sums
 targets = {pid: {} for pid in range(3)}
 blinds = {pid: {} for pid in range(3)}
+# the slot the session judge hands out with each transmitted round
+round_slots = {1: 0, 2: 1, 4: 2}
 
 
 def transmit(pid, rid, message):
-    ct = make_ciphertext(views[pid], rid, message)
+    ct = make_ciphertext(views[pid], rid, round_slots[rid], message)
     add_round(params, targets, [ct])
-    add_blind(params, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
+    add_blind(params, blinds[pid], rid, views[pid].blind_sum(round_slots[rid]))
 
 
 def prove(pid, rid, stmt, retransmitted):

@@ -48,14 +48,13 @@ class RoundResult:
     ciphertexts: tuple[RoundCiphertext, ...]
 
 
-def make_ciphertext(view: KeyView, round_id, message=None) -> RoundCiphertext:
-    """Build this participant's broadcast for one round.
+def make_ciphertext(view: KeyView, round_id, slot: int, message=None) -> RoundCiphertext:
+    """Build this participant's broadcast for one round from the secrets
+    of ``slot``, which the session judge schedules, once per round.
 
-    Consumes the next unspent slot's secrets (each slot is used exactly
-    once).  The message, a (count, total) slot when present, is added to
-    the pad sums only; the commitment never depends on it.
+    The message, a (count, total) slot when present, is added to the pad
+    sums only; the commitment never depends on it.
     """
-    slot = view.spend(round_id)
     value = view.pad_sum(slot)
     if message is not None:
         q = view.params.q

@@ -9,10 +9,6 @@ class WitnessMismatch(DcMeshError):
     """Prover witness does not satisfy the statement; refusing to emit a proof."""
 
 
-class RoundBudgetExhausted(DcMeshError):
-    """A round asked for a second slot, or for a slot whose epoch is not endorsed."""
-
-
 class MissingParticipant(DcMeshError):
     """A round is missing a ciphertext from an expected participant."""
 

@@ -37,7 +37,8 @@ sums.  So every participant's (count, total) pad sums, blinding sums
 and, committed to with one ``commit_all``, aggregate commitments for
 every slot of the epoch are made when the epoch is set up, and a view
 reads them.  What it reveals in an investigation it reads from the
-graph's edges.
+graph's edges.  A view keeps no schedule: the session judge names the
+slot of every round, so each slot's pads are used for one round only.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.
@@ -52,7 +53,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import merkle
-from .errors import RoundBudgetExhausted
 from .groups import GroupParams, commit_all
 
 # slots per endorsement epoch: one digest per edge and epoch, and
@@ -383,9 +383,9 @@ class KeyView:
     """One participant's private share of the key graph.
 
     Reads each endorsed epoch's sums from the participant's
-    ``EpochShare``, made when the epoch was set up, and tracks which
-    slots have been consumed; the same slot is never handed out twice,
-    nor one whose epoch is not endorsed yet.
+    ``EpochShare``, made when the epoch was set up.  It keeps no
+    schedule: the session judge hands out each round's slot, and a slot
+    whose epoch is not endorsed yet raises IndexError.
     """
 
     def __init__(self, graph: KeyGraph, pid: int):
@@ -393,24 +393,6 @@ class KeyView:
         self.params = graph.params
         self.pid = pid
         self._at = graph.participants.index(pid)
-        self._next_slot = 0
-        self._slot_by_round = {}
-
-    def spend(self, round_id) -> int:
-        """Consume the next unspent slot for the given protocol round."""
-        if round_id in self._slot_by_round:
-            raise RoundBudgetExhausted(f"round {round_id} already consumed a slot")
-        slot = self._next_slot
-        if slot >= EPOCH_SLOTS * len(self.graph.epochs):
-            raise RoundBudgetExhausted(
-                f"slot {slot} lies in epoch {slot // EPOCH_SLOTS}, which is not endorsed"
-            )
-        self._next_slot += 1
-        self._slot_by_round[round_id] = slot
-        return slot
-
-    def slot_of(self, round_id) -> int:
-        return self._slot_by_round[round_id]
 
     def _share(self, slot: int):
         """The slot's epoch share, and the slot's index in the epoch."""

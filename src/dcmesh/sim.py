@@ -32,7 +32,7 @@ from .keysetup import (
     build_key_graph,
 )
 from .splitter import (
-    COLLISION,
+    ResolutionTree,
     encode_slot,
     endorse_record,
     run_session,
@@ -211,25 +211,22 @@ REFERENCE_RESOLUTION = [11, 17, 28, 36, 38]
 
 
 class HonestParticipant:
-    """Follows the protocol: pads every round, splits by the book,
+    """Follows the protocol for one session, on the judge's tree: pads
+    every round with the slot the judge hands it, splits by the book,
     proves the statement the judge builds for every non-root broadcast,
     answers every demand it can."""
 
-    def __init__(self, params, view, payload, payload_bits, rng):
+    def __init__(self, params, view, tree, payload, payload_bits, rng):
         self.params = params
         self.view = view
         self.pid = view.pid
+        self.tree = tree
         self.payload = payload
         self.payload_bits = payload_bits
         self.rng = rng
-
-    def begin_session(self, tree):
-        self.tree = tree
         self.blinds = {}    # node -> blinding sum of this participant's context
-        self.slot_value = (
-            None if self.payload is None else encode_slot(self.payload, self.payload_bits)
-        )
-        self.message_node = None if self.payload is None else 1
+        self.slot_value = None if payload is None else encode_slot(payload, payload_bits)
+        self.message_node = None if payload is None else 1
 
     # -- decisions ---------------------------------------------------------
 
@@ -251,16 +248,15 @@ class HonestParticipant:
 
     # -- protocol surface ----------------------------------------------------
 
-    def broadcast(self, round_id) -> RoundCiphertext:
+    def broadcast(self, round_id, slot) -> RoundCiphertext:
         message = self._message_for(round_id)
         self.retransmitted = message is not None
-        ct = self._ciphertext(round_id, message)
-        blind = self.view.blind_sum(self.view.slot_of(round_id))
-        splitter.add_blind(self.params, self.blinds, round_id, blind)
+        ct = self._ciphertext(round_id, slot, message)
+        splitter.add_blind(self.params, self.blinds, round_id, self.view.blind_sum(slot))
         return ct
 
-    def _ciphertext(self, round_id, message):
-        return make_ciphertext(self.view, round_id, message)
+    def _ciphertext(self, round_id, slot, message):
+        return make_ciphertext(self.view, round_id, slot, message)
 
     def prove_round(self, round_id, statement):
         """The proof of this round's retransmission statement, in wire form."""
@@ -313,8 +309,8 @@ class BadPadParticipant(_ForgingAdversary):
     """Shifts one pad in the first round without fixing the commitment
     product, so the round's validity check fails."""
 
-    def _ciphertext(self, round_id, message):
-        ct = super()._ciphertext(round_id, message)
+    def _ciphertext(self, round_id, slot, message):
+        ct = super()._ciphertext(round_id, slot, message)
         if round_id == 1:
             ct = replace(
                 ct,
@@ -333,20 +329,17 @@ class WrongBranchParticipant(_ForgingAdversary):
 
 class DoubleBranchParticipant(_ForgingAdversary):
     """Behaves honestly for its own path, then re-injects a copy of its
-    message into the first split of a collision it is not part of."""
+    message into the first split of a collision it is not part of
+    (every round after the first splits one)."""
 
-    def begin_session(self, *args):
-        super().begin_session(*args)
-        self.injected = False
+    injected = False
 
     def _message_for(self, round_id):
-        parent_id = round_id // 2
         if (
             round_id != 1
             and not self.injected
             and self.slot_value is not None
-            and self.message_node != parent_id
-            and self.tree.nodes[parent_id].status == COLLISION
+            and self.message_node != round_id // 2
         ):
             self.injected = True
             return self.slot_value
@@ -358,9 +351,7 @@ class MutateMessageParticipant(_ForgingAdversary):
     first split of its message's node, whichever side the message
     belongs on."""
 
-    def begin_session(self, *args):
-        super().begin_session(*args)
-        self.mutated = False
+    mutated = False
 
     def _message_for(self, round_id):
         message = super()._message_for(round_id)
@@ -375,13 +366,11 @@ class LateInjectionParticipant(_ForgingAdversary):
     """Starts silent, then injects a fresh message mid-tree, where no
     new message may enter."""
 
+    injected = False
+
     def __init__(self, *args):
         super().__init__(*args)
         self.inject_payload = self.rng.randrange(1 << self.payload_bits)
-
-    def begin_session(self, *args):
-        super().begin_session(*args)
-        self.injected = False
 
     def _message_for(self, round_id):
         if round_id != 1 and not self.injected:
@@ -393,8 +382,8 @@ class LateInjectionParticipant(_ForgingAdversary):
 class BadSlotCountParticipant(_ForgingAdversary):
     """Sends an initial slot claiming two messages instead of one."""
 
-    def begin_session(self, *args):
-        super().begin_session(*args)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.slot_value = (2, self.payload)
 
 
@@ -431,7 +420,7 @@ def _session_tag(scenario_digest: str, session: int) -> bytes:
     return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
 
 
-def _build_participants(params, scenario, graph, active, pending):
+def _build_participants(params, scenario, graph, tree, active, pending):
     strategy_of = dict(scenario.adversaries)
     participants = []
     for pid in sorted(active):
@@ -440,6 +429,7 @@ def _build_participants(params, scenario, graph, active, pending):
             cls(
                 params,
                 graph.view(pid),
+                tree,
                 pending.get(pid),
                 scenario.payload_bits,
                 fork_rng(scenario.seed, "participant", pid),
@@ -513,8 +503,10 @@ def _summary(outcomes, body):
 @dataclass
 class _Participants:
     """The judge's source in a live run: the participants, in pid order,
-    and the session's key graph, which endorses epoch k from its own
-    stream of the scenario seed.  Its sink is a plain list."""
+    built on the session's tree, and the session's key graph, which
+    endorses epoch k from its own stream of the scenario seed.  Each
+    broadcast pads with the slot the judge names.  Its sink is a plain
+    list."""
 
     participants: list
     graph: KeyGraph
@@ -522,16 +514,12 @@ class _Participants:
     session: int
     records: list = field(default_factory=list)
 
-    def begin(self, tree):
-        for p in self.participants:
-            p.begin_session(tree)
-
     def epoch(self, k):
         self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
         return self.graph.epochs[k].signed
 
-    def broadcast(self, round_id):
-        return [p.broadcast(round_id) for p in self.participants]
+    def broadcast(self, round_id, slot):
+        return [p.broadcast(round_id, slot) for p in self.participants]
 
     def prove(self, round_id, statements):
         return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
@@ -553,11 +541,12 @@ def _play_session(params, scenario, active, pending, session, session_tag):
         refusers=refusers & set(active),
     )
     public = graph.public()
-    participants = _build_participants(params, scenario, graph, active, pending)
+    tree = ResolutionTree(params.q, scenario.payload_bits)
+    participants = _build_participants(params, scenario, graph, tree, active, pending)
     outcome = run_session(
         params,
         public,
-        scenario.payload_bits,
+        tree,
         session,
         session_tag,
         _Participants(participants, graph, scenario.seed, session),
@@ -727,13 +716,10 @@ class _Replay:
         self.report.compare(self.index + self.at, recorded, rec)
         self.at = self.read = self.at + 1
 
-    def begin(self, tree):
-        pass
-
     def epoch(self, k):
         return tuple(self._signed_root(k, pid) for pid in self.pids)
 
-    def broadcast(self, round_id):
+    def broadcast(self, round_id, slot):   # the slot is checked in the ROUND record
         cts, self.proofs = [], []
         for pid in self.pids:
             rec = self._input("CIPHER", round=round_id, part=pid)
@@ -832,7 +818,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             outcome = run_session(
                 params,
                 replay.public,
-                config["payload_bits"],
+                ResolutionTree(params.q, config["payload_bits"]),
                 session,
                 _session_tag(config["scenario"], session),
                 replay,

@@ -388,29 +388,31 @@ def _read_proof(params: GroupParams, text: str | None) -> zkp.SigmaProof | None:
 def run_session(
     params: GroupParams,
     graph_public,
-    payload_bits: int,
+    tree: ResolutionTree,
     session: int,
     session_tag: bytes,
     source,
 ) -> SessionOutcome:
-    """Judge one collision resolution session, closed to new messages
-    until its tree is done.
+    """Judge one collision resolution session on ``tree``, new from the
+    caller, closed to new messages until it is done.
 
-    The judge owns every session rule: round order, the validity check
-    and the investigation after a failed one, retransmission proofs,
-    the check of equal-payload nodes, the wrong-branch audit, verdicts
-    and bans.  It alone keeps the session's target maps and builds every
-    proof statement from them, once.  It emits every session record to
-    ``source.records`` and reads only public data: the participant set,
-    the opt-outs and epoch 0's signed roots come from ``graph_public``,
-    and every protocol input from ``source``, which answers six calls:
+    The judge owns every session rule: round order, the slot schedule,
+    the validity check and the investigation after a failed one,
+    retransmission proofs, the check of equal-payload nodes, the
+    wrong-branch audit, verdicts and bans.  Slots start at 0 and each
+    transmitted round takes the next one, once; an epoch is endorsed
+    before its first slot is handed out.  The judge alone keeps the
+    session's target maps and builds every proof statement from them,
+    once.  It emits every session record to ``source.records`` and
+    reads only public data: the participant set, the opt-outs and epoch
+    0's signed roots come from ``graph_public``, and every protocol
+    input from ``source``, which answers five calls:
 
-    * ``begin(tree)``: the session starts on this tree;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
       SignedRoot per participant in participant order, asked for before
       the first round that spends one of its slots;
-    * ``broadcast(round_id)``: one RoundCiphertext per participant, in
-      participant order;
+    * ``broadcast(round_id, slot)``: one RoundCiphertext per
+      participant, in participant order, padded with the slot's secrets;
     * ``prove(round_id, statements)``: for a round after the first, one
       proof or None per participant, in participant order, of the
       participant's retransmission statement;
@@ -422,14 +424,13 @@ def run_session(
       the node's payload.
 
     Proofs arrive in wire form (hex text) and are recorded as given.
-    The simulator's source is the live participants and its sink a list,
-    which becomes ``outcome.records``; the verifier's reads the same
-    inputs back from a transcript and compares each record as it is emitted.
+    The simulator's source is the live participants, which read the
+    same ``tree``, and its sink a list, which becomes
+    ``outcome.records``; the verifier's reads the same inputs back from
+    a transcript and compares each record as it is emitted.
     """
     pids = list(graph_public.participants)
-    tree = ResolutionTree(params.q, payload_bits)
     outcome = SessionOutcome(session=session, tree=tree, records=source.records)
-    source.begin(tree)
 
     targets = {pid: {} for pid in pids}   # pid -> node -> no-message target
     demanded: set[int] = set()
@@ -441,7 +442,7 @@ def run_session(
         if slot == EPOCH_SLOTS * len(graph_public.epochs):
             graph_public = _endorse_epoch(source, graph_public, session, outcome)
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
-        cts = source.broadcast(rid)
+        cts = source.broadcast(rid, slot)
         add_round(params, targets, cts)
         if rid == 1:   # the opening round carries no proof; none is asked for or recorded
             stmts, texts = [], [None] * len(cts)

@@ -72,7 +72,7 @@ def test_c02_throughput_optimality():
 def _honest_round(params, n, seed, messages):
     graph = build_key_graph(params, range(n), random.Random(seed))
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1, messages.get(pid)) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 1, 0, messages.get(pid)) for pid in range(n)]
     return graph, cts
 
 

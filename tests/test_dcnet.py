@@ -17,11 +17,7 @@ from dcmesh.dcnet import (
     investigate,
     make_ciphertext,
 )
-from dcmesh.errors import (
-    DuplicateParticipant,
-    MissingParticipant,
-    RoundBudgetExhausted,
-)
+from dcmesh.errors import DuplicateParticipant, MissingParticipant
 from dcmesh.groups import commit
 from dcmesh.keysetup import EPOCH_SLOTS, KeyGraph, build_key_graph, edge_digest, gen_signing_key
 from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
@@ -31,10 +27,11 @@ def fresh_graph(params, n, seed=0, refusers=frozenset()):
     return build_key_graph(params, range(n), random.Random(seed), refusers=refusers)
 
 
-def run_round(params, graph, n, round_id=1, messages=None):
+def run_round(params, graph, n, messages=None):
+    """Round 1 at slot 0: every participant's broadcast, and their sum."""
     messages = messages or {}
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], round_id, messages.get(pid)) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 1, 0, messages.get(pid)) for pid in range(n)]
     return views, cts, aggregate_round(params, range(n), cts)
 
 
@@ -66,7 +63,7 @@ def test_colliding_messages_add(small):
 def test_degenerate_single_participant(small):
     graph = fresh_graph(small, 1)
     view = graph.view(0)
-    ct = make_ciphertext(view, 1, (1, 9))
+    ct = make_ciphertext(view, 1, 0, (1, 9))
     assert ct.value == (1, 9)
     assert ct.commitment == 1
     result = aggregate_round(small, [0], [ct])
@@ -76,33 +73,17 @@ def test_degenerate_single_participant(small):
 def test_no_message_proof_from_honest_ciphertext(small):
     graph = fresh_graph(small, 4, seed=3)
     view = graph.view(1)
-    ct = make_ciphertext(view, 1, None)
+    ct = make_ciphertext(view, 1, 0, None)
     (target,) = no_message_targets(small, [(ct.value, ct.commitment)])
     stmt = OrStatement((RepStatement(target),))
     proof = prove_or(small, stmt, 0, view.blind_sum(0), random.Random(5))
     assert verify_or(small, [stmt], [proof]) == [True]
 
 
-def test_round_budget_and_single_use(small):
-    # a view spends the endorsed epochs and nothing past them
-    graph = fresh_graph(small, 3)
-    view = graph.view(0)
-    for rid in range(1, EPOCH_SLOTS + 1):
-        make_ciphertext(view, rid)
-    with pytest.raises(RoundBudgetExhausted):
-        make_ciphertext(view, EPOCH_SLOTS + 1)
-    graph.add_epoch(random.Random(1))
-    ct = make_ciphertext(view, EPOCH_SLOTS + 1)
-    assert view.slot_of(EPOCH_SLOTS + 1) == EPOCH_SLOTS
-    assert ct.commitment == view.aggregate_commitment(EPOCH_SLOTS)
-    with pytest.raises(RoundBudgetExhausted):
-        make_ciphertext(view, 1)  # a round never spends a second slot
-
-
 def test_aggregate_round_participant_checks(small):
     graph = fresh_graph(small, 3)
     views = {pid: graph.view(pid) for pid in range(3)}
-    cts = [make_ciphertext(views[pid], 1) for pid in range(3)]
+    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(3)]
     with pytest.raises(MissingParticipant):
         aggregate_round(small, range(3), cts[:2])
     with pytest.raises(DuplicateParticipant):
@@ -128,7 +109,7 @@ def test_pad_tampering_invalidates_round(small):
         n = rng.randrange(2, 7)
         graph = fresh_graph(small, n, seed=200 + trial)
         views = {pid: graph.view(pid) for pid in range(n)}
-        cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+        cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
         cheat = rng.randrange(n)
         bad = cts[cheat]
         delta = rng.randrange(1, 53)
@@ -163,9 +144,9 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
         views = {pid: graph.view(pid) for pid in range(3)}
         broadcasts, blinds = {pid: {} for pid in range(3)}, {pid: {} for pid in range(3)}
         targets = {pid: {} for pid in range(3)}
-        for rid in (1, 2):
+        for slot, rid in enumerate((1, 2)):
             for pid in range(3):
-                ct = make_ciphertext(views[pid], rid, None)
+                ct = make_ciphertext(views[pid], rid, slot, None)
                 o, c = ct.value, ct.commitment
                 if pid == 0 and rid == 2:
                     if style in ("value_only", "consistent_pair"):
@@ -174,7 +155,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
                         c = c * pow(base, 5, medium.p) % medium.p
                 broadcasts[pid][rid] = (o, c)
                 add_round(medium, targets, [RoundCiphertext(pid, rid, o, c)])
-                add_blind(medium, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
+                add_blind(medium, blinds[pid], rid, views[pid].blind_sum(slot))
         product = 1
         for pid in range(3):
             product = product * broadcasts[pid][2][1] % medium.p
@@ -236,7 +217,7 @@ def test_broadcasts_hide_the_sender_exactly(small, dlog, order):
     def broadcasts(pair, edge, sender, x):
         graph.epochs[0] = graph.sign_epoch({**edges, pair: edge}, 0)
         return [
-            make_ciphertext(graph.view(pid), 1, (1, x) if pid == sender else None)
+            make_ciphertext(graph.view(pid), 1, 0, (1, x) if pid == sender else None)
             for pid in graph.participants
         ]
 
@@ -268,7 +249,7 @@ def test_investigation_aggregate_mismatch(small):
     n = 4
     graph = fresh_graph(small, n, seed=9)
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
     cts[2] = replace(
         cts[2],
         value=shift(cts[2].value, (1, 0)),
@@ -284,7 +265,7 @@ def test_investigation_bad_signature_pins_tamperer(small):
     n = 3
     graph = fresh_graph(small, n, seed=10)
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
     # participant 1 used a shifted pad toward 2 and published the shifted
     # commitment with the stale endorsement
     published = honest_published(graph, n, 0)
@@ -339,7 +320,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     graph = fresh_graph(small, n, seed=11)
 
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
     # forge a consistent-looking but differing endorsement of edge (0, 1):
     # 1 signs its tree over the root of a list whose slot 0 is shifted
     commitments = graph.edge(0, 1).commitments
@@ -368,11 +349,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
     for slot, used_epoch, index in cases:
         honest, used = endorsed[slot // EPOCH_SLOTS], endorsed[used_epoch]
         assert used.commitments[index] != honest.commitments[slot % EPOCH_SLOTS]
-        views = {pid: graph.view(pid) for pid in range(n)}
-        for view in views.values():
-            for skipped in range(slot):
-                view.spend(("skipped", skipped))
-        cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+        cts = [make_ciphertext(graph.view(pid), 1, slot) for pid in range(n)]
         # participant 1 used that pad toward 2 in this slot and reveals
         # its commitment with its own path, up to 2's root for its epoch
         shift = used.commitments[index] * pow(
@@ -445,7 +422,7 @@ def test_investigation_verdict_nonempty_on_invalid_rounds(small):
         n = rng.randrange(2, 6)
         graph = fresh_graph(small, n, seed=300 + trial)
         views = {pid: graph.view(pid) for pid in range(n)}
-        cts = [make_ciphertext(views[pid], 1) for pid in range(n)]
+        cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
         cheat = rng.randrange(n)
         cts[cheat] = replace(
             cts[cheat], commitment=cts[cheat].commitment * small.g % small.p

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from dcmesh import groups, keysetup, merkle
-from dcmesh.errors import RoundBudgetExhausted
 from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
@@ -253,15 +252,8 @@ def test_views_match_the_round_secret_oracle(small):
             assert view.aggregate_commitment(slot) == aggregate_commitment(graph, pid, slot)
         assert pair_sum((v.pad_sum(slot) for v in views.values()), q) == (0, 0)
         assert sum(v.blind_sum(slot) for v in views.values()) % q == 0
-    # spending moves the ledger only, for a refuser and for a shared view
-    for pid in (1, 2):
-        view = views[pid]
-        sums = [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
-        assert [view.spend(("r", k)) for k in range(budget)] == list(range(budget))
-        assert view.slot_of(("r", 2)) == 2
-        with pytest.raises(RoundBudgetExhausted):
-            view.spend(("r", budget))
-        assert sums == [(view.pad_sum(slot), view.blind_sum(slot)) for slot in range(budget)]
+    with pytest.raises(IndexError):   # its epoch is not endorsed
+        views[2].pad_sum(budget)
     assert views[1].pad_sum(0) == (0, 0) and views[1].blind_sum(0) == 0
 
 
@@ -322,20 +314,6 @@ def test_all_edges_opted_out(small):
     for pid in range(3):
         assert aggregate_commitment(graph, pid, 0) == 1
         assert graph.view(pid).pad_sum(0) == (0, 0)
-
-
-def test_view_slot_ledger(small):
-    rng = random.Random(8)
-    graph = build_key_graph(small, range(3), rng)
-    view = graph.view(0)
-    assert [view.spend(("round", k)) for k in range(EPOCH_SLOTS)] == list(range(EPOCH_SLOTS))
-    with pytest.raises(RoundBudgetExhausted):
-        view.spend("round-c")  # its slot lies in epoch 1, not endorsed yet
-    graph.add_epoch(rng)
-    assert view.spend("round-c") == EPOCH_SLOTS
-    with pytest.raises(RoundBudgetExhausted):
-        view.spend(("round", 0))  # single-use per round
-    assert view.slot_of(("round", 3)) == 3
 
 
 def test_public_header_shape(small):

@@ -74,6 +74,15 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
     bits = scenario.payload_bits
     for n, rounds in session_rounds(transcript):
         assert rounds <= n + (2 * n - 1) * (bits + 1), (n, rounds)
+    # the judge's slot schedule: a session's rounds take slots 0, 1, ...,
+    # one each, all within the slots its epochs endorsed
+    budgets = {r["idx"]: r["budget"] for r in transcript.records if r["type"] == "SESSION"}
+    slots = {session: [] for session in budgets}
+    for r in transcript.records:
+        if r["type"] == "ROUND":
+            slots[r["session"]].append(r["slot"])
+    for session, used in slots.items():
+        assert used == list(range(len(used))) and len(used) <= budgets[session], (session, used)
     if not scenario.adversaries:
         assert_honest_run_served(scenario, transcript)
 

@@ -497,8 +497,8 @@ def test_mixed_demand_round_fails_only_the_bad_responders(monkeypatch):
 class _OutOfRangeSlotParticipant(sim.BadSlotCountParticipant):
     """Sends the slot (1, 300), outside the range of an 8-bit payload."""
 
-    def begin_session(self, *args):
-        super().begin_session(*args)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.slot_value = (1, 300)
 
 
@@ -513,6 +513,33 @@ def test_lone_out_of_range_slot_is_blamed_wrong_branch(monkeypatch):
     assert [(r["part"], r["reason"], r["where"]) for r in verdicts] == [(1, "wrong_branch", "node:1")]
     demands = [(r["node"], r["part"], r["ok"]) for r in t.records if r["type"] == "DEMAND"]
     assert demands == [(1, 0, 1), (1, 1, 0), (1, 2, 1)]
+
+
+class _WrappedCountParticipant(sim.BadSlotCountParticipant):
+    """Sends the slot (q - 1, 7): a count of -1 mod q."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.slot_value = (self.params.q - 1, 7)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a slot counting q - 1 cancels an honest message: beside an honest 10 the root "
+    "reads (0, 17), EMPTY, and with an honest 40 too it reads (1, 57), a forged RESOLVED, "
+    "with no verdict either way",
+)
+def test_slot_counting_q_minus_one_is_served_or_blamed(monkeypatch):
+    # n = 3, seed 4: participant 1 sends (q - 1, 7) beside an honest 10, then
+    # beside an honest 10 and 40; every honest payload must arrive, or 1 be banned
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "bad_slot_count", _WrappedCountParticipant)
+    for honest in (((0, 10),), ((0, 10), (2, 40))):
+        senders = tuple(sorted(honest + ((1, 7),)))
+        t = run(sim.Scenario(n=3, senders=senders, adversaries=((1, "bad_slot_count"),), seed=4))
+        delivered = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
+        served = all(delivered[payload] > 0 for _, payload in honest)
+        assert served or 1 in {part for part, _ in verdicts_of(t)}, (honest, delivered)
 
 
 def test_refuse_signature_is_not_a_verdict():

@@ -56,7 +56,7 @@ def test_slots_summing_past_the_payload_width_keep_their_count(medium):
     from dcmesh.keysetup import build_key_graph
 
     graph = build_key_graph(medium, range(4), random.Random(2))
-    cts = [make_ciphertext(graph.view(pid), 1, (slots + [None])[pid]) for pid in range(4)]
+    cts = [make_ciphertext(graph.view(pid), 1, 0, (slots + [None])[pid]) for pid in range(4)]
     result = aggregate_round(medium, range(4), cts)
     assert result.valid and result.aggregate == (3, 350)
 
@@ -392,10 +392,10 @@ def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
     rng = random.Random(8)
     view = build_key_graph(medium, range(2), rng).view(0)
     targets, blinds = {0: {}}, {}
-    for rid in (1, 2):
-        ct = make_ciphertext(view, rid, encode_slot(50, 8))
+    for slot, rid in enumerate((1, 2)):
+        ct = make_ciphertext(view, rid, slot, encode_slot(50, 8))
         add_round(medium, targets, [ct])
-        add_blind(medium, blinds, rid, view.blind_sum(view.slot_of(rid)))
+        add_blind(medium, blinds, rid, view.blind_sum(slot))
     bases = []
 
     def counting_pow(base, *rest):
@@ -424,9 +424,10 @@ def test_retransmission_proof_fresh_construction(medium):
     blinds = {pid: {} for pid in range(3)}
 
     def tx(pid, rid, message):
-        ct = make_ciphertext(views[pid], rid, message)
+        slot = {1: 0, 2: 1, 4: 2}[rid]   # the judge's slot for each transmitted round
+        ct = make_ciphertext(views[pid], rid, slot, message)
         add_round(medium, targets, [ct])
-        add_blind(medium, blinds[pid], rid, views[pid].blind_sum(views[pid].slot_of(rid)))
+        add_blind(medium, blinds[pid], rid, views[pid].blind_sum(slot))
         return ct
 
     for pid in range(3):
@@ -590,10 +591,10 @@ def test_chain_proof_soundness_exhaustive(medium):
         graph = build_key_graph(medium, range(2), rng)
         view = graph.view(0)
         targets, blinds = {0: {}}, {}
-        for rid, content in ((1, c1), (2, c2), (6, c6)):
-            ct = make_ciphertext(view, rid, None if content == none else content)
+        for slot, (rid, content) in enumerate(((1, c1), (2, c2), (6, c6))):
+            ct = make_ciphertext(view, rid, slot, None if content == none else content)
             add_round(medium, targets, [ct])
-            add_blind(medium, blinds, rid, view.blind_sum(view.slot_of(rid)))
+            add_blind(medium, blinds, rid, view.blind_sum(slot))
         outcomes = []
         for rid, content in ((2, c2), (6, c6)):
             provable = False
