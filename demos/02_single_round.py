@@ -22,24 +22,24 @@ graph = build_key_graph(params, range(n), random.Random(1))
 views = {pid: graph.view(pid) for pid in range(n)}
 
 print("round 1: participant 2 sends the message 42")
-cts = [make_ciphertext(views[pid], 1, 0, (1, 42) if pid == 2 else None) for pid in range(n)]
-for ct in cts:
-    print(f"  P{ct.participant} broadcasts (O={ct.value}, c={ct.commitment})")
-result = aggregate_round(params, range(n), cts)
-print(f"sum of broadcasts: {result.aggregate}   commitments valid: {result.valid}")
+cts = [make_ciphertext(views[pid], 0, (1, 42) if pid == 2 else None) for pid in range(n)]
+for pid, ct in enumerate(cts):
+    print(f"  P{pid} broadcasts (O={ct.value}, c={ct.commitment})")
+aggregate, valid = aggregate_round(params, cts)
+print(f"sum of broadcasts: {aggregate}   commitments valid: {valid}")
 
 print("\nround 2: participant 3 shifts a pad without fixing the commitments")
-cts = [make_ciphertext(views[pid], 2, 1, None) for pid in range(n)]
+cts = [make_ciphertext(views[pid], 1, None) for pid in range(n)]
 cts[3] = replace(
     cts[3],
     value=((cts[3].value[0] + 1) % params.q, cts[3].value[1]),
     commitment=cts[3].commitment * params.g % params.p,
 )
-result = aggregate_round(params, range(n), cts)
-print(f"sum of broadcasts: {result.aggregate}   commitments valid: {result.valid}")
+aggregate, valid = aggregate_round(params, cts)
+print(f"sum of broadcasts: {aggregate}   commitments valid: {valid}")
 
 print("\ninvestigation: everyone reveals the endorsed pair commitments")
 published = {pid: views[pid].published_pairs(1) for pid in range(n)}
-blamed = investigate(params, result, 1, published, graph.public())
+blamed = investigate(params, cts, 1, published, graph.public())
 for pid, reasons in blamed.items():
     print(f"  verdict: P{pid} cheated ({', '.join(reasons)})")

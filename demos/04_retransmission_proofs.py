@@ -32,8 +32,8 @@ round_slots = {1: 0, 2: 1, 4: 2}
 
 
 def transmit(pid, rid, message):
-    ct = make_ciphertext(views[pid], rid, round_slots[rid], message)
-    add_round(params, targets, [ct])
+    ct = make_ciphertext(views[pid], round_slots[rid], message)
+    add_round(params, [targets[pid]], rid, [ct])
     add_blind(params, blinds[pid], rid, views[pid].blind_sum(round_slots[rid]))
 
 

@@ -11,6 +11,10 @@ when it is not, participants publish their endorsed per-pair
 commitments and the checks here attribute blame.  A broadcast carries
 no proof: the session judge asks for a round's proofs separately,
 against statements it builds from the broadcasts.
+
+A broadcast carries no label either: a round's broadcasts are a list
+in participant order, and the session judge, which schedules the
+round, knows its id and whose broadcast sits at each position.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import DuplicateParticipant, MissingParticipant
 from .groups import GroupParams
 from .keysetup import EPOCH_SLOTS, KeyGraphPublic, KeyView, is_endorsed
 
@@ -34,21 +37,11 @@ UNEQUAL_PAYLOAD = "unequal_payload"
 
 @dataclass(frozen=True)
 class RoundCiphertext:
-    participant: int
-    round_id: int
     value: tuple[int, int]          # O: (count, total) pad sums, plus the message slot if sending
     commitment: int                 # c: aggregate pair commitment
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    round_id: int
-    aggregate: tuple[int, int]   # (count, total): the broadcast values' sums mod q
-    valid: bool       # commitment product is the identity
-    ciphertexts: tuple[RoundCiphertext, ...]
-
-
-def make_ciphertext(view: KeyView, round_id, slot: int, message=None) -> RoundCiphertext:
+def make_ciphertext(view: KeyView, slot: int, message=None) -> RoundCiphertext:
     """Build this participant's broadcast for one round from the secrets
     of ``slot``, which the session judge schedules, once per round.
 
@@ -59,50 +52,31 @@ def make_ciphertext(view: KeyView, round_id, slot: int, message=None) -> RoundCi
     if message is not None:
         q = view.params.q
         value = ((value[0] + message[0]) % q, (value[1] + message[1]) % q)
-    return RoundCiphertext(
-        participant=view.pid,
-        round_id=round_id,
-        value=value,
-        commitment=view.aggregate_commitment(slot),
-    )
+    return RoundCiphertext(value, view.aggregate_commitment(slot))
 
 
-def aggregate_round(
-    params: GroupParams, expected_participants, ciphertexts
-) -> RoundResult:
-    """Sum a round's broadcasts and check commitment validity."""
-    expected = set(expected_participants)
-    seen = set()
-    for ct in ciphertexts:
-        if ct.participant in seen:
-            raise DuplicateParticipant(f"two ciphertexts from {ct.participant}")
-        seen.add(ct.participant)
-    if seen != expected:
-        raise MissingParticipant(f"missing ciphertexts from {sorted(expected - seen)}")
+def aggregate_round(params: GroupParams, cts) -> tuple[tuple[int, int], bool]:
+    """A round's aggregate (count, total), its broadcasts' sums mod q,
+    and whether its commitment product is the identity."""
     q = params.q
-    aggregate = (
-        sum(ct.value[0] for ct in ciphertexts) % q,
-        sum(ct.value[1] for ct in ciphertexts) % q,
-    )
+    aggregate = (sum(ct.value[0] for ct in cts) % q, sum(ct.value[1] for ct in cts) % q)
     product = 1
-    for ct in ciphertexts:
+    for ct in cts:
         product = product * ct.commitment % params.p
-    round_id = ciphertexts[0].round_id if ciphertexts else 0
-    ordered = tuple(sorted(ciphertexts, key=lambda ct: ct.participant))
-    return RoundResult(
-        round_id=round_id, aggregate=aggregate, valid=product == 1, ciphertexts=ordered
-    )
+    return aggregate, product == 1
 
 
 def investigate(
     params: GroupParams,
-    round_result: RoundResult,
+    cts,
     slot: int,
     published: dict,
     graph_public: KeyGraphPublic,
 ) -> dict[int, list[str]]:
     """Attribute blame for a round from published pair commitments:
     each blamed participant, in id order, with its sorted reasons.
+    ``cts`` are the round's broadcasts, one per participant of
+    ``graph_public``, in its participant order.
 
     ``published`` maps participant -> {peer: RevealedCommitment} as each
     participant revealed them: both ends of an edge reveal its lo -> hi
@@ -122,7 +96,7 @@ def investigate(
     # signer -> its signed root for the slot's epoch
     roots = {signed.part: signed.root for signed in graph_public.epochs[slot // EPOCH_SLOTS]}
     sig_ok: dict[tuple[int, int], bool] = {}
-    broadcast = {ct.participant: ct.commitment for ct in round_result.ciphertexts}
+    broadcast = {pid: ct.commitment for pid, ct in zip(participants, cts)}
 
     for pid in participants:
         revealed = published.get(pid)

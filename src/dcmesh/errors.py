@@ -9,14 +9,6 @@ class WitnessMismatch(DcMeshError):
     """Prover witness does not satisfy the statement; refusing to emit a proof."""
 
 
-class MissingParticipant(DcMeshError):
-    """A round is missing a ciphertext from an expected participant."""
-
-
-class DuplicateParticipant(DcMeshError):
-    """A round contains two ciphertexts from the same participant."""
-
-
 class PayloadOverflow(DcMeshError):
     """Payload does not fit in the configured slot width."""
 
@@ -26,7 +18,10 @@ class NotACollision(DcMeshError):
 
 
 class ProtocolOrderViolation(DcMeshError):
-    """A ciphertext arrived for a round that is not next on the schedule."""
+    """A recorded input is not the one the session judge asks for next.
+
+    Only the verifier's replay raises it, after reporting the
+    divergence; the judge stops there."""
 
 
 class ConfigInvalid(DcMeshError):

@@ -256,7 +256,7 @@ class HonestParticipant:
         return ct
 
     def _ciphertext(self, round_id, slot, message):
-        return make_ciphertext(self.view, round_id, slot, message)
+        return make_ciphertext(self.view, slot, message)
 
     def prove_round(self, round_id, statement):
         """The proof of this round's retransmission statement, in wire form."""
@@ -556,11 +556,12 @@ def _play_session(params, scenario, active, pending, session, session_tag):
 
 def _survivors(active, outcome):
     """The participants of the session after ``outcome``'s: the active
-    ones it did not ban, or None when it banned no one, and the run ends
-    with it.  Every later session has fewer participants than the one
-    before."""
+    ones it did not ban, or None when it banned no one or everyone, and
+    the run ends with it.  Every later session has fewer participants
+    than the one before, and at least one."""
     banned = {v.participant for v in outcome.verdicts}
-    return [pid for pid in active if pid not in banned] if banned else None
+    survivors = [pid for pid in active if pid not in banned]
+    return survivors if banned and survivors else None
 
 
 def run_scenario(scenario: Scenario) -> Transcript:
@@ -659,7 +660,10 @@ class _Replay:
     ``records``, this replay, is compared with the one at the cursor,
     ``(none)`` past the session's end.  Inputs are read from the cursor
     on, where the judge emits them next; one that is not the input asked
-    for is reported, and ProtocolOrderViolation stops the judge."""
+    for is reported, and ProtocolOrderViolation stops the judge.  A
+    round's ciphertexts come from its CIPHER records, read for each
+    active participant in turn, so a list position is the participant
+    and nothing else labels it."""
 
     def __init__(self, params, pids, recorded, index, report):
         self.params = params
@@ -727,7 +731,7 @@ class _Replay:
                 message = f"CIPHER c of {pid} not in the group"
                 raise MalformedRecord(self.index + self.read - 1, message)
             value = (rec["O_count"] % self.params.q, rec["O_total"] % self.params.q)
-            cts.append(RoundCiphertext(pid, round_id, value, rec["c"]))
+            cts.append(RoundCiphertext(value, rec["c"]))
             self.proofs.append(_proof(rec))
         return cts
 
@@ -788,12 +792,14 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     The body is split at its SESSION records, and each session goes
     through the judge with a ``_Replay`` as its source and sink.  Where
     the judge asks for an input the record at the cursor is not, verify
-    stops there.  Raises MalformedRecord only for what cannot be parsed
-    or checked: the header, its format version and group, a CONFIG n
-    the body cannot hold, a missing SUMMARY or opening SESSION record,
-    and, at its own index, a PUBKEY y outside [1, p), an ENDORSE root
-    that is not hex or whose signature does not verify under the
-    participant's PUBKEY, or a CIPHER c outside the group.
+    stops there.  A session that bans no one, or bans everyone, ends the
+    run, as it does the runner's: a SESSION record after it is reported
+    and verify stops there too.  Raises MalformedRecord only for what
+    cannot be parsed or checked: the header, its format version and
+    group, a CONFIG n the body cannot hold, a missing SUMMARY or opening
+    SESSION record, and, at its own index, a PUBKEY y outside [1, p), an
+    ENDORSE root that is not hex or whose signature does not verify
+    under the participant's PUBKEY, or a CIPHER c outside the group.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -823,9 +829,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
                 _session_tag(config["scenario"], session),
                 replay,
             )
-        except (ProtocolOrderViolation, ValueError, OverflowError) as exc:
-            if isinstance(exc, ProtocolOrderViolation) and not report.clean:
-                break   # the replay's stop; the judge's own order check reports nothing
+        except ProtocolOrderViolation:
+            break   # the replay's stop, after it reported the divergence
+        except (ValueError, OverflowError) as exc:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)

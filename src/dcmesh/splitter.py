@@ -69,15 +69,10 @@ from .dcnet import (
     NON_COOPERATION,
     UNEQUAL_PAYLOAD,
     WRONG_BRANCH,
-    RoundResult,
     aggregate_round,
     investigate,
 )
-from .errors import (
-    NotACollision,
-    PayloadOverflow,
-    ProtocolOrderViolation,
-)
+from .errors import NotACollision, PayloadOverflow
 from .groups import GroupParams, value_term
 from .keysetup import EPOCH_SLOTS
 from .transcript import record
@@ -132,7 +127,6 @@ class TreeNode:
     round_id: int
     lo: int                   # the node's honest payloads lie in [lo, hi)
     hi: int
-    aggregate: tuple[int, int] | None = None
     count: int | None = None
     total: int | None = None
     status: str = PENDING
@@ -155,6 +149,8 @@ class ResolutionTree:
     Children of node k are 2k (transmitted) and 2k+1 (inferred), the
     frontier of pending transmitted rounds is processed in increasing
     round id, and no new message may enter until the tree is done.
+    The tree alone names the next round; the judge transmits it and
+    folds its aggregate back in.
     """
 
     def __init__(self, q: int, payload_bits: int):
@@ -172,38 +168,33 @@ class ResolutionTree:
     def done(self) -> bool:
         return not self._frontier
 
-    def advance(self, result: RoundResult) -> list[int]:
-        """Fold one transmitted round into the tree.
+    def advance(self, aggregate: tuple[int, int]) -> list[int]:
+        """Fold the aggregate (count, total) of round ``next_round()``
+        into the tree; after a split the inferred sibling holds the
+        parent's less it, mod q.
 
         Returns the ids of nodes whose classification changed, in
         increasing order (used for transcript emission and replay).
         """
-        if not self._frontier or result.round_id != self._frontier[0]:
-            raise ProtocolOrderViolation(
-                f"round {result.round_id} is not next (expected {self.next_round()})"
-            )
-        heapq.heappop(self._frontier)
+        rid = heapq.heappop(self._frontier)
         self._touched = []
-        rid = result.round_id
         node = self.nodes[rid]
-        node.aggregate = result.aggregate
         self.transmitted_order.append(rid)
-        self._classify(node)
+        self._classify(node, *aggregate)
         if rid == 1:
             if node.status == COLLISION:
                 self._schedule_split(node)
         else:
             parent = self.nodes[rid // 2]
             sibling = self.nodes[rid + 1]
-            sibling.aggregate = tuple(
-                (a - b) % self.q for a, b in zip(parent.aggregate, node.aggregate)
+            self._classify(
+                sibling, (parent.count - node.count) % self.q, (parent.total - node.total) % self.q
             )
-            self._classify(sibling)
             self._check_split(parent, node, sibling)
         return sorted(set(self._touched))
 
-    def _classify(self, node: TreeNode) -> None:
-        node.count, node.total = node.aggregate
+    def _classify(self, node: TreeNode, count: int, total: int) -> None:
+        node.count, node.total = count, total
         if node.count == 0:
             node.status = EMPTY
         elif node.count == 1:
@@ -233,7 +224,7 @@ class ResolutionTree:
         )
         if (
             not parent.midpoint
-            and left.aggregate == (0, 0)
+            and left.count == left.total == 0
             and right.total == right.count * parent.threshold
         ):
             # every message went right and all sit at the average: equal
@@ -277,13 +268,15 @@ class ResolutionTree:
 # B(k - 1): the witness of N(k), which it proves the judge's statements with.
 
 
-def add_round(params: GroupParams, targets: dict, cts) -> None:
-    """Add one transmitted round's ciphertexts to their participants'
-    target maps, each with its inferred sibling's target after a split."""
+def add_round(params: GroupParams, node_maps, rid: int, cts) -> None:
+    """Add transmitted round ``rid``'s ciphertexts to their participants'
+    target maps, each with its inferred sibling's target after a split.
+    The judge names the round, and ``node_maps`` and ``cts`` pair up by
+    position: one map and one ciphertext per participant, in participant
+    order."""
     p = params.p
     fresh = zkp.no_message_targets(params, [(ct.value, ct.commitment) for ct in cts])
-    for ct, target in zip(cts, fresh):
-        nodes, rid = targets[ct.participant], ct.round_id
+    for nodes, target in zip(node_maps, fresh):
         nodes[rid] = target
         if rid != 1:
             nodes[rid + 1] = nodes[rid // 2] * pow(target, -1, p) % p
@@ -412,7 +405,9 @@ def run_session(
       SignedRoot per participant in participant order, asked for before
       the first round that spends one of its slots;
     * ``broadcast(round_id, slot)``: one RoundCiphertext per
-      participant, in participant order, padded with the slot's secrets;
+      participant, padded with the slot's secrets, in a list whose
+      position is the participant: a ciphertext names neither its
+      sender nor its round, which the judge knows;
     * ``prove(round_id, statements)``: for a round after the first, one
       proof or None per participant, in participant order, of the
       participant's retransmission statement;
@@ -443,57 +438,54 @@ def run_session(
             graph_public = _endorse_epoch(source, graph_public, session, outcome)
         outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
         cts = source.broadcast(rid, slot)
-        add_round(params, targets, cts)
+        add_round(params, targets.values(), rid, cts)
         if rid == 1:   # the opening round carries no proof; none is asked for or recorded
-            stmts, texts = [], [None] * len(cts)
+            stmts, texts = [], [None] * len(pids)
         else:
-            stmts = [
-                retransmission_statement(targets[ct.participant], ct.participant, rid, session_tag)
-                for ct in cts
-            ]
+            stmts = [retransmission_statement(targets[pid], pid, rid, session_tag) for pid in pids]
             texts = source.prove(rid, stmts)
-        for ct, text in zip(cts, texts):
+        for pid, ct, text in zip(pids, cts, texts):
             outcome.records.append(
                 record(
                     "CIPHER",
                     session=session,
                     round=rid,
-                    part=ct.participant,
+                    part=pid,
                     O_count=ct.value[0],
                     O_total=ct.value[1],
                     c=ct.commitment,
                     proof="-" if text is None else text,
                 )
             )
-        result = aggregate_round(params, pids, cts)
+        aggregate, valid = aggregate_round(params, cts)
         outcome.records.append(
             record(
                 "AGGREGATE",
                 session=session,
                 round=rid,
-                C_count=result.aggregate[0],
-                C_total=result.aggregate[1],
-                valid=int(result.valid),
+                C_count=aggregate[0],
+                C_total=aggregate[1],
+                valid=int(valid),
             )
         )
         outcome.transmitted += 1
 
-        if not result.valid:
-            _run_investigation(params, source, graph_public, result, slot, session, outcome)
+        if not valid:
+            _run_investigation(params, source, graph_public, rid, cts, slot, session, outcome)
             aborted = True
             break
 
         if rid != 1:
             oks = _check_proofs(params, stmts, texts, outcome)
-            for ct, text, ok in zip(cts, texts, oks):
+            for pid, text, ok in zip(pids, texts, oks):
                 if not ok:
                     reason = NON_COOPERATION if text is None else INVALID_PROOF
-                    outcome.verdicts.append(Verdict(ct.participant, reason, f"round:{rid}"))
+                    outcome.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
             if not all(oks):
                 aborted = True
                 break
 
-        touched = tree.advance(result)
+        touched = tree.advance(aggregate)
         _emit_nodes(tree, touched, session, outcome)
         slot += 1
 
@@ -586,7 +578,7 @@ def _emit_nodes(tree, touched, session, outcome):
             )
 
 
-def _run_investigation(params, source, graph_public, result, slot, session, outcome):
+def _run_investigation(params, source, graph_public, rid, cts, slot, session, outcome):
     published = source.publish(slot)
     for pid in sorted(published):
         for peer, sc in sorted(published[pid].items()):
@@ -601,19 +593,14 @@ def _run_investigation(params, source, graph_public, result, slot, session, outc
                     path=sc.path,
                 )
             )
-    blamed = investigate(params, result, slot, published, graph_public)
+    blamed = investigate(params, cts, slot, published, graph_public)
     cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
     outcome.records.append(
-        record(
-            "INVESTIGATION",
-            session=session,
-            round=result.round_id,
-            cheaters=cheaters or "-",
-        )
+        record("INVESTIGATION", session=session, round=rid, cheaters=cheaters or "-")
     )
     for pid, reasons in blamed.items():
         for reason in reasons:
-            outcome.verdicts.append(Verdict(pid, reason, f"round:{result.round_id}"))
+            outcome.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
 
 
 def _check_proofs(params, statements, texts, outcome) -> list[bool]:

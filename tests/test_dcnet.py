@@ -17,7 +17,6 @@ from dcmesh.dcnet import (
     investigate,
     make_ciphertext,
 )
-from dcmesh.errors import DuplicateParticipant, MissingParticipant
 from dcmesh.groups import commit
 from dcmesh.keysetup import EPOCH_SLOTS, KeyGraph, build_key_graph, edge_digest, gen_signing_key
 from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
@@ -28,11 +27,10 @@ def fresh_graph(params, n, seed=0, refusers=frozenset()):
 
 
 def run_round(params, graph, n, messages=None):
-    """Round 1 at slot 0: every participant's broadcast, and their sum."""
+    """Slot 0: every participant's broadcast, their aggregate and its validity."""
     messages = messages or {}
-    views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1, 0, messages.get(pid)) for pid in range(n)]
-    return views, cts, aggregate_round(params, range(n), cts)
+    cts = [make_ciphertext(graph.view(pid), 0, messages.get(pid)) for pid in range(n)]
+    return (cts, *aggregate_round(params, cts))
 
 
 def shift(value, delta, q=53):
@@ -42,52 +40,41 @@ def shift(value, delta, q=53):
 
 
 def test_honest_round_no_sender(small):
-    _, _, result = run_round(small, fresh_graph(small, 4), 4)
-    assert result.valid
-    assert result.aggregate == (0, 0)
+    _, aggregate, valid = run_round(small, fresh_graph(small, 4), 4)
+    assert valid
+    assert aggregate == (0, 0)
 
 
 def test_honest_round_single_sender(small):
-    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages={2: (1, 42)})
-    assert result.valid
-    assert result.aggregate == (1, 42)
+    _, aggregate, valid = run_round(small, fresh_graph(small, 5), 5, messages={2: (1, 42)})
+    assert valid
+    assert aggregate == (1, 42)
 
 
 def test_colliding_messages_add(small):
     messages = {1: (1, 3), 3: (1, 4)}
-    _, _, result = run_round(small, fresh_graph(small, 5), 5, messages=messages)
-    assert result.valid
-    assert result.aggregate == (2, 7)
+    _, aggregate, valid = run_round(small, fresh_graph(small, 5), 5, messages=messages)
+    assert valid
+    assert aggregate == (2, 7)
 
 
 def test_degenerate_single_participant(small):
     graph = fresh_graph(small, 1)
     view = graph.view(0)
-    ct = make_ciphertext(view, 1, 0, (1, 9))
+    ct = make_ciphertext(view, 0, (1, 9))
     assert ct.value == (1, 9)
     assert ct.commitment == 1
-    result = aggregate_round(small, [0], [ct])
-    assert result.valid and result.aggregate == (1, 9)
+    assert aggregate_round(small, [ct]) == ((1, 9), True)
 
 
 def test_no_message_proof_from_honest_ciphertext(small):
     graph = fresh_graph(small, 4, seed=3)
     view = graph.view(1)
-    ct = make_ciphertext(view, 1, 0, None)
+    ct = make_ciphertext(view, 0, None)
     (target,) = no_message_targets(small, [(ct.value, ct.commitment)])
     stmt = OrStatement((RepStatement(target),))
     proof = prove_or(small, stmt, 0, view.blind_sum(0), random.Random(5))
     assert verify_or(small, [stmt], [proof]) == [True]
-
-
-def test_aggregate_round_participant_checks(small):
-    graph = fresh_graph(small, 3)
-    views = {pid: graph.view(pid) for pid in range(3)}
-    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(3)]
-    with pytest.raises(MissingParticipant):
-        aggregate_round(small, range(3), cts[:2])
-    with pytest.raises(DuplicateParticipant):
-        aggregate_round(small, range(3), cts + [cts[0]])
 
 
 def test_random_honest_configurations(small):
@@ -98,9 +85,9 @@ def test_random_honest_configurations(small):
         senders = {
             pid: (1, rng.randrange(53)) for pid in rng.sample(range(n), rng.randrange(n + 1))
         }
-        _, _, result = run_round(small, graph, n, messages=senders)
-        assert result.valid
-        assert result.aggregate == (len(senders), sum(x for _, x in senders.values()) % 53)
+        _, aggregate, valid = run_round(small, graph, n, messages=senders)
+        assert valid
+        assert aggregate == (len(senders), sum(x for _, x in senders.values()) % 53)
 
 
 def test_pad_tampering_invalidates_round(small):
@@ -109,7 +96,7 @@ def test_pad_tampering_invalidates_round(small):
         n = rng.randrange(2, 7)
         graph = fresh_graph(small, n, seed=200 + trial)
         views = {pid: graph.view(pid) for pid in range(n)}
-        cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
+        cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
         cheat = rng.randrange(n)
         bad = cts[cheat]
         delta = rng.randrange(1, 53)
@@ -121,8 +108,8 @@ def test_pad_tampering_invalidates_round(small):
             commitment=bad.commitment * pow(base, delta, small.p) % small.p,
         )
         cts[cheat] = bad
-        result = aggregate_round(small, range(n), cts)
-        assert not result.valid
+        _, valid = aggregate_round(small, cts)
+        assert not valid
 
 
 def test_single_tampering_never_silently_changes_the_sum(medium):
@@ -146,7 +133,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
         targets = {pid: {} for pid in range(3)}
         for slot, rid in enumerate((1, 2)):
             for pid in range(3):
-                ct = make_ciphertext(views[pid], rid, slot, None)
+                ct = make_ciphertext(views[pid], slot, None)
                 o, c = ct.value, ct.commitment
                 if pid == 0 and rid == 2:
                     if style in ("value_only", "consistent_pair"):
@@ -154,7 +141,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
                     if style in ("commitment_only", "consistent_pair"):
                         c = c * pow(base, 5, medium.p) % medium.p
                 broadcasts[pid][rid] = (o, c)
-                add_round(medium, targets, [RoundCiphertext(pid, rid, o, c)])
+                add_round(medium, [targets[pid]], rid, [RoundCiphertext(o, c)])
                 add_blind(medium, blinds[pid], rid, views[pid].blind_sum(slot))
         product = 1
         for pid in range(3):
@@ -217,7 +204,7 @@ def test_broadcasts_hide_the_sender_exactly(small, dlog, order):
     def broadcasts(pair, edge, sender, x):
         graph.epochs[0] = graph.sign_epoch({**edges, pair: edge}, 0)
         return [
-            make_ciphertext(graph.view(pid), 1, 0, (1, x) if pid == sender else None)
+            make_ciphertext(graph.view(pid), 0, (1, x) if pid == sender else None)
             for pid in graph.participants
         ]
 
@@ -240,8 +227,8 @@ def honest_published(graph, n, slot):
 def test_investigation_honest_round_empty_verdicts(small):
     n = 4
     graph = fresh_graph(small, n, seed=8)
-    _, _, result = run_round(small, graph, n)
-    verdicts = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
+    cts, _, _ = run_round(small, graph, n)
+    verdicts = investigate(small, cts, 0, honest_published(graph, n, 0), graph.public())
     assert verdicts == {}
 
 
@@ -249,15 +236,15 @@ def test_investigation_aggregate_mismatch(small):
     n = 4
     graph = fresh_graph(small, n, seed=9)
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
     cts[2] = replace(
         cts[2],
         value=shift(cts[2].value, (1, 0)),
         commitment=cts[2].commitment * small.g % small.p,
     )
-    result = aggregate_round(small, range(n), cts)
-    assert not result.valid
-    verdicts = investigate(small, result, 0, honest_published(graph, n, 0), graph.public())
+    _, valid = aggregate_round(small, cts)
+    assert not valid
+    verdicts = investigate(small, cts, 0, honest_published(graph, n, 0), graph.public())
     assert verdicts == {2: [AGGREGATE_MISMATCH]}
 
 
@@ -265,7 +252,7 @@ def test_investigation_bad_signature_pins_tamperer(small):
     n = 3
     graph = fresh_graph(small, n, seed=10)
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
     # participant 1 used a shifted pad toward 2 and published the shifted
     # commitment with the stale endorsement
     published = honest_published(graph, n, 0)
@@ -278,9 +265,9 @@ def test_investigation_bad_signature_pins_tamperer(small):
         value=shift(cts[1].value, (1, 0)),
         commitment=cts[1].commitment * small.g % small.p,
     )
-    result = aggregate_round(small, range(n), cts)
-    assert not result.valid
-    verdicts = investigate(small, result, 0, published, graph.public())
+    _, valid = aggregate_round(small, cts)
+    assert not valid
+    verdicts = investigate(small, cts, 0, published, graph.public())
     assert 1 in verdicts
     assert BAD_SIGNATURE in verdicts[1]
     assert 2 not in verdicts  # honest counterparty stays clean
@@ -320,7 +307,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     graph = fresh_graph(small, n, seed=11)
 
     views = {pid: graph.view(pid) for pid in range(n)}
-    cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
+    cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
     # forge a consistent-looking but differing endorsement of edge (0, 1):
     # 1 signs its tree over the root of a list whose slot 0 is shifted
     commitments = graph.edge(0, 1).commitments
@@ -328,8 +315,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     published, public = forge_endorsement(small, graph, 0, 1, forged_list)
     assert published[0][1].commitment != published[1][0].commitment
     cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
-    result = aggregate_round(small, range(n), cts)
-    verdicts = investigate(small, result, 0, published, public)
+    verdicts = investigate(small, cts, 0, published, public)
     assert PAIR_MISMATCH in verdicts.get(0, [])
     assert PAIR_MISMATCH in verdicts.get(1, [])
 
@@ -349,19 +335,19 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
     for slot, used_epoch, index in cases:
         honest, used = endorsed[slot // EPOCH_SLOTS], endorsed[used_epoch]
         assert used.commitments[index] != honest.commitments[slot % EPOCH_SLOTS]
-        cts = [make_ciphertext(graph.view(pid), 1, slot) for pid in range(n)]
+        cts = [make_ciphertext(graph.view(pid), slot) for pid in range(n)]
         # participant 1 used that pad toward 2 in this slot and reveals
         # its commitment with its own path, up to 2's root for its epoch
         shift = used.commitments[index] * pow(
             honest.commitments[slot % EPOCH_SLOTS], -1, small.p
         ) % small.p
         cts[1] = replace(cts[1], commitment=cts[1].commitment * shift % small.p)
-        result = aggregate_round(small, range(n), cts)
-        assert not result.valid
+        _, valid = aggregate_round(small, cts)
+        assert not valid
         published = honest_published(graph, n, slot)
         published[1] = dict(published[1])
         published[1][2] = graph.view(1).published_pairs(used_epoch * EPOCH_SLOTS + index)[2]
-        verdicts = investigate(small, result, slot, published, graph.public())
+        verdicts = investigate(small, cts, slot, published, graph.public())
         assert BAD_SIGNATURE in verdicts[1], (slot, index)
         assert AGGREGATE_MISMATCH not in verdicts[1]
         assert 2 not in verdicts  # honest counterparty stays clean
@@ -375,7 +361,7 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
     # 1 is flagged, and nothing raises
     n = 4
     graph = fresh_graph(small, n, seed=18)
-    _, _, result = run_round(small, graph, n)
+    cts, _, _ = run_round(small, graph, n)
     path = graph.view(1).published_pairs(0)[2].path
     one = 2 * small.element_bytes   # hex digits of one commitment
     split = (EPOCH_SLOTS - 1) * one
@@ -391,27 +377,27 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
         published = honest_published(graph, n, 0)
         published[1] = dict(published[1])
         published[1][2] = replace(published[1][2], path=tampered)
-        verdicts = investigate(small, result, 0, published, graph.public())
+        verdicts = investigate(small, cts, 0, published, graph.public())
         assert verdicts == {1: [BAD_SIGNATURE]}
 
 
 def test_investigation_non_cooperation(small):
     n = 3
     graph = fresh_graph(small, n, seed=12)
-    _, _, result = run_round(small, graph, n)
+    cts, _, _ = run_round(small, graph, n)
     published = honest_published(graph, n, 0)
     del published[1]
-    verdicts = investigate(small, result, 0, published, graph.public())
+    verdicts = investigate(small, cts, 0, published, graph.public())
     assert verdicts == {1: [NON_COOPERATION]}
 
 
 def test_investigation_respects_optouts(small):
     n = 3
     graph = fresh_graph(small, n, seed=13, refusers={2})
-    _, _, result = run_round(small, graph, n)
-    assert result.valid
+    cts, _, valid = run_round(small, graph, n)
+    assert valid
     published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
-    verdicts = investigate(small, result, 0, published, graph.public())
+    verdicts = investigate(small, cts, 0, published, graph.public())
     assert verdicts == {}
 
 
@@ -422,14 +408,12 @@ def test_investigation_verdict_nonempty_on_invalid_rounds(small):
         n = rng.randrange(2, 6)
         graph = fresh_graph(small, n, seed=300 + trial)
         views = {pid: graph.view(pid) for pid in range(n)}
-        cts = [make_ciphertext(views[pid], 1, 0) for pid in range(n)]
+        cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
         cheat = rng.randrange(n)
         cts[cheat] = replace(
             cts[cheat], commitment=cts[cheat].commitment * small.g % small.p
         )
-        result = aggregate_round(small, range(n), cts)
-        assert not result.valid
-        verdicts = investigate(
-            small, result, 0, honest_published(graph, n, 0), graph.public()
-        )
+        _, valid = aggregate_round(small, cts)
+        assert not valid
+        verdicts = investigate(small, cts, 0, honest_published(graph, n, 0), graph.public())
         assert set(verdicts) == {cheat}

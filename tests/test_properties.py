@@ -56,7 +56,7 @@ def session_rounds(transcript):
     """(active participants, transmitted rounds) of each session."""
     rounds = Counter(r["session"] for r in transcript.records if r["type"] == "ROUND")
     return [
-        (len(r["active"].split(",")) if r["active"] else 0, rounds[r["idx"]])
+        (len(r["active"].split(",")), rounds[r["idx"]])
         for r in transcript.records
         if r["type"] == "SESSION"
     ]
@@ -83,6 +83,18 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
             slots[r["session"]].append(r["slot"])
     for session, used in slots.items():
         assert used == list(range(len(used))) and len(used) <= budgets[session], (session, used)
+    # the runner's stop rule, which verify applies too: a session follows
+    # only one that banned someone but not everyone, over its survivors
+    sessions = [r for r in transcript.records if r["type"] == "SESSION"]
+    banned = {r["idx"]: set() for r in sessions}
+    for r in transcript.records:
+        if r["type"] == "BAN":
+            banned[r["session"]].add(r["part"])
+    for first, second in zip(sessions, sessions[1:]):
+        active = first["active"].split(",")
+        survivors = [pid for pid in active if int(pid) not in banned[first["idx"]]]
+        assert banned[first["idx"]] and survivors, first
+        assert second["active"].split(",") == survivors, (first, second)
     if not scenario.adversaries:
         assert_honest_run_served(scenario, transcript)
 

@@ -1045,16 +1045,21 @@ def test_judge_alone_builds_targets_and_statements(monkeypatch):
 
 
 def test_session_after_everyone_is_banned_is_not_clean():
-    # the judge cannot run a session with no one active; a forged one
-    # whose opening records match must not end verification clean
-    lines = sim.run_scenario(sim.Scenario(n=1, adversaries=((0, "bad_pad"),))).to_text().split("\n")
-    assert any(ln.startswith("BAN session=1 part=0") for ln in lines)
+    # the run stops after a session that bans everyone, as after one that
+    # bans no one; a forged session after it, whose opening records
+    # match, must diverge at its SESSION record
+    transcript = sim.run_scenario(sim.Scenario(n=1, adversaries=((0, "bad_pad"),)))
+    lines = transcript.to_text().split("\n")
+    assert lines[-3] == "BAN session=1 part=0"   # the last record before the SUMMARY
     forged = [
         f"SESSION idx=2 active= budget={EPOCH_SLOTS} keys={records_digest([])}",
         "ROUND session=2 id=1 slot=0",
         "AGGREGATE session=2 round=1 C_count=0 C_total=0 valid=1",
     ]
-    assert _detects("\n".join(lines[:-2] + forged + lines[-2:]))
+    text = "\n".join(lines[:-2] + forged + lines[-2:])
+    report = sim.verify_transcript(Transcript.from_text(text))
+    session_index = len(transcript.header) + len(transcript.records) - 1
+    assert [index for index, _ in report.divergences] == [session_index]
 
 
 def test_session_after_a_session_without_a_ban_diverges():

@@ -6,7 +6,7 @@ import pytest
 
 from dcmesh import sim, zkp
 from dcmesh.dcnet import RoundCiphertext, aggregate_round
-from dcmesh.errors import NotACollision, PayloadOverflow, ProtocolOrderViolation
+from dcmesh.errors import NotACollision, PayloadOverflow
 from dcmesh.splitter import (
     COLLISION,
     EMPTY,
@@ -56,15 +56,14 @@ def test_slots_summing_past_the_payload_width_keep_their_count(medium):
     from dcmesh.keysetup import build_key_graph
 
     graph = build_key_graph(medium, range(4), random.Random(2))
-    cts = [make_ciphertext(graph.view(pid), 1, 0, (slots + [None])[pid]) for pid in range(4)]
-    result = aggregate_round(medium, range(4), cts)
-    assert result.valid and result.aggregate == (3, 350)
+    cts = [make_ciphertext(graph.view(pid), 0, (slots + [None])[pid]) for pid in range(4)]
+    assert aggregate_round(medium, cts) == ((3, 350), True)
 
 
 def test_zero_aggregate_is_empty():
     assert add_slots() == (0, 0)
     tree = ResolutionTree(1009, 8)
-    tree.advance(synthetic_result(1, []))
+    tree.advance(synthetic_result([]))
     assert tree.nodes[1].status == EMPTY and (tree.nodes[1].count, tree.nodes[1].total) == (0, 0)
 
 
@@ -148,9 +147,6 @@ def test_tree_conservation_exact():
         left, right = tree.nodes[2 * nid], tree.nodes[2 * nid + 1]
         assert left.count + right.count == node.count
         assert left.total + right.total == node.total
-        # aggregate-level cancellation holds in the scalar field too
-        q = tree.q
-        assert tuple((a + b) % q for a, b in zip(left.aggregate, right.aggregate)) == node.aggregate
 
 
 def test_single_sender_resolves_at_root():
@@ -168,43 +164,21 @@ def test_no_sender_root_empty():
     assert out.resolved == []
 
 
-def test_advance_rejects_out_of_order_rounds(medium):
-    tree = ResolutionTree(medium.q, 8)
-    fake = aggregate_round(medium, [], [])
-    with pytest.raises(ProtocolOrderViolation):
-        tree.advance(fake)  # round id 0 is never schedulable
-
-
-def raw_result(rid, aggregate):
-    """RoundResult carrying just an aggregate, malformed ones included;
-    tree mechanics need no crypto."""
-    from dcmesh.dcnet import RoundResult
-
-    return RoundResult(round_id=rid, aggregate=aggregate, valid=True, ciphertexts=())
-
-
-def synthetic_result(rid, payloads, payload_bits=8):
-    """The round of these payloads' slots."""
-    return raw_result(rid, add_slots(*(encode_slot(m, payload_bits) for m in payloads)))
+def synthetic_result(payloads, payload_bits=8):
+    """The aggregate of these payloads' slots; tree mechanics need no crypto."""
+    return add_slots(*(encode_slot(m, payload_bits) for m in payloads))
 
 
 def test_tree_blocked_until_fully_resolved(medium):
     tree = ResolutionTree(medium.q, 8)
-    tree.advance(synthetic_result(1, [10, 20, 30]))  # collision opens the tree
+    tree.advance(synthetic_result([10, 20, 30]))  # collision opens the tree
     assert tree.next_round() == 2 and not tree.done
-    tree.advance(synthetic_result(2, [10]))  # 10 below ceil(60/3)=20
+    tree.advance(synthetic_result([10]))  # 10 below ceil(60/3)=20
     assert tree.next_round() == 6 and not tree.done  # node 3 = {20,30} splits next
-    tree.advance(synthetic_result(6, [20]))
+    tree.advance(synthetic_result([20]))
     assert tree.next_round() is None and tree.done
     assert [p for _, p in tree.resolved] == [10, 20, 30]
     assert tree.transmitted_order == [1, 2, 6]
-
-
-def test_tree_rejects_skipped_round(medium):
-    tree = ResolutionTree(medium.q, 8)
-    tree.advance(synthetic_result(1, [10, 20]))
-    with pytest.raises(ProtocolOrderViolation):
-        tree.advance(synthetic_result(4, [10]))  # round 2 is next, not 4
 
 
 def test_frontier_processes_increasing_ids():
@@ -226,8 +200,8 @@ def test_children_split_the_interval_at_the_clamped_threshold():
     # at 100, then (2, 350) at [0, 100) splits at 175 and (2, 50) at
     # [100, 256) at 25, each leaving one child an empty interval
     tree = ResolutionTree(1009, 8)
-    tree.advance(synthetic_result(1, [175, 175, 25, 25]))
-    tree.advance(synthetic_result(2, [175, 175]))
+    tree.advance(synthetic_result([175, 175, 25, 25]))
+    tree.advance(synthetic_result([175, 175]))
     assert (tree.nodes[2].threshold, tree.nodes[3].threshold) == (175, 25)
     intervals = {nid: (tree.nodes[nid].lo, tree.nodes[nid].hi) for nid in (4, 5, 6, 7)}
     assert intervals == {4: (0, 100), 5: (100, 100), 6: (100, 100), 7: (100, 256)}
@@ -236,17 +210,17 @@ def test_children_split_the_interval_at_the_clamped_threshold():
 
 def test_inconsistent_split_bisects_down_to_one_value():
     tree = ResolutionTree(1009, 2)   # payloads in [0, 4)
-    tree.advance(raw_result(1, (3, 3)))   # average 1: [0, 1) and [1, 4)
+    tree.advance((3, 3))   # average 1: [0, 1) and [1, 4)
     # a count of 0 beside a nonzero total: the split is inconsistent, so
     # node 3 splits at the midpoint of [1, 4), not at its average
-    tree.advance(raw_result(2, (0, 1)))
+    tree.advance((0, 1))
     node = tree.nodes[3]
     assert (node.count, node.total, node.status) == (3, 2, COLLISION)
     assert node.midpoint and node.threshold == 2
     assert [(tree.nodes[k].lo, tree.nodes[k].hi) for k in (6, 7)] == [(1, 2), (2, 4)]
     # everything goes left again, into [1, 2): one value, so the judge
     # checks it as an equal-payload node of payload 1
-    tree.advance(raw_result(6, (3, 2)))
+    tree.advance((3, 2))
     assert tree.nodes[6].status == EQUAL and tree.nodes[6].equal_payload == 1
     assert tree.nodes[7].status == EMPTY
     assert tree.done and tree.transmitted_order == [1, 2, 6]
@@ -314,8 +288,8 @@ def participant_state(seed=7):
         if rec["type"] == "CIPHER":
             value = (rec["O_count"], rec["O_total"])
             broadcasts.setdefault(rec["part"], {})[rec["round"]] = (value, rec["c"])
-            ct = RoundCiphertext(rec["part"], rec["round"], value, rec["c"])
-            add_round(params, targets, [ct])
+            ct = RoundCiphertext(value, rec["c"])
+            add_round(params, [targets[rec["part"]]], rec["round"], [ct])
     return params, out, broadcasts, targets
 
 
@@ -393,8 +367,8 @@ def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
     view = build_key_graph(medium, range(2), rng).view(0)
     targets, blinds = {0: {}}, {}
     for slot, rid in enumerate((1, 2)):
-        ct = make_ciphertext(view, rid, slot, encode_slot(50, 8))
-        add_round(medium, targets, [ct])
+        ct = make_ciphertext(view, slot, encode_slot(50, 8))
+        add_round(medium, [targets[0]], rid, [ct])
         add_blind(medium, blinds, rid, view.blind_sum(slot))
     bases = []
 
@@ -425,8 +399,8 @@ def test_retransmission_proof_fresh_construction(medium):
 
     def tx(pid, rid, message):
         slot = {1: 0, 2: 1, 4: 2}[rid]   # the judge's slot for each transmitted round
-        ct = make_ciphertext(views[pid], rid, slot, message)
-        add_round(medium, targets, [ct])
+        ct = make_ciphertext(views[pid], slot, message)
+        add_round(medium, [targets[pid]], rid, [ct])
         add_blind(medium, blinds[pid], rid, views[pid].blind_sum(slot))
         return ct
 
@@ -592,8 +566,8 @@ def test_chain_proof_soundness_exhaustive(medium):
         view = graph.view(0)
         targets, blinds = {0: {}}, {}
         for slot, (rid, content) in enumerate(((1, c1), (2, c2), (6, c6))):
-            ct = make_ciphertext(view, rid, slot, None if content == none else content)
-            add_round(medium, targets, [ct])
+            ct = make_ciphertext(view, slot, None if content == none else content)
+            add_round(medium, [targets[0]], rid, [ct])
             add_blind(medium, blinds, rid, view.blind_sum(slot))
         outcomes = []
         for rid, content in ((2, c2), (6, c6)):
