@@ -463,16 +463,16 @@ def _group_record(params):
     )
 
 
-def _header(params, config):
+def _header(params, config, digest=records_digest):
     """The transcript header for a group and a CONFIG record."""
     header = [
         record("DCMESH", version=FORMAT_VERSION, hash="sha256"), _group_record(params), config
     ]
-    header.append(record("HEADEREND", digest=records_digest(header)))
+    header.append(record("HEADEREND", digest=digest(header)))
     return header
 
 
-def _session_head(session, public: KeyGraphPublic, epochs: int):
+def _session_head(session, public: KeyGraphPublic, epochs: int, digest=records_digest):
     """The SESSION record followed by the session's key records; its
     budget is the slots endorsed over the session's ``epochs``."""
     key_records = _key_records(session, public)
@@ -481,13 +481,13 @@ def _session_head(session, public: KeyGraphPublic, epochs: int):
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
         budget=EPOCH_SLOTS * epochs,
-        keys=records_digest(key_records),
+        keys=digest(key_records),
     )
     return [head] + key_records
 
 
-def _summary(outcomes, body):
-    """The closing SUMMARY: session totals and the digest of the body before it."""
+def _summary(outcomes, bind):
+    """The closing SUMMARY: session totals and ``bind``, the digest of the body before it."""
     return record(
         "SUMMARY",
         sessions=len(outcomes),
@@ -496,7 +496,7 @@ def _summary(outcomes, body):
         proofs_checked=sum(o.proofs_checked for o in outcomes),
         proofs_failed=sum(o.proofs_failed for o in outcomes),
         verdicts=sum(len(o.verdicts) for o in outcomes),
-        bind=records_digest(body),
+        bind=bind,
     )
 
 
@@ -573,7 +573,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
     scenario.validate()
     params = derive_params(scenario.group, DOMAIN_TAG)
     digest = scenario.digest()
-    header = _header(
+    transcript = Transcript()   # its digests write each record's line once
+    transcript.header = _header(
         params,
         record(
             "CONFIG",
@@ -581,11 +582,12 @@ def run_scenario(scenario: Scenario) -> Transcript:
             payload_bits=scenario.payload_bits,
             scenario=digest,
         ),
+        transcript.digest,
     )
 
     active = list(range(scenario.n))
     pending = dict(scenario.senders)
-    body = []
+    body = transcript.records
     outcomes = []
 
     while True:
@@ -593,7 +595,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
         public, outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(digest, session)
         )
-        body.extend(_session_head(session, public, outcome.epochs))
+        body.extend(_session_head(session, public, outcome.epochs, transcript.digest))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -610,8 +612,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
         if not pending:
             break
 
-    body.append(_summary(outcomes, body))
-    return Transcript(header=header, records=body)
+    body.append(_summary(outcomes, transcript.digest(body)))
+    return transcript
 
 
 def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_medium",
@@ -800,6 +802,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     SESSION record, and, at its own index, a PUBKEY y outside [1, p), an
     ENDORSE root that is not hex or whose signature does not verify
     under the participant's PUBKEY, or a CIPHER c outside the group.
+
+    Verify serialises only what it recomputes, the header and each
+    session's key records: the SUMMARY ``bind`` is checked over the
+    lines the transcript holds, and no recorded body record is written
+    again except in a divergence message.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -840,6 +847,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         outcomes.append(outcome)
         active = _survivors(active, outcome)
     else:
-        report.compare(base + len(body) - 1, body[-1], _summary(outcomes, body[:-1]))
+        bind = transcript.digest(body[:-1])   # over the recorded lines
+        report.compare(base + len(body) - 1, body[-1], _summary(outcomes, bind))
     report.divergences.sort(key=lambda divergence: divergence[0])
     return report

@@ -368,12 +368,13 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
 
 
 def _read_proof(params: GroupParams, text: str | None) -> zkp.SigmaProof | None:
-    """Decode a wire-form (hex) proof; None when there is none or the
-    text is not a proof."""
+    """Decode a wire-form (lowercase hex) proof; None when there is none
+    or the text is not a proof's one spelling."""
     if text is None:
         return None
     try:
-        return zkp.proof_from_bytes(params, bytes.fromhex(text))
+        raw = bytes.fromhex(text)
+        return zkp.proof_from_bytes(params, raw) if raw.hex() == text else None
     except ValueError:
         return None
 

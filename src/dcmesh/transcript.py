@@ -10,8 +10,8 @@ covers the signer's opted-out peers.  A later epoch's ENDORSE records,
 one per participant, sit in the session where the epoch was endorsed,
 before the first round that spends it.  A slot value is a pair: each
 CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
-A CIPHER or DEMAND proof is the hex of its (challenge, response)
-scalars, one pair per branch, or ``-`` where none is sent.
+A CIPHER or DEMAND proof is the lowercase hex of its (challenge,
+response) scalars, one pair per branch, or ``-`` where none is sent.
 At an equal-payload node (NODE status=equal) the DEMAND records carry
 the equal-payload check, and the RESOLVED records that follow are one
 per delivered copy.  Everything an independent verifier needs is
@@ -19,11 +19,20 @@ either in the records or recomputable from them; secrets never appear
 except for pair commitments revealed during an investigation (PUBLISH,
 each with its edge's other ones for the epoch), which are safe to
 publish: Pedersen commitments are perfectly hiding.
+
+Each record has one line, written once and read once.  A value has one
+spelling: integers canonical decimal, byte strings lowercase hex, other
+strings verbatim with no space.  So a line re-serialises to itself, and
+the digests that bind the transcript (HEADEREND over the header before
+it, SESSION ``keys`` over the session's key records, SUMMARY ``bind``
+over the body before it) are taken over the lines a transcript holds:
+the runner's as written, the verifier's as read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedRecord
@@ -121,41 +130,90 @@ def record_to_line(rec: dict) -> str:
     return " ".join(parts)
 
 
+# the one spelling of an integer: str(int), with no sign on zero, no
+# leading zero, no + or _ and ASCII digits only
+_INT = "0|-?[1-9][0-9]*"
+_CANONICAL_INT = re.compile(_INT).fullmatch
+
+# record type -> (fullmatch of its one line spelling, its integer fields);
+# re caches each compiled pattern, so a re-import compiles none again
+_PATTERNS = {
+    rtype: (
+        re.compile(
+            rtype
+            + "".join(f" {n}=(?P<{n}>{_INT if n in _INT_FIELDS else '[^ ]*'})" for n in names)
+        ).fullmatch,
+        [n for n in names if n in _INT_FIELDS],
+    )
+    for rtype, names in _SCHEMA.items()
+}
+
+
 def line_to_record(line: str, index: int) -> dict:
-    tokens = line.split(" ")
-    rtype = tokens[0]
-    if rtype not in _SCHEMA:
-        raise MalformedRecord(index, f"unknown record type {rtype!r}")
-    names = _SCHEMA[rtype]
-    if len(tokens) != len(names) + 1:
-        raise MalformedRecord(index, f"{rtype} expects {len(names)} fields")
-    out = {"type": rtype}
-    for name, token in zip(names, tokens[1:]):
-        if "=" not in token:
-            raise MalformedRecord(index, f"field {token!r} is not key=value")
-        key, value = token.split("=", 1)
-        if key != name:
-            raise MalformedRecord(index, f"expected field {name}, got {key}")
-        if name in _INT_FIELDS:
+    """The record a line spells, read with its type's pattern in one
+    match; MalformedRecord, naming the cause, for any other line."""
+    rtype = line.partition(" ")[0]
+    if rtype in _PATTERNS:
+        match, ints = _PATTERNS[rtype]
+        found = match(line)
+        if found is not None:
+            out = found.groupdict()
+            out["type"] = rtype
             try:
-                number = int(value)
-            except ValueError:
-                raise MalformedRecord(index, f"field {name} must be an integer") from None
-            # one spelling per value: every digest is taken over re-serialised records
-            if str(number) != value:
-                raise MalformedRecord(index, f"field {name} is not canonical decimal")
-            value = number
-        out[name] = value
-    return out
+                for name in ints:
+                    out[name] = int(out[name])
+                return out
+            except ValueError:   # more digits than int() converts
+                pass
+    raise MalformedRecord(index, _fault(line))
+
+
+def _fault(line: str) -> str:
+    """Why a line is not the one spelling of a record."""
+    tokens = line.split(" ")
+    names = _SCHEMA.get(tokens[0])
+    if names is None:
+        return f"unknown record type {tokens[0]!r}"
+    if len(tokens) != len(names) + 1:
+        return f"{tokens[0]} expects {len(names)} fields"
+    for name, token in zip(names, tokens[1:]):
+        key, eq, value = token.partition("=")
+        if not eq:
+            return f"field {token!r} is not key=value"
+        if key != name:
+            return f"expected field {name}, got {key}"
+        if name in _INT_FIELDS and not _CANONICAL_INT(value):
+            return f"field {name} is not a canonical decimal integer"
+    return "an integer field has more digits than int() converts"
 
 
 @dataclass
 class Transcript:
+    """A transcript's records, each with its canonical line: the line it
+    was read from, or else the line it is first written as, so no record
+    is serialised twice.  A record put in place of another gets its own
+    line; a record is never changed in place once it is in a transcript."""
+
     header: list = field(default_factory=list)   # records up to HEADEREND
     records: list = field(default_factory=list)  # session records + SUMMARY
+    # id(record) -> line, for the records _held keeps, so no other takes their ids
+    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _held: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def line(self, rec: dict) -> str:
+        """The record's canonical line, serialised at most once."""
+        line = self._lines.get(id(rec))
+        if line is None:
+            line = self._lines[id(rec)] = record_to_line(rec)
+            self._held.append(rec)
+        return line
+
+    def digest(self, records) -> str:
+        """What ``records_digest`` gives, taken over the lines this transcript keeps."""
+        return _digest(map(self.line, records))
 
     def to_text(self) -> str:
-        return "\n".join(record_to_line(r) for r in self.header + self.records) + "\n"
+        return "\n".join(map(self.line, self.header + self.records)) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
@@ -165,24 +223,19 @@ class Transcript:
         records = [line_to_record(ln, i) for i, ln in enumerate(lines)]
         if records[0]["type"] != "DCMESH":
             raise MalformedRecord(0, "transcript must start with a DCMESH line")
-        header, body = [], []
-        seen_end = False
-        for rec in records:
-            if not seen_end:
-                header.append(rec)
-                if rec["type"] == "HEADEREND":
-                    seen_end = True
-            else:
-                body.append(rec)
-        if not seen_end:
+        end = next((i for i, rec in enumerate(records) if rec["type"] == "HEADEREND"), None)
+        if end is None:
             raise MalformedRecord(len(records) - 1, "missing HEADEREND record")
-        return cls(header=header, records=body)
+        transcript = cls(header=records[: end + 1], records=records[end + 1 :])
+        transcript._lines, transcript._held = dict(zip(map(id, records), lines)), records
+        return transcript
+
+
+def _digest(lines) -> str:
+    """sha256 over the lines, each ended by a newline."""
+    return hashlib.sha256("\n".join([*lines, ""]).encode()).hexdigest()
 
 
 def records_digest(records) -> str:
     """Digest binding the canonical lines of a header, a session's key records or a body."""
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(record_to_line(rec).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    return _digest(map(record_to_line, records))

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcmesh import sim
+from dcmesh.errors import MalformedRecord
 from dcmesh.splitter import threshold
-from dcmesh.transcript import Transcript
+from dcmesh.transcript import _SCHEMA, Transcript, line_to_record, record_to_line
 
 
 @st.composite
@@ -147,3 +148,27 @@ def test_sixteen_equal_payloads_at_two_retries_are_never_blamed():
         assert_honest_run_served(scenario, transcript)
         # one degenerate split, and one equal-payload check delivers all 16
         assert transcript.records[-1]["transmitted"] == 2
+
+
+# a field's text: an integer's canonical spelling or one int() also takes
+# (a +, a leading zero, -0, a non-ASCII digit), or short text with
+# spaces, = signs and hex in both cases
+FIELD_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "", "-", "+", "0", "-0"]),
+    st.integers(0),
+    st.sampled_from(["", "", "\u0661"]),
+) | st.text("0123456789+-_ =\u0661aAfF", max_size=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_SCHEMA)), st.data())
+def test_an_accepted_line_reserialises_to_itself(rtype, data):
+    # one spelling per value: every digest is taken over the lines a
+    # transcript holds, so what the parser accepts it must write back
+    line = " ".join([rtype] + [f"{name}={data.draw(FIELD_TEXT)}" for name in _SCHEMA[rtype]])
+    try:
+        rec = line_to_record(line, 0)
+    except MalformedRecord:
+        return
+    assert record_to_line(rec) == line

@@ -226,9 +226,15 @@ def test_record_line_parse_errors():
         line_to_record("BAN session=1 part=x", 0)  # non-integer
     with pytest.raises(MalformedRecord):
         line_to_record("BAN session=1 part", 0)  # not key=value
-    for spelling in ("09", "+9", "0_9"):  # int() accepts these; only "9" is canonical
+    for spelling in ("09", "+9", "0_9", "-0", "\u0661\u0662"):  # int() accepts these
         with pytest.raises(MalformedRecord):
             line_to_record(f"BAN session=1 part={spelling}", 0)
+    for line in ("BAN session=1 part=2 ", "BAN session=1  part=2"):  # a trailing or doubled space
+        with pytest.raises(MalformedRecord):
+            line_to_record(line, 0)
+    # canonical, but past the digits int() converts (4,300 by default)
+    with pytest.raises(MalformedRecord):
+        line_to_record(f"BAN session=1 part={'9' * 5000}", 0)
 
 
 def test_transcript_of_another_format_version_is_malformed():
@@ -1119,6 +1125,54 @@ def test_non_canonical_integer_detected():
     assert " payload=9\n" in text
     for spelling in ("09", "+9", "0_9"):
         assert _detects(text.replace(" payload=9\n", f" payload={spelling}\n", 1))
+
+
+@pytest.mark.parametrize(
+    "rtype, scenario",
+    [("CIPHER", sim.Scenario(n=4, senders=((0, 9), (1, 200), (2, 31)), seed=3)),
+     ("DEMAND", sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4))],
+    ids=["cipher", "demand"],
+)
+def test_uppercase_proof_is_not_clean(rtype, scenario):
+    # a proof is spelt in lowercase hex only: the same bytes in uppercase,
+    # with keys and bind recomputed, read as no proof and diverge
+    transcript = sim.run_scenario(scenario)
+    index = next(
+        i for i, rec in enumerate(transcript.records)
+        if rec["type"] == rtype and rec["proof"] != "-"
+    )
+    upper = transcript.records[index]["proof"].upper()
+    assert upper != transcript.records[index]["proof"]
+    assert _outcome(_resealed(transcript, index, proof=upper)) == "divergent"
+
+
+def test_each_record_is_serialised_once(monkeypatch):
+    # the runner writes each record's line once, for the digests and the
+    # text alike; verify writes no recorded record again, only the
+    # header and key records it recomputes (the run has two sessions)
+    from dcmesh import transcript as codec
+
+    written = []
+    to_line = codec.record_to_line
+    monkeypatch.setattr(codec, "record_to_line", lambda rec: written.append(rec) or to_line(rec))
+    scenario = sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
+                            adversaries=((3, "bad_pad"),), seed=2)
+    ran = sim.run_scenario(scenario)
+    text = ran.to_text()
+    assert sorted(map(id, written)) == sorted(map(id, ran.header + ran.records))
+
+    parsed = Transcript.from_text(text)
+    written.clear()
+    assert sim.verify_transcript(parsed).clean
+    recorded = {id(rec) for rec in parsed.records}
+    assert not [rec for rec in written if id(rec) in recorded]
+    key_records = [
+        rec for rec in parsed.records if rec["type"] in ("PUBKEY", "OPTOUT")
+        or (rec["type"] == "ENDORSE" and rec["epoch"] == 0)
+    ]
+    assert [rec["type"] for rec in written] == ["DCMESH", "GROUP", "CONFIG"] + [
+        rec["type"] for rec in key_records
+    ]
 
 
 def test_flipped_validity_bit_detected():
