@@ -192,21 +192,22 @@ class Transcript:
     """A transcript's records, each with its canonical line: the line it
     was read from, or else the line it is first written as, so no record
     is serialised twice.  A record put in place of another gets its own
-    line; a record is never changed in place once it is in a transcript."""
+    line; a record changed in place keeps its old line, so change a
+    record by replacing it, never in place."""
 
-    header: list = field(default_factory=list)   # records up to HEADEREND
-    records: list = field(default_factory=list)  # session records + SUMMARY
-    # id(record) -> line, for the records _held keeps, so no other takes their ids
+    # records up to HEADEREND, then session records + SUMMARY; replace a
+    # record to change it: one changed in place keeps its old line
+    header: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    # id(record) -> (record, line); holding the record keeps its id its own
     _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _held: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def line(self, rec: dict) -> str:
         """The record's canonical line, serialised at most once."""
-        line = self._lines.get(id(rec))
-        if line is None:
-            line = self._lines[id(rec)] = record_to_line(rec)
-            self._held.append(rec)
-        return line
+        kept = self._lines.get(id(rec))
+        if kept is None:
+            kept = self._lines[id(rec)] = rec, record_to_line(rec)
+        return kept[1]
 
     def digest(self, records) -> str:
         """What ``records_digest`` gives, taken over the lines this transcript keeps."""
@@ -227,7 +228,7 @@ class Transcript:
         if end is None:
             raise MalformedRecord(len(records) - 1, "missing HEADEREND record")
         transcript = cls(header=records[: end + 1], records=records[end + 1 :])
-        transcript._lines, transcript._held = dict(zip(map(id, records), lines)), records
+        transcript._lines = dict(zip(map(id, records), zip(records, lines)))
         return transcript
 
 
