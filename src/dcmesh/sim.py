@@ -472,15 +472,15 @@ def _header(params, config, digest=records_digest):
     return header
 
 
-def _session_head(session, public: KeyGraphPublic, epochs: int, digest=records_digest):
+def _session_head(session, public: KeyGraphPublic, digest=records_digest):
     """The SESSION record followed by the session's key records; its
-    budget is the slots endorsed over the session's ``epochs``."""
+    budget is the slots of every epoch ``public`` holds."""
     key_records = _key_records(session, public)
     head = record(
         "SESSION",
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
-        budget=EPOCH_SLOTS * epochs,
+        budget=EPOCH_SLOTS * len(public.epochs),
         keys=digest(key_records),
     )
     return [head] + key_records
@@ -532,7 +532,7 @@ class _Participants:
 
 
 def _play_session(params, scenario, active, pending, session, session_tag):
-    """Key setup, participants and the judge for one session."""
+    """Key setup, participants and the judge for one session; returns the judged session."""
     refusers = {pid for pid, strategy in scenario.adversaries if strategy == REFUSE_SIGNATURE}
     graph = build_key_graph(
         params,
@@ -540,18 +540,16 @@ def _play_session(params, scenario, active, pending, session, session_tag):
         fork_rng(scenario.seed, "keys", session),
         refusers=refusers & set(active),
     )
-    public = graph.public()
     tree = ResolutionTree(params.q, scenario.payload_bits)
     participants = _build_participants(params, scenario, graph, tree, active, pending)
-    outcome = run_session(
+    return run_session(
         params,
-        public,
+        graph.public(),
         tree,
         session,
         session_tag,
         _Participants(participants, graph, scenario.seed, session),
     )
-    return public, outcome
 
 
 def _survivors(active, outcome):
@@ -592,10 +590,10 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
     while True:
         session = len(outcomes) + 1
-        public, outcome = _play_session(
+        outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(digest, session)
         )
-        body.extend(_session_head(session, public, outcome.epochs, transcript.digest))
+        body.extend(_session_head(session, outcome.public, transcript.digest))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -618,7 +616,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
 def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_medium",
                    payload_bits=8):
-    """Run one collision resolution session (no bans, no restarts)."""
+    """Session 1 of the scenario the arguments make, as ``run_scenario`` plays it."""
     ids = [pid for pid, _ in senders] + [pid for pid, _ in adversaries]
     n = n if n is not None else (max(ids) + 1 if ids else 1)
     scenario = Scenario(
@@ -631,10 +629,9 @@ def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_mediu
     )
     scenario.validate()
     params = derive_params(group, DOMAIN_TAG)
-    _, outcome = _play_session(
-        params, scenario, list(range(n)), dict(senders), 1, b"dcmesh|adhoc|s1"
+    return _play_session(
+        params, scenario, list(range(n)), dict(senders), 1, _session_tag(scenario.digest(), 1)
     )
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +839,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)
-        for offset, rec in enumerate(_session_head(session, replay.public, outcome.epochs)):
+        for offset, rec in enumerate(_session_head(session, outcome.public)):
             report.compare(index + offset, body[start + offset], rec)
         outcomes.append(outcome)
         active = _survivors(active, outcome)

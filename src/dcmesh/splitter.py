@@ -30,9 +30,11 @@ every failer is blamed, since an honest context there is empty or
 Every participant broadcasts in every transmitted round and proves,
 for every non-root round, that the new broadcast either carries no
 message or repeats exactly the message content of the nearest
-transmitted ancestor context.  Only the judge keeps target maps, one
-no-message target per participant and tree node, built from the
-public broadcasts; it builds every statement from them once, hands
+transmitted ancestor context.  The judge is one :class:`Session`,
+which holds a session's state, stamps every record it emits with the
+session, and is the session's outcome.  Only the judge keeps target
+maps, one no-message target per participant and tree node, built from
+the public broadcasts; it builds every statement from them once, hands
 each participant its statement to prove, and checks a round's proofs,
 or a DEMAND round's, in one call.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
@@ -61,7 +63,7 @@ at most n + (2n - 1)(payload_bits + 1) rounds.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import zkp
 from .dcnet import (
@@ -342,19 +344,6 @@ class Verdict:
     where: str
 
 
-@dataclass
-class SessionOutcome:
-    session: int
-    resolved: list = field(default_factory=list)       # (node_id, payload) in order
-    transmitted: int = 0
-    verdicts: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    tree: ResolutionTree | None = None
-    epochs: int = 1           # endorsement epochs the session used
-    proofs_checked: int = 0
-    proofs_failed: int = 0
-
-
 def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
     """Leaves whose payload lies outside their node's interval [lo, hi),
     which holds every honest payload that reaches the node.  Returns
@@ -386,9 +375,10 @@ def run_session(
     session: int,
     session_tag: bytes,
     source,
-) -> SessionOutcome:
+) -> Session:
     """Judge one collision resolution session on ``tree``, new from the
-    caller, closed to new messages until it is done.
+    caller, closed to new messages until it is done, and return the
+    :class:`Session` that judged it.
 
     The judge owns every session rule: round order, the slot schedule,
     the validity check and the investigation after a failed one,
@@ -421,119 +411,11 @@ def run_session(
 
     Proofs arrive in wire form (hex text) and are recorded as given.
     The simulator's source is the live participants, which read the
-    same ``tree``, and its sink a list, which becomes
-    ``outcome.records``; the verifier's reads the same inputs back from
-    a transcript and compares each record as it is emitted.
+    same ``tree``, and its sink a list, which becomes the session's
+    ``records``; the verifier's reads the same inputs back from a
+    transcript and compares each record as it is emitted.
     """
-    pids = list(graph_public.participants)
-    outcome = SessionOutcome(session=session, tree=tree, records=source.records)
-
-    targets = {pid: {} for pid in pids}   # pid -> node -> no-message target
-    demanded: set[int] = set()
-    slot = 0
-    aborted = False
-
-    while not tree.done:
-        rid = tree.next_round()
-        if slot == EPOCH_SLOTS * len(graph_public.epochs):
-            graph_public = _endorse_epoch(source, graph_public, session, outcome)
-        outcome.records.append(record("ROUND", session=session, id=rid, slot=slot))
-        cts = source.broadcast(rid, slot)
-        add_round(params, targets.values(), rid, cts)
-        if rid == 1:   # the opening round carries no proof; none is asked for or recorded
-            stmts, texts = [], [None] * len(pids)
-        else:
-            stmts = [retransmission_statement(targets[pid], pid, rid, session_tag) for pid in pids]
-            texts = source.prove(rid, stmts)
-        for pid, ct, text in zip(pids, cts, texts):
-            outcome.records.append(
-                record(
-                    "CIPHER",
-                    session=session,
-                    round=rid,
-                    part=pid,
-                    O_count=ct.value[0],
-                    O_total=ct.value[1],
-                    c=ct.commitment,
-                    proof="-" if text is None else text,
-                )
-            )
-        aggregate, valid = aggregate_round(params, cts)
-        outcome.records.append(
-            record(
-                "AGGREGATE",
-                session=session,
-                round=rid,
-                C_count=aggregate[0],
-                C_total=aggregate[1],
-                valid=int(valid),
-            )
-        )
-        outcome.transmitted += 1
-
-        if not valid:
-            _run_investigation(params, source, graph_public, rid, cts, slot, session, outcome)
-            aborted = True
-            break
-
-        if rid != 1:
-            oks = _check_proofs(params, stmts, texts, outcome)
-            for pid, text, ok in zip(pids, texts, oks):
-                if not ok:
-                    reason = NON_COOPERATION if text is None else INVALID_PROOF
-                    outcome.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
-            if not all(oks):
-                aborted = True
-                break
-
-        touched = tree.advance(aggregate)
-        _emit_nodes(tree, touched, session, outcome)
-        slot += 1
-
-        for node_id in touched:
-            node = tree.nodes[node_id]
-            if node.status != EQUAL:
-                continue
-            demanded.add(node_id)
-            copy = node.equal_payload
-            failed = _run_demand(
-                params, source, targets, node_id, session, session_tag, outcome, copy
-            )
-            if not failed:
-                tree.deliver(node_id)
-                for _ in range(node.count):
-                    outcome.records.append(
-                        record("RESOLVED", session=session, node=node_id, payload=copy)
-                    )
-            elif len(failed) == 1 or node.hi - node.lo <= 1:
-                _blame(outcome, failed, UNEQUAL_PAYLOAD, node_id)
-            else:
-                tree.bisect(node_id)
-                _emit_nodes(tree, [node_id], session, outcome)
-
-    if not aborted:
-        for leaf_id in audit_wrong_branches(tree):
-            if leaf_id in demanded:
-                continue
-            demanded.add(leaf_id)
-            failed = _run_demand(params, source, targets, leaf_id, session, session_tag, outcome)
-            _blame(outcome, failed, WRONG_BRANCH, leaf_id)
-
-    outcome.resolved = list(tree.resolved)
-    outcome.epochs = len(graph_public.epochs)
-    for verdict in outcome.verdicts:
-        outcome.records.append(
-            record(
-                "VERDICT",
-                session=session,
-                part=verdict.participant,
-                reason=verdict.reason,
-                where=verdict.where,
-            )
-        )
-    for pid in sorted({v.participant for v in outcome.verdicts}):
-        outcome.records.append(record("BAN", session=session, part=pid))
-    return outcome
+    return Session(params, graph_public, tree, session, session_tag, source).run()
 
 
 def endorse_record(session: int, epoch: int, signed) -> dict:
@@ -549,22 +431,119 @@ def endorse_record(session: int, epoch: int, signed) -> dict:
     )
 
 
-def _endorse_epoch(source, graph_public, session, outcome):
-    """Take the next epoch's signed roots from the source and record them."""
-    epoch = len(graph_public.epochs)
-    signed = source.epoch(epoch)
-    for s in signed:
-        outcome.records.append(endorse_record(session, epoch, s))
-    return graph_public.with_epoch(signed)
+class Session:
+    """One session's judge, and its outcome once :meth:`run` returns."""
 
+    def __init__(self, params, graph_public, tree, session, session_tag, source):
+        self.params = params
+        self.tree = tree
+        self.session = session
+        self.tag = session_tag
+        self.source = source
+        self.records = source.records   # the source's sink
+        self.pids = list(graph_public.participants)
+        self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
+        self.public = graph_public   # the key material, with every epoch endorsed so far
+        # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
+        self.verdicts = []
+        self.resolved = tree.resolved
+        self.transmitted = self.proofs_checked = self.proofs_failed = 0
 
-def _emit_nodes(tree, touched, session, outcome):
-    for node_id in touched:
-        node = tree.nodes[node_id]
-        outcome.records.append(
-            record(
+    def emit(self, rtype: str, **fields) -> None:
+        """Append a record of this session to the sink."""
+        self.records.append({"type": rtype, "session": self.session, **fields})
+
+    def run(self) -> Session:
+        tree, pids, source = self.tree, self.pids, self.source
+        while not tree.done:
+            rid, slot = tree.next_round(), self.transmitted
+            if slot == EPOCH_SLOTS * len(self.public.epochs):
+                self._endorse()
+            self.emit("ROUND", id=rid, slot=slot)
+            cts = source.broadcast(rid, slot)
+            add_round(self.params, self.targets.values(), rid, cts)
+            if rid == 1:   # the opening round carries no proof; none is asked for or recorded
+                stmts, texts = [], [None] * len(pids)
+            else:
+                stmts = [
+                    retransmission_statement(self.targets[pid], pid, rid, self.tag) for pid in pids
+                ]
+                texts = source.prove(rid, stmts)
+            for pid, ct, text in zip(pids, cts, texts):
+                self.emit(
+                    "CIPHER",
+                    round=rid,
+                    part=pid,
+                    O_count=ct.value[0],
+                    O_total=ct.value[1],
+                    c=ct.commitment,
+                    proof="-" if text is None else text,
+                )
+            aggregate, valid = aggregate_round(self.params, cts)
+            self.emit(
+                "AGGREGATE", round=rid, C_count=aggregate[0], C_total=aggregate[1], valid=int(valid)
+            )
+            self.transmitted += 1
+
+            if not valid:
+                self._investigate(rid, slot, cts)
+                break
+
+            if rid != 1:
+                oks = self._check_proofs(stmts, texts)
+                for pid, text, ok in zip(pids, texts, oks):
+                    if not ok:
+                        reason = NON_COOPERATION if text is None else INVALID_PROOF
+                        self.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
+                if not all(oks):
+                    break
+
+            touched = tree.advance(aggregate)
+            self._emit_nodes(touched)
+
+            for node_id in touched:
+                node = tree.nodes[node_id]
+                if node.status != EQUAL:
+                    continue
+                failed = self._demand(node_id, node.equal_payload)
+                if not failed:
+                    tree.deliver(node_id)
+                    for _ in range(node.count):
+                        self.emit("RESOLVED", node=node_id, payload=node.equal_payload)
+                elif len(failed) == 1 or node.hi - node.lo <= 1:
+                    self._blame(failed, UNEQUAL_PAYLOAD, node_id)
+                else:
+                    tree.bisect(node_id)
+                    self._emit_nodes([node_id])
+        else:   # a session that ran to its end is audited
+            for leaf_id in audit_wrong_branches(tree):
+                # a leaf is resolved once, or is an equal-payload node, checked already
+                if tree.nodes[leaf_id].status != EQUAL:
+                    self._blame(self._demand(leaf_id), WRONG_BRANCH, leaf_id)
+
+        for verdict in self.verdicts:
+            self.emit(
+                "VERDICT", part=verdict.participant, reason=verdict.reason, where=verdict.where
+            )
+        for pid in sorted({v.participant for v in self.verdicts}):
+            self.emit("BAN", part=pid)
+        # the outcome outlives the session: drop the participants, key graph and targets
+        self.source = self.targets = None
+        return self
+
+    def _endorse(self) -> None:
+        """Take the next epoch's signed roots from the source and record them."""
+        epoch = len(self.public.epochs)
+        signed = self.source.epoch(epoch)
+        for s in signed:
+            self.records.append(endorse_record(self.session, epoch, s))
+        self.public = self.public.with_epoch(signed)
+
+    def _emit_nodes(self, touched) -> None:
+        for node_id in touched:
+            node = self.tree.nodes[node_id]
+            self.emit(
                 "NODE",
-                session=session,
                 id=node.round_id,
                 kind=node.kind,
                 count=node.count,
@@ -572,69 +551,42 @@ def _emit_nodes(tree, touched, session, outcome):
                 status=node.status,
                 threshold="-" if node.threshold is None else str(node.threshold),
             )
-        )
-        if node.status == RESOLVED:
-            outcome.records.append(
-                record("RESOLVED", session=session, node=node_id, payload=node.total)
-            )
+            if node.status == RESOLVED:
+                self.emit("RESOLVED", node=node_id, payload=node.total)
 
+    def _investigate(self, rid, slot, cts) -> None:
+        published = self.source.publish(slot)
+        for pid in sorted(published):
+            for peer, sc in sorted(published[pid].items()):
+                self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=sc.path)
+        blamed = investigate(self.params, cts, slot, published, self.public)
+        cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
+        self.emit("INVESTIGATION", round=rid, cheaters=cheaters or "-")
+        for pid, reasons in blamed.items():
+            self.verdicts.extend(Verdict(pid, reason, f"round:{rid}") for reason in reasons)
 
-def _run_investigation(params, source, graph_public, rid, cts, slot, session, outcome):
-    published = source.publish(slot)
-    for pid in sorted(published):
-        for peer, sc in sorted(published[pid].items()):
-            outcome.records.append(
-                record(
-                    "PUBLISH",
-                    session=session,
-                    slot=slot,
-                    part=pid,
-                    peer=peer,
-                    c=sc.commitment,
-                    path=sc.path,
-                )
-            )
-    blamed = investigate(params, cts, slot, published, graph_public)
-    cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
-    outcome.records.append(
-        record("INVESTIGATION", session=session, round=rid, cheaters=cheaters or "-")
-    )
-    for pid, reasons in blamed.items():
-        for reason in reasons:
-            outcome.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
+    def _check_proofs(self, statements, texts) -> list[bool]:
+        """One verdict per statement and its wire-form proof, counted in the outcome."""
+        proofs = [_read_proof(self.params, text) for text in texts]
+        oks = zkp.verify_or(self.params, statements, proofs)
+        self.proofs_checked += len(oks)
+        self.proofs_failed += oks.count(False)
+        return oks
 
+    def _demand(self, node_id, copy=None) -> list[int]:
+        """Ask every participant to deny carrying a message at a node (or,
+        where ``copy`` is an equal-payload node's payload, to carry nothing
+        or that one copy); returns those whose proofs fail."""
+        stmts = [
+            denial_statement(self.params, nodes, pid, node_id, self.tag, copy)
+            for pid, nodes in self.targets.items()
+        ]
+        texts = self.source.respond(node_id, stmts)
+        oks = self._check_proofs(stmts, texts)
+        for pid, text, ok in zip(self.pids, texts, oks):
+            proof = "-" if text is None else text
+            self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=proof)
+        return [pid for pid, ok in zip(self.pids, oks) if not ok]
 
-def _check_proofs(params, statements, texts, outcome) -> list[bool]:
-    """One verdict per statement and its wire-form proof, counted in the outcome."""
-    oks = zkp.verify_or(params, statements, [_read_proof(params, text) for text in texts])
-    outcome.proofs_checked += len(oks)
-    outcome.proofs_failed += oks.count(False)
-    return oks
-
-
-def _run_demand(params, source, targets, node_id, session, session_tag, outcome, copy=None):
-    """Ask every participant to deny carrying a message at a node (or,
-    where ``copy`` is an equal-payload node's payload, to carry nothing
-    or that one copy); returns those whose proofs fail."""
-    stmts = [
-        denial_statement(params, nodes, pid, node_id, session_tag, copy)
-        for pid, nodes in targets.items()
-    ]
-    texts = source.respond(node_id, stmts)
-    oks = _check_proofs(params, stmts, texts, outcome)
-    for pid, text, ok in zip(targets, texts, oks):
-        outcome.records.append(
-            record(
-                "DEMAND",
-                session=session,
-                node=node_id,
-                part=pid,
-                ok=int(ok),
-                proof="-" if text is None else text,
-            )
-        )
-    return [pid for pid, ok in zip(targets, oks) if not ok]
-
-
-def _blame(outcome, pids, reason, node_id):
-    outcome.verdicts.extend(Verdict(pid, reason, f"node:{node_id}") for pid in pids)
+    def _blame(self, pids, reason, node_id) -> None:
+        self.verdicts.extend(Verdict(pid, reason, f"node:{node_id}") for pid in pids)

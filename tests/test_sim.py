@@ -12,7 +12,7 @@ import pytest
 from dcmesh import keysetup, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
-from dcmesh.transcript import Transcript, record_to_line, records_digest
+from dcmesh.transcript import _SCHEMA, Transcript, record_to_line, records_digest
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
@@ -20,6 +20,11 @@ ELEMENT_HEX = 2 * sim.derive_params("test_medium", sim.DOMAIN_TAG).element_bytes
 PATH_ROW = (EPOCH_SLOTS - 1) * ELEMENT_HEX
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
+# the console-script check's scenario: participant 3's bad pad is caught
+# in session 1, and session 2 delivers the three messages without it
+BAD_PAD_RUN = sim.Scenario(
+    n=4, senders=((0, 36), (1, 11), (2, 28)), adversaries=((3, "bad_pad"),), seed=2
+)
 
 
 def verdicts_of(transcript):
@@ -214,6 +219,46 @@ def test_transcript_text_roundtrip_and_closure():
         assert "".join(record_to_line(rec) + "\n" for rec in records) == text
     report = sim.verify_transcript(parsed)
     assert report.clean, report.divergences
+
+
+def test_every_record_has_exactly_its_schema_fields():
+    # record() builds what it is given, so the field sets are checked
+    # here, over runs that together write every record type: the pinned
+    # ones hold every strategy, refuse_signature for OPTOUT, and an
+    # equal-payload run
+    scenarios = [BAD_PAD_RUN] + [scenario for scenario, _ in PINNED_TRANSCRIPTS]
+    assert {s for scenario in scenarios for _, s in scenario.adversaries} == set(sim.STRATEGIES)
+    assert any(len({p for _, p in s.senders}) < len(s.senders) for s in scenarios)
+    seen = set()
+    for scenario in scenarios:
+        transcript = sim.run_scenario(scenario)
+        for rec in transcript.header + transcript.records:
+            assert rec.keys() == {"type", *_SCHEMA[rec["type"]]}, rec
+            seen.add(rec["type"])
+    assert seen == _SCHEMA.keys()
+
+
+@pytest.mark.parametrize(
+    "spelling", ["blank_in_body", "leading_blank", "two_trailing_blanks", "no_last_newline"]
+)
+def test_a_transcript_has_one_text(spelling):
+    # every line ends with a newline and none is blank, so no other
+    # spelling of a verifying text parses: a blank line, or the last line
+    # without its newline, is malformed at its own index
+    text = sim.run_scenario(BAD_PAD_RUN).to_text()
+    assert sim.verify_transcript(Transcript.from_text(text)).clean
+    lines = text.splitlines(keepends=True)
+    n = len(lines)
+    edited, index, cause = {
+        "blank_in_body": ("".join([*lines[: n // 2], "\n", *lines[n // 2 :]]), n // 2,
+                          "a blank line"),
+        "leading_blank": ("\n" + text, 0, "a blank line"),
+        "two_trailing_blanks": (text + "\n\n", n, "a blank line"),
+        "no_last_newline": (text[:-1], n - 1, "the last line has no newline"),
+    }[spelling]
+    with pytest.raises(MalformedRecord) as exc:
+        Transcript.from_text(edited)
+    assert str(exc.value) == f"record {index}: {cause}"
 
 
 def test_record_line_parse_errors():
@@ -1071,6 +1116,21 @@ def test_session_after_everyone_is_banned_is_not_clean():
     assert [index for index, _ in report.divergences] == [session_index]
 
 
+@pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 21), (sim.REFERENCE_SCENARIO, 49)],
+                         ids=["bad_pad", "reference"])
+def test_single_session_plays_session_one_of_the_run(scenario, count):
+    # one session tag rule: single_session judges session 1 under the tag
+    # run_scenario gives it, so its records are the run's session-1 judge
+    # records, retransmission proofs included
+    body = sim.run_scenario(scenario).records
+    start = next(i for i, rec in enumerate(body) if rec["type"] == "ROUND")
+    end = next(i for i, rec in enumerate(body[1:], 1) if rec["type"] in ("SESSION", "SUMMARY"))
+    out = sim.single_session(scenario.senders, scenario.adversaries, scenario.seed, n=scenario.n)
+    assert out.records == body[start:end]
+    assert len(out.records) == count
+    assert out.tag == sim._session_tag(scenario.digest(), 1)
+
+
 def test_session_after_a_session_without_a_ban_diverges():
     # the run stops after a session that bans no one; a third session
     # appended after the re-keyed one, played over the survivors for the
@@ -1085,8 +1145,8 @@ def test_session_after_a_session_without_a_ban_diverges():
     assert [r["session"] for r in body if r["type"] == "BAN"] == [1]
     params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
     tag = sim._session_tag(scenario.digest(), 3)
-    public, outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
-    extra = sim._session_head(3, public, outcome.epochs) + outcome.records
+    outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
+    extra = sim._session_head(3, outcome.public) + outcome.records
     assert [payload for _, payload in outcome.resolved] == [36]
     for key, added in (
         ("sessions", 1),

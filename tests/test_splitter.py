@@ -345,7 +345,7 @@ def test_all_reference_proofs_verify():
     }
     from dcmesh.zkp import proof_from_bytes
 
-    tag = b"dcmesh|adhoc|s1"
+    tag = out.tag
     assert len(proofs) == 20  # 5 participants, 4 non-root rounds
     for (pid, rid), blob in proofs.items():
         proof = proof_from_bytes(params, bytes.fromhex(blob))
@@ -436,7 +436,7 @@ def test_retransmission_proof_binds_participant_and_round():
     params, out, broadcasts, targets = participant_state()
     from dcmesh.zkp import proof_from_bytes
 
-    tag = b"dcmesh|adhoc|s1"
+    tag = out.tag
     blob = next(
         rec["proof"]
         for rec in out.records
@@ -457,7 +457,7 @@ def test_node_denial_proofs(medium):
     from dcmesh.keysetup import build_key_graph
 
     graph = build_key_graph(params, range(5), sim.fork_rng(7, "keys", 1))
-    tag = b"dcmesh|adhoc|s1"
+    tag = out.tag
     tree_rounds = [1, 2, 4, 6, 14]
     for pid in range(5):
         blinds = {}
