@@ -12,9 +12,15 @@ import random
 from dcmesh.dcnet import make_ciphertext
 from dcmesh.groups import derive_params
 from dcmesh.keysetup import build_key_graph
-from dcmesh.splitter import add_blind, add_round, encode_slot, retransmission_statement
+from dcmesh.splitter import (
+    add_blind,
+    add_round,
+    encode_slot,
+    prove_node_denial,
+    retransmission_statement,
+)
 from dcmesh.errors import WitnessMismatch
-from dcmesh.zkp import forge_attempt, prove_or, verify_or
+from dcmesh.zkp import forge_attempt, verify_or
 
 params = derive_params("test_medium", b"dc-mesh/v1")
 rng = random.Random(9)
@@ -37,11 +43,12 @@ def transmit(pid, rid, message):
     add_blind(params, blinds[pid], rid, views[pid].blind_sum(round_slots[rid]))
 
 
-def prove(pid, rid, stmt, retransmitted):
-    """A participant's proof of the statement it is handed: branch 0 with
-    the round's blinding sum, branch 1 with the inferred sibling's."""
-    branch = int(retransmitted)
-    return prove_or(params, stmt, branch, blinds[pid][rid + branch], rng)
+def prove(pid, rid, stmt, branches):
+    """A participant's proof of the statement it is handed, by the one rule
+    every participant proves with: the first of ``branches`` whose witness
+    holds, branch 0's the round's blinding sum, branch 1's the inferred
+    sibling's."""
+    return prove_node_denial(params, stmt, [(b, blinds[pid][rid + b]) for b in branches], rng)
 
 
 print("round 1: P0 sends a slot; P1, P2 send pads only")
@@ -53,7 +60,8 @@ for pid in range(3):
     transmit(pid, 2, slot if pid == 0 else None)
 # the verifier builds each statement once, from public data
 stmts = [retransmission_statement(targets[pid], pid, 2, tag) for pid in range(3)]
-proofs = [prove(pid, 2, stmts[pid], pid == 0) for pid in range(3)]
+# the true branch first: the repeat for P0, no message for the others
+proofs = [prove(pid, 2, stmts[pid], (1, 0) if pid == 0 else (0, 1)) for pid in range(3)]
 # and checks the whole round at once
 for pid, ok in enumerate(verify_or(params, stmts, proofs)):
     print(f"  P{pid} proof verifies: {ok}   (branch hidden from the verifier)")
@@ -61,9 +69,9 @@ for pid, ok in enumerate(verify_or(params, stmts, proofs)):
 print("\nround 4: P0 retransmits the message shifted by one")
 transmit(0, 4, (slot[0], slot[1] + 1))
 stmt = retransmission_statement(targets[0], 0, 4, tag)
-for branch in (False, True):
+for branch in (0, 1):
     try:
-        prove(0, 4, stmt, branch)
+        prove(0, 4, stmt, [branch])
         print("  unexpectedly proved!")
     except WitnessMismatch:
         side = "repeat-parent" if branch else "no-message"

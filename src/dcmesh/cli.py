@@ -58,8 +58,12 @@ def cmd_run(args) -> int:
         return 1
     transcript = sim.run_scenario(scenario)
     out = args.out or (args.scenario + ".transcript")
-    with open(out, "w") as fh:
-        fh.write(transcript.to_text())
+    try:
+        with open(out, "w") as fh:
+            fh.write(transcript.to_text())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.verbose:
         for rec in transcript.records:
             if rec["type"] == "ROUND":
@@ -176,6 +180,7 @@ def cmd_keygen(args) -> int:
             raise ConfigInvalid("need at least one participant")
         group = _GROUP_CHOICES[args.group or "test"]
         params = derive_params(group, sim.DOMAIN_TAG)
+        sim.check_config(args.n, 1, params)   # an n that some run of the group accepts
         graph = build_key_graph(params, range(args.n), sim.fork_rng(args.seed, "keys", 1))
     except (ValueError, OverflowError, ConfigInvalid) as exc:  # a seed outside 64 bits overflows
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from .errors import ConfigInvalid, MalformedRecord, ProtocolOrderViolation, Witn
 from .groups import SECURITY_LEVELS, GroupParams, derive_params
 from .keysetup import (
     EPOCH_SLOTS,
-    KeyGraph,
     KeyGraphPublic,
     RevealedCommitment,
     SignedRoot,
@@ -213,8 +212,9 @@ REFERENCE_RESOLUTION = [11, 17, 28, 36, 38]
 class HonestParticipant:
     """Follows the protocol for one session, on the judge's tree: pads
     every round with the slot the judge hands it, splits by the book,
-    proves the statement the judge builds for every non-root broadcast,
-    answers every demand it can."""
+    and proves every statement the judge hands it through
+    ``splitter.prove_node_denial``, true branch first: branch 1 (a repeat,
+    or one copy) at the node its message went to, else branch 0."""
 
     def __init__(self, params, view, tree, payload, payload_bits, rng):
         self.params = params
@@ -230,50 +230,37 @@ class HonestParticipant:
 
     # -- decisions ---------------------------------------------------------
 
-    def _transmit_decision(self, round_id) -> bool:
-        if round_id == 1:
-            return self.message_node == 1
-        parent_id = round_id // 2
-        if self.message_node != parent_id:
-            return False
-        go_left = self._goes_left(self.tree.nodes[parent_id])
-        self.message_node = round_id if go_left else round_id + 1
-        return go_left
-
     def _goes_left(self, parent) -> bool:
         return self.payload < parent.threshold
 
     def _message_for(self, round_id):
-        return self.slot_value if self._transmit_decision(round_id) else None
+        """The slot this round carries: the message, where it goes to the round's node."""
+        if self.message_node == round_id // 2:   # its node is split: follow the message
+            go_left = self._goes_left(self.tree.nodes[round_id // 2])
+            self.message_node = round_id if go_left else round_id + 1
+        return self.slot_value if self.message_node == round_id else None
 
     # -- protocol surface ----------------------------------------------------
 
     def broadcast(self, round_id, slot) -> RoundCiphertext:
-        message = self._message_for(round_id)
-        self.retransmitted = message is not None
-        ct = self._ciphertext(round_id, slot, message)
+        ct = make_ciphertext(self.view, slot, self._message_for(round_id))
         splitter.add_blind(self.params, self.blinds, round_id, self.view.blind_sum(slot))
         return ct
 
-    def _ciphertext(self, round_id, slot, message):
-        return make_ciphertext(self.view, slot, message)
-
     def prove_round(self, round_id, statement):
-        """The proof of this round's retransmission statement, in wire form."""
-        return self._wire(self._retransmission_proof(round_id, statement, self.retransmitted))
-
-    def _retransmission_proof(self, round_id, statement, retransmitted):
-        branch = int(retransmitted)
-        return zkp.prove_or(self.params, statement, branch, self.blinds[round_id + branch], self.rng)
+        """A retransmission proof, in wire form; branch b's witness is B(round_id + b)."""
+        empty, repeat = (0, self.blinds[round_id]), (1, self.blinds[round_id + 1])
+        candidates = (repeat, empty) if self.message_node == round_id else (empty, repeat)
+        return self._wire(self._proof(statement, candidates))
 
     def respond_demand(self, node_id, statement):
-        return self._wire(self._denial_proof(node_id, statement))
+        """A denial proof, in wire form; every branch's witness is B(node_id)."""
+        order = sorted(range(len(statement.branches)), reverse=self.message_node == node_id)
+        return self._wire(self._proof(statement, [(b, self.blinds[node_id]) for b in order]))
 
-    def _denial_proof(self, node_id, statement):
+    def _proof(self, statement, candidates):
         try:
-            return splitter.prove_node_denial(
-                self.params, statement, self.blinds[node_id], self.rng
-            )
+            return splitter.prove_node_denial(self.params, statement, candidates, self.rng)
         except WitnessMismatch:
             return None
 
@@ -281,36 +268,23 @@ class HonestParticipant:
         """A proof as broadcast: hex text, or None when withheld."""
         return None if proof is None else zkp.proof_to_bytes(self.params, proof).hex()
 
-    def publish_pairs(self, slot):
-        return self.view.published_pairs(slot)
-
 
 class _ForgingAdversary(HonestParticipant):
-    """Shared adversary plumbing: when no witness exists for a proof
-    obligation, emit a well-shaped forgery of the statement instead of
-    staying silent."""
+    """Shared adversary plumbing: proves by the honest rule where some
+    candidate's witness holds, and otherwise emits a well-shaped forgery
+    of the statement instead of staying silent."""
 
-    def _retransmission_proof(self, round_id, statement, retransmitted):
-        for branch_retransmitted in (retransmitted, not retransmitted):
-            try:
-                return super()._retransmission_proof(round_id, statement, branch_retransmitted)
-            except WitnessMismatch:
-                continue
-        return zkp.forge_attempt(self.params, statement, self.rng)
-
-    def _denial_proof(self, node_id, statement):
-        proof = super()._denial_proof(node_id, statement)
-        if proof is None:
-            proof = zkp.forge_attempt(self.params, statement, self.rng)
-        return proof
+    def _proof(self, statement, candidates):
+        proof = super()._proof(statement, candidates)
+        return zkp.forge_attempt(self.params, statement, self.rng) if proof is None else proof
 
 
 class BadPadParticipant(_ForgingAdversary):
     """Shifts one pad in the first round without fixing the commitment
     product, so the round's validity check fails."""
 
-    def _ciphertext(self, round_id, slot, message):
-        ct = super()._ciphertext(round_id, slot, message)
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
         if round_id == 1:
             ct = replace(
                 ct,
@@ -355,7 +329,7 @@ class MutateMessageParticipant(_ForgingAdversary):
 
     def _message_for(self, round_id):
         message = super()._message_for(round_id)
-        # _transmit_decision has just moved the message to one of this round's nodes
+        # the honest rule has just moved the message to one of this round's nodes
         if round_id != 1 and not self.mutated and self.message_node in (round_id, round_id + 1):
             self.mutated = True
             message = (self.slot_value[0], (self.slot_value[1] + 1) % self.params.q)
@@ -390,10 +364,7 @@ class BadSlotCountParticipant(_ForgingAdversary):
 class RefuseProofParticipant(HonestParticipant):
     """Participates but withholds every proof obligation."""
 
-    def prove_round(self, round_id, statement):
-        return None
-
-    def respond_demand(self, node_id, statement):
+    def _proof(self, statement, candidates):
         return None
 
 
@@ -418,24 +389,6 @@ STRATEGIES = tuple(_STRATEGY_CLASSES)
 
 def _session_tag(scenario_digest: str, session: int) -> bytes:
     return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
-
-
-def _build_participants(params, scenario, graph, tree, active, pending):
-    strategy_of = dict(scenario.adversaries)
-    participants = []
-    for pid in sorted(active):
-        cls = _STRATEGY_CLASSES.get(strategy_of.get(pid), HonestParticipant)
-        participants.append(
-            cls(
-                params,
-                graph.view(pid),
-                tree,
-                pending.get(pid),
-                scenario.payload_bits,
-                fork_rng(scenario.seed, "participant", pid),
-            )
-        )
-    return participants
 
 
 def _key_records(session, public: KeyGraphPublic):
@@ -500,19 +453,34 @@ def _summary(outcomes, bind):
     )
 
 
-@dataclass
 class _Participants:
-    """The judge's source in a live run: the participants, in pid order,
-    built on the session's tree, and the session's key graph, which
-    endorses epoch k from its own stream of the scenario seed.  Each
-    broadcast pads with the slot the judge names.  Its sink is a plain
-    list."""
+    """The judge's source in a live run, which builds its own session
+    from the scenario: the session's key graph, whose ``refuse_signature``
+    adversaries opt out of their edges and which endorses epoch k from
+    its own stream of the scenario seed, the session's tree, and the
+    active participants, in pid order, on that tree.  Each broadcast
+    pads with the slot the judge names.  Its sink is a plain list."""
 
-    participants: list
-    graph: KeyGraph
-    seed: int
-    session: int
-    records: list = field(default_factory=list)
+    def __init__(self, params, scenario, active, pending, session):
+        self.seed, self.session = scenario.seed, session
+        strategy_of = dict(scenario.adversaries)
+        refusers = {pid for pid in active if strategy_of.get(pid) == REFUSE_SIGNATURE}
+        self.graph = build_key_graph(
+            params, active, fork_rng(self.seed, "keys", session), refusers=refusers
+        )
+        self.tree = ResolutionTree(params.q, scenario.payload_bits)
+        self.participants = [
+            _STRATEGY_CLASSES.get(strategy_of.get(pid), HonestParticipant)(
+                params,
+                self.graph.view(pid),
+                self.tree,
+                pending.get(pid),
+                scenario.payload_bits,
+                fork_rng(self.seed, "participant", pid),
+            )
+            for pid in sorted(active)
+        ]
+        self.records = []
 
     def epoch(self, k):
         self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
@@ -525,7 +493,7 @@ class _Participants:
         return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
 
     def publish(self, slot):
-        return {p.pid: p.publish_pairs(slot) for p in self.participants}
+        return {p.pid: p.view.published_pairs(slot) for p in self.participants}
 
     def respond(self, node_id, statements):
         return [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
@@ -533,23 +501,8 @@ class _Participants:
 
 def _play_session(params, scenario, active, pending, session, session_tag):
     """Key setup, participants and the judge for one session; returns the judged session."""
-    refusers = {pid for pid, strategy in scenario.adversaries if strategy == REFUSE_SIGNATURE}
-    graph = build_key_graph(
-        params,
-        active,
-        fork_rng(scenario.seed, "keys", session),
-        refusers=refusers & set(active),
-    )
-    tree = ResolutionTree(params.q, scenario.payload_bits)
-    participants = _build_participants(params, scenario, graph, tree, active, pending)
-    return run_session(
-        params,
-        graph.public(),
-        tree,
-        session,
-        session_tag,
-        _Participants(participants, graph, scenario.seed, session),
-    )
+    live = _Participants(params, scenario, active, pending, session)
+    return run_session(params, live.graph.public(), live.tree, session, session_tag, live)
 
 
 def _survivors(active, outcome):

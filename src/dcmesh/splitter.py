@@ -36,7 +36,10 @@ session, and is the session's outcome.  Only the judge keeps target
 maps, one no-message target per participant and tree node, built from
 the public broadcasts; it builds every statement from them once, hands
 each participant its statement to prove, and checks a round's proofs,
-or a DEMAND round's, in one call.  A split that survives those
+or a DEMAND round's, in one call.  A participant proves every
+statement by one rule, :func:`prove_node_denial`: it lists the
+(branch, witness) pairs it could prove, its true branch first, and
+proves the first whose witness holds.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
 the parent's, or one side is empty -- comes from a malformed slot.
 Its colliding children, and an equal-payload node where two or more
@@ -74,7 +77,7 @@ from .dcnet import (
     aggregate_round,
     investigate,
 )
-from .errors import NotACollision, PayloadOverflow
+from .errors import NotACollision, PayloadOverflow, WitnessMismatch
 from .groups import GroupParams, value_term
 from .keysetup import EPOCH_SLOTS
 from .transcript import record
@@ -323,14 +326,17 @@ def denial_statement(
 
 
 def prove_node_denial(
-    params: GroupParams, stmt: zkp.OrStatement, alpha: int, rng
+    params: GroupParams, stmt: zkp.OrStatement, candidates, rng
 ) -> zkp.SigmaProof:
-    """A proof of a :func:`denial_statement` with witness ``alpha``, the
-    context's blinding sum, on the branch h^alpha is the target of;
-    WitnessMismatch when it is none of them."""
-    target = params.h_table.power(alpha)
-    branch = next((i for i, b in enumerate(stmt.branches) if b.target == target), 0)
-    return zkp.prove_or(params, stmt, branch, alpha, rng)
+    """Any statement's proof, on the first of ``candidates``, (branch,
+    blinding sum) pairs in the prover's order, whose witness holds; the
+    other branches are simulated.  WitnessMismatch when none holds."""
+    for branch, alpha in candidates:
+        try:
+            return zkp.prove_or(params, stmt, branch, alpha, rng)
+        except WitnessMismatch:
+            continue
+    raise WitnessMismatch("no candidate witness satisfies its branch")
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,26 @@ def test_keygen_rejects_empty_groups(capsys, n):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n, status", [("17", 0), ("18", 1)])
+def test_keygen_accepts_only_an_n_some_run_of_its_group_accepts(capsys, n, status):
+    # in test_small, 3n < 53 bounds n even at payload_bits 1: no run of
+    # 18 participants exists there, so keygen prints no key records for one
+    assert main(["keygen", "--n", n, "--group", "test_small"]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    else:
+        assert captured.out.startswith("GROUP name=test_small ")
+
+
+def test_run_to_an_unwritable_out_is_an_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, HONEST)
+    out = tmp_path / "missing" / "x.transcript"
+    assert main(["run", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_group_override_rejected_when_too_small(tmp_path):
     # slot encodings cannot fit the tiny group, so the override must fail
     path = write_scenario(tmp_path, HONEST)

@@ -6,7 +6,7 @@ import pytest
 
 from dcmesh import sim, zkp
 from dcmesh.dcnet import RoundCiphertext, aggregate_round
-from dcmesh.errors import NotACollision, PayloadOverflow
+from dcmesh.errors import NotACollision, PayloadOverflow, WitnessMismatch
 from dcmesh.splitter import (
     COLLISION,
     EMPTY,
@@ -293,12 +293,12 @@ def participant_state(seed=7):
     return params, out, broadcasts, targets
 
 
-def prove_retransmission(params, nodes, blinds, pid, round_id, retransmitted, rng, tag):
-    """pid's proof of the retransmission statement over ``nodes``, on the
-    branch ``retransmitted`` picks, as a participant makes it."""
+def prove_retransmission(params, nodes, blinds, pid, round_id, branches, rng, tag):
+    """pid's proof of the retransmission statement over ``nodes``, as a
+    participant makes it: through the one proving rule, trying
+    ``branches`` in order, branch b with witness B(round_id + b)."""
     stmt = retransmission_statement(nodes, pid, round_id, tag)
-    branch = int(retransmitted)
-    return zkp.prove_or(params, stmt, branch, blinds[round_id + branch], rng)
+    return prove_node_denial(params, stmt, [(b, blinds[round_id + b]) for b in branches], rng)
 
 
 def verifies(params, nodes, pid, round_id, proof, tag):
@@ -377,7 +377,7 @@ def test_retransmission_proof_makes_no_pow_of_h(medium, monkeypatch):
         return pow(base, *rest)
 
     monkeypatch.setattr(zkp, "pow", counting_pow, raising=False)
-    proof = prove_retransmission(medium, targets[0], blinds, 0, 2, True, rng, b"unit")
+    proof = prove_retransmission(medium, targets[0], blinds, 0, 2, (1, 0), rng, b"unit")
     assert verifies(medium, targets[0], 0, 2, proof, b"unit")
     assert bases and medium.h not in bases
 
@@ -410,21 +410,15 @@ def test_retransmission_proof_fresh_construction(medium):
         tx(pid, 2, slot_value if pid == 0 else None)
 
     # honest sender proves the repeat branch, non-senders the empty branch
-    for pid, retransmitted in ((0, True), (1, False), (2, False)):
-        proof = prove_retransmission(
-            medium, targets[pid], blinds[pid], pid, 2, retransmitted, rng, tag
-        )
+    for pid, branch in ((0, 1), (1, 0), (2, 0)):
+        proof = prove_retransmission(medium, targets[pid], blinds[pid], pid, 2, (branch,), rng, tag)
         assert verifies(medium, targets[pid], pid, 2, proof, tag)
 
     # a shifted retransmission has no witness on either branch
-    from dcmesh.errors import WitnessMismatch
-
     tx(0, 4, (slot_value[0], slot_value[1] + 1))
-    for retransmitted in (False, True):
+    for branches in ((0,), (1,), (0, 1)):
         with pytest.raises(WitnessMismatch):
-            prove_retransmission(
-                medium, targets[0], blinds[0], 0, 4, retransmitted, rng, tag
-            )
+            prove_retransmission(medium, targets[0], blinds[0], 0, 4, branches, rng, tag)
     # the forged fallback is rejected by every verifier
     from dcmesh.zkp import forge_attempt
 
@@ -467,13 +461,33 @@ def test_node_denial_proofs(medium):
         # except the sender can deny node 14
         stmt = denial_statement(params, targets[pid], pid, 14, tag)
         if pid == 0:
-            from dcmesh.errors import WitnessMismatch
-
             with pytest.raises(WitnessMismatch):
-                prove_node_denial(params, stmt, blinds[14], random.Random(1))
+                prove_node_denial(params, stmt, [(0, blinds[14])], random.Random(1))
         else:
-            proof = prove_node_denial(params, stmt, blinds[14], random.Random(1))
+            proof = prove_node_denial(params, stmt, [(0, blinds[14])], random.Random(1))
             assert zkp.verify_or(params, [stmt], [proof]) == [True]
+
+        # the same rule proves round 14's retransmission statement: the
+        # sender repeated its message there, on branch 1 with B(15), and
+        # the others sent nothing, on branch 0 with B(14)
+        stmt = retransmission_statement(targets[pid], pid, 14, tag)
+        held, other = (1, 0) if pid == 0 else (0, 1)
+        witness = {0: blinds[14], 1: blinds[15]}
+        proof = prove_node_denial(params, stmt, [(held, witness[held])], random.Random(1))
+        assert zkp.verify_or(params, [stmt], [proof]) == [True]
+        # a candidate whose witness fails is passed over for the next one
+        walked = prove_node_denial(
+            params, stmt, [(held, witness[other]), (held, witness[held])], random.Random(1)
+        )
+        assert walked == proof
+        # and none holding is WitnessMismatch, as is no candidate at all;
+        # the sender's empty branch has no witness
+        failing = [[(held, witness[other])], [(2, witness[held])], []]
+        if pid == 0:
+            failing.append([(0, witness[0])])
+        for candidates in failing:
+            with pytest.raises(WitnessMismatch):
+                prove_node_denial(params, stmt, candidates, random.Random(1))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +561,6 @@ def test_chain_proof_soundness_exhaustive(medium):
     either branch and its forged fallback must be rejected.
     """
     from dcmesh.dcnet import make_ciphertext
-    from dcmesh.errors import WitnessMismatch
     from dcmesh.keysetup import build_key_graph
     from dcmesh.zkp import forge_attempt
 
@@ -571,17 +584,12 @@ def test_chain_proof_soundness_exhaustive(medium):
             add_blind(medium, blinds, rid, view.blind_sum(slot))
         outcomes = []
         for rid, content in ((2, c2), (6, c6)):
-            provable = False
-            for branch in (False, True):
-                try:
-                    proof = prove_retransmission(
-                        medium, targets[0], blinds, 0, rid, branch, rng, b"sweep"
-                    )
-                    assert verifies(medium, targets[0], 0, rid, proof, b"sweep")
-                    provable = True
-                    break
-                except WitnessMismatch:
-                    continue
+            try:
+                proof = prove_retransmission(medium, targets[0], blinds, 0, rid, (0, 1), rng, b"sweep")
+                assert verifies(medium, targets[0], 0, rid, proof, b"sweep")
+                provable = True
+            except WitnessMismatch:
+                provable = False
             if not provable:
                 stmt = retransmission_statement(targets[0], 0, rid, b"sweep")
                 forged = forge_attempt(medium, stmt, rng)
