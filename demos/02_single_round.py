@@ -9,7 +9,6 @@ endorsements point straight at them.
 """
 
 import random
-from dataclasses import replace
 
 from dcmesh.dcnet import aggregate_round, investigate, make_ciphertext
 from dcmesh.groups import derive_params
@@ -30,8 +29,7 @@ print(f"sum of broadcasts: {aggregate}   commitments valid: {valid}")
 
 print("\nround 2: participant 3 shifts a pad without fixing the commitments")
 cts = [make_ciphertext(views[pid], 1, None) for pid in range(n)]
-cts[3] = replace(
-    cts[3],
+cts[3] = cts[3]._replace(
     value=((cts[3].value[0] + 1) % params.q, cts[3].value[1]),
     commitment=cts[3].commitment * params.g % params.p,
 )

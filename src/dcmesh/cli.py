@@ -18,6 +18,7 @@ differs from the recomputed one or is not the input the judge asks for).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import sim
@@ -41,9 +42,7 @@ def _apply_overrides(scenario, args):
     if args.group is not None:
         changes["group"] = _GROUP_CHOICES[args.group]
     if changes:
-        from dataclasses import replace
-
-        scenario = replace(scenario, **changes)
+        scenario = scenario._replace(**changes)
         scenario.validate()
     return scenario
 
@@ -56,14 +55,24 @@ def cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError, ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    transcript = sim.run_scenario(scenario)
     out = args.out or (args.scenario + ".transcript")
     try:
-        with open(out, "w") as fh:
-            fh.write(transcript.to_text())
+        fh = open(out, "w")   # before the run, so an unwritable path costs no run
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    written = False
+    try:
+        with fh:
+            transcript = sim.run_scenario(scenario)
+            fh.write(transcript.to_text())
+        written = True
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if not written and os.path.isfile(out):   # a failed run or write leaves no file
+            os.remove(out)
     if args.verbose:
         for rec in transcript.records:
             if rec["type"] == "ROUND":

@@ -20,7 +20,7 @@ round, knows its id and whose broadcast sits at each position.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import GroupParams
 from .keysetup import EPOCH_SLOTS, KeyGraphPublic, KeyView, is_endorsed
@@ -35,8 +35,7 @@ WRONG_BRANCH = "wrong_branch"
 UNEQUAL_PAYLOAD = "unequal_payload"
 
 
-@dataclass(frozen=True)
-class RoundCiphertext:
+class RoundCiphertext(NamedTuple):
     value: tuple[int, int]          # O: (count, total) pad sums, plus the message slot if sending
     commitment: int                 # c: aggregate pair commitment
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # RFC 3526, 2048-bit MODP group: a safe prime, so (p-1)/2 is prime.
 _RFC3526_P2048 = int(
@@ -112,19 +112,22 @@ class WindowTable:
         return out
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """A Schnorr group with its commitment generators.
-
-    ``generators`` is ``(g, f, h)``: the bases of a slot's count and
-    total, then the blinding base.
-    """
-
+class _Group(NamedTuple):
     name: str
     p: int
     q: int
     generators: tuple[int, ...]
     domain_tag: bytes
+
+
+class GroupParams(_Group):
+    """A Schnorr group with its commitment generators.
+
+    ``generators`` is ``(g, f, h)``: the bases of a slot's count and
+    total, then the blinding base.  The fields are a NamedTuple's, so a
+    group compares and hashes by value; this subclass adds the cached
+    byte widths and window tables.
+    """
 
     @property
     def g(self) -> int:

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -69,8 +68,7 @@ NO_EDGE = b"dcmesh/no-edge"
 # Schnorr signatures over the same group (one keypair per participant)
 
 
-@dataclass(frozen=True)
-class SigningKey:
+class SigningKey(NamedTuple):
     secret: int
     public: int
 
@@ -164,8 +162,7 @@ def edge_digest(row: bytes) -> bytes:
     return hashlib.sha256(_EDGE_TAG + row).digest()
 
 
-@dataclass(frozen=True)
-class RevealedCommitment:
+class RevealedCommitment(NamedTuple):
     """A pair commitment revealed for an investigation.
 
     ``path`` is its endorsement in wire form: hex of the edge's other
@@ -176,8 +173,7 @@ class RevealedCommitment:
     path: str
 
 
-@dataclass(frozen=True)
-class SignedRoot:
+class SignedRoot(NamedTuple):
     """A participant's signature over its tree's root and its opted-out
     peers for one epoch."""
 
@@ -280,8 +276,7 @@ class EpochShare(NamedTuple):
     commitments: list[int]
 
 
-@dataclass(frozen=True)
-class KeyGraphPublic:
+class KeyGraphPublic(NamedTuple):
     """What everyone may see: identities, the pairs opted out for the
     whole session, and per endorsed epoch each participant's signed
     root, in participant order."""
@@ -292,7 +287,7 @@ class KeyGraphPublic:
     epochs: tuple[tuple[SignedRoot, ...], ...]
 
     def with_epoch(self, signed) -> "KeyGraphPublic":
-        return replace(self, epochs=self.epochs + (tuple(signed),))
+        return self._replace(epochs=self.epochs + (tuple(signed),))
 
 
 class KeyGraph:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import splitter, zkp
 from .dcnet import RoundCiphertext, make_ciphertext
@@ -73,16 +73,17 @@ def fork_rng(seed: int, *labels) -> random.Random:
 # scenarios
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     n: int
     senders: tuple = ()        # ((participant, payload), ...)
     adversaries: tuple = ()    # ((participant, strategy), ...)
     seed: int = 0
     group: str = "test_medium"
     payload_bits: int = 8
-    # read by nothing and not serialised: bench/workloads.py still passes max_retries=
-    max_retries: int | None = field(default=None, compare=False)
+    # read by nothing and not serialised: bench/workloads.py still passes
+    # max_retries=; equality includes it, as a NamedTuple compares every
+    # field, and nothing compares scenarios that set it
+    max_retries: int | None = None
 
     def to_text(self) -> str:
         lines = [
@@ -286,8 +287,7 @@ class BadPadParticipant(_ForgingAdversary):
     def broadcast(self, round_id, slot):
         ct = super().broadcast(round_id, slot)
         if round_id == 1:
-            ct = replace(
-                ct,
+            ct = ct._replace(
                 value=((ct.value[0] + 1) % self.params.q, ct.value[1]),
                 commitment=ct.commitment * self.params.g % self.params.p,
             )
@@ -591,9 +591,9 @@ def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_mediu
 # independent transcript verification
 
 
-@dataclass
 class VerificationReport:
-    divergences: list = field(default_factory=list)  # (record_index, message)
+    def __init__(self):
+        self.divergences = []   # (record_index, message)
 
     @property
     def clean(self) -> bool:
@@ -624,7 +624,6 @@ class _Replay:
         self.index = index   # transcript index of recorded[0]
         self.report = report
         self.at = self.read = 0   # the cursor; inputs are read from it on
-        self.records = self
         # the key records open the session; reading stops at the first one
         # out of place, before anything grows with the participant count
         self.publics = {}
@@ -645,6 +644,13 @@ class _Replay:
         signed = self.epoch(0)
         self.public = KeyGraphPublic(tuple(pids), self.publics, self.optouts, (signed,))
         self.at = self.read   # the judge's records follow the key records
+
+    @property
+    def records(self):
+        """The judge's sink, this replay: a property, not an attribute
+        holding itself, so no reference cycle keeps a finished replay and
+        the records it holds alive until the cyclic collector runs."""
+        return self
 
     def _input(self, rtype, **key):
         rec = self.recorded[self.read] if self.read < len(self.recorded) else None
@@ -712,6 +718,17 @@ def _line(rec) -> str:
     return "(none)" if rec is None else record_to_line(rec)
 
 
+def _keys_digest(transcript, recorded):
+    """The SESSION ``keys`` digest on verify: over the lines ``transcript``
+    holds for the session's ``recorded`` key records when each equals its
+    recomputed one, so they are not serialised again, else over the
+    recomputed records."""
+    def digest(records):
+        held = recorded[: len(records)]
+        return transcript.digest(held) if held == records else records_digest(records)
+    return digest
+
+
 def _check_header(header, report):
     """Group parameters and CONFIG of a header; reports each header record that differs."""
     types = [r["type"] for r in header]
@@ -753,10 +770,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     ENDORSE root that is not hex or whose signature does not verify
     under the participant's PUBKEY, or a CIPHER c outside the group.
 
-    Verify serialises only what it recomputes, the header and each
-    session's key records: the SUMMARY ``bind`` is checked over the
-    lines the transcript holds, and no recorded body record is written
-    again except in a divergence message.
+    Verify serialises only the header it recomputes, and a session's
+    recomputed key records only where one differs from its recorded
+    record: the SESSION ``keys`` and SUMMARY ``bind`` digests are
+    otherwise checked over the lines the transcript holds, and no
+    recorded body record is written again except in a divergence message.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -792,7 +810,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)
-        for offset, rec in enumerate(_session_head(session, outcome.public)):
+        head = _session_head(session, outcome.public, _keys_digest(transcript, replay.recorded))
+        for offset, rec in enumerate(head):
             report.compare(index + offset, body[start + offset], rec)
         outcomes.append(outcome)
         active = _survivors(active, outcome)

@@ -66,7 +66,7 @@ at most n + (2n - 1)(payload_bits + 1) rounds.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import zkp
 from .dcnet import (
@@ -127,16 +127,17 @@ def threshold(count: int, total: int) -> int:
 # the resolution tree
 
 
-@dataclass
 class TreeNode:
-    round_id: int
-    lo: int                   # the node's honest payloads lie in [lo, hi)
-    hi: int
-    count: int | None = None
-    total: int | None = None
-    status: str = PENDING
-    threshold: int | None = None
-    midpoint: bool = False    # split at the interval's midpoint, not the average
+    __slots__ = ("round_id", "lo", "hi", "count", "total", "status", "threshold", "midpoint")
+
+    def __init__(self, round_id: int, lo: int, hi: int):
+        self.round_id = round_id
+        self.lo, self.hi = lo, hi   # the node's honest payloads lie in [lo, hi)
+        self.count: int | None = None
+        self.total: int | None = None
+        self.status = PENDING
+        self.threshold: int | None = None
+        self.midpoint = False   # split at the interval's midpoint, not the average
 
     @property
     def kind(self) -> str:
@@ -343,8 +344,7 @@ def prove_node_denial(
 # the session judge
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     participant: int
     reason: str
     where: str

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 
 from .errors import MalformedRecord
 
@@ -182,7 +181,6 @@ def _fault(line: str) -> str:
     return "an integer field has more digits than int() converts"
 
 
-@dataclass
 class Transcript:
     """A transcript's records, each with its canonical line: the line it
     was read from, or else the line it is first written as, so no record
@@ -191,12 +189,13 @@ class Transcript:
     its own line; a record changed in place keeps its old line, so change
     a record by replacing it, never in place."""
 
-    # records up to HEADEREND, then session records + SUMMARY; replace a
-    # record to change it: one changed in place keeps its old line
-    header: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    # id(record) -> (record, line); holding the record keeps its id its own
-    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, header=None, records=None):
+        # records up to HEADEREND, then session records + SUMMARY; replace a
+        # record to change it: one changed in place keeps its old line
+        self.header = [] if header is None else header
+        self.records = [] if records is None else records
+        # id(record) -> (record, line); holding the record keeps its id its own
+        self._lines = {}
 
     def line(self, rec: dict) -> str:
         """The record's canonical line, serialised at most once."""

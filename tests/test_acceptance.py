@@ -7,7 +7,6 @@ Every tolerance is pinned here; nothing is deferred to calibration.
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 from dcmesh import sim
 from dcmesh.dcnet import aggregate_round, investigate, make_ciphertext
@@ -94,8 +93,7 @@ def test_c03_round_validity():
         cheat = rng.randrange(n)
         delta = rng.randrange(1, 53)
         count, total = cts[cheat].value
-        cts[cheat] = replace(
-            cts[cheat],
+        cts[cheat] = cts[cheat]._replace(
             value=((count + delta) % 53, total),
             commitment=cts[cheat].commitment * pow(SMALL.g, delta, SMALL.p) % SMALL.p,
         )
@@ -129,14 +127,14 @@ def test_c04_investigation_blame():
                 failures.append((name, seed, verdicts))
 
     def aggregate_mismatch(graph, cts, published, public):
-        cts[1] = replace(cts[1], commitment=cts[1].commitment * SMALL.g % SMALL.p)
+        cts[1] = cts[1]._replace(commitment=cts[1].commitment * SMALL.g % SMALL.p)
         return cts, published, public
 
     def bad_signature(graph, cts, published, public):
-        cts[2] = replace(cts[2], commitment=cts[2].commitment * SMALL.g % SMALL.p)
+        cts[2] = cts[2]._replace(commitment=cts[2].commitment * SMALL.g % SMALL.p)
         sc = published[2][0]
         published[2] = dict(published[2])
-        published[2][0] = replace(sc, commitment=sc.commitment * SMALL.g % SMALL.p)
+        published[2][0] = sc._replace(commitment=sc.commitment * SMALL.g % SMALL.p)
         return cts, published, public
 
     def pair_mismatch(graph, cts, published, public):
@@ -155,11 +153,11 @@ def test_c04_investigation_blame():
             published[pid][1] = graph.view(pid).published_pairs(0)[1]
         signed = (real.signed[0], graph.epochs[0].signed[1]) + real.signed[2:]
         graph.epochs[0] = real
-        cts[0] = replace(cts[0], commitment=cts[0].commitment * SMALL.g % SMALL.p)
-        return cts, published, replace(public, epochs=(signed,))
+        cts[0] = cts[0]._replace(commitment=cts[0].commitment * SMALL.g % SMALL.p)
+        return cts, published, public._replace(epochs=(signed,))
 
     def non_cooperation(graph, cts, published, public):
-        cts[3] = replace(cts[3], commitment=cts[3].commitment * SMALL.g % SMALL.p)
+        cts[3] = cts[3]._replace(commitment=cts[3].commitment * SMALL.g % SMALL.p)
         del published[3]
         return cts, published, public
 

@@ -107,11 +107,26 @@ def test_keygen_accepts_only_an_n_some_run_of_its_group_accepts(capsys, n, statu
         assert captured.out.startswith("GROUP name=test_small ")
 
 
-def test_run_to_an_unwritable_out_is_an_error(tmp_path, capsys):
+def _no_run(scenario):
+    raise AssertionError("the scenario ran")
+
+
+def test_run_to_an_unwritable_out_is_an_error(tmp_path, capsys, monkeypatch):
+    # the out path is opened before the run, so a bad one costs no run
+    monkeypatch.setattr(sim, "run_scenario", _no_run)
     path = write_scenario(tmp_path, HONEST)
     out = tmp_path / "missing" / "x.transcript"
     assert main(["run", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_run_that_raises_leaves_no_transcript(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "run_scenario", _no_run)
+    path = write_scenario(tmp_path, HONEST)
+    out = tmp_path / "x.transcript"
+    with pytest.raises(AssertionError, match="the scenario ran"):
+        main(["run", path, "--out", str(out)])
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -102,8 +101,7 @@ def test_pad_tampering_invalidates_round(small):
         delta = rng.randrange(1, 53)
         # a consistent shift of the count (g) or of the total (f)
         base, component = (small.g, (delta, 0)) if trial % 2 else (small.f, (0, delta))
-        bad = replace(
-            bad,
+        bad = bad._replace(
             value=shift(bad.value, component),
             commitment=bad.commitment * pow(base, delta, small.p) % small.p,
         )
@@ -237,8 +235,7 @@ def test_investigation_aggregate_mismatch(small):
     graph = fresh_graph(small, n, seed=9)
     views = {pid: graph.view(pid) for pid in range(n)}
     cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
-    cts[2] = replace(
-        cts[2],
+    cts[2] = cts[2]._replace(
         value=shift(cts[2].value, (1, 0)),
         commitment=cts[2].commitment * small.g % small.p,
     )
@@ -257,11 +254,10 @@ def test_investigation_bad_signature_pins_tamperer(small):
     # commitment with the stale endorsement
     published = honest_published(graph, n, 0)
     sc = published[1][2]
-    shifted = replace(sc, commitment=sc.commitment * small.g % small.p)
+    shifted = sc._replace(commitment=sc.commitment * small.g % small.p)
     published[1] = dict(published[1])
     published[1][2] = shifted
-    cts[1] = replace(
-        cts[1],
+    cts[1] = cts[1]._replace(
         value=shift(cts[1].value, (1, 0)),
         commitment=cts[1].commitment * small.g % small.p,
     )
@@ -297,7 +293,7 @@ def forge_endorsement(params, graph, holder, signer, commitments):
     published = {pid: dict(pairs) for pid, pairs in honest_published(graph, n, 0).items()}
     for pid, revealed in toward_signer.items():
         published[pid][signer] = revealed
-    return published, replace(graph.public(), epochs=(signed,))
+    return published, graph.public()._replace(epochs=(signed,))
 
 
 def test_investigation_pair_mismatch_both_flagged(small):
@@ -314,7 +310,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     forged_list = (commitments[0] * small.g % small.p,) + commitments[1:]
     published, public = forge_endorsement(small, graph, 0, 1, forged_list)
     assert published[0][1].commitment != published[1][0].commitment
-    cts[0] = replace(cts[0], commitment=cts[0].commitment * small.g % small.p)
+    cts[0] = cts[0]._replace(commitment=cts[0].commitment * small.g % small.p)
     verdicts = investigate(small, cts, 0, published, public)
     assert PAIR_MISMATCH in verdicts.get(0, [])
     assert PAIR_MISMATCH in verdicts.get(1, [])
@@ -341,7 +337,7 @@ def test_investigation_binds_revealed_commitment_to_its_slot(small):
         shift = used.commitments[index] * pow(
             honest.commitments[slot % EPOCH_SLOTS], -1, small.p
         ) % small.p
-        cts[1] = replace(cts[1], commitment=cts[1].commitment * shift % small.p)
+        cts[1] = cts[1]._replace(commitment=cts[1].commitment * shift % small.p)
         _, valid = aggregate_round(small, cts)
         assert not valid
         published = honest_published(graph, n, slot)
@@ -376,7 +372,7 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
     ):
         published = honest_published(graph, n, 0)
         published[1] = dict(published[1])
-        published[1][2] = replace(published[1][2], path=tampered)
+        published[1][2] = published[1][2]._replace(path=tampered)
         verdicts = investigate(small, cts, 0, published, graph.public())
         assert verdicts == {1: [BAD_SIGNATURE]}
 
@@ -410,9 +406,7 @@ def test_investigation_verdict_nonempty_on_invalid_rounds(small):
         views = {pid: graph.view(pid) for pid in range(n)}
         cts = [make_ciphertext(views[pid], 0) for pid in range(n)]
         cheat = rng.randrange(n)
-        cts[cheat] = replace(
-            cts[cheat], commitment=cts[cheat].commitment * small.g % small.p
-        )
+        cts[cheat] = cts[cheat]._replace(commitment=cts[cheat].commitment * small.g % small.p)
         _, valid = aggregate_round(small, cts)
         assert not valid
         verdicts = investigate(small, cts, 0, honest_published(graph, n, 0), graph.public())

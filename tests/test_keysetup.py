@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -543,31 +542,31 @@ def test_merkle_batch_rejects_tampering(small):
     assert endorsed(other_end, holder=1, signer=0)
     # wrong leaf value: the right row with a neighbouring slot's commitment
     for neighbour in (1, 3):
-        assert not endorsed(replace(revealed, commitment=edge.commitments[neighbour]))
+        assert not endorsed(revealed._replace(commitment=edge.commitments[neighbour]))
     # another edge's row from the same holder and slot
-    assert not endorsed(replace(revealed, path=published[2].path[:split] + siblings))
+    assert not endorsed(revealed._replace(path=published[2].path[:split] + siblings))
     # epoch 1's reveal, or its row, against epoch 0's signed root
     later = graph.view(0).published_pairs(EPOCH_SLOTS + 2)[1]
     assert endorsed(later, epoch=1)
     assert not endorsed(later)
-    assert not endorsed(replace(revealed, path=later.path[:split] + siblings))
+    assert not endorsed(revealed._replace(path=later.path[:split] + siblings))
     # a flipped digit in the row or in the signer tree's siblings
     for at in (0, split):
         digit = "1" if revealed.path[at] == "0" else "0"
         flipped = revealed.path[:at] + digit + revealed.path[at + 1 :]
-        assert not endorsed(replace(revealed, path=flipped))
+        assert not endorsed(revealed._replace(path=flipped))
     # wrong length: a row one commitment short or long, no sibling, one too many
     one = 2 * small.element_bytes
     for path in (row[one:] + siblings, row + row[:one] + siblings, row, revealed.path + "00" * 32):
-        assert not endorsed(replace(revealed, path=path))
+        assert not endorsed(revealed._replace(path=path))
     # the row and the siblings swapped
-    assert not endorsed(replace(revealed, path=siblings + row))
+    assert not endorsed(revealed._replace(path=siblings + row))
     # path text that is not canonical hex
     for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2], " " + revealed.path):
-        assert not endorsed(replace(revealed, path=garbled))
+        assert not endorsed(revealed._replace(path=garbled))
     # a commitment outside the group's encoding
-    assert not endorsed(replace(revealed, commitment=-1))
-    assert not endorsed(replace(revealed, commitment=1 << 8 * small.element_bytes))
+    assert not endorsed(revealed._replace(commitment=-1))
+    assert not endorsed(revealed._replace(commitment=1 << 8 * small.element_bytes))
     # another signer's root, and the other end's leaf in 0's own tree
     assert not endorsed(revealed, signer=2)
     assert not endorsed(revealed, holder=1, signer=0)

@@ -3,7 +3,6 @@ honest runs that once issued verdicts."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -121,7 +120,7 @@ def sender_free_view(transcript):
 def test_which_honest_participants_send_changes_no_public_record(scenario, data):
     # the same payloads and seed, held by other participants
     moved = data.draw(st.permutations(range(scenario.n)))
-    other = replace(scenario, senders=tuple(sorted((moved[pid], x) for pid, x in scenario.senders)))
+    other = scenario._replace(senders=tuple(sorted((moved[pid], x) for pid, x in scenario.senders)))
     assume(other.senders != scenario.senders)
     other.validate()
     assert sender_free_view(sim.run_scenario(other)) == sender_free_view(sim.run_scenario(scenario))

@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from dcmesh import keysetup, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
-from dcmesh.transcript import _SCHEMA, Transcript, record_to_line, records_digest
+from dcmesh.transcript import _SCHEMA, Transcript, record, record_to_line, records_digest
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
@@ -306,7 +305,7 @@ def test_substituted_generator_diverges_at_group(monkeypatch):
 
     def substituted(name, tag):
         params = derive(name, tag)
-        return replace(params, generators=(params.g, params.f, pow(params.g, 5, params.p)))
+        return params._replace(generators=(params.g, params.f, pow(params.g, 5, params.p)))
 
     monkeypatch.setattr(sim, "derive_params", substituted)
     text = sim.run_scenario(
@@ -1211,8 +1210,10 @@ def test_uppercase_proof_is_not_clean(rtype, scenario):
 
 def test_each_record_is_serialised_once(monkeypatch):
     # the runner writes each record's line once, for the digests and the
-    # text alike; verify writes no recorded record again, only the
-    # header and key records it recomputes (the run has two sessions)
+    # text alike; verify writes no recorded record again, and of what it
+    # recomputes only the header: each session's key records equal the
+    # recorded ones, so its keys digest is over the recorded lines (the
+    # run has two sessions)
     from dcmesh import transcript as codec
 
     written = []
@@ -1227,15 +1228,25 @@ def test_each_record_is_serialised_once(monkeypatch):
     parsed = Transcript.from_text(text)
     written.clear()
     assert sim.verify_transcript(parsed).clean
-    recorded = {id(rec) for rec in parsed.records}
-    assert not [rec for rec in written if id(rec) in recorded]
-    key_records = [
-        rec for rec in parsed.records if rec["type"] in ("PUBKEY", "OPTOUT")
-        or (rec["type"] == "ENDORSE" and rec["epoch"] == 0)
-    ]
-    assert [rec["type"] for rec in written] == ["DCMESH", "GROUP", "CONFIG"] + [
-        rec["type"] for rec in key_records
-    ]
+    assert [rec["type"] for rec in parsed.records].count("SESSION") == 2
+    assert [rec["type"] for rec in written] == ["DCMESH", "GROUP", "CONFIG"]
+
+
+def test_keys_digest_is_recomputed_when_a_key_record_differs():
+    # an OPTOUT of a pair out of order is dropped on verify, so it signs
+    # nothing; with keys and bind resealed over it, the recomputed key
+    # records differ from the recorded ones, and SESSION keys is checked
+    # against their digest, not the recorded lines'
+    scenario = sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)), seed=2)
+    transcript = sim.run_scenario(scenario)
+    body = transcript.records
+    keys = body[1:9]
+    assert [rec["type"] for rec in keys] == ["PUBKEY"] * 4 + ["ENDORSE"] * 4
+    edited = body[:5] + [record("OPTOUT", session=1, lo=3, hi=1)] + body[5:]
+    report = sim.verify_transcript(Transcript.from_text(_resealed_body(transcript, edited)))
+    base = len(transcript.header)
+    assert [index for index, _ in report.divergences][:2] == [base, base + 5]
+    assert report.divergences[0][1].endswith(f"keys={records_digest(keys)}")
 
 
 def test_flipped_validity_bit_detected():
