@@ -56,23 +56,25 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = args.out or (args.scenario + ".transcript")
+    # made before the run, so an unwritable directory costs no run, and moved over
+    # out once written, so a failed or interrupted run leaves out as it was
+    partial = f"{out}.{os.getpid()}.partial"
     try:
-        fh = open(out, "w")   # before the run, so an unwritable path costs no run
+        fh = open(partial, "x")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    written = False
     try:
         with fh:
             transcript = sim.run_scenario(scenario)
             fh.write(transcript.to_text())
-        written = True
+        os.replace(partial, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if not written and os.path.isfile(out):   # a failed run or write leaves no file
-            os.remove(out)
+        if os.path.isfile(partial):
+            os.remove(partial)
     if args.verbose:
         for rec in transcript.records:
             if rec["type"] == "ROUND":

@@ -19,14 +19,14 @@ generators: fixed constants in the test sets, hash-derived in
 (group, base), built on first use (Brickell-Gordon-McCurley-Wilson 1992,
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
 protocol, every branch of which is a power of h; ``WindowTable.powers``
-raises it to a list of exponents, and ``commit_all`` commits to a list
-of slot values with one ``powers`` per generator.  ``pow`` is left for
-variable bases and inverses.  Every group is one of the built-in sets,
-derived from its name and a domain tag; the tests check its p and q.
-``derive_params`` derives each (name, tag) once, so a run, its replay
-and their window tables share one group.  A group's text form is the
-transcript's GROUP record, which ``dcmesh keygen`` prints first, as
-``dcmesh run`` writes it.
+raises one base to a list of exponents.  The three share width and row
+count, so ``commit_all`` commits to a list of slot values in one walk of
+them.  ``pow`` is left for variable bases and inverses.  Every group is
+one of the built-in sets, derived from its name and a domain tag; the
+tests check its p and q.  ``derive_params`` derives each (name, tag)
+once, so a run, its replay and their window tables share one group.  A
+group's text form is the transcript's GROUP record, which
+``dcmesh keygen`` prints first, as ``dcmesh run`` writes it.
 """
 
 from __future__ import annotations
@@ -239,12 +239,16 @@ def commit(params: GroupParams, value, blinding: int) -> int:
 
 
 def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
-    """``commit`` of each slot value (count, total) and blinding value of
-    the three lists, with one ``WindowTable.powers`` per generator."""
-    p = params.p
-    return [
-        a * b % p * c % p
-        for a, b, c in zip(
-            params.g_table.powers(counts), params.f_table.powers(totals), params.h_table.powers(blinds)
-        )
-    ]
+    """``commit`` of each slot value (count, total) and blinding value of the
+    three lists, in one walk of the g, f and h tables, a row of all three at a time."""
+    p, q, width, mask = params.p, params.q, params.g_table.width, params.g_table.mask
+    counts, totals, blinds = ([e % q for e in x] for x in (counts, totals, blinds))
+    rows = zip(params.g_table.rows, params.f_table.rows, params.h_table.rows)
+    g, f, h = next(rows)
+    acc = [g[c & mask] * f[t & mask] % p * h[b & mask] % p for c, t, b in zip(counts, totals, blinds)]
+    for s, (g, f, h) in zip(range(width, q.bit_length(), width), rows):   # digits from bit s
+        acc = [
+            a * g[c >> s & mask] * f[t >> s & mask] % p * h[b >> s & mask] % p
+            for a, c, t, b in zip(acc, counts, totals, blinds)
+        ]
+    return acc

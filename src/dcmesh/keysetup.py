@@ -26,15 +26,14 @@ and no epoch holds a record for it.  It contributes zero pads and
 identity commitments, and has a fixed tag leaf in both ends' trees,
 which are padded with the same tag to a power-of-two width.
 
-An epoch's edges are established one participant row at a time: the
-edges from a participant to its higher peers go through each stage
-together, the secrets drawn in one loop, the commitments made with
-``groups.commit_all`` and serialised once, and each edge's digest
-hashed from its slice.  The graph then walks the epoch's edges once,
-hashing each edge's leaf once for both ends' trees, which one
+An epoch's edges are established in one pass: every edge's secrets are
+drawn in (lo, hi) order, committed to with one ``groups.commit_all``
+over every slot of every edge and serialised once, and each edge's
+digest is hashed from its slice.  The graph then walks the epoch's edges
+once, hashing each edge's leaf once for both ends' trees, which one
 ``merkle.build_tree`` builds, and adding its secrets to both ends'
-sums.  So every participant's (count, total) pad sums, blinding sums
-and, committed to with one ``commit_all``, aggregate commitments for
+sums, which one more ``commit_all`` commits to.  So every participant's
+(count, total) pad sums, blinding sums and aggregate commitments for
 every slot of the epoch are made when the epoch is set up, and a view
 reads them.  What it reveals in an investigation it reads from the
 graph's edges.  A view keeps no schedule: the session judge names the
@@ -221,34 +220,28 @@ def is_endorsed(
     return root == merkle.root_at(digest, index, width, siblings)
 
 
-def establish_row(params: GroupParams, peers, rng) -> list[Edge]:
-    """One epoch of the edges from one participant to each of its
-    higher ``peers``, in order.
-
-    The edges go through each stage together.  Each draws its secrets
-    from ``rng`` in turn, count key, total key and blinding value for
-    each slot, as ``rng.randrange(q)`` would.
-    """
+def establish_edges(params: GroupParams, pairs, rng) -> dict:
+    """One epoch of each edge (lo, hi) in ``pairs``: each edge's secrets drawn
+    from ``rng`` in turn, count key, total key and blinding value per slot, as
+    ``rng.randrange(q)`` would; then one ``commit_all`` over every slot of
+    every edge, serialised once, and each edge's digest hashed from its slice."""
     # rng.randrange(q) 3 * EPOCH_SLOTS times per edge: the same rejection
     # loop over q.bit_length() random bits, without a call per draw
     q, getrandbits, draws = params.q, rng.getrandbits, []
     bits = q.bit_length()
-    for _ in range(3 * EPOCH_SLOTS * len(peers)):
+    for _ in range(3 * EPOCH_SLOTS * len(pairs)):
         r = getrandbits(bits)
         while r >= q:
             r = getrandbits(bits)
         draws.append(r)
     columns = [draws[::3], draws[1::3], draws[2::3]]
     columns.append(commit_all(params, *columns))
-    size = params.element_bytes
-    row = b"".join([c.to_bytes(size, "big") for c in columns[-1]])
-    return [
-        Edge(
-            *(tuple(x[at : at + EPOCH_SLOTS]) for x in columns),
-            edge_digest(row[at * size : (at + EPOCH_SLOTS) * size]),
-        )
-        for at in range(0, len(columns[-1]), EPOCH_SLOTS)
-    ]
+    size = EPOCH_SLOTS * params.element_bytes
+    row = b"".join([c.to_bytes(params.element_bytes, "big") for c in columns[-1]])
+    digests = [edge_digest(row[at : at + size]) for at in range(0, len(row), size)]
+    # each column cut into one tuple of EPOCH_SLOTS per edge
+    fields = [zip(*[iter(x)] * EPOCH_SLOTS) for x in columns]
+    return dict(zip(pairs, map(Edge._make, zip(*fields, digests))))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +297,10 @@ class KeyGraph:
         self.epochs: list[Epoch] = []
 
     def add_epoch(self, rng: random.Random) -> None:
-        """Endorse the next epoch: every edge's secrets drawn from ``rng``,
-        one ``establish_row`` per participant and its higher peers (an
-        opted-out edge draws nothing), then signed."""
-        edges = {}
-        for a_idx, lo in enumerate(self.participants):
-            shared = [hi for hi in self.participants[a_idx + 1 :] if (lo, hi) not in self.optouts]
-            row = establish_row(self.params, shared, rng)
-            edges.update(((lo, hi), edge) for hi, edge in zip(shared, row))
-        self.epochs.append(self.sign_epoch(edges, len(self.epochs)))
+        """Endorse the next epoch: every edge but the opted-out ones
+        established from ``rng`` by one ``establish_edges``, then signed."""
+        pairs = [pair for pair in combinations(self.participants, 2) if pair not in self.optouts]
+        self.epochs.append(self.sign_epoch(establish_edges(self.params, pairs, rng), len(self.epochs)))
 
     def sign_epoch(self, edges, epoch: int) -> Epoch:
         """Epoch ``epoch`` over ``edges``, walked once: every participant's
@@ -342,13 +330,18 @@ class KeyGraph:
         for signer, root in zip(self.participants, trees[-1]):
             payload = endorse_payload(root, signer, epoch, opted_out_peers(self.optouts, signer))
             signed.append(SignedRoot(signer, root, sign(params, self.signing[signer], payload)))
-        shares = []
-        for added, taken in zip(plus, minus):
-            # column by column: the count key sums, total key sums and blinding sums, slot by slot
-            sums = [(x - y) % q for x, y in zip(map(sum, zip(*added)), map(sum, zip(*taken)))]
-            counts, totals, blinds = (sums[i : i + EPOCH_SLOTS] for i in range(0, len(sums), EPOCH_SLOTS))
-            commitments = commit_all(params, counts, totals, blinds)
-            shares.append(EpochShare(list(zip(counts, totals)), blinds, commitments))
+        # column by column: each participant's count key, total key and
+        # blinding sums, slot by slot, then all of them committed to together
+        sums = [
+            [(x - y) % q for x, y in zip(map(sum, zip(*added)), map(sum, zip(*taken)))]
+            for added, taken in zip(plus, minus)
+        ]
+        counts, totals, blinds = (
+            [x for row in sums for x in row[i : i + EPOCH_SLOTS]] for i in range(0, 3 * EPOCH_SLOTS, EPOCH_SLOTS)
+        )
+        commitments = commit_all(params, counts, totals, blinds)
+        parts = [slice(i, i + EPOCH_SLOTS) for i in range(0, len(commitments), EPOCH_SLOTS)]
+        shares = [EpochShare(list(zip(counts[s], totals[s])), blinds[s], commitments[s]) for s in parts]
         return Epoch(edges, trees, tuple(signed), tuple(shares))
 
     def edge(self, a: int, b: int, epoch: int = 0) -> Edge | None:

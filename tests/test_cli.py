@@ -1,5 +1,6 @@
 """Exit-code contract and output of the command-line driver."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,32 @@ def test_a_run_that_raises_leaves_no_transcript(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="the scenario ran"):
         main(["run", path, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failed_run_keeps_the_file_at_out(tmp_path, monkeypatch, error):
+    # the transcript replaces out only once written, so a run that raises,
+    # or is interrupted, leaves out as it was and no temporary file
+    def failing_run(scenario):
+        raise error("the run failed")
+
+    monkeypatch.setattr(sim, "run_scenario", failing_run)
+    path = write_scenario(tmp_path, HONEST)
+    out = tmp_path / "x.transcript"
+    out.write_text("an earlier transcript\n")
+    with pytest.raises(error, match="the run failed"):
+        main(["run", path, "--out", str(out)])
+    assert out.read_text() == "an earlier transcript\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.txt", "x.transcript"]
+
+
+def test_a_run_replaces_the_file_at_out(tmp_path):
+    path = write_scenario(tmp_path, HONEST)
+    out = tmp_path / "x.transcript"
+    out.write_text("an earlier transcript\n")
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert out.read_text() == sim.run_scenario(HONEST).to_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.txt", "x.transcript"]
 
 
 def test_run_group_override_rejected_when_too_small(tmp_path):
@@ -273,6 +300,16 @@ def test_keygen_outputs_header(capsys):
     with pytest.raises(SystemExit):
         main(["keygen", "--rounds", "2"])  # the epoch size is fixed
     assert main(["keygen", "--seed", "-1"]) == 1
+
+
+def test_production_keygen_is_pinned(capsys):
+    # no pinned transcript uses the production group: its key records,
+    # byte for byte, through the SHA-256 of keygen's output
+    assert main(["keygen", "--group", "production", "--n", "3", "--seed", "1"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == (
+        "d5c93c275e6121a9a216158f6b389fb9109c4522a88fc39d5716eb6d45d32aef"
+    )
 
 
 @pytest.mark.parametrize("field", ["sig_e", "sig_s", "root"])

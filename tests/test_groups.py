@@ -9,9 +9,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmesh import groups, sim
-from dcmesh.groups import WINDOW_TABLE_BYTES, GroupParams, commit, derive_params
+from dcmesh.groups import WINDOW_TABLE_BYTES, GroupParams, commit, commit_all, derive_params
 from dcmesh.transcript import line_to_record, record_to_line
 
 TAG = b"dc-mesh/v1"
@@ -287,3 +289,35 @@ def test_window_table_powers_match_power(level):
     for table in (params.g_table, params.f_table, params.h_table):
         assert table.powers(exponents) == [table.power(e) for e in exponents]
     assert params.g_table.powers([]) == []
+
+
+@st.composite
+def commit_all_inputs(draw):
+    """A test group and a list of (count, total, blinding) exponents of
+    any sign and size, empty lists included."""
+    level = draw(st.sampled_from(["test_small", "test_medium"]))
+    q = groups._BUILT_IN[level][1]
+    exponent = st.integers(-3 * q, 3 * q) | st.sampled_from([0, q - 1, q, -q]) | st.integers()
+    return level, draw(st.lists(st.tuples(exponent, exponent, exponent), max_size=12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(commit_all_inputs())
+def test_commit_all_matches_commit(inputs):
+    # one walk of the g, f and h tables together commits as commit does
+    level, items = inputs
+    params = derive_params(level, TAG)
+    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
+    expected = [commit(params, (c, t), b) for c, t, b in items]
+    assert commit_all(params, counts, totals, blinds) == expected
+
+
+def test_commit_all_matches_commit_in_production():
+    # 410 rows of 5-bit digits per table
+    params = derive_params("production", TAG)
+    q = params.q
+    assert len(params.g_table.rows) == 410
+    items = [(q - 1, q, -1), (-5, 0, q + 1), (2 * q + 3, -q - 7, 12345)]
+    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
+    expected = [commit(params, (c, t), b) for c, t, b in items]
+    assert commit_all(params, counts, totals, blinds) == expected

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from dcmesh import groups, keysetup, merkle
-from dcmesh.groups import commit, derive_params
+from dcmesh.groups import commit, commit_all, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
     NO_EDGE,
@@ -15,7 +15,7 @@ from dcmesh.keysetup import (
     build_key_graph,
     edge_digest,
     endorse_payload,
-    establish_row,
+    establish_edges,
     gen_signing_key,
     is_endorsed,
     opted_out_peers,
@@ -80,7 +80,7 @@ def test_signature_roundtrip(small):
 def test_establish_pair_antisymmetry(level, request):
     params = request.getfixturevalue(level)
     rng = random.Random(1)
-    (edge,) = establish_row(params, [1], rng)
+    (edge,) = establish_edges(params, [(0, 1)], rng).values()
     assert len(edge.count_keys) == len(edge.total_keys) == len(edge.blinds) == EPOCH_SLOTS
     q = params.q
     for slot, (count, total, blind) in enumerate(zip(edge.count_keys, edge.total_keys, edge.blinds)):
@@ -103,7 +103,7 @@ def test_pair_secrets_are_a_randrange_stream(level):
     keys = random.Random(4)
     signing = {pid: gen_signing_key(params, keys) for pid in range(6)}
     rng, reference = random.Random(5), random.Random(5)
-    (first,) = establish_row(params, [1], rng)
+    (first,) = establish_edges(params, [(0, 1)], rng).values()
     graph = KeyGraph(params, range(6), signing, frozenset({2}))
     graph.add_epoch(rng)
     shared = [edge for _, edge in sorted(graph.epochs[0].edges.items())]
@@ -127,7 +127,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # merkle alike; a signature's two, its nonce's and its challenge's, apart
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
-    exponents, inversions, hashes = [], [], []
+    exponents, inversions, hashes, walks = [], [], [], []
 
     def counting_power(table, exponent):
         exponents.append(exponent)
@@ -136,6 +136,12 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     def counting_powers(table, batch):
         exponents.extend(batch)
         return table_powers(table, batch)
+
+    def counting_commit_all(params, counts, totals, blinds):
+        # one walk of the g, f and h tables: an exponent per list item
+        exponents.extend([*counts, *totals, *blinds])
+        walks.append(len(counts))
+        return commit_all(params, counts, totals, blinds)
 
     def counting_pow(*args):
         if args[1] == -1:
@@ -154,11 +160,13 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
     monkeypatch.setattr(groups.WindowTable, "powers", counting_powers)
     for module in (groups, keysetup):
+        monkeypatch.setattr(module, "commit_all", counting_commit_all)
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
     for module in (keysetup, merkle):
         monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=counting_sha256))
-    establish_row(medium, [1], rng)
+    establish_edges(medium, [(0, 1)], rng)
     assert len(exponents) == 3 * EPOCH_SLOTS
+    assert walks == [EPOCH_SLOTS]
     assert inversions == []
     assert setup_hashes() == (1, 0)
     # six participants: fifteen edges, one digest and one leaf hash each,
@@ -167,9 +175,12 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     graph = build_key_graph(medium, range(6), rng)
     exponents.clear()
     hashes.clear()
+    walks.clear()
     graph.add_epoch(rng)
     assert inversions == []
     assert len(exponents) == (15 + 6) * 3 * EPOCH_SLOTS + 6 == 510
+    # two walks an epoch: every edge's slots, then every participant's sums
+    assert walks == [15 * EPOCH_SLOTS, 6 * EPOCH_SLOTS]
     assert signer_width(6) == 8
     assert setup_hashes() == (15 + 15 + 1 + 6 * (8 - 1), 2 * 6) == (73, 12)
     # a view's first read makes no power; the build and every view's first
@@ -191,7 +202,7 @@ def test_per_round_secrets_are_fresh(small):
     rng = random.Random(3)
     repeats = 0
     for _ in range(120):
-        (edge,) = establish_row(small, [1], rng)
+        (edge,) = establish_edges(small, [(0, 1)], rng).values()
         if edge.count_keys[0] == edge.count_keys[1]:
             repeats += 1
         if edge.total_keys[0] == edge.total_keys[1]:
