@@ -59,7 +59,7 @@ print("round 2: P0 retransmits, P1/P2 stay silent; everyone proves")
 for pid in range(3):
     transmit(pid, 2, slot if pid == 0 else None)
 # the verifier builds each statement once, from public data
-stmts = [retransmission_statement(targets[pid], pid, 2, tag) for pid in range(3)]
+stmts = [retransmission_statement(params, targets[pid], pid, 2, tag) for pid in range(3)]
 # the true branch first: the repeat for P0, no message for the others
 proofs = [prove(pid, 2, stmts[pid], (1, 0) if pid == 0 else (0, 1)) for pid in range(3)]
 # and checks the whole round at once
@@ -68,7 +68,7 @@ for pid, ok in enumerate(verify_or(params, stmts, proofs)):
 
 print("\nround 4: P0 retransmits the message shifted by one")
 transmit(0, 4, (slot[0], slot[1] + 1))
-stmt = retransmission_statement(targets[0], 0, 4, tag)
+stmt = retransmission_statement(params, targets[0], 0, 4, tag)
 for branch in (0, 1):
     try:
         prove(0, 4, stmt, [branch])

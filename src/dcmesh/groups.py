@@ -150,6 +150,19 @@ class GroupParams(_Group):
         return (self.q.bit_length() + 7) // 8
 
     @functools.cached_property
+    def fs_prefix(self) -> bytes:
+        """What every Fiat-Shamir challenge of the group hashes first:
+        the tag ``dcmesh/fs/v2``, the domain tag after its length as 4
+        bytes, the element width as 2 bytes, then p, q, g, f and h at
+        that width."""
+        size = self.element_bytes
+        return b"".join(
+            [b"dcmesh/fs/v2", len(self.domain_tag).to_bytes(4, "big"), self.domain_tag]
+            + [size.to_bytes(2, "big")]
+            + [x.to_bytes(size, "big") for x in (self.p, self.q, *self.generators)]
+        )
+
+    @functools.cached_property
     def g_table(self) -> WindowTable:
         return WindowTable(self, self.g)
 

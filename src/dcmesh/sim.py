@@ -41,7 +41,7 @@ from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 # the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v10"
+FORMAT_VERSION = "v11"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -256,7 +256,7 @@ class HonestParticipant:
 
     def respond_demand(self, node_id, statement):
         """A denial proof, in wire form; every branch's witness is B(node_id)."""
-        order = sorted(range(len(statement.branches)), reverse=self.message_node == node_id)
+        order = sorted(range(len(statement.targets)), reverse=self.message_node == node_id)
         return self._wire(self._proof(statement, [(b, self.blinds[node_id]) for b in order]))
 
     def _proof(self, statement, candidates):
@@ -387,8 +387,11 @@ STRATEGIES = tuple(_STRATEGY_CLASSES)
 # scenario execution
 
 
-def _session_tag(scenario_digest: str, session: int) -> bytes:
-    return b"dcmesh|" + scenario_digest.encode()[:16] + b"|s%d" % session
+def _session_tag(header_digest: str, session: int) -> bytes:
+    """What every proof context of a session opens with: the header
+    digest, SHA-256 over the DCMESH, GROUP and CONFIG lines, as 32
+    bytes, then the session number."""
+    return bytes.fromhex(header_digest) + b"|s%d" % session
 
 
 def _key_records(session, public: KeyGraphPublic):
@@ -416,8 +419,16 @@ def _group_record(params):
     )
 
 
+def _config(scenario):
+    """A scenario's CONFIG record."""
+    return record(
+        "CONFIG", n=scenario.n, payload_bits=scenario.payload_bits, scenario=scenario.digest()
+    )
+
+
 def _header(params, config, digest=records_digest):
-    """The transcript header for a group and a CONFIG record."""
+    """The transcript header for a group and a CONFIG record; its
+    HEADEREND digest is the header digest the session tags bind."""
     header = [
         record("DCMESH", version=FORMAT_VERSION, hash="sha256"), _group_record(params), config
     ]
@@ -523,18 +534,9 @@ def run_scenario(scenario: Scenario) -> Transcript:
     """
     scenario.validate()
     params = derive_params(scenario.group, DOMAIN_TAG)
-    digest = scenario.digest()
     transcript = Transcript()   # its digests write each record's line once
-    transcript.header = _header(
-        params,
-        record(
-            "CONFIG",
-            n=scenario.n,
-            payload_bits=scenario.payload_bits,
-            scenario=digest,
-        ),
-        transcript.digest,
-    )
+    transcript.header = _header(params, _config(scenario), transcript.digest)
+    header_digest = transcript.header[-1]["digest"]
 
     active = list(range(scenario.n))
     pending = dict(scenario.senders)
@@ -544,7 +546,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
     while True:
         session = len(outcomes) + 1
         outcome = _play_session(
-            params, scenario, active, pending, session, _session_tag(digest, session)
+            params, scenario, active, pending, session, _session_tag(header_digest, session)
         )
         body.extend(_session_head(session, outcome.public, transcript.digest))
         body.extend(outcome.records)
@@ -582,9 +584,8 @@ def single_session(senders, adversaries=(), seed=0, *, n=None, group="test_mediu
     )
     scenario.validate()
     params = derive_params(group, DOMAIN_TAG)
-    return _play_session(
-        params, scenario, list(range(n)), dict(senders), 1, _session_tag(scenario.digest(), 1)
-    )
+    tag = _session_tag(_header(params, _config(scenario))[-1]["digest"], 1)
+    return _play_session(params, scenario, list(range(n)), dict(senders), 1, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +789,9 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     if not 0 < config["n"] <= len(body):   # every participant has a PUBKEY record
         raise MalformedRecord(base, f"CONFIG n={config['n']} does not fit the transcript")
     active = list(range(config["n"]))
+    # the header digest the proofs bind, over the recorded DCMESH, GROUP
+    # and CONFIG lines, whatever the recorded HEADEREND says
+    header_digest = transcript.digest(transcript.header[:-1])
     outcomes = []
     for session, (start, end) in enumerate(zip(starts, starts[1:] + [len(body) - 1]), 1):
         index = base + start
@@ -801,7 +805,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
                 replay.public,
                 ResolutionTree(params.q, config["payload_bits"]),
                 session,
-                _session_tag(config["scenario"], session),
+                _session_tag(header_digest, session),
                 replay,
             )
         except ProtocolOrderViolation:

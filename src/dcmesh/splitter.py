@@ -36,10 +36,16 @@ session, and is the session's outcome.  Only the judge keeps target
 maps, one no-message target per participant and tree node, built from
 the public broadcasts; it builds every statement from them once, hands
 each participant its statement to prove, and checks a round's proofs,
-or a DEMAND round's, in one call.  A participant proves every
-statement by one rule, :func:`prove_node_denial`: it lists the
-(branch, witness) pairs it could prove, its true branch first, and
-proves the first whose witness holds.  A split that survives those
+or a DEMAND round's, in one call.  A statement's context is the session
+tag (the digest of the transcript header's DCMESH, GROUP and CONFIG
+lines, and the session number), then its role, participant and round
+or node, ``|retrans|pid|r`` or ``|denial|pid|k``; its challenge hashes
+that context with the group, the targets and the announcements (see
+:mod:`dcmesh.zkp`), so every proof binds the whole header.  A
+participant proves every statement by one rule,
+:func:`prove_node_denial`: it lists the (branch, witness) pairs it
+could prove, its true branch first, and proves the first whose
+witness holds.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
 the parent's, or one side is empty -- comes from a malformed slot.
 Its colliding children, and an equal-payload node where two or more
@@ -66,6 +72,7 @@ at most n + (2n - 1)(payload_bits + 1) rounds.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import zkp
@@ -279,13 +286,23 @@ def add_round(params: GroupParams, node_maps, rid: int, cts) -> None:
     target maps, each with its inferred sibling's target after a split.
     The judge names the round, and ``node_maps`` and ``cts`` pair up by
     position: one map and one ciphertext per participant, in participant
-    order."""
+    order.  The round's targets are inverted together, by Montgomery's
+    trick: one inverse of their product and 3(n - 1) multiplications."""
     p = params.p
     fresh = zkp.no_message_targets(params, [(ct.value, ct.commitment) for ct in cts])
     for nodes, target in zip(node_maps, fresh):
         nodes[rid] = target
-        if rid != 1:
-            nodes[rid + 1] = nodes[rid // 2] * pow(target, -1, p) % p
+    if rid == 1:
+        return
+    products = list(accumulate(fresh, lambda a, b: a * b % p))
+    inverse = pow(products[-1], -1, p)   # of every target's product
+    inverses = [0] * len(fresh)
+    for i in range(len(fresh) - 1, 0, -1):
+        inverses[i] = inverse * products[i - 1] % p
+        inverse = inverse * fresh[i] % p
+    inverses[0] = inverse
+    for nodes, inverse in zip(node_maps, inverses):
+        nodes[rid + 1] = nodes[rid // 2] * inverse % p
 
 
 def add_blind(params: GroupParams, blinds: dict, round_id: int, blind: int) -> None:
@@ -297,15 +314,13 @@ def add_blind(params: GroupParams, blinds: dict, round_id: int, blind: int) -> N
 
 
 def retransmission_statement(
-    nodes: dict, pid: int, round_id: int, session_tag: bytes
+    params: GroupParams, nodes: dict, pid: int, round_id: int, session_tag: bytes
 ) -> zkp.OrStatement:
     """Either this broadcast carries nothing, N(r), or it repeats the
     parent context, N(r // 2) * N(r)^-1, which is N(r + 1).  A proof on
     branch 0 has witness B(r), on branch 1 B(r + 1)."""
     ctx = session_tag + b"|retrans|%d|%d" % (pid, round_id)
-    return zkp.OrStatement(
-        (zkp.RepStatement(nodes[round_id], ctx), zkp.RepStatement(nodes[round_id + 1], ctx))
-    )
+    return zkp.OrStatement(params, (nodes[round_id], nodes[round_id + 1]), ctx)
 
 
 def denial_statement(
@@ -320,10 +335,10 @@ def denial_statement(
     message, N(k), or, where ``copy`` is an equal-payload node's payload
     x, no message or exactly the one slot (1, x), N(k) * g * f^x."""
     ctx = session_tag + b"|denial|%d|%d" % (pid, node_id)
-    branches = [nodes[node_id]]
+    targets = [nodes[node_id]]
     if copy is not None:
-        branches.append(branches[0] * value_term(params, (1, copy)) % params.p)
-    return zkp.OrStatement(tuple(zkp.RepStatement(t, ctx) for t in branches))
+        targets.append(targets[0] * value_term(params, (1, copy)) % params.p)
+    return zkp.OrStatement(params, targets, ctx)
 
 
 def prove_node_denial(
@@ -472,7 +487,8 @@ class Session:
                 stmts, texts = [], [None] * len(pids)
             else:
                 stmts = [
-                    retransmission_statement(self.targets[pid], pid, rid, self.tag) for pid in pids
+                    retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
+                    for pid in pids
                 ]
                 texts = source.prove(rid, stmts)
             for pid, ct, text in zip(pids, cts, texts):

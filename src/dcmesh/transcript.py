@@ -11,7 +11,12 @@ one per participant, sit in the session where the epoch was endorsed,
 before the first round that spends it.  A slot value is a pair: each
 CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
 A CIPHER or DEMAND proof is the lowercase hex of its (challenge,
-response) scalars, one pair per branch, or ``-`` where none is sent.
+response) scalars, one pair per branch, or ``-`` where none is sent;
+its challenge is SHA-256 over the group, the statement's context, its
+targets and the announcements (see ``dcmesh.zkp``), and every context
+opens with the header digest, the value HEADEREND records, which a
+verifier recomputes from the DCMESH, GROUP and CONFIG lines, so a
+proof binds the whole header.
 At an equal-payload node (NODE status=equal) the DEMAND records carry
 the equal-payload check, and the RESOLVED records that follow are one
 per delivered copy.  Everything an independent verifier needs is

@@ -4,8 +4,22 @@ Everything here is a Fiat-Shamir sigma protocol over branches of one
 shape, "I know alpha with target = h^alpha", for the group's blinding
 generator h.  Composition is by the classic simulate-the-untrue-branches
 OR technique (Cramer-Damgard-Schoenmakers 1994): every statement is an
-OR of branches, a plain knowledge proof is a one-branch OR, and the
-branch challenges sum to the hashed top-level challenge.
+OR of branches under one context, a plain knowledge proof is a
+one-branch OR, and the branch challenges sum to the hashed top-level
+challenge.
+
+A statement's challenge is one SHA-256 over a short, injective input,
+read mod q: its head, encoded once when the statement is built, then
+the announcements A_1 ... A_k:
+
+    fs_prefix || len(context) as 4 bytes || context || k as 2 bytes
+              || T_1 ... T_k || A_1 ... A_k
+
+with every element at the group's fixed width.  ``fs_prefix``, cached
+on the group, binds the tag ``dcmesh/fs/v2``, the domain tag, p, q and
+the three generators.  The engine's contexts open with the session
+tag, the digest of the transcript header's DCMESH, GROUP and CONFIG
+lines and the session number, so every proof binds the whole header.
 
 A proof is in challenge form, one (challenge, response) pair per
 branch, the shape of a key-setup signature.  The verifier rebuilds each
@@ -27,62 +41,42 @@ explicitly via :func:`forge_attempt`.
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple
 
 from .errors import WitnessMismatch
 from .groups import GroupParams
 
-_FS_TAG = b"dcmesh/fs/v1"
 
+class OrStatement:
+    """An OR of branches, knowledge of alpha with ``target = h^alpha``,
+    one per target, under one context: the statement's role bytes
+    (session tag, role, participant id, round or node) so a proof cannot
+    be replayed for a different slot of the protocol.  No proof of an
+    empty one is made or accepted.
 
-class RepStatement(NamedTuple):
-    """One branch: knowledge of alpha with ``target = h^alpha``.
+    ``head`` is everything the challenge hashes before the
+    announcements, encoded here, once per statement."""
 
-    ``context`` carries the statement's role bytes (round ids,
-    participant id, session label) so a proof cannot be replayed for a
-    different slot of the protocol.
-    """
+    __slots__ = ("targets", "context", "head")
 
-    target: int
-    context: bytes = b""
-
-
-class OrStatement(NamedTuple):
-    """An OR of branches; no proof of an empty one is made or accepted."""
-
-    branches: tuple[RepStatement, ...]
+    def __init__(self, params: GroupParams, targets, context: bytes = b""):
+        self.targets = targets = tuple(targets)
+        self.context = context
+        size = params.element_bytes
+        self.head = b"".join([
+            params.fs_prefix, len(context).to_bytes(4, "big"), context,
+            len(targets).to_bytes(2, "big"), *[t.to_bytes(size, "big") for t in targets],
+        ])
 
 
 # one (challenge, response) pair per branch of the statement
 SigmaProof = tuple[tuple[int, int], ...]
 
 
-# ---------------------------------------------------------------------------
-# canonical statement encoding
-
-
-def or_statement_bytes(params: GroupParams, stmt: OrStatement) -> bytes:
-    """Each branch as b"rep|" + target + h, the base of every branch, + context."""
+def fs_challenge(params: GroupParams, stmt: OrStatement, announcements) -> int:
+    """SHA-256 of the statement's head and the announcement elements, mod q."""
     size = params.element_bytes
-    base = params.h.to_bytes(size, "big")
-    parts = [b"or|", len(stmt.branches).to_bytes(2, "big")]
-    for target, ctx in stmt.branches:
-        parts += (b"rep|", target.to_bytes(size, "big"), base, len(ctx).to_bytes(4, "big"), ctx)
-    return b"".join(parts)
-
-
-def fs_challenge(params: GroupParams, statement_bytes: bytes, announcements: list[int]) -> int:
-    """Hash the statement and announcement elements into a challenge scalar."""
-    h = hashlib.sha256()
-    h.update(_FS_TAG)
-    h.update(len(params.domain_tag).to_bytes(4, "big"))
-    h.update(params.domain_tag)
-    h.update(len(statement_bytes).to_bytes(4, "big"))
-    h.update(statement_bytes)
-    h.update(len(announcements).to_bytes(4, "big"))
-    for a in announcements:
-        h.update(params.element_to_bytes(a))
-    return int.from_bytes(h.digest(), "big") % params.q
+    data = b"".join([stmt.head] + [a.to_bytes(size, "big") for a in announcements])
+    return int.from_bytes(hashlib.sha256(data).digest(), "big") % params.q
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +95,26 @@ class Prover:
     def __init__(self, params, targets, true_index, alpha, rng):
         self.params = params
         self.alpha = alpha % params.q
-        q, power = params.q, params.h_table.power
+        q, p, power = params.q, params.p, params.h_table.power
         # no branch at all, or none at true_index, is a witness for no branch
         if not 0 <= true_index < len(targets) or power(self.alpha) != targets[true_index]:
             raise WitnessMismatch("witness does not satisfy the designated branch")
         self._sim = {}
         self.witness_nonce = rng.randrange(q)
-        self.announcements = []
-        for d, target in enumerate(targets):
+        exponents = []   # the power of h in each branch's announcement
+        for d in range(len(targets)):
             if d == true_index:
-                self.announcements.append(power(self.witness_nonce))
+                exponents.append(self.witness_nonce)
             else:
                 e_d = rng.randrange(q)
                 z_d = rng.randrange(q)
-                self.announcements.append(simulate(params, target, e_d, z_d))
+                exponents.append(z_d)
                 self._sim[d] = (e_d, z_d)
+        # h^nonce on the true branch, a simulated h^z_d * T_d^-e_d on the others
+        self.announcements = [
+            a * pow(targets[d], q - self._sim[d][0], p) % p if d in self._sim else a
+            for d, a in enumerate(params.h_table.powers(exponents))
+        ]
 
     def respond(self, challenge: int) -> SigmaProof:
         q = self.params.q
@@ -139,9 +138,8 @@ def simulate(params, target, challenge, response):
 
 
 def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> SigmaProof:
-    prover = Prover(params, [b.target for b in stmt.branches], true_branch, alpha, rng)
-    statement_bytes = or_statement_bytes(params, stmt)
-    return prover.respond(fs_challenge(params, statement_bytes, prover.announcements))
+    prover = Prover(params, stmt.targets, true_branch, alpha, rng)
+    return prover.respond(fs_challenge(params, stmt, prover.announcements))
 
 
 def verify_or(params, statements, proofs) -> list[bool]:
@@ -151,7 +149,7 @@ def verify_or(params, statements, proofs) -> list[bool]:
     q, p = params.q, params.p
     # zip below would silently drop the branches a short proof lacks
     formed = [
-        bool(proof) and len(proof) == len(stmt.branches)
+        bool(proof) and len(proof) == len(stmt.targets)
         and all(0 <= e < q and 0 <= z < q for e, z in proof)
         for stmt, proof in zip(statements, proofs)
     ]
@@ -161,10 +159,9 @@ def verify_or(params, statements, proofs) -> list[bool]:
     for ok, stmt, proof in zip(formed, statements, proofs):
         if ok:
             announcements = [
-                next(h_z) * pow(b.target, q - e, p) % p for b, (e, _) in zip(stmt.branches, proof)
+                next(h_z) * pow(t, q - e, p) % p for t, (e, _) in zip(stmt.targets, proof)
             ]
-            challenge = fs_challenge(params, or_statement_bytes(params, stmt), announcements)
-            ok = sum(e for e, _ in proof) % q == challenge
+            ok = sum(e for e, _ in proof) % q == fs_challenge(params, stmt, announcements)
         verdicts.append(ok)
     return verdicts
 
@@ -192,12 +189,11 @@ def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
     sum matches, which breaks that branch's announcement.  Honest
     verifiers always reject the result.
     """
-    q = params.q
-    targets = [b.target for b in statement.branches]
+    q, targets = params.q, statement.targets
     challenges = [rng.randrange(q) for _ in targets]
     responses = [rng.randrange(q) for _ in targets]
     announcements = [simulate(params, t, e, z) for t, e, z in zip(targets, challenges, responses)]
-    top = fs_challenge(params, or_statement_bytes(params, statement), announcements)
+    top = fs_challenge(params, statement, announcements)
     challenges[0] = (challenges[0] + top - sum(challenges)) % q
     proof = tuple(zip(challenges, responses))
     while verify_or(params, [statement], [proof])[0]:
@@ -213,7 +209,8 @@ def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
 
 
 def proof_to_bytes(params: GroupParams, proof: SigmaProof) -> bytes:
-    return b"".join(params.scalar_to_bytes(x) for pair in proof for x in pair)
+    sw = params.scalar_bytes
+    return b"".join([x.to_bytes(sw, "big") for pair in proof for x in pair])
 
 
 def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:

@@ -193,7 +193,7 @@ def test_c05_proof_completeness_and_detection():
         for rid, value, c, blind in ((1, v1, c1, blind1), (2, v2, c2, blind2)):
             add_round(SMALL, [targets[0]], rid, [RoundCiphertext(value, c)])
             add_blind(SMALL, blinds, rid, blind)
-        stmt = retransmission_statement(targets[0], 0, 2, b"acc")
+        stmt = retransmission_statement(SMALL, targets[0], 0, 2, b"acc")
         branch = int(sends)   # a retransmission proves branch 1, with node 3's blinding sum
         proof = prove_or(SMALL, stmt, branch, blinds[2 + branch], rng)
         if verify_or(SMALL, [stmt], [proof]) != [True]:

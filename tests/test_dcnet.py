@@ -18,7 +18,7 @@ from dcmesh.dcnet import (
 )
 from dcmesh.groups import commit
 from dcmesh.keysetup import EPOCH_SLOTS, KeyGraph, build_key_graph, edge_digest, gen_signing_key
-from dcmesh.zkp import OrStatement, RepStatement, no_message_targets, prove_or, verify_or
+from dcmesh.zkp import OrStatement, no_message_targets, prove_or, verify_or
 
 
 def fresh_graph(params, n, seed=0, refusers=frozenset()):
@@ -70,8 +70,7 @@ def test_no_message_proof_from_honest_ciphertext(small):
     graph = fresh_graph(small, 4, seed=3)
     view = graph.view(1)
     ct = make_ciphertext(view, 0, None)
-    (target,) = no_message_targets(small, [(ct.value, ct.commitment)])
-    stmt = OrStatement((RepStatement(target),))
+    stmt = OrStatement(small, no_message_targets(small, [(ct.value, ct.commitment)]))
     proof = prove_or(small, stmt, 0, view.blind_sum(0), random.Random(5))
     assert verify_or(small, [stmt], [proof]) == [True]
 
@@ -149,7 +148,7 @@ def test_single_tampering_never_silently_changes_the_sum(medium):
             assert not valid  # the commitment product catches it at once
             continue
         assert valid  # a bare value shift is invisible to the product...
-        stmt = retransmission_statement(targets[0], 0, 2, b"t")
+        stmt = retransmission_statement(medium, targets[0], 0, 2, b"t")
         for branch in (0, 1):  # ...but leaves no provable branch
             with pytest.raises(WitnessMismatch):
                 prove_or(medium, stmt, branch, blinds[0][2 + branch], rng)

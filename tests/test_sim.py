@@ -104,7 +104,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v10).  Test ids are the list positions, so a re-pin
+# (pinned at format v11).  Test ids are the list positions, so a re-pin
 # keeps them.
 # an n=2 session that spends 11 slots, so it endorses epoch 1: the
 # malformed slot (2, 101) has an odd total, so it is no equal-payload
@@ -115,56 +115,56 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "04e3f95a3bffcd1eb6c904409492660fa2d34fad951068b504866d5597406257"),
+     "5c978bc361be96464551c5b128de19d6e0a474bca710630552b2562f7ff0d742"),
     (sim.Scenario(n=2, seed=1),
-     "fae3c6f219ddaa7895346dfd080a382860cf2939d8aed092ec32654154aba3ad"),
+     "faf84a87be1ddbefc7a86d303b4510cc578f2f0369d7d532445e456bca3a1bd0"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "071b7fa2dcf57437650670c6d9e5bb4347683e8669290cabc751fd3eee8812dc"),
+     "1088ac21aa90f38fd9676bd58db0770bcee1441253ddfc887f13b12f2aed6101"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "689720b41338aa876f1c8675a992fd0db426b2fab10c0110558bd2fed2114308"),
+     "0a3eaa772b385a7ad82871c7b35c7174fb0581976b3221fcfd8afdf1e1280f3e"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "101241864a895b101a847ab22058c9280cd1422fd74379a776ba27d3217cb5f4"),
+     "b1518a43312e4d706589c512df6d17f44a3bef36c9ada9260b331349e72fbda4"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "11dc0ee8d74f66676db27319fa249e2db9cf3c87e7d96b71904ef22f2e77b2c2"),
+     "270615ba56e5b4fac5bb291d8e91659dd0fc2839ea39c7e5f7b5164f0e57a89f"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "d2da9f1d889ca9f3f38fcdd5ae5a9f6830a14d11012c309edc69d4bba01117a6"),
+     "6f93ec356c45cf73aee085d5ee29ce7736784a7f44c6b5a1e3a3b74986e4cff3"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2),
-     "9cc5e49a17ee33976722b538f6b1fa3f2233e0e26dcd3676c71a3f859b68fda7"),
+     "efd4843fab21df656c558085ecc1e88c416d67dfe204508715bc0331c4fc3d94"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "cd2115633cb50868d7852f7d01a44119d85cbfa8b4a4102f65c9df95ed7fccb5"),
+     "b057675eb73fa6e336a06bb0e59f9b7bbae9223e1b23e96f7ed629fb3bfb8118"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11),
-     "4d1d80dceab82ee6495a0c324a14c99237609ae4dd5e99ceadb9a437c40e45df"),
+     "b530248974b7d17a1cd00e2b6e95fe15db27dff09a2cbb47e777aeb2cf35e608"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "1a31f79b13ab7381ba8fbbf0259f795592016272e9046d513a1025b14e87022d"),
+     "16e78b11a4c1dbec8a1e512b9ae3c693d801a5d429f338f978149d6005d5063c"),
     # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "1a5f0d21e00ec5edb964421645ef03deab081e60568b6f6cc2ce8b183adbc79b"),
+     "f5a79e1e60747a970a159fafa2374209d3a42d40e2a67bc5d07e3ced9fdeae0a"),
     # a refuser in mid-row, whose edges draw nothing, and a malformed slot
     # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "be6064edd34439e2b15ce113d28a913b3522274c637b9fc4087e75bc0758bc12"),
+     "6b3fbd0e72a943cf1eacba1c35064b8712418c0a74df6d526035231444a88244"),
     # the three forged or withheld proofs the strategies above leave out:
     # an injected copy caught at round 6, a fresh message caught at
     # round 2, and a withheld proof at round 2
     (sim.Scenario(n=4, senders=((0, 10), (1, 20), (2, 30), (3, 5)),
                   adversaries=((3, "double_branch"),), seed=9),
-     "5fd8391664173e520ce430dab0ae7a2c4b384d0337036a3824f1229f6e7b6e35"),
+     "dbed77b3e4221382884b11520c00c68b2b191f9e1becfcbb61194353237b5f8e"),
     (sim.Scenario(n=5, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((4, "late_injection"),), seed=9),
-     "552c238ccc2b062d1db41fd96288ae9c5ee34d0c85b7637f72f6f3618b5ca1f4"),
+     "ec077b773fad6addfb9e50812f19474540c9b61eecd8b14cbfe9cd53b1997593"),
     (sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_proof"),), seed=9),
-     "5625d78cd7913e3b31735f8be4dc8ba99d0f3fe461d9a99f6efde86519edf488"),
+     "22fd8ad83898ef0a4d02ca6734a3415792689502bf541a38a970d3b1b457a9f0"),
 ]
 
 
@@ -191,9 +191,9 @@ def _bench_workloads():
 # in pool order: 136 scenarios, so a refactor that keeps every transcript
 # byte-identical keeps these
 POOL_DIGESTS = {
-    "wide_honest": "6553ff5deabda987f3e0301170bf791020d7d1c8572672e81dd670b04faeb0a8",
-    "narrow_poll": "e56dd012a9b1bc128151e0a9cd893d671ae8a6be37a8cea7a4cee1d4547a2ae9",
-    "disrupted": "049663acc72568ab494bdc71d35073aa494a8b781f959b93341cc0fb832ecaf6",
+    "wide_honest": "469f896578c1b6bd6804e59a77150e9fd8312bfe5ac6ac42ceb2a33ca02a479f",
+    "narrow_poll": "64cda61a7f81dd8f05c6977d5ff8a594b794ef1503be7cc6a39f8e5a8f583aca",
+    "disrupted": "a5f6b6a3181326af3f823de9b657ab04301f20854e41246a0a4a58fd4567b9df",
 }
 
 
@@ -290,7 +290,8 @@ def test_transcript_of_another_format_version_is_malformed():
     # replaying into verdicts that were never issued
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
     assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
-    for version in ("v9", "v11"):
+    number = int(sim.FORMAT_VERSION[1:])
+    for version in (f"v{number - 1}", f"v{number + 1}"):
         relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
         with pytest.raises(MalformedRecord) as exc:
             sim.verify_transcript(Transcript.from_text(relabelled))
@@ -448,7 +449,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "47b991b8b9b2412a20fad69a356827d5f86a6f58cf8a47a2758b4ea4f94fafc5"
+        "32857ab36b7a2e9f1a3d8ab079ea98338f65f059b4912b866b1efec684139779"
     )
 
 
@@ -1115,19 +1116,44 @@ def test_session_after_everyone_is_banned_is_not_clean():
     assert [index for index, _ in report.divergences] == [session_index]
 
 
+@pytest.mark.parametrize("field", ["payload_bits", "scenario"])
+def test_a_resealed_header_change_does_not_verify_clean(field):
+    # every proof binds the header digest, taken over the recorded DCMESH,
+    # GROUP and CONFIG lines: CONFIG payload_bits 8 -> 9, or character 21
+    # of the scenario digest, with HEADEREND resealed, leaves the header
+    # consistent, but the session-2 proofs of BAD_PAD_RUN no longer verify
+    transcript = sim.run_scenario(BAD_PAD_RUN)
+    header = list(transcript.header)
+    at = [rec["type"] for rec in header].index("CONFIG")
+    value = header[at][field]
+    if field == "payload_bits":
+        assert value == 8
+        value = 9
+    else:
+        value = value[:20] + ("1" if value[20] == "0" else "0") + value[21:]
+    header[at] = dict(header[at], **{field: value})
+    header[-1] = dict(header[-1], digest=records_digest(header[:-1]))
+    text = Transcript(header, transcript.records).to_text()
+    report = sim.verify_transcript(Transcript.from_text(text))
+    assert not report.clean
+    # the header itself is consistent: the first divergence is in the body
+    assert min(index for index, _ in report.divergences) >= len(header)
+
+
 @pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 21), (sim.REFERENCE_SCENARIO, 49)],
                          ids=["bad_pad", "reference"])
 def test_single_session_plays_session_one_of_the_run(scenario, count):
     # one session tag rule: single_session judges session 1 under the tag
     # run_scenario gives it, so its records are the run's session-1 judge
     # records, retransmission proofs included
-    body = sim.run_scenario(scenario).records
+    transcript = sim.run_scenario(scenario)
+    body = transcript.records
     start = next(i for i, rec in enumerate(body) if rec["type"] == "ROUND")
     end = next(i for i, rec in enumerate(body[1:], 1) if rec["type"] in ("SESSION", "SUMMARY"))
     out = sim.single_session(scenario.senders, scenario.adversaries, scenario.seed, n=scenario.n)
     assert out.records == body[start:end]
     assert len(out.records) == count
-    assert out.tag == sim._session_tag(scenario.digest(), 1)
+    assert out.tag == sim._session_tag(transcript.header[-1]["digest"], 1)
 
 
 def test_session_after_a_session_without_a_ban_diverges():
@@ -1143,7 +1169,7 @@ def test_session_after_a_session_without_a_ban_diverges():
     assert [r["idx"] for r in body if r["type"] == "SESSION"] == [1, 2]
     assert [r["session"] for r in body if r["type"] == "BAN"] == [1]
     params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
-    tag = sim._session_tag(scenario.digest(), 3)
+    tag = sim._session_tag(transcript.header[-1]["digest"], 3)
     outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
     extra = sim._session_head(3, outcome.public) + outcome.records
     assert [payload for _, payload in outcome.resolved] == [36]

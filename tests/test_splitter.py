@@ -297,14 +297,83 @@ def prove_retransmission(params, nodes, blinds, pid, round_id, branches, rng, ta
     """pid's proof of the retransmission statement over ``nodes``, as a
     participant makes it: through the one proving rule, trying
     ``branches`` in order, branch b with witness B(round_id + b)."""
-    stmt = retransmission_statement(nodes, pid, round_id, tag)
+    stmt = retransmission_statement(params, nodes, pid, round_id, tag)
     return prove_node_denial(params, stmt, [(b, blinds[round_id + b]) for b in branches], rng)
 
 
 def verifies(params, nodes, pid, round_id, proof, tag):
     """Whether ``proof`` verifies as pid's retransmission proof over ``nodes``."""
-    (ok,) = zkp.verify_or(params, [retransmission_statement(nodes, pid, round_id, tag)], [proof])
+    stmt = retransmission_statement(params, nodes, pid, round_id, tag)
+    (ok,) = zkp.verify_or(params, [stmt], [proof])
     return ok
+
+
+@pytest.mark.parametrize("group", ["test_small", "test_medium"])
+def test_add_round_inverts_a_round_with_one_inverse(group, monkeypatch):
+    # Montgomery's trick: each inferred sibling is N(k // 2) * N(k)^-1 with
+    # the per-target inverse, for one pow(x, -1, p) per round after the first
+    from dcmesh.dcnet import make_ciphertext
+    from dcmesh.keysetup import build_key_graph
+    from dcmesh import splitter
+
+    params = sim.derive_params(group, sim.DOMAIN_TAG)
+    p, rng = params.p, random.Random(12)
+    inverses = []
+
+    def counting_pow(base, exponent, *modulus):
+        inverses.append(exponent == -1)
+        return pow(base, exponent, *modulus)
+
+    monkeypatch.setattr(splitter, "pow", counting_pow, raising=False)
+    for n in (1, 2, 5, 9):
+        graph = build_key_graph(params, range(n), rng)
+        maps = [{} for _ in range(n)]
+        for slot, rid in enumerate((1, 2, 4, 8)):
+            cts = [
+                make_ciphertext(graph.view(pid), slot, (1, rng.randrange(8)) if pid % 2 else None)
+                for pid in range(n)
+            ]
+            inverses.clear()
+            add_round(params, maps, rid, cts)
+            assert inverses == ([] if rid == 1 else [True])
+            fresh = zkp.no_message_targets(params, [(ct.value, ct.commitment) for ct in cts])
+            for nodes, target in zip(maps, fresh):
+                assert nodes[rid] == target
+                if rid != 1:
+                    assert nodes[rid + 1] == nodes[rid // 2] * pow(target, -1, p) % p
+
+
+def test_judge_checks_the_statement_objects_it_hands_out(monkeypatch):
+    # a participant proves the statement object the judge hands it, and the
+    # judge checks that same object; each head is the one its targets and
+    # context give, and each context opens with the session tag
+    from dcmesh import splitter
+
+    proved, checked = [], []
+    prove, verify = splitter.prove_node_denial, zkp.verify_or
+
+    def proving(params, stmt, candidates, rng):
+        proved.append(stmt)
+        return prove(params, stmt, candidates, rng)
+
+    def verifying(params, statements, proofs):
+        checked.extend(statements)
+        return verify(params, statements, proofs)
+
+    monkeypatch.setattr(splitter, "prove_node_denial", proving)
+    monkeypatch.setattr(zkp, "verify_or", verifying)
+    params = sim.derive_params("test_medium", sim.DOMAIN_TAG)
+    # the reference run's retransmissions, and the equal-payload check of two 7s
+    for senders, seed, roles in ((sim.REFERENCE_SCENARIO.senders, 7, {b"retrans"}),
+                                 (((0, 7), (1, 7)), 5, {b"retrans", b"denial"})):
+        proved.clear()
+        checked.clear()
+        out = sim.single_session(senders, seed=seed)
+        assert proved and [id(s) for s in proved] == [id(s) for s in checked]
+        assert {s.context.split(b"|")[-3] for s in checked} == roles
+        for stmt in checked:
+            assert stmt.head == zkp.OrStatement(params, stmt.targets, stmt.context).head
+            assert stmt.context.startswith(out.tag + b"|")
 
 
 def test_target_map_matches_worked_chain():
@@ -352,7 +421,9 @@ def test_all_reference_proofs_verify():
         assert verifies(params, targets[pid], pid, rid, proof, tag)
     # and round by round, in one check each
     for rid in (2, 4, 6, 14):
-        stmts = [retransmission_statement(targets[pid], pid, rid, tag) for pid in range(5)]
+        stmts = [
+            retransmission_statement(params, targets[pid], pid, rid, tag) for pid in range(5)
+        ]
         round_proofs = [proof_from_bytes(params, bytes.fromhex(proofs[pid, rid])) for pid in range(5)]
         assert zkp.verify_or(params, stmts, round_proofs) == [True] * 5
 
@@ -422,7 +493,7 @@ def test_retransmission_proof_fresh_construction(medium):
     # the forged fallback is rejected by every verifier
     from dcmesh.zkp import forge_attempt
 
-    stmt = retransmission_statement(targets[0], 0, 4, tag)
+    stmt = retransmission_statement(medium, targets[0], 0, 4, tag)
     assert not verifies(medium, targets[0], 0, 4, forge_attempt(medium, stmt, rng), tag)
 
 
@@ -470,7 +541,7 @@ def test_node_denial_proofs(medium):
         # the same rule proves round 14's retransmission statement: the
         # sender repeated its message there, on branch 1 with B(15), and
         # the others sent nothing, on branch 0 with B(14)
-        stmt = retransmission_statement(targets[pid], pid, 14, tag)
+        stmt = retransmission_statement(params, targets[pid], pid, 14, tag)
         held, other = (1, 0) if pid == 0 else (0, 1)
         witness = {0: blinds[14], 1: blinds[15]}
         proof = prove_node_denial(params, stmt, [(held, witness[held])], random.Random(1))
@@ -591,7 +662,7 @@ def test_chain_proof_soundness_exhaustive(medium):
             except WitnessMismatch:
                 provable = False
             if not provable:
-                stmt = retransmission_statement(targets[0], 0, rid, b"sweep")
+                stmt = retransmission_statement(medium, targets[0], 0, rid, b"sweep")
                 forged = forge_attempt(medium, stmt, rng)
                 assert not verifies(medium, targets[0], 0, rid, forged, b"sweep")
             outcomes.append(provable)

@@ -8,17 +8,18 @@ small group, real and simulated transcripts form identical multisets.
 import hashlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcmesh import zkp
 from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import commit, derive_params
 from dcmesh.zkp import (
     OrStatement,
     Prover,
-    RepStatement,
     forge_attempt,
     fs_challenge,
     no_message_targets,
@@ -31,12 +32,13 @@ from dcmesh.zkp import (
 
 
 def rep_for(params, alpha, context=b"t"):
-    return RepStatement(target=pow(params.h, alpha, params.p), context=context)
+    """The one-branch statement: knowledge of alpha with target h^alpha."""
+    return OrStatement(params, (pow(params.h, alpha, params.p),), context)
 
 
-def prove_one(params, branch, alpha, rng):
-    """A proof of the one-branch statement ``branch``."""
-    return prove_or(params, OrStatement((branch,)), 0, alpha, rng)
+def prove_one(params, stmt, alpha, rng):
+    """A proof of the one-branch statement ``stmt``."""
+    return prove_or(params, stmt, 0, alpha, rng)
 
 
 def verify_proof(params, stmt, proof):
@@ -45,32 +47,98 @@ def verify_proof(params, stmt, proof):
     return ok
 
 
-def verify_one(params, branch, proof):
-    return verify_proof(params, OrStatement((branch,)), proof)
-
-
 # ---------------------------------------------------------------------------
 # challenge derivation
 
 
 def test_fs_challenge_deterministic(small):
-    a = fs_challenge(small, b"stmt", [4, 9])
-    b = fs_challenge(small, b"stmt", [4, 9])
+    stmt = OrStatement(small, (4, 9), b"stmt")
+    a = fs_challenge(small, stmt, [4, 9])
+    b = fs_challenge(small, stmt, [4, 9])
     assert a == b
     assert 0 <= a < small.q
 
 
 def test_fs_challenge_sensitivity(small):
-    base = fs_challenge(small, b"stmt", [4, 9])
+    base = fs_challenge(small, OrStatement(small, (4, 9), b"stmt"), [4, 9])
     # single-byte changes move the challenge for the vast majority of inputs
     changed = sum(
-        fs_challenge(small, bytes([i]) + b"tmt", [4, 9]) != base for i in range(256)
+        fs_challenge(small, OrStatement(small, (4, 9), bytes([i]) + b"tmt"), [4, 9]) != base
+        for i in range(256)
     )
     assert changed > 230
 
 
 def test_fs_challenge_empty_inputs(small):
-    assert 0 <= fs_challenge(small, b"", []) < small.q
+    assert 0 <= fs_challenge(small, OrStatement(small, ()), []) < small.q
+
+
+def challenge_input(params, targets, context, announcements):
+    """The challenge input, spelled out: the prefix (tag, domain tag,
+    element width, p, q, g, f, h), len(context) as 4 bytes, context, k
+    as 2 bytes, the k targets and the k announcements, each element at
+    the group's width."""
+    size = params.element_bytes
+
+    def elements(xs):
+        return b"".join(x.to_bytes(size, "big") for x in xs)
+
+    prefix = (
+        b"dcmesh/fs/v2" + len(params.domain_tag).to_bytes(4, "big") + params.domain_tag
+        + size.to_bytes(2, "big") + elements((params.p, params.q, *params.generators))
+    )
+    return (
+        prefix + len(context).to_bytes(4, "big") + context + len(targets).to_bytes(2, "big")
+        + elements(targets) + elements(announcements)
+    )
+
+
+def test_challenge_input_is_prefix_context_targets_announcements(small, monkeypatch):
+    # test_small's elements are one byte wide: p, q, g, f, h are 107, 53, 4, 25, 9
+    p, h = small.p, small.h
+    stmt = OrStatement(small, (pow(h, 17, p), pow(h, 40, p)), b"ctx")
+    k, e1, z1 = 5, 23, 8   # the nonce, then branch 1's simulated pair
+    announcements = [pow(h, k, p), simulate(small, stmt.targets[1], e1, z1)]
+    expected = (
+        b"dcmesh/fs/v2" + b"\x00\x00\x00\x0a" + b"dc-mesh/v1" + b"\x00\x01"
+        + bytes([107, 53, 4, 25, 9])
+        + b"\x00\x00\x00\x03" + b"ctx" + b"\x00\x02" + bytes(stmt.targets) + bytes(announcements)
+    )
+    assert challenge_input(small, stmt.targets, b"ctx", announcements) == expected
+    assert stmt.head + bytes(announcements) == expected
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(zkp, "hashlib", SimpleNamespace(sha256=sha256))
+    proof = prove_or(small, stmt, 0, 17, ScriptedRng([k, e1, z1]))
+    assert verify_proof(small, stmt, proof)
+    # one hash each, the prover's and the verifier's, over exactly that input
+    assert hashed == [expected, expected]
+    challenge = int.from_bytes(hashlib.sha256(expected).digest(), "big") % small.q
+    assert sum(e for e, _ in proof) % small.q == challenge
+
+
+def test_challenge_input_frames_the_context(small):
+    # a byte moved across the end of the context into the first target
+    # leaves the unframed bytes as they were, but not the challenge input
+    moved = OrStatement(small, (4, 9), b"ctx\x19")
+    other = OrStatement(small, (25, 4, 9), b"ctx")
+    assert moved.context + bytes(moved.targets) == other.context + bytes(other.targets)
+    assert moved.head != other.head
+    announcements = [16, 36]
+    assert fs_challenge(small, moved, announcements) != fs_challenge(small, other, announcements)
+
+
+def test_head_is_rebuilt_from_targets_and_context(small, medium):
+    for params in (small, medium):
+        stmt = OrStatement(params, [params.g, params.f], b"ctx")
+        assert stmt.targets == (params.g, params.f)
+        assert stmt.head == OrStatement(params, stmt.targets, stmt.context).head
+        assert stmt.head == challenge_input(params, stmt.targets, stmt.context, [])
+        assert stmt.head.startswith(params.fs_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +151,14 @@ def test_rep_completeness_random(small):
         alpha = rng.randrange(small.q)
         stmt = rep_for(small, alpha)
         proof = prove_one(small, stmt, alpha, rng)
-        assert verify_one(small, stmt, proof)
+        assert verify_proof(small, stmt, proof)
 
 
 def test_rep_zero_witness_identity_target(small):
     rng = random.Random(1)
     stmt = rep_for(small, 0)
-    assert stmt.target == 1
-    assert verify_one(small, stmt, prove_one(small, stmt, 0, rng))
+    assert stmt.targets == (1,)
+    assert verify_proof(small, stmt, prove_one(small, stmt, 0, rng))
 
 
 def test_rep_wrong_witness_refused(small):
@@ -102,11 +170,11 @@ def test_rep_wrong_witness_refused(small):
 def test_prover_refuses_an_empty_statement_and_an_index_outside_it(small):
     # no branch to prove, or a true index naming none: a negative one
     # would read a branch from the end and simulate every branch
-    target = rep_for(small, 5).target
+    (target,) = rep_for(small, 5).targets
     with pytest.raises(WitnessMismatch):
         Prover(small, [], 0, 5, random.Random(0))
     with pytest.raises(WitnessMismatch):
-        prove_or(small, OrStatement(()), 0, 5, random.Random(0))
+        prove_or(small, OrStatement(small, ()), 0, 5, random.Random(0))
     for index in (-1, -2, 2, 3):
         with pytest.raises(WitnessMismatch):
             Prover(small, [target, target], index, 5, random.Random(0))
@@ -118,16 +186,16 @@ def test_rep_tampered_response_rejected(small):
     proof = prove_one(small, stmt, 21, rng)
     ((e, z),) = proof
     bad = ((e, (z + 1) % small.q),)
-    assert not verify_one(small, stmt, bad)
+    assert not verify_proof(small, stmt, bad)
 
 
 def test_statement_byte_binding(small):
     rng = random.Random(4)
     stmt = rep_for(small, 9, context=b"round-7")
     proof = prove_one(small, stmt, 9, rng)
-    other = RepStatement(stmt.target, b"round-8")
-    assert verify_one(small, stmt, proof)
-    assert not verify_one(small, other, proof)
+    other = OrStatement(small, stmt.targets, b"round-8")
+    assert verify_proof(small, stmt, proof)
+    assert not verify_proof(small, other, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +204,13 @@ def test_statement_byte_binding(small):
 
 def or_pair(params, alpha, true_branch, rng):
     """Two-branch statement where only ``true_branch`` has a known witness."""
-    decoy = RepStatement(
-        target=pow(params.h, rng.randrange(params.q), params.p)
-        * params.g % params.p,  # witness would require the dlog of g base h
-        context=b"decoy",
+    decoy = (
+        pow(params.h, rng.randrange(params.q), params.p)
+        * params.g % params.p  # witness would require the dlog of g base h
     )
-    true = rep_for(params, alpha, context=b"true")
-    branches = [decoy, decoy]
-    branches[true_branch] = true
-    return OrStatement(tuple(branches))
+    targets = [decoy, decoy]
+    targets[true_branch] = pow(params.h, alpha, params.p)
+    return OrStatement(params, targets, b"pair")
 
 
 def test_or_completeness_both_sides(small):
@@ -180,12 +246,7 @@ def test_or_hiding_structure(small):
     alpha = 31
     true_target = pow(small.h, alpha, small.p)
     # both branches satisfiable by construction, so either index proves
-    stmt = OrStatement(
-        (
-            RepStatement(true_target, b"left"),
-            RepStatement(true_target, b"right"),
-        )
-    )
+    stmt = OrStatement(small, (true_target, true_target), b"both")
     sizes = set()
     first_challenges = {0: Counter(), 1: Counter()}
     for true_branch in (0, 1):
@@ -221,7 +282,7 @@ def test_or_proof_is_witness_indistinguishable(small):
     same proof.  The map between their draws is a bijection, so each
     proof is as likely under either witness."""
     q, alphas = small.q, (17, 40)
-    stmt = OrStatement(tuple(rep_for(small, alpha, b"wi") for alpha in alphas))
+    stmt = OrStatement(small, [pow(small.h, alpha, small.p) for alpha in alphas], b"wi")
     e1, z1 = 23, 8
     nonce = (z1 - e1 * alphas[1]) % q
     for k in range(q):
@@ -254,8 +315,8 @@ def test_extractor_rep_family(small):
     rng = random.Random(13)
     for alpha in (0, 1, 29, 52):
         stmt = rep_for(small, alpha)
-        prover = Prover(small, [stmt.target], 0, alpha, rng)
-        assert extract(small, [stmt.target], prover, 3, 17) == alpha
+        prover = Prover(small, stmt.targets, 0, alpha, rng)
+        assert extract(small, stmt.targets, prover, 3, 17) == alpha
 
 
 def test_extractor_or_family(small):
@@ -263,7 +324,7 @@ def test_extractor_or_family(small):
     for alpha in (5, 40):
         for branch in (0, 1):
             stmt = or_pair(small, alpha, branch, rng)
-            targets = [b.target for b in stmt.branches]
+            targets = stmt.targets
             prover = Prover(small, targets, branch, alpha, rng)
             for e1 in range(0, 10):
                 e2 = (e1 + 7) % small.q
@@ -292,7 +353,7 @@ def test_simulated_transcripts_match_real_exactly(small):
     simulated = Counter()
     for z in range(q):
         for e in range(q):
-            t = simulate(small, stmt.target, e, z)
+            t = simulate(small, stmt.targets[0], e, z)
             simulated[(t, e, z)] += 1
     assert real == simulated
     chi_square = sum(
@@ -312,8 +373,8 @@ def test_simulator_transcripts_verify_interactively(small):
     p, h = small.p, small.h
     for e in range(small.q):
         z = rng.randrange(small.q)
-        t = simulate(small, stmt.target, e, z)
-        assert pow(h, z, p) == t * pow(stmt.target, e, p) % p
+        t = simulate(small, stmt.targets[0], e, z)
+        assert pow(h, z, p) == t * pow(stmt.targets[0], e, p) % p
         assert len(proof_to_bytes(small, ((e, z),))) == len(proof_to_bytes(small, real))
 
 
@@ -327,15 +388,14 @@ def add(a, b, q=53):
 
 def stmt_no_message(params, value, commitment, context=b""):
     """Claim that the broadcast (value, commitment) carries no message."""
-    (target,) = no_message_targets(params, [(value, commitment)])
-    return RepStatement(target, context)
+    return OrStatement(params, no_message_targets(params, [(value, commitment)]), context)
 
 
 def stmt_same_message(params, value1, commitment1, value2, commitment2, context=b""):
     """Claim that two broadcasts carry the same message: the quotient of
     their no-message targets."""
     t1, t2 = no_message_targets(params, [(value1, commitment1), (value2, commitment2)])
-    return RepStatement(t1 * pow(t2, -1, params.p) % params.p, context)
+    return OrStatement(params, (t1 * pow(t2, -1, params.p) % params.p,), context)
 
 
 def test_no_message_statement_honest_case(small):
@@ -345,7 +405,7 @@ def test_no_message_statement_honest_case(small):
         c = commit(small, pad, blind)
         stmt = stmt_no_message(small, pad, c)
         proof = prove_one(small, stmt, blind, rng)
-        assert verify_one(small, stmt, proof)
+        assert verify_proof(small, stmt, proof)
 
 
 def test_no_message_statement_with_message_unprovable(small):
@@ -361,9 +421,9 @@ def test_no_message_statement_with_message_unprovable(small):
 
 def test_no_message_identity_case(small):
     stmt = stmt_no_message(small, (0, 0), 1)
-    assert stmt.target == 1
+    assert stmt.targets == (1,)
     proof = prove_one(small, stmt, 0, random.Random(19))
-    assert verify_one(small, stmt, proof)
+    assert verify_proof(small, stmt, proof)
 
 
 def test_same_message_statement_cases(small):
@@ -377,11 +437,11 @@ def test_same_message_statement_cases(small):
         v1, v2 = add(pad1, message), add(pad2, message)
         stmt = stmt_same_message(small, v1, c1, v2, c2)
         proof = prove_one(small, stmt, (blind1 - blind2) % q, rng)
-        assert verify_one(small, stmt, proof)
+        assert verify_proof(small, stmt, proof)
     # identical tuples need witness zero
     c = commit(small, (5, 7), 6)
     stmt = stmt_same_message(small, (11, 3), c, (11, 3), c)
-    assert stmt.target == 1
+    assert stmt.targets == (1,)
     # different messages, in either component, leave no witness for the
     # honest blinding delta
     c1, c2 = commit(small, (3, 4), 8), commit(small, (9, 10), 2)
@@ -408,7 +468,7 @@ def test_forge_attempt_always_rejected(small):
 def test_forge_attempt_rep_rejected(small):
     rng = random.Random(22)
     stmt = rep_for(small, 10)
-    assert not verify_one(small, stmt, forge_attempt(small, OrStatement((stmt,)), rng))
+    assert not verify_proof(small, stmt, forge_attempt(small, stmt, rng))
 
 
 def test_proof_serialization_roundtrip(small, medium):
@@ -422,7 +482,7 @@ def test_proof_serialization_roundtrip(small, medium):
         # branch: in test_medium 12 bytes for two branches, 6 for one
         sw = params.scalar_bytes
         assert len(data) == 2 * 2 * sw
-        (true_branch,) = [b for b in stmt.branches if b.context == b"true"]
+        true_branch = OrStatement(params, stmt.targets[1:], stmt.context)
         alone = prove_one(params, true_branch, alpha, rng)
         assert len(proof_to_bytes(params, alone)) == 2 * sw
         again = proof_from_bytes(params, data)
@@ -438,7 +498,7 @@ def test_proof_serialization_roundtrip(small, medium):
         assert not verify_proof(params, stmt, proof_from_bytes(params, data[: 2 * sw]))
         assert not verify_proof(params, stmt, proof_from_bytes(params, data + data[: 2 * sw]))
         assert not verify_proof(params, stmt, proof + ((0, 0),))
-        assert verify_one(params, true_branch, alone)
+        assert verify_proof(params, true_branch, alone)
         assert not verify_proof(params, stmt, alone)
 
 
@@ -463,28 +523,17 @@ def test_verify_rejects_scalars_outside_the_field(small, medium):
 
 def reference_verify(params, stmt, proof):
     """One proof checked on its own, as before rounds were checked in one
-    call: statement bytes, announcements and challenge rebuilt here."""
-    if len(proof) != len(stmt.branches):
+    call: challenge input, announcements and challenge rebuilt here."""
+    if len(proof) != len(stmt.targets):
         return False
-    p, q, size = params.p, params.q, params.element_bytes
+    p, q = params.p, params.q
     if not all(0 <= e < q and 0 <= z < q for e, z in proof):
         return False
-    body = b"".join(
-        b"rep|" + b.target.to_bytes(size, "big") + params.h.to_bytes(size, "big")
-        + len(b.context).to_bytes(4, "big") + b.context
-        for b in stmt.branches
-    )
-    statement_bytes = b"or|" + len(stmt.branches).to_bytes(2, "big") + body
-    h = hashlib.sha256()
-    h.update(b"dcmesh/fs/v1")
-    h.update(len(params.domain_tag).to_bytes(4, "big"))
-    h.update(params.domain_tag)
-    h.update(len(statement_bytes).to_bytes(4, "big"))
-    h.update(statement_bytes)
-    h.update(len(proof).to_bytes(4, "big"))
-    for b, (e, z) in zip(stmt.branches, proof):
-        h.update((pow(params.h, z, p) * pow(b.target, q - e, p) % p).to_bytes(size, "big"))
-    return sum(e for e, _ in proof) % q == int.from_bytes(h.digest(), "big") % q
+    announcements = [
+        pow(params.h, z, p) * pow(t, q - e, p) % p for t, (e, z) in zip(stmt.targets, proof)
+    ]
+    data = challenge_input(params, stmt.targets, stmt.context, announcements)
+    return sum(e for e, _ in proof) % q == int.from_bytes(hashlib.sha256(data).digest(), "big") % q
 
 
 TAMPERINGS = ("none", "changed_scalar", "dropped_pair", "added_pair", "out_of_range")
@@ -497,15 +546,16 @@ def proved_statements(draw):
     params = derive_params("test_small", b"dc-mesh/v1")
     q, p = params.q, params.p
     alpha = draw(st.integers(0, q - 1))
-    true = RepStatement(pow(params.h, alpha, p), draw(st.binary(max_size=8)))
-    branches = [true]
+    context = draw(st.binary(max_size=8))
+    targets, true_index = [pow(params.h, alpha, p)], 0
     if draw(st.booleans()):
         # a decoy: any element of the group, provable or not
-        decoy = RepStatement(pow(params.g, draw(st.integers(0, q - 1)), p), true.context)
-        branches.insert(draw(st.integers(0, 1)), decoy)
-    stmt = OrStatement(tuple(branches))
+        decoy = pow(params.g, draw(st.integers(0, q - 1)), p)
+        true_index = 1 - draw(st.integers(0, 1))
+        targets.insert(1 - true_index, decoy)
+    stmt = OrStatement(params, targets, context)
     rng = random.Random(draw(st.integers(0, 1 << 32)))
-    pairs = [list(pair) for pair in prove_or(params, stmt, branches.index(true), alpha, rng)]
+    pairs = [list(pair) for pair in prove_or(params, stmt, true_index, alpha, rng)]
     tampering = draw(st.sampled_from(TAMPERINGS))
     at = draw(st.integers(0, len(pairs) - 1))
     side = draw(st.integers(0, 1))
