@@ -20,9 +20,11 @@ generators: fixed constants in the test sets, hash-derived in
 Lim-Lee 1994).  The tables serve commitments, signatures and the sigma
 protocol, every branch of which is a power of h; ``WindowTable.powers``
 raises one base to a list of exponents.  The three share width and row
-count, so ``commit_all`` commits to a list of slot values in one walk of
-them.  ``pow`` is left for variable bases and inverses.  Every group is
-one of the built-in sets, derived from its name and a domain tag; the
+count, so ``commit_scalars`` commits to a list of slot values in one walk
+of them, taking each exponent as given: key setup's lie in [0, q).
+``commit_all`` reduces exponents of any sign and size mod q first.
+``pow`` is left for variable bases and inverses.  Every group is one of
+the built-in sets, derived from its name and a domain tag; the
 tests check its p and q.  ``derive_params`` derives each (name, tag)
 once, so a run, its replay and their window tables share one group.  A
 group's text form is the transcript's GROUP record, which
@@ -251,11 +253,13 @@ def commit(params: GroupParams, value, blinding: int) -> int:
     return value_term(params, value) * params.h_table.power(blinding) % params.p
 
 
-def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
+def commit_scalars(params: GroupParams, counts, totals, blinds) -> list[int]:
     """``commit`` of each slot value (count, total) and blinding value of the
-    three lists, in one walk of the g, f and h tables, a row of all three at a time."""
+    three lists, in one walk of the g, f and h tables, a row of all three at a
+    time.  Each exponent is taken as given, one digit per row: every base has
+    order q, so the walk is exact for any exponent in [0, 2^(rows * width)),
+    which holds [0, q), where key setup's draws and sums lie."""
     p, q, width, mask = params.p, params.q, params.g_table.width, params.g_table.mask
-    counts, totals, blinds = ([e % q for e in x] for x in (counts, totals, blinds))
     rows = zip(params.g_table.rows, params.f_table.rows, params.h_table.rows)
     g, f, h = next(rows)
     acc = [g[c & mask] * f[t & mask] % p * h[b & mask] % p for c, t, b in zip(counts, totals, blinds)]
@@ -265,3 +269,11 @@ def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
             for a, c, t, b in zip(acc, counts, totals, blinds)
         ]
     return acc
+
+
+def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
+    """``commit`` of each slot value (count, total) and blinding value of the
+    three lists, exponents of any sign and size: each reduced mod q, then
+    ``commit_scalars``."""
+    q = params.q
+    return commit_scalars(params, *([e % q for e in x] for x in (counts, totals, blinds)))

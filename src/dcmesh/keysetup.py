@@ -27,15 +27,16 @@ identity commitments, and has a fixed tag leaf in both ends' trees,
 which are padded with the same tag to a power-of-two width.
 
 An epoch's edges are established in one pass: every edge's secrets are
-drawn in (lo, hi) order, committed to with one ``groups.commit_all``
-over every slot of every edge and serialised once, and each edge's
-digest is hashed from its slice.  The graph then walks the epoch's edges
-once, hashing each edge's leaf once for both ends' trees, which one
-``merkle.build_tree`` builds, and adding its secrets to both ends'
-sums, which one more ``commit_all`` commits to.  So every participant's
-(count, total) pad sums, blinding sums and aggregate commitments for
-every slot of the epoch are made when the epoch is set up, and a view
-reads them.  What it reveals in an investigation it reads from the
+drawn in (lo, hi) order, committed to with one
+``groups.commit_scalars`` over every slot of every edge and serialised
+once, and each edge's digest is hashed from its slice.  The graph then
+walks the epoch's edges once, hashing each edge's leaf once for both
+ends' trees, which one ``merkle.build_tree`` builds, and adding its
+secrets to both ends' sums, which one more ``commit_scalars`` commits
+to.  Draws and sums alike are in [0, q) already, so neither walk
+reduces an exponent.  So every participant's (count, total) pad sums,
+blinding sums and aggregate commitments for every slot of the epoch are
+made when the epoch is set up, and a view reads them.  What it reveals in an investigation it reads from the
 graph's edges.  A view keeps no schedule: the session judge names the
 slot of every round, so each slot's pads are used for one round only.
 
@@ -51,7 +52,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import merkle
-from .groups import GroupParams, commit_all
+from .groups import GroupParams, commit_scalars
 
 # slots per endorsement epoch: one digest per edge and epoch, and
 # one signature per participant and epoch; the median session
@@ -223,7 +224,7 @@ def is_endorsed(
 def establish_edges(params: GroupParams, pairs, rng) -> dict:
     """One epoch of each edge (lo, hi) in ``pairs``: each edge's secrets drawn
     from ``rng`` in turn, count key, total key and blinding value per slot, as
-    ``rng.randrange(q)`` would; then one ``commit_all`` over every slot of
+    ``rng.randrange(q)`` would; then one ``commit_scalars`` over every slot of
     every edge, serialised once, and each edge's digest hashed from its slice."""
     # rng.randrange(q) 3 * EPOCH_SLOTS times per edge: the same rejection
     # loop over q.bit_length() random bits, without a call per draw
@@ -235,7 +236,7 @@ def establish_edges(params: GroupParams, pairs, rng) -> dict:
             r = getrandbits(bits)
         draws.append(r)
     columns = [draws[::3], draws[1::3], draws[2::3]]
-    columns.append(commit_all(params, *columns))
+    columns.append(commit_scalars(params, *columns))
     size = EPOCH_SLOTS * params.element_bytes
     row = b"".join([c.to_bytes(params.element_bytes, "big") for c in columns[-1]])
     digests = [edge_digest(row[at : at + size]) for at in range(0, len(row), size)]
@@ -339,7 +340,7 @@ class KeyGraph:
         counts, totals, blinds = (
             [x for row in sums for x in row[i : i + EPOCH_SLOTS]] for i in range(0, 3 * EPOCH_SLOTS, EPOCH_SLOTS)
         )
-        commitments = commit_all(params, counts, totals, blinds)
+        commitments = commit_scalars(params, counts, totals, blinds)
         parts = [slice(i, i + EPOCH_SLOTS) for i in range(0, len(commitments), EPOCH_SLOTS)]
         shares = [EpochShare(list(zip(counts[s], totals[s])), blinds[s], commitments[s]) for s in parts]
         return Epoch(edges, trees, tuple(signed), tuple(shares))

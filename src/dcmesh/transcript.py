@@ -27,12 +27,14 @@ publish: Pedersen commitments are perfectly hiding.
 
 Each record has one line, written once and read once, and every line
 ends with a newline: a blank line, or a last line without its newline,
-is malformed, so a transcript has one text.  A value has one
-spelling: integers canonical decimal, byte strings lowercase hex, other
-strings verbatim with no space.  So a line re-serialises to itself, and
-the digests that bind the transcript (HEADEREND over the header before
-it, SESSION ``keys`` over the session's key records, SUMMARY ``bind``
-over the body before it) are taken over the lines a transcript holds:
+is malformed, so a transcript has one text.  A line is written by
+filling its type's ``%`` template, built once from the schema, with the
+record's field values.  A value has one spelling: integers canonical
+decimal, byte strings lowercase hex, other strings verbatim with no
+space.  So a line re-serialises to itself, and the digests that bind
+the transcript (HEADEREND over the header before it, SESSION ``keys``
+over the session's key records, SUMMARY ``bind`` over the body before
+it) are taken over the lines a transcript holds:
 the runner's as written, the verifier's as read.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from operator import itemgetter
 
 from .errors import MalformedRecord
 
@@ -119,12 +122,19 @@ def record(rtype: str, **fields):
     return {"type": rtype, **fields}
 
 
+# record type -> (its line as a % template, "CIPHER session=%s round=%s ...",
+# and the getter of its field values in schema order); %s spells an int
+# or a str as f"{v}" does
+_TEMPLATES = {
+    rtype: (rtype + "".join(f" {n}=%s" for n in names), itemgetter(*names))
+    for rtype, names in _SCHEMA.items()
+}
+
+
 def record_to_line(rec: dict) -> str:
-    rtype = rec["type"]
-    parts = [rtype]
-    for name in _SCHEMA[rtype]:
-        parts.append(f"{name}={rec[name]}")
-    return " ".join(parts)
+    """The record's line: its type's template filled with its field values."""
+    template, values = _TEMPLATES[rec["type"]]
+    return template % values(rec)
 
 
 # the one spelling of an integer: str(int), with no sign on zero, no

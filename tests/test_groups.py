@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmesh import groups, sim
-from dcmesh.groups import WINDOW_TABLE_BYTES, GroupParams, commit, commit_all, derive_params
+from dcmesh.groups import (
+    WINDOW_TABLE_BYTES,
+    GroupParams,
+    commit,
+    commit_all,
+    commit_scalars,
+    derive_params,
+)
 from dcmesh.transcript import line_to_record, record_to_line
 
 TAG = b"dc-mesh/v1"
@@ -321,3 +328,41 @@ def test_commit_all_matches_commit_in_production():
     counts, totals, blinds = ([item[i] for item in items] for i in range(3))
     expected = [commit(params, (c, t), b) for c, t, b in items]
     assert commit_all(params, counts, totals, blinds) == expected
+
+
+def _walk_bound(params):
+    """2^(rows * width): every exponent below it is one digit per row."""
+    table = params.g_table
+    return 1 << len(table.rows) * table.width
+
+
+@st.composite
+def commit_scalars_inputs(draw):
+    """A test group and a list of (count, total, blinding) scalars in [0, q),
+    0 and q - 1 likely, and the walk's largest exponent now and then."""
+    level = draw(st.sampled_from(["test_small", "test_medium"]))
+    params = derive_params(level, TAG)
+    q = params.q
+    scalar = st.integers(0, q - 1) | st.sampled_from([0, q - 1, _walk_bound(params) - 1])
+    return level, draw(st.lists(st.tuples(scalar, scalar, scalar), max_size=12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(commit_scalars_inputs())
+def test_commit_scalars_matches_commit(inputs):
+    # the walk key setup makes takes its scalars as given: exact on [0, q),
+    # and on to the walk's bound, as every base has order q
+    level, items = inputs
+    params = derive_params(level, TAG)
+    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
+    expected = [commit(params, (c, t), b) for c, t, b in items]
+    assert commit_scalars(params, counts, totals, blinds) == expected
+
+
+def test_commit_scalars_matches_commit_in_production():
+    params = derive_params("production", TAG)
+    q = params.q
+    items = [(0, q - 1, 1), (q - 1, 0, q - 2), (12345, q // 3, _walk_bound(params) - 1)]
+    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
+    expected = [commit(params, (c, t), b) for c, t, b in items]
+    assert commit_scalars(params, counts, totals, blinds) == expected

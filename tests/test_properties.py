@@ -171,3 +171,18 @@ def test_an_accepted_line_reserialises_to_itself(rtype, data):
     except MalformedRecord:
         return
     assert record_to_line(rec) == line
+
+
+# a record field's value as the engine holds it: an int of any sign, or
+# a str with no space
+FIELD_VALUE = st.integers() | st.text(st.characters(exclude_characters=" "), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_SCHEMA)), st.data())
+def test_a_record_line_is_its_fields_joined(rtype, data):
+    # each type's line is one template fill, spelled as the type and
+    # every name=value, f-string spelled, joined by spaces
+    rec = {"type": rtype, **{name: data.draw(FIELD_VALUE) for name in _SCHEMA[rtype]}}
+    expected = " ".join([rtype] + [f"{name}={rec[name]}" for name in _SCHEMA[rtype]])
+    assert record_to_line(rec) == expected

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dcmesh import keysetup, sim, splitter, zkp
+from dcmesh import keysetup, merkle, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.transcript import _SCHEMA, Transcript, record, record_to_line, records_digest
@@ -596,6 +596,43 @@ def test_slot_counting_q_minus_one_is_served_or_blamed(monkeypatch):
         assert served or 1 in {part for part, _ in verdicts_of(t)}, (honest, delivered)
 
 
+class _ZeroCountParticipant(sim.BadSlotCountParticipant):
+    """Sends the slot (0, 250): a total that no message counts."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.slot_value = (0, 250)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a slot counting 0 frames its fellow sender: beside an honest 10 the root reads "
+    "(1, 260) and resolves as 260, the wrong-branch audit demands at node 1, and both 0 "
+    "and 1 get wrong_branch (ROADMAP item 2)",
+)
+def test_slot_counting_zero_does_not_frame_its_fellow_sender(monkeypatch):
+    # n = 3, seed 4: participant 1 sends (0, 250) beside an honest 10; the
+    # honest sender must get no verdict, and its 10 must arrive
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "bad_slot_count", _ZeroCountParticipant)
+    scenario = sim.Scenario(
+        n=3, senders=((0, 10), (1, 250)), adversaries=((1, "bad_slot_count"),), seed=4
+    )
+    _assert_honest_unharmed(scenario, adversary=1)
+
+
+def _assert_honest_unharmed(scenario, adversary):
+    """What one adversary must not break: no other participant gets a
+    VERDICT, every other sender's payload is delivered, and the replay is
+    clean."""
+    t = sim.run_scenario(scenario)
+    assert [(part, reason) for part, reason in verdicts_of(t) if part != adversary] == []
+    delivered = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
+    honest = Counter(payload for pid, payload in scenario.senders if pid != adversary)
+    assert not honest - delivered, delivered
+    assert sim.verify_transcript(t).clean
+
+
 def test_refuse_signature_is_not_a_verdict():
     t = run(
         sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_signature"),), seed=9)
@@ -1044,6 +1081,78 @@ def test_replaced_endorse_record_is_not_clean(fields):
         assert _not_clean_at(text, len(transcript.header) + index), (scenario.n, fields)
 
 
+def _resign(graph, epoch, signer, root, shift=0):
+    """Put in place of ``signer``'s signed root for the graph's epoch one
+    over ``root``, its signature's s shifted by ``shift``."""
+    at, params = graph.participants.index(signer), graph.params
+    optouts = keysetup.opted_out_peers(graph.optouts, signer)
+    payload = keysetup.endorse_payload(root, signer, epoch, optouts)
+    e, s = keysetup.sign(params, graph.signing[signer], payload)
+    signed = list(graph.epochs[epoch].signed)
+    signed[at] = keysetup.SignedRoot(signer, root, (e, (s + shift) % params.q))
+    graph.epochs[epoch] = graph.epochs[epoch]._replace(signed=tuple(signed))
+
+
+class _WrongLeafSigner(sim._Participants):
+    """Participant 3 signs its epoch-0 root over a tree with NO_EDGE at
+    participant 1's leaf, and its holders' paths run through that tree."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        graph = self.graph
+        if 3 in graph.participants:
+            at, width = graph.participants.index(3), graph.width
+            leaves = list(graph.epochs[0].trees[0])
+            leaf = at * width + keysetup._leaf_index(graph.participants, 1, 3)
+            leaves[leaf] = merkle.leaf_hash(keysetup.NO_EDGE)
+            trees = merkle.build_tree(leaves, width)
+            graph.epochs[0] = graph.epochs[0]._replace(trees=trees)
+            _resign(graph, 0, 3, trees[-1][at])
+
+
+class _BadSignatureSigner(sim._Participants):
+    """Participant 3 signs every root with s + 1."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._sign_badly(0)
+
+    def epoch(self, k):
+        super().epoch(k)
+        return self._sign_badly(k)
+
+    def _sign_badly(self, k):
+        graph = self.graph
+        _resign(graph, k, 3, graph.epochs[k].signed[graph.participants.index(3)].root, shift=1)
+        return graph.epochs[k].signed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP Baseline repro 'A wrong endorsed leaf frames honest participants': "
+    "the investigation reads 1:bad_signature,3:aggregate_mismatch, and 1's payload 11 "
+    "is never delivered (ROADMAP item 1)",
+)
+def test_a_wrong_endorsed_leaf_frames_no_holder(monkeypatch):
+    # BAD_PAD_RUN, with participant 3's epoch-0 tree holding NO_EDGE at 1's leaf
+    monkeypatch.setattr(sim, "_Participants", _WrongLeafSigner)
+    _assert_honest_unharmed(BAD_PAD_RUN, adversary=3)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MalformedRecord,
+    reason="ROADMAP Baseline repro 'The live judge does not check ENDORSE signatures; only "
+    "the replay does': the run delivers all 3 messages and issues no verdict, and verify "
+    "raises MalformedRecord at record 12 (ROADMAP item 1)",
+)
+def test_a_bad_endorse_signature_is_judged_as_on_replay(monkeypatch):
+    # an honest n = 4 run at seed 2, but participant 3 signs every root with s + 1
+    monkeypatch.setattr(sim, "_Participants", _BadSignatureSigner)
+    _assert_honest_unharmed(sim.Scenario(n=4, senders=BAD_PAD_RUN.senders, seed=2), adversary=3)
+
+
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     """n=32 honest senders of distinct payloads: the session transmits
     32 rounds and endorses four epochs, each with one ENDORSE record, one
@@ -1116,13 +1225,36 @@ def test_session_after_everyone_is_banned_is_not_clean():
     assert [index for index, _ in report.divergences] == [session_index]
 
 
-@pytest.mark.parametrize("field", ["payload_bits", "scenario"])
-def test_a_resealed_header_change_does_not_verify_clean(field):
+# n = 2, seed 1, one sender: one session of one round, which carries no proof
+ONE_ROUND_RUN = sim.Scenario(n=2, senders=((0, 36),), seed=1)
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        pytest.param(BAD_PAD_RUN, "payload_bits", id="payload_bits"),
+        pytest.param(BAD_PAD_RUN, "scenario", id="scenario"),
+        pytest.param(
+            ONE_ROUND_RUN,
+            "payload_bits",
+            id="one_round",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="a one-round transcript carries no proof, so only the digests bind "
+                "its header: payload_bits 8 -> 9 with HEADEREND and bind resealed verifies "
+                "clean (ROADMAP item 2)",
+            ),
+        ),
+    ],
+)
+def test_a_resealed_header_change_does_not_verify_clean(scenario, field):
     # every proof binds the header digest, taken over the recorded DCMESH,
     # GROUP and CONFIG lines: CONFIG payload_bits 8 -> 9, or character 21
-    # of the scenario digest, with HEADEREND resealed, leaves the header
-    # consistent, but the session-2 proofs of BAD_PAD_RUN no longer verify
-    transcript = sim.run_scenario(BAD_PAD_RUN)
+    # of the scenario digest, with HEADEREND and bind resealed, leaves the
+    # transcript consistent, but the session-2 proofs of BAD_PAD_RUN no
+    # longer verify
+    transcript = sim.run_scenario(scenario)
     header = list(transcript.header)
     at = [rec["type"] for rec in header].index("CONFIG")
     value = header[at][field]
@@ -1133,7 +1265,9 @@ def test_a_resealed_header_change_does_not_verify_clean(field):
         value = value[:20] + ("1" if value[20] == "0" else "0") + value[21:]
     header[at] = dict(header[at], **{field: value})
     header[-1] = dict(header[-1], digest=records_digest(header[:-1]))
-    text = Transcript(header, transcript.records).to_text()
+    body = transcript.records[:-1]
+    body.append(dict(transcript.records[-1], bind=records_digest(body)))
+    text = Transcript(header, body).to_text()
     report = sim.verify_transcript(Transcript.from_text(text))
     assert not report.clean
     # the header itself is consistent: the first divergence is in the body
