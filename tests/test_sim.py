@@ -965,6 +965,42 @@ def test_every_field_mutation_detected():
         assert {key for (t, key) in mutated_fields if t == rtype} == fields, rtype
 
 
+def _structural_mutations(body):
+    """Each body record before the SUMMARY deleted, each duplicated, and
+    each adjacent pair of them swapped."""
+    *records, summary = body
+    for i in range(len(records)):
+        yield records[:i] + records[i + 1 :] + [summary]
+        yield records[: i + 1] + records[i:] + [summary]
+    for i in range(len(records) - 1):
+        yield records[:i] + [records[i + 1], records[i]] + records[i + 2 :] + [summary]
+
+
+def test_every_structural_mutation_detected():
+    # an investigation and a re-keyed session, a session that endorses
+    # epoch 1 mid-tree, and a session with OPTOUT records: with each
+    # session's keys and the SUMMARY bind resealed, no deleted, duplicated
+    # or swapped record verifies clean, and verify raises nothing but
+    # MalformedRecord
+    scenarios = [
+        BAD_PAD_RUN,
+        EPOCH_CROSSING,
+        sim.Scenario(n=5, senders=((0, 5), (1, 9)), adversaries=((2, "refuse_signature"),), seed=9),
+    ]
+    mutations, clean = 0, []
+    for scenario in scenarios:
+        transcript = sim.run_scenario(scenario)
+        text = transcript.to_text()
+        for body in _structural_mutations(transcript.records):
+            mutated = _resealed_body(transcript, body)
+            assert mutated != text
+            mutations += 1
+            if _outcome(mutated) == "clean":
+                clean.append((scenario.seed, mutations))
+    assert mutations == 510
+    assert not clean, clean
+
+
 def test_oversized_participant_count_is_malformed():
     # nothing may be sized by CONFIG n before it is checked against the body
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
