@@ -25,6 +25,7 @@ from . import sim
 from .errors import ConfigInvalid, DcMeshError, MalformedRecord
 from .groups import derive_params
 from .keysetup import build_key_graph
+from .splitter import endorse_record
 from .transcript import Transcript, record_to_line
 
 _GROUP_CHOICES = {
@@ -125,6 +126,7 @@ def cmd_verify(args) -> int:
 
 # the key of each record a VERDICT can name as its trigger
 _TRIGGER_KEYS = {
+    "ENDORSE": "{session} epoch:{epoch} {part}",
     "CIPHER": "{session} round:{round} {part}",
     "DEMAND": "{session} node:{node} {part}",
     "PUBLISH": "{session} published {part}",
@@ -133,7 +135,8 @@ _TRIGGER_KEYS = {
 
 
 def _verdict_triggers(transcript):
-    """(index, record, trigger index) of each VERDICT: at ``node:k`` its
+    """(index, record, trigger index) of each VERDICT: at ``epoch:k`` its
+    participant's ENDORSE record of epoch k; at ``node:k`` its
     participant's DEMAND record there; at ``round:r``, after an
     investigation of round r, its first PUBLISH record of the session or
     else the INVESTIGATION record, and after a failed proof its CIPHER
@@ -196,7 +199,8 @@ def cmd_keygen(args) -> int:
     except (ValueError, OverflowError, ConfigInvalid) as exc:  # a seed outside 64 bits overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for rec in [sim._group_record(params)] + sim._key_records(1, graph.public()):
+    endorsed = [endorse_record(1, 0, signed) for signed in graph.epochs[0].signed]
+    for rec in [sim._group_record(params)] + sim._key_records(1, graph.public()) + endorsed:
         print(record_to_line(rec))
     return 0
 

@@ -82,7 +82,7 @@ def investigate(
     commitment.  Checks, per participant: each revealed commitment, put
     back among its edge's other ones for the epoch of ``slot``, hashes
     to a digest whose path leads to the peer's signed ENDORSE root for
-    the epoch (whose signature was checked when it was read), and the
+    the epoch (whose signature the judge checked as it took the epoch), and the
     broadcast aggregate times the commitments of the edges it is the hi
     end of equals the product of those it is the lo end of; and per
     edge, that both ends revealed the same commitment.  A bare pair

@@ -22,7 +22,6 @@ protocol, every branch of which is a power of h; ``WindowTable.powers``
 raises one base to a list of exponents.  The three share width and row
 count, so ``commit_scalars`` commits to a list of slot values in one walk
 of them, taking each exponent as given: key setup's lie in [0, q).
-``commit_all`` reduces exponents of any sign and size mod q first.
 ``pow`` is left for variable bases and inverses.  Every group is one of
 the built-in sets, derived from its name and a domain tag; the
 tests check its p and q.  ``derive_params`` derives each (name, tag)
@@ -269,11 +268,3 @@ def commit_scalars(params: GroupParams, counts, totals, blinds) -> list[int]:
             for a, c, t, b in zip(acc, counts, totals, blinds)
         ]
     return acc
-
-
-def commit_all(params: GroupParams, counts, totals, blinds) -> list[int]:
-    """``commit`` of each slot value (count, total) and blinding value of the
-    three lists, exponents of any sign and size: each reduced mod q, then
-    ``commit_scalars``."""
-    q = params.q
-    return commit_scalars(params, *([e % q for e in x] for x in (counts, totals, blinds)))

@@ -200,7 +200,7 @@ def is_endorsed(
     """Whether the revealed commitment, put back at ``slot``'s place
     among its edge's other ones for the epoch, hashes to the digest
     whose path leads from the edge's leaf to ``root``, the signer's root
-    for that epoch (its signature is checked where it is read).  One
+    for that epoch, whose signature the judge checked as it took it.  One
     equal to the edge's commitment at another slot passes there too: it
     is that slot's.  Non-canonical hex, a path of another length and a
     commitment outside the group's encoding fail.
@@ -279,9 +279,6 @@ class KeyGraphPublic(NamedTuple):
     publics: dict
     optouts: frozenset   # (lo, hi) pairs
     epochs: tuple[tuple[SignedRoot, ...], ...]
-
-    def with_epoch(self, signed) -> "KeyGraphPublic":
-        return self._replace(epochs=self.epochs + (tuple(signed),))
 
 
 class KeyGraph:

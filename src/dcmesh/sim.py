@@ -33,7 +33,6 @@ from .keysetup import (
 from .splitter import (
     ResolutionTree,
     encode_slot,
-    endorse_record,
     run_session,
     slot_fits,
 )
@@ -395,7 +394,7 @@ def _session_tag(header_digest: str, session: int) -> bytes:
 
 
 def _key_records(session, public: KeyGraphPublic):
-    """PUBKEY records, the OPTOUT records and the ENDORSE records of epoch 0."""
+    """PUBKEY records and the OPTOUT records; the judge's epoch-0 ENDORSE records follow."""
     records = [
         record("PUBKEY", session=session, part=pid, y=public.publics[pid])
         for pid in public.participants
@@ -403,7 +402,6 @@ def _key_records(session, public: KeyGraphPublic):
     records.extend(
         record("OPTOUT", session=session, lo=lo, hi=hi) for lo, hi in sorted(public.optouts)
     )
-    records.extend(endorse_record(session, 0, signed) for signed in public.epochs[0])
     return records
 
 
@@ -436,16 +434,18 @@ def _header(params, config, digest=records_digest):
     return header
 
 
-def _session_head(session, public: KeyGraphPublic, digest=records_digest):
-    """The SESSION record followed by the session's key records; its
-    budget is the slots of every epoch ``public`` holds."""
+def _session_head(session, public: KeyGraphPublic, endorsed, digest=records_digest):
+    """The SESSION record followed by the session's key records; its keys
+    digest covers them and ``endorsed``, the epoch-0 ENDORSE records (on
+    verify the recorded ones, which the judge compared with its own), and
+    its budget is the slots of every epoch ``public`` holds."""
     key_records = _key_records(session, public)
     head = record(
         "SESSION",
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
         budget=EPOCH_SLOTS * len(public.epochs),
-        keys=digest(key_records),
+        keys=digest(key_records + endorsed),
     )
     return [head] + key_records
 
@@ -494,7 +494,8 @@ class _Participants:
         self.records = []
 
     def epoch(self, k):
-        self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
+        if k:   # epoch 0 is built with the graph
+            self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
         return self.graph.epochs[k].signed
 
     def broadcast(self, round_id, slot):
@@ -548,7 +549,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
         outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(header_digest, session)
         )
-        body.extend(_session_head(session, outcome.public, transcript.digest))
+        endorsed = outcome.records[: len(active)]
+        body.extend(_session_head(session, outcome.public, endorsed, transcript.digest))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -627,10 +629,10 @@ class _Replay:
         self.at = self.read = 0   # the cursor; inputs are read from it on
         # the key records open the session; reading stops at the first one
         # out of place, before anything grows with the participant count
-        self.publics = {}
+        publics = {}
         for pid in pids:
-            self.publics[pid] = self._input("PUBKEY", part=pid)["y"]
-            if not 1 <= self.publics[pid] < params.p:
+            publics[pid] = self._input("PUBKEY", part=pid)["y"]
+            if not 1 <= publics[pid] < params.p:
                 raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
         # a pair that is not two active ids in order is dropped here, so
         # the re-emitted key records show it as a divergence; the rest are
@@ -638,13 +640,12 @@ class _Replay:
         optouts = set()
         while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
             lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
-            if lo < hi and {lo, hi} <= self.publics.keys():
+            if lo < hi and {lo, hi} <= publics.keys():
                 optouts.add((lo, hi))
             self.read += 1
-        self.optouts = frozenset(optouts)
-        signed = self.epoch(0)
-        self.public = KeyGraphPublic(tuple(pids), self.publics, self.optouts, (signed,))
-        self.at = self.read   # the judge's records follow the key records
+        self.public = KeyGraphPublic(tuple(pids), publics, frozenset(optouts), ())
+        # the key records' count: the judge's records, epoch 0's ENDORSE first, follow them
+        self.key_count = self.at = self.read
 
     @property
     def records(self):
@@ -665,14 +666,11 @@ class _Replay:
 
     def _signed_root(self, epoch, pid) -> SignedRoot:
         rec = self._input("ENDORSE", epoch=epoch, part=pid)
-        index = self.index + self.read - 1
         try:
-            signed = SignedRoot(pid, bytes.fromhex(rec["root"]), (rec["sig_e"], rec["sig_s"]))
+            root = bytes.fromhex(rec["root"])
         except ValueError:
-            raise MalformedRecord(index, "ENDORSE root is not hex") from None
-        if not signed.verifies(self.params, self.publics[pid], epoch, self.optouts):
-            raise MalformedRecord(index, f"ENDORSE signature of participant {pid} does not verify")
-        return signed
+            raise MalformedRecord(self.index + self.read - 1, "ENDORSE root is not hex") from None
+        return SignedRoot(pid, root, (rec["sig_e"], rec["sig_s"]))
 
     def append(self, rec):
         recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
@@ -764,12 +762,12 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     the judge asks for an input the record at the cursor is not, verify
     stops there.  A session that bans no one, or bans everyone, ends the
     run, as it does the runner's: a SESSION record after it is reported
-    and verify stops there too.  Raises MalformedRecord only for what
+    and verify stops there too.  The judge checks every ENDORSE
+    signature, as in the run.  Raises MalformedRecord only for what
     cannot be parsed or checked: the header, its format version and
     group, a CONFIG n the body cannot hold, a missing SUMMARY or opening
     SESSION record, and, at its own index, a PUBKEY y outside [1, p), an
-    ENDORSE root that is not hex or whose signature does not verify
-    under the participant's PUBKEY, or a CIPHER c outside the group.
+    ENDORSE root that is not hex, or a CIPHER c outside the group.
 
     Verify serialises only the header it recomputes, and a session's
     recomputed key records only where one differs from its recorded
@@ -814,9 +812,11 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)
-        head = _session_head(session, outcome.public, _keys_digest(transcript, replay.recorded))
-        for offset, rec in enumerate(head):
-            report.compare(index + offset, body[start + offset], rec)
+        recorded, keys = replay.recorded, replay.key_count   # the key records, then the judge's
+        digest = _keys_digest(transcript, recorded)
+        head = _session_head(session, outcome.public, recorded[keys : keys + len(active)], digest)
+        for offset, (rec, exp) in enumerate(zip_longest(body[start : start + 1 + keys], head)):
+            report.compare(index + offset, rec, exp)
         outcomes.append(outcome)
         active = _survivors(active, outcome)
     else:

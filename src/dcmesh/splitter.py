@@ -77,6 +77,7 @@ from typing import NamedTuple
 
 from . import zkp
 from .dcnet import (
+    BAD_SIGNATURE,
     INVALID_PROOF,
     NON_COOPERATION,
     UNEQUAL_PAYLOAD,
@@ -409,13 +410,14 @@ def run_session(
     before its first slot is handed out.  The judge alone keeps the
     session's target maps and builds every proof statement from them,
     once.  It emits every session record to ``source.records`` and
-    reads only public data: the participant set, the opt-outs and epoch
-    0's signed roots come from ``graph_public``, and every protocol
-    input from ``source``, which answers five calls:
+    reads only public data: the participants, their keys and the
+    opt-outs come from ``graph_public``, and every protocol input, every
+    epoch's signed roots included, from ``source``, which answers five calls:
 
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
       SignedRoot per participant in participant order, asked for before
-      the first round that spends one of its slots;
+      the first round that spends one of its slots, epoch 0's included;
+      a signature that fails is a verdict, and the session stops there;
     * ``broadcast(round_id, slot)``: one RoundCiphertext per
       participant, padded with the slot's secrets, in a list whose
       position is the participant: a ciphertext names neither its
@@ -464,7 +466,7 @@ class Session:
         self.records = source.records   # the source's sink
         self.pids = list(graph_public.participants)
         self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
-        self.public = graph_public   # the key material, with every epoch endorsed so far
+        self.public = graph_public._replace(epochs=())   # with every epoch endorsed so far
         # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
         self.verdicts = []
         self.resolved = tree.resolved
@@ -478,8 +480,8 @@ class Session:
         tree, pids, source = self.tree, self.pids, self.source
         while not tree.done:
             rid, slot = tree.next_round(), self.transmitted
-            if slot == EPOCH_SLOTS * len(self.public.epochs):
-                self._endorse()
+            if slot == EPOCH_SLOTS * len(self.public.epochs) and not self._endorse():
+                break
             self.emit("ROUND", id=rid, slot=slot)
             cts = source.broadcast(rid, slot)
             add_round(self.params, self.targets.values(), rid, cts)
@@ -553,13 +555,18 @@ class Session:
         self.source = self.targets = None
         return self
 
-    def _endorse(self) -> None:
-        """Take the next epoch's signed roots from the source and record them."""
-        epoch = len(self.public.epochs)
+    def _endorse(self) -> bool:
+        """Take the next epoch's signed roots from the source and record
+        them; a signer whose signature fails under its PUBKEY gets a
+        ``bad_signature`` verdict.  Returns whether every signature holds."""
+        public, epoch, verdicts = self.public, len(self.public.epochs), len(self.verdicts)
         signed = self.source.epoch(epoch)
-        for s in signed:
+        for pid, s in zip(self.pids, signed):
             self.records.append(endorse_record(self.session, epoch, s))
-        self.public = self.public.with_epoch(signed)
+            if not s.verifies(self.params, public.publics[pid], epoch, public.optouts):
+                self.verdicts.append(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}"))
+        self.public = public._replace(epochs=public.epochs + (tuple(signed),))
+        return len(self.verdicts) == verdicts
 
     def _emit_nodes(self, touched) -> None:
         for node_id in touched:

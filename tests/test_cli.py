@@ -314,8 +314,8 @@ def test_production_keygen_is_pinned(capsys):
 
 @pytest.mark.parametrize("field", ["sig_e", "sig_s", "root"])
 def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
-    # an ENDORSE record whose signature no longer verifies is malformed,
-    # named by its record index and signer
+    # an ENDORSE record whose signature no longer verifies gets its signer
+    # a bad_signature verdict, which the run did not record: a divergence
     path = write_scenario(tmp_path, HONEST)
     out = str(tmp_path / "t.log")
     assert main(["run", path, "--out", out]) == 0
@@ -330,20 +330,36 @@ def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
     lines[index] = " ".join(tokens)
     Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["verify", out]) == 1
-    err = capsys.readouterr().err
-    assert f"record {index}:" in err
-    assert "participant 3" in err
+    assert main(["verify", out]) == 2
+    assert "part=3 reason=bad_signature where=epoch:0" in capsys.readouterr().out
+
+
+class _BadSigner(sim._Participants):
+    """Participant 1 hands the judge its epoch-0 root signed with s + 1."""
+
+    def epoch(self, k):
+        signed = list(super().epoch(k))
+        if k == 0 and 1 in self.graph.participants:
+            at = self.graph.participants.index(1)
+            e, s = signed[at].signature
+            signed[at] = signed[at]._replace(signature=(e, (s + 1) % self.graph.params.q))
+        return signed
 
 
 @pytest.mark.parametrize("strategy, reason, trigger", [
     ("bad_pad", "aggregate_mismatch", "PUBLISH session=1 slot=0 part=1 "),
     ("refuse_proof", "non_cooperation", "CIPHER session=1 round=2 part=1 "),
     ("wrong_branch", "wrong_branch", "DEMAND session=1 node=8 part=1 "),
-], ids=["bad_pad", "refuse_proof", "wrong_branch"])
-def test_verify_explain_names_each_verdicts_trigger(tmp_path, capsys, strategy, reason, trigger):
+    (None, "bad_signature", "ENDORSE session=1 epoch=0 part=1 "),
+], ids=["bad_pad", "refuse_proof", "wrong_branch", "bad_signature"])
+def test_verify_explain_names_each_verdicts_trigger(
+    tmp_path, capsys, monkeypatch, strategy, reason, trigger
+):
+    # no scenario strategy signs badly: a test-local signer does
+    if strategy is None:
+        monkeypatch.setattr(sim, "_Participants", _BadSigner)
     scenario = sim.Scenario(
-        n=3, senders=((0, 10), (1, 40)), adversaries=((1, strategy),), seed=4
+        n=3, senders=((0, 10), (1, 40)), adversaries=((1, strategy),) if strategy else (), seed=4
     )
     path = write_scenario(tmp_path, scenario)
     out = str(tmp_path / "t.log")

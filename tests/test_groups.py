@@ -17,7 +17,6 @@ from dcmesh.groups import (
     WINDOW_TABLE_BYTES,
     GroupParams,
     commit,
-    commit_all,
     commit_scalars,
     derive_params,
 )
@@ -299,7 +298,7 @@ def test_window_table_powers_match_power(level):
 
 
 @st.composite
-def commit_all_inputs(draw):
+def any_exponent_inputs(draw):
     """A test group and a list of (count, total, blinding) exponents of
     any sign and size, empty lists included."""
     level = draw(st.sampled_from(["test_small", "test_medium"]))
@@ -308,26 +307,30 @@ def commit_all_inputs(draw):
     return level, draw(st.lists(st.tuples(exponent, exponent, exponent), max_size=12))
 
 
+def _reduced_columns(params, items):
+    """The count, total and blinding columns of ``items``, each exponent reduced mod q."""
+    return ([item[i] % params.q for item in items] for i in range(3))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(commit_all_inputs())
-def test_commit_all_matches_commit(inputs):
-    # one walk of the g, f and h tables together commits as commit does
+@given(any_exponent_inputs())
+def test_commit_scalars_of_reduced_exponents_matches_commit(inputs):
+    # one walk of the g, f and h tables over exponents reduced mod q
+    # commits as commit does over the exponents as given
     level, items = inputs
     params = derive_params(level, TAG)
-    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
     expected = [commit(params, (c, t), b) for c, t, b in items]
-    assert commit_all(params, counts, totals, blinds) == expected
+    assert commit_scalars(params, *_reduced_columns(params, items)) == expected
 
 
-def test_commit_all_matches_commit_in_production():
+def test_commit_scalars_of_reduced_exponents_matches_commit_in_production():
     # 410 rows of 5-bit digits per table
     params = derive_params("production", TAG)
     q = params.q
     assert len(params.g_table.rows) == 410
     items = [(q - 1, q, -1), (-5, 0, q + 1), (2 * q + 3, -q - 7, 12345)]
-    counts, totals, blinds = ([item[i] for item in items] for i in range(3))
     expected = [commit(params, (c, t), b) for c, t, b in items]
-    assert commit_all(params, counts, totals, blinds) == expected
+    assert commit_scalars(params, *_reduced_columns(params, items)) == expected
 
 
 def _walk_bound(params):

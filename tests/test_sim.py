@@ -674,7 +674,9 @@ def _resealed_body(transcript, body):
 def test_optout_records_are_signed():
     # each ENDORSE signs its signer's opted-out peers: dropping the
     # OPTOUT records, or adding one, with every digest recomputed, breaks
-    # the first signature that covers a changed peer set
+    # the first signature that covers a changed peer set, and the judge
+    # gives its signer a bad_signature verdict right after the epoch-0
+    # ENDORSE records, where the run recorded its first ROUND
     scenario = sim.Scenario(
         n=5, senders=((0, 5), (1, 9)), adversaries=((2, "refuse_signature"),), seed=9
     )
@@ -689,9 +691,14 @@ def test_optout_records_are_signed():
         text = _resealed_body(transcript, edited)
         first_endorse = next(i for i, rec in enumerate(edited) if rec["type"] == "ENDORSE")
         assert edited[first_endorse]["part"] == 0
-        with pytest.raises(MalformedRecord, match="ENDORSE signature of participant 0") as info:
-            sim.verify_transcript(Transcript.from_text(text))
-        assert info.value.index == len(transcript.header) + first_endorse
+        after = first_endorse + scenario.n
+        assert edited[after - 1]["type"] == "ENDORSE" and edited[after]["type"] == "ROUND"
+        report = sim.verify_transcript(Transcript.from_text(text))
+        index, message = report.divergences[0]
+        assert index == len(transcript.header) + after
+        assert message.endswith(
+            "recomputed VERDICT session=1 part=0 reason=bad_signature where=epoch:0"
+        )
 
 
 def test_bad_slot_count_blamed_at_an_equal_payload_node():
@@ -875,19 +882,17 @@ def _detects(text: str) -> bool:
 
 
 # the only fields whose mutation leaves nothing to check: a format version
-# this engine does not replay, a group name or tag that names no built-in
-# group (another p, q or generators diverges), a participant count the
-# transcript does not hold, a commitment outside the group, and a signed
+# this engine does not replay, a group name that names no built-in group
+# (another p, q or generators diverges), a participant count the
+# transcript does not hold, and a commitment outside the group; a signed
 # root whose signature no longer verifies (the root, the signature, the
-# signing key it is checked against, or the domain tag it is bound to)
-MALFORMED_FIELDS = {("GROUP", "name"), ("GROUP", "tag")} | {
+# signing key it is checked against, or the domain tag it is bound to) is
+# a bad_signature verdict, so a divergence
+MALFORMED_FIELDS = {
+    ("GROUP", "name"),
     ("DCMESH", "version"),
     ("CONFIG", "n"),
     ("CIPHER", "c"),
-    ("PUBKEY", "y"),
-    ("ENDORSE", "root"),
-    ("ENDORSE", "sig_e"),
-    ("ENDORSE", "sig_s"),
 }
 
 
@@ -1147,19 +1152,16 @@ class _WrongLeafSigner(sim._Participants):
 
 
 class _BadSignatureSigner(sim._Participants):
-    """Participant 3 signs every root with s + 1."""
+    """Participant 3 signs the root of every epoch in ``epochs`` (of
+    every epoch, where it is None) with s + 1."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._sign_badly(0)
+    epochs = None
 
     def epoch(self, k):
-        super().epoch(k)
-        return self._sign_badly(k)
-
-    def _sign_badly(self, k):
         graph = self.graph
-        _resign(graph, k, 3, graph.epochs[k].signed[graph.participants.index(3)].root, shift=1)
+        signed = super().epoch(k)
+        if 3 in graph.participants and (self.epochs is None or k in self.epochs):
+            _resign(graph, k, 3, signed[graph.participants.index(3)].root, shift=1)
         return graph.epochs[k].signed
 
 
@@ -1176,17 +1178,29 @@ def test_a_wrong_endorsed_leaf_frames_no_holder(monkeypatch):
     _assert_honest_unharmed(BAD_PAD_RUN, adversary=3)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MalformedRecord,
-    reason="ROADMAP Baseline repro 'The live judge does not check ENDORSE signatures; only "
-    "the replay does': the run delivers all 3 messages and issues no verdict, and verify "
-    "raises MalformedRecord at record 12 (ROADMAP item 1)",
-)
 def test_a_bad_endorse_signature_is_judged_as_on_replay(monkeypatch):
     # an honest n = 4 run at seed 2, but participant 3 signs every root with s + 1
     monkeypatch.setattr(sim, "_Participants", _BadSignatureSigner)
     _assert_honest_unharmed(sim.Scenario(n=4, senders=BAD_PAD_RUN.senders, seed=2), adversary=3)
+
+
+def test_a_bad_signature_at_a_later_epoch_stops_the_session(monkeypatch):
+    # the n=32 senders of distinct payloads, with participant 3 signing only
+    # its epoch-1 root with s + 1: session 1 stops at epoch 1's ENDORSE
+    # records, before the round that would spend slot 8, and the 31 others
+    # go on without 3
+    monkeypatch.setattr(sim, "_Participants", _BadSignatureSigner)
+    monkeypatch.setattr(_BadSignatureSigner, "epochs", {1})
+    t = run(sim.Scenario(n=32, senders=DISTINCT_32, seed=0))
+    verdicts = [(r["part"], r["reason"], r["where"]) for r in t.records if r["type"] == "VERDICT"]
+    assert verdicts == [(3, "bad_signature", "epoch:1")]
+    assert summary_of(t)["sessions"] == 2
+    assert summary_of(t)["delivered"] == 31
+    second = [i for i, r in enumerate(t.records) if r["type"] == "SESSION"][1]
+    first = t.records[:second]
+    last = max(i for i, r in enumerate(first) if r["type"] == "ENDORSE" and r["epoch"] == 1)
+    # no ROUND after epoch 1's ENDORSE records: only the verdict and the ban
+    assert [r["type"] for r in first[last + 1 :]] == ["VERDICT", "BAN"]
 
 
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
@@ -1215,9 +1229,10 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     assert verdicts_of(transcript) == []
     signed = Counter(r["epoch"] for r in transcript.records if r["type"] == "ENDORSE")
     assert signed == {epoch: 32 for epoch in range(4)}
-    assert counts == {"sign": 4 * 32}
-    assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
+    # the judge checks every signed root as it takes it, in the run and on replay
     assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
+    assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
+    assert counts == {"sign": 4 * 32, ("verify_sig", True): 2 * 4 * 32}
 
 
 def test_judge_alone_builds_targets_and_statements(monkeypatch):
@@ -1310,15 +1325,15 @@ def test_a_resealed_header_change_does_not_verify_clean(scenario, field):
     assert min(index for index, _ in report.divergences) >= len(header)
 
 
-@pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 21), (sim.REFERENCE_SCENARIO, 49)],
+@pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 25), (sim.REFERENCE_SCENARIO, 54)],
                          ids=["bad_pad", "reference"])
 def test_single_session_plays_session_one_of_the_run(scenario, count):
     # one session tag rule: single_session judges session 1 under the tag
     # run_scenario gives it, so its records are the run's session-1 judge
-    # records, retransmission proofs included
+    # records, from the epoch-0 ENDORSE records on, retransmission proofs included
     transcript = sim.run_scenario(scenario)
     body = transcript.records
-    start = next(i for i, rec in enumerate(body) if rec["type"] == "ROUND")
+    start = next(i for i, rec in enumerate(body) if rec["type"] == "ENDORSE")
     end = next(i for i, rec in enumerate(body[1:], 1) if rec["type"] in ("SESSION", "SUMMARY"))
     out = sim.single_session(scenario.senders, scenario.adversaries, scenario.seed, n=scenario.n)
     assert out.records == body[start:end]
@@ -1341,7 +1356,7 @@ def test_session_after_a_session_without_a_ban_diverges():
     params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
     tag = sim._session_tag(transcript.header[-1]["digest"], 3)
     outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
-    extra = sim._session_head(3, outcome.public) + outcome.records
+    extra = sim._session_head(3, outcome.public, outcome.records[:3]) + outcome.records
     assert [payload for _, payload in outcome.resolved] == [36]
     for key, added in (
         ("sessions", 1),
