@@ -970,6 +970,73 @@ def test_every_field_mutation_detected():
         assert {key for (t, key) in mutated_fields if t == rtype} == fields, rtype
 
 
+# the fields a reseal recomputes, so a mutation of one leaves nothing changed
+DIGEST_FIELDS = {("HEADEREND", "digest"), ("SESSION", "keys"), ("SUMMARY", "bind")}
+
+
+def _resealed_text(text):
+    """``text`` with HEADEREND, each SESSION ``keys`` and the SUMMARY
+    ``bind`` recomputed, as a forger who edits a transcript would."""
+    transcript = Transcript.from_text(text)
+    header = [dict(rec) for rec in transcript.header]
+    header[-1]["digest"] = records_digest(header[:-1])
+    return _resealed_body(Transcript(header, transcript.records), transcript.records)
+
+
+def _failed_proof(transcript, rec) -> bool:
+    """Whether ``rec`` carries a proof that had already failed in its run:
+    a DEMAND with ok=0, or a CIPHER whose participant got invalid_proof
+    at its round."""
+    if rec["type"] == "DEMAND":
+        return rec["ok"] == 0
+    return rec["type"] == "CIPHER" and any(
+        v["type"] == "VERDICT" and v["session"] == rec["session"] and v["part"] == rec["part"]
+        and (v["reason"], v["where"]) == ("invalid_proof", f"round:{rec['round']}")
+        for v in transcript.records
+    )
+
+
+def test_every_resealed_field_mutation_detected():
+    # the three scenarios of test_every_field_mutation_detected, each field
+    # mutated and the digests resealed: only a mutated digest field, which
+    # the reseal overwrites, or a proof replaced that had already failed,
+    # which another run's adversary could have sent, may verify clean
+    scenarios = [
+        sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
+        EPOCH_CROSSING,
+        sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4),
+    ]
+    outcomes, missed, malformed, excused = Counter(), [], [], []
+    for scenario in scenarios:
+        transcript = sim.run_scenario(scenario)
+        records = transcript.header + transcript.records
+        lines = transcript.to_text().splitlines()
+        for i, line in enumerate(lines):
+            tokens = line.split(" ")
+            for j, token in enumerate(tokens[1:], start=1):
+                key, value = token.split("=", 1)
+                mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
+                text = "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1 :]) + "\n"
+                try:
+                    outcome = _outcome(_resealed_text(text))
+                except MalformedRecord:
+                    outcome = "malformed"
+                outcomes[outcome] += 1
+                where = (scenario.seed, i, key, line[:60])
+                if outcome == "clean":
+                    excusable = (tokens[0], key) in DIGEST_FIELDS or (
+                        key == "proof" and _failed_proof(transcript, records[i])
+                    )
+                    (excused if excusable else missed).append(where)
+                elif outcome == "malformed" and (tokens[0], key) not in MALFORMED_FIELDS:
+                    malformed.append(where)
+    assert not missed, missed
+    assert not malformed, malformed
+    assert sum(outcomes.values()) == 856
+    # ten digest fields, and participant 1's failed DEMAND proof in EPOCH_CROSSING
+    assert len(excused) == 11, excused
+
+
 def _structural_mutations(body):
     """Each body record before the SUMMARY deleted, each duplicated, and
     each adjacent pair of them swapped."""
