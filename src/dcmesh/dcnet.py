@@ -88,6 +88,9 @@ def investigate(
     edge, that both ends revealed the same commitment.  A bare pair
     mismatch with both endorsements intact flags both endpoints; anyone
     whose revealed value lacks a valid endorsement is pinned directly.
+    The edge check alone flags a signer who endorses a forged row that a
+    colluding holder reveals, since both reveals check against the
+    peer's root: without it, the pair would stop a session unflagged.
     """
     flagged = defaultdict(set)   # pid -> its reasons
     participants = graph_public.participants

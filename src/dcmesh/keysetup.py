@@ -36,9 +36,10 @@ secrets to both ends' sums, which one more ``commit_scalars`` commits
 to.  Draws and sums alike are in [0, q) already, so neither walk
 reduces an exponent.  So every participant's (count, total) pad sums,
 blinding sums and aggregate commitments for every slot of the epoch are
-made when the epoch is set up, and a view reads them.  What it reveals in an investigation it reads from the
-graph's edges.  A view keeps no schedule: the session judge names the
-slot of every round, so each slot's pads are used for one round only.
+made when the epoch is set up, and a view reads them.  What it reveals
+in an investigation it reads from the graph's edges.  A view keeps no
+schedule: the session judge names the slot of every round, so each
+slot's pads are used for one round only.
 
 Secrets travel over ideal channels here: the builder simply hands both
 endpoints the same values.  Key agreement protocols are out of scope.

@@ -248,25 +248,22 @@ class HonestParticipant:
         return ct
 
     def prove_round(self, round_id, statement):
-        """A retransmission proof, in wire form; branch b's witness is B(round_id + b)."""
+        """A retransmission proof's text; branch b's witness is B(round_id + b)."""
         empty, repeat = (0, self.blinds[round_id]), (1, self.blinds[round_id + 1])
         candidates = (repeat, empty) if self.message_node == round_id else (empty, repeat)
-        return self._wire(self._proof(statement, candidates))
+        return zkp.proof_to_text(self.params, self._proof(statement, candidates))
 
     def respond_demand(self, node_id, statement):
-        """A denial proof, in wire form; every branch's witness is B(node_id)."""
+        """A denial proof's text; every branch's witness is B(node_id)."""
         order = sorted(range(len(statement.targets)), reverse=self.message_node == node_id)
-        return self._wire(self._proof(statement, [(b, self.blinds[node_id]) for b in order]))
+        candidates = [(b, self.blinds[node_id]) for b in order]
+        return zkp.proof_to_text(self.params, self._proof(statement, candidates))
 
     def _proof(self, statement, candidates):
         try:
             return splitter.prove_node_denial(self.params, statement, candidates, self.rng)
         except WitnessMismatch:
             return None
-
-    def _wire(self, proof):
-        """A proof as broadcast: hex text, or None when withheld."""
-        return None if proof is None else zkp.proof_to_bytes(self.params, proof).hex()
 
 
 class _ForgingAdversary(HonestParticipant):
@@ -618,7 +615,9 @@ class _Replay:
     for is reported, and ProtocolOrderViolation stops the judge.  A
     round's ciphertexts come from its CIPHER records, read for each
     active participant in turn, so a list position is the participant
-    and nothing else labels it."""
+    and nothing else labels it.  Slot values and proof texts pass as
+    recorded; a CIPHER ``c``, which the judge takes as a group element,
+    is checked to be one."""
 
     def __init__(self, params, pids, recorded, index, report):
         self.params = params
@@ -687,9 +686,8 @@ class _Replay:
             if not self.params.is_element(rec["c"]):
                 message = f"CIPHER c of {pid} not in the group"
                 raise MalformedRecord(self.index + self.read - 1, message)
-            value = (rec["O_count"] % self.params.q, rec["O_total"] % self.params.q)
-            cts.append(RoundCiphertext(value, rec["c"]))
-            self.proofs.append(_proof(rec))
+            cts.append(RoundCiphertext((rec["O_count"], rec["O_total"]), rec["c"]))
+            self.proofs.append(rec["proof"])
         return cts
 
     def prove(self, round_id, statements):
@@ -706,11 +704,7 @@ class _Replay:
         return published
 
     def respond(self, node_id, statements):
-        return [_proof(self._input("DEMAND", node=node_id, part=pid)) for pid in self.pids]
-
-
-def _proof(rec):
-    return None if rec["proof"] == "-" else rec["proof"]
+        return [self._input("DEMAND", node=node_id, part=pid)["proof"] for pid in self.pids]
 
 
 def _line(rec) -> str:

@@ -378,18 +378,6 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
     ]
 
 
-def _read_proof(params: GroupParams, text: str | None) -> zkp.SigmaProof | None:
-    """Decode a wire-form (lowercase hex) proof; None when there is none
-    or the text is not a proof's one spelling."""
-    if text is None:
-        return None
-    try:
-        raw = bytes.fromhex(text)
-        return zkp.proof_from_bytes(params, raw) if raw.hex() == text else None
-    except ValueError:
-        return None
-
-
 def run_session(
     params: GroupParams,
     graph_public,
@@ -423,16 +411,17 @@ def run_session(
       position is the participant: a ciphertext names neither its
       sender nor its round, which the judge knows;
     * ``prove(round_id, statements)``: for a round after the first, one
-      proof or None per participant, in participant order, of the
+      proof's text per participant, in participant order, of the
       participant's retransmission statement;
     * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
       for an investigation, paths in wire form;
-    * ``respond(node_id, statements)``: one proof or None per
+    * ``respond(node_id, statements)``: one proof's text per
       participant, in participant order, of its denial statement: at an
       equal-payload node each denies a message or claims one copy of
       the node's payload.
 
-    Proofs arrive in wire form (hex text) and are recorded as given.
+    A proof's text is recorded as given; ``zkp.NO_PROOF`` is a withheld
+    proof, and every round-1 CIPHER's.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
@@ -477,7 +466,7 @@ class Session:
         self.records.append({"type": rtype, "session": self.session, **fields})
 
     def run(self) -> Session:
-        tree, pids, source = self.tree, self.pids, self.source
+        tree, pids, source, q = self.tree, self.pids, self.source, self.params.q
         while not tree.done:
             rid, slot = tree.next_round(), self.transmitted
             if slot == EPOCH_SLOTS * len(self.public.epochs) and not self._endorse():
@@ -486,7 +475,7 @@ class Session:
             cts = source.broadcast(rid, slot)
             add_round(self.params, self.targets.values(), rid, cts)
             if rid == 1:   # the opening round carries no proof; none is asked for or recorded
-                stmts, texts = [], [None] * len(pids)
+                stmts, texts = [], [zkp.NO_PROOF] * len(pids)
             else:
                 stmts = [
                     retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
@@ -498,10 +487,10 @@ class Session:
                     "CIPHER",
                     round=rid,
                     part=pid,
-                    O_count=ct.value[0],
-                    O_total=ct.value[1],
+                    O_count=ct.value[0] % q,
+                    O_total=ct.value[1] % q,
                     c=ct.commitment,
-                    proof="-" if text is None else text,
+                    proof=text,
                 )
             aggregate, valid = aggregate_round(self.params, cts)
             self.emit(
@@ -517,7 +506,7 @@ class Session:
                 oks = self._check_proofs(stmts, texts)
                 for pid, text, ok in zip(pids, texts, oks):
                     if not ok:
-                        reason = NON_COOPERATION if text is None else INVALID_PROOF
+                        reason = NON_COOPERATION if text == zkp.NO_PROOF else INVALID_PROOF
                         self.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
                 if not all(oks):
                     break
@@ -595,8 +584,8 @@ class Session:
             self.verdicts.extend(Verdict(pid, reason, f"round:{rid}") for reason in reasons)
 
     def _check_proofs(self, statements, texts) -> list[bool]:
-        """One verdict per statement and its wire-form proof, counted in the outcome."""
-        proofs = [_read_proof(self.params, text) for text in texts]
+        """One verdict per statement and its proof's text, counted in the outcome."""
+        proofs = [zkp.proof_from_text(self.params, text) for text in texts]
         oks = zkp.verify_or(self.params, statements, proofs)
         self.proofs_checked += len(oks)
         self.proofs_failed += oks.count(False)
@@ -613,8 +602,7 @@ class Session:
         texts = self.source.respond(node_id, stmts)
         oks = self._check_proofs(stmts, texts)
         for pid, text, ok in zip(self.pids, texts, oks):
-            proof = "-" if text is None else text
-            self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=proof)
+            self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=text)
         return [pid for pid, ok in zip(self.pids, oks) if not ok]
 
     def _blame(self, pids, reason, node_id) -> None:

@@ -32,10 +32,10 @@ built from no-message targets c * g^-count * f^-total of broadcasts
 (count, total) with commitment c, which :func:`no_message_targets`
 makes for a round with one ``powers`` per generator; the session judge
 makes them once per round and hands each prover the statement built
-from them.  On the wire a proof
-is its scalars and nothing else.  Provers check their own witness and
-refuse to emit anything unsound; dishonest proofs are produced
-explicitly via :func:`forge_attempt`.
+from them.  A proof is sent and recorded as text, the lowercase hex
+of its scalars, or NO_PROOF where none is sent.  Provers check their
+own witness and refuse to emit anything unsound; dishonest proofs are
+produced explicitly via :func:`forge_attempt`.
 """
 
 from __future__ import annotations
@@ -205,19 +205,30 @@ def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
 
 
 # ---------------------------------------------------------------------------
-# wire format
+# text form
+
+NO_PROOF = "-"   # the text of a withheld proof
 
 
-def proof_to_bytes(params: GroupParams, proof: SigmaProof) -> bytes:
+def proof_to_text(params: GroupParams, proof: SigmaProof | None) -> str:
+    """A proof as it is sent and recorded: the lowercase hex of its
+    scalars, each at the group's scalar width; NO_PROOF for none."""
+    if proof is None:
+        return NO_PROOF
     sw = params.scalar_bytes
-    return b"".join([x.to_bytes(sw, "big") for pair in proof for x in pair])
+    return b"".join([x.to_bytes(sw, "big") for pair in proof for x in pair]).hex()
 
 
-def proof_from_bytes(params: GroupParams, data: bytes) -> SigmaProof:
-    """Parse a proof; ValueError unless ``data`` is a non-zero whole
-    number of (challenge, response) pairs."""
+def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:
+    """The proof ``text`` spells; None for NO_PROOF, and for any text that
+    is not the one lowercase hex spelling of a whole, non-zero number of
+    (challenge, response) pairs."""
     sw = params.scalar_bytes
-    if not data or len(data) % (2 * sw):
-        raise ValueError("proof bytes are not whole (challenge, response) pairs")
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        return None
+    if data.hex() != text or not data or len(data) % (2 * sw):
+        return None
     scalars = iter([int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)])
     return tuple(zip(scalars, scalars))

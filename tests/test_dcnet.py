@@ -297,7 +297,10 @@ def forge_endorsement(params, graph, holder, signer, commitments):
 
 def test_investigation_pair_mismatch_both_flagged(small):
     """If both endpoints reveal mutually inconsistent endorsed values (a
-    corrupted setup channel), both are flagged: there is no tiebreak."""
+    corrupted setup channel), both are flagged: there is no tiebreak.
+    Signer 1 endorses the forged row that holder 0 reveals, so every
+    reveal checks against its peer's root, and only the pair-mismatch
+    check flags the pair."""
     n = 3
     graph = fresh_graph(small, n, seed=11)
 
@@ -311,8 +314,7 @@ def test_investigation_pair_mismatch_both_flagged(small):
     assert published[0][1].commitment != published[1][0].commitment
     cts[0] = cts[0]._replace(commitment=cts[0].commitment * small.g % small.p)
     verdicts = investigate(small, cts, 0, published, public)
-    assert PAIR_MISMATCH in verdicts.get(0, [])
-    assert PAIR_MISMATCH in verdicts.get(1, [])
+    assert verdicts == {0: [PAIR_MISMATCH], 1: [PAIR_MISMATCH]}
 
 
 def test_investigation_binds_revealed_commitment_to_its_slot(small):

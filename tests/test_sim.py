@@ -472,13 +472,13 @@ class _MixedProofParticipant(sim.HonestParticipant):
         shape, q, sw = MIXED_SHAPES[self.pid], self.params.q, self.params.scalar_bytes
         data = bytes.fromhex(text)
         if shape == "none":
-            return None
+            return zkp.NO_PROOF
         if shape == "non_hex":
             return "zz" + text[2:]
         if shape == "forged":
             forged = zkp.forge_attempt(self.params, statement, self.rng)
-            data = zkp.proof_to_bytes(self.params, forged)
-        elif shape == "short":
+            return zkp.proof_to_text(self.params, forged)
+        if shape == "short":
             data = data[:-sw]
         elif shape == "extra":
             data += data[: 2 * sw]
@@ -726,7 +726,7 @@ class _LyingHolder(sim._ForgingAdversary):
     def respond_demand(self, node_id, statement):
         if self.tree.nodes[node_id].equal_payload is None:
             return super().respond_demand(node_id, statement)
-        return self._wire(zkp.forge_attempt(self.params, statement, self.rng))
+        return zkp.proof_to_text(self.params, zkp.forge_attempt(self.params, statement, self.rng))
 
 
 def test_lying_holder_blamed_at_an_equal_payload_node(monkeypatch):
@@ -1268,6 +1268,62 @@ def test_a_bad_signature_at_a_later_epoch_stops_the_session(monkeypatch):
     last = max(i for i, r in enumerate(first) if r["type"] == "ENDORSE" and r["epoch"] == 1)
     # no ROUND after epoch 1's ENDORSE records: only the verdict and the ban
     assert [r["type"] for r in first[last + 1 :]] == ["VERDICT", "BAN"]
+
+
+class _UnreducedCountParticipant(sim.HonestParticipant):
+    """Honest, but broadcasts its O_count plus q: the same slot value mod q."""
+
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
+        return ct._replace(value=(ct.value[0] + self.params.q, ct.value[1]))
+
+
+def test_the_judge_reads_a_broadcast_slot_mod_q(monkeypatch, medium):
+    # BAD_PAD_RUN's senders at seed 2, with participant 3 adding q to its
+    # O_count: the judge records each slot value mod q, so the run's own
+    # transcript replays clean
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _UnreducedCountParticipant)
+    t = run(sim.Scenario(
+        n=4, senders=BAD_PAD_RUN.senders, adversaries=((3, "refuse_proof"),), seed=2
+    ))
+    assert verdicts_of(t) == []
+    assert summary_of(t)["delivered"] == 3
+    # a recorded O_count plus q is not the value the judge writes, so a
+    # replay that passed it on unreduced, to a judge that wrote it as given,
+    # would miss the edit
+    transcript = sim.run_scenario(BAD_PAD_RUN)
+    index = next(i for i, rec in enumerate(transcript.records) if rec["type"] == "CIPHER")
+    text = _resealed(transcript, index, O_count=transcript.records[index]["O_count"] + medium.q)
+    report = sim.verify_transcript(Transcript.from_text(text))
+    assert report.divergences[0][0] == len(transcript.header) + index == 14
+
+
+class _OutsideGroupParticipant(sim.HonestParticipant):
+    """Honest, but broadcasts p - c for its commitment c, outside the group."""
+
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
+        return ct._replace(commitment=self.params.p - ct.commitment)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MalformedRecord,
+    reason="the live judge takes a CIPHER c outside the group, and only the replay checks it: "
+    "alone, participant 3 is banned for aggregate_mismatch and verify raises MalformedRecord "
+    "at record 17; with 2 doing the same, the run gives 2 non_cooperation and 3 "
+    "aggregate_mismatch and verify raises at record 16 (ROADMAP item 7's rule for a missing "
+    "broadcast would judge such a c as missing)",
+)
+def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch):
+    # BAD_PAD_RUN's senders at seed 2, with 3, then 2 and 3, broadcasting p - c
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _OutsideGroupParticipant)
+    for outsiders in ((3,), (2, 3)):
+        scenario = sim.Scenario(
+            n=4, senders=BAD_PAD_RUN.senders,
+            adversaries=tuple((pid, "refuse_proof") for pid in outsiders), seed=2,
+        )
+        assert sim.verify_transcript(sim.run_scenario(scenario)).clean, outsiders
 
 
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):

@@ -412,19 +412,19 @@ def test_all_reference_proofs_verify():
         for rec in out.records
         if rec["type"] == "CIPHER" and rec["proof"] != "-"
     }
-    from dcmesh.zkp import proof_from_bytes
+    from dcmesh.zkp import proof_from_text
 
     tag = out.tag
     assert len(proofs) == 20  # 5 participants, 4 non-root rounds
     for (pid, rid), blob in proofs.items():
-        proof = proof_from_bytes(params, bytes.fromhex(blob))
+        proof = proof_from_text(params, blob)
         assert verifies(params, targets[pid], pid, rid, proof, tag)
     # and round by round, in one check each
     for rid in (2, 4, 6, 14):
         stmts = [
             retransmission_statement(params, targets[pid], pid, rid, tag) for pid in range(5)
         ]
-        round_proofs = [proof_from_bytes(params, bytes.fromhex(proofs[pid, rid])) for pid in range(5)]
+        round_proofs = [proof_from_text(params, proofs[pid, rid]) for pid in range(5)]
         assert zkp.verify_or(params, stmts, round_proofs) == [True] * 5
 
 
@@ -499,7 +499,7 @@ def test_retransmission_proof_fresh_construction(medium):
 
 def test_retransmission_proof_binds_participant_and_round():
     params, out, broadcasts, targets = participant_state()
-    from dcmesh.zkp import proof_from_bytes
+    from dcmesh.zkp import proof_from_text
 
     tag = out.tag
     blob = next(
@@ -507,7 +507,7 @@ def test_retransmission_proof_binds_participant_and_round():
         for rec in out.records
         if rec["type"] == "CIPHER" and rec["round"] == 2 and rec["part"] == 0
     )
-    proof = proof_from_bytes(params, bytes.fromhex(blob))
+    proof = proof_from_text(params, blob)
     assert verifies(params, targets[0], 0, 2, proof, tag)
     # same proof rejected for another participant, round, or session tag
     assert not verifies(params, targets[1], 1, 2, proof, tag)

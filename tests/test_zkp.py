@@ -23,8 +23,8 @@ from dcmesh.zkp import (
     forge_attempt,
     fs_challenge,
     no_message_targets,
-    proof_from_bytes,
-    proof_to_bytes,
+    proof_from_text,
+    proof_to_text,
     prove_or,
     simulate,
     verify_or,
@@ -253,7 +253,7 @@ def test_or_hiding_structure(small):
         for _ in range(250):
             proof = prove_or(small, stmt, true_branch, alpha, rng)
             assert verify_proof(small, stmt, proof)
-            sizes.add(len(proof_to_bytes(small, proof)))
+            sizes.add(len(proof_to_text(small, proof)))
             first_challenges[true_branch][proof[0][0]] += 1
     assert len(sizes) == 1
     # the first branch's challenge spreads over the space either way; no
@@ -364,8 +364,8 @@ def test_simulated_transcripts_match_real_exactly(small):
 
 def test_simulator_transcripts_verify_interactively(small):
     """Challenge-first simulation satisfies the verification equation for
-    every possible challenge and serializes to the same byte length as a
-    real proof."""
+    every possible challenge and serializes to the same length as a real
+    proof."""
     rng = random.Random(16)
     alpha = 44
     stmt = rep_for(small, alpha)
@@ -375,7 +375,7 @@ def test_simulator_transcripts_verify_interactively(small):
         z = rng.randrange(small.q)
         t = simulate(small, stmt.targets[0], e, z)
         assert pow(h, z, p) == t * pow(stmt.targets[0], e, p) % p
-        assert len(proof_to_bytes(small, ((e, z),))) == len(proof_to_bytes(small, real))
+        assert len(proof_to_text(small, ((e, z),))) == len(proof_to_text(small, real))
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +477,28 @@ def test_proof_serialization_roundtrip(small, medium):
         alpha = rng.randrange(params.q)
         stmt = or_pair(params, alpha, 1, rng)
         proof = prove_or(params, stmt, 1, alpha, rng)
-        data = proof_to_bytes(params, proof)
-        # a proof is its scalars, one (challenge, response) pair per
-        # branch: in test_medium 12 bytes for two branches, 6 for one
-        sw = params.scalar_bytes
-        assert len(data) == 2 * 2 * sw
+        text = proof_to_text(params, proof)
+        # a proof is the hex of its scalars, one (challenge, response) pair
+        # per branch: in test_medium 12 bytes for two branches, 6 for one
+        width = 2 * params.scalar_bytes   # hex digits per scalar
+        assert len(text) == 2 * 2 * width
         true_branch = OrStatement(params, stmt.targets[1:], stmt.context)
         alone = prove_one(params, true_branch, alpha, rng)
-        assert len(proof_to_bytes(params, alone)) == 2 * sw
-        again = proof_from_bytes(params, data)
+        assert len(proof_to_text(params, alone)) == 2 * width
+        again = proof_from_text(params, text)
         assert again == proof
         assert verify_proof(params, stmt, again)
-        # empty, truncated and trailing bytes are not a proof
-        for bad in (b"", data[:-1], data + b"\x00", data[: 2 * sw + 1]):
-            with pytest.raises(ValueError):
-                proof_from_bytes(params, bad)
+        assert proof_to_text(params, None) == zkp.NO_PROOF == "-"
+        # empty, truncated and trailing bytes, a half byte, the withheld
+        # proof's text and a non-hex text are not a proof
+        for bad in ("", text[:-2], text + "00", text[: 2 * width + 2], text[:-1], "-",
+                    "zz" + text[2:]):
+            assert proof_from_text(params, bad) is None, bad
         # a pair short, or one too many, parses but is no proof of stmt,
         # even an extra pair whose zero challenge keeps the sum; nor is a
         # valid one-branch proof of its true branch alone
-        assert not verify_proof(params, stmt, proof_from_bytes(params, data[: 2 * sw]))
-        assert not verify_proof(params, stmt, proof_from_bytes(params, data + data[: 2 * sw]))
+        assert not verify_proof(params, stmt, proof_from_text(params, text[: 2 * width]))
+        assert not verify_proof(params, stmt, proof_from_text(params, text + text[: 2 * width]))
         assert not verify_proof(params, stmt, proof + ((0, 0),))
         assert verify_proof(params, true_branch, alone)
         assert not verify_proof(params, stmt, alone)
@@ -513,8 +515,8 @@ def test_verify_rejects_scalars_outside_the_field(small, medium):
         (e0, z0), (e1, z1) = proof = prove_or(params, stmt, 1, alpha, rng)
         assert verify_proof(params, stmt, proof)
         for bad in (((e0 + q, z0), (e1, z1)), ((e0, z0), (e1, z1 + q))):
-            data = proof_to_bytes(params, bad)
-            assert not verify_proof(params, stmt, proof_from_bytes(params, data))
+            text = proof_to_text(params, bad)
+            assert not verify_proof(params, stmt, proof_from_text(params, text))
 
 
 # ---------------------------------------------------------------------------
