@@ -25,7 +25,7 @@ from . import sim
 from .errors import ConfigInvalid, DcMeshError, MalformedRecord
 from .groups import derive_params
 from .keysetup import build_key_graph
-from .splitter import endorse_record
+from .splitter import endorse_record, key_records
 from .transcript import Transcript, record_to_line
 
 _GROUP_CHOICES = {
@@ -200,7 +200,7 @@ def cmd_keygen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     endorsed = [endorse_record(1, 0, signed) for signed in graph.epochs[0].signed]
-    for rec in [sim._group_record(params)] + sim._key_records(1, graph.public()) + endorsed:
+    for rec in [sim._group_record(params)] + key_records(1, graph.public()) + endorsed:
         print(record_to_line(rec))
     return 0
 

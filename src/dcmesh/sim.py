@@ -390,18 +390,6 @@ def _session_tag(header_digest: str, session: int) -> bytes:
     return bytes.fromhex(header_digest) + b"|s%d" % session
 
 
-def _key_records(session, public: KeyGraphPublic):
-    """PUBKEY records and the OPTOUT records; the judge's epoch-0 ENDORSE records follow."""
-    records = [
-        record("PUBKEY", session=session, part=pid, y=public.publics[pid])
-        for pid in public.participants
-    ]
-    records.extend(
-        record("OPTOUT", session=session, lo=lo, hi=hi) for lo, hi in sorted(public.optouts)
-    )
-    return records
-
-
 def _group_record(params):
     """A group as the header's GROUP record, which ``dcmesh keygen`` prints first."""
     return record(
@@ -431,20 +419,19 @@ def _header(params, config, digest=records_digest):
     return header
 
 
-def _session_head(session, public: KeyGraphPublic, endorsed, digest=records_digest):
-    """The SESSION record followed by the session's key records; its keys
-    digest covers them and ``endorsed``, the epoch-0 ENDORSE records (on
-    verify the recorded ones, which the judge compared with its own), and
-    its budget is the slots of every epoch ``public`` holds."""
-    key_records = _key_records(session, public)
-    head = record(
+def _session_head(session, public: KeyGraphPublic, records, digest=records_digest):
+    """The SESSION record before a judged session's ``records``: its keys
+    digest covers their first 2n + |optouts|, the key records and epoch
+    0's ENDORSE records (on verify the recorded ones), and its budget is
+    the slots of every epoch ``public`` holds."""
+    keys = 2 * len(public.participants) + len(public.optouts)
+    return record(
         "SESSION",
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
         budget=EPOCH_SLOTS * len(public.epochs),
-        keys=digest(key_records + endorsed),
+        keys=digest(records[:keys]),
     )
-    return [head] + key_records
 
 
 def _summary(outcomes, bind):
@@ -490,6 +477,9 @@ class _Participants:
         ]
         self.records = []
 
+    def keys(self):
+        return self.graph.public()
+
     def epoch(self, k):
         if k:   # epoch 0 is built with the graph
             self.graph.add_epoch(fork_rng(self.seed, "keys", self.session, k))
@@ -511,7 +501,7 @@ class _Participants:
 def _play_session(params, scenario, active, pending, session, session_tag):
     """Key setup, participants and the judge for one session; returns the judged session."""
     live = _Participants(params, scenario, active, pending, session)
-    return run_session(params, live.graph.public(), live.tree, session, session_tag, live)
+    return run_session(params, live.tree, session, session_tag, live)
 
 
 def _survivors(active, outcome):
@@ -546,8 +536,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
         outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(header_digest, session)
         )
-        endorsed = outcome.records[: len(active)]
-        body.extend(_session_head(session, outcome.public, endorsed, transcript.digest))
+        body.append(_session_head(session, outcome.public, outcome.records, transcript.digest))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -608,16 +597,16 @@ class VerificationReport:
 
 class _Replay:
     """The judge's source and sink on verify: one cursor over a session's
-    records after its SESSION record.  Each record the judge emits to
-    ``records``, this replay, is compared with the one at the cursor,
-    ``(none)`` past the session's end.  Inputs are read from the cursor
-    on, where the judge emits them next; one that is not the input asked
-    for is reported, and ProtocolOrderViolation stops the judge.  A
-    round's ciphertexts come from its CIPHER records, read for each
-    active participant in turn, so a list position is the participant
-    and nothing else labels it.  Slot values and proof texts pass as
-    recorded; a CIPHER ``c``, which the judge takes as a group element,
-    is checked to be one."""
+    records after its SESSION record, every one of them the judge's.
+    Each record the judge emits to ``records``, this replay, is compared
+    with the one at the cursor, ``(none)`` past the session's end.
+    Inputs are read from the cursor on, where the judge emits them next;
+    one that is not the input asked for is reported, and
+    ProtocolOrderViolation stops the judge.  A round's ciphertexts come
+    from its CIPHER records, read for each active participant in turn,
+    so a list position is the participant and nothing else labels it.
+    Slot values, commitments and proof texts pass as recorded: the judge
+    checks them as it checks a live participant's."""
 
     def __init__(self, params, pids, recorded, index, report):
         self.params = params
@@ -626,25 +615,6 @@ class _Replay:
         self.index = index   # transcript index of recorded[0]
         self.report = report
         self.at = self.read = 0   # the cursor; inputs are read from it on
-        # the key records open the session; reading stops at the first one
-        # out of place, before anything grows with the participant count
-        publics = {}
-        for pid in pids:
-            publics[pid] = self._input("PUBKEY", part=pid)["y"]
-            if not 1 <= publics[pid] < params.p:
-                raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
-        # a pair that is not two active ids in order is dropped here, so
-        # the re-emitted key records show it as a divergence; the rest are
-        # signed into each ENDORSE
-        optouts = set()
-        while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
-            lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
-            if lo < hi and {lo, hi} <= publics.keys():
-                optouts.add((lo, hi))
-            self.read += 1
-        self.public = KeyGraphPublic(tuple(pids), publics, frozenset(optouts), ())
-        # the key records' count: the judge's records, epoch 0's ENDORSE first, follow them
-        self.key_count = self.at = self.read
 
     @property
     def records(self):
@@ -676,6 +646,25 @@ class _Replay:
         self.report.compare(self.index + self.at, recorded, rec)
         self.at = self.read = self.at + 1
 
+    def keys(self):
+        # reading stops at the first key record out of place, before
+        # anything grows with the participant count
+        publics = {}
+        for pid in self.pids:
+            publics[pid] = self._input("PUBKEY", part=pid)["y"]
+            if not 1 <= publics[pid] < self.params.p:
+                raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
+        # a pair that is not two active ids in order is dropped here, so the
+        # judge's key records diverge at it; the rest are signed into each ENDORSE
+        optouts = set()
+        recorded = self.recorded
+        while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
+            lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
+            if lo < hi and {lo, hi} <= publics.keys():
+                optouts.add((lo, hi))
+            self.read += 1
+        return KeyGraphPublic(tuple(self.pids), publics, frozenset(optouts), ())
+
     def epoch(self, k):
         return tuple(self._signed_root(k, pid) for pid in self.pids)
 
@@ -683,9 +672,6 @@ class _Replay:
         cts, self.proofs = [], []
         for pid in self.pids:
             rec = self._input("CIPHER", round=round_id, part=pid)
-            if not self.params.is_element(rec["c"]):
-                message = f"CIPHER c of {pid} not in the group"
-                raise MalformedRecord(self.index + self.read - 1, message)
             cts.append(RoundCiphertext((rec["O_count"], rec["O_total"]), rec["c"]))
             self.proofs.append(rec["proof"])
         return cts
@@ -709,17 +695,6 @@ class _Replay:
 
 def _line(rec) -> str:
     return "(none)" if rec is None else record_to_line(rec)
-
-
-def _keys_digest(transcript, recorded):
-    """The SESSION ``keys`` digest on verify: over the lines ``transcript``
-    holds for the session's ``recorded`` key records when each equals its
-    recomputed one, so they are not serialised again, else over the
-    recomputed records."""
-    def digest(records):
-        held = recorded[: len(records)]
-        return transcript.digest(held) if held == records else records_digest(records)
-    return digest
 
 
 def _check_header(header, report):
@@ -757,17 +732,16 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     stops there.  A session that bans no one, or bans everyone, ends the
     run, as it does the runner's: a SESSION record after it is reported
     and verify stops there too.  The judge checks every ENDORSE
-    signature, as in the run.  Raises MalformedRecord only for what
-    cannot be parsed or checked: the header, its format version and
-    group, a CONFIG n the body cannot hold, a missing SUMMARY or opening
-    SESSION record, and, at its own index, a PUBKEY y outside [1, p), an
-    ENDORSE root that is not hex, or a CIPHER c outside the group.
+    signature and every CIPHER ``c``, as in the run.  Raises
+    MalformedRecord only for what cannot be parsed or checked: the
+    header, its format version and group, a CONFIG n the body cannot
+    hold, a missing SUMMARY or opening SESSION record, and, at its own
+    index, a PUBKEY y outside [1, p) or an ENDORSE root that is not hex.
 
-    Verify serialises only the header it recomputes, and a session's
-    recomputed key records only where one differs from its recorded
-    record: the SESSION ``keys`` and SUMMARY ``bind`` digests are
-    otherwise checked over the lines the transcript holds, and no
-    recorded body record is written again except in a divergence message.
+    Verify serialises only the header it recomputes: the SESSION
+    ``keys`` and SUMMARY ``bind`` digests are taken over the lines the
+    transcript holds, and no recorded body record is written again
+    except in a divergence message.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -794,7 +768,6 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
             outcome = run_session(
                 params,
-                replay.public,
                 ResolutionTree(params.q, config["payload_bits"]),
                 session,
                 _session_tag(header_digest, session),
@@ -806,11 +779,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)
-        recorded, keys = replay.recorded, replay.key_count   # the key records, then the judge's
-        digest = _keys_digest(transcript, recorded)
-        head = _session_head(session, outcome.public, recorded[keys : keys + len(active)], digest)
-        for offset, (rec, exp) in enumerate(zip_longest(body[start : start + 1 + keys], head)):
-            report.compare(index + offset, rec, exp)
+        head = _session_head(session, outcome.public, replay.recorded, transcript.digest)
+        report.compare(index, body[start], head)
         outcomes.append(outcome)
         active = _survivors(active, outcome)
     else:

@@ -379,12 +379,7 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
 
 
 def run_session(
-    params: GroupParams,
-    graph_public,
-    tree: ResolutionTree,
-    session: int,
-    session_tag: bytes,
-    source,
+    params: GroupParams, tree: ResolutionTree, session: int, session_tag: bytes, source
 ) -> Session:
     """Judge one collision resolution session on ``tree``, new from the
     caller, closed to new messages until it is done, and return the
@@ -397,11 +392,13 @@ def run_session(
     transmitted round takes the next one, once; an epoch is endorsed
     before its first slot is handed out.  The judge alone keeps the
     session's target maps and builds every proof statement from them,
-    once.  It emits every session record to ``source.records`` and
-    reads only public data: the participants, their keys and the
-    opt-outs come from ``graph_public``, and every protocol input, every
-    epoch's signed roots included, from ``source``, which answers five calls:
+    once.  It emits every session record to ``source.records``, the
+    session's key records first, and reads only public data, every input
+    from ``source``, which answers six calls:
 
+    * ``keys()``: the session's KeyGraphPublic, whose participants,
+      signing keys and opt-outs the judge records as PUBKEY and OPTOUT
+      records before it takes epoch 0;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
       SignedRoot per participant in participant order, asked for before
       the first round that spends one of its slots, epoch 0's included;
@@ -409,7 +406,10 @@ def run_session(
     * ``broadcast(round_id, slot)``: one RoundCiphertext per
       participant, padded with the slot's secrets, in a list whose
       position is the participant: a ciphertext names neither its
-      sender nor its round, which the judge knows;
+      sender nor its round, which the judge knows.  A commitment outside
+      the group is a missing broadcast: its sender gets a
+      ``non_cooperation`` verdict, no proof is asked for, the round is
+      not aggregated and the session stops;
     * ``prove(round_id, statements)``: for a round after the first, one
       proof's text per participant, in participant order, of the
       participant's retransmission statement;
@@ -421,13 +421,27 @@ def run_session(
       the node's payload.
 
     A proof's text is recorded as given; ``zkp.NO_PROOF`` is a withheld
-    proof, and every round-1 CIPHER's.  Slot values are read mod q.
+    proof, and every CIPHER's of round 1 or of a round with a missing
+    broadcast.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
     transcript and compares each record as it is emitted.
     """
-    return Session(params, graph_public, tree, session, session_tag, source).run()
+    return Session(params, tree, session, session_tag, source).run()
+
+
+def key_records(session: int, public) -> list[dict]:
+    """A session's PUBKEY records, then its OPTOUT records; the epoch-0
+    ENDORSE records follow them."""
+    records = [
+        record("PUBKEY", session=session, part=pid, y=public.publics[pid])
+        for pid in public.participants
+    ]
+    records.extend(
+        record("OPTOUT", session=session, lo=lo, hi=hi) for lo, hi in sorted(public.optouts)
+    )
+    return records
 
 
 def endorse_record(session: int, epoch: int, signed) -> dict:
@@ -446,16 +460,16 @@ def endorse_record(session: int, epoch: int, signed) -> dict:
 class Session:
     """One session's judge, and its outcome once :meth:`run` returns."""
 
-    def __init__(self, params, graph_public, tree, session, session_tag, source):
+    def __init__(self, params, tree, session, session_tag, source):
         self.params = params
         self.tree = tree
         self.session = session
         self.tag = session_tag
         self.source = source
         self.records = source.records   # the source's sink
-        self.pids = list(graph_public.participants)
+        self.public = source.keys()._replace(epochs=())   # with every epoch endorsed so far
+        self.pids = list(self.public.participants)
         self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
-        self.public = graph_public._replace(epochs=())   # with every epoch endorsed so far
         # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
         self.verdicts = []
         self.resolved = tree.resolved
@@ -467,14 +481,20 @@ class Session:
 
     def run(self) -> Session:
         tree, pids, source, q = self.tree, self.pids, self.source, self.params.q
+        is_element = self.params.is_element
+        for rec in key_records(self.session, self.public):
+            self.records.append(rec)
         while not tree.done:
             rid, slot = tree.next_round(), self.transmitted
             if slot == EPOCH_SLOTS * len(self.public.epochs) and not self._endorse():
                 break
             self.emit("ROUND", id=rid, slot=slot)
             cts = source.broadcast(rid, slot)
-            add_round(self.params, self.targets.values(), rid, cts)
-            if rid == 1:   # the opening round carries no proof; none is asked for or recorded
+            # a commitment outside the group is no broadcast: the pads cannot cancel
+            silent = [pid for pid, ct in zip(pids, cts) if not is_element(ct.commitment)]
+            if not silent:
+                add_round(self.params, self.targets.values(), rid, cts)
+            if rid == 1 or silent:   # no proof is asked for or recorded
                 stmts, texts = [], [zkp.NO_PROOF] * len(pids)
             else:
                 stmts = [
@@ -492,6 +512,10 @@ class Session:
                     c=ct.commitment,
                     proof=text,
                 )
+            if silent:   # no aggregate is taken, and the session stops
+                for pid in silent:
+                    self.verdicts.append(Verdict(pid, NON_COOPERATION, f"round:{rid}"))
+                break
             aggregate, valid = aggregate_round(self.params, cts)
             self.emit(
                 "AGGREGATE", round=rid, C_count=aggregate[0], C_total=aggregate[1], valid=int(valid)

@@ -130,8 +130,8 @@ def simulate(params, target, challenge, response):
 
     target^(q - challenge) is target^-challenge because every target lies
     in the order-q subgroup: targets are built from generator powers and
-    CIPHER ``c`` values, and the replay checks each ``c`` with
-    ``is_element`` when it reads the record.
+    CIPHER ``c`` values, and the judge checks each ``c`` with
+    ``is_element`` before it builds a target from it.
     """
     p, q = params.p, params.q
     return params.h_table.power(response) * pow(target, q - challenge % q, p) % p

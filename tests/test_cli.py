@@ -380,3 +380,32 @@ def test_verify_explain_names_each_verdicts_trigger(
     # the first record of that kind for the participant
     assert lines[index].startswith(trigger)
     assert index == next(i for i, ln in enumerate(lines) if ln.startswith(trigger))
+
+
+class _OutsideGroupParticipant(sim.HonestParticipant):
+    """Honest, but broadcasts p - c for its commitment c, outside the group."""
+
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
+        return ct._replace(commitment=self.params.p - ct.commitment)
+
+
+def test_verify_explain_names_the_cipher_outside_the_group(tmp_path, capsys, monkeypatch):
+    # n = 4 at seed 2, senders 0, 1 and 2, with participant 3 broadcasting
+    # p - c at round 1: its non_cooperation verdict is triggered by its
+    # round-1 CIPHER record, record 17
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _OutsideGroupParticipant)
+    scenario = sim.Scenario(
+        n=4, senders=((0, 36), (1, 11), (2, 28)), adversaries=((3, "refuse_proof"),), seed=2
+    )
+    out = str(tmp_path / "t.log")
+    assert main(["run", write_scenario(tmp_path, scenario), "--out", out]) == 2
+    lines = Path(out).read_text().splitlines()
+    assert lines[17].startswith("CIPHER session=1 round=1 part=3 ")
+    capsys.readouterr()
+    assert main(["verify", "--explain", out]) == 0
+    (line, clean) = capsys.readouterr().out.splitlines()
+    verdict = next(i for i, ln in enumerate(lines) if ln.startswith("VERDICT "))
+    assert line == (f"verdict at record {verdict}: participant 3 (non_cooperation at round:1) "
+                    "triggered by record 17")
+    assert clean == "transcript verified: clean"

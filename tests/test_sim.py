@@ -883,16 +883,16 @@ def _detects(text: str) -> bool:
 
 # the only fields whose mutation leaves nothing to check: a format version
 # this engine does not replay, a group name that names no built-in group
-# (another p, q or generators diverges), a participant count the
-# transcript does not hold, and a commitment outside the group; a signed
-# root whose signature no longer verifies (the root, the signature, the
-# signing key it is checked against, or the domain tag it is bound to) is
-# a bad_signature verdict, so a divergence
+# (another p, q or generators diverges), and a participant count the
+# transcript does not hold; a signed root whose signature no longer
+# verifies (the root, the signature, the signing key it is checked
+# against, or the domain tag it is bound to) is a bad_signature verdict,
+# and a commitment outside the group a non_cooperation verdict, so each
+# is a divergence
 MALFORMED_FIELDS = {
     ("GROUP", "name"),
     ("DCMESH", "version"),
     ("CONFIG", "n"),
-    ("CIPHER", "c"),
 }
 
 
@@ -1032,7 +1032,7 @@ def test_every_resealed_field_mutation_detected():
                     malformed.append(where)
     assert not missed, missed
     assert not malformed, malformed
-    assert sum(outcomes.values()) == 856
+    assert outcomes == {"divergent": 839, "malformed": 6, "clean": 11}
     # ten digest fields, and participant 1's failed DEMAND proof in EPOCH_CROSSING
     assert len(excused) == 11, excused
 
@@ -1101,12 +1101,8 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
 @pytest.mark.parametrize(
     "prefix, field, value",
     [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
-     ("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc"),
-     ("CIPHER session=1 round=1 part=2", "c", "0")],
-    # the ids the parameters always had, and a plain one for the CIPHER
-    # prefix, whose own spaces and = signs would split a list of test ids
-    ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p", "ENDORSE-root-zz", "ENDORSE-root-abc",
-         "cipher-c-zero"],
+     ("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc")],
+    ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p", "ENDORSE-root-zz", "ENDORSE-root-abc"],
 )
 def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, medium):
     # at its own index and naming the field, not as an unreplayable
@@ -1306,24 +1302,47 @@ class _OutsideGroupParticipant(sim.HonestParticipant):
         return ct._replace(commitment=self.params.p - ct.commitment)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MalformedRecord,
-    reason="the live judge takes a CIPHER c outside the group, and only the replay checks it: "
-    "alone, participant 3 is banned for aggregate_mismatch and verify raises MalformedRecord "
-    "at record 17; with 2 doing the same, the run gives 2 non_cooperation and 3 "
-    "aggregate_mismatch and verify raises at record 16 (ROADMAP item 7's rule for a missing "
-    "broadcast would judge such a c as missing)",
-)
-def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch):
-    # BAD_PAD_RUN's senders at seed 2, with 3, then 2 and 3, broadcasting p - c
-    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _OutsideGroupParticipant)
-    for outsiders in ((3,), (2, 3)):
+class _ZeroAtRoundTwoParticipant(sim.HonestParticipant):
+    """Honest, but broadcasts the commitment 0 at round 2."""
+
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
+        return ct._replace(commitment=0) if round_id == 2 else ct
+
+
+def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch, medium):
+    # BAD_PAD_RUN's senders at seed 2, with 3, then 2 and 3, broadcasting
+    # p - c, and with 2 broadcasting 0 at round 2, where a target's inverse
+    # is taken: each is a missing broadcast, a non_cooperation verdict at
+    # its round, in the run as on replay, and the others' payloads arrive
+    cases = [
+        (_OutsideGroupParticipant, (3,), [(3, "non_cooperation", "round:1")]),
+        (_OutsideGroupParticipant, (2, 3),
+         [(2, "non_cooperation", "round:1"), (3, "non_cooperation", "round:1")]),
+        (_ZeroAtRoundTwoParticipant, (2,), [(2, "non_cooperation", "round:2")]),
+    ]
+    for participant, outsiders, expected in cases:
+        monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", participant)
         scenario = sim.Scenario(
             n=4, senders=BAD_PAD_RUN.senders,
             adversaries=tuple((pid, "refuse_proof") for pid in outsiders), seed=2,
         )
-        assert sim.verify_transcript(sim.run_scenario(scenario)).clean, outsiders
+        t = run(scenario)
+        verdicts = [(r["part"], r["reason"], r["where"]) for r in t.records
+                    if r["type"] == "VERDICT"]
+        assert verdicts == expected
+        delivered = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
+        assert delivered == Counter(
+            payload for pid, payload in scenario.senders if pid not in outsiders
+        ), outsiders
+    # a recorded commitment of 0 where the run recorded a group element,
+    # with keys and bind resealed, is judged too: the recomputed session
+    # stops at its round with a verdict the recorded one lacks
+    transcript = sim.run_scenario(BAD_PAD_RUN)
+    index = next(i for i, rec in enumerate(transcript.records) if rec["type"] == "CIPHER")
+    report = sim.verify_transcript(Transcript.from_text(_resealed(transcript, index, c=0)))
+    assert report.divergences[0][0] == len(transcript.header) + index + 4
+    assert "reason=non_cooperation where=round:1" in report.divergences[0][1]
 
 
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
@@ -1448,18 +1467,18 @@ def test_a_resealed_header_change_does_not_verify_clean(scenario, field):
     assert min(index for index, _ in report.divergences) >= len(header)
 
 
-@pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 25), (sim.REFERENCE_SCENARIO, 54)],
+@pytest.mark.parametrize("scenario, count", [(BAD_PAD_RUN, 29), (sim.REFERENCE_SCENARIO, 59)],
                          ids=["bad_pad", "reference"])
 def test_single_session_plays_session_one_of_the_run(scenario, count):
     # one session tag rule: single_session judges session 1 under the tag
-    # run_scenario gives it, so its records are the run's session-1 judge
-    # records, from the epoch-0 ENDORSE records on, retransmission proofs included
+    # run_scenario gives it, so its records are the run's session-1
+    # records after the SESSION record, key records and retransmission
+    # proofs included
     transcript = sim.run_scenario(scenario)
     body = transcript.records
-    start = next(i for i, rec in enumerate(body) if rec["type"] == "ENDORSE")
     end = next(i for i, rec in enumerate(body[1:], 1) if rec["type"] in ("SESSION", "SUMMARY"))
     out = sim.single_session(scenario.senders, scenario.adversaries, scenario.seed, n=scenario.n)
-    assert out.records == body[start:end]
+    assert out.records == body[1:end]
     assert len(out.records) == count
     assert out.tag == sim._session_tag(transcript.header[-1]["digest"], 1)
 
@@ -1479,7 +1498,7 @@ def test_session_after_a_session_without_a_ban_diverges():
     params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
     tag = sim._session_tag(transcript.header[-1]["digest"], 3)
     outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
-    extra = sim._session_head(3, outcome.public, outcome.records[:3]) + outcome.records
+    extra = [sim._session_head(3, outcome.public, outcome.records)] + outcome.records
     assert [payload for _, payload in outcome.resolved] == [36]
     for key, added in (
         ("sessions", 1),
@@ -1566,11 +1585,11 @@ def test_each_record_is_serialised_once(monkeypatch):
     assert [rec["type"] for rec in written] == ["DCMESH", "GROUP", "CONFIG"]
 
 
-def test_keys_digest_is_recomputed_when_a_key_record_differs():
+def test_an_out_of_order_optout_diverges_at_its_own_record():
     # an OPTOUT of a pair out of order is dropped on verify, so it signs
-    # nothing; with keys and bind resealed over it, the recomputed key
-    # records differ from the recorded ones, and SESSION keys is checked
-    # against their digest, not the recorded lines'
+    # nothing and the judge records no OPTOUT: with keys and bind resealed
+    # over it, the judge asks for epoch 0's first ENDORSE record where the
+    # OPTOUT is, and verify stops there
     scenario = sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)), seed=2)
     transcript = sim.run_scenario(scenario)
     body = transcript.records
@@ -1579,8 +1598,8 @@ def test_keys_digest_is_recomputed_when_a_key_record_differs():
     edited = body[:5] + [record("OPTOUT", session=1, lo=3, hi=1)] + body[5:]
     report = sim.verify_transcript(Transcript.from_text(_resealed_body(transcript, edited)))
     base = len(transcript.header)
-    assert [index for index, _ in report.divergences][:2] == [base, base + 5]
-    assert report.divergences[0][1].endswith(f"keys={records_digest(keys)}")
+    assert [index for index, _ in report.divergences] == [base + 5]
+    assert report.divergences[0][1].endswith("expected ENDORSE epoch=0 part=0")
 
 
 def test_flipped_validity_bit_detected():
