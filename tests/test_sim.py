@@ -1310,7 +1310,7 @@ class _ZeroAtRoundTwoParticipant(sim.HonestParticipant):
         return ct._replace(commitment=0) if round_id == 2 else ct
 
 
-def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch, medium):
+def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch):
     # BAD_PAD_RUN's senders at seed 2, with 3, then 2 and 3, broadcasting
     # p - c, and with 2 broadcasting 0 at round 2, where a target's inverse
     # is taken: each is a missing broadcast, a non_cooperation verdict at
