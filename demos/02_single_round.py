@@ -37,7 +37,7 @@ aggregate, valid = aggregate_round(params, cts)
 print(f"sum of broadcasts: {aggregate}   commitments valid: {valid}")
 
 print("\ninvestigation: everyone reveals the endorsed pair commitments")
-published = {pid: views[pid].published_pairs(1) for pid in range(n)}
+published = [views[pid].published_pairs(1) for pid in range(n)]
 blamed = investigate(params, cts, 1, published, graph.public())
 for pid, reasons in blamed.items():
     print(f"  verdict: P{pid} cheated ({', '.join(reasons)})")

@@ -199,7 +199,8 @@ def cmd_keygen(args) -> int:
     except (ValueError, OverflowError, ConfigInvalid) as exc:  # a seed outside 64 bits overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    endorsed = [endorse_record(1, 0, signed) for signed in graph.epochs[0].signed]
+    signed = zip(graph.participants, graph.epochs[0].signed)
+    endorsed = [endorse_record(1, 0, pid, s) for pid, s in signed]
     for rec in [sim._group_record(params)] + key_records(1, graph.public()) + endorsed:
         print(record_to_line(rec))
     return 0

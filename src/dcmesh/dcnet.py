@@ -12,14 +12,16 @@ commitments and the checks here attribute blame.  A broadcast carries
 no proof: the session judge asks for a round's proofs separately,
 against statements it builds from the broadcasts.
 
-A broadcast carries no label either: a round's broadcasts are a list
-in participant order, and the session judge, which schedules the
-round, knows its id and whose broadcast sits at each position.
+A broadcast carries no label either, nor does a reveal: a round's
+broadcasts and an investigation's reveals are lists in participant
+order, and the session judge, which schedules the round, knows its id
+and whose entry sits at each position.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
 from typing import NamedTuple
 
 from .groups import GroupParams
@@ -69,53 +71,52 @@ def investigate(
     params: GroupParams,
     cts,
     slot: int,
-    published: dict,
+    published: list,
     graph_public: KeyGraphPublic,
 ) -> dict[int, list[str]]:
     """Attribute blame for a round from published pair commitments:
     each blamed participant, in id order, with its sorted reasons.
-    ``cts`` are the round's broadcasts, one per participant of
-    ``graph_public``, in its participant order.
+    ``cts`` are the round's broadcasts and ``published`` the reveals,
+    one of each per participant of ``graph_public``, in its participant
+    order: the position is the participant.
 
-    ``published`` maps participant -> {peer: RevealedCommitment} as each
-    participant revealed them: both ends of an edge reveal its lo -> hi
-    commitment.  Checks, per participant: each revealed commitment, put
-    back among its edge's other ones for the epoch of ``slot``, hashes
-    to a digest whose path leads to the peer's signed ENDORSE root for
-    the epoch (whose signature the judge checked as it took the epoch), and the
-    broadcast aggregate times the commitments of the edges it is the hi
-    end of equals the product of those it is the lo end of; and per
-    edge, that both ends revealed the same commitment.  A bare pair
-    mismatch with both endorsements intact flags both endpoints; anyone
-    whose revealed value lacks a valid endorsement is pinned directly.
-    The edge check alone flags a signer who endorses a forged row that a
-    colluding holder reveals, since both reveals check against the
-    peer's root: without it, the pair would stop a session unflagged.
+    Each reveal is a {peer: RevealedCommitment} map: both ends of an
+    edge reveal its lo -> hi commitment.  Checks, per participant: it
+    reveals exactly its edges that are not opted out; each revealed
+    commitment, put back among its edge's other ones for the epoch of
+    ``slot``, hashes to a digest whose path leads to the peer's signed
+    ENDORSE root for the epoch (whose signature the judge checked as it
+    took the epoch), and the broadcast aggregate times the commitments
+    of the edges it is the hi end of equals the product of those it is
+    the lo end of; and per edge, that both ends revealed the same
+    commitment.  A bare pair mismatch with both endorsements intact
+    flags both endpoints; anyone whose revealed value lacks a valid
+    endorsement is pinned directly.  The edge check alone flags a signer
+    who endorses a forged row that a colluding holder reveals, since
+    both reveals check against the peer's root: without it, the pair
+    would stop a session unflagged.
     """
     flagged = defaultdict(set)   # pid -> its reasons
     participants = graph_public.participants
     optouts = graph_public.optouts
     # signer -> its signed root for the slot's epoch
-    roots = {signed.part: signed.root for signed in graph_public.epochs[slot // EPOCH_SLOTS]}
+    signed = graph_public.epochs[slot // EPOCH_SLOTS]
+    roots = {pid: s.root for pid, s in zip(participants, signed)}
+    revealed = dict(zip(participants, published))
     sig_ok: dict[tuple[int, int], bool] = {}
-    broadcast = {pid: ct.commitment for pid, ct in zip(participants, cts)}
 
-    for pid in participants:
-        revealed = published.get(pid)
-        if revealed is None:
-            flagged[pid].add(NON_COOPERATION)
-            continue
+    for pid, ct, pairs in zip(participants, cts, published):
         expected_peers = {
             peer
             for peer in participants
             if peer != pid and (min(pid, peer), max(pid, peer)) not in optouts
         }
-        if set(revealed) != expected_peers:
+        if set(pairs) != expected_peers:
             flagged[pid].add(NON_COOPERATION)
             continue
         # the broadcast times the hi-end edges' commitments, and the lo-end edges' product
-        hi_side, lo_side = broadcast[pid], 1
-        for peer, sc in sorted(revealed.items()):
+        hi_side, lo_side = ct.commitment, 1
+        for peer, sc in sorted(pairs.items()):
             ok = is_endorsed(params, participants, roots[peer], pid, peer, slot, sc)
             sig_ok[(pid, peer)] = ok
             if not ok:
@@ -128,27 +129,20 @@ def investigate(
             flagged[pid].add(AGGREGATE_MISMATCH)
 
     # both ends of each edge reveal the same lo -> hi commitment
-    for idx, a in enumerate(participants):
-        for b in participants[idx + 1 :]:
-            if (a, b) in optouts:
-                continue
-            pub_a, pub_b = published.get(a), published.get(b)
-            if pub_a is None or pub_b is None:
-                continue
-            sc_ab, sc_ba = pub_a.get(b), pub_b.get(a)
-            if sc_ab is None or sc_ba is None:
-                continue
-            if sc_ab.commitment == sc_ba.commitment:
-                continue
-            a_ok = sig_ok.get((a, b), False)
-            b_ok = sig_ok.get((b, a), False)
-            if a_ok and not b_ok:
-                flagged[b].add(PAIR_MISMATCH)
-            elif b_ok and not a_ok:
-                flagged[a].add(PAIR_MISMATCH)
-            else:
-                # both endorsements check out (or both fail): cannot
-                # separate the endpoints, so both are flagged
-                flagged[a].add(PAIR_MISMATCH)
-                flagged[b].add(PAIR_MISMATCH)
+    for a, b in combinations(revealed, 2):
+        if (a, b) in optouts or b not in revealed[a] or a not in revealed[b]:
+            continue
+        if revealed[a][b].commitment == revealed[b][a].commitment:
+            continue
+        a_ok = sig_ok.get((a, b), False)
+        b_ok = sig_ok.get((b, a), False)
+        if a_ok and not b_ok:
+            flagged[b].add(PAIR_MISMATCH)
+        elif b_ok and not a_ok:
+            flagged[a].add(PAIR_MISMATCH)
+        else:
+            # both endorsements check out (or both fail): cannot
+            # separate the endpoints, so both are flagged
+            flagged[a].add(PAIR_MISMATCH)
+            flagged[b].add(PAIR_MISMATCH)
     return {pid: sorted(flagged[pid]) for pid in sorted(flagged)}

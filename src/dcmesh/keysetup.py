@@ -107,7 +107,8 @@ def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> b
         e, s = signature
     except (TypeError, ValueError):
         return False
-    if not (0 <= e < params.q and 0 <= s < params.q):
+    # a key outside [1, p) verifies nothing: the judge's rule, in the run and on verify alike
+    if not (0 <= e < params.q and 0 <= s < params.q and 1 <= public < params.p):
         return False
     q, p = params.q, params.p
     nonce_point = params.g_table.power(s) * pow(public, (q - e) % q, p) % p
@@ -176,16 +177,16 @@ class RevealedCommitment(NamedTuple):
 
 class SignedRoot(NamedTuple):
     """A participant's signature over its tree's root and its opted-out
-    peers for one epoch."""
+    peers for one epoch.  It names no signer: an epoch's signed roots
+    are a tuple in participant order, and the position is the signer."""
 
-    part: int
     root: bytes
     signature: tuple[int, int]
 
-    def verifies(self, params: GroupParams, public: int, epoch: int, optouts) -> bool:
-        """Whether the signature holds under ``public`` for the epoch and
-        the session's opted-out pairs ``optouts``."""
-        payload = endorse_payload(self.root, self.part, epoch, opted_out_peers(optouts, self.part))
+    def verifies(self, params: GroupParams, signer: int, public: int, epoch: int, optouts) -> bool:
+        """Whether the signature holds as ``signer``'s under ``public`` for
+        the epoch and the session's opted-out pairs ``optouts``."""
+        payload = endorse_payload(self.root, signer, epoch, opted_out_peers(optouts, signer))
         return verify_sig(params, public, payload, self.signature)
 
 
@@ -328,7 +329,7 @@ class KeyGraph:
         signed = []
         for signer, root in zip(self.participants, trees[-1]):
             payload = endorse_payload(root, signer, epoch, opted_out_peers(self.optouts, signer))
-            signed.append(SignedRoot(signer, root, sign(params, self.signing[signer], payload)))
+            signed.append(SignedRoot(root, sign(params, self.signing[signer], payload)))
         # column by column: each participant's count key, total key and
         # blinding sums, slot by slot, then all of them committed to together
         sums = [

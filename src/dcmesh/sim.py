@@ -492,7 +492,7 @@ class _Participants:
         return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
 
     def publish(self, slot):
-        return {p.pid: p.view.published_pairs(slot) for p in self.participants}
+        return [p.view.published_pairs(slot) for p in self.participants]
 
     def respond(self, node_id, statements):
         return [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
@@ -604,12 +604,12 @@ class _Replay:
     one that is not the input asked for is reported, and
     ProtocolOrderViolation stops the judge.  A round's ciphertexts come
     from its CIPHER records, read for each active participant in turn,
-    so a list position is the participant and nothing else labels it.
-    Slot values, commitments and proof texts pass as recorded: the judge
-    checks them as it checks a live participant's."""
+    so a list position is the participant and nothing else labels it,
+    as in every other answer.  Every input passes as recorded, and the
+    judge checks it as it checks a live participant's: only an ENDORSE
+    root that is not hex cannot be decoded, and is malformed."""
 
-    def __init__(self, params, pids, recorded, index, report):
-        self.params = params
+    def __init__(self, pids, recorded, index, report):
         self.pids = pids
         self.recorded = recorded
         self.index = index   # transcript index of recorded[0]
@@ -639,7 +639,7 @@ class _Replay:
             root = bytes.fromhex(rec["root"])
         except ValueError:
             raise MalformedRecord(self.index + self.read - 1, "ENDORSE root is not hex") from None
-        return SignedRoot(pid, root, (rec["sig_e"], rec["sig_s"]))
+        return SignedRoot(root, (rec["sig_e"], rec["sig_s"]))
 
     def append(self, rec):
         recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
@@ -649,19 +649,10 @@ class _Replay:
     def keys(self):
         # reading stops at the first key record out of place, before
         # anything grows with the participant count
-        publics = {}
-        for pid in self.pids:
-            publics[pid] = self._input("PUBKEY", part=pid)["y"]
-            if not 1 <= publics[pid] < self.params.p:
-                raise MalformedRecord(self.index + self.read - 1, "PUBKEY y outside [1, p)")
-        # a pair that is not two active ids in order is dropped here, so the
-        # judge's key records diverge at it; the rest are signed into each ENDORSE
-        optouts = set()
-        recorded = self.recorded
+        publics = {pid: self._input("PUBKEY", part=pid)["y"] for pid in self.pids}
+        optouts, recorded = set(), self.recorded
         while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
-            lo, hi = recorded[self.read]["lo"], recorded[self.read]["hi"]
-            if lo < hi and {lo, hi} <= publics.keys():
-                optouts.add((lo, hi))
+            optouts.add((recorded[self.read]["lo"], recorded[self.read]["hi"]))
             self.read += 1
         return KeyGraphPublic(tuple(self.pids), publics, frozenset(optouts), ())
 
@@ -680,14 +671,14 @@ class _Replay:
         return self.proofs   # as read with the round's CIPHER records
 
     def publish(self, slot):
-        # every participant publishes, if only the empty set of a participant
+        # every participant publishes, if only the empty map of a participant
         # whose edges are all opted out; the PUBLISH records run at the cursor
         published = {pid: {} for pid in self.pids}
         for rec in self.recorded[self.at :]:
             if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
                 break
             published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], rec["path"])
-        return published
+        return list(published.values())
 
     def respond(self, node_id, statements):
         return [self._input("DEMAND", node=node_id, part=pid)["proof"] for pid in self.pids]
@@ -731,12 +722,12 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     the judge asks for an input the record at the cursor is not, verify
     stops there.  A session that bans no one, or bans everyone, ends the
     run, as it does the runner's: a SESSION record after it is reported
-    and verify stops there too.  The judge checks every ENDORSE
-    signature and every CIPHER ``c``, as in the run.  Raises
-    MalformedRecord only for what cannot be parsed or checked: the
-    header, its format version and group, a CONFIG n the body cannot
+    and verify stops there too.  The replay reads every input as
+    recorded, and the judge applies every rule to it, as in the run.
+    Raises MalformedRecord only for what cannot be parsed or checked:
+    the header, its format version and group, a CONFIG n the body cannot
     hold, a missing SUMMARY or opening SESSION record, and, at its own
-    index, a PUBKEY y outside [1, p) or an ENDORSE root that is not hex.
+    index, an ENDORSE root that is not hex.
 
     Verify serialises only the header it recomputes: the SESSION
     ``keys`` and SUMMARY ``bind`` digests are taken over the lines the
@@ -765,7 +756,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             report.compare(index, body[start], None)
             break
         try:
-            replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
+            replay = _Replay(active, body[start + 1 : end], index + 1, report)
             outcome = run_session(
                 params,
                 ResolutionTree(params.q, config["payload_bits"]),

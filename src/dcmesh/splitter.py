@@ -398,11 +398,13 @@ def run_session(
 
     * ``keys()``: the session's KeyGraphPublic, whose participants,
       signing keys and opt-outs the judge records as PUBKEY and OPTOUT
-      records before it takes epoch 0;
+      records before it takes epoch 0, keeping only the opted-out
+      pairs lo < hi of two participants;
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
       SignedRoot per participant in participant order, asked for before
       the first round that spends one of its slots, epoch 0's included;
-      a signature that fails is a verdict, and the session stops there;
+      a signature that fails, as all do under a key outside [1, p), is
+      a verdict, and the session stops there;
     * ``broadcast(round_id, slot)``: one RoundCiphertext per
       participant, padded with the slot's secrets, in a list whose
       position is the participant: a ciphertext names neither its
@@ -413,16 +415,18 @@ def run_session(
     * ``prove(round_id, statements)``: for a round after the first, one
       proof's text per participant, in participant order, of the
       participant's retransmission statement;
-    * ``publish(slot)``: ``{pid: {peer: RevealedCommitment}}`` revealed
-      for an investigation, paths in wire form;
+    * ``publish(slot)``: for an investigation, one ``{peer:
+      RevealedCommitment}`` map per participant, in participant order,
+      paths in wire form;
     * ``respond(node_id, statements)``: one proof's text per
       participant, in participant order, of its denial statement: at an
       equal-payload node each denies a message or claims one copy of
       the node's payload.
 
-    A proof's text is recorded as given; ``zkp.NO_PROOF`` is a withheld
-    proof, and every CIPHER's of round 1 or of a round with a missing
-    broadcast.  Slot values are read mod q.
+    No answer names its participant, and one of the wrong length is the
+    source's fault.  A proof's text is recorded as given; ``zkp.NO_PROOF``
+    is a withheld proof, and every CIPHER's of round 1 or of a round with
+    a missing broadcast.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
@@ -444,13 +448,13 @@ def key_records(session: int, public) -> list[dict]:
     return records
 
 
-def endorse_record(session: int, epoch: int, signed) -> dict:
-    """An ENDORSE record: one participant's signed root for the epoch."""
+def endorse_record(session: int, epoch: int, pid: int, signed) -> dict:
+    """An ENDORSE record: participant ``pid``'s signed root for the epoch."""
     return record(
         "ENDORSE",
         session=session,
         epoch=epoch,
-        part=signed.part,
+        part=pid,
         root=signed.root.hex(),
         sig_e=signed.signature[0],
         sig_s=signed.signature[1],
@@ -467,8 +471,11 @@ class Session:
         self.tag = session_tag
         self.source = source
         self.records = source.records   # the source's sink
-        self.public = source.keys()._replace(epochs=())   # with every epoch endorsed so far
-        self.pids = list(self.public.participants)
+        public = source.keys()
+        self.pids = list(public.participants)
+        ids = set(self.pids)   # an opted-out pair is two participants in order, or is dropped
+        optouts = frozenset((lo, hi) for lo, hi in public.optouts if lo < hi and {lo, hi} <= ids)
+        self.public = public._replace(optouts=optouts, epochs=())   # epochs endorsed so far
         self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
         # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
         self.verdicts = []
@@ -575,8 +582,8 @@ class Session:
         public, epoch, verdicts = self.public, len(self.public.epochs), len(self.verdicts)
         signed = self.source.epoch(epoch)
         for pid, s in zip(self.pids, signed):
-            self.records.append(endorse_record(self.session, epoch, s))
-            if not s.verifies(self.params, public.publics[pid], epoch, public.optouts):
+            self.records.append(endorse_record(self.session, epoch, pid, s))
+            if not s.verifies(self.params, pid, public.publics[pid], epoch, public.optouts):
                 self.verdicts.append(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}"))
         self.public = public._replace(epochs=public.epochs + (tuple(signed),))
         return len(self.verdicts) == verdicts
@@ -598,8 +605,8 @@ class Session:
 
     def _investigate(self, rid, slot, cts) -> None:
         published = self.source.publish(slot)
-        for pid in sorted(published):
-            for peer, sc in sorted(published[pid].items()):
+        for pid, pairs in zip(self.pids, published):
+            for peer, sc in sorted(pairs.items()):
                 self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=sc.path)
         blamed = investigate(self.params, cts, slot, published, self.public)
         cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())

@@ -110,7 +110,7 @@ def test_c04_investigation_blame():
     for trial in range(100):
         n = rng.randrange(2, 7)
         graph, cts = _honest_round(SMALL, n, 20_000 + trial, {})
-        published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
+        published = [graph.view(pid).published_pairs(0) for pid in range(n)]
         if investigate(SMALL, cts, 0, published, graph.public()):
             failures.append(("honest", trial))
 
@@ -120,7 +120,7 @@ def test_c04_investigation_blame():
         n = 4
         for seed in range(10):
             graph, cts = _honest_round(SMALL, n, seed, {})
-            published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
+            published = [graph.view(pid).published_pairs(0) for pid in range(n)]
             cts, published, public = mutate(graph, cts, published, graph.public())
             verdicts = investigate(SMALL, cts, 0, published, public)
             if set(verdicts) != expected:
@@ -158,7 +158,7 @@ def test_c04_investigation_blame():
 
     def non_cooperation(graph, cts, published, public):
         cts[3] = cts[3]._replace(commitment=cts[3].commitment * SMALL.g % SMALL.p)
-        del published[3]
+        published[3] = {}   # 3 reveals none of its edges
         return cts, published, public
 
     run_script("aggregate-mismatch", {1}, aggregate_mismatch)

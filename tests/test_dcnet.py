@@ -218,7 +218,8 @@ def test_broadcasts_hide_the_sender_exactly(small, dlog, order):
 
 
 def honest_published(graph, n, slot):
-    return {pid: graph.view(pid).published_pairs(slot) for pid in range(n)}
+    """What each participant reveals at ``slot``, in participant order."""
+    return [graph.view(pid).published_pairs(slot) for pid in range(n)]
 
 
 def test_investigation_honest_round_empty_verdicts(small):
@@ -286,10 +287,11 @@ def forge_endorsement(params, graph, holder, signer, commitments):
         for pid in graph.participants
         if pid != signer
     }
-    signed = tuple(s if s.part == signer else r for s, r in zip(graph.epochs[0].signed, real.signed))
+    forged = zip(graph.participants, graph.epochs[0].signed, real.signed)
+    signed = tuple(s if pid == signer else r for pid, s, r in forged)
     graph.epochs[0] = real
     n = len(graph.participants)
-    published = {pid: dict(pairs) for pid, pairs in honest_published(graph, n, 0).items()}
+    published = [dict(pairs) for pairs in honest_published(graph, n, 0)]
     for pid, revealed in toward_signer.items():
         published[pid][signer] = revealed
     return published, graph.public()._replace(epochs=(signed,))
@@ -383,7 +385,7 @@ def test_investigation_non_cooperation(small):
     graph = fresh_graph(small, n, seed=12)
     cts, _, _ = run_round(small, graph, n)
     published = honest_published(graph, n, 0)
-    del published[1]
+    published[1] = {}   # 1 reveals none of its edges
     verdicts = investigate(small, cts, 0, published, graph.public())
     assert verdicts == {1: [NON_COOPERATION]}
 
@@ -393,8 +395,7 @@ def test_investigation_respects_optouts(small):
     graph = fresh_graph(small, n, seed=13, refusers={2})
     cts, _, valid = run_round(small, graph, n)
     assert valid
-    published = {pid: graph.view(pid).published_pairs(0) for pid in range(n)}
-    verdicts = investigate(small, cts, 0, published, graph.public())
+    verdicts = investigate(small, cts, 0, honest_published(graph, n, 0), graph.public())
     assert verdicts == {}
 
 

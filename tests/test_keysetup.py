@@ -74,6 +74,9 @@ def test_signature_roundtrip(small):
     assert not verify_sig(small, key.public, b"hellx", sig)
     other = gen_signing_key(small, rng)
     assert not verify_sig(small, other.public, b"hello", sig)
+    # a key outside [1, p) verifies nothing, and raises nothing
+    for public in (-5, 0, small.p, small.p + key.public, 1 << 4096):
+        assert not verify_sig(small, public, b"hello", sig)
 
 
 @pytest.mark.parametrize("level", ["small", "medium"])
@@ -337,8 +340,9 @@ def test_public_header_shape(small):
     assert public.participants == (0, 1, 2)
     assert sorted(public.publics) == [0, 1, 2]
     assert len(public.epochs) == 1
-    # every participant signs, the refuser too
-    assert [signed.part for signed in public.epochs[0]] == [0, 1, 2]
+    # every participant signs, the refuser too, each at its own position
+    signed = zip(public.participants, public.epochs[0], strict=True)
+    assert all(s.verifies(small, pid, public.publics[pid], 0, public.optouts) for pid, s in signed)
     # only the established edge is held; the opted-out pairs are absent
     assert list(graph.epochs[0].edges) == [(0, 2)]
     assert public.optouts == graph.optouts == {(0, 1), (1, 2)}
@@ -362,30 +366,32 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
     assert [opted_out_peers(public.optouts, pid) for pid in range(5)] == [
         [3], [3], [3], [0, 1, 2, 4], [3]
     ]
+    # the signer of each root is its position
     assert signed == [
-        endorse_payload(s.root, s.part, epoch, opted_out_peers(public.optouts, s.part))
+        endorse_payload(s.root, pid, epoch, opted_out_peers(public.optouts, pid))
         for epoch, e in enumerate(graph.epochs)
-        for s in e.signed
+        for pid, s in zip(range(5), e.signed, strict=True)
     ]
     for epoch, e in enumerate(graph.epochs):
-        for s in e.signed:
-            # it verifies under the signer's key, for its epoch and the
-            # session's opt-outs only
-            optouts = public.optouts
-            assert s.verifies(medium, public.publics[s.part], epoch, optouts)
-            assert not s.verifies(medium, public.publics[s.part], epoch + 1, optouts)
-            assert not s.verifies(medium, public.publics[(s.part + 1) % 5], epoch, optouts)
-            assert not s.verifies(medium, public.publics[s.part], epoch, frozenset())
+        for pid, s in enumerate(e.signed):
+            # it verifies as the signer's under its key, for its epoch and
+            # the session's opt-outs only
+            optouts, key = public.optouts, public.publics[pid]
+            assert s.verifies(medium, pid, key, epoch, optouts)
+            assert not s.verifies(medium, pid, key, epoch + 1, optouts)
+            assert not s.verifies(medium, pid, public.publics[(pid + 1) % 5], epoch, optouts)
+            assert not s.verifies(medium, (pid + 1) % 5, key, epoch, optouts)
+            assert not s.verifies(medium, pid, key, epoch, frozenset())
             # an opt-out added to one of its edges (3 has none left)
-            for peer in sorted(set(range(5)) - {s.part} - set(opted_out_peers(optouts, s.part))):
-                added = optouts | {(min(s.part, peer), max(s.part, peer))}
-                assert not s.verifies(medium, public.publics[s.part], epoch, added)
+            for peer in sorted(set(range(5)) - {pid} - set(opted_out_peers(optouts, pid))):
+                added = optouts | {(min(pid, peer), max(pid, peer))}
+                assert not s.verifies(medium, pid, key, epoch, added)
             # over the digests of its edges, in id order, with a tag leaf
             # for an opted-out edge and for padding
             leaves = []
             for holder in range(5):
-                if holder != s.part:
-                    edge = graph.edge(holder, s.part, epoch)
+                if holder != pid:
+                    edge = graph.edge(holder, pid, epoch)
                     leaves.append(NO_EDGE if edge is None else edge.digest)
             assert build_tree(leaves, 4)[-1] == [s.root]
 
@@ -436,13 +442,13 @@ def assert_endorsements_match_a_reference(graph, epoch=0):
     padded with NO_EDGE; and every commitment revealed is endorsed."""
     public, width = graph.public(), signer_width(len(graph.participants))
     roots = {}
-    for signed in graph.epochs[epoch].signed:
-        peers = [peer for peer in graph.participants if peer != signed.part]
-        edges = [graph.edge(peer, signed.part, epoch) for peer in peers]
+    for pid, signed in zip(graph.participants, graph.epochs[epoch].signed, strict=True):
+        peers = [peer for peer in graph.participants if peer != pid]
+        edges = [graph.edge(peer, pid, epoch) for peer in peers]
         leaves = [NO_EDGE if edge is None else edge.digest for edge in edges]
         assert signed.root == reference_root(leaves + [NO_EDGE] * (width - len(peers)))
-        assert signed.verifies(graph.params, public.publics[signed.part], epoch, public.optouts)
-        roots[signed.part] = signed.root
+        assert signed.verifies(graph.params, pid, public.publics[pid], epoch, public.optouts)
+        roots[pid] = signed.root
     revealed = 0
     for holder in graph.participants:
         view = graph.view(holder)

@@ -1098,16 +1098,9 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
     assert info.value.index == index
 
 
-@pytest.mark.parametrize(
-    "prefix, field, value",
-    [("PUBKEY", "y", "-5"), ("PUBKEY", "y", "0"), ("PUBKEY", "y", "p"),
-     ("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc")],
-    ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p", "ENDORSE-root-zz", "ENDORSE-root-abc"],
-)
-def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, medium):
-    # at its own index and naming the field, not as an unreplayable
-    # session; the record is the first whose line starts with the prefix
-    value = str(medium.p) if value == "p" else value
+def _edited_first(prefix, field, value):
+    """A bad_pad run's text with ``field`` of its first ``prefix`` record
+    set to ``value``, and that record's index."""
     text = sim.run_scenario(sim.Scenario(n=3, adversaries=((2, "bad_pad"),), seed=1)).to_text()
     lines = text.splitlines()
     index = next(i for i, ln in enumerate(lines) if ln.startswith(f"{prefix} "))
@@ -1115,9 +1108,32 @@ def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value, 
         f"{field}={value}" if item.startswith(f"{field}=") else item
         for item in lines[index].split()
     )
+    return "\n".join(lines) + "\n", index
+
+
+@pytest.mark.parametrize(
+    "prefix, field, value",
+    [("ENDORSE", "root", "zz"), ("ENDORSE", "root", "abc")],
+    ids=["ENDORSE-root-zz", "ENDORSE-root-abc"],
+)
+def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value):
+    # at its own index and naming the field, not as an unreplayable session
+    text, index = _edited_first(prefix, field, value)
     with pytest.raises(MalformedRecord, match=field) as info:
-        sim.verify_transcript(Transcript.from_text("\n".join(lines) + "\n"))
+        sim.verify_transcript(Transcript.from_text(text))
     assert info.value.index == index
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "p"], ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p"])
+def test_a_pubkey_outside_the_range_is_a_bad_signature_on_verify(value, medium):
+    # a key outside [1, p) is read as recorded, and the judge's signature
+    # check fails under it: participant 0, whose PUBKEY comes first, gets
+    # bad_signature at epoch:0, which the recorded run never issued
+    text, _ = _edited_first("PUBKEY", "y", str(medium.p) if value == "p" else value)
+    report = sim.verify_transcript(Transcript.from_text(text))
+    assert not report.clean
+    verdict = "recomputed VERDICT session=1 part=0 reason=bad_signature where=epoch:0"
+    assert any(message.endswith(verdict) for _, message in report.divergences), report.divergences
 
 
 # n=32 distinct payloads, one per participant: 32 rounds, so four epochs
@@ -1193,7 +1209,7 @@ def _resign(graph, epoch, signer, root, shift=0):
     payload = keysetup.endorse_payload(root, signer, epoch, optouts)
     e, s = keysetup.sign(params, graph.signing[signer], payload)
     signed = list(graph.epochs[epoch].signed)
-    signed[at] = keysetup.SignedRoot(signer, root, (e, (s + shift) % params.q))
+    signed[at] = keysetup.SignedRoot(root, (e, (s + shift) % params.q))
     graph.epochs[epoch] = graph.epochs[epoch]._replace(signed=tuple(signed))
 
 
@@ -1264,6 +1280,112 @@ def test_a_bad_signature_at_a_later_epoch_stops_the_session(monkeypatch):
     last = max(i for i, r in enumerate(first) if r["type"] == "ENDORSE" and r["epoch"] == 1)
     # no ROUND after epoch 1's ENDORSE records: only the verdict and the ban
     assert [r["type"] for r in first[last + 1 :]] == ["VERDICT", "BAN"]
+
+
+class _OutOfRangeKey(sim._Participants):
+    """Answers ``keys()`` with participant 3's PUBKEY y replaced by ``y``."""
+
+    y = 0
+
+    def keys(self):
+        public = super().keys()
+        if 3 not in public.publics:
+            return public
+        return public._replace(publics={**public.publics, 3: self.y})
+
+
+class _ForeignIdSigner(sim._Participants):
+    """Participant 3 signs its epoch-0 root with its own key, over the
+    payload that would endorse that root as participant 0's."""
+
+    def epoch(self, k):
+        signed, graph = super().epoch(k), self.graph
+        if k == 0 and 3 in graph.participants:
+            at = graph.participants.index(3)
+            optouts = keysetup.opted_out_peers(graph.optouts, 0)
+            payload = keysetup.endorse_payload(signed[at].root, 0, 0, optouts)
+            signature = keysetup.sign(graph.params, graph.signing[3], payload)
+            signed = signed[:at] + (signed[at]._replace(signature=signature),) + signed[at + 1 :]
+        return signed
+
+
+class _StrangerReveals(sim._Participants):
+    """Answers ``publish`` with one more reveal than there are
+    participants, participant 0's, where a stranger's would be."""
+
+    def publish(self, slot):
+        published = super().publish(slot)
+        return published + [published[0]]
+
+
+class _RefuserLeftOut(sim._Participants):
+    """Gathers its reveals by participant, leaving out every participant
+    with nothing to reveal, as a refuser whose edges are all opted out;
+    the positional answer holds an empty map in each such place."""
+
+    def publish(self, slot):
+        pids = [p.pid for p in self.participants]
+        gathered = {pid: pairs for pid, pairs in zip(pids, super().publish(slot)) if pairs}
+        return [gathered.get(pid, {}) for pid in pids]
+
+
+class _ForeignOptout(sim._Participants):
+    """Answers ``keys()`` with the opted-out pair ``pair`` added."""
+
+    pair = (3, 1)
+
+    def keys(self):
+        public = super().keys()
+        return public._replace(optouts=public.optouts | {self.pair})
+
+
+def verdict_places(transcript):
+    return [
+        (r["part"], r["reason"], r["where"]) for r in transcript.records if r["type"] == "VERDICT"
+    ]
+
+
+HONEST_RUN = BAD_PAD_RUN._replace(adversaries=())
+# 2 refuses every edge, so it reveals nothing, and 3 pads badly
+REFUSER_RUN = sim.Scenario(
+    n=4, senders=((0, 36), (1, 11)), adversaries=((2, "refuse_signature"), (3, "bad_pad")), seed=2
+)
+KEY_BAN = [(3, "bad_signature", "epoch:0")]
+
+
+@pytest.mark.parametrize(
+    "source, attrs, scenario, expected",
+    [
+        (_OutOfRangeKey, {"y": 0}, HONEST_RUN, KEY_BAN),
+        (_OutOfRangeKey, {"y": -5}, HONEST_RUN, KEY_BAN),
+        (_ForeignIdSigner, {}, HONEST_RUN, KEY_BAN),
+        (_ForeignIdSigner, {}, BAD_PAD_RUN, KEY_BAN),
+        (_StrangerReveals, {}, BAD_PAD_RUN, None),
+        (_RefuserLeftOut, {}, REFUSER_RUN, None),
+        (_ForeignOptout, {"pair": (0, 1 << 40)}, HONEST_RUN, []),
+        (_ForeignOptout, {"pair": (3, 1)}, HONEST_RUN, []),
+    ],
+    ids=[
+        "pubkey-y-0", "pubkey-y--5", "root-under-0s-id", "root-under-0s-id-bad-pad",
+        "stranger-reveals", "refuser-left-out", "optout-0-2^40", "optout-3-1",
+    ],
+)
+def test_the_judge_applies_every_rule_to_a_source_answer(
+    monkeypatch, source, attrs, scenario, expected
+):
+    # a source that answers one call out of the rules: the run raises
+    # nothing, the verify of its own transcript is clean, only 3 gets a
+    # VERDICT, and every sender's payload arrives; ``expected`` None is
+    # the verdicts of the unmodified run
+    if expected is None:
+        expected = verdict_places(sim.run_scenario(scenario))
+    for name, value in attrs.items():
+        monkeypatch.setattr(source, name, value)
+    monkeypatch.setattr(sim, "_Participants", source)
+    t = run(scenario)
+    assert verdict_places(t) == expected
+    assert {part for part, _, _ in expected} <= {3}
+    assert summary_of(t)["delivered"] == len(scenario.senders)
 
 
 class _UnreducedCountParticipant(sim.HonestParticipant):
