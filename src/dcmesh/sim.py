@@ -40,7 +40,7 @@ from .transcript import Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
 # the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v11"
+FORMAT_VERSION = "v12"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -419,18 +419,14 @@ def _header(params, config, digest=records_digest):
     return header
 
 
-def _session_head(session, public: KeyGraphPublic, records, digest=records_digest):
-    """The SESSION record before a judged session's ``records``: its keys
-    digest covers their first 2n + |optouts|, the key records and epoch
-    0's ENDORSE records (on verify the recorded ones), and its budget is
-    the slots of every epoch ``public`` holds."""
-    keys = 2 * len(public.participants) + len(public.optouts)
+def _session_head(session, public: KeyGraphPublic):
+    """The SESSION record of a judged session: its budget is the slots
+    of every epoch ``public`` holds."""
     return record(
         "SESSION",
         idx=session,
         active=",".join(str(pid) for pid in public.participants),
         budget=EPOCH_SLOTS * len(public.epochs),
-        keys=digest(records[:keys]),
     )
 
 
@@ -536,7 +532,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
         outcome = _play_session(
             params, scenario, active, pending, session, _session_tag(header_digest, session)
         )
-        body.append(_session_head(session, outcome.public, outcome.records, transcript.digest))
+        body.append(_session_head(session, outcome.public))
         body.extend(outcome.records)
         outcomes.append(outcome)
 
@@ -729,10 +725,10 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     hold, a missing SUMMARY or opening SESSION record, and, at its own
     index, an ENDORSE root that is not hex.
 
-    Verify serialises only the header it recomputes: the SESSION
-    ``keys`` and SUMMARY ``bind`` digests are taken over the lines the
-    transcript holds, and no recorded body record is written again
-    except in a divergence message.
+    Verify serialises only the header it recomputes: the SUMMARY
+    ``bind`` digest is taken over the lines the transcript holds, and no
+    recorded body record is written again except in a divergence
+    message.
     """
     report = VerificationReport()
     params, config = _check_header(transcript.header, report)
@@ -770,8 +766,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
         for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
             replay.append(None)
-        head = _session_head(session, outcome.public, replay.recorded, transcript.digest)
-        report.compare(index, body[start], head)
+        report.compare(index, body[start], _session_head(session, outcome.public))
         outcomes.append(outcome)
         active = _survivors(active, outcome)
     else:

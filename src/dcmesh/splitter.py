@@ -423,10 +423,10 @@ def run_session(
       equal-payload node each denies a message or claims one copy of
       the node's payload.
 
-    No answer names its participant, and one of the wrong length is the
-    source's fault.  A proof's text is recorded as given; ``zkp.NO_PROOF``
-    is a withheld proof, and every CIPHER's of round 1 or of a round with
-    a missing broadcast.  Slot values are read mod q.
+    No answer names its participant, and one of the wrong length, the
+    source's fault, raises ValueError.  A proof's text is recorded as
+    given; ``zkp.NO_PROOF`` is a withheld proof, and every CIPHER's of
+    round 1 or of a round with a missing broadcast.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
@@ -498,7 +498,7 @@ class Session:
             self.emit("ROUND", id=rid, slot=slot)
             cts = source.broadcast(rid, slot)
             # a commitment outside the group is no broadcast: the pads cannot cancel
-            silent = [pid for pid, ct in zip(pids, cts) if not is_element(ct.commitment)]
+            silent = [pid for pid, ct in zip(pids, cts, strict=True) if not is_element(ct.commitment)]
             if not silent:
                 add_round(self.params, self.targets.values(), rid, cts)
             if rid == 1 or silent:   # no proof is asked for or recorded
@@ -509,7 +509,7 @@ class Session:
                     for pid in pids
                 ]
                 texts = source.prove(rid, stmts)
-            for pid, ct, text in zip(pids, cts, texts):
+            for pid, ct, text in zip(pids, cts, texts, strict=True):
                 self.emit(
                     "CIPHER",
                     round=rid,
@@ -535,7 +535,7 @@ class Session:
 
             if rid != 1:
                 oks = self._check_proofs(stmts, texts)
-                for pid, text, ok in zip(pids, texts, oks):
+                for pid, text, ok in zip(pids, texts, oks, strict=True):
                     if not ok:
                         reason = NON_COOPERATION if text == zkp.NO_PROOF else INVALID_PROOF
                         self.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
@@ -581,7 +581,7 @@ class Session:
         ``bad_signature`` verdict.  Returns whether every signature holds."""
         public, epoch, verdicts = self.public, len(self.public.epochs), len(self.verdicts)
         signed = self.source.epoch(epoch)
-        for pid, s in zip(self.pids, signed):
+        for pid, s in zip(self.pids, signed, strict=True):
             self.records.append(endorse_record(self.session, epoch, pid, s))
             if not s.verifies(self.params, pid, public.publics[pid], epoch, public.optouts):
                 self.verdicts.append(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}"))
@@ -605,7 +605,7 @@ class Session:
 
     def _investigate(self, rid, slot, cts) -> None:
         published = self.source.publish(slot)
-        for pid, pairs in zip(self.pids, published):
+        for pid, pairs in zip(self.pids, published, strict=True):
             for peer, sc in sorted(pairs.items()):
                 self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=sc.path)
         blamed = investigate(self.params, cts, slot, published, self.public)
@@ -632,7 +632,7 @@ class Session:
         ]
         texts = self.source.respond(node_id, stmts)
         oks = self._check_proofs(stmts, texts)
-        for pid, text, ok in zip(self.pids, texts, oks):
+        for pid, text, ok in zip(self.pids, texts, oks, strict=True):
             self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=text)
         return [pid for pid, ok in zip(self.pids, oks) if not ok]
 

@@ -31,11 +31,10 @@ is malformed, so a transcript has one text.  A line is written by
 filling its type's ``%`` template, built once from the schema, with the
 record's field values.  A value has one spelling: integers canonical
 decimal, byte strings lowercase hex, other strings verbatim with no
-space.  So a line re-serialises to itself, and the digests that bind
-the transcript (HEADEREND over the header before it, SESSION ``keys``
-over the session's key records, SUMMARY ``bind`` over the body before
-it) are taken over the lines a transcript holds:
-the runner's as written, the verifier's as read.
+space.  So a line re-serialises to itself, and the two digests that
+bind the transcript (HEADEREND over the header before it, SUMMARY
+``bind`` over the body before it) are taken over the lines a transcript
+holds: the runner's as written, the verifier's as read.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _SCHEMA = {
     "OPTOUT": ("session", "lo", "hi"),
     "ENDORSE": ("session", "epoch", "part", "root", "sig_e", "sig_s"),
     "HEADEREND": ("digest",),
-    "SESSION": ("idx", "active", "budget", "keys"),
+    "SESSION": ("idx", "active", "budget"),
     "ROUND": ("session", "id", "slot"),
     "CIPHER": ("session", "round", "part", "O_count", "O_total", "c", "proof"),
     "AGGREGATE": ("session", "round", "C_count", "C_total", "valid"),
@@ -253,5 +252,5 @@ def _digest(lines) -> str:
 
 
 def records_digest(records) -> str:
-    """Digest binding the canonical lines of a header, a session's key records or a body."""
+    """Digest binding the canonical lines of a header or a body."""
     return _digest(map(record_to_line, records))
