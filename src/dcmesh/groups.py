@@ -181,9 +181,6 @@ class GroupParams(_Group):
     def element_to_bytes(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")
 
-    def scalar_to_bytes(self, x: int) -> bytes:
-        return x.to_bytes(self.scalar_bytes, "big")
-
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on failure.
 

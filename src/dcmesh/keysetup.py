@@ -11,11 +11,15 @@ hashed, in slot order, into one digest, and both ends endorse it: it is
 the leaf for lo in hi's tree and the leaf for hi in lo's.  A
 participant's tree has one leaf per other participant, in id order,
 and it signs that tree's root once per epoch, bound to the epoch and to
-the peers it shares no edge with (an ENDORSE record).  A commitment
-revealed with the edge's other ones for the epoch, which leak nothing
-as Pedersen commitments are perfectly hiding, and its path through the
-other end's tree is endorsed by that one signature, which is what later
-lets an investigation pin blame.  Epoch 0 is built with the graph and
+the peers it shares no edge with (an ENDORSE record).  A signing key is
+h^x, and a signature is a one-branch ``zkp`` proof of knowledge of x
+whose context is what it signs: a Schnorr signature in the one
+Fiat-Shamir scheme of ``zkp``, its nonce drawn from the epoch's key
+stream after the edges' secrets.  A commitment revealed with the edge's
+other ones for the epoch, which leak nothing as Pedersen commitments
+are perfectly hiding, and its path through the other end's tree is
+endorsed by that one signature, which is what later lets an
+investigation pin blame.  Epoch 0 is built with the graph and
 later epochs on demand, over the same edges and signing keys.
 
 One ``Edge`` record holds an edge's epoch: lo's keys and blinding
@@ -52,7 +56,7 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from . import merkle
+from . import merkle, zkp
 from .groups import GroupParams, commit_scalars
 
 # slots per endorsement epoch: one digest per edge and epoch, and
@@ -66,7 +70,7 @@ NO_EDGE = b"dcmesh/no-edge"
 
 
 # ---------------------------------------------------------------------------
-# Schnorr signatures over the same group (one keypair per participant)
+# signing keys: one h^x per participant, whose signature is a zkp proof
 
 
 class SigningKey(NamedTuple):
@@ -76,43 +80,7 @@ class SigningKey(NamedTuple):
 
 def gen_signing_key(params: GroupParams, rng) -> SigningKey:
     x = rng.randrange(1, params.q)
-    return SigningKey(secret=x, public=params.g_table.power(x))
-
-
-def _sig_challenge(params, public, nonce_point, message) -> int:
-    h = hashlib.sha256()
-    h.update(b"dcmesh/sig/v1")
-    h.update(params.domain_tag)
-    h.update(params.element_to_bytes(public))
-    h.update(params.element_to_bytes(nonce_point))
-    h.update(len(message).to_bytes(4, "big"))
-    h.update(message)
-    return int.from_bytes(h.digest(), "big") % params.q
-
-
-def sign(params: GroupParams, key: SigningKey, message: bytes) -> tuple[int, int]:
-    # deterministic nonce keeps the whole setup reproducible from a seed
-    nonce_material = hashlib.sha256(
-        b"dcmesh/nonce" + params.scalar_to_bytes(key.secret) + message
-    ).digest()
-    k = int.from_bytes(nonce_material, "big") % params.q
-    nonce_point = params.g_table.power(k)
-    e = _sig_challenge(params, key.public, nonce_point, message)
-    s = (k + e * key.secret) % params.q
-    return (e, s)
-
-
-def verify_sig(params: GroupParams, public: int, message: bytes, signature) -> bool:
-    try:
-        e, s = signature
-    except (TypeError, ValueError):
-        return False
-    # a key outside [1, p) verifies nothing: the judge's rule, in the run and on verify alike
-    if not (0 <= e < params.q and 0 <= s < params.q and 1 <= public < params.p):
-        return False
-    q, p = params.q, params.p
-    nonce_point = params.g_table.power(s) * pow(public, (q - e) % q, p) % p
-    return _sig_challenge(params, public, nonce_point, message) == e
+    return SigningKey(secret=x, public=params.h_table.power(x))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +111,17 @@ def endorse_payload(root: bytes, signer: int, epoch: int, opted_out) -> bytes:
 def opted_out_peers(optouts, pid: int) -> list[int]:
     """The peers ``pid`` shares no edge with, given the opted-out (lo, hi) pairs."""
     return sorted(lo + hi - pid for lo, hi in optouts if pid in (lo, hi))
+
+
+def endorse_statement(
+    params: GroupParams, key: int, root: bytes, signer: int, epoch: int, optouts
+) -> zkp.OrStatement:
+    """What an ENDORSE signature proves: knowledge of the log to h of
+    ``signer``'s key, one branch whose context is the endorse payload of
+    ``root`` for the epoch and the session's opted-out pairs
+    ``optouts``.  The key must lie in [1, p)."""
+    payload = endorse_payload(root, signer, epoch, opted_out_peers(optouts, signer))
+    return zkp.OrStatement(params, (key,), payload)
 
 
 def signer_width(count: int) -> int:
@@ -177,17 +156,13 @@ class RevealedCommitment(NamedTuple):
 
 class SignedRoot(NamedTuple):
     """A participant's signature over its tree's root and its opted-out
-    peers for one epoch.  It names no signer: an epoch's signed roots
-    are a tuple in participant order, and the position is the signer."""
+    peers for one epoch: the (challenge, response) pair of its one-branch
+    proof of :func:`endorse_statement`.  It names no signer: an epoch's
+    signed roots are a tuple in participant order, and the position is
+    the signer."""
 
     root: bytes
     signature: tuple[int, int]
-
-    def verifies(self, params: GroupParams, signer: int, public: int, epoch: int, optouts) -> bool:
-        """Whether the signature holds as ``signer``'s under ``public`` for
-        the epoch and the session's opted-out pairs ``optouts``."""
-        payload = endorse_payload(self.root, signer, epoch, opted_out_peers(optouts, signer))
-        return verify_sig(params, public, payload, self.signature)
 
 
 def is_endorsed(
@@ -298,14 +273,17 @@ class KeyGraph:
 
     def add_epoch(self, rng: random.Random) -> None:
         """Endorse the next epoch: every edge but the opted-out ones
-        established from ``rng`` by one ``establish_edges``, then signed."""
+        established from ``rng`` by one ``establish_edges``, then signed
+        with nonces drawn from ``rng`` after the edges."""
         pairs = [pair for pair in combinations(self.participants, 2) if pair not in self.optouts]
-        self.epochs.append(self.sign_epoch(establish_edges(self.params, pairs, rng), len(self.epochs)))
+        edges = establish_edges(self.params, pairs, rng)
+        self.epochs.append(self.sign_epoch(edges, len(self.epochs), rng))
 
-    def sign_epoch(self, edges, epoch: int) -> Epoch:
+    def sign_epoch(self, edges, epoch: int, rng: random.Random) -> Epoch:
         """Epoch ``epoch`` over ``edges``, walked once: every participant's
         tree over the leaf hashes of its edges' digests, built together,
-        one signature per root, and every participant's sums.
+        one signature per root, its proof's nonce drawn from ``rng`` in
+        participant order, and every participant's sums.
 
         An edge's lo -> hi secrets count negated for its hi end.  Pedersen
         commitments are homomorphic, so committing to a participant's sums
@@ -328,8 +306,10 @@ class KeyGraph:
         trees = merkle.build_tree(leaves, width)
         signed = []
         for signer, root in zip(self.participants, trees[-1]):
-            payload = endorse_payload(root, signer, epoch, opted_out_peers(self.optouts, signer))
-            signed.append(SignedRoot(root, sign(params, self.signing[signer], payload)))
+            key = self.signing[signer]
+            stmt = endorse_statement(params, key.public, root, signer, epoch, self.optouts)
+            (signature,) = zkp.prove_or(params, stmt, 0, key.secret, rng)
+            signed.append(SignedRoot(root, signature))
         # column by column: each participant's count key, total key and
         # blinding sums, slot by slot, then all of them committed to together
         sums = [

@@ -36,11 +36,9 @@ from .splitter import (
     run_session,
     slot_fits,
 )
-from .transcript import Transcript, record, record_to_line, records_digest
+from .transcript import FORMAT_VERSION, Transcript, record, record_to_line, records_digest
 
 DOMAIN_TAG = b"dc-mesh/v1"
-# the transcript format this engine writes, and the only one it replays
-FORMAT_VERSION = "v12"
 
 # adversary strategies; wrong_branch doubles as its verdict reason code
 BAD_PAD = "bad_pad"
@@ -689,8 +687,6 @@ def _check_header(header, report):
     types = [r["type"] for r in header]
     if "GROUP" not in types or "CONFIG" not in types:
         raise MalformedRecord(len(header) - 1, "incomplete header")
-    if header[0].get("version") != FORMAT_VERSION:
-        raise MalformedRecord(0, f"not a format {FORMAT_VERSION} transcript")
     group = header[types.index("GROUP")]
     try:
         # only built-in groups are named: p, q and the generators follow
@@ -721,9 +717,10 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     and verify stops there too.  The replay reads every input as
     recorded, and the judge applies every rule to it, as in the run.
     Raises MalformedRecord only for what cannot be parsed or checked:
-    the header, its format version and group, a CONFIG n the body cannot
-    hold, a missing SUMMARY or opening SESSION record, and, at its own
-    index, an ENDORSE root that is not hex.
+    the header and its group, a CONFIG n the body cannot hold, a missing
+    SUMMARY or opening SESSION record, and, at its own index, an ENDORSE
+    root that is not hex.  A text of another format version is malformed
+    as ``Transcript.from_text`` reads it.
 
     Verify serialises only the header it recomputes: the SUMMARY
     ``bind`` digest is taken over the lines the transcript holds, and no

@@ -87,7 +87,7 @@ from .dcnet import (
 )
 from .errors import NotACollision, PayloadOverflow, WitnessMismatch
 from .groups import GroupParams, value_term
-from .keysetup import EPOCH_SLOTS
+from .keysetup import EPOCH_SLOTS, endorse_statement
 from .transcript import record
 
 # node statuses
@@ -330,15 +330,16 @@ def denial_statement(
     pid: int,
     node_id: int,
     session_tag: bytes,
-    copy: int | None = None,
+    copy_term: int | None = None,
 ) -> zkp.OrStatement:
     """Claim that this participant's context at a node carries no
-    message, N(k), or, where ``copy`` is an equal-payload node's payload
-    x, no message or exactly the one slot (1, x), N(k) * g * f^x."""
+    message, N(k), or, where ``copy_term`` is g * f^x for an
+    equal-payload node's payload x, no message or exactly the one slot
+    (1, x), N(k) * g * f^x."""
     ctx = session_tag + b"|denial|%d|%d" % (pid, node_id)
     targets = [nodes[node_id]]
-    if copy is not None:
-        targets.append(targets[0] * value_term(params, (1, copy)) % params.p)
+    if copy_term is not None:
+        targets.append(targets[0] * copy_term % params.p)
     return zkp.OrStatement(params, targets, ctx)
 
 
@@ -576,17 +577,23 @@ class Session:
         return self
 
     def _endorse(self) -> bool:
-        """Take the next epoch's signed roots from the source and record
-        them; a signer whose signature fails under its PUBKEY gets a
-        ``bad_signature`` verdict.  Returns whether every signature holds."""
-        public, epoch, verdicts = self.public, len(self.public.epochs), len(self.verdicts)
+        """Take the next epoch's signed roots from the source, record them
+        and check them in one ``zkp.verify_or``: a signer whose PUBKEY
+        lies outside [1, p), which states nothing, or whose signature
+        fails gets a ``bad_signature`` verdict.  Returns whether all hold."""
+        params, public, epoch = self.params, self.public, len(self.public.epochs)
         signed = self.source.epoch(epoch)
         for pid, s in zip(self.pids, signed, strict=True):
             self.records.append(endorse_record(self.session, epoch, pid, s))
-            if not s.verifies(self.params, pid, public.publics[pid], epoch, public.optouts):
-                self.verdicts.append(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}"))
+        keys, optouts = public.publics, public.optouts
+        keyed = [(pid, s) for pid, s in zip(self.pids, signed) if 0 < keys[pid] < params.p]
+        stmts = [endorse_statement(params, keys[pid], s.root, pid, epoch, optouts) for pid, s in keyed]
+        oks = zkp.verify_or(params, stmts, [(s.signature,) for _, s in keyed])
+        held = {pid for (pid, _), ok in zip(keyed, oks) if ok}
+        failed = [pid for pid in self.pids if pid not in held]
+        self.verdicts.extend(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}") for pid in failed)
         self.public = public._replace(epochs=public.epochs + (tuple(signed),))
-        return len(self.verdicts) == verdicts
+        return not failed
 
     def _emit_nodes(self, touched) -> None:
         for node_id in touched:
@@ -626,8 +633,9 @@ class Session:
         """Ask every participant to deny carrying a message at a node (or,
         where ``copy`` is an equal-payload node's payload, to carry nothing
         or that one copy); returns those whose proofs fail."""
+        term = None if copy is None else value_term(self.params, (1, copy))   # once per node
         stmts = [
-            denial_statement(self.params, nodes, pid, node_id, self.tag, copy)
+            denial_statement(self.params, nodes, pid, node_id, self.tag, term)
             for pid, nodes in self.targets.items()
         ]
         texts = self.source.respond(node_id, stmts)

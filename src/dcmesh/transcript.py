@@ -11,7 +11,8 @@ one per participant, sit in the session where the epoch was endorsed,
 before the first round that spends it.  A slot value is a pair: each
 CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
 A CIPHER or DEMAND proof is the lowercase hex of its (challenge,
-response) scalars, one pair per branch, or ``-`` where none is sent;
+response) scalars, one pair per branch (an ENDORSE's one is ``sig_e``,
+``sig_s``), or ``-`` where none is sent;
 its challenge is SHA-256 over the group, the statement's context, its
 targets and the announcements (see ``dcmesh.zkp``), and every context
 opens with the header digest, the value HEADEREND records, which a
@@ -44,6 +45,8 @@ import re
 from operator import itemgetter
 
 from .errors import MalformedRecord
+
+FORMAT_VERSION = "v13"   # the format this engine writes, and the only one it reads
 
 # record type -> ordered field names; values are serialized as key=value
 _SCHEMA = {
@@ -229,15 +232,20 @@ class Transcript:
     def from_text(cls, text: str) -> "Transcript":
         """The transcript a text spells: one record per line, every line
         ended by a newline, so a blank line or a missing last newline is
-        malformed, at its own index, and a transcript has one text."""
+        malformed, at its own index, and a transcript has one text.  The
+        DCMESH line is read first, so another format version is malformed
+        at record 0 before any line that format spells otherwise."""
         lines = text.split("\n")
         if lines.pop():
             raise MalformedRecord(len(lines), "the last line has no newline")
         if not lines:
             raise MalformedRecord(0, "empty transcript")
-        records = [line_to_record(ln, i) for i, ln in enumerate(lines)]
-        if records[0]["type"] != "DCMESH":
+        first = line_to_record(lines[0], 0)
+        if first["type"] != "DCMESH":
             raise MalformedRecord(0, "transcript must start with a DCMESH line")
+        if first["version"] != FORMAT_VERSION:
+            raise MalformedRecord(0, f"not a format {FORMAT_VERSION} transcript")
+        records = [first] + [line_to_record(ln, i) for i, ln in enumerate(lines[1:], 1)]
         end = next((i for i, rec in enumerate(records) if rec["type"] == "HEADEREND"), None)
         if end is None:
             raise MalformedRecord(len(records) - 1, "missing HEADEREND record")

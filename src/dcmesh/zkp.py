@@ -17,14 +17,17 @@ the announcements A_1 ... A_k:
 
 with every element at the group's fixed width.  ``fs_prefix``, cached
 on the group, binds the tag ``dcmesh/fs/v2``, the domain tag, p, q and
-the three generators.  The engine's contexts open with the session
-tag, the digest of the transcript header's DCMESH, GROUP and CONFIG
-lines and the session number, so every proof binds the whole header.
+the three generators.  The judge's retransmission and denial contexts
+open with the session tag, the digest of the transcript header's
+DCMESH, GROUP and CONFIG lines and the session number, so each such
+proof binds the whole header.  A key-setup signature is a one-branch
+proof of x for the key h^x, whose context is the endorse payload
+(``keysetup.endorse_statement``).
 
 A proof is in challenge form, one (challenge, response) pair per
-branch, the shape of a key-setup signature.  The verifier rebuilds each
-branch's announcement h^z * T^-e and accepts when the challenge of the
-statement and those announcements is the sum of the branch challenges.
+branch.  The verifier rebuilds each branch's announcement h^z * T^-e
+and accepts when the challenge of the statement and those
+announcements is the sum of the branch challenges.
 :func:`verify_or` checks a whole round of statements at once: every h^z
 of the round goes through one ``WindowTable.powers`` call, then each
 branch takes one ``pow`` and each proof one hash.  Branch targets are

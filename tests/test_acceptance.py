@@ -147,7 +147,7 @@ def test_c04_investigation_blame():
         row = b"".join(SMALL.element_to_bytes(c) for c in forged_list)
         edges = dict(real.edges)
         edges[(0, 1)] = edges[(0, 1)]._replace(commitments=forged_list, digest=edge_digest(row))
-        graph.epochs[0] = graph.sign_epoch(edges, 0)
+        graph.epochs[0] = graph.sign_epoch(edges, 0, random.Random(0))
         for pid in (0, 2, 3):
             published[pid] = dict(published[pid])
             published[pid][1] = graph.view(pid).published_pairs(0)[1]

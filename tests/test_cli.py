@@ -308,7 +308,7 @@ def test_production_keygen_is_pinned(capsys):
     assert main(["keygen", "--group", "production", "--n", "3", "--seed", "1"]) == 0
     printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(printed).hexdigest() == (
-        "d5c93c275e6121a9a216158f6b389fb9109c4522a88fc39d5716eb6d45d32aef"
+        "d7123c3639fa5e1a2372b860df4f7fd274d03e13d456832ec10d226bfba4a269"
     )
 
 

@@ -199,7 +199,7 @@ def test_broadcasts_hide_the_sender_exactly(small, dlog, order):
     deltas = [dlog(small, small.h, small.g * pow(small.f, x, p) % p) for x in range(q)]
 
     def broadcasts(pair, edge, sender, x):
-        graph.epochs[0] = graph.sign_epoch({**edges, pair: edge}, 0)
+        graph.epochs[0] = graph.sign_epoch({**edges, pair: edge}, 0, random.Random(0))
         return [
             make_ciphertext(graph.view(pid), 0, (1, x) if pid == sender else None)
             for pid in graph.participants
@@ -280,7 +280,7 @@ def forge_endorsement(params, graph, holder, signer, commitments):
     edges = dict(real.edges)
     row = b"".join(params.element_to_bytes(c) for c in commitments)
     edges[pair] = edges[pair]._replace(commitments=tuple(commitments), digest=edge_digest(row))
-    graph.epochs[0] = graph.sign_epoch(edges, 0)
+    graph.epochs[0] = graph.sign_epoch(edges, 0, random.Random(0))
     # every reveal toward the signer leads to its root over the forged edge
     toward_signer = {
         pid: graph.view(pid).published_pairs(0)[signer]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmesh import groups, sim
+from dcmesh import groups, sim, zkp
 from dcmesh.groups import (
     WINDOW_TABLE_BYTES,
     GroupParams,
@@ -159,7 +159,9 @@ def test_params_text_roundtrip(small):
 
 def test_scalar_element_serialization_widths(medium):
     assert len(medium.element_to_bytes(medium.p - 1)) == medium.element_bytes
-    assert len(medium.scalar_to_bytes(medium.q - 1)) == medium.scalar_bytes
+    # a proof's text spells each scalar at the scalar width
+    text = zkp.proof_to_text(medium, ((medium.q - 1, 0),))
+    assert len(bytes.fromhex(text)) == 2 * medium.scalar_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,25 @@ from types import SimpleNamespace
 
 import pytest
 
-from dcmesh import groups, keysetup, merkle
+from dcmesh import groups, keysetup, merkle, zkp
+from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import commit, commit_scalars, derive_params
 from dcmesh.keysetup import (
     EPOCH_SLOTS,
     NO_EDGE,
     KeyGraph,
+    SignedRoot,
     build_key_graph,
     edge_digest,
     endorse_payload,
+    endorse_statement,
     establish_edges,
     gen_signing_key,
     is_endorsed,
     opted_out_peers,
-    sign,
     signer_width,
-    verify_sig,
 )
+from dcmesh.splitter import denial_statement, retransmission_statement
 
 TAG = b"dc-mesh/v1"
 
@@ -66,17 +68,63 @@ def aggregate_commitment(graph, pid, slot):
     return acc
 
 
+def endorses(params, signed, signer, key, epoch, optouts) -> bool:
+    """Whether ``signed`` verifies as ``signer``'s ENDORSE under ``key``
+    for the epoch and the opted-out pairs ``optouts``, as the judge checks it."""
+    stmt = endorse_statement(params, key, signed.root, signer, epoch, optouts)
+    return zkp.verify_or(params, [stmt], [(signed.signature,)]) == [True]
+
+
 def test_signature_roundtrip(small):
+    # a signature is a one-branch proof of the key's log to h, whose
+    # context is the endorse payload: it holds for its root and its key only
     rng = random.Random(0)
     key = gen_signing_key(small, rng)
-    sig = sign(small, key, b"hello")
-    assert verify_sig(small, key.public, b"hello", sig)
-    assert not verify_sig(small, key.public, b"hellx", sig)
+    assert key.public == small.h_table.power(key.secret)
+    root = bytes(32)
+    stmt = endorse_statement(small, key.public, root, 0, 0, frozenset())
+    (signature,) = zkp.prove_or(small, stmt, 0, key.secret, rng)
+    signed = SignedRoot(root, signature)
+    assert endorses(small, signed, 0, key.public, 0, frozenset())
+    assert not endorses(small, signed._replace(root=b"\x01" + root[1:]), 0, key.public, 0, frozenset())
     other = gen_signing_key(small, rng)
-    assert not verify_sig(small, other.public, b"hello", sig)
-    # a key outside [1, p) verifies nothing, and raises nothing
-    for public in (-5, 0, small.p, small.p + key.public, 1 << 4096):
-        assert not verify_sig(small, public, b"hello", sig)
+    assert not endorses(small, signed, 0, other.public, 0, frozenset())
+    # no signature under a key its signer does not hold
+    with pytest.raises(WitnessMismatch):
+        zkp.prove_or(small, stmt, 0, other.secret, rng)
+
+
+def test_a_signature_is_only_its_endorse(medium):
+    # an ENDORSE signature and the judge's proofs share one Fiat-Shamir
+    # scheme over one base: a signature verifies as its signer's ENDORSE
+    # for its own epoch and opt-outs only, not as a denial or
+    # retransmission proof with the key as a target, and no such proof
+    # made with the key verifies as the ENDORSE
+    rng, tag = random.Random(23), bytes(32) + b"|s1"
+    graph = build_key_graph(medium, range(4), random.Random(21), refusers={3})
+    graph.add_epoch(random.Random(22))
+    public = graph.public()
+    optouts = public.optouts
+    assert optouts == {(0, 3), (1, 3), (2, 3)}
+    for epoch, signed in enumerate(public.epochs):
+        for pid, s in enumerate(signed):
+            key = public.publics[pid]
+            assert endorses(medium, s, pid, key, epoch, optouts)
+            assert not endorses(medium, s, pid, key, 1 - epoch, optouts)
+            assert not endorses(medium, s, (pid + 1) % 4, key, epoch, optouts)
+            assert not endorses(medium, s, pid, key, epoch, frozenset())
+            endorse = endorse_statement(medium, key, s.root, pid, epoch, optouts)
+            denial = denial_statement(medium, {5: key}, pid, 5, tag)
+            retransmission = retransmission_statement(medium, {2: key, 3: key}, pid, 2, tag)
+            forms = [(s.signature,), (s.signature,) * 2]
+            stmts = [denial, denial, retransmission, retransmission]
+            assert zkp.verify_or(medium, stmts, forms * 2) == [False] * 4
+            for stmt in (denial, retransmission):
+                proof = zkp.prove_or(medium, stmt, 0, graph.signing[pid].secret, rng)
+                assert zkp.verify_or(medium, [stmt], [proof]) == [True]
+                # as the ENDORSE's proof, and each of its branches as one
+                attempts = [proof] + [(pair,) for pair in proof]
+                assert zkp.verify_or(medium, [endorse] * len(attempts), attempts) == [False] * len(attempts)
 
 
 @pytest.mark.parametrize("level", ["small", "medium"])
@@ -122,16 +170,20 @@ def test_pair_secrets_are_a_randrange_stream(level, monkeypatch):
         for x in triple
     ]
     assert drawn == [reference.randrange(params.q) for _ in range(11 * 3 * EPOCH_SLOTS)]
+    # then the epoch's six signatures, each one proof nonce, the refuser's too
+    for _ in range(6):
+        reference.randrange(params.q)
     assert rng.getstate() == reference.getstate()
 
 
 def test_establish_pair_exponentiation_count(medium, monkeypatch):
     # one commitment per slot: 3 * EPOCH_SLOTS table powers (g, f and h),
-    # no inversion, and one digest per edge; an epoch adds one nonce
-    # power per participant's signature, each participant's commitments
-    # to its sums, and the participants' trees over leaves each hashed
-    # once.  Every SHA-256 call of key setup is counted, in keysetup and
-    # merkle alike; a signature's two, its nonce's and its challenge's, apart
+    # no inversion, and one digest per edge; an epoch adds two table
+    # powers per participant's signature, its proof's witness check and
+    # its nonce, each participant's commitments to its sums, and the
+    # participants' trees over leaves each hashed once.  Every SHA-256
+    # call of key setup is counted, in keysetup, merkle and zkp alike; a
+    # signature's one, its proof's challenge, apart
     rng = random.Random(6)
     table_power, table_powers = groups.WindowTable.power, groups.WindowTable.powers
     exponents, inversions, hashes, walks = [], [], [], []
@@ -161,7 +213,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
 
     def setup_hashes():
         """(hashes outside signatures, hashes in signatures) since the last clear."""
-        signing = sum(not data or data.startswith(b"dcmesh/nonce") for data in hashes)
+        signing = sum(data.startswith(medium.fs_prefix) for data in hashes)
         return len(hashes) - signing, signing
 
     monkeypatch.setattr(groups.WindowTable, "power", counting_power)
@@ -169,7 +221,7 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     for module in (groups, keysetup):
         monkeypatch.setattr(module, "commit_scalars", counting_commit_scalars)
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    for module in (keysetup, merkle):
+    for module in (keysetup, merkle, zkp):
         monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=counting_sha256))
     establish_edges(medium, [(0, 1)], rng)
     assert len(exponents) == 3 * EPOCH_SLOTS
@@ -178,29 +230,29 @@ def test_establish_pair_exponentiation_count(medium, monkeypatch):
     assert setup_hashes() == (1, 0)
     # six participants: fifteen edges, one digest and one leaf hash each,
     # one leaf hash of NO_EDGE, six signers' trees eight leaves wide, 7
-    # node hashes each, six signatures and six participants' sums
+    # node hashes each, six signatures of two powers and six participants' sums
     graph = build_key_graph(medium, range(6), rng)
     exponents.clear()
     hashes.clear()
     walks.clear()
     graph.add_epoch(rng)
     assert inversions == []
-    assert len(exponents) == (15 + 6) * 3 * EPOCH_SLOTS + 6 == 510
+    assert len(exponents) == (15 + 6) * 3 * EPOCH_SLOTS + 2 * 6 == 516
     # two walks an epoch: every edge's slots, then every participant's sums
     assert walks == [15 * EPOCH_SLOTS, 6 * EPOCH_SLOTS]
     assert signer_width(6) == 8
-    assert setup_hashes() == (15 + 15 + 1 + 6 * (8 - 1), 2 * 6) == (73, 12)
+    assert setup_hashes() == (15 + 15 + 1 + 6 * (8 - 1), 6) == (73, 6)
     # a view's first read makes no power; the build and every view's first
     # read together make as many as when each view summed its epoch itself
     for pid in range(6):
         graph.view(pid).aggregate_commitment(EPOCH_SLOTS)
-    assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 6 + 6 * 3 * EPOCH_SLOTS
+    assert len(exponents) == 15 * 3 * EPOCH_SLOTS + 2 * 6 + 6 * 3 * EPOCH_SLOTS
     # thirty-two: 496 edges and 32 signers' trees 32 leaves wide
     graph = build_key_graph(medium, range(32), rng)
     hashes.clear()
     graph.add_epoch(rng)
     assert signer_width(32) == 32
-    assert setup_hashes() == (496 + 496 + 1 + 32 * (32 - 1), 2 * 32) == (1985, 64)
+    assert setup_hashes() == (496 + 496 + 1 + 32 * (32 - 1), 32) == (1985, 32)
 
 
 def test_per_round_secrets_are_fresh(small):
@@ -342,7 +394,7 @@ def test_public_header_shape(small):
     assert len(public.epochs) == 1
     # every participant signs, the refuser too, each at its own position
     signed = zip(public.participants, public.epochs[0], strict=True)
-    assert all(s.verifies(small, pid, public.publics[pid], 0, public.optouts) for pid, s in signed)
+    assert all(endorses(small, s, pid, public.publics[pid], 0, public.optouts) for pid, s in signed)
     # only the established edge is held; the opted-out pairs are absent
     assert list(graph.epochs[0].edges) == [(0, 2)]
     assert public.optouts == graph.optouts == {(0, 1), (1, 2)}
@@ -350,12 +402,13 @@ def test_public_header_shape(small):
 
 def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
     signed = []
+    prove_or = zkp.prove_or
 
-    def counting_sign(params, key, message):
-        signed.append(message)
-        return sign(params, key, message)
+    def counting_prove_or(params, stmt, *args):
+        signed.append(stmt.context)
+        return prove_or(params, stmt, *args)
 
-    monkeypatch.setattr(keysetup, "sign", counting_sign)
+    monkeypatch.setattr(zkp, "prove_or", counting_prove_or)
     graph = build_key_graph(medium, range(5), random.Random(13), refusers={3})
     graph.add_epoch(random.Random(14))
     graph.add_epoch(random.Random(15))
@@ -377,15 +430,15 @@ def test_key_setup_signs_once_per_participant_and_epoch(medium, monkeypatch):
             # it verifies as the signer's under its key, for its epoch and
             # the session's opt-outs only
             optouts, key = public.optouts, public.publics[pid]
-            assert s.verifies(medium, pid, key, epoch, optouts)
-            assert not s.verifies(medium, pid, key, epoch + 1, optouts)
-            assert not s.verifies(medium, pid, public.publics[(pid + 1) % 5], epoch, optouts)
-            assert not s.verifies(medium, (pid + 1) % 5, key, epoch, optouts)
-            assert not s.verifies(medium, pid, key, epoch, frozenset())
+            assert endorses(medium, s, pid, key, epoch, optouts)
+            assert not endorses(medium, s, pid, key, epoch + 1, optouts)
+            assert not endorses(medium, s, pid, public.publics[(pid + 1) % 5], epoch, optouts)
+            assert not endorses(medium, s, (pid + 1) % 5, key, epoch, optouts)
+            assert not endorses(medium, s, pid, key, epoch, frozenset())
             # an opt-out added to one of its edges (3 has none left)
             for peer in sorted(set(range(5)) - {pid} - set(opted_out_peers(optouts, pid))):
                 added = optouts | {(min(pid, peer), max(pid, peer))}
-                assert not s.verifies(medium, pid, key, epoch, added)
+                assert not endorses(medium, s, pid, key, epoch, added)
             # over the digests of its edges, in id order, with a tag leaf
             # for an opted-out edge and for padding
             leaves = []
@@ -447,7 +500,7 @@ def assert_endorsements_match_a_reference(graph, epoch=0):
         edges = [graph.edge(peer, pid, epoch) for peer in peers]
         leaves = [NO_EDGE if edge is None else edge.digest for edge in edges]
         assert signed.root == reference_root(leaves + [NO_EDGE] * (width - len(peers)))
-        assert signed.verifies(graph.params, pid, public.publics[pid], epoch, public.optouts)
+        assert endorses(graph.params, signed, pid, public.publics[pid], epoch, public.optouts)
         roots[pid] = signed.root
     revealed = 0
     for holder in graph.participants:

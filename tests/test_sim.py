@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,14 @@ import pytest
 from dcmesh import keysetup, merkle, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
 from dcmesh.keysetup import EPOCH_SLOTS
-from dcmesh.transcript import _SCHEMA, Transcript, record, record_to_line, records_digest
+from dcmesh.transcript import (
+    _SCHEMA,
+    FORMAT_VERSION,
+    Transcript,
+    record,
+    record_to_line,
+    records_digest,
+)
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
@@ -104,7 +112,7 @@ def test_transcripts_are_deterministic():
 # sha256 of run_scenario(s).to_text() for the acceptance suite's C10
 # matrix, whose first entry is REFERENCE_SCENARIO, and three wider runs;
 # refactors of the engine must leave every transcript byte-identical
-# (pinned at format v12).  Test ids are the list positions, so a re-pin
+# (pinned at format v13).  Test ids are the list positions, so a re-pin
 # keeps them.
 # an n=2 session that spends 11 slots, so it endorses epoch 1: the
 # malformed slot (2, 101) has an odd total, so it is no equal-payload
@@ -115,56 +123,56 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "e8b2688275c7cbc38a9fc524d830ddee46c6a403c3c6d827ccd50c0627dc8233"),
+     "40758471145b354c607a345765467919ef17c3d3cfb37d70daf06bc8abfd4e6e"),
     (sim.Scenario(n=2, seed=1),
-     "b9d80eaf1e42822f90b69cf5c247ca780f3995e73ebe1f6dc805213bcc331377"),
+     "80e549fac688daff68567e98fde66c66370d810e03a62dcd9fd535d9a4cd0bd8"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "018aa67f5860a602ae274a34d2150ed09177ab917cc588105551e4cc0da8afb2"),
+     "107eb21c7d2809245350d6127ae34d14dcd03249b3c000ec370cfefd4bbb35f2"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "42bddcea345a8b14e594fac2ddd9c7b118895f26908f2c6fcdf22a92ec9aeff9"),
+     "35bdc4af457e361944b2cf7ab543d7d4723075d8618b6ef2f7e7bf9c5d53ac61"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "ded4f0e9b36204f5fe0e9451ccc412475659e062a2895c985a5005c5aef3b2b4"),
+     "20459f84d537fc8ab95f2abc83e9ea5371abe161b2e95c9656ba2c1def2cb24e"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "a313601c77687ae1016d435be2d068b57d2d824ca1168d5eef930fd60d07e43c"),
+     "3c480838b5ed89d4ef14d4809fa491a014684b5ff5ec4d2c1cac528849c04ae5"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "33b437cc6252422eba35c30d8cdc389288a952fb8ab981dd35a583cd1d6dc380"),
+     "a34f1210cfc4373f8099eddba3127dbe1066f2e70b3b87026eeced5eced21f51"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2),
-     "a17223d8b4df41bb3f41ace25be166c0c4e358afbecc16fe940ac314b0106273"),
+     "a9e6e039cbdc48ff69be7a6c7b979302c7a55b21cb10938ccde8deb4ac12a40a"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "20831657566f5297a16bb7f64b627a50c3697859b61d8c288c38400337ebce27"),
+     "9d74712755f36a486fcfa1a7765bf61ff2ac4edb37ae1c5419167cdc4da656d1"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11),
-     "72ab24408f2edc524e7cddba71e9043f69356d79aeed7bc6b2432e672c7e3994"),
+     "58c9cfef64102fe72d9cca930b074a0f3aaefa2ce0e7cd0e35bea1b6599b03dd"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "827f4f8aad45dda3e234bfae7a3628afc4d9917f4d556b74287f98ed35ae8168"),
+     "e759cbc721871020c0455804f84558ed28a8bfa6849c60be05aefd3c1c940208"),
     # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "91333c0aba2dd548f1782d5f379df4fbb8286c43eb283d1a86efed04ecc707a6"),
+     "8e1ffe4d04ed2f08e535e1406a90b9daf8358b7196e5213f56073015f2be1438"),
     # a refuser in mid-row, whose edges draw nothing, and a malformed slot
     # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "675d33276e48a6926945bab7daaf4c6fea9f9b8d4c1bbdc6620af042288fd39d"),
+     "4008863b3cc45c94bf05270390ddb2a8669a394e1db861afdbddae5bcf987a29"),
     # the three forged or withheld proofs the strategies above leave out:
     # an injected copy caught at round 6, a fresh message caught at
     # round 2, and a withheld proof at round 2
     (sim.Scenario(n=4, senders=((0, 10), (1, 20), (2, 30), (3, 5)),
                   adversaries=((3, "double_branch"),), seed=9),
-     "b81d33f16d9c5ee69f53fdb54f8a44fe1f09ee6e70e9ccfd7856ff901f2bdd89"),
+     "90522dcb094f259e75f173be38afb32979847c42ce454a463bd0f703088b9b63"),
     (sim.Scenario(n=5, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((4, "late_injection"),), seed=9),
-     "bf5463dfe4ca0eab559587ae86b1121c72ebb60c453b1d7e95336ed93f4622c4"),
+     "178d2928f59ef7115557da495877744b92887e6f27f6e31cbe11088d4c4dd892"),
     (sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_proof"),), seed=9),
-     "03302b0ed335edef7d67cf0457f6f47d38fe6f4bedc145dd9f783c2b1b5892ce"),
+     "4b1be1c3f13071681ad0af00e99f17a413e0e32ca24dc2c163e5b7ea925a2ad0"),
 ]
 
 
@@ -191,9 +199,9 @@ def _bench_workloads():
 # in pool order: 136 scenarios, so a refactor that keeps every transcript
 # byte-identical keeps these
 POOL_DIGESTS = {
-    "wide_honest": "09f0c75588391ca3336f72f31c2977b8fd89b065cb5079aaa45cc36e49f60390",
-    "narrow_poll": "9ce5c86df6046572adb22cf2d40d6e98b4e5e07b5875920adb61c0f17c329040",
-    "disrupted": "3e51dfe250c7f6bfaab0860118dedcbe11470547d2e2516843c3166c647a40a0",
+    "wide_honest": "0ac6bbd823e28531527350f003dc7ac9b4d002a41e88c44a870f5881f81156d2",
+    "narrow_poll": "9a3a79413a768b553cdd5c85d12cdeb16bde3702d57097684c75f0cdd020052e",
+    "disrupted": "68dce74230fd33f8399c5597a9eedffe09d43e0ea952cb5772f8a23c6ff59fdc",
 }
 
 
@@ -285,17 +293,29 @@ def test_record_line_parse_errors():
 
 
 def test_transcript_of_another_format_version_is_malformed():
-    # an older transcript's PUBLISH paths and SESSION budgets follow
-    # another epoch size; it ends malformed at its header instead of
+    # an older transcript's lines, signatures, PUBLISH paths and SESSION
+    # budgets follow other rules; it ends malformed at its DCMESH line,
+    # before any line its format spells otherwise is read, instead of
     # replaying into verdicts that were never issued
     text = sim.run_scenario(sim.Scenario(n=3, senders=((0, 9),), seed=1)).to_text()
-    assert text.startswith(f"DCMESH version={sim.FORMAT_VERSION} hash=sha256\n")
-    number = int(sim.FORMAT_VERSION[1:])
+    assert text.startswith(f"DCMESH version={FORMAT_VERSION} hash=sha256\n")
+    number = int(FORMAT_VERSION[1:])
+    message = f"record 0: not a format {FORMAT_VERSION} transcript"
     for version in (f"v{number - 1}", f"v{number + 1}"):
-        relabelled = text.replace(sim.FORMAT_VERSION, version, 1)
+        relabelled = text.replace(FORMAT_VERSION, version, 1)
         with pytest.raises(MalformedRecord) as exc:
             sim.verify_transcript(Transcript.from_text(relabelled))
-        assert exc.value.index == 0, version
+        assert (exc.value.index, str(exc.value)) == (0, message), version
+    # shaped as v11 wrote it: relabelled, and each SESSION line with its
+    # keys= digest back, which this format's SESSION schema does not hold
+    lines = text.replace(FORMAT_VERSION, "v11", 1).split("\n")
+    sessions = [i for i, line in enumerate(lines) if line.startswith("SESSION ")]
+    assert sessions[0] == 4
+    for i in sessions:
+        lines[i] += " keys=" + hashlib.sha256(lines[i].encode()).hexdigest()
+    with pytest.raises(MalformedRecord) as exc:
+        Transcript.from_text("\n".join(lines))
+    assert (exc.value.index, str(exc.value)) == (0, message)
 
 
 def test_substituted_generator_diverges_at_group(monkeypatch):
@@ -429,7 +449,7 @@ class _MalformedProofParticipant(sim.HonestParticipant):
             data += data[: 2 * sw]
         else:
             challenge = int.from_bytes(data[:sw], "big") + self.params.q
-            data = self.params.scalar_to_bytes(challenge) + data[sw:]
+            data = challenge.to_bytes(sw, "big") + data[sw:]
         return data.hex()
 
 
@@ -449,7 +469,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "72ebf5b7a0b0f7854e8ae2ea3aaa1772fed8be4392b712654678f6e7543b291b"
+        "d2e547d62265470defe6d83f0ab96dde05849388e41b5efe1b269f9c775bfb64"
     )
 
 
@@ -486,7 +506,7 @@ class _MixedProofParticipant(sim.HonestParticipant):
             # the first challenge, or the first response, plus q
             at = 0 if shape == "big_challenge" else sw
             scalar = int.from_bytes(data[at : at + sw], "big") + q
-            data = data[:at] + self.params.scalar_to_bytes(scalar) + data[at + sw :]
+            data = data[:at] + scalar.to_bytes(sw, "big") + data[at + sw :]
         return data.hex()
 
     def prove_round(self, round_id, statement):
@@ -1071,10 +1091,14 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
     assert info.value.index == index
 
 
+# the bad_pad run whose records the tests below edit
+EDITED_RUN = sim.Scenario(n=3, adversaries=((2, "bad_pad"),), seed=1)
+
+
 def _edited_first(prefix, field, value):
     """A bad_pad run's text with ``field`` of its first ``prefix`` record
     set to ``value``, and that record's index."""
-    text = sim.run_scenario(sim.Scenario(n=3, adversaries=((2, "bad_pad"),), seed=1)).to_text()
+    text = sim.run_scenario(EDITED_RUN).to_text()
     lines = text.splitlines()
     index = next(i for i, ln in enumerate(lines) if ln.startswith(f"{prefix} "))
     lines[index] = " ".join(
@@ -1097,12 +1121,18 @@ def test_undecodable_key_record_is_malformed_at_its_index(prefix, field, value):
     assert info.value.index == index
 
 
-@pytest.mark.parametrize("value", ["-5", "0", "p"], ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p"])
+@pytest.mark.parametrize(
+    "value", ["-5", "0", "p", "p+y", "2^4096"],
+    ids=["PUBKEY-y--5", "PUBKEY-y-0", "PUBKEY-y-p", "PUBKEY-y-p+y", "PUBKEY-y-2^4096"],
+)
 def test_a_pubkey_outside_the_range_is_a_bad_signature_on_verify(value, medium):
     # a key outside [1, p) is read as recorded, and the judge's signature
-    # check fails under it: participant 0, whose PUBKEY comes first, gets
-    # bad_signature at epoch:0, which the recorded run never issued
-    text, _ = _edited_first("PUBKEY", "y", str(medium.p) if value == "p" else value)
+    # check fails under it, before any statement is built from it:
+    # participant 0, whose PUBKEY comes first, gets bad_signature at
+    # epoch:0, which the recorded run never issued
+    y = next(r["y"] for r in sim.run_scenario(EDITED_RUN).records if r["type"] == "PUBKEY")
+    spelled = {"p": medium.p, "p+y": medium.p + y, "2^4096": 1 << 4096}
+    text, _ = _edited_first("PUBKEY", "y", str(spelled.get(value, value)))
     report = sim.verify_transcript(Transcript.from_text(text))
     assert not report.clean
     verdict = "recomputed VERDICT session=1 part=0 reason=bad_signature where=epoch:0"
@@ -1169,10 +1199,9 @@ def test_replaced_endorse_record_is_not_clean(fields):
 def _resign(graph, epoch, signer, root, shift=0):
     """Put in place of ``signer``'s signed root for the graph's epoch one
     over ``root``, its signature's s shifted by ``shift``."""
-    at, params = graph.participants.index(signer), graph.params
-    optouts = keysetup.opted_out_peers(graph.optouts, signer)
-    payload = keysetup.endorse_payload(root, signer, epoch, optouts)
-    e, s = keysetup.sign(params, graph.signing[signer], payload)
+    at, params, key = graph.participants.index(signer), graph.params, graph.signing[signer]
+    stmt = keysetup.endorse_statement(params, key.public, root, signer, epoch, graph.optouts)
+    ((e, s),) = zkp.prove_or(params, stmt, 0, key.secret, random.Random(epoch))
     signed = list(graph.epochs[epoch].signed)
     signed[at] = keysetup.SignedRoot(root, (e, (s + shift) % params.q))
     graph.epochs[epoch] = graph.epochs[epoch]._replace(signed=tuple(signed))
@@ -1266,10 +1295,11 @@ class _ForeignIdSigner(sim._Participants):
     def epoch(self, k):
         signed, graph = super().epoch(k), self.graph
         if k == 0 and 3 in graph.participants:
-            at = graph.participants.index(3)
-            optouts = keysetup.opted_out_peers(graph.optouts, 0)
-            payload = keysetup.endorse_payload(signed[at].root, 0, 0, optouts)
-            signature = keysetup.sign(graph.params, graph.signing[3], payload)
+            at, key = graph.participants.index(3), graph.signing[3]
+            stmt = keysetup.endorse_statement(
+                graph.params, key.public, signed[at].root, 0, 0, graph.optouts
+            )
+            (signature,) = zkp.prove_or(graph.params, stmt, 0, key.secret, random.Random(0))
             signed = signed[:at] + (signed[at]._replace(signature=signature),) + signed[at + 1 :]
         return signed
 
@@ -1456,22 +1486,28 @@ def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch):
 def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     """n=32 honest senders of distinct payloads: the session transmits
     32 rounds and endorses four epochs, each with one ENDORSE record, one
-    signature in the run and one check on replay per participant, and
-    every check passes."""
+    signature in the run and one check on replay per participant, an
+    epoch's checks in one ``verify_or``, and every check passes."""
     counts = Counter()
-    sign, verify_sig = keysetup.sign, keysetup.verify_sig
+    prove_or, verify_or = zkp.prove_or, zkp.verify_or
 
-    def counting_sign(*args):
-        counts["sign"] += 1
-        return sign(*args)
+    def endorsing(stmt):
+        return stmt.context.startswith(b"dcmesh/endorse/")
 
-    def counting_verify_sig(*args):
-        ok = verify_sig(*args)
-        counts["verify_sig", ok] += 1
-        return ok
+    def counting_prove_or(params, stmt, *args):
+        counts["sign"] += endorsing(stmt)
+        return prove_or(params, stmt, *args)
 
-    monkeypatch.setattr(keysetup, "sign", counting_sign)
-    monkeypatch.setattr(keysetup, "verify_sig", counting_verify_sig)
+    def counting_verify_or(params, statements, proofs):
+        oks = verify_or(params, statements, proofs)
+        if any(map(endorsing, statements)):
+            assert all(map(endorsing, statements))
+            counts["verify_or"] += 1
+            counts.update(("verify", ok) for ok in oks)
+        return oks
+
+    monkeypatch.setattr(zkp, "prove_or", counting_prove_or)
+    monkeypatch.setattr(zkp, "verify_or", counting_verify_or)
     scenario = sim.Scenario(n=32, senders=DISTINCT_32)
     transcript = sim.run_scenario(scenario)
     assert summary_of(transcript)["sessions"] == 1
@@ -1480,9 +1516,9 @@ def test_wide_session_signs_once_per_participant_and_epoch(monkeypatch):
     signed = Counter(r["epoch"] for r in transcript.records if r["type"] == "ENDORSE")
     assert signed == {epoch: 32 for epoch in range(4)}
     # the judge checks every signed root as it takes it, in the run and on replay
-    assert counts == {"sign": 4 * 32, ("verify_sig", True): 4 * 32}
+    assert counts == {"sign": 4 * 32, "verify_or": 4, ("verify", True): 4 * 32}
     assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
-    assert counts == {"sign": 4 * 32, ("verify_sig", True): 2 * 4 * 32}
+    assert counts == {"sign": 4 * 32, "verify_or": 2 * 4, ("verify", True): 2 * 4 * 32}
 
 
 def test_judge_alone_builds_targets_and_statements(monkeypatch):
@@ -1506,6 +1542,31 @@ def test_judge_alone_builds_targets_and_statements(monkeypatch):
     transcript = sim.run_scenario(sim.REFERENCE_SCENARIO)
     assert summary_of(transcript)["transmitted"] == len(sim.REFERENCE_TRANSMITTED) == 5
     assert counts == {"no_message_targets": 5, "retransmission_statement": 4 * 5}
+
+
+def test_one_copy_term_per_equal_payload_demand(monkeypatch):
+    """Two pairs of equal payloads among five participants: each
+    equal-payload node's DEMAND makes its one-copy term g * f^x once,
+    for all five denial statements, in the run and on verify alike."""
+    calls = []
+    value_term = splitter.value_term
+
+    def counting_value_term(params, value):
+        calls.append(value)
+        return value_term(params, value)
+
+    monkeypatch.setattr(splitter, "value_term", counting_value_term)
+    scenario = sim.Scenario(n=5, senders=((0, 7), (1, 7), (2, 30), (3, 30), (4, 99)), seed=5)
+    transcript = sim.run_scenario(scenario)
+    equal = [
+        r["total"] // r["count"]
+        for r in transcript.records if r["type"] == "NODE" and r["status"] == "equal"
+    ]
+    assert equal == [7, 30]
+    assert sum(r["type"] == "DEMAND" for r in transcript.records) == 5 * 2
+    assert calls == [(1, 7), (1, 30)]
+    assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
+    assert calls == [(1, 7), (1, 30)] * 2
 
 
 def test_session_after_everyone_is_banned_is_not_clean():

@@ -349,7 +349,7 @@ def test_judge_checks_the_statement_objects_it_hands_out(monkeypatch):
     # context give, and each context opens with the session tag
     from dcmesh import splitter
 
-    proved, checked = [], []
+    proved, checked, endorsed = [], [], []
     prove, verify = splitter.prove_node_denial, zkp.verify_or
 
     def proving(params, stmt, candidates, rng):
@@ -357,7 +357,13 @@ def test_judge_checks_the_statement_objects_it_hands_out(monkeypatch):
         return prove(params, stmt, candidates, rng)
 
     def verifying(params, statements, proofs):
-        checked.extend(statements)
+        # an epoch's signatures are the judge's own statements, checked in one call
+        endorsing = [s.context.startswith(b"dcmesh/endorse/") for s in statements]
+        if any(endorsing):
+            assert all(endorsing)
+            endorsed.append(len(statements))
+        else:
+            checked.extend(statements)
         return verify(params, statements, proofs)
 
     monkeypatch.setattr(splitter, "prove_node_denial", proving)
@@ -368,7 +374,9 @@ def test_judge_checks_the_statement_objects_it_hands_out(monkeypatch):
                                  (((0, 7), (1, 7)), 5, {b"retrans", b"denial"})):
         proved.clear()
         checked.clear()
+        endorsed.clear()
         out = sim.single_session(senders, seed=seed)
+        assert endorsed == [len(out.public.participants)]
         assert proved and [id(s) for s in proved] == [id(s) for s in checked]
         assert {s.context.split(b"|")[-3] for s in checked} == roles
         for stmt in checked:
