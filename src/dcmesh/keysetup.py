@@ -119,7 +119,7 @@ def endorse_statement(
     """What an ENDORSE signature proves: knowledge of the log to h of
     ``signer``'s key, one branch whose context is the endorse payload of
     ``root`` for the epoch and the session's opted-out pairs
-    ``optouts``.  The key must lie in [1, p)."""
+    ``optouts``.  The key must lie in the group."""
     payload = endorse_payload(root, signer, epoch, opted_out_peers(optouts, signer))
     return zkp.OrStatement(params, (key,), payload)
 

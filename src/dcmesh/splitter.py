@@ -404,8 +404,8 @@ def run_session(
     * ``epoch(k)``: the signed roots of endorsement epoch k, one
       SignedRoot per participant in participant order, asked for before
       the first round that spends one of its slots, epoch 0's included;
-      a signature that fails, as all do under a key outside [1, p), is
-      a verdict, and the session stops there;
+      a signature that fails, as all do under a key outside the group,
+      is a verdict, and the session stops there;
     * ``broadcast(round_id, slot)``: one RoundCiphertext per
       participant, padded with the slot's secrets, in a list whose
       position is the participant: a ciphertext names neither its
@@ -477,6 +477,8 @@ class Session:
         ids = set(self.pids)   # an opted-out pair is two participants in order, or is dropped
         optouts = frozenset((lo, hi) for lo, hi in public.optouts if lo < hi and {lo, hi} <= ids)
         self.public = public._replace(optouts=optouts, epochs=())   # epochs endorsed so far
+        # the signers whose PUBKEY lies in the group, one y^q each; any other key states nothing
+        self.keyed = {pid for pid in self.pids if params.is_element(public.publics[pid])}
         self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
         # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
         self.verdicts = []
@@ -579,14 +581,14 @@ class Session:
     def _endorse(self) -> bool:
         """Take the next epoch's signed roots from the source, record them
         and check them in one ``zkp.verify_or``: a signer whose PUBKEY
-        lies outside [1, p), which states nothing, or whose signature
+        lies outside the group, which states nothing, or whose signature
         fails gets a ``bad_signature`` verdict.  Returns whether all hold."""
         params, public, epoch = self.params, self.public, len(self.public.epochs)
         signed = self.source.epoch(epoch)
         for pid, s in zip(self.pids, signed, strict=True):
             self.records.append(endorse_record(self.session, epoch, pid, s))
         keys, optouts = public.publics, public.optouts
-        keyed = [(pid, s) for pid, s in zip(self.pids, signed) if 0 < keys[pid] < params.p]
+        keyed = [(pid, s) for pid, s in zip(self.pids, signed) if pid in self.keyed]
         stmts = [endorse_statement(params, keys[pid], s.root, pid, epoch, optouts) for pid, s in keyed]
         oks = zkp.verify_or(params, stmts, [(s.signature,) for _, s in keyed])
         held = {pid for (pid, _), ok in zip(keyed, oks) if ok}

@@ -28,17 +28,21 @@ A proof is in challenge form, one (challenge, response) pair per
 branch.  The verifier rebuilds each branch's announcement h^z * T^-e
 and accepts when the challenge of the statement and those
 announcements is the sum of the branch challenges.
-:func:`verify_or` checks a whole round of statements at once: every h^z
-of the round goes through one ``WindowTable.powers`` call, then each
-branch takes one ``pow`` and each proof one hash.  Branch targets are
-built from no-message targets c * g^-count * f^-total of broadcasts
-(count, total) with commitment c, which :func:`no_message_targets`
-makes for a round with one ``powers`` per generator; the session judge
-makes them once per round and hands each prover the statement built
-from them.  A proof is sent and recorded as text, the lowercase hex
-of its scalars, or NO_PROOF where none is sent.  Provers check their
-own witness and refuse to emit anything unsound; dishonest proofs are
-produced explicitly via :func:`forge_attempt`.
+:func:`verify_or` checks a whole round of statements in one call, each
+proof in one loop: a range check, a table power and a ``pow`` per
+branch, then one hash.  :func:`prove_or` is one pass too, with no
+prover object: one table power for its witness check, one
+``WindowTable.powers`` for the announcements, a ``pow`` per simulated
+branch and one hash; the rewinding prover of the soundness tests is
+the tests' own reference.  Branch targets are built from no-message
+targets c * g^-count * f^-total of broadcasts (count, total) with
+commitment c, which :func:`no_message_targets` makes for a round with
+one ``powers`` per generator; the session judge makes them once per
+round and hands each prover the statement built from them.  A proof
+is sent and recorded as text, the lowercase hex of its scalars, or
+NO_PROOF where none is sent.  :func:`prove_or` checks its witness and
+refuses to emit anything unsound; dishonest proofs are produced
+explicitly via :func:`forge_attempt`.
 """
 
 from __future__ import annotations
@@ -77,8 +81,10 @@ SigmaProof = tuple[tuple[int, int], ...]
 
 def fs_challenge(params: GroupParams, stmt: OrStatement, announcements) -> int:
     """SHA-256 of the statement's head and the announcement elements, mod q."""
-    size = params.element_bytes
-    data = b"".join([stmt.head] + [a.to_bytes(size, "big") for a in announcements])
+    bits, packed = 8 * params.element_bytes, 0
+    for a in announcements:   # each at the element width, in one to_bytes
+        packed = packed << bits | a
+    data = stmt.head + packed.to_bytes(len(announcements) * params.element_bytes, "big")
     return int.from_bytes(hashlib.sha256(data).digest(), "big") % params.q
 
 
@@ -86,85 +92,71 @@ def fs_challenge(params: GroupParams, stmt: OrStatement, announcements) -> int:
 # OR core over powers of h
 
 
-class Prover:
-    """Interactive core of the OR proof over ``targets``, one branch
-    each; also used by rewinding tests.
-
-    The announcements are fixed at construction, and :meth:`respond` may
-    be called several times with different challenges, which is exactly
-    the rewinding game the soundness extractor plays.
-    """
-
-    def __init__(self, params, targets, true_index, alpha, rng):
-        self.params = params
-        self.alpha = alpha % params.q
-        q, p, power = params.q, params.p, params.h_table.power
-        # no branch at all, or none at true_index, is a witness for no branch
-        if not 0 <= true_index < len(targets) or power(self.alpha) != targets[true_index]:
-            raise WitnessMismatch("witness does not satisfy the designated branch")
-        self._sim = {}
-        self.witness_nonce = rng.randrange(q)
-        exponents = []   # the power of h in each branch's announcement
-        for d in range(len(targets)):
-            if d == true_index:
-                exponents.append(self.witness_nonce)
-            else:
-                e_d = rng.randrange(q)
-                z_d = rng.randrange(q)
-                exponents.append(z_d)
-                self._sim[d] = (e_d, z_d)
-        # h^nonce on the true branch, a simulated h^z_d * T_d^-e_d on the others
-        self.announcements = [
-            a * pow(targets[d], q - self._sim[d][0], p) % p if d in self._sim else a
-            for d, a in enumerate(params.h_table.powers(exponents))
-        ]
-
-    def respond(self, challenge: int) -> SigmaProof:
-        q = self.params.q
-        used = sum(e for e, _ in self._sim.values()) % q
-        e_true = (challenge - used) % q
-        z_true = (self.witness_nonce + e_true * self.alpha) % q
-        return tuple(self._sim.get(d, (e_true, z_true)) for d in range(len(self.announcements)))
-
-
 def simulate(params, target, challenge, response):
     """Announcement that makes (challenge, response) verify for
     ``target``: h^response * target^-challenge.
 
     target^(q - challenge) is target^-challenge because every target lies
-    in the order-q subgroup: targets are built from generator powers and
-    CIPHER ``c`` values, and the judge checks each ``c`` with
-    ``is_element`` before it builds a target from it.
+    in the order-q subgroup: targets are built from generator powers,
+    CIPHER ``c`` values and PUBKEY ``y`` values, and the judge checks
+    each ``c`` and each ``y`` with ``is_element`` before it builds a
+    target from it.
     """
     p, q = params.p, params.q
     return params.h_table.power(response) * pow(target, q - challenge % q, p) % p
 
 
 def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> SigmaProof:
-    prover = Prover(params, stmt.targets, true_branch, alpha, rng)
-    return prover.respond(fs_challenge(params, stmt, prover.announcements))
+    """A proof of ``stmt`` from the witness ``alpha`` of its branch
+    ``true_branch``, every other branch simulated.
+
+    WitnessMismatch, before anything is drawn, when alpha is no witness
+    of that branch or the statement has no such branch.  Then it draws
+    ``rng.randrange(q)`` for the nonce k, then for each other branch d
+    in order its challenge e_d and response z_d; the announcements are
+    h^k and each h^z_d * T_d^-e_d, and the true branch answers the rest
+    of their challenge."""
+    q, p, table, targets = params.q, params.p, params.h_table, stmt.targets
+    alpha %= q
+    if not 0 <= true_branch < len(targets) or table.power(alpha) != targets[true_branch]:
+        raise WitnessMismatch("witness does not satisfy the designated branch")
+    nonce = rng.randrange(q)
+    if len(targets) == 1:
+        e = fs_challenge(params, stmt, [table.power(nonce)])
+        return ((e, (nonce + e * alpha) % q),)
+    pairs = [
+        None if d == true_branch else (rng.randrange(q), rng.randrange(q))   # (e_d, z_d)
+        for d in range(len(targets))
+    ]
+    announcements = table.powers([nonce if pair is None else pair[1] for pair in pairs])
+    used = 0
+    for d, pair in enumerate(pairs):
+        if pair is not None:
+            used += pair[0]
+            announcements[d] = announcements[d] * pow(targets[d], q - pair[0], p) % p
+    e = (fs_challenge(params, stmt, announcements) - used) % q
+    pairs[true_branch] = (e, (nonce + e * alpha) % q)
+    return tuple(pairs)
 
 
 def verify_or(params, statements, proofs) -> list[bool]:
     """One verdict per (statement, proof) pair of a round; a proof that
     is None or empty, has a branch count other than its statement's, or
     has a scalar outside [0, q) is False."""
-    q, p = params.q, params.p
-    # zip below would silently drop the branches a short proof lacks
-    formed = [
-        bool(proof) and len(proof) == len(stmt.targets)
-        and all(0 <= e < q and 0 <= z < q for e, z in proof)
-        for stmt, proof in zip(statements, proofs)
-    ]
-    # h^z of every well-formed proof's branches, in order
-    h_z = iter(params.h_table.powers([z for ok, pr in zip(formed, proofs) if ok for _, z in pr]))
+    q, p, power = params.q, params.p, params.h_table.power
     verdicts = []
-    for ok, stmt, proof in zip(formed, statements, proofs):
+    for stmt, proof in zip(statements, proofs):
+        # zip below would silently drop the branches a short proof lacks
+        ok = bool(proof) and len(proof) == len(stmt.targets)
         if ok:
-            announcements = [
-                next(h_z) * pow(t, q - e, p) % p for t, (e, _) in zip(stmt.targets, proof)
-            ]
-            ok = sum(e for e, _ in proof) % q == fs_challenge(params, stmt, announcements)
+            announcements, total = [], 0
+            for t, (e, z) in zip(stmt.targets, proof):
+                if not (0 <= e < q and 0 <= z < q):
+                    ok = False
+                    break
+                announcements.append(power(z) * pow(t, q - e, p) % p)
+                total += e
+            ok = ok and total % q == fs_challenge(params, stmt, announcements)
         verdicts.append(ok)
     return verdicts
 
@@ -215,11 +207,14 @@ NO_PROOF = "-"   # the text of a withheld proof
 
 def proof_to_text(params: GroupParams, proof: SigmaProof | None) -> str:
     """A proof as it is sent and recorded: the lowercase hex of its
-    scalars, each at the group's scalar width; NO_PROOF for none."""
+    scalars, each at the group's scalar width, which each must fit;
+    NO_PROOF for none."""
     if proof is None:
         return NO_PROOF
-    sw = params.scalar_bytes
-    return b"".join([x.to_bytes(sw, "big") for pair in proof for x in pair]).hex()
+    bits, packed = 8 * params.scalar_bytes, 0
+    for e, z in proof:   # each at the scalar width, in one to_bytes
+        packed = (packed << bits | e) << bits | z
+    return packed.to_bytes(2 * params.scalar_bytes * len(proof), "big").hex()
 
 
 def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:

@@ -15,7 +15,6 @@ from dcmesh.groups import commit, derive_params
 from dcmesh.keysetup import build_key_graph, edge_digest
 from dcmesh.splitter import COLLISION
 from dcmesh.transcript import Transcript
-from dcmesh.zkp import Prover
 
 SMALL = derive_params("test_small", sim.DOMAIN_TAG)
 
@@ -243,13 +242,13 @@ def test_c05_proof_completeness_and_detection():
     )
 
 
-def test_c06_two_transcript_extraction_and_binding_break(dlog):
+def test_c06_two_transcript_extraction_and_binding_break(dlog, reference_prover):
     rng = random.Random(6)
     failures = []
     h, p, q = SMALL.h, SMALL.p, SMALL.q
 
     def extract(targets, true_index, alpha):
-        prover = Prover(SMALL, targets, true_index, alpha, rng)
+        prover = reference_prover(SMALL, targets, true_index, alpha, rng)
         b1 = prover.respond(5)
         b2 = prover.respond(29)
         for target, (e1, z1), (e2, z2) in zip(targets, b1, b2):

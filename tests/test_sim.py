@@ -1373,6 +1373,55 @@ def test_the_judge_applies_every_rule_to_a_source_answer(
     assert summary_of(t)["delivered"] == len(scenario.senders)
 
 
+class _NegatedKey(sim._Participants):
+    """Answers ``keys()`` with participant 3's PUBKEY y = h^x replaced by
+    p - y, which lies in [1, p) but outside the group, and signs each of
+    3's roots with x under p - y.  h^z * (p - y)^-e is h^k times
+    (-1)^(q - e), so the signer tries the announcements h^k and p - h^k,
+    nonce after nonce, until one's challenge has the sign that
+    ``zkp.verify_or`` accepts."""
+
+    def keys(self):
+        public = super().keys()
+        if 3 not in public.publics:
+            return public
+        negated = self.graph.params.p - public.publics[3]
+        return public._replace(publics={**public.publics, 3: negated})
+
+    def epoch(self, k):
+        signed, graph = super().epoch(k), self.graph
+        if 3 not in graph.participants:
+            return signed
+        params, at, x = graph.params, graph.participants.index(3), graph.signing[3].secret
+        key = params.p - graph.signing[3].public
+        stmt = keysetup.endorse_statement(params, key, signed[at].root, 3, k, graph.optouts)
+        for nonce in range(1, params.q):
+            power = params.h_table.power(nonce)
+            for announcement in (power, params.p - power):
+                e = zkp.fs_challenge(params, stmt, [announcement])
+                signature = (e, (nonce + e * x) % params.q)
+                if zkp.verify_or(params, [stmt], [(signature,)]) == [True]:
+                    resigned = signed[at]._replace(signature=signature)
+                    return signed[:at] + (resigned,) + signed[at + 1 :]
+        raise AssertionError("no nonce signs under p - y")
+
+
+def test_a_pubkey_outside_the_subgroup_is_a_bad_signature(monkeypatch, medium):
+    # the honest n = 4 run, with participant 3's PUBKEY p - h^x and its
+    # roots signed with x under that key: the proof check alone accepts
+    # the signature, so the judge's key rule, y in the group, is what
+    # gives 3 bad_signature at epoch:0, in the run and on verify alike
+    monkeypatch.setattr(sim, "_Participants", _NegatedKey)
+    t = run(HONEST_RUN)
+    assert verdict_places(t) == KEY_BAN
+    assert summary_of(t)["delivered"] == len(HONEST_RUN.senders)
+    y = next(r["y"] for r in t.records if r["type"] == "PUBKEY" and r["part"] == 3)
+    endorse = next(r for r in t.records if r["type"] == "ENDORSE" and r["part"] == 3)
+    assert 0 < y < medium.p and not medium.is_element(y)
+    stmt = keysetup.endorse_statement(medium, y, bytes.fromhex(endorse["root"]), 3, 0, ())
+    assert zkp.verify_or(medium, [stmt], [((endorse["sig_e"], endorse["sig_s"]),)]) == [True]
+
+
 class _WrongLengthSource(sim._Participants):
     """The live source, one of whose calls a test replaces with ``_resized``."""
 

@@ -19,7 +19,6 @@ from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import commit, derive_params
 from dcmesh.zkp import (
     OrStatement,
-    Prover,
     forge_attempt,
     fs_challenge,
     no_message_targets,
@@ -172,12 +171,10 @@ def test_prover_refuses_an_empty_statement_and_an_index_outside_it(small):
     # would read a branch from the end and simulate every branch
     (target,) = rep_for(small, 5).targets
     with pytest.raises(WitnessMismatch):
-        Prover(small, [], 0, 5, random.Random(0))
-    with pytest.raises(WitnessMismatch):
         prove_or(small, OrStatement(small, ()), 0, 5, random.Random(0))
     for index in (-1, -2, 2, 3):
         with pytest.raises(WitnessMismatch):
-            Prover(small, [target, target], index, 5, random.Random(0))
+            prove_or(small, OrStatement(small, [target, target]), index, 5, random.Random(0))
 
 
 def test_rep_tampered_response_rejected(small):
@@ -263,14 +260,17 @@ def test_or_hiding_structure(small):
 
 
 class ScriptedRng:
-    """Hands ``randrange`` its draws from a script, in order."""
+    """Hands ``randrange`` its draws from a script, in order, and counts
+    them in ``used``."""
 
     def __init__(self, draws):
         self.draws = iter(draws)
+        self.used = 0
 
     def randrange(self, stop):
         draw = next(self.draws)
         assert 0 <= draw < stop
+        self.used += 1
         return draw
 
 
@@ -311,25 +311,66 @@ def extract(params, targets, prover, e1, e2):
     raise AssertionError("no differing branch challenge; extraction impossible")
 
 
-def test_extractor_rep_family(small):
+def test_extractor_rep_family(small, reference_prover):
     rng = random.Random(13)
     for alpha in (0, 1, 29, 52):
         stmt = rep_for(small, alpha)
-        prover = Prover(small, stmt.targets, 0, alpha, rng)
+        prover = reference_prover(small, stmt.targets, 0, alpha, rng)
         assert extract(small, stmt.targets, prover, 3, 17) == alpha
 
 
-def test_extractor_or_family(small):
+def test_extractor_or_family(small, reference_prover):
     rng = random.Random(14)
     for alpha in (5, 40):
         for branch in (0, 1):
             stmt = or_pair(small, alpha, branch, rng)
             targets = stmt.targets
-            prover = Prover(small, targets, branch, alpha, rng)
+            prover = reference_prover(small, targets, branch, alpha, rng)
             for e1 in range(0, 10):
                 e2 = (e1 + 7) % small.q
                 got = extract(small, targets, prover, e1, e2)
                 assert got == alpha
+
+
+# ---------------------------------------------------------------------------
+# the one-pass prover against the reference rewinding prover
+
+
+@st.composite
+def provable_statements(draw):
+    """A statement of one to three branches over test_small, any branch
+    true under any witness and the others any group elements, with the
+    true branch, the witness and the draws of a proof: the nonce, then
+    each other branch's challenge and response."""
+    params = derive_params("test_small", b"dc-mesh/v1")
+    q, p = params.q, params.p
+    scalars = st.integers(0, q - 1)
+    k = draw(st.integers(1, 3))
+    true_index, alpha = draw(st.integers(0, k - 1)), draw(scalars)
+    targets = [pow(params.g, draw(scalars), p) for _ in range(k)]
+    targets[true_index] = pow(params.h, alpha, p)
+    stmt = OrStatement(params, targets, draw(st.binary(max_size=8)))
+    draws = draw(st.lists(scalars, min_size=2 * k - 1, max_size=2 * k - 1))
+    return params, stmt, true_index, alpha, draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(provable_statements(), st.integers(1, 52))
+def test_prove_or_is_the_reference_prover_in_one_pass(reference_prover, case, shift):
+    # the same draws make the same proof as the reference's answer to
+    # the challenge of its announcements, and take every draw; a wrong
+    # witness raises before it takes any
+    params, stmt, true_index, alpha, draws = case
+    reference = reference_prover(params, stmt.targets, true_index, alpha, ScriptedRng(draws))
+    expected = reference.respond(fs_challenge(params, stmt, reference.announcements))
+    rng = ScriptedRng(draws)
+    assert prove_or(params, stmt, true_index, alpha, rng) == expected
+    assert rng.used == len(draws)
+    assert verify_proof(params, stmt, expected)
+    rng = ScriptedRng(draws)
+    with pytest.raises(WitnessMismatch):
+        prove_or(params, stmt, true_index, alpha + shift, rng)
+    assert rng.used == 0
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +543,15 @@ def test_proof_serialization_roundtrip(small, medium):
         assert not verify_proof(params, stmt, proof + ((0, 0),))
         assert verify_proof(params, true_branch, alone)
         assert not verify_proof(params, stmt, alone)
+        # a first scalar of 0, or of 1 (in test_medium, two leading zero
+        # bytes), keeps its digits: every scalar is spelled at the fixed
+        # width, the packed text's leading zeros included
+        q = params.q
+        for fixed in (((0, 1),), ((0, 0), (q - 1, 5)), ((1, q - 1),), ((1, 0), (0, 2), (3, 0))):
+            text = proof_to_text(params, fixed)
+            assert text == "".join(f"{x:0{width}x}" for pair in fixed for x in pair)
+            assert len(text) == 2 * width * len(fixed)
+            assert proof_from_text(params, text) == fixed
 
 
 def test_verify_rejects_scalars_outside_the_field(small, medium):
