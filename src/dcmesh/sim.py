@@ -246,16 +246,16 @@ class HonestParticipant:
         return ct
 
     def prove_round(self, round_id, statement):
-        """A retransmission proof's text; branch b's witness is B(round_id + b)."""
+        """A retransmission proof, or None; branch b's witness is B(round_id + b)."""
         empty, repeat = (0, self.blinds[round_id]), (1, self.blinds[round_id + 1])
         candidates = (repeat, empty) if self.message_node == round_id else (empty, repeat)
-        return zkp.proof_to_text(self.params, self._proof(statement, candidates))
+        return self._proof(statement, candidates)
 
     def respond_demand(self, node_id, statement):
-        """A denial proof's text; every branch's witness is B(node_id)."""
+        """A denial proof, or None; every branch's witness is B(node_id)."""
         order = sorted(range(len(statement.targets)), reverse=self.message_node == node_id)
         candidates = [(b, self.blinds[node_id]) for b in order]
-        return zkp.proof_to_text(self.params, self._proof(statement, candidates))
+        return self._proof(statement, candidates)
 
     def _proof(self, statement, candidates):
         try:
@@ -448,9 +448,14 @@ class _Participants:
     adversaries opt out of their edges and which endorses epoch k from
     its own stream of the scenario seed, the session's tree, and the
     active participants, in pid order, on that tree.  Each broadcast
-    pads with the slot the judge names.  Its sink is a plain list."""
+    pads with the slot the judge names.  Each proof a participant makes
+    is spelled here, once, and handed to the judge with its text as the
+    pair (proof, text); one that has no spelling is withheld, (None,
+    NO_PROOF).  So the judge checks the proof it records, and decodes
+    nothing.  Its sink is a plain list."""
 
     def __init__(self, params, scenario, active, pending, session):
+        self.params = params
         self.seed, self.session = scenario.seed, session
         strategy_of = dict(scenario.adversaries)
         refusers = {pid for pid in active if strategy_of.get(pid) == REFUSE_SIGNATURE}
@@ -483,13 +488,25 @@ class _Participants:
         return [p.broadcast(round_id, slot) for p in self.participants]
 
     def prove(self, round_id, statements):
-        return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
+        return self._spelled(
+            [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
+        )
 
     def publish(self, slot):
         return [p.view.published_pairs(slot) for p in self.participants]
 
     def respond(self, node_id, statements):
-        return [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
+        return self._spelled(
+            [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
+        )
+
+    def _spelled(self, proofs):
+        """Each proof paired with its text, and None with any proof that has none."""
+        params, pairs = self.params, []
+        for proof in proofs:
+            text = zkp.proof_to_text(params, proof)
+            pairs.append((None if text == zkp.NO_PROOF else proof, text))
+        return pairs
 
 
 def _play_session(params, scenario, active, pending, session, session_tag):
@@ -601,9 +618,16 @@ class _Replay:
     so a list position is the participant and nothing else labels it,
     as in every other answer.  Every input passes as recorded, and the
     judge checks it as it checks a live participant's: only an ENDORSE
-    root that is not hex cannot be decoded, and is malformed."""
+    root that is not hex cannot be decoded, and is malformed.  A proof
+    is its recorded text, handed over as the pair (proof, text) with the
+    proof ``zkp.proof_from_text`` reads from it, which is None for a
+    text that spells none; a round's CIPHER texts are read with its
+    ciphertexts and decoded only when the judge asks for its proofs, so
+    round 1's are never decoded.  This is the one place a proof's text
+    is read."""
 
-    def __init__(self, pids, recorded, index, report):
+    def __init__(self, params, pids, recorded, index, report):
+        self.params = params
         self.pids = pids
         self.recorded = recorded
         self.index = index   # transcript index of recorded[0]
@@ -654,15 +678,15 @@ class _Replay:
         return tuple(self._signed_root(k, pid) for pid in self.pids)
 
     def broadcast(self, round_id, slot):   # the slot is checked in the ROUND record
-        cts, self.proofs = [], []
+        cts, self.texts = [], []
         for pid in self.pids:
             rec = self._input("CIPHER", round=round_id, part=pid)
             cts.append(RoundCiphertext((rec["O_count"], rec["O_total"]), rec["c"]))
-            self.proofs.append(rec["proof"])
+            self.texts.append(rec["proof"])
         return cts
 
     def prove(self, round_id, statements):
-        return self.proofs   # as read with the round's CIPHER records
+        return self._decoded(self.texts)   # as read with the round's CIPHER records
 
     def publish(self, slot):
         # every participant publishes, if only the empty map of a participant
@@ -675,7 +699,14 @@ class _Replay:
         return list(published.values())
 
     def respond(self, node_id, statements):
-        return [self._input("DEMAND", node=node_id, part=pid)["proof"] for pid in self.pids]
+        return self._decoded(
+            [self._input("DEMAND", node=node_id, part=pid)["proof"] for pid in self.pids]
+        )
+
+    def _decoded(self, texts):
+        """Each recorded proof text with the proof it spells."""
+        params, read = self.params, zkp.proof_from_text
+        return [(read(params, text), text) for text in texts]
 
 
 def _line(rec) -> str:
@@ -749,7 +780,7 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             report.compare(index, body[start], None)
             break
         try:
-            replay = _Replay(active, body[start + 1 : end], index + 1, report)
+            replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
             outcome = run_session(
                 params,
                 ResolutionTree(params.q, config["payload_bits"]),

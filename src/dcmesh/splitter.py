@@ -414,20 +414,24 @@ def run_session(
       ``non_cooperation`` verdict, no proof is asked for, the round is
       not aggregated and the session stops;
     * ``prove(round_id, statements)``: for a round after the first, one
-      proof's text per participant, in participant order, of the
+      (proof, text) pair per participant, in participant order, for the
       participant's retransmission statement;
     * ``publish(slot)``: for an investigation, one ``{peer:
       RevealedCommitment}`` map per participant, in participant order,
       paths in wire form;
-    * ``respond(node_id, statements)``: one proof's text per
-      participant, in participant order, of its denial statement: at an
+    * ``respond(node_id, statements)``: one (proof, text) pair per
+      participant, in participant order, for its denial statement: at an
       equal-payload node each denies a message or claims one copy of
       the node's payload.
 
     No answer names its participant, and one of the wrong length, the
-    source's fault, raises ValueError.  A proof's text is recorded as
-    given; ``zkp.NO_PROOF`` is a withheld proof, and every CIPHER's of
-    round 1 or of a round with a missing broadcast.  Slot values are read mod q.
+    source's fault, raises ValueError.  In a (proof, text) pair the
+    proof must be exactly what ``zkp.proof_from_text`` reads from the
+    text, None for ``zkp.NO_PROOF``: the judge records the text as
+    given, checks the proof and decodes nothing, and a withheld proof
+    is told from a failed one by its text.  ``zkp.NO_PROOF`` is also
+    every CIPHER's text in round 1 or in a round with a missing
+    broadcast.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
@@ -505,14 +509,14 @@ class Session:
             if not silent:
                 add_round(self.params, self.targets.values(), rid, cts)
             if rid == 1 or silent:   # no proof is asked for or recorded
-                stmts, texts = [], [zkp.NO_PROOF] * len(pids)
+                stmts, answers = [], [(None, zkp.NO_PROOF)] * len(pids)
             else:
                 stmts = [
                     retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
                     for pid in pids
                 ]
-                texts = source.prove(rid, stmts)
-            for pid, ct, text in zip(pids, cts, texts, strict=True):
+                answers = source.prove(rid, stmts)
+            for pid, ct, (_, text) in zip(pids, cts, answers, strict=True):
                 self.emit(
                     "CIPHER",
                     round=rid,
@@ -537,8 +541,8 @@ class Session:
                 break
 
             if rid != 1:
-                oks = self._check_proofs(stmts, texts)
-                for pid, text, ok in zip(pids, texts, oks, strict=True):
+                oks = self._check_proofs(stmts, answers)
+                for pid, (_, text), ok in zip(pids, answers, oks, strict=True):
                     if not ok:
                         reason = NON_COOPERATION if text == zkp.NO_PROOF else INVALID_PROOF
                         self.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
@@ -623,10 +627,10 @@ class Session:
         for pid, reasons in blamed.items():
             self.verdicts.extend(Verdict(pid, reason, f"round:{rid}") for reason in reasons)
 
-    def _check_proofs(self, statements, texts) -> list[bool]:
-        """One verdict per statement and its proof's text, counted in the outcome."""
-        proofs = [zkp.proof_from_text(self.params, text) for text in texts]
-        oks = zkp.verify_or(self.params, statements, proofs)
+    def _check_proofs(self, statements, answers) -> list[bool]:
+        """One verdict per statement and its (proof, text) answer, counted
+        in the outcome: the proof is checked, and the text never read."""
+        oks = zkp.verify_or(self.params, statements, [proof for proof, _ in answers])
         self.proofs_checked += len(oks)
         self.proofs_failed += oks.count(False)
         return oks
@@ -640,9 +644,9 @@ class Session:
             denial_statement(self.params, nodes, pid, node_id, self.tag, term)
             for pid, nodes in self.targets.items()
         ]
-        texts = self.source.respond(node_id, stmts)
-        oks = self._check_proofs(stmts, texts)
-        for pid, text, ok in zip(self.pids, texts, oks, strict=True):
+        answers = self.source.respond(node_id, stmts)
+        oks = self._check_proofs(stmts, answers)
+        for pid, (_, text), ok in zip(self.pids, answers, oks, strict=True):
             self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=text)
         return [pid for pid, ok in zip(self.pids, oks) if not ok]
 

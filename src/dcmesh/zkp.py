@@ -39,8 +39,12 @@ targets c * g^-count * f^-total of broadcasts (count, total) with
 commitment c, which :func:`no_message_targets` makes for a round with
 one ``powers`` per generator; the session judge makes them once per
 round and hands each prover the statement built from them.  A proof
-is sent and recorded as text, the lowercase hex of its scalars, or
-NO_PROOF where none is sent.  :func:`prove_or` checks its witness and
+is recorded as text, the lowercase hex of its scalars, or NO_PROOF
+where none is sent, and reaches the judge with its text, as the pair
+(proof, text): :func:`proof_to_text` spells only what
+:func:`proof_from_text` reads back, so the judge checks the proof it
+records without decoding it; only a replay reads a text back.
+:func:`prove_or` checks its witness and
 refuses to emit anything unsound; dishonest proofs are produced
 explicitly via :func:`forge_attempt`.
 """
@@ -207,20 +211,26 @@ NO_PROOF = "-"   # the text of a withheld proof
 
 def proof_to_text(params: GroupParams, proof: SigmaProof | None) -> str:
     """A proof as it is sent and recorded: the lowercase hex of its
-    scalars, each at the group's scalar width, which each must fit;
-    NO_PROOF for none."""
-    if proof is None:
+    scalars, each at the group's scalar width.  NO_PROOF for None, for
+    an empty proof and for one with a scalar outside [0, 2^(8 *
+    scalar_bytes)): none has a spelling that :func:`proof_from_text`
+    reads back, so every text this spells reads back as its proof."""
+    if not proof:
         return NO_PROOF
     bits, packed = 8 * params.scalar_bytes, 0
     for e, z in proof:   # each at the scalar width, in one to_bytes
+        if (e | z) >> bits:   # negative, or wider than the width: it would spill
+            return NO_PROOF
         packed = (packed << bits | e) << bits | z
     return packed.to_bytes(2 * params.scalar_bytes * len(proof), "big").hex()
 
 
 def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:
-    """The proof ``text`` spells; None for NO_PROOF, and for any text that
-    is not the one lowercase hex spelling of a whole, non-zero number of
-    (challenge, response) pairs."""
+    """The proof ``text`` spells; None for NO_PROOF, read before any
+    parse, and for any text that is not the one lowercase hex spelling
+    of a whole, non-zero number of (challenge, response) pairs."""
+    if text == NO_PROOF:
+        return None
     sw = params.scalar_bytes
     try:
         data = bytes.fromhex(text)

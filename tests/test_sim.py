@@ -432,17 +432,33 @@ def test_refuse_proof_flagged_as_non_cooperation():
     assert verdicts_of(t) == [(2, "non_cooperation")]
 
 
+class _TextSource(sim._Participants):
+    """The live source, where a participant may answer a proof's text in
+    place of a proof: such a text is handed to the judge with the proof
+    it spells, ``(zkp.proof_from_text(params, text), text)``, as the
+    replay hands a recorded one; a proof, or None, is spelled as usual."""
+
+    def _spelled(self, answers):
+        spell = super()._spelled
+        return [
+            (zkp.proof_from_text(self.params, answer), answer) if isinstance(answer, str)
+            else spell([answer])[0]
+            for answer in answers
+        ]
+
+
 class _MalformedProofParticipant(sim.HonestParticipant):
-    """Honest, but sends each CIPHER proof in one malformed ``shape``:
-    ``short`` drops its last scalar, ``extra`` appends a copy of its
-    first (challenge, response) pair, and ``big_challenge`` adds q to its
-    first challenge, which still fits the scalar width."""
+    """Honest, but sends each CIPHER proof as a text in one malformed
+    ``shape``: ``short`` drops its last scalar, ``extra`` appends a copy
+    of its first (challenge, response) pair, and ``big_challenge`` adds
+    q to its first challenge, which still fits the scalar width."""
 
     shape = "short"
 
     def prove_round(self, round_id, statement):
         sw = self.params.scalar_bytes
-        data = bytes.fromhex(super().prove_round(round_id, statement))
+        text = zkp.proof_to_text(self.params, super().prove_round(round_id, statement))
+        data = bytes.fromhex(text)
         if self.shape == "short":
             data = data[:-sw]
         elif self.shape == "extra":
@@ -458,6 +474,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
     # with a challenge >= q, parses but does not verify.  The judge gives
     # each the verdict, and the records, of a proof that fails to verify,
     # for the sender alone
+    monkeypatch.setattr(sim, "_Participants", _TextSource)
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MalformedProofParticipant)
     scenario = sim.Scenario(
         n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1
@@ -473,6 +490,39 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
     )
 
 
+class _UnspellableProofParticipant(sim.HonestParticipant):
+    """Honest, but answers each proof in one ``shape`` that has no
+    spelling: a negative scalar, its first pair as (e - 1, z + 2^(8 *
+    scalar_bytes)), whose response would spill into its challenge's
+    digits and spell the honest (e, z), or the empty proof."""
+
+    shape = "negative"
+
+    def _proof(self, statement, candidates):
+        (e, z), *rest = super()._proof(statement, candidates)
+        return {
+            "negative": ((e, -1 - z), *rest),
+            "spilled": ((e - 1, z + (1 << 8 * self.params.scalar_bytes)), *rest),
+            "empty": (),
+        }[self.shape]
+
+
+@pytest.mark.parametrize("shape", ["negative", "spilled", "empty"])
+def test_an_unspellable_proof_is_withheld(monkeypatch, shape):
+    # proof_to_text spells only what proof_from_text reads back, so the
+    # live source hands each such proof over as withheld, (None, "-"):
+    # the judge checks the proof it records, 3 is banned for
+    # non_cooperation at round 2, and the others' three payloads arrive
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _UnspellableProofParticipant)
+    monkeypatch.setattr(_UnspellableProofParticipant, "shape", shape)
+    t = run(sim.Scenario(
+        n=4, senders=BAD_PAD_RUN.senders, adversaries=((3, "refuse_proof"),), seed=2
+    ))
+    verdicts = [(r["part"], r["reason"], r["where"]) for r in t.records if r["type"] == "VERDICT"]
+    assert verdicts == [(3, "non_cooperation", "round:2")]
+    assert summary_of(t)["delivered"] == 3
+
+
 # the malformed proofs of one round, each sent by its own participant;
 # honest participants sit before, between and after them
 MIXED_SHAPES = {
@@ -484,20 +534,21 @@ MIXED_HONEST = (0, 2, 5, 8, 11)
 
 class _MixedProofParticipant(sim.HonestParticipant):
     """Honest, but sends every proof of its ``phase`` ("cipher" or
-    "demand") in its own malformed shape from MIXED_SHAPES."""
+    "demand") in its own malformed shape from MIXED_SHAPES: none, a
+    forged proof, or a malformed text."""
 
     phase = "cipher"
 
-    def _malformed(self, text, statement):
+    def _malformed(self, proof, statement):
         shape, q, sw = MIXED_SHAPES[self.pid], self.params.q, self.params.scalar_bytes
-        data = bytes.fromhex(text)
         if shape == "none":
-            return zkp.NO_PROOF
+            return None
+        if shape == "forged":
+            return zkp.forge_attempt(self.params, statement, self.rng)
+        text = zkp.proof_to_text(self.params, proof)
+        data = bytes.fromhex(text)
         if shape == "non_hex":
             return "zz" + text[2:]
-        if shape == "forged":
-            forged = zkp.forge_attempt(self.params, statement, self.rng)
-            return zkp.proof_to_text(self.params, forged)
         if shape == "short":
             data = data[:-sw]
         elif shape == "extra":
@@ -510,19 +561,20 @@ class _MixedProofParticipant(sim.HonestParticipant):
         return data.hex()
 
     def prove_round(self, round_id, statement):
-        text = super().prove_round(round_id, statement)
+        proof = super().prove_round(round_id, statement)
         if self.phase != "cipher":
-            return text
-        return self._malformed(text, statement)
+            return proof
+        return self._malformed(proof, statement)
 
     def respond_demand(self, node_id, statement):
-        text = super().respond_demand(node_id, statement)
+        proof = super().respond_demand(node_id, statement)
         if self.phase != "demand":
-            return text
-        return self._malformed(text, statement)
+            return proof
+        return self._malformed(proof, statement)
 
 
 def _mixed_round_scenario(monkeypatch, phase, senders):
+    monkeypatch.setattr(sim, "_Participants", _TextSource)
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MixedProofParticipant)
     monkeypatch.setattr(_MixedProofParticipant, "phase", phase)
     return sim.Scenario(
@@ -739,7 +791,7 @@ class _LyingHolder(sim._ForgingAdversary):
     def respond_demand(self, node_id, statement):
         if self.tree.nodes[node_id].equal_payload is None:
             return super().respond_demand(node_id, statement)
-        return zkp.proof_to_text(self.params, zkp.forge_attempt(self.params, statement, self.rng))
+        return zkp.forge_attempt(self.params, statement, self.rng)
 
 
 def test_lying_holder_blamed_at_an_equal_payload_node(monkeypatch):
@@ -992,30 +1044,39 @@ def _failed_proof(transcript, rec) -> bool:
 
 def test_every_resealed_field_mutation_detected():
     # the three scenarios of test_every_field_mutation_detected, each field
-    # mutated and the digests resealed: only a mutated digest field, which
-    # the reseal overwrites, or a proof replaced that had already failed,
-    # which another run's adversary could have sent, may verify clean
+    # mutated, and each PUBLISH path mutated as there, and the digests
+    # resealed: only a mutated digest field, which the reseal overwrites,
+    # or a proof replaced that had already failed, which another run's
+    # adversary could have sent, may verify clean
     scenarios = [
         sim.Scenario(n=3, senders=((0, 9), (2, 100)), adversaries=((1, "bad_pad"),), seed=4),
         EPOCH_CROSSING,
         sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4),
     ]
-    outcomes, missed, malformed, excused = Counter(), [], [], []
+    outcomes, paths, missed, malformed, excused = Counter(), Counter(), [], [], []
     for scenario in scenarios:
         transcript = sim.run_scenario(scenario)
         records = transcript.header + transcript.records
         lines = transcript.to_text().splitlines()
         for i, line in enumerate(lines):
             tokens = line.split(" ")
+            candidates = []
             for j, token in enumerate(tokens[1:], start=1):
                 key, value = token.split("=", 1)
                 mutated = tokens[:j] + [f"{key}={_mutate_field(value)}"] + tokens[j + 1 :]
+                candidates.append((outcomes, key, mutated))
+            if tokens[0] == "PUBLISH":   # each path mutation of the unresealed test too
+                path = tokens[-1].split("=", 1)[1]
+                candidates += [
+                    (paths, "path", tokens[:-1] + [f"path={p}"]) for p in _path_mutations(path)
+                ]
+            for counted, key, mutated in candidates:
                 text = "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1 :]) + "\n"
                 try:
                     outcome = _outcome(_resealed_text(text))
                 except MalformedRecord:
                     outcome = "malformed"
-                outcomes[outcome] += 1
+                counted[outcome] += 1
                 where = (scenario.seed, i, key, line[:60])
                 if outcome == "clean":
                     excusable = (tokens[0], key) in DIGEST_FIELDS or (
@@ -1027,6 +1088,8 @@ def test_every_resealed_field_mutation_detected():
     assert not missed, missed
     assert not malformed, malformed
     assert outcomes == {"divergent": 839, "malformed": 6, "clean": 7}
+    # five path mutations of each of the six PUBLISH records, every one divergent
+    assert paths == {"divergent": 30}
     # six digest fields, and participant 1's failed DEMAND proof in EPOCH_CROSSING
     assert len(excused) == 7, excused
 
@@ -1451,6 +1514,54 @@ def test_an_answer_of_the_wrong_length_raises(monkeypatch, call, scenario, extra
     monkeypatch.setattr(sim, "_Participants", _WrongLengthSource)
     with pytest.raises(ValueError, match=r"^zip\(\) argument"):
         sim.run_scenario(scenario)
+
+
+def test_a_live_run_decodes_no_proof(monkeypatch):
+    # each proof answer carries its text, so a live run reads none back;
+    # its verify decodes one text per proof the judge checks, as neither
+    # run has an invalid round after round 1, whose texts are never read
+    reads = []
+    read = zkp.proof_from_text
+    monkeypatch.setattr(zkp, "proof_from_text", lambda *args: reads.append(args) or read(*args))
+    equal = sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4)
+    for scenario in (BAD_PAD_RUN, equal):
+        reads.clear()
+        t = sim.run_scenario(scenario)
+        assert reads == []
+        assert sim.verify_transcript(t).clean
+        assert len(reads) == summary_of(t)["proofs_checked"] > 0
+    assert any(r["type"] == "DEMAND" for r in t.records)
+
+
+class _PairLog(sim._Participants):
+    """The live source, logging each (proof, text) pair it answers the judge."""
+
+    log = None   # set by the test
+
+    def prove(self, round_id, statements):
+        return self._logged(super().prove(round_id, statements))
+
+    def respond(self, node_id, statements):
+        return self._logged(super().respond(node_id, statements))
+
+    def _logged(self, pairs):
+        self.log.extend((self.params, proof, text) for proof, text in pairs)
+        return pairs
+
+
+def test_every_proof_answer_is_the_proof_its_text_spells(monkeypatch):
+    # over every scripted strategy, honest, forged and withheld proofs
+    # alike: each pair handed to the judge holds exactly the proof that
+    # zkp.proof_from_text reads from its text
+    monkeypatch.setattr(_PairLog, "log", [])
+    monkeypatch.setattr(sim, "_Participants", _PairLog)
+    for strategy in sim.STRATEGIES:
+        run(sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((4, strategy),), seed=9))
+    assert len(sim.STRATEGIES) == 8
+    for params, proof, text in _PairLog.log:
+        assert zkp.proof_from_text(params, text) == proof, text
+    texts = [text for _, _, text in _PairLog.log]
+    assert zkp.NO_PROOF in texts and len(texts) > texts.count(zkp.NO_PROOF) > 0
 
 
 class _UnreducedCountParticipant(sim.HonestParticipant):

@@ -554,6 +554,26 @@ def test_proof_serialization_roundtrip(small, medium):
             assert proof_from_text(params, text) == fixed
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["test_small", "test_medium"]),
+    st.lists(st.tuples(st.integers(-(1 << 30), 1 << 30), st.integers(-(1 << 30), 1 << 30)),
+             max_size=3),
+)
+def test_a_proof_text_reads_back_as_its_proof(group, pairs):
+    # any pairs of scalars, negative ones and ones wider than the group's
+    # scalar width included: the text is NO_PROOF, or it reads back as the
+    # very proof it spells, so a run never checks one proof and records another
+    params = derive_params(group, b"dc-mesh/v1")
+    proof = tuple(pairs)
+    text = proof_to_text(params, proof)
+    fits = all(0 <= x < 1 << 8 * params.scalar_bytes for pair in proof for x in pair)
+    if proof and fits:
+        assert proof_from_text(params, text) == proof
+    else:
+        assert text == zkp.NO_PROOF
+
+
 def test_verify_rejects_scalars_outside_the_field(small, medium):
     # (e + q, z) and (e, z + q) are congruent to a valid pair and still
     # fit the wire's scalar width, but only canonical scalars verify
