@@ -146,12 +146,12 @@ def edge_digest(row: bytes) -> bytes:
 class RevealedCommitment(NamedTuple):
     """A pair commitment revealed for an investigation.
 
-    ``path`` is its endorsement in wire form: hex of the edge's other
-    commitments for the epoch, in slot order, then of the signer tree's siblings.
+    ``path`` is its endorsement: the edge's other commitments for the
+    epoch, in slot order, then the signer tree's siblings.
     """
 
     commitment: int
-    path: str
+    path: bytes
 
 
 class SignedRoot(NamedTuple):
@@ -179,17 +179,17 @@ def is_endorsed(
     whose path leads from the edge's leaf to ``root``, the signer's root
     for that epoch, whose signature the judge checked as it took it.  One
     equal to the edge's commitment at another slot passes there too: it
-    is that slot's.  Non-canonical hex, a path of another length and a
-    commitment outside the group's encoding fail.
+    is that slot's.  A path of another length and a commitment outside
+    the group's encoding fail.
     """
     try:
-        raw = bytes.fromhex(revealed.path)
         own = params.element_to_bytes(revealed.commitment)
-    except (ValueError, OverflowError):
+    except OverflowError:
         return False
+    raw = revealed.path
     width = signer_width(len(participants))
     split = (EPOCH_SLOTS - 1) * len(own)   # the other commitments, then the siblings
-    if raw.hex() != revealed.path or len(raw) != split + 32 * (width.bit_length() - 1):
+    if len(raw) != split + 32 * (width.bit_length() - 1):
         return False
     at = slot % EPOCH_SLOTS * len(own)
     digest = edge_digest(raw[:at] + own + raw[at:split])
@@ -397,7 +397,7 @@ class KeyView:
             row = [self.params.element_to_bytes(c) for c in edge.commitments]
             del row[index]
             path = b"".join(row + self.graph.signer_path(epoch, self.pid, peer))
-            published[peer] = RevealedCommitment(edge.commitments[index], path.hex())
+            published[peer] = RevealedCommitment(edge.commitments[index], path)
         return published
 
 

@@ -448,11 +448,9 @@ class _Participants:
     adversaries opt out of their edges and which endorses epoch k from
     its own stream of the scenario seed, the session's tree, and the
     active participants, in pid order, on that tree.  Each broadcast
-    pads with the slot the judge names.  Each proof a participant makes
-    is spelled here, once, and handed to the judge with its text as the
-    pair (proof, text); one that has no spelling is withheld, (None,
-    NO_PROOF).  So the judge checks the proof it records, and decodes
-    nothing.  Its sink is a plain list."""
+    pads with the slot the judge names, and each answer is the
+    participants' values as they make them: the judge spells what it
+    records.  Its sink is a plain list."""
 
     def __init__(self, params, scenario, active, pending, session):
         self.params = params
@@ -488,25 +486,13 @@ class _Participants:
         return [p.broadcast(round_id, slot) for p in self.participants]
 
     def prove(self, round_id, statements):
-        return self._spelled(
-            [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
-        )
+        return [p.prove_round(round_id, s) for p, s in zip(self.participants, statements)]
 
     def publish(self, slot):
         return [p.view.published_pairs(slot) for p in self.participants]
 
     def respond(self, node_id, statements):
-        return self._spelled(
-            [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
-        )
-
-    def _spelled(self, proofs):
-        """Each proof paired with its text, and None with any proof that has none."""
-        params, pairs = self.params, []
-        for proof in proofs:
-            text = zkp.proof_to_text(params, proof)
-            pairs.append((None if text == zkp.NO_PROOF else proof, text))
-        return pairs
+        return [p.respond_demand(node_id, s) for p, s in zip(self.participants, statements)]
 
 
 def _play_session(params, scenario, active, pending, session, session_tag):
@@ -618,13 +604,15 @@ class _Replay:
     so a list position is the participant and nothing else labels it,
     as in every other answer.  Every input passes as recorded, and the
     judge checks it as it checks a live participant's: only an ENDORSE
-    root that is not hex cannot be decoded, and is malformed.  A proof
-    is its recorded text, handed over as the pair (proof, text) with the
-    proof ``zkp.proof_from_text`` reads from it, which is None for a
-    text that spells none; a round's CIPHER texts are read with its
-    ciphertexts and decoded only when the judge asks for its proofs, so
-    round 1's are never decoded.  This is the one place a proof's text
-    is read."""
+    root that is not hex cannot be decoded, and is malformed.  This is
+    the one reader of a recorded proof or path text.  A proof is what
+    ``zkp.proof_from_text`` reads from its text, None for a text that
+    spells none; a round's CIPHER texts are read with its ciphertexts
+    and decoded only when the judge asks for its proofs, so round 1's
+    are never decoded.  A path is the bytes its hex spells, or empty
+    where it is not hex.  The judge spells each proof and path it
+    records, so a text that is not its own spelling of what is read
+    from it diverges at its own record."""
 
     def __init__(self, params, pids, recorded, index, report):
         self.params = params
@@ -695,7 +683,11 @@ class _Replay:
         for rec in self.recorded[self.at :]:
             if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
                 break
-            published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], rec["path"])
+            try:
+                path = bytes.fromhex(rec["path"])
+            except ValueError:   # not hex: the empty path, which the judge spells ""
+                path = b""
+            published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], path)
         return list(published.values())
 
     def respond(self, node_id, statements):
@@ -704,9 +696,9 @@ class _Replay:
         )
 
     def _decoded(self, texts):
-        """Each recorded proof text with the proof it spells."""
+        """The proof each recorded text spells, or None."""
         params, read = self.params, zkp.proof_from_text
-        return [(read(params, text), text) for text in texts]
+        return [read(params, text) for text in texts]
 
 
 def _line(rec) -> str:

@@ -414,28 +414,27 @@ def run_session(
       ``non_cooperation`` verdict, no proof is asked for, the round is
       not aggregated and the session stops;
     * ``prove(round_id, statements)``: for a round after the first, one
-      (proof, text) pair per participant, in participant order, for the
-      participant's retransmission statement;
+      proof, a ``zkp.SigmaProof`` or None, per participant, in
+      participant order, for the participant's retransmission statement;
     * ``publish(slot)``: for an investigation, one ``{peer:
-      RevealedCommitment}`` map per participant, in participant order,
-      paths in wire form;
-    * ``respond(node_id, statements)``: one (proof, text) pair per
+      RevealedCommitment}`` map per participant, in participant order;
+    * ``respond(node_id, statements)``: one proof or None per
       participant, in participant order, for its denial statement: at an
       equal-payload node each denies a message or claims one copy of
       the node's payload.
 
     No answer names its participant, and one of the wrong length, the
-    source's fault, raises ValueError.  In a (proof, text) pair the
-    proof must be exactly what ``zkp.proof_from_text`` reads from the
-    text, None for ``zkp.NO_PROOF``: the judge records the text as
-    given, checks the proof and decodes nothing, and a withheld proof
-    is told from a failed one by its text.  ``zkp.NO_PROOF`` is also
-    every CIPHER's text in round 1 or in a round with a missing
-    broadcast.  Slot values are read mod q.
+    source's fault, raises ValueError.  No answer is a text: the judge
+    spells each proof it records with ``zkp.proof_to_text``, None in
+    every CIPHER of round 1 or of a round with a missing broadcast, and
+    each path as hex.  It checks the proofs as answered, and a proof it
+    spells ``zkp.NO_PROOF``, which no such proof passes, is withheld:
+    ``non_cooperation``.  Slot values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
-    transcript and compares each record as it is emitted.
+    transcript, through the one reader of a recorded text, and compares
+    each record as it is emitted.
     """
     return Session(params, tree, session, session_tag, source).run()
 
@@ -509,14 +508,15 @@ class Session:
             if not silent:
                 add_round(self.params, self.targets.values(), rid, cts)
             if rid == 1 or silent:   # no proof is asked for or recorded
-                stmts, answers = [], [(None, zkp.NO_PROOF)] * len(pids)
+                stmts, proofs = [], [None] * len(pids)
             else:
                 stmts = [
                     retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
                     for pid in pids
                 ]
-                answers = source.prove(rid, stmts)
-            for pid, ct, (_, text) in zip(pids, cts, answers, strict=True):
+                proofs = source.prove(rid, stmts)
+            texts = [zkp.proof_to_text(self.params, proof) for proof in proofs]
+            for pid, ct, text in zip(pids, cts, texts, strict=True):
                 self.emit(
                     "CIPHER",
                     round=rid,
@@ -541,8 +541,8 @@ class Session:
                 break
 
             if rid != 1:
-                oks = self._check_proofs(stmts, answers)
-                for pid, (_, text), ok in zip(pids, answers, oks, strict=True):
+                oks = self._check_proofs(stmts, proofs)
+                for pid, text, ok in zip(pids, texts, oks, strict=True):
                     if not ok:
                         reason = NON_COOPERATION if text == zkp.NO_PROOF else INVALID_PROOF
                         self.verdicts.append(Verdict(pid, reason, f"round:{rid}"))
@@ -620,17 +620,17 @@ class Session:
         published = self.source.publish(slot)
         for pid, pairs in zip(self.pids, published, strict=True):
             for peer, sc in sorted(pairs.items()):
-                self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=sc.path)
+                path = sc.path.hex()
+                self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=path)
         blamed = investigate(self.params, cts, slot, published, self.public)
         cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
         self.emit("INVESTIGATION", round=rid, cheaters=cheaters or "-")
         for pid, reasons in blamed.items():
             self.verdicts.extend(Verdict(pid, reason, f"round:{rid}") for reason in reasons)
 
-    def _check_proofs(self, statements, answers) -> list[bool]:
-        """One verdict per statement and its (proof, text) answer, counted
-        in the outcome: the proof is checked, and the text never read."""
-        oks = zkp.verify_or(self.params, statements, [proof for proof, _ in answers])
+    def _check_proofs(self, statements, proofs) -> list[bool]:
+        """One verdict per statement and its proof, counted in the outcome."""
+        oks = zkp.verify_or(self.params, statements, proofs)
         self.proofs_checked += len(oks)
         self.proofs_failed += oks.count(False)
         return oks
@@ -644,9 +644,10 @@ class Session:
             denial_statement(self.params, nodes, pid, node_id, self.tag, term)
             for pid, nodes in self.targets.items()
         ]
-        answers = self.source.respond(node_id, stmts)
-        oks = self._check_proofs(stmts, answers)
-        for pid, (_, text), ok in zip(self.pids, answers, oks, strict=True):
+        proofs = self.source.respond(node_id, stmts)
+        oks = self._check_proofs(stmts, proofs)
+        for pid, proof, ok in zip(self.pids, proofs, oks, strict=True):
+            text = zkp.proof_to_text(self.params, proof)
             self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=text)
         return [pid for pid, ok in zip(self.pids, oks) if not ok]
 

@@ -39,11 +39,10 @@ targets c * g^-count * f^-total of broadcasts (count, total) with
 commitment c, which :func:`no_message_targets` makes for a round with
 one ``powers`` per generator; the session judge makes them once per
 round and hands each prover the statement built from them.  A proof
-is recorded as text, the lowercase hex of its scalars, or NO_PROOF
-where none is sent, and reaches the judge with its text, as the pair
-(proof, text): :func:`proof_to_text` spells only what
-:func:`proof_from_text` reads back, so the judge checks the proof it
-records without decoding it; only a replay reads a text back.
+reaches the judge as a value, and is recorded as the text
+:func:`proof_to_text` spells, the lowercase hex of its scalars, or
+NO_PROOF where none is sent; the judge alone spells, and only a
+replay reads a text back, with :func:`proof_from_text`.
 :func:`prove_or` checks its witness and
 refuses to emit anything unsound; dishonest proofs are produced
 explicitly via :func:`forge_attempt`.

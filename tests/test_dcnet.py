@@ -362,13 +362,13 @@ def test_investigation_short_or_swapped_path_is_bad_signature(small):
     graph = fresh_graph(small, n, seed=18)
     cts, _, _ = run_round(small, graph, n)
     path = graph.view(1).published_pairs(0)[2].path
-    one = 2 * small.element_bytes   # hex digits of one commitment
+    one = small.element_bytes   # bytes of one commitment
     split = (EPOCH_SLOTS - 1) * one
-    assert len(path) == split + 2 * 64
+    assert len(path) == split + 2 * 32
     row, siblings = path[:split], path[split:]
     for tampered in (
-        path[:-64],
-        path + siblings[:64],
+        path[:-32],
+        path + siblings[:32],
         row[one:] + siblings,
         row + row[:one] + siblings,
         siblings + row,

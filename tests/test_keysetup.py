@@ -549,7 +549,7 @@ def test_merkle_batch_inclusion_paths(small):
     graph = build_key_graph(small, range(5), rng, refusers={3})
     graph.add_epoch(rng)
     participants = graph.participants
-    split = 2 * (EPOCH_SLOTS - 1) * small.element_bytes   # hex digits of the other commitments
+    split = (EPOCH_SLOTS - 1) * small.element_bytes   # bytes of the other commitments
     shared = [(a, b) for a in participants for b in participants if a != b and 3 not in (a, b)]
 
     def endorsed(revealed, holder, signer, slot, epoch=None, root_of=None):
@@ -570,7 +570,7 @@ def test_merkle_batch_inclusion_paths(small):
             # the edge's seven other commitments, alike from both ends,
             # then two levels of the signer's tree
             assert revealed.path[:split] == pairs[signer][holder].path[:split]
-            assert len(revealed.path) == split + 2 * 64
+            assert len(revealed.path) == split + 2 * 32
             assert endorsed(revealed, holder, signer, slot)
             # not against a third signer's root
             for third in participants:
@@ -605,11 +605,11 @@ def test_merkle_batch_rejects_tampering(small):
     assert endorsed(revealed)
     # the edge's other commitments in slot order, then one sibling in the
     # signer's tree (width 2)
-    split = 2 * (EPOCH_SLOTS - 1) * small.element_bytes
+    split = (EPOCH_SLOTS - 1) * small.element_bytes
     row, siblings = revealed.path[:split], revealed.path[split:]
     others = [c for slot, c in enumerate(edge.commitments) if slot != 2]
-    assert row == "".join(small.element_to_bytes(c).hex() for c in others)
-    assert len(siblings) == 64
+    assert row == b"".join(small.element_to_bytes(c) for c in others)
+    assert len(siblings) == 32
     # the other end reveals the same commitment and row, up to 0's root
     other_end = graph.view(1).published_pairs(2)[0]
     assert (other_end.commitment, other_end.path[:split]) == (revealed.commitment, row)
@@ -624,20 +624,20 @@ def test_merkle_batch_rejects_tampering(small):
     assert endorsed(later, epoch=1)
     assert not endorsed(later)
     assert not endorsed(revealed._replace(path=later.path[:split] + siblings))
-    # a flipped digit in the row or in the signer tree's siblings
+    # a flipped bit in the row or in the signer tree's siblings
     for at in (0, split):
-        digit = "1" if revealed.path[at] == "0" else "0"
-        flipped = revealed.path[:at] + digit + revealed.path[at + 1 :]
+        flipped = revealed.path[:at] + bytes([revealed.path[at] ^ 1]) + revealed.path[at + 1 :]
         assert not endorsed(revealed._replace(path=flipped))
-    # wrong length: a row one commitment short or long, no sibling, one too many
-    one = 2 * small.element_bytes
-    for path in (row[one:] + siblings, row + row[:one] + siblings, row, revealed.path + "00" * 32):
+    # wrong length: a row one commitment short or long, no sibling, one
+    # too many, one byte short, and no path at all
+    one = small.element_bytes
+    for path in (
+        row[one:] + siblings, row + row[:one] + siblings, row, revealed.path + bytes(32),
+        revealed.path[:-1], b"",
+    ):
         assert not endorsed(revealed._replace(path=path))
     # the row and the siblings swapped
     assert not endorsed(revealed._replace(path=siblings + row))
-    # path text that is not canonical hex
-    for garbled in ("zz", "-", "", revealed.path.upper(), revealed.path[:-2], " " + revealed.path):
-        assert not endorsed(revealed._replace(path=garbled))
     # a commitment outside the group's encoding
     assert not endorsed(revealed._replace(commitment=-1))
     assert not endorsed(revealed._replace(commitment=1 << 8 * small.element_bytes))

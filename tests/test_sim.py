@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmesh import keysetup, merkle, sim, splitter, zkp
 from dcmesh.errors import ConfigInvalid, MalformedRecord
@@ -23,7 +25,8 @@ from dcmesh.transcript import (
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
-ELEMENT_HEX = 2 * sim.derive_params("test_medium", sim.DOMAIN_TAG).element_bytes
+_MEDIUM = sim.derive_params("test_medium", sim.DOMAIN_TAG)
+ELEMENT_HEX = 2 * _MEDIUM.element_bytes
 PATH_ROW = (EPOCH_SLOTS - 1) * ELEMENT_HEX
 
 BASE_SENDERS = ((0, 36), (1, 11), (2, 28), (3, 17), (4, 38))
@@ -432,49 +435,36 @@ def test_refuse_proof_flagged_as_non_cooperation():
     assert verdicts_of(t) == [(2, "non_cooperation")]
 
 
-class _TextSource(sim._Participants):
-    """The live source, where a participant may answer a proof's text in
-    place of a proof: such a text is handed to the judge with the proof
-    it spells, ``(zkp.proof_from_text(params, text), text)``, as the
-    replay hands a recorded one; a proof, or None, is spelled as usual."""
-
-    def _spelled(self, answers):
-        spell = super()._spelled
-        return [
-            (zkp.proof_from_text(self.params, answer), answer) if isinstance(answer, str)
-            else spell([answer])[0]
-            for answer in answers
-        ]
+def _malformed_proof(params, proof, shape):
+    """``proof`` in one malformed shape: ``short`` drops its last
+    (challenge, response) pair, ``extra`` appends a copy of its first,
+    and ``big_challenge`` or ``big_response`` adds q to its first
+    challenge or response, which still fits the scalar width."""
+    (e, z), *rest = proof
+    return {
+        "short": proof[:-1],
+        "extra": proof + proof[:1],
+        "big_challenge": ((e + params.q, z), *rest),
+        "big_response": ((e, z + params.q), *rest),
+    }[shape]
 
 
 class _MalformedProofParticipant(sim.HonestParticipant):
-    """Honest, but sends each CIPHER proof as a text in one malformed
-    ``shape``: ``short`` drops its last scalar, ``extra`` appends a copy
-    of its first (challenge, response) pair, and ``big_challenge`` adds
-    q to its first challenge, which still fits the scalar width."""
+    """Honest, but answers each CIPHER proof in one malformed ``shape``
+    of ``_malformed_proof``: short, extra or big_challenge."""
 
     shape = "short"
 
     def prove_round(self, round_id, statement):
-        sw = self.params.scalar_bytes
-        text = zkp.proof_to_text(self.params, super().prove_round(round_id, statement))
-        data = bytes.fromhex(text)
-        if self.shape == "short":
-            data = data[:-sw]
-        elif self.shape == "extra":
-            data += data[: 2 * sw]
-        else:
-            challenge = int.from_bytes(data[:sw], "big") + self.params.q
-            data = challenge.to_bytes(sw, "big") + data[sw:]
-        return data.hex()
+        proof = super().prove_round(round_id, statement)
+        return _malformed_proof(self.params, proof, self.shape)
 
 
 def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
-    # a proof one scalar short does not parse; one with an extra pair, or
-    # with a challenge >= q, parses but does not verify.  The judge gives
-    # each the verdict, and the records, of a proof that fails to verify,
-    # for the sender alone
-    monkeypatch.setattr(sim, "_Participants", _TextSource)
+    # a proof a pair short or with an extra pair has another branch
+    # count than its statement, and one with a challenge >= q fails its
+    # range check: the judge records each as it spells it and gives it
+    # the verdict of a proof that fails to verify, for the sender alone
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MalformedProofParticipant)
     scenario = sim.Scenario(
         n=3, senders=((0, 9), (1, 50)), adversaries=((2, "refuse_proof"),), seed=1
@@ -486,7 +476,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "d2e547d62265470defe6d83f0ab96dde05849388e41b5efe1b269f9c775bfb64"
+        "812ea7eeb39d36b48f6e7b6b095b5083b8124d0bf90558e5dd9456b4f0eaad88"
     )
 
 
@@ -509,9 +499,8 @@ class _UnspellableProofParticipant(sim.HonestParticipant):
 
 @pytest.mark.parametrize("shape", ["negative", "spilled", "empty"])
 def test_an_unspellable_proof_is_withheld(monkeypatch, shape):
-    # proof_to_text spells only what proof_from_text reads back, so the
-    # live source hands each such proof over as withheld, (None, "-"):
-    # the judge checks the proof it records, 3 is banned for
+    # proof_to_text spells each such proof "-", as it does None: the
+    # judge records a withheld proof, its check fails, 3 is banned for
     # non_cooperation at round 2, and the others' three payloads arrive
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _UnspellableProofParticipant)
     monkeypatch.setattr(_UnspellableProofParticipant, "shape", shape)
@@ -523,42 +512,141 @@ def test_an_unspellable_proof_is_withheld(monkeypatch, shape):
     assert summary_of(t)["delivered"] == 3
 
 
+class _AnyProofParticipant(sim.HonestParticipant):
+    """Answers ``answer``, one drawn value, to every proof it is asked for."""
+
+    answer = None
+
+    def _proof(self, statement, candidates):
+        return self.answer
+
+
+class _AnyPathView(keysetup.KeyView):
+    """A view that reveals every commitment with its path cut to ``keep``
+    bytes, then ``extra`` appended, and all of it zeroed where
+    ``zeroed``: one drawn ``edit``."""
+
+    def __init__(self, view, edit):
+        super().__init__(view.graph, view.pid)
+        self.edit = edit
+
+    def published_pairs(self, slot):
+        keep, extra, zeroed = self.edit
+        pairs = super().published_pairs(slot)
+        for peer, revealed in pairs.items():
+            path = revealed.path[:keep] + extra
+            pairs[peer] = revealed._replace(path=bytes(len(path)) if zeroed else path)
+        return pairs
+
+
+class _AnyPathParticipant(sim.BadPadParticipant):
+    """A bad pad in round 1, so that it reveals, with every path edited
+    by ``answer``, one drawn edit of an _AnyPathView."""
+
+    answer = (0, b"", False)
+
+    def __init__(self, params, view, *args):
+        super().__init__(params, _AnyPathView(view, self.answer), *args)
+
+
+_SCALAR_WIDTH = 1 << 8 * _MEDIUM.scalar_bytes
+# a scalar below q, or anywhere from minus the scalar width to twice it
+_ANY_SCALAR = st.integers(0, _MEDIUM.q - 1) | st.integers(-_SCALAR_WIDTH, 2 * _SCALAR_WIDTH)
+# None, or a proof of any branch count, the empty one included
+_ANY_PROOF = st.none() | st.lists(st.tuples(_ANY_SCALAR, _ANY_SCALAR), max_size=3).map(tuple)
+# a path cut anywhere, up to its whole length at n = 4 (the edge's seven
+# other commitments, two siblings), then extended, and maybe zeroed
+_ANY_PATH_EDIT = st.tuples(
+    st.integers(0, PATH_ROW // 2 + 2 * 32), st.binary(max_size=40), st.booleans()
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.tuples(st.just(_AnyProofParticipant), _ANY_PROOF),
+    st.tuples(st.just(_AnyPathParticipant), _ANY_PATH_EDIT),
+))
+def test_any_proof_or_path_value_is_judged_alike_in_the_run_and_on_verify(drawn):
+    # BAD_PAD_RUN's senders, with participant 3 answering one drawn
+    # value: a proof to every proof it is asked for, or, after a bad pad,
+    # a path with every commitment it reveals.  The judge spells what it
+    # records, so whatever the value, the run raises nothing, blames no
+    # honest participant, and its own transcript verifies clean
+    participant, answer = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", participant)
+        patch.setattr(participant, "answer", answer)
+        t = sim.run_scenario(sim.Scenario(
+            n=4, senders=BAD_PAD_RUN.senders, adversaries=((3, "refuse_proof"),), seed=2
+        ))
+    assert {part for part, _ in verdicts_of(t)} <= {3}
+    assert sim.verify_transcript(t).clean
+
+
+# a text that is not the judge's spelling of what the replay reads from it
+RESPELLINGS = {
+    "upper": str.upper,
+    "non_hex": lambda text: "zz" + text[2:],
+    "empty": lambda text: "",
+    "odd": lambda text: text[:-1],
+    "dash": lambda text: "-",
+}
+EQUAL_RUN = sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4)
+
+
+@pytest.mark.parametrize("rtype, field, scenario, spelling", [
+    (rtype, field, scenario, spelling)
+    for rtype, field, scenario, spellings in (
+        ("CIPHER", "proof", BAD_PAD_RUN, ("upper", "non_hex", "empty", "odd")),
+        ("DEMAND", "proof", EQUAL_RUN, ("upper", "non_hex", "empty", "odd")),
+        # "" is the judge's own spelling of an empty path, a value that
+        # fails its endorsement, and "-" reads as it does
+        ("PUBLISH", "path", BAD_PAD_RUN, ("upper", "non_hex", "dash", "odd")),
+    )
+    for spelling in spellings
+])
+def test_a_respelled_text_diverges_at_its_own_record(rtype, field, scenario, spelling):
+    # the first CIPHER proof that is not "-", the first DEMAND proof, or
+    # the first PUBLISH path, respelled and bind resealed: the replay
+    # reads a proof or a path from the text, none or the same one, and
+    # the judge spells that as it records it, so verify diverges first at
+    # that record, before any verdict the value leads to
+    t = sim.run_scenario(scenario)
+    body = t.records
+    i = next(
+        i for i, r in enumerate(body) if r["type"] == rtype and r[field] != zkp.NO_PROOF
+    )
+    respelled = RESPELLINGS[spelling](body[i][field])
+    assert respelled != body[i][field]
+    body[i] = dict(body[i], **{field: respelled})
+    report = sim.verify_transcript(Transcript.from_text(_resealed_body(t, body)))
+    index, message = report.divergences[0]
+    assert index == len(t.header) + i
+    assert message.startswith(f"recorded {rtype} ")
+
+
 # the malformed proofs of one round, each sent by its own participant;
 # honest participants sit before, between and after them
 MIXED_SHAPES = {
-    1: "none", 3: "non_hex", 4: "short", 6: "extra", 7: "big_challenge",
-    9: "big_response", 10: "forged",
+    1: "none", 4: "short", 6: "extra", 7: "big_challenge", 9: "big_response", 10: "forged",
 }
-MIXED_HONEST = (0, 2, 5, 8, 11)
+MIXED_HONEST = (0, 2, 3, 5, 8, 11)
 
 
 class _MixedProofParticipant(sim.HonestParticipant):
-    """Honest, but sends every proof of its ``phase`` ("cipher" or
+    """Honest, but answers every proof of its ``phase`` ("cipher" or
     "demand") in its own malformed shape from MIXED_SHAPES: none, a
-    forged proof, or a malformed text."""
+    forged proof, or a shape of ``_malformed_proof``."""
 
     phase = "cipher"
 
     def _malformed(self, proof, statement):
-        shape, q, sw = MIXED_SHAPES[self.pid], self.params.q, self.params.scalar_bytes
+        shape = MIXED_SHAPES[self.pid]
         if shape == "none":
             return None
         if shape == "forged":
             return zkp.forge_attempt(self.params, statement, self.rng)
-        text = zkp.proof_to_text(self.params, proof)
-        data = bytes.fromhex(text)
-        if shape == "non_hex":
-            return "zz" + text[2:]
-        if shape == "short":
-            data = data[:-sw]
-        elif shape == "extra":
-            data += data[: 2 * sw]
-        else:
-            # the first challenge, or the first response, plus q
-            at = 0 if shape == "big_challenge" else sw
-            scalar = int.from_bytes(data[at : at + sw], "big") + q
-            data = data[:at] + scalar.to_bytes(sw, "big") + data[at + sw :]
-        return data.hex()
+        return _malformed_proof(self.params, proof, shape)
 
     def prove_round(self, round_id, statement):
         proof = super().prove_round(round_id, statement)
@@ -574,7 +662,6 @@ class _MixedProofParticipant(sim.HonestParticipant):
 
 
 def _mixed_round_scenario(monkeypatch, phase, senders):
-    monkeypatch.setattr(sim, "_Participants", _TextSource)
     monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _MixedProofParticipant)
     monkeypatch.setattr(_MixedProofParticipant, "phase", phase)
     return sim.Scenario(
@@ -599,7 +686,9 @@ def test_mixed_cipher_round_gives_each_participant_its_own_verdict(monkeypatch):
     assert summary_of(t)["proofs_failed"] == len(MIXED_SHAPES)
     # the honest participants go on alone and deliver every payload
     sessions = [r for r in t.records if r["type"] == "SESSION"]
-    assert [r["active"] for r in sessions] == ["0,1,2,3,4,5,6,7,8,9,10,11", "0,2,5,8,11"]
+    assert [r["active"] for r in sessions] == [
+        "0,1,2,3,4,5,6,7,8,9,10,11", ",".join(map(str, MIXED_HONEST))
+    ]
     assert sorted(r["payload"] for r in t.records if r["type"] == "RESOLVED") == [10, 40, 70]
 
 
@@ -1517,9 +1606,10 @@ def test_an_answer_of_the_wrong_length_raises(monkeypatch, call, scenario, extra
 
 
 def test_a_live_run_decodes_no_proof(monkeypatch):
-    # each proof answer carries its text, so a live run reads none back;
-    # its verify decodes one text per proof the judge checks, as neither
-    # run has an invalid round after round 1, whose texts are never read
+    # a proof answer is a value, which the judge spells, so a live run
+    # reads no text back; its verify decodes one text per proof the
+    # judge checks, as neither run has an invalid round after round 1,
+    # whose texts are never read
     reads = []
     read = zkp.proof_from_text
     monkeypatch.setattr(zkp, "proof_from_text", lambda *args: reads.append(args) or read(*args))
@@ -1531,37 +1621,6 @@ def test_a_live_run_decodes_no_proof(monkeypatch):
         assert sim.verify_transcript(t).clean
         assert len(reads) == summary_of(t)["proofs_checked"] > 0
     assert any(r["type"] == "DEMAND" for r in t.records)
-
-
-class _PairLog(sim._Participants):
-    """The live source, logging each (proof, text) pair it answers the judge."""
-
-    log = None   # set by the test
-
-    def prove(self, round_id, statements):
-        return self._logged(super().prove(round_id, statements))
-
-    def respond(self, node_id, statements):
-        return self._logged(super().respond(node_id, statements))
-
-    def _logged(self, pairs):
-        self.log.extend((self.params, proof, text) for proof, text in pairs)
-        return pairs
-
-
-def test_every_proof_answer_is_the_proof_its_text_spells(monkeypatch):
-    # over every scripted strategy, honest, forged and withheld proofs
-    # alike: each pair handed to the judge holds exactly the proof that
-    # zkp.proof_from_text reads from its text
-    monkeypatch.setattr(_PairLog, "log", [])
-    monkeypatch.setattr(sim, "_Participants", _PairLog)
-    for strategy in sim.STRATEGIES:
-        run(sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((4, strategy),), seed=9))
-    assert len(sim.STRATEGIES) == 8
-    for params, proof, text in _PairLog.log:
-        assert zkp.proof_from_text(params, text) == proof, text
-    texts = [text for _, _, text in _PairLog.log]
-    assert zkp.NO_PROOF in texts and len(texts) > texts.count(zkp.NO_PROOF) > 0
 
 
 class _UnreducedCountParticipant(sim.HonestParticipant):
