@@ -407,13 +407,13 @@ def _config(scenario):
     )
 
 
-def _header(params, config, digest=records_digest):
+def _header(params, config):
     """The transcript header for a group and a CONFIG record; its
     HEADEREND digest is the header digest the session tags bind."""
     header = [
         record("DCMESH", version=FORMAT_VERSION, hash="sha256"), _group_record(params), config
     ]
-    header.append(record("HEADEREND", digest=digest(header)))
+    header.append(record("HEADEREND", digest=records_digest(header)))
     return header
 
 
@@ -519,8 +519,7 @@ def run_scenario(scenario: Scenario) -> Transcript:
     """
     scenario.validate()
     params = derive_params(scenario.group, DOMAIN_TAG)
-    transcript = Transcript()   # its digests write each record's line once
-    transcript.header = _header(params, _config(scenario), transcript.digest)
+    transcript = Transcript(_header(params, _config(scenario)))   # bind and text share lines
     header_digest = transcript.header[-1]["digest"]
 
     active = list(range(scenario.n))

@@ -42,7 +42,8 @@ round and hands each prover the statement built from them.  A proof
 reaches the judge as a value, and is recorded as the text
 :func:`proof_to_text` spells, the lowercase hex of its scalars, or
 NO_PROOF where none is sent; the judge alone spells, and only a
-replay reads a text back, with :func:`proof_from_text`.
+replay reads a text back, with :func:`proof_from_text`, as
+``bytes.fromhex`` reads it: another spelling diverges at its record.
 :func:`prove_or` checks its witness and
 refuses to emit anything unsound; dishonest proofs are produced
 explicitly via :func:`forge_attempt`.
@@ -225,9 +226,9 @@ def proof_to_text(params: GroupParams, proof: SigmaProof | None) -> str:
 
 
 def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:
-    """The proof ``text`` spells; None for NO_PROOF, read before any
-    parse, and for any text that is not the one lowercase hex spelling
-    of a whole, non-zero number of (challenge, response) pairs."""
+    """The proof ``text`` reads as, by ``bytes.fromhex``; None for
+    NO_PROOF, for a text that is not hex, and for bytes that are not a
+    whole, non-zero number of (challenge, response) pairs."""
     if text == NO_PROOF:
         return None
     sw = params.scalar_bytes
@@ -235,7 +236,7 @@ def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:
         data = bytes.fromhex(text)
     except ValueError:
         return None
-    if data.hex() != text or not data or len(data) % (2 * sw):
+    if not data or len(data) % (2 * sw):
         return None
     scalars = iter([int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)])
     return tuple(zip(scalars, scalars))

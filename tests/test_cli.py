@@ -312,28 +312,6 @@ def test_production_keygen_is_pinned(capsys):
     )
 
 
-@pytest.mark.parametrize("field", ["sig_e", "sig_s", "root"])
-def test_verify_names_a_bad_endorse_signature(tmp_path, capsys, field):
-    # an ENDORSE record whose signature no longer verifies gets its signer
-    # a bad_signature verdict, which the run did not record: a divergence
-    path = write_scenario(tmp_path, HONEST)
-    out = str(tmp_path / "t.log")
-    assert main(["run", path, "--out", out]) == 0
-    lines = Path(out).read_text().splitlines()
-    prefix = "ENDORSE session=1 epoch=0 part=3 "
-    index = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
-    tokens = lines[index].split(" ")
-    tokens = [
-        f"{field}={'0' * 64 if field == 'root' else 0}" if t.startswith(f"{field}=") else t
-        for t in tokens
-    ]
-    lines[index] = " ".join(tokens)
-    Path(out).write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["verify", out]) == 2
-    assert "part=3 reason=bad_signature where=epoch:0" in capsys.readouterr().out
-
-
 class _BadSigner(sim._Participants):
     """Participant 1 hands the judge its epoch-0 root signed with s + 1."""
 

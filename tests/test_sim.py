@@ -20,8 +20,8 @@ from dcmesh.transcript import (
     Transcript,
     record,
     record_to_line,
-    records_digest,
 )
+from test_edited_transcripts import resealed, sign_under_negated_key
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
@@ -590,6 +590,7 @@ RESPELLINGS = {
     "empty": lambda text: "",
     "odd": lambda text: text[:-1],
     "dash": lambda text: "-",
+    "tab": lambda text: text[:2] + "\t" + text[2:],
 }
 EQUAL_RUN = sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4)
 
@@ -602,6 +603,10 @@ EQUAL_RUN = sim.Scenario(n=4, senders=((0, 9), (1, 9), (3, 9)), seed=4)
         # "" is the judge's own spelling of an empty path, a value that
         # fails its endorsement, and "-" reads as it does
         ("PUBLISH", "path", BAD_PAD_RUN, ("upper", "non_hex", "dash", "odd")),
+        # bytes.fromhex skips whitespace, so a tab reads as the recorded value
+        ("CIPHER", "proof", BAD_PAD_RUN, ("tab",)),
+        ("DEMAND", "proof", EQUAL_RUN, ("tab",)),
+        ("PUBLISH", "path", BAD_PAD_RUN, ("tab",)),
     )
     for spelling in spellings
 ])
@@ -619,7 +624,7 @@ def test_a_respelled_text_diverges_at_its_own_record(rtype, field, scenario, spe
     respelled = RESPELLINGS[spelling](body[i][field])
     assert respelled != body[i][field]
     body[i] = dict(body[i], **{field: respelled})
-    report = sim.verify_transcript(Transcript.from_text(_resealed_body(t, body)))
+    report = sim.verify_transcript(Transcript.from_text(resealed(t.header, body, "bind")))
     index, message = report.divergences[0]
     assert index == len(t.header) + i
     assert message.startswith(f"recorded {rtype} ")
@@ -817,14 +822,6 @@ def test_investigation_of_a_participant_without_edges_replays_clean():
         assert verdicts_of(t) == [(0, "aggregate_mismatch")]
 
 
-def _resealed_body(transcript, body):
-    """The transcript's text with ``body`` in place of its records, and
-    the SUMMARY ``bind`` recomputed to match."""
-    *records, summary = body
-    summary = {**summary, "bind": records_digest(records)}
-    return Transcript(transcript.header, [*records, summary]).to_text()
-
-
 def test_optout_records_are_signed():
     # each ENDORSE signs its signer's opted-out peers: dropping the
     # OPTOUT records, or adding one, with every digest recomputed, breaks
@@ -842,7 +839,7 @@ def test_optout_records_are_signed():
     dropped = [rec for i, rec in enumerate(body) if i not in optouts]
     added = body[: optouts[0]] + [{**body[optouts[0]], "lo": 0, "hi": 1}] + body[optouts[0] :]
     for edited in (dropped, added):
-        text = _resealed_body(transcript, edited)
+        text = resealed(transcript.header, edited, "bind")
         first_endorse = next(i for i, rec in enumerate(edited) if rec["type"] == "ENDORSE")
         assert edited[first_endorse]["part"] == 0
         after = first_endorse + scenario.n
@@ -1109,15 +1106,6 @@ def test_every_field_mutation_detected():
 DIGEST_FIELDS = {("HEADEREND", "digest"), ("SUMMARY", "bind")}
 
 
-def _resealed_text(text):
-    """``text`` with HEADEREND's digest, then the SUMMARY ``bind``,
-    recomputed, as a forger who edits a transcript would."""
-    transcript = Transcript.from_text(text)
-    header = [dict(rec) for rec in transcript.header]
-    header[-1]["digest"] = records_digest(header[:-1])
-    return _resealed_body(Transcript(header, transcript.records), transcript.records)
-
-
 def _failed_proof(transcript, rec) -> bool:
     """Whether ``rec`` carries a proof that had already failed in its run:
     a DEMAND with ok=0, or a CIPHER whose participant got invalid_proof
@@ -1162,7 +1150,8 @@ def test_every_resealed_field_mutation_detected():
             for counted, key, mutated in candidates:
                 text = "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1 :]) + "\n"
                 try:
-                    outcome = _outcome(_resealed_text(text))
+                    mutant = Transcript.from_text(text)
+                    outcome = _outcome(resealed(mutant.header, mutant.records, "HEADEREND", "bind"))
                 except MalformedRecord:
                     outcome = "malformed"
                 counted[outcome] += 1
@@ -1209,7 +1198,7 @@ def test_every_structural_mutation_detected():
         transcript = sim.run_scenario(scenario)
         text = transcript.to_text()
         for body in _structural_mutations(transcript.records):
-            mutated = _resealed_body(transcript, body)
+            mutated = resealed(transcript.header, body, "bind")
             assert mutated != text
             mutations += 1
             if _outcome(mutated) == "clean":
@@ -1237,9 +1226,9 @@ def test_config_outside_the_run_rules_is_malformed(field, value):
     header = transcript.header
     index = next(i for i, rec in enumerate(header) if rec["type"] == "CONFIG")
     header[index] = {**header[index], field: value}
-    header[-1] = {**header[-1], "digest": records_digest(header[:-1])}
+    text = resealed(header, transcript.records, "HEADEREND")
     with pytest.raises(MalformedRecord) as info:
-        sim.verify_transcript(Transcript.from_text(transcript.to_text()))
+        sim.verify_transcript(Transcript.from_text(text))
     assert info.value.index == index
 
 
@@ -1307,7 +1296,7 @@ def _resealed(transcript, index, **fields):
     SUMMARY ``bind`` recomputed to match."""
     body = list(transcript.records)
     body[index] = {**body[index], **fields}
-    return _resealed_body(transcript, body)
+    return resealed(transcript.header, body, "bind")
 
 
 def _not_clean_at(text, index) -> bool:
@@ -1528,10 +1517,7 @@ def test_the_judge_applies_every_rule_to_a_source_answer(
 class _NegatedKey(sim._Participants):
     """Answers ``keys()`` with participant 3's PUBKEY y = h^x replaced by
     p - y, which lies in [1, p) but outside the group, and signs each of
-    3's roots with x under p - y.  h^z * (p - y)^-e is h^k times
-    (-1)^(q - e), so the signer tries the announcements h^k and p - h^k,
-    nonce after nonce, until one's challenge has the sign that
-    ``zkp.verify_or`` accepts."""
+    3's roots with x under p - y (``sign_under_negated_key``)."""
 
     def keys(self):
         public = super().keys()
@@ -1547,15 +1533,8 @@ class _NegatedKey(sim._Participants):
         params, at, x = graph.params, graph.participants.index(3), graph.signing[3].secret
         key = params.p - graph.signing[3].public
         stmt = keysetup.endorse_statement(params, key, signed[at].root, 3, k, graph.optouts)
-        for nonce in range(1, params.q):
-            power = params.h_table.power(nonce)
-            for announcement in (power, params.p - power):
-                e = zkp.fs_challenge(params, stmt, [announcement])
-                signature = (e, (nonce + e * x) % params.q)
-                if zkp.verify_or(params, [stmt], [(signature,)]) == [True]:
-                    resigned = signed[at]._replace(signature=signature)
-                    return signed[:at] + (resigned,) + signed[at + 1 :]
-        raise AssertionError("no nonce signs under p - y")
+        resigned = signed[at]._replace(signature=sign_under_negated_key(params, stmt, x))
+        return signed[:at] + (resigned,) + signed[at + 1 :]
 
 
 def test_a_pubkey_outside_the_subgroup_is_a_bad_signature(monkeypatch, medium):
@@ -1845,10 +1824,7 @@ def test_a_resealed_header_change_does_not_verify_clean(scenario, field):
     else:
         value = value[:20] + ("1" if value[20] == "0" else "0") + value[21:]
     header[at] = dict(header[at], **{field: value})
-    header[-1] = dict(header[-1], digest=records_digest(header[:-1]))
-    body = transcript.records[:-1]
-    body.append(dict(transcript.records[-1], bind=records_digest(body)))
-    text = Transcript(header, body).to_text()
+    text = resealed(header, transcript.records, "HEADEREND", "bind")
     report = sim.verify_transcript(Transcript.from_text(text))
     assert not report.clean
     # the header itself is consistent: the first divergence is in the body
@@ -1897,9 +1873,8 @@ def test_session_after_a_session_without_a_ban_diverges():
         ("verdicts", len(outcome.verdicts)),
     ):
         summary[key] += added
-    summary["bind"] = records_digest(body + extra)
-    forged = Transcript(transcript.header, body + extra + [summary])
-    report = sim.verify_transcript(Transcript.from_text(forged.to_text()))
+    forged = resealed(transcript.header, body + extra + [summary], "bind")
+    report = sim.verify_transcript(Transcript.from_text(forged))
     assert [index for index, _ in report.divergences] == [len(transcript.header) + len(body)]
 
 
@@ -1950,11 +1925,12 @@ def test_uppercase_proof_is_not_clean(rtype, scenario):
 
 
 def test_each_record_is_serialised_once(monkeypatch):
-    # the runner writes each record's line once, for the digests and the
-    # text alike; verify writes no recorded record again, and of what it
-    # recomputes only the header: the SUMMARY bind is over the recorded
-    # lines, and each SESSION record holds no digest (the run has two
-    # sessions)
+    # the runner writes each body record's line once, for bind and the
+    # text alike, and the DCMESH, GROUP and CONFIG lines once more, for
+    # the HEADEREND digest, as verify does; verify writes no recorded
+    # record again, and of what it recomputes only the header: the
+    # SUMMARY bind is over the recorded lines, and each SESSION record
+    # holds no digest (the run has two sessions)
     from dcmesh import transcript as codec
 
     written = []
@@ -1964,7 +1940,7 @@ def test_each_record_is_serialised_once(monkeypatch):
                             adversaries=((3, "bad_pad"),), seed=2)
     ran = sim.run_scenario(scenario)
     text = ran.to_text()
-    assert sorted(map(id, written)) == sorted(map(id, ran.header + ran.records))
+    assert sorted(map(id, written)) == sorted(map(id, ran.header[:3] + ran.header + ran.records))
 
     parsed = Transcript.from_text(text)
     written.clear()
@@ -1984,7 +1960,8 @@ def test_an_out_of_order_optout_diverges_at_its_own_record():
     keys = body[1:9]
     assert [rec["type"] for rec in keys] == ["PUBKEY"] * 4 + ["ENDORSE"] * 4
     edited = body[:5] + [record("OPTOUT", session=1, lo=3, hi=1)] + body[5:]
-    report = sim.verify_transcript(Transcript.from_text(_resealed_body(transcript, edited)))
+    text = resealed(transcript.header, edited, "bind")
+    report = sim.verify_transcript(Transcript.from_text(text))
     base = len(transcript.header)
     assert [index for index, _ in report.divergences] == [base + 5]
     assert report.divergences[0][1].endswith("expected ENDORSE epoch=0 part=0")
