@@ -2,8 +2,10 @@
 
 The protocol algebra lives in the order-q subgroup of Z_p* for a safe
 prime p = 2q + 1 (a Schnorr group).  Scalars are plain ints in [0, q),
-group elements plain ints in [1, p) satisfying x^q = 1 mod p.  Three
-parameter sets are built in:
+group elements plain ints in [1, p) satisfying x^q = 1 mod p: the
+squares mod p, so ``is_element`` reads the Legendre symbol (x | p), with
+no x^q, and ``validate`` refuses a p other than 2q + 1.  Three parameter
+sets are built in:
 
 * ``test_small``  -- p=107, q=53.  Tiny enough that discrete logs,
   commitment openings and full pad spaces can be enumerated in tests.
@@ -22,8 +24,8 @@ protocol, every branch of which is a power of h; ``WindowTable.powers``
 raises one base to a list of exponents.  The three share width and row
 count, so ``commit_scalars`` commits to a list of slot values in one walk
 of them, taking each exponent as given: key setup's lie in [0, q).
-``pow`` is left for variable bases and inverses.  Every group is one of
-the built-in sets, derived from its name and a domain tag; the
+``pow`` is left for variable bases and inverses; ``draw_scalars`` draws
+as ``rng.randrange(q)`` does.  Every group is one of the built-in sets, derived from its name and a domain tag; the
 tests check its p and q.  ``derive_params`` derives each (name, tag)
 once, so a run, its replay and their window tables share one group.  A
 group's text form is the transcript's GROUP record, which
@@ -176,7 +178,20 @@ class GroupParams(_Group):
         return WindowTable(self, self.h)
 
     def is_element(self, x: int) -> bool:
-        return 1 <= x < self.p and pow(x, self.q, self.p) == 1
+        """1 <= x < p and the Legendre symbol (x | p) is 1, by the binary
+        Jacobi loop, each step's factors of two stripped at once."""
+        n, a, sign = self.p, x, 1
+        if not 1 <= a < n:
+            return False
+        while a:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):   # (2 | n) = -1
+                sign = -sign
+            if a & n & 2:   # both 3 mod 4: reciprocity flips the sign
+                sign = -sign
+            a, n = n % a, a
+        return n == 1 and sign == 1
 
     def element_to_bytes(self, x: int) -> bytes:
         return x.to_bytes(self.element_bytes, "big")
@@ -186,8 +201,8 @@ class GroupParams(_Group):
 
         p and q are a built-in set's, whose primality the tests check.
         """
-        if (self.p - 1) % self.q != 0:
-            raise ValueError("q must divide p-1")
+        if self.p != 2 * self.q + 1:
+            raise ValueError("p must be the safe prime 2q + 1")
         if len(self.generators) != 3:
             raise ValueError("need the count, total and blinding generators")
         if len(set(self.generators)) != len(self.generators):
@@ -234,6 +249,19 @@ def derive_params(security_level: str, domain_tag: bytes) -> GroupParams:
     params = GroupParams(security_level, p, q, (g, f, h), domain_tag)
     params.validate()
     return params
+
+
+def draw_scalars(q: int, rng, k: int) -> list[int]:
+    """k scalars in [0, q) from ``rng``, the ones k calls of
+    ``rng.randrange(q)`` draw: its rejection loop over q.bit_length()
+    random bits, without a call per draw."""
+    getrandbits, bits, draws = rng.getrandbits, q.bit_length(), []
+    for _ in range(k):
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        draws.append(r)
+    return draws
 
 
 def value_term(params: GroupParams, value) -> int:

@@ -57,7 +57,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import merkle, zkp
-from .groups import GroupParams, commit_scalars
+from .groups import GroupParams, commit_scalars, draw_scalars
 
 # slots per endorsement epoch: one digest per edge and epoch, and
 # one signature per participant and epoch; the median session
@@ -200,18 +200,10 @@ def is_endorsed(
 
 def establish_edges(params: GroupParams, pairs, rng) -> dict:
     """One epoch of each edge (lo, hi) in ``pairs``: each edge's secrets drawn
-    from ``rng`` in turn, count key, total key and blinding value per slot, as
-    ``rng.randrange(q)`` would; then one ``commit_scalars`` over every slot of
+    from ``rng`` in turn by ``draw_scalars``, count key, total key and blinding
+    value per slot; then one ``commit_scalars`` over every slot of
     every edge, serialised once, and each edge's digest hashed from its slice."""
-    # rng.randrange(q) 3 * EPOCH_SLOTS times per edge: the same rejection
-    # loop over q.bit_length() random bits, without a call per draw
-    q, getrandbits, draws = params.q, rng.getrandbits, []
-    bits = q.bit_length()
-    for _ in range(3 * EPOCH_SLOTS * len(pairs)):
-        r = getrandbits(bits)
-        while r >= q:
-            r = getrandbits(bits)
-        draws.append(r)
+    draws = draw_scalars(params.q, rng, 3 * EPOCH_SLOTS * len(pairs))
     columns = [draws[::3], draws[1::3], draws[2::3]]
     columns.append(commit_scalars(params, *columns))
     size = EPOCH_SLOTS * params.element_bytes

@@ -647,9 +647,11 @@ class _Replay:
         return SignedRoot(root, (rec["sig_e"], rec["sig_s"]))
 
     def append(self, rec):
-        recorded = self.recorded[self.at] if self.at < len(self.recorded) else None
-        self.report.compare(self.index + self.at, recorded, rec)
-        self.at = self.read = self.at + 1
+        at = self.at
+        recorded = self.recorded[at] if at < len(self.recorded) else None
+        if recorded != rec:
+            self.report.compare(self.index + at, recorded, rec)
+        self.at = self.read = at + 1
 
     def keys(self):
         # reading stops at the first key record out of place, before
@@ -665,9 +667,12 @@ class _Replay:
         return tuple(self._signed_root(k, pid) for pid in self.pids)
 
     def broadcast(self, round_id, slot):   # the slot is checked in the ROUND record
-        cts, self.texts = [], []
-        for pid in self.pids:
-            rec = self._input("CIPHER", round=round_id, part=pid)
+        cts, self.texts, recorded = [], [], self.recorded
+        for pid in self.pids:   # one check of each record, its type, round and part
+            rec = recorded[self.read] if self.read < len(recorded) else None
+            if rec is None or rec["type"] != "CIPHER" or rec["round"] != round_id or rec["part"] != pid:
+                self._input("CIPHER", round=round_id, part=pid)   # reports it and stops the judge
+            self.read += 1
             cts.append(RoundCiphertext((rec["O_count"], rec["O_total"]), rec["c"]))
             self.texts.append(rec["proof"])
         return cts

@@ -480,7 +480,7 @@ class Session:
         ids = set(self.pids)   # an opted-out pair is two participants in order, or is dropped
         optouts = frozenset((lo, hi) for lo, hi in public.optouts if lo < hi and {lo, hi} <= ids)
         self.public = public._replace(optouts=optouts, epochs=())   # epochs endorsed so far
-        # the signers whose PUBKEY lies in the group, one y^q each; any other key states nothing
+        # the signers whose PUBKEY lies in the group, one is_element each; any other key states nothing
         self.keyed = {pid for pid in self.pids if params.is_element(public.publics[pid])}
         self.targets = {pid: {} for pid in self.pids}   # pid -> node -> no-message target
         # the outcome: verdicts, deliveries (node_id, payload) in order, and counts
@@ -493,7 +493,7 @@ class Session:
         self.records.append({"type": rtype, "session": self.session, **fields})
 
     def run(self) -> Session:
-        tree, pids, source, q = self.tree, self.pids, self.source, self.params.q
+        tree, pids, source, q, session = self.tree, self.pids, self.source, self.params.q, self.session
         is_element = self.params.is_element
         for rec in key_records(self.session, self.public):
             self.records.append(rec)
@@ -516,16 +516,12 @@ class Session:
                 ]
                 proofs = source.prove(rid, stmts)
             texts = [zkp.proof_to_text(self.params, proof) for proof in proofs]
-            for pid, ct, text in zip(pids, cts, texts, strict=True):
-                self.emit(
-                    "CIPHER",
-                    round=rid,
-                    part=pid,
-                    O_count=ct.value[0] % q,
-                    O_total=ct.value[1] % q,
-                    c=ct.commitment,
-                    proof=text,
-                )
+            for pid, ct, text in zip(pids, cts, texts, strict=True):   # n a round: a literal, not emit
+                (count, total), c = ct
+                self.records.append({
+                    "type": "CIPHER", "session": session, "round": rid, "part": pid,
+                    "O_count": count % q, "O_total": total % q, "c": c, "proof": text,
+                })
             if silent:   # no aggregate is taken, and the session stops
                 for pid in silent:
                     self.verdicts.append(Verdict(pid, NON_COOPERATION, f"round:{rid}"))
@@ -646,9 +642,11 @@ class Session:
         ]
         proofs = self.source.respond(node_id, stmts)
         oks = self._check_proofs(stmts, proofs)
-        for pid, proof, ok in zip(self.pids, proofs, oks, strict=True):
-            text = zkp.proof_to_text(self.params, proof)
-            self.emit("DEMAND", node=node_id, part=pid, ok=int(ok), proof=text)
+        for pid, proof, ok in zip(self.pids, proofs, oks, strict=True):   # n a node: a literal, not emit
+            self.records.append({
+                "type": "DEMAND", "session": self.session, "node": node_id, "part": pid,
+                "ok": int(ok), "proof": zkp.proof_to_text(self.params, proof),
+            })
         return [pid for pid, ok in zip(self.pids, oks) if not ok]
 
     def _blame(self, pids, reason, node_id) -> None:

@@ -29,9 +29,11 @@ branch.  The verifier rebuilds each branch's announcement h^z * T^-e
 and accepts when the challenge of the statement and those
 announcements is the sum of the branch challenges.
 :func:`verify_or` checks a whole round of statements in one call, each
-proof in one loop: a range check, a table power and a ``pow`` per
-branch, then one hash.  :func:`prove_or` is one pass too, with no
-prover object: one table power for its witness check, one
+proof in one loop that calls neither ``fs_challenge`` nor the table's
+``power``: per branch a range check, h^z read from the h table's rows
+and a ``pow``, each announcement packed into one integer, then one
+hash.  :func:`prove_or` is one pass too, with no prover object: one
+table power for its witness check, one ``draw_scalars``, one
 ``WindowTable.powers`` for the announcements, a ``pow`` per simulated
 branch and one hash; the rewinding prover of the soundness tests is
 the tests' own reference.  Branch targets are built from no-message
@@ -43,7 +45,8 @@ reaches the judge as a value, and is recorded as the text
 :func:`proof_to_text` spells, the lowercase hex of its scalars, or
 NO_PROOF where none is sent; the judge alone spells, and only a
 replay reads a text back, with :func:`proof_from_text`, as
-``bytes.fromhex`` reads it: another spelling diverges at its record.
+``bytes.fromhex`` reads it, scalars cut from one integer by shifts:
+another spelling diverges at its record.
 :func:`prove_or` checks its witness and
 refuses to emit anything unsound; dishonest proofs are produced
 explicitly via :func:`forge_attempt`.
@@ -54,7 +57,7 @@ from __future__ import annotations
 import hashlib
 
 from .errors import WitnessMismatch
-from .groups import GroupParams
+from .groups import GroupParams, draw_scalars
 
 
 class OrStatement:
@@ -72,10 +75,9 @@ class OrStatement:
     def __init__(self, params: GroupParams, targets, context: bytes = b""):
         self.targets = targets = tuple(targets)
         self.context = context
-        size = params.element_bytes
         self.head = b"".join([
             params.fs_prefix, len(context).to_bytes(4, "big"), context,
-            len(targets).to_bytes(2, "big"), *[t.to_bytes(size, "big") for t in targets],
+            len(targets).to_bytes(2, "big"), _elements(params, targets),
         ])
 
 
@@ -83,12 +85,17 @@ class OrStatement:
 SigmaProof = tuple[tuple[int, int], ...]
 
 
+def _elements(params: GroupParams, elements) -> bytes:
+    """The elements, each at the group's element width, in one to_bytes."""
+    bits, packed = 8 * params.element_bytes, 0
+    for x in elements:
+        packed = packed << bits | x
+    return packed.to_bytes(len(elements) * params.element_bytes, "big")
+
+
 def fs_challenge(params: GroupParams, stmt: OrStatement, announcements) -> int:
     """SHA-256 of the statement's head and the announcement elements, mod q."""
-    bits, packed = 8 * params.element_bytes, 0
-    for a in announcements:   # each at the element width, in one to_bytes
-        packed = packed << bits | a
-    data = stmt.head + packed.to_bytes(len(announcements) * params.element_bytes, "big")
+    data = stmt.head + _elements(params, announcements)
     return int.from_bytes(hashlib.sha256(data).digest(), "big") % params.q
 
 
@@ -103,8 +110,8 @@ def simulate(params, target, challenge, response):
     target^(q - challenge) is target^-challenge because every target lies
     in the order-q subgroup: targets are built from generator powers,
     CIPHER ``c`` values and PUBKEY ``y`` values, and the judge checks
-    each ``c`` and each ``y`` with ``is_element`` before it builds a
-    target from it.
+    each ``c`` and each ``y`` with ``is_element``, a square mod the safe
+    prime p, before it builds a target from it.
     """
     p, q = params.p, params.q
     return params.h_table.power(response) * pow(target, q - challenge % q, p) % p
@@ -115,23 +122,21 @@ def prove_or(params, stmt: OrStatement, true_branch: int, alpha: int, rng) -> Si
     ``true_branch``, every other branch simulated.
 
     WitnessMismatch, before anything is drawn, when alpha is no witness
-    of that branch or the statement has no such branch.  Then it draws
-    ``rng.randrange(q)`` for the nonce k, then for each other branch d
-    in order its challenge e_d and response z_d; the announcements are
-    h^k and each h^z_d * T_d^-e_d, and the true branch answers the rest
-    of their challenge."""
+    of that branch or the statement has no such branch.  Then it draws,
+    by ``draw_scalars``, the nonce k, then for each other branch d in
+    order its challenge e_d and response z_d; the announcements are h^k
+    and each h^z_d * T_d^-e_d, and the true branch answers the rest of
+    their challenge."""
     q, p, table, targets = params.q, params.p, params.h_table, stmt.targets
     alpha %= q
     if not 0 <= true_branch < len(targets) or table.power(alpha) != targets[true_branch]:
         raise WitnessMismatch("witness does not satisfy the designated branch")
-    nonce = rng.randrange(q)
+    nonce, *draws = draw_scalars(q, rng, 2 * len(targets) - 1)
     if len(targets) == 1:
         e = fs_challenge(params, stmt, [table.power(nonce)])
         return ((e, (nonce + e * alpha) % q),)
-    pairs = [
-        None if d == true_branch else (rng.randrange(q), rng.randrange(q))   # (e_d, z_d)
-        for d in range(len(targets))
-    ]
+    simulated = zip(*[iter(draws)] * 2)   # (e_d, z_d) of each other branch, in order
+    pairs = [None if d == true_branch else next(simulated) for d in range(len(targets))]
     announcements = table.powers([nonce if pair is None else pair[1] for pair in pairs])
     used = 0
     for d, pair in enumerate(pairs):
@@ -147,20 +152,29 @@ def verify_or(params, statements, proofs) -> list[bool]:
     """One verdict per (statement, proof) pair of a round; a proof that
     is None or empty, has a branch count other than its statement's, or
     has a scalar outside [0, q) is False."""
-    q, p, power = params.q, params.p, params.h_table.power
+    q, p, size, sha256 = params.q, params.p, params.element_bytes, hashlib.sha256
+    table, bits = params.h_table, 8 * size
+    width, mask, first, rest = table.width, table.mask, table.rows[0], table.rows[1:]
     verdicts = []
     for stmt, proof in zip(statements, proofs):
+        targets = stmt.targets
         # zip below would silently drop the branches a short proof lacks
-        ok = bool(proof) and len(proof) == len(stmt.targets)
+        ok = bool(proof) and len(proof) == len(targets)
         if ok:
-            announcements, total = [], 0
-            for t, (e, z) in zip(stmt.targets, proof):
+            packed = total = 0
+            for t, (e, z) in zip(targets, proof):
                 if not (0 <= e < q and 0 <= z < q):
                     ok = False
                     break
-                announcements.append(power(z) * pow(t, q - e, p) % p)
+                a = first[z & mask]   # h^z, one table entry per width-bit digit of z
+                for row in rest:
+                    z >>= width
+                    a = a * row[z & mask] % p
+                packed = packed << bits | a * pow(t, q - e, p) % p
                 total += e
-            ok = ok and total % q == fs_challenge(params, stmt, announcements)
+            else:
+                data = stmt.head + packed.to_bytes(len(targets) * size, "big")
+                ok = total % q == int.from_bytes(sha256(data).digest(), "big") % q
         verdicts.append(ok)
     return verdicts
 
@@ -189,8 +203,8 @@ def forge_attempt(params, statement: OrStatement, rng) -> SigmaProof:
     verifiers always reject the result.
     """
     q, targets = params.q, statement.targets
-    challenges = [rng.randrange(q) for _ in targets]
-    responses = [rng.randrange(q) for _ in targets]
+    draws = draw_scalars(q, rng, 2 * len(targets))   # every challenge, then every response
+    challenges, responses = draws[: len(targets)], draws[len(targets) :]
     announcements = [simulate(params, t, e, z) for t, e, z in zip(targets, challenges, responses)]
     top = fs_challenge(params, statement, announcements)
     challenges[0] = (challenges[0] + top - sum(challenges)) % q
@@ -238,5 +252,6 @@ def proof_from_text(params: GroupParams, text: str) -> SigmaProof | None:
         return None
     if not data or len(data) % (2 * sw):
         return None
-    scalars = iter([int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)])
-    return tuple(zip(scalars, scalars))
+    bits, packed = 8 * sw, int.from_bytes(data, "big")   # the pairs cut out by shifts, first highest
+    mask, top = (1 << bits) - 1, 8 * len(data) - 2 * bits
+    return tuple([(packed >> s + bits & mask, packed >> s & mask) for s in range(top, -1, -2 * bits)])

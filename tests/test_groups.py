@@ -229,18 +229,54 @@ def test_parsed_params_stay_equal(medium):
 def test_parsed_group_is_validated_once(monkeypatch):
     # a derived group is validated once, when it is first derived, and
     # validation runs no primality test: it checks that the generators
-    # lie in the subgroup (a tag no other test derives, so this is the
-    # first derivation)
-    calls = []
+    # lie in the subgroup, one is_element each, and makes no pow call (a
+    # tag no other test derives, so this is the first derivation)
+    checked, powers = [], []
+    is_element = GroupParams.is_element
+
+    def counting_is_element(self, x):
+        checked.append(x)
+        return is_element(self, x)
 
     def counting_pow(*args):
-        calls.append(args)
+        powers.append(args)
         return pow(*args)
 
+    monkeypatch.setattr(GroupParams, "is_element", counting_is_element)
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
     params = derive_params("test_medium", b"validated-once")
     assert derive_params("test_medium", b"validated-once") is params
-    assert calls == [(x, params.q, params.p) for x in params.generators]
+    assert checked == list(params.generators)
+    assert powers == []
+
+
+def test_membership_is_the_legendre_symbol():
+    # is_element reads the Legendre symbol (x | p); in a safe prime
+    # p = 2q + 1 the order-q subgroup is the squares, so it answers as
+    # x^q = 1 does: for every x of test_small, a sample of test_medium,
+    # and production's h powers with their negations p - x, which lie
+    # outside the subgroup
+    def oracle(params, x):
+        return 1 <= x < params.p and pow(x, params.q, params.p) == 1
+
+    small = derive_params("test_small", TAG)
+    assert all(small.is_element(x) == oracle(small, x) for x in range(-1, small.p + 2))
+    medium, rng = derive_params("test_medium", TAG), random.Random(24)
+    sample = [0, 1, 2, medium.p - 1, medium.p] + [rng.randrange(medium.p) for _ in range(4000)]
+    assert all(medium.is_element(x) == oracle(medium, x) for x in sample)
+    production, rng = derive_params("production", TAG), random.Random(25)
+    for e in (1, production.q - 1, rng.randrange(production.q), rng.randrange(production.q)):
+        x = production.h_table.power(e)
+        for y in (x, production.p - x):
+            assert production.is_element(y) == oracle(production, y) == (y == x)
+
+
+def test_validate_wants_a_safe_prime():
+    # q = 5 divides 31 - 1 and 2, 4, 8 have order 5, but 31 is not 2q + 1:
+    # is_element's squares are no order-q subgroup there, so it is refused
+    assert all(pow(x, 5, 31) == 1 for x in (2, 4, 8))
+    with pytest.raises(ValueError, match="safe prime"):
+        GroupParams("test_small", 31, 5, (2, 4, 8), TAG).validate()
 
 
 def is_probable_prime(n: int) -> bool:

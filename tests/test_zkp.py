@@ -260,8 +260,8 @@ def test_or_hiding_structure(small):
 
 
 class ScriptedRng:
-    """Hands ``randrange`` its draws from a script, in order, and counts
-    them in ``used``."""
+    """Hands ``randrange`` and ``getrandbits`` their draws from a script,
+    in order, and counts them in ``used``."""
 
     def __init__(self, draws):
         self.draws = iter(draws)
@@ -272,6 +272,9 @@ class ScriptedRng:
         assert 0 <= draw < stop
         self.used += 1
         return draw
+
+    def getrandbits(self, k):
+        return self.randrange(1 << k)
 
 
 def test_or_proof_is_witness_indistinguishable(small):
@@ -572,6 +575,50 @@ def test_a_proof_text_reads_back_as_its_proof(group, pairs):
         assert proof_from_text(params, text) == proof
     else:
         assert text == zkp.NO_PROOF
+
+
+def parent_proof_from_text(params, text):
+    """The decoder before it read one integer: a from_bytes per scalar."""
+    if text == zkp.NO_PROOF:
+        return None
+    sw = params.scalar_bytes
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        return None
+    if not data or len(data) % (2 * sw):
+        return None
+    scalars = iter([int.from_bytes(data[i : i + sw], "big") for i in range(0, len(data), sw)])
+    return tuple(zip(scalars, scalars))
+
+
+# pieces of a proof-like text: a byte's two digits, lowercase or
+# uppercase, a lone digit, whitespace, and what is not hex
+_TEXT_PIECES = st.one_of(
+    st.integers(0, 255).map("{:02x}".format),
+    st.integers(0, 255).map("{:02X}".format),
+    st.sampled_from("0123456789abcdefABCDEF"),
+    st.sampled_from([" ", "\t", "\n", "\r\n"]),
+    st.sampled_from(["-", "g", "0x", "\u00e9", "\x00"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["test_small", "test_medium"]),
+    st.one_of(
+        st.lists(_TEXT_PIECES, max_size=30).map("".join),
+        st.binary(max_size=30).map(bytes.hex),
+        st.text(max_size=30),
+    ),
+)
+def test_proof_from_text_reads_as_the_parent_decoder(group, text):
+    # one integer cut by shifts reads every text as a from_bytes per
+    # scalar did: NO_PROOF, uppercase, embedded whitespace, odd, empty
+    # and wrong lengths, and text that is not hex
+    params = derive_params(group, b"dc-mesh/v1")
+    assert proof_from_text(params, text) == parent_proof_from_text(params, text)
+    assert proof_from_text(params, zkp.NO_PROOF) is None
 
 
 def test_verify_rejects_scalars_outside_the_field(small, medium):
