@@ -200,7 +200,7 @@ def cmd_keygen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     signed = zip(graph.participants, graph.epochs[0].signed)
-    endorsed = [endorse_record(1, 0, pid, s) for pid, s in signed]
+    endorsed = [endorse_record(params, 1, 0, pid, s) for pid, s in signed]
     for rec in [sim._group_record(params)] + key_records(1, graph.public()) + endorsed:
         print(record_to_line(rec))
     return 0

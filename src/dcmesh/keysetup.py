@@ -156,13 +156,12 @@ class RevealedCommitment(NamedTuple):
 
 class SignedRoot(NamedTuple):
     """A participant's signature over its tree's root and its opted-out
-    peers for one epoch: the (challenge, response) pair of its one-branch
-    proof of :func:`endorse_statement`.  It names no signer: an epoch's
-    signed roots are a tuple in participant order, and the position is
-    the signer."""
+    peers for one epoch: its one-branch proof of :func:`endorse_statement`,
+    a ``zkp.SigmaProof``.  It names no signer: an epoch's signed roots are
+    a tuple in participant order, and the position is the signer."""
 
     root: bytes
-    signature: tuple[int, int]
+    proof: zkp.SigmaProof | None
 
 
 def is_endorsed(
@@ -300,8 +299,7 @@ class KeyGraph:
         for signer, root in zip(self.participants, trees[-1]):
             key = self.signing[signer]
             stmt = endorse_statement(params, key.public, root, signer, epoch, self.optouts)
-            (signature,) = zkp.prove_or(params, stmt, 0, key.secret, rng)
-            signed.append(SignedRoot(root, signature))
+            signed.append(SignedRoot(root, zkp.prove_or(params, stmt, 0, key.secret, rng)))
         # column by column: each participant's count key, total key and
         # blinding sums, slot by slot, then all of them committed to together
         sums = [

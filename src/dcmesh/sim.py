@@ -602,16 +602,16 @@ class _Replay:
     from its CIPHER records, read for each active participant in turn,
     so a list position is the participant and nothing else labels it,
     as in every other answer.  Every input passes as recorded, and the
-    judge checks it as it checks a live participant's: only an ENDORSE
-    root that is not hex cannot be decoded, and is malformed.  This is
-    the one reader of a recorded proof or path text.  A proof is what
-    ``zkp.proof_from_text`` reads from its text, None for a text that
-    spells none; a round's CIPHER texts are read with its ciphertexts
-    and decoded only when the judge asks for its proofs, so round 1's
-    are never decoded.  A path is the bytes its hex spells, or empty
-    where it is not hex.  The judge spells each proof and path it
-    records, so a text that is not its own spelling of what is read
-    from it diverges at its own record."""
+    judge checks it as it checks a live participant's.  This is the one
+    reader of a recorded text, and it reads every text by one rule: a
+    proof, CIPHER, DEMAND or ENDORSE, is what ``zkp.proof_from_text``
+    reads from it, None for a text that spells none, and a root or a
+    path is the bytes its hex spells, or empty where it is not hex.  A
+    round's CIPHER texts are read with its ciphertexts and decoded only
+    when the judge asks for its proofs, so round 1's are never decoded.
+    The judge spells each proof, root and path it records, so a text
+    that is not its own spelling of what is read from it diverges at
+    its own record."""
 
     def __init__(self, params, pids, recorded, index, report):
         self.params = params
@@ -638,14 +638,6 @@ class _Replay:
         self.read += 1
         return rec
 
-    def _signed_root(self, epoch, pid) -> SignedRoot:
-        rec = self._input("ENDORSE", epoch=epoch, part=pid)
-        try:
-            root = bytes.fromhex(rec["root"])
-        except ValueError:
-            raise MalformedRecord(self.index + self.read - 1, "ENDORSE root is not hex") from None
-        return SignedRoot(root, (rec["sig_e"], rec["sig_s"]))
-
     def append(self, rec):
         at = self.at
         recorded = self.recorded[at] if at < len(self.recorded) else None
@@ -664,7 +656,11 @@ class _Replay:
         return KeyGraphPublic(tuple(self.pids), publics, frozenset(optouts), ())
 
     def epoch(self, k):
-        return tuple(self._signed_root(k, pid) for pid in self.pids)
+        read, params, signed = zkp.proof_from_text, self.params, []
+        for pid in self.pids:
+            rec = self._input("ENDORSE", epoch=k, part=pid)
+            signed.append(SignedRoot(_bytes(rec["root"]), read(params, rec["proof"])))
+        return signed
 
     def broadcast(self, round_id, slot):   # the slot is checked in the ROUND record
         cts, self.texts, recorded = [], [], self.recorded
@@ -687,11 +683,7 @@ class _Replay:
         for rec in self.recorded[self.at :]:
             if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
                 break
-            try:
-                path = bytes.fromhex(rec["path"])
-            except ValueError:   # not hex: the empty path, which the judge spells ""
-                path = b""
-            published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], path)
+            published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], _bytes(rec["path"]))
         return list(published.values())
 
     def respond(self, node_id, statements):
@@ -703,6 +695,14 @@ class _Replay:
         """The proof each recorded text spells, or None."""
         params, read = self.params, zkp.proof_from_text
         return [read(params, text) for text in texts]
+
+
+def _bytes(text: str) -> bytes:
+    """The bytes a recorded root or path spells as hex; b"" where it is not hex."""
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        return b""
 
 
 def _line(rec) -> str:
@@ -744,10 +744,10 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     and verify stops there too.  The replay reads every input as
     recorded, and the judge applies every rule to it, as in the run.
     Raises MalformedRecord only for what cannot be parsed or checked:
-    the header and its group, a CONFIG n the body cannot hold, a missing
-    SUMMARY or opening SESSION record, and, at its own index, an ENDORSE
-    root that is not hex.  A text of another format version is malformed
-    as ``Transcript.from_text`` reads it.
+    the header and its group, a CONFIG n the body cannot hold, and a
+    missing SUMMARY or opening SESSION record; a session's records are
+    read as recorded and judged.  A text of another format version is
+    malformed as ``Transcript.from_text`` reads it.
 
     Verify serialises only the header it recomputes: the SUMMARY
     ``bind`` digest is taken over the lines the transcript holds, and no

@@ -82,13 +82,18 @@ from .dcnet import (
     NON_COOPERATION,
     UNEQUAL_PAYLOAD,
     WRONG_BRANCH,
+    RoundCiphertext,
     aggregate_round,
     investigate,
 )
 from .errors import NotACollision, PayloadOverflow, WitnessMismatch
 from .groups import GroupParams, value_term
-from .keysetup import EPOCH_SLOTS, endorse_statement
+from .keysetup import EPOCH_SLOTS, SignedRoot, endorse_statement
 from .transcript import record
+
+# what the judge takes an absent answer for: values that its rules reject
+NO_BROADCAST = RoundCiphertext((0, 0), 0)   # c = 0 lies outside the group
+NO_SIGNED_ROOT = SignedRoot(b"", None)      # no proof verifies
 
 # node statuses
 PENDING = "pending"
@@ -413,9 +418,10 @@ def run_session(
       the group is a missing broadcast: its sender gets a
       ``non_cooperation`` verdict, no proof is asked for, the round is
       not aggregated and the session stops;
-    * ``prove(round_id, statements)``: for a round after the first, one
-      proof, a ``zkp.SigmaProof`` or None, per participant, in
-      participant order, for the participant's retransmission statement;
+    * ``prove(round_id, statements)``: for a valid round after the
+      first, one proof, a ``zkp.SigmaProof`` or None, per participant,
+      in participant order, for the participant's retransmission
+      statement;
     * ``publish(slot)``: for an investigation, one ``{peer:
       RevealedCommitment}`` map per participant, in participant order;
     * ``respond(node_id, statements)``: one proof or None per
@@ -424,12 +430,15 @@ def run_session(
       the node's payload.
 
     No answer names its participant, and one of the wrong length, the
-    source's fault, raises ValueError.  No answer is a text: the judge
-    spells each proof it records with ``zkp.proof_to_text``, None in
-    every CIPHER of round 1 or of a round with a missing broadcast, and
-    each path as hex.  It checks the proofs as answered, and a proof it
-    spells ``zkp.NO_PROOF``, which no such proof passes, is withheld:
-    ``non_cooperation``.  Slot values are read mod q.
+    source's fault, raises ValueError.  An absent entry, None, is judged
+    as a value a rule already rejects: a signed root as NO_SIGNED_ROOT,
+    a broadcast as NO_BROADCAST and a reveal map as the empty one.  No
+    answer is a text: the judge spells each proof it records with
+    ``zkp.proof_to_text``, None in every CIPHER of round 1 or of a
+    round that is not valid, and each root and path as hex.  It checks
+    the proofs as answered, and a proof it spells ``zkp.NO_PROOF``,
+    which no such proof passes, is withheld: ``non_cooperation``.  Slot
+    values are read mod q.
     The simulator's source is the live participants, which read the
     same ``tree``, and its sink a list, which becomes the session's
     ``records``; the verifier's reads the same inputs back from a
@@ -452,16 +461,16 @@ def key_records(session: int, public) -> list[dict]:
     return records
 
 
-def endorse_record(session: int, epoch: int, pid: int, signed) -> dict:
-    """An ENDORSE record: participant ``pid``'s signed root for the epoch."""
+def endorse_record(params: GroupParams, session: int, epoch: int, pid: int, signed) -> dict:
+    """An ENDORSE record: participant ``pid``'s signed root for the epoch,
+    its proof spelled as the judge spells every proof."""
     return record(
         "ENDORSE",
         session=session,
         epoch=epoch,
         part=pid,
         root=signed.root.hex(),
-        sig_e=signed.signature[0],
-        sig_s=signed.signature[1],
+        proof=zkp.proof_to_text(params, signed.proof),
     )
 
 
@@ -502,19 +511,21 @@ class Session:
             if slot == EPOCH_SLOTS * len(self.public.epochs) and not self._endorse():
                 break
             self.emit("ROUND", id=rid, slot=slot)
-            cts = source.broadcast(rid, slot)
+            cts = [NO_BROADCAST if ct is None else ct for ct in source.broadcast(rid, slot)]
             # a commitment outside the group is no broadcast: the pads cannot cancel
             silent = [pid for pid, ct in zip(pids, cts, strict=True) if not is_element(ct.commitment)]
-            if not silent:
+            # a silent round is not aggregated, and an invalid one is
+            # investigated and ends the session: its targets and proofs go unused
+            aggregate, valid = (None, False) if silent else aggregate_round(self.params, cts)
+            stmts, proofs = [], [None] * len(pids)
+            if valid:
                 add_round(self.params, self.targets.values(), rid, cts)
-            if rid == 1 or silent:   # no proof is asked for or recorded
-                stmts, proofs = [], [None] * len(pids)
-            else:
-                stmts = [
-                    retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
-                    for pid in pids
-                ]
-                proofs = source.prove(rid, stmts)
+                if rid != 1:
+                    stmts = [
+                        retransmission_statement(self.params, self.targets[pid], pid, rid, self.tag)
+                        for pid in pids
+                    ]
+                    proofs = source.prove(rid, stmts)
             texts = [zkp.proof_to_text(self.params, proof) for proof in proofs]
             for pid, ct, text in zip(pids, cts, texts, strict=True):   # n a round: a literal, not emit
                 (count, total), c = ct
@@ -526,7 +537,6 @@ class Session:
                 for pid in silent:
                     self.verdicts.append(Verdict(pid, NON_COOPERATION, f"round:{rid}"))
                 break
-            aggregate, valid = aggregate_round(self.params, cts)
             self.emit(
                 "AGGREGATE", round=rid, C_count=aggregate[0], C_total=aggregate[1], valid=int(valid)
             )
@@ -584,13 +594,13 @@ class Session:
         lies outside the group, which states nothing, or whose signature
         fails gets a ``bad_signature`` verdict.  Returns whether all hold."""
         params, public, epoch = self.params, self.public, len(self.public.epochs)
-        signed = self.source.epoch(epoch)
+        signed = [NO_SIGNED_ROOT if s is None else s for s in self.source.epoch(epoch)]
         for pid, s in zip(self.pids, signed, strict=True):
-            self.records.append(endorse_record(self.session, epoch, pid, s))
+            self.records.append(endorse_record(params, self.session, epoch, pid, s))
         keys, optouts = public.publics, public.optouts
         keyed = [(pid, s) for pid, s in zip(self.pids, signed) if pid in self.keyed]
         stmts = [endorse_statement(params, keys[pid], s.root, pid, epoch, optouts) for pid, s in keyed]
-        oks = zkp.verify_or(params, stmts, [(s.signature,) for _, s in keyed])
+        oks = zkp.verify_or(params, stmts, [s.proof for _, s in keyed])
         held = {pid for (pid, _), ok in zip(keyed, oks) if ok}
         failed = [pid for pid in self.pids if pid not in held]
         self.verdicts.extend(Verdict(pid, BAD_SIGNATURE, f"epoch:{epoch}") for pid in failed)
@@ -613,14 +623,13 @@ class Session:
                 self.emit("RESOLVED", node=node_id, payload=node.total)
 
     def _investigate(self, rid, slot, cts) -> None:
-        published = self.source.publish(slot)
+        published = [{} if pairs is None else pairs for pairs in self.source.publish(slot)]
         for pid, pairs in zip(self.pids, published, strict=True):
             for peer, sc in sorted(pairs.items()):
                 path = sc.path.hex()
                 self.emit("PUBLISH", slot=slot, part=pid, peer=peer, c=sc.commitment, path=path)
         blamed = investigate(self.params, cts, slot, published, self.public)
-        cheaters = ",".join(f"{pid}:{'+'.join(reasons)}" for pid, reasons in blamed.items())
-        self.emit("INVESTIGATION", round=rid, cheaters=cheaters or "-")
+        self.emit("INVESTIGATION", round=rid)
         for pid, reasons in blamed.items():
             self.verdicts.extend(Verdict(pid, reason, f"round:{rid}") for reason in reasons)
 

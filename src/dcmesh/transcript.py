@@ -10,21 +10,26 @@ covers the signer's opted-out peers.  A later epoch's ENDORSE records,
 one per participant, sit in the session where the epoch was endorsed,
 before the first round that spends it.  A slot value is a pair: each
 CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
-A CIPHER or DEMAND proof is the lowercase hex of its (challenge,
-response) scalars, one pair per branch (an ENDORSE's one is ``sig_e``,
-``sig_s``), or ``-`` where none is sent;
+A CIPHER, DEMAND or ENDORSE proof (an ENDORSE's is its one-branch
+signature) is the lowercase hex of its (challenge, response) scalars,
+one pair per branch, or ``-`` where none is sent;
 its challenge is SHA-256 over the group, the statement's context, its
 targets and the announcements (see ``dcmesh.zkp``), and every context
 opens with the header digest, the value HEADEREND records, which a
 verifier recomputes from the DCMESH, GROUP and CONFIG lines, so a
-proof binds the whole header.
+proof binds the whole header.  An absent answer is spelled with values
+the judge already rejects: a broadcast as a CIPHER with slot (0, 0),
+``c=0`` and no proof, a signed root as an ENDORSE with an empty root
+and no proof, and a reveal map as no PUBLISH record.
 At an equal-payload node (NODE status=equal) the DEMAND records carry
 the equal-payload check, and the RESOLVED records that follow are one
 per delivered copy.  Everything an independent verifier needs is
 either in the records or recomputable from them; secrets never appear
 except for pair commitments revealed during an investigation (PUBLISH,
 each with its edge's other ones for the epoch), which are safe to
-publish: Pedersen commitments are perfectly hiding.
+publish: Pedersen commitments are perfectly hiding.  An INVESTIGATION
+record names only its round: the VERDICT records after it say whom it
+blamed.
 
 Each record has one line, written once and read once, and every line
 ends with a newline: a blank line, or a last line without its newline,
@@ -46,7 +51,7 @@ from operator import itemgetter
 
 from .errors import MalformedRecord
 
-FORMAT_VERSION = "v13"   # the format this engine writes, and the only one it reads
+FORMAT_VERSION = "v14"   # the format this engine writes, and the only one it reads
 
 # record type -> ordered field names; values are serialized as key=value
 _SCHEMA = {
@@ -55,7 +60,7 @@ _SCHEMA = {
     "CONFIG": ("n", "payload_bits", "scenario"),
     "PUBKEY": ("session", "part", "y"),
     "OPTOUT": ("session", "lo", "hi"),
-    "ENDORSE": ("session", "epoch", "part", "root", "sig_e", "sig_s"),
+    "ENDORSE": ("session", "epoch", "part", "root", "proof"),
     "HEADEREND": ("digest",),
     "SESSION": ("idx", "active", "budget"),
     "ROUND": ("session", "id", "slot"),
@@ -64,7 +69,7 @@ _SCHEMA = {
     "NODE": ("session", "id", "kind", "count", "total", "status", "threshold"),
     "RESOLVED": ("session", "node", "payload"),
     "PUBLISH": ("session", "slot", "part", "peer", "c", "path"),
-    "INVESTIGATION": ("session", "round", "cheaters"),
+    "INVESTIGATION": ("session", "round"),
     "DEMAND": ("session", "node", "part", "ok", "proof"),
     "VERDICT": ("session", "part", "reason", "where"),
     "BAN": ("session", "part"),
@@ -106,8 +111,6 @@ _INT_FIELDS = {
     "node",
     "payload",
     "peer",
-    "sig_e",
-    "sig_s",
     "ok",
     "sessions",
     "delivered",

@@ -40,10 +40,10 @@ the tests' own reference.  Branch targets are built from no-message
 targets c * g^-count * f^-total of broadcasts (count, total) with
 commitment c, which :func:`no_message_targets` makes for a round with
 one ``powers`` per generator; the session judge makes them once per
-round and hands each prover the statement built from them.  A proof
-reaches the judge as a value, and is recorded as the text
-:func:`proof_to_text` spells, the lowercase hex of its scalars, or
-NO_PROOF where none is sent; the judge alone spells, and only a
+round and hands each prover the statement built from them.  A proof,
+a signature included, reaches the judge as a value, and is recorded as
+the text :func:`proof_to_text` spells, the lowercase hex of its
+scalars, or NO_PROOF where none is sent; the judge alone spells, and only a
 replay reads a text back, with :func:`proof_from_text`, as
 ``bytes.fromhex`` reads it, scalars cut from one integer by shifts:
 another spelling diverges at its record.

@@ -308,7 +308,7 @@ def test_production_keygen_is_pinned(capsys):
     assert main(["keygen", "--group", "production", "--n", "3", "--seed", "1"]) == 0
     printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(printed).hexdigest() == (
-        "d7123c3639fa5e1a2372b860df4f7fd274d03e13d456832ec10d226bfba4a269"
+        "651a987114e22b65b4f21e09e93d05ad6322da66b1bcaded12a4e9cb22c8c9d7"
     )
 
 
@@ -319,8 +319,8 @@ class _BadSigner(sim._Participants):
         signed = list(super().epoch(k))
         if k == 0 and 1 in self.graph.participants:
             at = self.graph.participants.index(1)
-            e, s = signed[at].signature
-            signed[at] = signed[at]._replace(signature=(e, (s + 1) % self.graph.params.q))
+            ((e, s),) = signed[at].proof
+            signed[at] = signed[at]._replace(proof=((e, (s + 1) % self.graph.params.q),))
         return signed
 
 

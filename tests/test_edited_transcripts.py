@@ -87,6 +87,10 @@ def _has_proof(rec):
     return rec["proof"] != zkp.NO_PROOF
 
 
+def _has_letter(rec):
+    return rec["proof"] != rec["proof"].upper()
+
+
 def _swap_proof(records):
     """The first CIPHER proof that is not NO_PROOF, replaced by the next
     CIPHER's proof, of the same round."""
@@ -123,18 +127,24 @@ def _part_3_epoch_0(rec):
 
 
 def sign_under_negated_key(params, stmt, x):
-    """A signature that ``zkp.verify_or`` accepts for ``stmt``, whose key
-    is p - h^x, made with x.  h^z * (p - y)^-e is h^k times (-1)^(q - e),
-    so the signer tries the announcements h^k and p - h^k, nonce after
-    nonce, until one's challenge has the sign that verify accepts."""
+    """A signature, a one-branch proof, that ``zkp.verify_or`` accepts for
+    ``stmt``, whose key is p - h^x, made with x.  h^z * (p - y)^-e is h^k
+    times (-1)^(q - e), so the signer tries the announcements h^k and
+    p - h^k, nonce after nonce, until one's challenge has the sign that
+    verify accepts."""
     for nonce in range(1, params.q):
         power = params.h_table.power(nonce)
         for announcement in (power, params.p - power):
             e = zkp.fs_challenge(params, stmt, [announcement])
-            signature = (e, (nonce + e * x) % params.q)
-            if zkp.verify_or(params, [stmt], [(signature,)]) == [True]:
-                return signature
+            proof = ((e, (nonce + e * x) % params.q),)
+            if zkp.verify_or(params, [stmt], [proof]) == [True]:
+                return proof
     raise AssertionError("no nonce signs under p - y")
+
+
+def _params(group):
+    """The group a GROUP record names."""
+    return derive_params(group["name"], bytes.fromhex(group["tag"]))
 
 
 def _negated_key_resigned(records):
@@ -142,8 +152,7 @@ def _negated_key_resigned(records):
     but outside the group, and its epoch-0 root signed under p - y with
     the log of y: participant 3 knows it, and a test group is small
     enough to search for it."""
-    group = next(rec for rec in records if rec["type"] == "GROUP")
-    params = derive_params(group["name"], bytes.fromhex(group["tag"]))
+    params = _params(next(rec for rec in records if rec["type"] == "GROUP"))
     assert "OPTOUT" not in {rec["type"] for rec in records}
     i = next(i for i, rec in enumerate(records) if rec["type"] == "PUBKEY" and rec["part"] == 3)
     j = next(j for j, rec in enumerate(records)
@@ -153,13 +162,21 @@ def _negated_key_resigned(records):
         power, x = power * params.h % params.p, x + 1
     key = params.p - y
     stmt = keysetup.endorse_statement(params, key, bytes.fromhex(records[j]["root"]), 3, 0, ())
-    sig_e, sig_s = sign_under_negated_key(params, stmt, x)
+    proof = sign_under_negated_key(params, stmt, x)
     records[i] = {**records[i], "y": key}
-    records[j] = {**records[j], "sig_e": sig_e, "sig_s": sig_s}
+    records[j] = {**records[j], "proof": zkp.proof_to_text(params, proof)}
+
+
+def _bumped_response(text, group):
+    """An ENDORSE proof text whose response is one more, mod q, respelled."""
+    params = _params(group)
+    ((e, s),) = zkp.proof_from_text(params, text)
+    return zkp.proof_to_text(params, ((e, (s + 1) % params.q),))
 
 
 _upper = lambda text, group: text.upper()
 _zero = lambda value, group: 0
+_zeros = lambda text, group: "0" * len(text)
 # the line that names the first divergence; every divergence line comes first
 _FIRST_DIVERGENCE = r"\Adivergence at record.*"
 _BAD_SIGNATURE = "reason=bad_signature where=epoch:0"
@@ -189,7 +206,13 @@ ROWS = [
     Row("v11", _v11, 1,
         f"^malformed transcript: record 0: not a format {FORMAT_VERSION} transcript$"),
     # the judge checks epoch 0's signatures, in the run and on verify alike
-    Row("bad_sig", first("ENDORSE", "sig_s", lambda s, group: s + 1, "bind"), 2, _BAD_SIGNATURE),
+    Row("bad_sig", first("ENDORSE", "proof", _bumped_response, "bind"), 2, _BAD_SIGNATURE),
+    # the judge spells every signature and root it records: another
+    # spelling diverges at its own record
+    Row("upper_sig", first("ENDORSE", "proof", _upper, "bind", where=_has_letter), 2,
+        _FIRST_DIVERGENCE + ": recorded ENDORSE "),
+    Row("root_not_hex", first("ENDORSE", "root", lambda root, group: "zz" + root[2:], "bind"), 2,
+        _FIRST_DIVERGENCE + ": recorded ENDORSE "),
     # a key outside the group verifies no signature: the judge rejects it, and it is not malformed
     Row("zero_key", first("PUBKEY", "y", _zero, "bind"), 2, _BAD_SIGNATURE),
     # p - y is in [1, p) but outside the group: the same verdict as a zero key
@@ -207,10 +230,11 @@ ROWS = [
     # verify checks the proof each text spells against its own participant's statement
     Row("swapped_proof", on_records(_swap_proof, "bind"), 2, "reason=invalid_proof where=round:2"),
     # unresealed, a signature or root that no longer verifies gets its signer a new verdict
-    *(Row(f"zeroed_{field}", first("ENDORSE", field, value, where=_part_3_epoch_0), 2,
+    *(Row(name, first("ENDORSE", field, value, where=_part_3_epoch_0), 2,
           "part=3 " + _BAD_SIGNATURE)
-      for field, value in (("sig_e", _zero), ("sig_s", _zero),
-                           ("root", lambda root, group: "0" * 64))),
+      for name, field, value in (("withheld_sig", "proof", lambda text, group: zkp.NO_PROOF),
+                                 ("zeroed_sig", "proof", _zeros),
+                                 ("zeroed_root", "root", _zeros))),
 ]
 
 

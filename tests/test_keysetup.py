@@ -72,7 +72,7 @@ def endorses(params, signed, signer, key, epoch, optouts) -> bool:
     """Whether ``signed`` verifies as ``signer``'s ENDORSE under ``key``
     for the epoch and the opted-out pairs ``optouts``, as the judge checks it."""
     stmt = endorse_statement(params, key, signed.root, signer, epoch, optouts)
-    return zkp.verify_or(params, [stmt], [(signed.signature,)]) == [True]
+    return zkp.verify_or(params, [stmt], [signed.proof]) == [True]
 
 
 def test_signature_roundtrip(small):
@@ -83,8 +83,7 @@ def test_signature_roundtrip(small):
     assert key.public == small.h_table.power(key.secret)
     root = bytes(32)
     stmt = endorse_statement(small, key.public, root, 0, 0, frozenset())
-    (signature,) = zkp.prove_or(small, stmt, 0, key.secret, rng)
-    signed = SignedRoot(root, signature)
+    signed = SignedRoot(root, zkp.prove_or(small, stmt, 0, key.secret, rng))
     assert endorses(small, signed, 0, key.public, 0, frozenset())
     assert not endorses(small, signed._replace(root=b"\x01" + root[1:]), 0, key.public, 0, frozenset())
     other = gen_signing_key(small, rng)
@@ -116,7 +115,7 @@ def test_a_signature_is_only_its_endorse(medium):
             endorse = endorse_statement(medium, key, s.root, pid, epoch, optouts)
             denial = denial_statement(medium, {5: key}, pid, 5, tag)
             retransmission = retransmission_statement(medium, {2: key, 3: key}, pid, 2, tag)
-            forms = [(s.signature,), (s.signature,) * 2]
+            forms = [s.proof, s.proof * 2]
             stmts = [denial, denial, retransmission, retransmission]
             assert zkp.verify_or(medium, stmts, forms * 2) == [False] * 4
             for stmt in (denial, retransmission):
