@@ -78,8 +78,10 @@ def cmd_run(args) -> int:
             os.remove(partial)
     if args.verbose:
         for rec in transcript.records:
-            if rec["type"] == "ROUND":
-                print(f"session {rec['session']} round {rec['id']}")
+            if rec["type"] == "SESSION":
+                session = rec["idx"]
+            elif rec["type"] == "ROUND":
+                print(f"session {session} round {rec['id']}")
             elif rec["type"] == "NODE":
                 print(
                     f"  node {rec['id']} [{rec['kind']}] ({rec['count']},{rec['total']})"
@@ -124,13 +126,13 @@ def cmd_verify(args) -> int:
     return 2
 
 
-# the key of each record a VERDICT can name as its trigger
+# the key, within its session, of each record a VERDICT can name as its trigger
 _TRIGGER_KEYS = {
-    "ENDORSE": "{session} epoch:{epoch} {part}",
-    "CIPHER": "{session} round:{round} {part}",
-    "DEMAND": "{session} node:{node} {part}",
-    "PUBLISH": "{session} published {part}",
-    "INVESTIGATION": "{session} investigation round:{round}",
+    "ENDORSE": "epoch:{epoch} {part}",
+    "CIPHER": "round:{round} {part}",
+    "DEMAND": "node:{node} {part}",
+    "PUBLISH": "published {part}",
+    "INVESTIGATION": "investigation round:{round}",
 }
 
 
@@ -140,16 +142,19 @@ def _verdict_triggers(transcript):
     participant's DEMAND record there; at ``round:r``, after an
     investigation of round r, its first PUBLISH record of the session or
     else the INVESTIGATION record, and after a failed proof its CIPHER
-    record of round r.  The trigger is None when no such record exists."""
+    record of round r, all in the VERDICT's session.  The trigger is
+    None when no such record exists."""
     first = {}
     for index, rec in enumerate(transcript.records, len(transcript.header)):
-        if rec["type"] in _TRIGGER_KEYS:
+        if rec["type"] == "SESSION":
+            first.clear()
+        elif rec["type"] in _TRIGGER_KEYS:
             first.setdefault(_TRIGGER_KEYS[rec["type"]].format_map(rec), index)
         elif rec["type"] == "VERDICT":
-            trigger = first.get("{session} {where} {part}".format_map(rec))
-            investigation = first.get("{session} investigation {where}".format_map(rec))
+            trigger = first.get("{where} {part}".format_map(rec))
+            investigation = first.get("investigation {where}".format_map(rec))
             if investigation is not None:
-                trigger = first.get("{session} published {part}".format_map(rec), investigation)
+                trigger = first.get("published {part}".format_map(rec), investigation)
             yield index, rec, trigger
 
 
@@ -200,8 +205,8 @@ def cmd_keygen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     signed = zip(graph.participants, graph.epochs[0].signed)
-    endorsed = [endorse_record(params, 1, 0, pid, s) for pid, s in signed]
-    for rec in [sim._group_record(params)] + key_records(1, graph.public()) + endorsed:
+    endorsed = [endorse_record(params, 0, pid, s) for pid, s in signed]
+    for rec in [sim._group_record(params)] + key_records(graph.public()) + endorsed:
         print(record_to_line(rec))
     return 0
 

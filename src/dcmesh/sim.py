@@ -447,10 +447,11 @@ class _Participants:
     from the scenario: the session's key graph, whose ``refuse_signature``
     adversaries opt out of their edges and which endorses epoch k from
     its own stream of the scenario seed, the session's tree, and the
-    active participants, in pid order, on that tree.  Each broadcast
-    pads with the slot the judge names, and each answer is the
-    participants' values as they make them: the judge spells what it
-    records.  Its sink is a plain list."""
+    active participants, in pid order, on that tree, each with its own
+    stream for the session, so no proof reuses another session's draws.
+    Each broadcast pads with the slot the judge names, and each answer
+    is the participants' values as they make them: the judge spells
+    what it records.  Its sink is a plain list."""
 
     def __init__(self, params, scenario, active, pending, session):
         self.params = params
@@ -468,7 +469,7 @@ class _Participants:
                 self.tree,
                 pending.get(pid),
                 scenario.payload_bits,
-                fork_rng(self.seed, "participant", pid),
+                fork_rng(self.seed, "participant", session, pid),
             )
             for pid in sorted(active)
         ]
@@ -498,7 +499,7 @@ class _Participants:
 def _play_session(params, scenario, active, pending, session, session_tag):
     """Key setup, participants and the judge for one session; returns the judged session."""
     live = _Participants(params, scenario, active, pending, session)
-    return run_session(params, live.tree, session, session_tag, live)
+    return run_session(params, live.tree, session_tag, live)
 
 
 def _survivors(active, outcome):
@@ -777,13 +778,8 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
             break
         try:
             replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
-            outcome = run_session(
-                params,
-                ResolutionTree(params.q, config["payload_bits"]),
-                session,
-                _session_tag(header_digest, session),
-                replay,
-            )
+            tree = ResolutionTree(params.q, config["payload_bits"])
+            outcome = run_session(params, tree, _session_tag(header_digest, session), replay)
         except ProtocolOrderViolation:
             break   # the replay's stop, after it reported the divergence
         except (ValueError, OverflowError) as exc:

@@ -31,12 +31,13 @@ Every participant broadcasts in every transmitted round and proves,
 for every non-root round, that the new broadcast either carries no
 message or repeats exactly the message content of the nearest
 transmitted ancestor context.  The judge is one :class:`Session`,
-which holds a session's state, stamps every record it emits with the
-session, and is the session's outcome.  Only the judge keeps target
-maps, one no-message target per participant and tree node, built from
-the public broadcasts; it builds every statement from them once, hands
-each participant its statement to prove, and checks a round's proofs,
-or a DEMAND round's, in one call.  A statement's context is the session
+which holds a session's state and is the session's outcome.  It knows
+the session by its tag alone: the SESSION record before the records it
+emits names the session, and none of them does.  Only the judge keeps
+target maps, one no-message target per participant and tree node,
+built from the public broadcasts; it builds every statement from them
+once, hands each participant its statement to prove, and checks a
+round's proofs, or a DEMAND round's, in one call.  A statement's context is the session
 tag (the digest of the transcript header's DCMESH, GROUP and CONFIG
 lines, and the session number), then its role, participant and round
 or node, ``|retrans|pid|r`` or ``|denial|pid|k``; its challenge hashes
@@ -384,9 +385,7 @@ def audit_wrong_branches(tree: ResolutionTree) -> list[int]:
     ]
 
 
-def run_session(
-    params: GroupParams, tree: ResolutionTree, session: int, session_tag: bytes, source
-) -> Session:
+def run_session(params: GroupParams, tree: ResolutionTree, session_tag: bytes, source) -> Session:
     """Judge one collision resolution session on ``tree``, new from the
     caller, closed to new messages until it is done, and return the
     :class:`Session` that judged it.
@@ -445,28 +444,22 @@ def run_session(
     transcript, through the one reader of a recorded text, and compares
     each record as it is emitted.
     """
-    return Session(params, tree, session, session_tag, source).run()
+    return Session(params, tree, session_tag, source).run()
 
 
-def key_records(session: int, public) -> list[dict]:
+def key_records(public) -> list[dict]:
     """A session's PUBKEY records, then its OPTOUT records; the epoch-0
     ENDORSE records follow them."""
-    records = [
-        record("PUBKEY", session=session, part=pid, y=public.publics[pid])
-        for pid in public.participants
-    ]
-    records.extend(
-        record("OPTOUT", session=session, lo=lo, hi=hi) for lo, hi in sorted(public.optouts)
-    )
+    records = [record("PUBKEY", part=pid, y=public.publics[pid]) for pid in public.participants]
+    records.extend(record("OPTOUT", lo=lo, hi=hi) for lo, hi in sorted(public.optouts))
     return records
 
 
-def endorse_record(params: GroupParams, session: int, epoch: int, pid: int, signed) -> dict:
+def endorse_record(params: GroupParams, epoch: int, pid: int, signed) -> dict:
     """An ENDORSE record: participant ``pid``'s signed root for the epoch,
     its proof spelled as the judge spells every proof."""
     return record(
         "ENDORSE",
-        session=session,
         epoch=epoch,
         part=pid,
         root=signed.root.hex(),
@@ -477,10 +470,9 @@ def endorse_record(params: GroupParams, session: int, epoch: int, pid: int, sign
 class Session:
     """One session's judge, and its outcome once :meth:`run` returns."""
 
-    def __init__(self, params, tree, session, session_tag, source):
+    def __init__(self, params, tree, session_tag, source):
         self.params = params
         self.tree = tree
-        self.session = session
         self.tag = session_tag
         self.source = source
         self.records = source.records   # the source's sink
@@ -499,12 +491,12 @@ class Session:
 
     def emit(self, rtype: str, **fields) -> None:
         """Append a record of this session to the sink."""
-        self.records.append({"type": rtype, "session": self.session, **fields})
+        self.records.append({"type": rtype, **fields})
 
     def run(self) -> Session:
-        tree, pids, source, q, session = self.tree, self.pids, self.source, self.params.q, self.session
+        tree, pids, source, q = self.tree, self.pids, self.source, self.params.q
         is_element = self.params.is_element
-        for rec in key_records(self.session, self.public):
+        for rec in key_records(self.public):   # the sink appends, a list or a replay
             self.records.append(rec)
         while not tree.done:
             rid, slot = tree.next_round(), self.transmitted
@@ -530,7 +522,7 @@ class Session:
             for pid, ct, text in zip(pids, cts, texts, strict=True):   # n a round: a literal, not emit
                 (count, total), c = ct
                 self.records.append({
-                    "type": "CIPHER", "session": session, "round": rid, "part": pid,
+                    "type": "CIPHER", "round": rid, "part": pid,
                     "O_count": count % q, "O_total": total % q, "c": c, "proof": text,
                 })
             if silent:   # no aggregate is taken, and the session stops
@@ -596,7 +588,7 @@ class Session:
         params, public, epoch = self.params, self.public, len(self.public.epochs)
         signed = [NO_SIGNED_ROOT if s is None else s for s in self.source.epoch(epoch)]
         for pid, s in zip(self.pids, signed, strict=True):
-            self.records.append(endorse_record(params, self.session, epoch, pid, s))
+            self.records.append(endorse_record(params, epoch, pid, s))
         keys, optouts = public.publics, public.optouts
         keyed = [(pid, s) for pid, s in zip(self.pids, signed) if pid in self.keyed]
         stmts = [endorse_statement(params, keys[pid], s.root, pid, epoch, optouts) for pid, s in keyed]
@@ -653,7 +645,7 @@ class Session:
         oks = self._check_proofs(stmts, proofs)
         for pid, proof, ok in zip(self.pids, proofs, oks, strict=True):   # n a node: a literal, not emit
             self.records.append({
-                "type": "DEMAND", "session": self.session, "node": node_id, "part": pid,
+                "type": "DEMAND", "node": node_id, "part": pid,
                 "ok": int(ok), "proof": zkp.proof_to_text(self.params, proof),
             })
         return [pid for pid, ok in zip(self.pids, oks) if not ok]

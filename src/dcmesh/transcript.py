@@ -2,14 +2,16 @@
 
 A transcript is newline-delimited ASCII: a header (format version,
 group, configuration and a digest binding them) followed by the
-sessions and a closing SUMMARY.  Each session opens with a SESSION
-record and its key records: every participant's signing key (PUBKEY),
-the pairs opted out for the whole session (OPTOUT) and every
-participant's signed root for epoch 0 (ENDORSE), whose signature also
-covers the signer's opted-out peers.  A later epoch's ENDORSE records,
-one per participant, sit in the session where the epoch was endorsed,
-before the first round that spends it.  A slot value is a pair: each
-CIPHER carries O_count and O_total, each AGGREGATE C_count and C_total.
+sessions and a closing SUMMARY.  A session is its SESSION record, the
+one record that names it, and the records up to the next one; no other
+record carries the session number.  It opens with its key records:
+every participant's signing key (PUBKEY), the pairs opted out for the
+whole session (OPTOUT) and every participant's signed root for epoch 0
+(ENDORSE), whose signature also covers the signer's opted-out peers.
+A later epoch's ENDORSE records, one per participant, sit in the
+session where the epoch was endorsed, before the first round that
+spends it.  A slot value is a pair: each CIPHER carries O_count and
+O_total, each AGGREGATE C_count and C_total.
 A CIPHER, DEMAND or ENDORSE proof (an ENDORSE's is its one-branch
 signature) is the lowercase hex of its (challenge, response) scalars,
 one pair per branch, or ``-`` where none is sent;
@@ -51,28 +53,28 @@ from operator import itemgetter
 
 from .errors import MalformedRecord
 
-FORMAT_VERSION = "v14"   # the format this engine writes, and the only one it reads
+FORMAT_VERSION = "v15"   # the format this engine writes, and the only one it reads
 
 # record type -> ordered field names; values are serialized as key=value
 _SCHEMA = {
     "DCMESH": ("version", "hash"),
     "GROUP": ("name", "p", "q", "generators", "tag"),
     "CONFIG": ("n", "payload_bits", "scenario"),
-    "PUBKEY": ("session", "part", "y"),
-    "OPTOUT": ("session", "lo", "hi"),
-    "ENDORSE": ("session", "epoch", "part", "root", "proof"),
+    "PUBKEY": ("part", "y"),
+    "OPTOUT": ("lo", "hi"),
+    "ENDORSE": ("epoch", "part", "root", "proof"),
     "HEADEREND": ("digest",),
     "SESSION": ("idx", "active", "budget"),
-    "ROUND": ("session", "id", "slot"),
-    "CIPHER": ("session", "round", "part", "O_count", "O_total", "c", "proof"),
-    "AGGREGATE": ("session", "round", "C_count", "C_total", "valid"),
-    "NODE": ("session", "id", "kind", "count", "total", "status", "threshold"),
-    "RESOLVED": ("session", "node", "payload"),
-    "PUBLISH": ("session", "slot", "part", "peer", "c", "path"),
-    "INVESTIGATION": ("session", "round"),
-    "DEMAND": ("session", "node", "part", "ok", "proof"),
-    "VERDICT": ("session", "part", "reason", "where"),
-    "BAN": ("session", "part"),
+    "ROUND": ("id", "slot"),
+    "CIPHER": ("round", "part", "O_count", "O_total", "c", "proof"),
+    "AGGREGATE": ("round", "C_count", "C_total", "valid"),
+    "NODE": ("id", "kind", "count", "total", "status", "threshold"),
+    "RESOLVED": ("node", "payload"),
+    "PUBLISH": ("slot", "part", "peer", "c", "path"),
+    "INVESTIGATION": ("round",),
+    "DEMAND": ("node", "part", "ok", "proof"),
+    "VERDICT": ("part", "reason", "where"),
+    "BAN": ("part",),
     "SUMMARY": (
         "sessions",
         "delivered",
@@ -95,7 +97,6 @@ _INT_FIELDS = {
     "hi",
     "idx",
     "budget",
-    "session",
     "epoch",
     "id",
     "slot",
@@ -127,7 +128,7 @@ def record(rtype: str, **fields):
     return {"type": rtype, **fields}
 
 
-# record type -> (its line as a % template, "CIPHER session=%s round=%s ...",
+# record type -> (its line as a % template, "CIPHER round=%s part=%s ...",
 # and the getter of its field values in schema order); %s spells an int
 # or a str as f"{v}" does
 _TEMPLATES = {

@@ -1,9 +1,31 @@
 import pytest
 
+from dcmesh import sim
 from dcmesh.errors import WitnessMismatch
 from dcmesh.groups import derive_params
 
 TAG = b"dc-mesh/v1"
+
+
+def session_records(transcript, k):
+    """Session k's records: its SESSION record, the one record that names
+    it, and the records after it up to the next SESSION record or the
+    SUMMARY."""
+    records, current = [], None
+    for rec in transcript.records:
+        if rec["type"] in ("SESSION", "SUMMARY"):
+            current = rec.get("idx")
+        if current == k:
+            records.append(rec)
+    return records
+
+
+class OutsideGroupParticipant(sim.HonestParticipant):
+    """Honest, but broadcasts p - c for its commitment c, outside the group."""
+
+    def broadcast(self, round_id, slot):
+        ct = super().broadcast(round_id, slot)
+        return ct._replace(commitment=self.params.p - ct.commitment)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from dcmesh import sim
 from dcmesh.cli import main
 from dcmesh.groups import derive_params
+from conftest import OutsideGroupParticipant
 
 
 def write_scenario(tmp_path, scenario, name="scenario.txt"):
@@ -236,10 +237,10 @@ def test_verify_names_the_aggregate_of_a_changed_tree(tmp_path, capsys):
     def add_count(lines):
         index = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER "))
         tokens = lines[index].split(" ")
-        assert tokens[4].startswith("O_count=")
+        assert tokens[3].startswith("O_count=")
         q = derive_params(HONEST.group, sim.DOMAIN_TAG).q
-        value = (int(tokens[4].split("=")[1]) + 1) % q
-        lines[index] = " ".join(tokens[:4] + [f"O_count={value}"] + tokens[5:])
+        value = (int(tokens[3].split("=")[1]) + 1) % q
+        lines[index] = " ".join(tokens[:3] + [f"O_count={value}"] + tokens[4:])
 
     code, lines, reported = _verify_edited(tmp_path, capsys, add_count)
     assert code == 2
@@ -308,16 +309,19 @@ def test_production_keygen_is_pinned(capsys):
     assert main(["keygen", "--group", "production", "--n", "3", "--seed", "1"]) == 0
     printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(printed).hexdigest() == (
-        "651a987114e22b65b4f21e09e93d05ad6322da66b1bcaded12a4e9cb22c8c9d7"
+        "e864fef2c6f8187453bd6b084491c6d6dad855a1479a5a5ea53393cb053dc452"
     )
 
 
 class _BadSigner(sim._Participants):
-    """Participant 1 hands the judge its epoch-0 root signed with s + 1."""
+    """Participant 1 hands the judge its epoch-0 root of session
+    ``bad_session`` signed with s + 1."""
+
+    bad_session = 1
 
     def epoch(self, k):
         signed = list(super().epoch(k))
-        if k == 0 and 1 in self.graph.participants:
+        if (self.session, k) == (self.bad_session, 0) and 1 in self.graph.participants:
             at = self.graph.participants.index(1)
             ((e, s),) = signed[at].proof
             signed[at] = signed[at]._replace(proof=((e, (s + 1) % self.graph.params.q),))
@@ -325,10 +329,10 @@ class _BadSigner(sim._Participants):
 
 
 @pytest.mark.parametrize("strategy, reason, trigger", [
-    ("bad_pad", "aggregate_mismatch", "PUBLISH session=1 slot=0 part=1 "),
-    ("refuse_proof", "non_cooperation", "CIPHER session=1 round=2 part=1 "),
-    ("wrong_branch", "wrong_branch", "DEMAND session=1 node=8 part=1 "),
-    (None, "bad_signature", "ENDORSE session=1 epoch=0 part=1 "),
+    ("bad_pad", "aggregate_mismatch", "PUBLISH slot=0 part=1 "),
+    ("refuse_proof", "non_cooperation", "CIPHER round=2 part=1 "),
+    ("wrong_branch", "wrong_branch", "DEMAND node=8 part=1 "),
+    (None, "bad_signature", "ENDORSE epoch=0 part=1 "),
 ], ids=["bad_pad", "refuse_proof", "wrong_branch", "bad_signature"])
 def test_verify_explain_names_each_verdicts_trigger(
     tmp_path, capsys, monkeypatch, strategy, reason, trigger
@@ -360,26 +364,42 @@ def test_verify_explain_names_each_verdicts_trigger(
     assert index == next(i for i, ln in enumerate(lines) if ln.startswith(trigger))
 
 
-class _OutsideGroupParticipant(sim.HonestParticipant):
-    """Honest, but broadcasts p - c for its commitment c, outside the group."""
-
-    def broadcast(self, round_id, slot):
-        ct = super().broadcast(round_id, slot)
-        return ct._replace(commitment=self.params.p - ct.commitment)
+def test_verify_explain_names_a_trigger_of_the_verdicts_own_session(tmp_path, capsys, monkeypatch):
+    # participant 2's bad pad ends session 1, and in session 2 participant
+    # 1 signs badly: its trigger is its epoch-0 ENDORSE record of session
+    # 2, not the one of session 1, whose line is the same up to the root
+    monkeypatch.setattr(_BadSigner, "bad_session", 2)
+    monkeypatch.setattr(sim, "_Participants", _BadSigner)
+    scenario = sim.Scenario(
+        n=3, senders=((0, 10), (1, 40)), adversaries=((2, "bad_pad"),), seed=4
+    )
+    out = str(tmp_path / "t.log")
+    assert main(["run", write_scenario(tmp_path, scenario), "--out", out]) == 2
+    lines = Path(out).read_text().splitlines()
+    second = lines.index(next(ln for ln in lines if ln.startswith("SESSION idx=2 ")))
+    endorse = [i for i, ln in enumerate(lines) if ln.startswith("ENDORSE epoch=0 part=1 ")]
+    assert endorse[0] < second < endorse[1]
+    capsys.readouterr()
+    assert main(["verify", "--explain", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [ln for ln in printed if "participant 1 " in ln] == [
+        f"verdict at record {lines.index('VERDICT part=1 reason=bad_signature where=epoch:0')}: "
+        f"participant 1 (bad_signature at epoch:0) triggered by record {endorse[1]}"
+    ]
 
 
 def test_verify_explain_names_the_cipher_outside_the_group(tmp_path, capsys, monkeypatch):
     # n = 4 at seed 2, senders 0, 1 and 2, with participant 3 broadcasting
     # p - c at round 1: its non_cooperation verdict is triggered by its
     # round-1 CIPHER record, record 17
-    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", _OutsideGroupParticipant)
+    monkeypatch.setitem(sim._STRATEGY_CLASSES, "refuse_proof", OutsideGroupParticipant)
     scenario = sim.Scenario(
         n=4, senders=((0, 36), (1, 11), (2, 28)), adversaries=((3, "refuse_proof"),), seed=2
     )
     out = str(tmp_path / "t.log")
     assert main(["run", write_scenario(tmp_path, scenario), "--out", out]) == 2
     lines = Path(out).read_text().splitlines()
-    assert lines[17].startswith("CIPHER session=1 round=1 part=3 ")
+    assert lines[17].startswith("CIPHER round=1 part=3 ")
     capsys.readouterr()
     assert main(["verify", "--explain", out]) == 0
     (line, clean) = capsys.readouterr().out.splitlines()

@@ -96,7 +96,7 @@ def _swap_proof(records):
     CIPHER's proof, of the same round."""
     i = next(i for i, rec in enumerate(records) if rec["type"] == "CIPHER" and _has_proof(rec))
     j = next(j for j in range(i + 1, len(records)) if records[j]["type"] == "CIPHER")
-    assert records[j]["session"] == records[i]["session"]
+    assert all(rec["type"] != "SESSION" for rec in records[i:j])   # one session
     assert records[j]["round"] == records[i]["round"]
     assert records[j]["proof"] != records[i]["proof"]
     records[i] = {**records[i], "proof": records[j]["proof"]}

@@ -3,14 +3,18 @@ honest runs that once issued verdicts."""
 
 import random
 from collections import Counter
+from functools import cache
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcmesh import sim
 from dcmesh.errors import MalformedRecord
+from dcmesh.keysetup import EPOCH_SLOTS
 from dcmesh.splitter import threshold
 from dcmesh.transcript import _SCHEMA, Transcript, line_to_record, record_to_line
+from conftest import session_records
 
 
 @st.composite
@@ -52,16 +56,6 @@ def assert_honest_run_served(scenario, transcript):
             assert int(r["threshold"]) == threshold(r["count"], r["total"]), r
 
 
-def session_rounds(transcript):
-    """(active participants, transmitted rounds) of each session."""
-    rounds = Counter(r["session"] for r in transcript.records if r["type"] == "ROUND")
-    return [
-        (len(r["active"].split(",")), rounds[r["idx"]])
-        for r in transcript.records
-        if r["type"] == "SESSION"
-    ]
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(accepted_scenarios())
 def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
@@ -70,26 +64,21 @@ def test_every_accepted_configuration_runs_to_a_recorded_end(scenario):
     assert report.clean, report.divergences[:3]
     flagged = {r["part"] for r in transcript.records if r["type"] == "VERDICT"}
     assert flagged <= {pid for pid, _ in scenario.adversaries}
-    # the splitter's bound on a session of n participants
+    sessions = [r for r in transcript.records if r["type"] == "SESSION"]
     bits = scenario.payload_bits
-    for n, rounds in session_rounds(transcript):
-        assert rounds <= n + (2 * n - 1) * (bits + 1), (n, rounds)
-    # the judge's slot schedule: a session's rounds take slots 0, 1, ...,
-    # one each, all within the slots its epochs endorsed
-    budgets = {r["idx"]: r["budget"] for r in transcript.records if r["type"] == "SESSION"}
-    slots = {session: [] for session in budgets}
-    for r in transcript.records:
-        if r["type"] == "ROUND":
-            slots[r["session"]].append(r["slot"])
-    for session, used in slots.items():
-        assert used == list(range(len(used))) and len(used) <= budgets[session], (session, used)
+    banned = {}
+    for head in sessions:
+        records = session_records(transcript, head["idx"])
+        # the splitter's bound on a session of n participants
+        n = len(head["active"].split(","))
+        used = [r["slot"] for r in records if r["type"] == "ROUND"]
+        assert len(used) <= n + (2 * n - 1) * (bits + 1), (n, len(used))
+        # the judge's slot schedule: a session's rounds take slots 0, 1, ...,
+        # one each, all within the slots its epochs endorsed
+        assert used == list(range(len(used))) and len(used) <= head["budget"], (head, used)
+        banned[head["idx"]] = {r["part"] for r in records if r["type"] == "BAN"}
     # the runner's stop rule, which verify applies too: a session follows
     # only one that banned someone but not everyone, over its survivors
-    sessions = [r for r in transcript.records if r["type"] == "SESSION"]
-    banned = {r["idx"]: set() for r in sessions}
-    for r in transcript.records:
-        if r["type"] == "BAN":
-            banned[r["session"]].add(r["part"])
     for first, second in zip(sessions, sessions[1:]):
         active = first["active"].split(",")
         survivors = [pid for pid in active if int(pid) not in banned[first["idx"]]]
@@ -124,6 +113,144 @@ def test_which_honest_participants_send_changes_no_public_record(scenario, data)
     assume(other.senders != scenario.senders)
     other.validate()
     assert sender_free_view(sim.run_scenario(other)) == sender_free_view(sim.run_scenario(scenario))
+
+
+# ---------------------------------------------------------------------------
+# untraceability through whole sessions: two senders swap payloads, and a
+# bijection of the key space leaves every record but the proofs as it was
+
+
+@cache
+def _h_logs(params):
+    """x for each h^x of the group, a lookup table of its discrete logs."""
+    logs, power = {}, 1
+    for x in range(params.q):
+        logs[power] = x
+        power = power * params.h % params.p
+    return logs
+
+
+def _swapped_runs(scenario, a, b):
+    """The scenario's run, and its run with senders a and b holding each
+    other's payloads under mapped keys, with each participant's content
+    (its broadcast less its pad sum) per (session, slot) in each run.
+
+    The map, per slot of each epoch of each session: with D a's content
+    in the first run less b's there, which is a's content in the first
+    run less its content in the second, the edge (a, b)'s count and
+    total keys move by D with the sign of a's end, and its blinding
+    value by -delta, h^delta = g^D_count * f^D_total.  So every
+    broadcast, edge commitment, root and signature stays, and only the
+    provers' witnesses differ."""
+    params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
+    q, logs = params.q, _h_logs(params)
+    lo, hi = sorted((a, b))
+    sign = 1 if a == lo else -1
+    first, second = {}, {}
+
+    class Recorder(sim._Participants):
+        contents = first
+
+        def broadcast(self, round_id, slot):
+            cts = super().broadcast(round_id, slot)
+            self.contents[self.session, slot] = {
+                p.pid: tuple((o - k) % q for o, k in zip(ct.value, p.view.pad_sum(slot)))
+                for p, ct in zip(self.participants, cts)
+            }
+            return cts
+
+    class Swapped(Recorder):
+        contents = second
+
+        def __init__(self, params, scenario, active, pending, session):
+            pending = dict(pending)
+            assert (a in pending) == (b in pending)
+            if a in pending:
+                pending[a], pending[b] = pending[b], pending[a]
+            super().__init__(params, scenario, active, pending, session)
+
+        def epoch(self, k):
+            signed = super().epoch(k)
+            epoch = self.graph.epochs[k]
+            edge = epoch.edges[lo, hi]
+            keys = [list(edge.count_keys), list(edge.total_keys), list(edge.blinds)]
+            for i in range(EPOCH_SLOTS):
+                contents = first.get((self.session, k * EPOCH_SLOTS + i))
+                if contents is None:
+                    continue
+                d = [(x - y) % q for x, y in zip(contents[a], contents[b])]
+                shift = params.g_table.power(d[0]) * params.f_table.power(d[1]) % params.p
+                keys[0][i] += sign * d[0]
+                keys[1][i] += sign * d[1]
+                keys[2][i] -= sign * logs[shift]
+            count_keys, total_keys, blinds = (tuple(x % q for x in column) for column in keys)
+            mapped = edge._replace(count_keys=count_keys, total_keys=total_keys, blinds=blinds)
+            remade = self.graph.sign_epoch({**epoch.edges, (lo, hi): mapped}, k, random.Random(0))
+            # the mapped keys commit to what the keys did, so every participant's commitments stay
+            assert [s.commitments for s in remade.shares] == [s.commitments for s in epoch.shares]
+            self.graph.epochs[k] = remade._replace(signed=signed)
+            return signed
+
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for source in (Recorder, Swapped):
+            patch.setattr(sim, "_Participants", source)
+            runs.append(sim.run_scenario(scenario))
+    return *runs, first, second
+
+
+def _without_proofs(transcript):
+    """Every record, with no ``proof`` or ``bind`` field."""
+    return [
+        {k: v for k, v in rec.items() if k not in ("proof", "bind")}
+        for rec in transcript.header + transcript.records
+    ]
+
+
+def assert_swap_is_untraceable(scenario, a, b):
+    """The swapped run writes every record of the run, proofs and
+    ``bind`` aside, and verifies clean; a and b did swap their contents.
+    Returns the first run's contents."""
+    before, after, first, second = _swapped_runs(scenario, a, b)
+    assert first.keys() == second.keys()
+    for slot, contents in first.items():
+        assert (second[slot][a], second[slot][b]) == (contents[b], contents[a]), slot
+    assert _without_proofs(after) == _without_proofs(before)
+    assert sim.verify_transcript(after).clean
+    return first
+
+
+@st.composite
+def swap_cases(draw):
+    """A test_small scenario at payload_bits 3 with n <= 3 and at least
+    two honest senders, and the two of them that swap payloads."""
+    n = draw(st.integers(2, 3))
+    pids = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    senders = tuple(sorted((pid, draw(st.integers(0, 7))) for pid in pids))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    scenario = sim.Scenario(n=n, senders=senders, seed=seed, group="test_small", payload_bits=3)
+    return scenario, pids[0], pids[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(swap_cases())
+def test_two_senders_swapping_payloads_change_no_record_but_proofs(case):
+    assert_swap_is_untraceable(*case)
+
+
+def test_a_swap_across_an_epoch_and_an_investigation_changes_no_record_but_proofs():
+    # test_medium: nine distinct payloads take nine rounds, so epoch 1 is
+    # endorsed mid-session, and 7 sends at its slot 8, so the map moves its keys too
+    crossing = sim.Scenario(n=9, senders=tuple((pid, 3 + 7 * pid) for pid in range(9)), seed=0)
+    contents = assert_swap_is_untraceable(crossing, 0, 7)
+    assert any(c[0] != c[7] for (_, slot), c in contents.items() if slot >= EPOCH_SLOTS)
+    # a bad pad's investigation reveals edge commitments, which the map
+    # keeps, and the senders swap again in the re-keyed session 2
+    bad_pad = sim.Scenario(
+        n=4, senders=((0, 36), (1, 11), (2, 28)), adversaries=((3, "bad_pad"),), seed=2
+    )
+    contents = assert_swap_is_untraceable(bad_pad, 0, 1)
+    assert {session for session, _ in contents} == {1, 2}
 
 
 def test_honest_random_payloads_at_four_retries_are_never_blamed():

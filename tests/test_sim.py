@@ -21,6 +21,7 @@ from dcmesh.transcript import (
     record,
     record_to_line,
 )
+from conftest import OutsideGroupParticipant, session_records
 from test_edited_transcripts import resealed, sign_under_negated_key
 
 # hex digits of one commitment, and of the edge's other commitments that
@@ -126,56 +127,56 @@ EPOCH_CROSSING = sim.Scenario(
 )
 PINNED_TRANSCRIPTS = [
     (sim.REFERENCE_SCENARIO,
-     "a68bbab92f18825df8c46344c108728344189a17868309d0e28a3659a303700e"),
+     "189f4066de197ca3aca217744ce28082b8607a3789c712927c67b749b0e2a82a"),
     (sim.Scenario(n=2, seed=1),
-     "39d2024b91963e49e332557c37808f87716bba9e5ca05c6693af6bef88641b58"),
+     "faeca41be5eefe25ea2faa566e926502b0f6857f299843fa193adbace683b1e8"),
     (sim.Scenario(n=3, senders=((1, 99),), seed=1),
-     "dcaf83dc5b5985e317798d77d68b17248a9b6ab76f007d1ca37a67981a4bc949"),
+     "81300f302e3bf0cd338f2069b5fd41aed8cd541fd94567ea5e01efbf58f66c94"),
     (sim.Scenario(n=2, senders=((0, 7), (1, 7)), seed=5),
-     "632169695165805fefecb62b7fce113ef16e518f7dcec7727157b7366c0ed302"),
+     "4c87f8124a1d4fcaaffbd16cfcba5265b35e69abbf0a575f6cd5a29629f71451"),
     (sim.Scenario(n=4, senders=((0, 3), (1, 60), (2, 80), (3, 100)),
                   adversaries=((0, "mutate_message"),), seed=2),
-     "26b255419e977d757feeb4f1bb037113403666e9cc8ab7093f3ea391218e200d"),
+     "374d1ecf0358bac10c747d5f6f42f109c54c0dbf760fa5574d0a7ba232c9ea78"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((3, "bad_pad"),), seed=2),
-     "edb34296688975a7ddce24de4ee286f466c757cec19dc959b55a02758c5a738f"),
+     "33c8bbdbd6b83db8133eb2d9294db06e7a2b943179fc96a318993e21bedec042"),
     (sim.Scenario(n=2, senders=((0, 10), (1, 40)),
                   adversaries=((1, "wrong_branch"),), seed=2),
-     "9de405e6362394a7b5dfb6ea374fc3e776f0fc4f70131a8850e04793c215d434"),
+     "d56cccc7a394c15f946295329bde6a6250c574b5202dea6052d5bd9a17f30f3a"),
     (sim.Scenario(n=3, senders=((0, 10), (1, 20), (2, 7)),
                   adversaries=((2, "bad_slot_count"),), seed=2),
-     "8fa64e2de3e5db42f63f8d8e45fb42ea8e4d61831ef7d4a871eec1890bae1e99"),
+     "b1474f63b771cc6a3dbb7f12c3fedc535f09d6d0a4526c43a5419f58b081d8fd"),
     (sim.Scenario(n=4, senders=((0, 36), (1, 11), (2, 28)),
                   adversaries=((3, "refuse_signature"),), seed=2),
-     "3ce9d798603a8db15d12bf5184eebce204a17fe8763a88f5d9eb37a7188afb42"),
+     "ddc5c278b49b3ee405cf93a3953fa12c81790f5f947e227b0fc0fc4961c2187e"),
     # honest, n=16: 120 edges endorsed per epoch
     (sim.Scenario(n=16, senders=((0, 3), (2, 14), (5, 15), (7, 92), (9, 65), (11, 35),
                                  (13, 8), (15, 9)), seed=11),
-     "93a40813301c33fc9958dac214362f40821f4d39e4bd687044b10a62585ae73f"),
+     "677fad532d127595c7ea51ab4ce06ee0d43ffe8266a9185b0d92f30dcec9c123"),
     # an investigation: 132 PUBLISH records with their paths, then a re-keyed session
     (sim.Scenario(n=12, senders=((0, 36), (1, 11), (3, 28), (5, 17), (8, 38), (10, 4)),
                   adversaries=((6, "bad_pad"),), seed=3),
-     "733d8fc21633c1f5002843f19c1e28fcddc4d50ea79fd13a408ce96811a2a9d4"),
+     "82cd92886cf5c0bcc1bf15bddb33fd7f020310f8ab4f15c9bd258d02eb84cf89"),
     # a malformed slot bisected over 11 slots: epoch 1 is endorsed mid-session
     (EPOCH_CROSSING,
-     "af966b6215fbbe6013aef7e9f990a04ff9b148525ddc8c696f4fe04f199a7ef2"),
+     "e561471e684bcf89cce9e479f3077f06021fa44f257b691dd599670d55696b75"),
     # a refuser in mid-row, whose edges draw nothing, and a malformed slot
     # blamed after six rounds
     (sim.Scenario(n=6, senders=((0, 9), (3, 40), (4, 100), (5, 200)),
                   adversaries=((1, "refuse_signature"), (4, "bad_slot_count")),
                   seed=0, max_retries=14),
-     "bdc158babf8eae9e565b1f1cc22964ed1ad0ac3942a3cbbffe6ee379b84d9587"),
+     "2cf2dcaed09ea67cee2ad72859df0b9bad022588eb97f7b84be0291d5cacad62"),
     # the three forged or withheld proofs the strategies above leave out:
     # an injected copy caught at round 6, a fresh message caught at
     # round 2, and a withheld proof at round 2
     (sim.Scenario(n=4, senders=((0, 10), (1, 20), (2, 30), (3, 5)),
                   adversaries=((3, "double_branch"),), seed=9),
-     "b93f5a8f5342e16291625e0673c6f8002b30d1455288492a643467e6fcabd9eb"),
+     "ce1ec1e1448209526b93697b95d70f6e12466ff4626bf142876ddd768a56f312"),
     (sim.Scenario(n=5, senders=((0, 36), (1, 11), (2, 28), (3, 17)),
                   adversaries=((4, "late_injection"),), seed=9),
-     "e889f84a0bf05572a49b8e8a7e13145511b0f99c17988c6239089889b13f0167"),
+     "ee970a336b120d971212cb328e158c353222117ff22860f373f40e5cdd6f735f"),
     (sim.Scenario(n=5, senders=BASE_SENDERS, adversaries=((2, "refuse_proof"),), seed=9),
-     "f9acabdaf2b93e06b5135aa3cf02c45c2a824cc2575bb7fcc3ba90878e76ddfa"),
+     "c5d6f36210b547439c9945c98976932cb8ae7f1df1e0e36a45536237ac7db5a7"),
 ]
 
 
@@ -186,6 +187,24 @@ PINNED_TRANSCRIPTS = [
 def test_transcripts_are_byte_identical_to_pinned(scenario, digest):
     text = sim.run_scenario(scenario).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+def test_no_proof_pair_repeats_across_sessions(strategy):
+    # each session forks its participants' randomness apart: a (challenge,
+    # response) pair drawn again is a simulated branch seen twice, which
+    # names the real branch of both proofs; session 2 once drew session
+    # 1's nonces and simulated pairs again, 8 repeats under double_branch
+    # and 4 each under mutate_message, late_injection and refuse_proof
+    scenario = sim.Scenario(
+        n=5, senders=((0, 36), (1, 11), (2, 28), (3, 50)), adversaries=((3, strategy),), seed=2
+    )
+    pairs = Counter(
+        pair
+        for rec in sim.run_scenario(scenario).records if rec["type"] in ("CIPHER", "DEMAND")
+        for pair in zkp.proof_from_text(_MEDIUM, rec["proof"]) or ()
+    )
+    assert [pair for pair, count in pairs.items() if count > 1] == []
 
 
 def _bench_workloads():
@@ -202,9 +221,9 @@ def _bench_workloads():
 # in pool order: 136 scenarios, so a refactor that keeps every transcript
 # byte-identical keeps these
 POOL_DIGESTS = {
-    "wide_honest": "2382f712eb796c8a6c12980c046a50e4aeff7bc6a01be84bec012f3ac265dcd4",
-    "narrow_poll": "47811fb3ffba754de0004ff2923eb353ad75edb34f8d0cd597503a38fe42aee3",
-    "disrupted": "810a28bf95071b11fef38880210a0101f709f750f86455d3df6e690a875ae273",
+    "wide_honest": "ed501159a0dde52bc5111fad2a795baaa2710360100420afba8f6267acba50f8",
+    "narrow_poll": "e8d7121101fc2c1a1f0a0c654405fa357ea75a4ea1036e3a6502cfcca84d4ad1",
+    "disrupted": "a3acae795cb6f6f9fca9a93130de8bf9cec13a2143952c3acae35afcd7a960d1",
 }
 
 
@@ -274,25 +293,26 @@ def test_a_transcript_has_one_text(spelling):
 def test_record_line_parse_errors():
     from dcmesh.transcript import line_to_record
 
+    assert line_to_record("BAN part=2", 0) == {"type": "BAN", "part": 2}
     with pytest.raises(MalformedRecord):
         line_to_record("NOPE a=1", 0)  # unknown type
     with pytest.raises(MalformedRecord):
-        line_to_record("BAN session=1", 0)  # missing field
+        line_to_record("BAN", 0)  # missing field
     with pytest.raises(MalformedRecord):
-        line_to_record("BAN session=1 peer=2", 0)  # wrong field name
+        line_to_record("BAN peer=2", 0)  # wrong field name
     with pytest.raises(MalformedRecord):
-        line_to_record("BAN session=1 part=x", 0)  # non-integer
+        line_to_record("BAN part=x", 0)  # non-integer
     with pytest.raises(MalformedRecord):
-        line_to_record("BAN session=1 part", 0)  # not key=value
+        line_to_record("BAN part", 0)  # not key=value
     for spelling in ("09", "+9", "0_9", "-0", "\u0661\u0662"):  # int() accepts these
         with pytest.raises(MalformedRecord):
-            line_to_record(f"BAN session=1 part={spelling}", 0)
-    for line in ("BAN session=1 part=2 ", "BAN session=1  part=2"):  # a trailing or doubled space
+            line_to_record(f"BAN part={spelling}", 0)
+    for line in ("BAN part=2 ", "BAN  part=2"):  # a trailing or doubled space
         with pytest.raises(MalformedRecord):
             line_to_record(line, 0)
     # canonical, but past the digits int() converts (4,300 by default)
     with pytest.raises(MalformedRecord):
-        line_to_record(f"BAN session=1 part={'9' * 5000}", 0)
+        line_to_record(f"BAN part={'9' * 5000}", 0)
 
 
 def test_transcript_of_another_format_version_is_malformed():
@@ -476,7 +496,7 @@ def test_malformed_cipher_proof_is_invalid_proof(monkeypatch):
         assert verdicts_of(t) == [(2, "invalid_proof")], shape
         digests[shape] = hashlib.sha256(t.to_text().encode()).hexdigest()
     assert digests["short"] == (
-        "d01c8aaa67eadd5730ee8f9282b59fdbae4718c44dd79c525f79a1b75b0f5894"
+        "cfc073dcec6b32ee3f6f779c0b876ca2838bca9d8b47bc1253650276fd75978e"
     )
 
 
@@ -702,13 +722,13 @@ def test_mixed_cipher_round_gives_each_participant_its_own_verdict(monkeypatch):
     # proofs after it: each bad participant gets exactly its verdict and
     # every honest one passes, in the one round where all of them fail
     t = run(_mixed_round_scenario(monkeypatch, "cipher", ((0, 10), (2, 40), (5, 70))))
-    first = [r for r in t.records if r["type"] == "VERDICT" and r["session"] == 1]
+    first = [r for r in session_records(t, 1) if r["type"] == "VERDICT"]
     expected = [
         (pid, "non_cooperation" if shape == "none" else "invalid_proof", "round:2")
         for pid, shape in MIXED_SHAPES.items()
     ]
     assert [(r["part"], r["reason"], r["where"]) for r in first] == expected
-    ciphers = [r for r in t.records if r["type"] == "CIPHER" and r["session"] == 1]
+    ciphers = [r for r in session_records(t, 1) if r["type"] == "CIPHER"]
     assert max(r["round"] for r in ciphers) == 2
     assert summary_of(t)["proofs_failed"] == len(MIXED_SHAPES)
     # the honest participants go on alone and deliver every payload
@@ -724,12 +744,12 @@ def test_mixed_demand_round_fails_only_the_bad_responders(monkeypatch):
     # round there, only the malformed claims fail, and the node bisects
     # down to [9, 10), where every failer is blamed
     t = run(_mixed_round_scenario(monkeypatch, "demand", ((0, 9), (8, 9))))
-    demands = [r for r in t.records if r["type"] == "DEMAND" and r["session"] == 1]
+    demands = [r for r in session_records(t, 1) if r["type"] == "DEMAND"]
     assert demands
     for node in {r["node"] for r in demands}:
         responses = [(r["part"], r["ok"]) for r in demands if r["node"] == node]
         assert responses == [(pid, int(pid in MIXED_HONEST)) for pid in range(12)]
-    first = [r for r in t.records if r["type"] == "VERDICT" and r["session"] == 1]
+    first = [r for r in session_records(t, 1) if r["type"] == "VERDICT"]
     assert [(r["part"], r["reason"]) for r in first] == [
         (pid, "unequal_payload") for pid in MIXED_SHAPES
     ]
@@ -870,7 +890,7 @@ def test_optout_records_are_signed():
         index, message = report.divergences[0]
         assert index == len(transcript.header) + after
         assert message.endswith(
-            "recomputed VERDICT session=1 part=0 reason=bad_signature where=epoch:0"
+            "recomputed VERDICT part=0 reason=bad_signature where=epoch:0"
         )
 
 
@@ -918,7 +938,7 @@ def test_lying_holder_blamed_at_an_equal_payload_node(monkeypatch):
     assert [r["active"] for r in sessions] == ["0,1,2,3", "0,1,3"]
     delivered = Counter(r["payload"] for r in t.records if r["type"] == "RESOLVED")
     assert delivered == Counter({9: 2, 40: 1})
-    first = [r for r in t.records if r["type"] == "DEMAND" and r["session"] == 1]
+    first = [r for r in session_records(t, 1) if r["type"] == "DEMAND"]
     assert [(r["part"], r["ok"]) for r in first] == [(0, 1), (1, 1), (2, 0), (3, 1)]
 
 
@@ -1105,7 +1125,7 @@ def test_every_field_mutation_detected():
     assert not missed, missed
     # every other mutation is named as a divergence
     assert not malformed, malformed
-    assert later_endorse_fields == {"session", "epoch", "part", "root", "proof"}
+    assert later_endorse_fields == {"epoch", "part", "root", "proof"}
     assert publish_paths == 6
     # the pair slot's fields, and the equal-payload check's records
     assert {("CIPHER", "O_count"), ("CIPHER", "O_total")} <= mutated_fields
@@ -1118,8 +1138,8 @@ def test_every_field_mutation_detected():
     ] * 3
     assert {r["node"] for r in checked} == {node["id"]}
     for rtype, fields in (
-        ("DEMAND", {"session", "node", "part", "ok", "proof"}),
-        ("RESOLVED", {"session", "node", "payload"}),
+        ("DEMAND", {"node", "part", "ok", "proof"}),
+        ("RESOLVED", {"node", "payload"}),
     ):
         assert {key for (t, key) in mutated_fields if t == rtype} == fields, rtype
 
@@ -1131,13 +1151,16 @@ DIGEST_FIELDS = {("HEADEREND", "digest"), ("SUMMARY", "bind")}
 def _failed_proof(transcript, rec) -> bool:
     """Whether ``rec`` carries a proof that had already failed in its run:
     a DEMAND with ok=0, or a CIPHER whose participant got invalid_proof
-    at its round."""
+    at its round, in its session."""
     if rec["type"] == "DEMAND":
         return rec["ok"] == 0
+    count = summary_of(transcript)["sessions"]
+    sessions = (session_records(transcript, k) for k in range(1, count + 1))
     return rec["type"] == "CIPHER" and any(
-        v["type"] == "VERDICT" and v["session"] == rec["session"] and v["part"] == rec["part"]
+        v["type"] == "VERDICT" and v["part"] == rec["part"]
         and (v["reason"], v["where"]) == ("invalid_proof", f"round:{rec['round']}")
-        for v in transcript.records
+        for session in sessions if any(r is rec for r in session)
+        for v in session
     )
 
 
@@ -1187,7 +1210,7 @@ def test_every_resealed_field_mutation_detected():
                     malformed.append(where)
     assert not missed, missed
     assert not malformed, malformed
-    assert outcomes == {"divergent": 825, "malformed": 6, "clean": 7}
+    assert outcomes == {"divergent": 682, "malformed": 6, "clean": 7}
     # five path mutations of each of the six PUBLISH records, every one divergent
     assert paths == {"divergent": 30}
     # six digest fields, and participant 1's failed DEMAND proof in EPOCH_CROSSING
@@ -1285,7 +1308,7 @@ def test_a_pubkey_outside_the_range_is_a_bad_signature_on_verify(value, medium):
     text, _ = _edited_first("PUBKEY", "y", str(spelled.get(value, value)))
     report = sim.verify_transcript(Transcript.from_text(text))
     assert not report.clean
-    verdict = "recomputed VERDICT session=1 part=0 reason=bad_signature where=epoch:0"
+    verdict = "recomputed VERDICT part=0 reason=bad_signature where=epoch:0"
     assert any(message.endswith(verdict) for _, message in report.divergences), report.divergences
 
 
@@ -1639,14 +1662,6 @@ def test_the_judge_reads_a_broadcast_slot_mod_q(monkeypatch, medium):
     assert report.divergences[0][0] == len(transcript.header) + index == 14
 
 
-class _OutsideGroupParticipant(sim.HonestParticipant):
-    """Honest, but broadcasts p - c for its commitment c, outside the group."""
-
-    def broadcast(self, round_id, slot):
-        ct = super().broadcast(round_id, slot)
-        return ct._replace(commitment=self.params.p - ct.commitment)
-
-
 class _ZeroAtRoundTwoParticipant(sim.HonestParticipant):
     """Honest, but broadcasts the commitment 0 at round 2."""
 
@@ -1661,8 +1676,8 @@ def test_a_commitment_outside_the_group_is_judged_as_on_replay(monkeypatch):
     # is taken: each is a missing broadcast, a non_cooperation verdict at
     # its round, in the run as on replay, and the others' payloads arrive
     cases = [
-        (_OutsideGroupParticipant, (3,), [(3, "non_cooperation", "round:1")]),
-        (_OutsideGroupParticipant, (2, 3),
+        (OutsideGroupParticipant, (3,), [(3, "non_cooperation", "round:1")]),
+        (OutsideGroupParticipant, (2, 3),
          [(2, "non_cooperation", "round:1"), (3, "non_cooperation", "round:1")]),
         (_ZeroAtRoundTwoParticipant, (2,), [(2, "non_cooperation", "round:2")]),
     ]
@@ -1716,10 +1731,10 @@ class _AbsentEntrySource(sim._Participants):
 
 @pytest.mark.parametrize("call, scenario, verdict, spelled", [
     ("broadcast", HONEST_RUN, (3, "non_cooperation", "round:2"),
-     "CIPHER session=1 round=2 part=3 O_count=0 O_total=0 c=0 proof=-"),
+     "CIPHER round=2 part=3 O_count=0 O_total=0 c=0 proof=-"),
     ("publish", BAD_PAD_RUN, (3, "non_cooperation", "round:1"), None),
     ("epoch", HONEST_RUN, (3, "bad_signature", "epoch:0"),
-     "ENDORSE session=1 epoch=0 part=3 root= proof=-"),
+     "ENDORSE epoch=0 part=3 root= proof=-"),
 ], ids=["broadcast", "reveal_map", "signed_root"])
 def test_an_absent_entry_is_judged_as_a_value_a_rule_rejects(
     monkeypatch, call, scenario, verdict, spelled
@@ -1732,7 +1747,10 @@ def test_an_absent_entry_is_judged_as_a_value_a_rule_rejects(
     monkeypatch.setattr(sim, "_Participants", _AbsentEntrySource)
     t = run(scenario)
     assert verdict_places(t) == [verdict]
-    resolved = [(r["session"], r["payload"]) for r in t.records if r["type"] == "RESOLVED"]
+    resolved = [
+        (k, r["payload"]) for k in range(1, summary_of(t)["sessions"] + 1)
+        for r in session_records(t, k) if r["type"] == "RESOLVED"
+    ]
     assert sorted(resolved) == sorted((2, payload) for _, payload in scenario.senders)
     lines = t.to_text().splitlines()
     if spelled is None:   # 3 reveals nothing: no PUBLISH record of its own
@@ -1762,7 +1780,7 @@ def test_a_round_that_is_not_valid_asks_for_no_proof(monkeypatch):
         n=4, senders=BAD_PAD_RUN.senders, adversaries=((3, "refuse_proof"),), seed=2
     ))
     assert verdict_places(t) == [(3, "aggregate_mismatch", "round:2")]
-    first = [r for r in t.records if r["type"] in ("CIPHER", "AGGREGATE") and r["session"] == 1]
+    first = [r for r in session_records(t, 1) if r["type"] in ("CIPHER", "AGGREGATE")]
     assert [(r["type"], r["round"]) for r in first if r["type"] == "AGGREGATE"] == [
         ("AGGREGATE", 1), ("AGGREGATE", 2)
     ]
@@ -1863,11 +1881,11 @@ def test_session_after_everyone_is_banned_is_not_clean():
     # match, must diverge at its SESSION record
     transcript = sim.run_scenario(sim.Scenario(n=1, adversaries=((0, "bad_pad"),)))
     lines = transcript.to_text().split("\n")
-    assert lines[-3] == "BAN session=1 part=0"   # the last record before the SUMMARY
+    assert lines[-3] == "BAN part=0"   # the last record before the SUMMARY
     forged = [
         f"SESSION idx=2 active= budget={EPOCH_SLOTS}",
-        "ROUND session=2 id=1 slot=0",
-        "AGGREGATE session=2 round=1 C_count=0 C_total=0 valid=1",
+        "ROUND id=1 slot=0",
+        "AGGREGATE round=1 C_count=0 C_total=0 valid=1",
     ]
     text = "\n".join(lines[:-2] + forged + lines[-2:])
     report = sim.verify_transcript(Transcript.from_text(text))
@@ -1948,7 +1966,7 @@ def test_session_after_a_session_without_a_ban_diverges():
     transcript = sim.run_scenario(scenario)
     body, summary = transcript.records[:-1], dict(transcript.records[-1])
     assert [r["idx"] for r in body if r["type"] == "SESSION"] == [1, 2]
-    assert [r["session"] for r in body if r["type"] == "BAN"] == [1]
+    assert [k for k in (1, 2) for r in session_records(transcript, k) if r["type"] == "BAN"] == [1]
     params = sim.derive_params(scenario.group, sim.DOMAIN_TAG)
     tag = sim._session_tag(transcript.header[-1]["digest"], 3)
     outcome = sim._play_session(params, scenario, [0, 1, 2], {0: 36}, 3, tag)
@@ -2030,7 +2048,7 @@ def test_an_out_of_order_optout_diverges_at_its_own_record():
     body = transcript.records
     keys = body[1:9]
     assert [rec["type"] for rec in keys] == ["PUBKEY"] * 4 + ["ENDORSE"] * 4
-    edited = body[:5] + [record("OPTOUT", session=1, lo=3, hi=1)] + body[5:]
+    edited = body[:5] + [record("OPTOUT", lo=3, hi=1)] + body[5:]
     text = resealed(transcript.header, edited, "bind")
     report = sim.verify_transcript(Transcript.from_text(text))
     base = len(transcript.header)
@@ -2150,7 +2168,7 @@ def test_production_group_end_to_end():
     )
     transcript = sim.run_scenario(scenario)
     assert hashlib.sha256(transcript.to_text().encode()).hexdigest() == (
-        "38f63bd9ab74bfa03e611f58cce62c5ff9c4a7ffd26cd872c50d605657b37e9f"
+        "af1181b00ef27f87e48e01c729246ded61ba002b57f5704d00c4ffa27e6bb333"
     )
     assert verdicts_of(transcript) == []
     assert summary_of(transcript)["delivered"] == 2
