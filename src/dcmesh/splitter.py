@@ -37,13 +37,14 @@ emits names the session, and none of them does.  Only the judge keeps
 target maps, one no-message target per participant and tree node,
 built from the public broadcasts; it builds every statement from them
 once, hands each participant its statement to prove, and checks a
-round's proofs, or a DEMAND round's, in one call.  A statement's context is the session
-tag (the digest of the transcript header's DCMESH, GROUP and CONFIG
-lines, and the session number), then its role, participant and round
-or node, ``|retrans|pid|r`` or ``|denial|pid|k``; its challenge hashes
-that context with the group, the targets and the announcements (see
-:mod:`dcmesh.zkp`), so every proof binds the whole header.  A
-participant proves every statement by one rule,
+round's proofs, or a DEMAND round's, in one call.  A statement's
+context is the session tag (the digest of the transcript header's
+DCMESH, GROUP and CONFIG lines, and the session number), then its
+role, participant and round or node, ``|retrans|pid|r`` or
+``|denial|pid|k``; its challenge hashes that context with the group,
+the targets and the announcements (see :mod:`dcmesh.zkp`), so every
+proof binds the whole header.  A participant proves every statement
+by one rule,
 :func:`prove_node_denial`: it lists the (branch, witness) pairs it
 could prove, its true branch first, and proves the first whose
 witness holds.  A split that survives those
