@@ -18,10 +18,13 @@ class NotACollision(DcMeshError):
 
 
 class ProtocolOrderViolation(DcMeshError):
-    """A recorded input is not the one the session judge asks for next.
+    """A recorded input, at ``index`` in its session's records, is not
+    the one the session judge asks for next.  Only the verifier's replay
+    raises it, to stop the judge; verify reports it."""
 
-    Only the verifier's replay raises it, after reporting the
-    divergence; the judge stops there."""
+    def __init__(self, index, message):
+        super().__init__(f"record {index}: {message}")
+        self.index, self.message = index, message
 
 
 class ConfigInvalid(DcMeshError):

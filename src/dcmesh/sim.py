@@ -211,8 +211,9 @@ class HonestParticipant:
     """Follows the protocol for one session, on the judge's tree: pads
     every round with the slot the judge hands it, splits by the book,
     and proves every statement the judge hands it through
-    ``splitter.prove_node_denial``, true branch first: branch 1 (a repeat,
-    or one copy) at the node its message went to, else branch 0."""
+    ``splitter.prove_node_denial``, in branch order: branch 0 (no
+    message) has no witness at the node its message went to, so there
+    the first branch that holds is branch 1 (a repeat, or one copy)."""
 
     def __init__(self, params, view, tree, payload, payload_bits, rng):
         self.params = params
@@ -247,15 +248,13 @@ class HonestParticipant:
 
     def prove_round(self, round_id, statement):
         """A retransmission proof, or None; branch b's witness is B(round_id + b)."""
-        empty, repeat = (0, self.blinds[round_id]), (1, self.blinds[round_id + 1])
-        candidates = (repeat, empty) if self.message_node == round_id else (empty, repeat)
-        return self._proof(statement, candidates)
+        blinds = self.blinds
+        return self._proof(statement, [(0, blinds[round_id]), (1, blinds[round_id + 1])])
 
     def respond_demand(self, node_id, statement):
         """A denial proof, or None; every branch's witness is B(node_id)."""
-        order = sorted(range(len(statement.targets)), reverse=self.message_node == node_id)
-        candidates = [(b, self.blinds[node_id]) for b in order]
-        return self._proof(statement, candidates)
+        blind = self.blinds[node_id]
+        return self._proof(statement, [(b, blind) for b in range(len(statement.targets))])
 
     def _proof(self, statement, candidates):
         try:
@@ -593,104 +592,87 @@ class VerificationReport:
 
 
 class _Replay:
-    """The judge's source and sink on verify: one cursor over a session's
-    records after its SESSION record, every one of them the judge's.
-    Each record the judge emits to ``records``, this replay, is compared
-    with the one at the cursor, ``(none)`` past the session's end.
-    Inputs are read from the cursor on, where the judge emits them next;
-    one that is not the input asked for is reported, and
-    ProtocolOrderViolation stops the judge.  A round's ciphertexts come
-    from its CIPHER records, read for each active participant in turn,
-    so a list position is the participant and nothing else labels it,
-    as in every other answer.  Every input passes as recorded, and the
-    judge checks it as it checks a live participant's.  This is the one
-    reader of a recorded text, and it reads every text by one rule: a
-    proof, CIPHER, DEMAND or ENDORSE, is what ``zkp.proof_from_text``
-    reads from it, None for a text that spells none, and a root or a
-    path is the bytes its hex spells, or empty where it is not hex.  A
-    round's CIPHER texts are read with its ciphertexts and decoded only
-    when the judge asks for its proofs, so round 1's are never decoded.
-    The judge spells each proof, root and path it records, so a text
-    that is not its own spelling of what is read from it diverges at
-    its own record."""
+    """The judge's source on verify, over a session's records after its
+    SESSION record.  Its sink is a plain list, as the live source's is,
+    and its one position is that list's length: the i-th record of an
+    answer is read at ``len(records) + i``, where the judge will emit it.
+    A record that is not the input asked for raises
+    ProtocolOrderViolation at its index, which stops the judge.  A
+    round's ciphertexts come from its CIPHER records, one per active
+    participant in turn, so a list position is the participant, as in
+    every other answer, and its proofs from the same records' ``proof``
+    fields, read when the judge asks for them: round 1's never are.
+    Every input passes as recorded, and the judge checks it as it checks
+    a live participant's.  This is the one reader of a recorded text: a
+    proof is what ``zkp.proof_from_text`` reads, None for a text that
+    spells none, and a root or a path is the bytes its hex spells, or
+    empty where it is not hex; the judge spells what it records, so any
+    other spelling diverges at its own record."""
 
-    def __init__(self, params, pids, recorded, index, report):
+    def __init__(self, params, pids, recorded):
         self.params = params
         self.pids = pids
         self.recorded = recorded
-        self.index = index   # transcript index of recorded[0]
-        self.report = report
-        self.at = self.read = 0   # the cursor; inputs are read from it on
+        self.records = []
 
-    @property
-    def records(self):
-        """The judge's sink, this replay: a property, not an attribute
-        holding itself, so no reference cycle keeps a finished replay and
-        the records it holds alive until the cyclic collector runs."""
-        return self
-
-    def _input(self, rtype, **key):
-        rec = self.recorded[self.read] if self.read < len(self.recorded) else None
+    def _input(self, i, rtype, **key):
+        """The record at ``len(records) + i``, which must be a ``rtype``
+        record holding ``key``'s fields."""
+        at = len(self.records) + i
+        rec = self.recorded[at] if at < len(self.recorded) else None
         if rec is None or rec["type"] != rtype or not key.items() <= rec.items():
             expected = " ".join([rtype] + [f"{k}={v}" for k, v in key.items()])
-            message = f"recorded {_line(rec)} != expected {expected}"
-            self.report.divergences.append((self.index + self.read, message))
-            raise ProtocolOrderViolation(message)
-        self.read += 1
+            raise ProtocolOrderViolation(at, f"recorded {_line(rec)} != expected {expected}")
         return rec
-
-    def append(self, rec):
-        at = self.at
-        recorded = self.recorded[at] if at < len(self.recorded) else None
-        if recorded != rec:
-            self.report.compare(self.index + at, recorded, rec)
-        self.at = self.read = at + 1
 
     def keys(self):
         # reading stops at the first key record out of place, before
         # anything grows with the participant count
-        publics = {pid: self._input("PUBKEY", part=pid)["y"] for pid in self.pids}
-        optouts, recorded = set(), self.recorded
-        while self.read < len(recorded) and recorded[self.read]["type"] == "OPTOUT":
-            optouts.add((recorded[self.read]["lo"], recorded[self.read]["hi"]))
-            self.read += 1
-        return KeyGraphPublic(tuple(self.pids), publics, frozenset(optouts), ())
+        pids = self.pids
+        publics = {pid: self._input(i, "PUBKEY", part=pid)["y"] for i, pid in enumerate(pids)}
+        optouts = set()
+        for rec in self.recorded[len(pids) :]:   # the judge has emitted nothing yet
+            if rec["type"] != "OPTOUT":
+                break
+            optouts.add((rec["lo"], rec["hi"]))
+        return KeyGraphPublic(tuple(pids), publics, frozenset(optouts), ())
 
     def epoch(self, k):
         read, params, signed = zkp.proof_from_text, self.params, []
-        for pid in self.pids:
-            rec = self._input("ENDORSE", epoch=k, part=pid)
+        for i, pid in enumerate(self.pids):
+            rec = self._input(i, "ENDORSE", epoch=k, part=pid)
             signed.append(SignedRoot(_bytes(rec["root"]), read(params, rec["proof"])))
         return signed
 
     def broadcast(self, round_id, slot):   # the slot is checked in the ROUND record
-        cts, self.texts, recorded = [], [], self.recorded
-        for pid in self.pids:   # one check of each record, its type, round and part
-            rec = recorded[self.read] if self.read < len(recorded) else None
+        at, recorded, cts = len(self.records), self.recorded, []
+        for i, pid in enumerate(self.pids):   # one check of each record, its type, round and part
+            rec = recorded[at + i] if at + i < len(recorded) else None
             if rec is None or rec["type"] != "CIPHER" or rec["round"] != round_id or rec["part"] != pid:
-                self._input("CIPHER", round=round_id, part=pid)   # reports it and stops the judge
-            self.read += 1
+                self._input(i, "CIPHER", round=round_id, part=pid)   # stops the judge
             cts.append(RoundCiphertext((rec["O_count"], rec["O_total"]), rec["c"]))
-            self.texts.append(rec["proof"])
         return cts
 
     def prove(self, round_id, statements):
-        return self._decoded(self.texts)   # as read with the round's CIPHER records
+        # the judge emits nothing between a round's broadcast and its proofs
+        at = len(self.records)
+        return self._decoded(rec["proof"] for rec in self.recorded[at : at + len(self.pids)])
 
     def publish(self, slot):
         # every participant publishes, if only the empty map of a participant
-        # whose edges are all opted out; the PUBLISH records run at the cursor
+        # whose edges are all opted out; the PUBLISH records start where the judge emits next
         published = {pid: {} for pid in self.pids}
-        for rec in self.recorded[self.at :]:
+        for rec in self.recorded[len(self.records) :]:
             if rec["type"] != "PUBLISH" or rec["slot"] != slot or rec["part"] not in published:
                 break
             published[rec["part"]][rec["peer"]] = RevealedCommitment(rec["c"], _bytes(rec["path"]))
         return list(published.values())
 
     def respond(self, node_id, statements):
-        return self._decoded(
-            [self._input("DEMAND", node=node_id, part=pid)["proof"] for pid in self.pids]
-        )
+        return self._decoded([
+            self._input(i, "DEMAND", node=node_id, part=pid)["proof"]
+            for i, pid in enumerate(self.pids)
+        ])
 
     def _decoded(self, texts):
         """The proof each recorded text spells, or None."""
@@ -737,13 +719,16 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
     """Re-judge every session from its recorded inputs and report, in
     transcript order, each record that differs from the recomputed one.
 
-    The body is split at its SESSION records, and each session goes
-    through the judge with a ``_Replay`` as its source and sink.  Where
-    the judge asks for an input the record at the cursor is not, verify
-    stops there.  A session that bans no one, or bans everyone, ends the
-    run, as it does the runner's: a SESSION record after it is reported
-    and verify stops there too.  The replay reads every input as
-    recorded, and the judge applies every rule to it, as in the run.
+    The body is split at its SESSION records.  Each session goes
+    through the judge with a ``_Replay`` as its source, and once the
+    judge returns, the records it emitted are compared with the
+    session's, ``(none)`` past either's end.  A replay that stops the
+    judge at an input out of place stops verify: the records emitted
+    before the stop are compared, and the stop is reported.  A session
+    that bans no one, or bans everyone, ends the run, as it does the
+    runner's: a SESSION record after it is reported and verify stops
+    there too.  The replay reads every input as recorded, and the judge
+    applies every rule to it, as in the run.
     Raises MalformedRecord only for what cannot be parsed or checked:
     the header and its group, a CONFIG n the body cannot hold, and a
     missing SUMMARY or opening SESSION record; a session's records are
@@ -776,16 +761,20 @@ def verify_transcript(transcript: Transcript) -> VerificationReport:
         if active is None:   # the run ended with the session before
             report.compare(index, body[start], None)
             break
+        recorded, stop = body[start + 1 : end], None
+        replay = _Replay(params, active, recorded)
         try:
-            replay = _Replay(params, active, body[start + 1 : end], index + 1, report)
             tree = ResolutionTree(params.q, config["payload_bits"])
             outcome = run_session(params, tree, _session_tag(header_digest, session), replay)
-        except ProtocolOrderViolation:
-            break   # the replay's stop, after it reported the divergence
+        except ProtocolOrderViolation as exc:   # what the judge emitted before it is compared
+            recorded, stop = recorded[: len(replay.records)], (index + 1 + exc.index, exc.message)
         except (ValueError, OverflowError) as exc:
             raise MalformedRecord(index, f"unreplayable session: {exc}") from exc
-        for _ in range(len(replay.recorded) - replay.at):   # recorded, never emitted
-            replay.append(None)
+        for at, (rec, emitted) in enumerate(zip_longest(recorded, replay.records), index + 1):
+            report.compare(at, rec, emitted)
+        if stop:
+            report.divergences.append(stop)
+            break
         report.compare(index, body[start], _session_head(session, outcome.public))
         outcomes.append(outcome)
         active = _survivors(active, outcome)

@@ -44,9 +44,8 @@ role, participant and round or node, ``|retrans|pid|r`` or
 ``|denial|pid|k``; its challenge hashes that context with the group,
 the targets and the announcements (see :mod:`dcmesh.zkp`), so every
 proof binds the whole header.  A participant proves every statement
-by one rule,
-:func:`prove_node_denial`: it lists the (branch, witness) pairs it
-could prove, its true branch first, and proves the first whose
+by one rule, :func:`prove_node_denial`: it lists the (branch, witness)
+pairs it could prove, in branch order, and proves the first whose
 witness holds.  A split that survives those
 proofs but is inconsistent -- the children's counts do not add up to
 the parent's, or one side is empty -- comes from a malformed slot.
@@ -440,10 +439,11 @@ def run_session(params: GroupParams, tree: ResolutionTree, session_tag: bytes, s
     which no such proof passes, is withheld: ``non_cooperation``.  Slot
     values are read mod q.
     The simulator's source is the live participants, which read the
-    same ``tree``, and its sink a list, which becomes the session's
-    ``records``; the verifier's reads the same inputs back from a
-    transcript, through the one reader of a recorded text, and compares
-    each record as it is emitted.
+    same ``tree``; the verifier's reads the same inputs back from a
+    transcript, through the one reader of a recorded text, each where
+    the judge will emit it.  Either's sink is a list, which becomes the
+    session's ``records``, and the verifier compares them with the
+    recorded ones once the judge returns.
     """
     return Session(params, tree, session_tag, source).run()
 

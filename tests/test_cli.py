@@ -219,19 +219,6 @@ def _verify_edited(tmp_path, capsys, edit):
     return code, lines, [ln for ln in printed if ln.startswith("divergence at record")]
 
 
-def test_verify_stops_at_swapped_ciphers(tmp_path, capsys):
-    # the judge asks for participant 1's CIPHER and finds participant 2's
-    def swap(lines):
-        first = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER ")) + 1
-        lines[first], lines[first + 1] = lines[first + 1], lines[first]
-
-    code, lines, reported = _verify_edited(tmp_path, capsys, swap)
-    assert code == 2
-    first = next(i for i, ln in enumerate(lines) if ln.startswith("CIPHER ")) + 1
-    assert reported[0].startswith(f"divergence at record {first}: recorded CIPHER ")
-    assert reported[0].endswith("!= expected CIPHER round=1 part=1")
-
-
 def test_verify_names_the_aggregate_of_a_changed_tree(tmp_path, capsys):
     # one more message in round 1's slot count: the sum, and so the tree, change
     def add_count(lines):

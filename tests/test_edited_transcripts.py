@@ -102,6 +102,13 @@ def _swap_proof(records):
     records[i] = {**records[i], "proof": records[j]["proof"]}
 
 
+def swap_ciphers(records):
+    """Round 1's first two CIPHER records, swapped."""
+    i = next(i for i, rec in enumerate(records) if rec["type"] == "CIPHER")
+    assert records[i]["round"] == records[i + 1]["round"] == 1
+    records[i], records[i + 1] = records[i + 1], records[i]
+
+
 def _nine_bits(bits, group):
     assert bits == 8
     return 9
@@ -229,6 +236,10 @@ ROWS = [
         "reason=non_cooperation"),
     # verify checks the proof each text spells against its own participant's statement
     Row("swapped_proof", on_records(_swap_proof, "bind"), 2, "reason=invalid_proof where=round:2"),
+    # the judge asks for participant 0's CIPHER and finds participant 1's: verify stops there
+    Row("swapped_ciphers", on_records(swap_ciphers, "bind"), 2,
+        r"\Adivergence at record 14: recorded CIPHER round=1 part=1 .* "
+        r"!= expected CIPHER round=1 part=0$"),
     # unresealed, a signature or root that no longer verifies gets its signer a new verdict
     *(Row(name, first("ENDORSE", field, value, where=_part_3_epoch_0), 2,
           "part=3 " + _BAD_SIGNATURE)

@@ -1,5 +1,6 @@
 """Scenario execution, strategy detection, transcript closure."""
 
+import gc
 import hashlib
 import importlib.util
 import random
@@ -22,7 +23,7 @@ from dcmesh.transcript import (
     record_to_line,
 )
 from conftest import OutsideGroupParticipant, session_records
-from test_edited_transcripts import resealed, sign_under_negated_key
+from test_edited_transcripts import on_records, resealed, sign_under_negated_key, swap_ciphers
 
 # hex digits of one commitment, and of the edge's other commitments that
 # open a PUBLISH path
@@ -1228,17 +1229,23 @@ def _structural_mutations(body):
         yield records[:i] + [records[i + 1], records[i]] + records[i + 2 :] + [summary]
 
 
+# SHA-256 over the 510 structural mutations' reports, each the repr of
+# its divergences, or ("malformed", text) where verify raises MalformedRecord
+STRUCTURAL_REPORTS = "c6dc219ed29e68dafd142c0b5f518911834f8ba810a9bd415f0a260356ae4849"
+
+
 def test_every_structural_mutation_detected():
     # an investigation and a re-keyed session, a session that endorses
     # epoch 1 mid-tree, and a session with OPTOUT records: with the
     # SUMMARY bind resealed, no deleted, duplicated or swapped record
-    # verifies clean, and verify raises nothing but MalformedRecord
+    # verifies clean, verify raises nothing but MalformedRecord, and
+    # every report, each divergence's index and message, is pinned
     scenarios = [
         BAD_PAD_RUN,
         EPOCH_CROSSING,
         sim.Scenario(n=5, senders=((0, 5), (1, 9)), adversaries=((2, "refuse_signature"),), seed=9),
     ]
-    mutations, clean = 0, []
+    mutations, clean, reports = 0, [], hashlib.sha256()
     for scenario in scenarios:
         transcript = sim.run_scenario(scenario)
         text = transcript.to_text()
@@ -1246,10 +1253,34 @@ def test_every_structural_mutation_detected():
             mutated = resealed(transcript.header, body, "bind")
             assert mutated != text
             mutations += 1
-            if _outcome(mutated) == "clean":
+            try:
+                divergences = sim.verify_transcript(Transcript.from_text(mutated)).divergences
+            except MalformedRecord as exc:
+                divergences = ("malformed", str(exc))
+            if not divergences:
                 clean.append((scenario.seed, mutations))
+            reports.update(repr(divergences).encode())
     assert mutations == 510
     assert not clean, clean
+    assert reports.hexdigest() == STRUCTURAL_REPORTS
+
+
+def test_run_and_verify_leave_no_reference_cycle():
+    # a finished session, its judge and its replay are freed by reference
+    # counting alone: after a run, a clean verify and a verify that the
+    # replay stops, the cyclic collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        transcript = sim.run_scenario(BAD_PAD_RUN)
+        assert gc.collect() == 0
+        assert sim.verify_transcript(Transcript.from_text(transcript.to_text())).clean
+        assert gc.collect() == 0
+        swapped = Transcript.from_text(on_records(swap_ciphers, "bind")(transcript.to_text()))
+        assert not sim.verify_transcript(swapped).clean
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oversized_participant_count_is_malformed():
